@@ -5,6 +5,11 @@
 //! nanoseconds per live object, at 0%/50%/100% updated fractions, two
 //! heap sizes, and three GC worker counts (the parallel collector's
 //! threads axis), and gates changes against the committed baseline.
+//! Every row is the product default — the generated field-copy
+//! transformer lowered to a copy plan and applied inside the copy — and
+//! the serial configurations are measured a second time with every
+//! transformer interpreted (the paper-faithful path), so the two can be
+//! read side by side.
 //!
 //! Usage:
 //!
@@ -20,6 +25,11 @@
 //!   statistic at microsecond scales. Baseline entries without a
 //!   `gc_threads` field (the v1 schema) are treated as serial.
 //!
+//!   `--check` also gates the plan path against the interpreted one: at
+//!   the largest configuration, 100% updated, the whole pause per object
+//!   on the plan path must be at most half the interpreted path's in the
+//!   same run (ROADMAP item 2's gate).
+//!
 //!   `--check` also gates the parallel collector itself: at the largest
 //!   configuration, 4 workers must not be more than 15% *slower* than
 //!   serial. That gate only makes sense with real cores behind the
@@ -28,7 +38,7 @@
 //!
 //! `--iters N` controls timed iterations per configuration (default 5).
 
-use jvolve_bench::micro::{measure_pause_threads, PauseSample};
+use jvolve_bench::micro::{measure_pause_with, PauseSample};
 use jvolve_bench::timing::{fmt_ns, gate_best_of, Samples, REGRESSION_LIMIT};
 use jvolve_bench::{arg_value, baseline_for_check, enforce_gate_args, gate_iters};
 use jvolve_json::Json;
@@ -39,6 +49,10 @@ const OBJECT_COUNTS: [usize; 2] = [5_000, 20_000];
 const FRACTIONS: [f64; 3] = [0.0, 0.5, 1.0];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
+/// The plan path's total pause per object at 100% updated may be at most
+/// this fraction of the interpreted path's.
+const PLAN_TOTAL_LIMIT: f64 = 0.5;
+
 /// Minimum logical CPUs before the parallel-vs-serial gate is enforced.
 /// With fewer cores the workers time-slice one CPU and "parallel beats
 /// serial" is not a meaningful claim.
@@ -48,6 +62,8 @@ struct Entry {
     objects: usize,
     fraction: f64,
     gc_threads: usize,
+    /// Every transformer interpreted (`true`) or the default plan path.
+    interpreted: bool,
     semispace_words: usize,
     gc_ns_per_object: f64,
     /// Best-of-N GC phase time. The check gate compares this, not the
@@ -55,8 +71,58 @@ struct Entry {
     /// more stable at these microsecond scales.
     gc_min_ns_per_object: f64,
     total_ns_per_object: f64,
+    total_min_ns_per_object: f64,
     gc_copied_cells: usize,
     gc_copied_words: usize,
+}
+
+fn measure_one(
+    objects: usize,
+    fraction: f64,
+    gc_threads: usize,
+    interpreted: bool,
+    iters: usize,
+) -> Entry {
+    eprint!(
+        "\rmeasuring {objects} objects, {:>3.0}% updated, {gc_threads} worker(s), {}...",
+        fraction * 100.0,
+        mode_name(interpreted)
+    );
+    let mut gc_ns = Vec::with_capacity(iters);
+    let mut total_ns = Vec::with_capacity(iters);
+    let mut last: Option<PauseSample> = None;
+    // Warmup run, then timed runs; measure_pause_with builds a fresh VM
+    // each time, so iterations are independent.
+    measure_pause_with(objects, fraction, gc_threads, interpreted);
+    for _ in 0..iters {
+        let s = measure_pause_with(objects, fraction, gc_threads, interpreted);
+        gc_ns.push(s.gc_time.as_nanos() as u64);
+        total_ns.push(s.total_time.as_nanos() as u64);
+        last = Some(s);
+    }
+    let last = last.expect("at least one iteration");
+    let (gc, total) = (Samples::from_ns(gc_ns), Samples::from_ns(total_ns));
+    Entry {
+        objects,
+        fraction,
+        gc_threads,
+        interpreted,
+        semispace_words: last.semispace_words,
+        gc_ns_per_object: gc.median_ns() as f64 / objects as f64,
+        gc_min_ns_per_object: gc.min_ns() as f64 / objects as f64,
+        total_ns_per_object: total.median_ns() as f64 / objects as f64,
+        total_min_ns_per_object: total.min_ns() as f64 / objects as f64,
+        gc_copied_cells: last.gc_copied_cells,
+        gc_copied_words: last.gc_copied_words,
+    }
+}
+
+fn mode_name(interpreted: bool) -> &'static str {
+    if interpreted {
+        "interpreted"
+    } else {
+        "plan"
+    }
 }
 
 fn measure(iters: usize) -> Vec<Entry> {
@@ -64,37 +130,9 @@ fn measure(iters: usize) -> Vec<Entry> {
     for &objects in &OBJECT_COUNTS {
         for &fraction in &FRACTIONS {
             for &gc_threads in &THREAD_COUNTS {
-                eprint!(
-                    "\rmeasuring {objects} objects, {:>3.0}% updated, {gc_threads} worker(s)...",
-                    fraction * 100.0
-                );
-                let mut gc_ns = Vec::with_capacity(iters);
-                let mut total_ns = Vec::with_capacity(iters);
-                let mut last: Option<PauseSample> = None;
-                // Warmup run, then timed runs; measure_pause_threads builds
-                // a fresh VM each time, so iterations are independent.
-                measure_pause_threads(objects, fraction, gc_threads);
-                for _ in 0..iters {
-                    let s = measure_pause_threads(objects, fraction, gc_threads);
-                    gc_ns.push(s.gc_time.as_nanos() as u64);
-                    total_ns.push(s.total_time.as_nanos() as u64);
-                    last = Some(s);
-                }
-                let last = last.expect("at least one iteration");
-                let gc = Samples::from_ns(gc_ns);
-                entries.push(Entry {
-                    objects,
-                    fraction,
-                    gc_threads,
-                    semispace_words: last.semispace_words,
-                    gc_ns_per_object: gc.median_ns() as f64 / objects as f64,
-                    gc_min_ns_per_object: gc.min_ns() as f64 / objects as f64,
-                    total_ns_per_object: Samples::from_ns(total_ns).median_ns() as f64
-                        / objects as f64,
-                    gc_copied_cells: last.gc_copied_cells,
-                    gc_copied_words: last.gc_copied_words,
-                });
+                entries.push(measure_one(objects, fraction, gc_threads, false, iters));
             }
+            entries.push(measure_one(objects, fraction, 1, true, iters));
         }
     }
     eprintln!();
@@ -103,7 +141,7 @@ fn measure(iters: usize) -> Vec<Entry> {
 
 fn to_json(entries: &[Entry], iters: usize) -> Json {
     Json::obj([
-        ("schema", Json::from("jvolve-gcbench-v2")),
+        ("schema", Json::from("jvolve-gcbench-v3")),
         ("iters", Json::from(iters)),
         (
             "entries",
@@ -115,10 +153,12 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
                             ("objects", Json::from(e.objects)),
                             ("fraction", Json::from(e.fraction)),
                             ("gc_threads", Json::from(e.gc_threads)),
+                            ("transformers", Json::from(mode_name(e.interpreted))),
                             ("semispace_words", Json::from(e.semispace_words)),
                             ("gc_ns_per_object", Json::from(e.gc_ns_per_object)),
                             ("gc_min_ns_per_object", Json::from(e.gc_min_ns_per_object)),
                             ("total_ns_per_object", Json::from(e.total_ns_per_object)),
+                            ("total_min_ns_per_object", Json::from(e.total_min_ns_per_object)),
                             ("gc_copied_cells", Json::from(e.gc_copied_cells)),
                             ("gc_copied_words", Json::from(e.gc_copied_words)),
                         ])
@@ -133,13 +173,7 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
 /// Used by `--check` to re-measure a configuration that tripped the gate:
 /// a real regression survives the retry, scheduler noise does not.
 fn gc_min_ns(objects: usize, fraction: f64, gc_threads: usize, iters: usize) -> f64 {
-    let mut best = u64::MAX;
-    measure_pause_threads(objects, fraction, gc_threads);
-    for _ in 0..iters {
-        let s = measure_pause_threads(objects, fraction, gc_threads);
-        best = best.min(s.gc_time.as_nanos() as u64);
-    }
-    best as f64 / objects as f64
+    measure_one(objects, fraction, gc_threads, false, iters).gc_min_ns_per_object
 }
 
 fn baseline_gc_ns(baseline: &Json, objects: usize, fraction: f64) -> Option<f64> {
@@ -147,9 +181,11 @@ fn baseline_gc_ns(baseline: &Json, objects: usize, fraction: f64) -> Option<f64>
         let obj = e.get("objects")?.as_u64()? as usize;
         let frac = e.get("fraction")?.as_f64()?;
         // v1 baselines predate the threads axis: no gc_threads field means
-        // the serial collector.
+        // the serial collector. v1/v2 baselines predate the transformer
+        // axis; their rows stand in for the plan path.
         let threads = e.get("gc_threads").and_then(Json::as_u64).unwrap_or(1) as usize;
-        (obj == objects && threads == 1 && (frac - fraction).abs() < 1e-9)
+        let plan = e.get("transformers").and_then(Json::as_str).unwrap_or("plan") == "plan";
+        (obj == objects && threads == 1 && plan && (frac - fraction).abs() < 1e-9)
             .then(|| e.get("gc_min_ns_per_object")?.as_f64())
             .flatten()
     })
@@ -157,16 +193,17 @@ fn baseline_gc_ns(baseline: &Json, objects: usize, fraction: f64) -> Option<f64>
 
 fn print_table(entries: &[Entry]) {
     println!(
-        "{:>9} {:>9} {:>8} {:>10} {:>16} {:>18} {:>14}",
-        "objects", "updated%", "workers", "heap(MB)", "gc ns/object", "total ns/object",
-        "copied cells"
+        "{:>9} {:>9} {:>8} {:>12} {:>10} {:>16} {:>18} {:>14}",
+        "objects", "updated%", "workers", "transformers", "heap(MB)", "gc ns/object",
+        "total ns/object", "copied cells"
     );
     for e in entries {
         println!(
-            "{:>9} {:>8.0}% {:>8} {:>10.1} {:>16.1} {:>18.1} {:>14}",
+            "{:>9} {:>8.0}% {:>8} {:>12} {:>10.1} {:>16.1} {:>18.1} {:>14}",
             e.objects,
             e.fraction * 100.0,
             e.gc_threads,
+            mode_name(e.interpreted),
             (e.semispace_words * 2 * 8) as f64 / (1024.0 * 1024.0),
             e.gc_ns_per_object,
             e.total_ns_per_object,
@@ -180,7 +217,7 @@ fn print_table(entries: &[Entry]) {
 fn check_serial(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<String> {
     let mut regressions = Vec::new();
     println!("\nregression check vs {path} (limit +{:.0}%):", REGRESSION_LIMIT * 100.0);
-    for e in entries.iter().filter(|e| e.gc_threads == 1) {
+    for e in entries.iter().filter(|e| e.gc_threads == 1 && !e.interpreted) {
         let Some(base) = baseline_gc_ns(baseline, e.objects, e.fraction) else {
             println!(
                 "  {:>7} objects {:>3.0}%: no baseline entry — skipped",
@@ -234,7 +271,12 @@ fn check_parallel(entries: &[Entry], iters: usize) -> Vec<String> {
     let pick = |threads: usize| {
         entries
             .iter()
-            .find(|e| e.objects == objects && e.fraction == fraction && e.gc_threads == threads)
+            .find(|e| {
+                e.objects == objects
+                    && e.fraction == fraction
+                    && e.gc_threads == threads
+                    && !e.interpreted
+            })
             .map(|e| e.gc_min_ns_per_object)
     };
     let (Some(serial), Some(parallel)) = (pick(1), pick(4)) else {
@@ -260,6 +302,49 @@ fn check_parallel(entries: &[Entry], iters: usize) -> Vec<String> {
     }
 }
 
+/// The plan-vs-interpreted gate: at the largest configuration with every
+/// object updated, the plan path's best-of-N total pause must be at most
+/// `PLAN_TOTAL_LIMIT` of the interpreted path's, measured in the same
+/// run. A tripped gate re-measures both with 3× iterations first.
+fn check_plan(entries: &[Entry], iters: usize) -> Vec<String> {
+    let objects = *OBJECT_COUNTS.last().expect("object counts");
+    let pick = |interpreted: bool| {
+        entries
+            .iter()
+            .find(|e| {
+                e.objects == objects
+                    && e.fraction == 1.0
+                    && e.gc_threads == 1
+                    && e.interpreted == interpreted
+            })
+            .map(|e| e.total_min_ns_per_object)
+            .expect("serial 100% rows are always measured")
+    };
+    let (mut plan, mut interpreted) = (pick(false), pick(true));
+    if plan > PLAN_TOTAL_LIMIT * interpreted {
+        let again = |mode| measure_one(objects, 1.0, 1, mode, iters * 3).total_min_ns_per_object;
+        plan = plan.min(again(false));
+        interpreted = interpreted.min(again(true));
+    }
+    println!(
+        "\nplan-vs-interpreted gate ({objects} objects, 100% updated): total pause \
+         interpreted {} -> plan {} per object = {:.2}x (limit {:.2}x)",
+        fmt_ns(interpreted as u64),
+        fmt_ns(plan as u64),
+        plan / interpreted,
+        PLAN_TOTAL_LIMIT,
+    );
+    if plan > PLAN_TOTAL_LIMIT * interpreted {
+        vec![format!(
+            "plan path is {:.2}x the interpreted pause at {objects} objects, 100% updated \
+             (limit {PLAN_TOTAL_LIMIT:.2}x)",
+            plan / interpreted
+        )]
+    } else {
+        Vec::new()
+    }
+}
+
 fn main() {
     enforce_gate_args("gcbench");
     let iters = gate_iters();
@@ -270,6 +355,7 @@ fn main() {
 
     if let Some((path, baseline)) = baseline {
         let mut regressions = check_serial(&entries, &baseline, &path, iters);
+        regressions.extend(check_plan(&entries, iters));
         regressions.extend(check_parallel(&entries, iters));
         if !regressions.is_empty() {
             eprintln!("\nGC pause regression(s) beyond {:.0}%:", REGRESSION_LIMIT * 100.0);

@@ -19,6 +19,12 @@
 //!    watermark arm there is no per-object work left in the pause, so it
 //!    must not grow with the heap.
 //!
+//! Every gate runs on the product default, where the generated field-copy
+//! transformer is lowered to a copy plan. The eager pause and the lazy
+//! drain are also measured with every transformer interpreted (the
+//! paper-faithful path) and reported beside the plan numbers; they carry
+//! no gate of their own.
+//!
 //! Usage (same dialect as `gcbench`/`interpbench`):
 //!
 //! * `cargo run --release -p jvolve-bench --bin lazybench` — measure and
@@ -71,6 +77,10 @@ struct Entry {
     /// in-pause heap cost; recorded for the O(roots) story).
     arm_min_ns: f64,
     lazy_drain_ns: f64,
+    /// Best-of-N eager pause with every transformer interpreted.
+    interp_eager_pause_min_ns: f64,
+    /// Lazy drain (last run) with every transformer interpreted.
+    interp_lazy_drain_ns: f64,
     steady_eager_min_ns_per_op: f64,
     steady_lazy_min_ns_per_op: f64,
     transformed: usize,
@@ -85,14 +95,19 @@ impl Entry {
 
 /// Best-of-`iters` runs of one configuration in one mode (warmup first;
 /// each run builds a fresh VM, so iterations are independent).
-fn best_of(objects: usize, lazy: bool, iters: usize) -> (Samples, Vec<f64>, Samples, UpdateRun) {
-    measure_update(objects, FRACTION, lazy, SPIN_ITERS);
+fn best_of(
+    objects: usize,
+    lazy: bool,
+    interpret: bool,
+    iters: usize,
+) -> (Samples, Vec<f64>, Samples, UpdateRun) {
+    measure_update(objects, FRACTION, lazy, interpret, SPIN_ITERS);
     let mut pause = Vec::with_capacity(iters);
     let mut steady = Vec::with_capacity(iters);
     let mut arm = Vec::with_capacity(iters);
     let mut last = None;
     for _ in 0..iters {
-        let r = measure_update(objects, FRACTION, lazy, SPIN_ITERS);
+        let r = measure_update(objects, FRACTION, lazy, interpret, SPIN_ITERS);
         pause.push(r.pause_ns);
         steady.push(r.steady_ns_per_op);
         arm.push(r.arm_ns);
@@ -110,13 +125,19 @@ fn measure(iters: usize) -> Vec<Entry> {
     let mut entries = Vec::new();
     for &objects in &points {
         eprint!("\rmeasuring {objects} objects, eager...        ");
-        let (eager_pause, eager_steady, _, eager_last) = best_of(objects, false, iters);
+        let (eager_pause, eager_steady, _, eager_last) = best_of(objects, false, false, iters);
         eprint!("\rmeasuring {objects} objects, lazy...         ");
-        let (lazy_pause, lazy_steady, lazy_arm, lazy_last) = best_of(objects, true, iters);
-        assert_eq!(
-            eager_last.spin_result, lazy_last.spin_result,
-            "modes disagree on the heap contents"
-        );
+        let (lazy_pause, lazy_steady, lazy_arm, lazy_last) = best_of(objects, true, false, iters);
+        eprint!("\rmeasuring {objects} objects, interpreted...  ");
+        let (interp_eager_pause, _, _, interp_eager_last) =
+            best_of(objects, false, true, iters);
+        let (_, _, _, interp_lazy_last) = best_of(objects, true, true, iters);
+        for other in [&lazy_last, &interp_eager_last, &interp_lazy_last] {
+            assert_eq!(
+                eager_last.spin_result, other.spin_result,
+                "modes disagree on the heap contents"
+            );
+        }
         entries.push(Entry {
             objects,
             eager_pause_ns: eager_pause.median_ns() as f64,
@@ -125,6 +146,8 @@ fn measure(iters: usize) -> Vec<Entry> {
             lazy_pause_min_ns: lazy_pause.min_ns() as f64,
             arm_min_ns: lazy_arm.min_ns() as f64,
             lazy_drain_ns: lazy_last.drain_ns as f64,
+            interp_eager_pause_min_ns: interp_eager_pause.min_ns() as f64,
+            interp_lazy_drain_ns: interp_lazy_last.drain_ns as f64,
             steady_eager_min_ns_per_op: eager_steady[0],
             steady_lazy_min_ns_per_op: lazy_steady[0],
             transformed: lazy_last.transformed,
@@ -136,7 +159,7 @@ fn measure(iters: usize) -> Vec<Entry> {
 
 fn to_json(entries: &[Entry], iters: usize) -> Json {
     Json::obj([
-        ("schema", Json::from("jvolve-lazybench-v2")),
+        ("schema", Json::from("jvolve-lazybench-v3")),
         ("iters", Json::from(iters)),
         ("spin_iters", Json::from(SPIN_ITERS as f64)),
         (
@@ -155,6 +178,11 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
                             ("arm_min_ns", Json::from(e.arm_min_ns)),
                             ("pause_ratio", Json::from(e.pause_ratio())),
                             ("lazy_drain_ns", Json::from(e.lazy_drain_ns)),
+                            (
+                                "interpreted_eager_pause_min_ns",
+                                Json::from(e.interp_eager_pause_min_ns),
+                            ),
+                            ("interpreted_lazy_drain_ns", Json::from(e.interp_lazy_drain_ns)),
                             (
                                 "steady_eager_min_ns_per_op",
                                 Json::from(e.steady_eager_min_ns_per_op),
@@ -199,11 +227,24 @@ fn print_table(entries: &[Entry]) {
             e.steady_lazy_min_ns_per_op,
         );
     }
+    println!("\ncopy plans vs every transformer interpreted (best-of-N eager pause, last lazy drain):");
+    for e in entries {
+        println!(
+            "{:>9} objects: eager pause {} vs {} interpreted ({:.2}x), lazy drain {} vs {} interpreted ({:.2}x)",
+            e.objects,
+            fmt_ns(e.eager_pause_min_ns as u64),
+            fmt_ns(e.interp_eager_pause_min_ns as u64),
+            e.eager_pause_min_ns / e.interp_eager_pause_min_ns,
+            fmt_ns(e.lazy_drain_ns as u64),
+            fmt_ns(e.interp_lazy_drain_ns as u64),
+            e.lazy_drain_ns / e.interp_lazy_drain_ns,
+        );
+    }
 }
 
 /// Best-of-`iters` lazy pause for the retry path.
 fn retry_lazy_pause_ns(objects: usize, iters: usize) -> f64 {
-    best_of(objects, true, iters).0.min_ns() as f64
+    best_of(objects, true, false, iters).0.min_ns() as f64
 }
 
 fn check(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<String> {
@@ -244,7 +285,7 @@ fn check(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<St
     let mut ratio = lazy_min / eager_min;
     if ratio > PAUSE_RATIO_LIMIT {
         lazy_min = lazy_min.min(retry_lazy_pause_ns(largest.objects, iters * 3));
-        eager_min = eager_min.min(best_of(largest.objects, false, iters * 3).0.min_ns() as f64);
+        eager_min = eager_min.min(best_of(largest.objects, false, false, iters * 3).0.min_ns() as f64);
         ratio = lazy_min / eager_min;
     }
     println!(
@@ -299,7 +340,7 @@ fn check(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<St
     let g = gate_best_of(
         largest.steady_lazy_min_ns_per_op,
         largest.steady_eager_min_ns_per_op,
-        || best_of(largest.objects, true, iters * 3).1[0],
+        || best_of(largest.objects, true, false, iters * 3).1[0],
     );
     println!(
         "steady-state gate ({} objects): eager {:.1} -> lazy {:.1} ns/op ({:+.1}%) {}",

@@ -130,12 +130,20 @@ pub struct UpdateRun {
 /// Runs one configuration end to end: build `objects` live objects (a
 /// `fraction` of them `Change`), apply the v1→v2 update in the requested
 /// mode on the serial collector, then time the steady-state spin loop.
+/// `interpret` runs the generated transformer as a compiled method (the
+/// paper-faithful path) where the default lowers it to a copy plan.
 ///
 /// # Panics
 ///
 /// Panics on fixture errors (the classes always compile and the update
 /// always applies).
-pub fn measure_update(objects: usize, fraction: f64, lazy: bool, spin_iters: i64) -> UpdateRun {
+pub fn measure_update(
+    objects: usize,
+    fraction: f64,
+    lazy: bool,
+    interpret: bool,
+    spin_iters: i64,
+) -> UpdateRun {
     // Live data is ~9 words per object plus the two arrays; the update
     // additionally materializes an old copy and a new object per updated
     // object. Size generously, as the paper does.
@@ -161,7 +169,8 @@ pub fn measure_update(objects: usize, fraction: f64, lazy: bool, spin_iters: i64
     .expect("population builds");
 
     let update = Update::prepare(&v1, &v2, "v1_").expect("non-empty update");
-    let mut controller = UpdateController::new(&update, ApplyOptions::default());
+    let opts = ApplyOptions { interpret_all_transformers: interpret, ..ApplyOptions::default() };
+    let mut controller = UpdateController::new(&update, opts);
 
     // Drive the controller by hand: the first Pending(LazyMigrating) step
     // is the moment a real deployment resumes the guest, so everything
@@ -183,6 +192,8 @@ pub fn measure_update(objects: usize, fraction: f64, lazy: bool, spin_iters: i64
     let arm_ns = controller.stats().arm_time.as_nanos() as u64;
     let transformed = controller.stats().objects_transformed;
     assert_eq!(transformed, n_change, "every Change instance migrates exactly once");
+    let planned = if interpret { 0 } else { n_change };
+    assert_eq!(controller.stats().objects_planned, planned, "copy plans applied as configured");
 
     // Steady state: the epoch is over, so the spin loop must run on the
     // barrier-free fast path in both modes. (With no Change instances
@@ -217,8 +228,15 @@ mod tests {
 
     #[test]
     fn eager_and_lazy_agree_on_the_work_and_the_answer() {
-        let eager = measure_update(800, 0.5, false, 2_000);
-        let lazy = measure_update(800, 0.5, true, 2_000);
+        let eager = measure_update(800, 0.5, false, false, 2_000);
+        let lazy = measure_update(800, 0.5, true, false, 2_000);
+        for interpreted in [
+            measure_update(800, 0.5, false, true, 2_000),
+            measure_update(800, 0.5, true, true, 2_000),
+        ] {
+            assert_eq!(interpreted.transformed, 400);
+            assert_eq!(interpreted.spin_result, eager.spin_result);
+        }
         assert_eq!(eager.transformed, 400);
         assert_eq!(lazy.transformed, 400);
         assert_eq!(eager.spin_result, lazy.spin_result);
@@ -233,8 +251,8 @@ mod tests {
     fn zero_fraction_still_commits_in_both_modes() {
         // The update always changes class Change, so it is non-empty even
         // when no instances exist.
-        let eager = measure_update(300, 0.0, false, 1_000);
-        let lazy = measure_update(300, 0.0, true, 1_000);
+        let eager = measure_update(300, 0.0, false, false, 1_000);
+        let lazy = measure_update(300, 0.0, true, false, 1_000);
         assert_eq!(eager.transformed, 0);
         assert_eq!(lazy.transformed, 0);
         assert_eq!(eager.spin_result, lazy.spin_result);

@@ -56,7 +56,12 @@ pub struct PauseSample {
     pub phase_sum: Duration,
     /// Objects actually transformed.
     pub transformed: usize,
-    /// Cells the update GC copied (duplicated objects count twice).
+    /// How many of them a native copy plan converted inside the update-GC
+    /// (all of them on the default path, none with
+    /// `ApplyOptions::interpret_all_transformers`).
+    pub planned: usize,
+    /// Cells the update GC copied (objects duplicated for an interpreted
+    /// transformer count twice).
     pub gc_copied_cells: usize,
     /// Words the update GC copied, headers included.
     pub gc_copied_words: usize,
@@ -65,24 +70,34 @@ pub struct PauseSample {
 /// Runs one microbenchmark configuration: `objects` live objects, a
 /// `fraction` of which are instances of the updated class, on the serial
 /// (single-worker) collector — the paper's configuration, and the one
-/// `table1`/`fig6` report.
+/// `fig6` reports — with the product defaults, i.e. the generated
+/// field-copy transformer lowered to a copy plan.
 ///
 /// # Panics
 ///
 /// Panics on fixture errors (the microbenchmark classes always compile
 /// and the update always applies).
 pub fn measure_pause(objects: usize, fraction: f64) -> PauseSample {
-    measure_pause_threads(objects, fraction, 1)
+    measure_pause_with(objects, fraction, 1, false)
 }
 
 /// [`measure_pause`] with an explicit GC worker count (`gcbench`'s
-/// threads axis). Any worker count yields the same transformed counts,
-/// copied cells/words, and post-update heap — only the timings move.
+/// threads axis) and transformer mode: `interpret_all_transformers` runs
+/// the transformer as a compiled method in one interpreter frame per
+/// object, as the paper does (`table1`'s faithful row). Any worker count
+/// yields the same transformed counts, copied cells/words, and
+/// post-update heap, and both modes the same transformed count and heap
+/// — only the timings and the GC work move.
 ///
 /// # Panics
 ///
 /// Panics on fixture errors, like [`measure_pause`].
-pub fn measure_pause_threads(objects: usize, fraction: f64, gc_threads: usize) -> PauseSample {
+pub fn measure_pause_with(
+    objects: usize,
+    fraction: f64,
+    gc_threads: usize,
+    interpret_all_transformers: bool,
+) -> PauseSample {
     // Size the heap generously (the paper uses 5x the minimum): live data
     // is ~7 words per object; the update GC additionally materializes an
     // old copy (7 words) and a new object (8 words) per updated object.
@@ -106,7 +121,8 @@ pub fn measure_pause_threads(objects: usize, fraction: f64, gc_threads: usize) -
 
     let update = Update::prepare(&old, &new, "v1_").expect("non-empty update");
     let mut events = MemorySink::default();
-    let mut controller = UpdateController::new(&update, ApplyOptions::default());
+    let opts = ApplyOptions { interpret_all_transformers, ..ApplyOptions::default() };
+    let mut controller = UpdateController::new(&update, opts);
     controller.attach_sink(&mut events);
     let stats = controller.run_to_completion(&mut vm).expect("update applies");
 
@@ -120,7 +136,7 @@ pub fn measure_pause_threads(objects: usize, fraction: f64, gc_threads: usize) -
     // The GC and transformer outcomes come from the controller's typed
     // event stream; the aggregate stats must agree with them (this keeps
     // the default stats sink honest).
-    let mut transformed = 0;
+    let (mut transformed, mut planned) = (0, 0);
     let mut gc_copied_cells = 0;
     let mut gc_copied_words = 0;
     for event in &events.events {
@@ -129,13 +145,16 @@ pub fn measure_pause_threads(objects: usize, fraction: f64, gc_threads: usize) -
                 gc_copied_cells = copied_cells;
                 gc_copied_words = copied_words;
             }
-            UpdateEvent::TransformersRun { objects_transformed } => {
+            UpdateEvent::TransformersRun { objects_transformed, objects_planned } => {
                 transformed = objects_transformed;
+                planned = objects_planned;
             }
             _ => {}
         }
     }
     assert_eq!(transformed, stats.objects_transformed, "event stream and stats disagree");
+    assert_eq!(planned, stats.objects_planned, "event stream and stats disagree");
+    assert_eq!(planned, if interpret_all_transformers { 0 } else { n_change });
     assert_eq!(gc_copied_cells, stats.gc_copied_cells, "event stream and stats disagree");
     assert_eq!(gc_copied_words, stats.gc_copied_words, "event stream and stats disagree");
 
@@ -148,6 +167,7 @@ pub fn measure_pause_threads(objects: usize, fraction: f64, gc_threads: usize) -
         total_time: stats.total_time,
         phase_sum: stats.phase_sum(),
         transformed,
+        planned,
         gc_copied_cells,
         gc_copied_words,
     }
@@ -178,13 +198,22 @@ mod tests {
     #[test]
     fn micro_update_transforms_expected_fraction() {
         let s = measure_pause(1_000, 0.3);
-        assert_eq!(s.transformed, 300);
+        assert_eq!((s.transformed, s.planned), (300, 300));
         assert!(s.total_time >= s.gc_time);
         assert!(s.total_time >= s.phase_sum);
+        // A planned object is one cell like any other: 8 words where the
+        // 700 NoChange cells are 7.
+        assert_eq!((s.gc_copied_cells, s.gc_copied_words), (1_000, 700 * 7 + 300 * 8));
+    }
+
+    #[test]
+    fn interpreting_the_transformer_duplicates_instead_of_planning() {
+        let s = measure_pause_with(1_000, 0.3, 1, true);
+        assert_eq!((s.transformed, s.planned), (300, 0));
         // 1000 live objects + 300 duplicates (old copy + new object each
         // replaces the single normal copy).
-        assert!(s.gc_copied_cells >= 1_300, "copied {} cells", s.gc_copied_cells);
-        assert!(s.gc_copied_words > s.gc_copied_cells);
+        assert_eq!(s.gc_copied_cells, 1_300);
+        assert_eq!(s.gc_copied_words, 700 * 7 + 300 * (7 + 8));
     }
 
     #[test]
@@ -201,9 +230,9 @@ mod tests {
 
     #[test]
     fn threads_axis_changes_only_timings() {
-        let serial = measure_pause_threads(2_000, 0.5, 1);
-        let par = measure_pause_threads(2_000, 0.5, 4);
-        assert_eq!(par.transformed, serial.transformed);
+        let serial = measure_pause_with(2_000, 0.5, 1, false);
+        let par = measure_pause_with(2_000, 0.5, 4, false);
+        assert_eq!((par.transformed, par.planned), (serial.transformed, serial.planned));
         assert_eq!(par.gc_copied_cells, serial.gc_copied_cells);
         assert_eq!(par.gc_copied_words, serial.gc_copied_words);
     }

@@ -342,8 +342,8 @@ fn main() -> ExitCode {
         }
         match result {
             Ok(stats) => eprintln!(
-                "jvolve_run: updated ({} objects transformed, pause {:?})",
-                stats.objects_transformed, stats.total_time
+                "jvolve_run: updated ({} objects transformed, {} of them by copy plan, pause {:?})",
+                stats.objects_transformed, stats.objects_planned, stats.total_time
             ),
             Err(e) => {
                 eprintln!("jvolve_run: update failed: {e}");

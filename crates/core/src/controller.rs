@@ -53,7 +53,10 @@ use std::time::{Duration, Instant};
 use jvolve_classfile::{ClassName, MethodRef};
 use jvolve_json::Json;
 use jvolve_vm::compiled::CompiledMethod;
-use jvolve_vm::{ClassId, ClassMethodsSnapshot, LazyStage, MethodId, RegistryMark, ThreadId, Vm};
+use jvolve_vm::{
+    ClassId, ClassMethodsSnapshot, LazyStage, MethodId, ObjectTransformer, RegistryMark, ThreadId,
+    Vm,
+};
 
 use crate::driver::{ApplyOptions, Update, UpdateStats};
 use crate::error::UpdateError;
@@ -186,17 +189,20 @@ pub enum UpdateEvent {
     },
     /// The update GC finished.
     GcCompleted {
-        /// Cells copied (duplicated objects count twice).
+        /// Cells copied (objects duplicated for an interpreted transformer
+        /// count twice, planned ones once).
         copied_cells: usize,
         /// Words copied, headers included.
         copied_words: usize,
         /// (old, new) pairs in the update log.
         objects_logged: usize,
     },
-    /// Object transformers ran over the update log.
+    /// Every live instance of every updated class has its new layout.
     TransformersRun {
-        /// Objects transformed.
+        /// Objects transformed, by plan or by transformer frame.
         objects_transformed: usize,
+        /// How many of them a native copy plan converted.
+        objects_planned: usize,
     },
     /// A lazy-migration epoch began: the read barrier is armed and the
     /// allocation watermark recorded (lazy mode only). Stale objects are
@@ -224,6 +230,8 @@ pub enum UpdateEvent {
         /// Objects this batch transformed (barrier-migrated entries are
         /// skipped, not counted).
         transformed: usize,
+        /// How many of them a native copy plan converted.
+        planned: usize,
         /// Worklist entries still pending after the batch.
         remaining: usize,
     },
@@ -417,9 +425,10 @@ fn event_to_json(event: &UpdateEvent) -> Json {
             ("copied_words", Json::from(*copied_words)),
             ("objects_logged", Json::from(*objects_logged)),
         ]),
-        UpdateEvent::TransformersRun { objects_transformed } => Json::obj([
+        UpdateEvent::TransformersRun { objects_transformed, objects_planned } => Json::obj([
             ("event", Json::from("transformers_run")),
             ("objects_transformed", Json::from(*objects_transformed)),
+            ("objects_planned", Json::from(*objects_planned)),
         ]),
         UpdateEvent::LazyEpochBegun { watermark_words, arm } => Json::obj([
             ("event", Json::from("lazy_epoch_begun")),
@@ -432,9 +441,10 @@ fn event_to_json(event: &UpdateEvent) -> Json {
             ("found", Json::from(*found)),
             ("done", Json::from(*done)),
         ]),
-        UpdateEvent::LazyScavengeStep { transformed, remaining } => Json::obj([
+        UpdateEvent::LazyScavengeStep { transformed, planned, remaining } => Json::obj([
             ("event", Json::from("lazy_scavenge_step")),
             ("transformed", Json::from(*transformed)),
+            ("planned", Json::from(*planned)),
             ("remaining", Json::from(*remaining)),
         ]),
         UpdateEvent::LazyCollapseStep { cells, rewritten, done } => Json::obj([
@@ -555,7 +565,8 @@ struct WaitState {
 /// Inputs carried from a completed install into the heap transformation.
 struct TransformInputs {
     remap: HashMap<ClassId, ClassId>,
-    transformer_for: HashMap<ClassId, MethodId>,
+    /// Per *new* class: its copy plan, or the method to interpret.
+    transformers: HashMap<ClassId, ObjectTransformer>,
 }
 
 enum State {
@@ -807,6 +818,7 @@ impl<'u> UpdateController<'u> {
                         Ok(out) => {
                             self.emit(UpdateEvent::LazyScavengeStep {
                                 transformed: out.transformed,
+                                planned: out.planned,
                                 remaining: out.remaining,
                             });
                             self.state = State::LazyMigrating;
@@ -838,8 +850,11 @@ impl<'u> UpdateController<'u> {
                     // Disarms the barrier; no finishing collection runs.
                     // Garbage forwards are reclaimed by the next natural
                     // GC, so no `GcCompleted` is emitted here.
-                    let transformed = vm.finish_lazy_migration();
-                    self.emit(UpdateEvent::TransformersRun { objects_transformed: transformed });
+                    let totals = vm.finish_lazy_migration();
+                    self.emit(UpdateEvent::TransformersRun {
+                        objects_transformed: totals.transformed,
+                        objects_planned: totals.planned,
+                    });
                     retire_transformer_class(vm, &self.update.spec.version_prefix);
                     self.exit_phase(UpdatePhase::LazyMigrating, t);
                     let elapsed = t.elapsed();
@@ -926,8 +941,9 @@ impl<'u> UpdateController<'u> {
                 self.stats.gc_copied_cells = *copied_cells;
                 self.stats.gc_copied_words = *copied_words;
             }
-            UpdateEvent::TransformersRun { objects_transformed } => {
+            UpdateEvent::TransformersRun { objects_transformed, objects_planned } => {
                 self.stats.objects_transformed = *objects_transformed;
+                self.stats.objects_planned = *objects_planned;
             }
             _ => {}
         }
@@ -971,7 +987,7 @@ impl<'u> UpdateController<'u> {
     /// through the ordinary first-touch path.
     fn begin_lazy(&mut self, vm: &mut Vm, inputs: TransformInputs) -> Result<(), UpdateError> {
         let t_arm = Instant::now();
-        let watermark_words = vm.begin_lazy_migration(inputs.remap, inputs.transformer_for);
+        let watermark_words = vm.begin_lazy_migration(inputs.remap, inputs.transformers);
         self.stats.arm_time = t_arm.elapsed();
         self.emit(UpdateEvent::LazyEpochBegun { watermark_words, arm: self.stats.arm_time });
 
@@ -1289,32 +1305,62 @@ impl<'u> UpdateController<'u> {
             transformers: true,
         });
 
-        // Map each new class to its object transformer.
-        let mut transformer_for = HashMap::new();
+        // Map each new class to its object transformer: a native copy
+        // plan when the compiled body is a pure field copy, the method to
+        // interpret otherwise. One pass over each body — nothing is
+        // compiled or diffed again, and the verdict rests on the bytecode
+        // just compiled and the layouts just loaded, not on where the
+        // transformer source came from.
+        let mut transformers = HashMap::new();
+        let tfile = transformer_classes
+            .iter()
+            .find(|c| c.name.as_str() == TRANSFORMERS_CLASS)
+            .ok_or_else(|| UpdateError::Compile("transformer class missing".into()))?;
+        let tclass = vm
+            .registry()
+            .class_id(&tfile.name)
+            .ok_or_else(|| UpdateError::Compile("transformer class missing".into()))?;
         for delta in update.spec.class_updates() {
             let new_id = vm.registry().class_id(&delta.name).ok_or_else(|| {
                 UpdateError::BadSpec {
                     message: format!("new class {} vanished after load", delta.name),
                 }
             })?;
-            let tclass = vm
-                .registry()
-                .class_id(&ClassName::from(TRANSFORMERS_CLASS))
-                .ok_or_else(|| UpdateError::Compile("transformer class missing".into()))?;
             let tname = object_transformer_name(&delta.name);
             let mid = vm.registry().find_method(tclass, &tname).ok_or_else(|| {
                 UpdateError::Compile(format!("transformer {tname} missing from source"))
             })?;
-            transformer_for.insert(new_id, mid);
+            let plan = if self.opts.interpret_all_transformers {
+                None
+            } else {
+                tfile.find_method(&tname).and_then(|def| def.code.as_ref()).and_then(|code| {
+                    let layout = |id: ClassId| -> Vec<(&str, &jvolve_classfile::Type)> {
+                        let slots = &vm.registry().class(id).layout;
+                        slots.iter().map(|s| (s.name.as_str(), &s.ty)).collect()
+                    };
+                    crate::plan::recognise(
+                        &code.instrs,
+                        &delta.name,
+                        &layout(new_id),
+                        &update.spec.old_name(&delta.name),
+                        &layout(old_ids[&delta.name]),
+                    )
+                })
+            };
+            let transformer = match plan {
+                Some(plan) => ObjectTransformer::Plan(plan),
+                None => ObjectTransformer::Method(mid),
+            };
+            transformers.insert(new_id, transformer);
         }
-        Ok(TransformInputs { remap, transformer_for })
+        Ok(TransformInputs { remap, transformers })
     }
 
     /// Paper step 5: the update GC, then class transformers, then object
     /// transformers over the update log.
     fn transform_heap(&mut self, vm: &mut Vm, inputs: TransformInputs) -> Result<(), UpdateError> {
         let t_gc = Instant::now();
-        let gc_out = vm.collect_for_update(inputs.remap, inputs.transformer_for)?;
+        let gc_out = vm.collect_for_update(inputs.remap, inputs.transformers)?;
         self.stats.gc_time = t_gc.elapsed();
         self.counters.gc_workers = gc_out.workers as u64;
         self.emit(UpdateEvent::GcCompleted {
@@ -1335,10 +1381,13 @@ impl<'u> UpdateController<'u> {
                 vm.call_static_sync(TRANSFORMERS_CLASS, &tname, &[])?;
             }
         }
-        let objects_transformed = vm.pending_transforms();
+        let objects_transformed = gc_out.planned + vm.pending_transforms();
         vm.transform_pending()?;
         self.stats.transform_time = t_tf.elapsed();
-        self.emit(UpdateEvent::TransformersRun { objects_transformed });
+        self.emit(UpdateEvent::TransformersRun {
+            objects_transformed,
+            objects_planned: gc_out.planned,
+        });
 
         // The transformer class is only meaningful during the update;
         // rename it out of the way so the next update can load a fresh

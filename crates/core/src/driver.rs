@@ -150,6 +150,13 @@ pub struct ApplyOptions {
     /// not per-object transformer runs, so the budget is much larger than
     /// [`ApplyOptions::lazy_scavenge_batch`].
     pub lazy_step_cells: usize,
+    /// Run every object transformer as a compiled method in an interpreter
+    /// frame, as the paper does, even when its body is a pure field copy
+    /// the controller could lower to a native copy plan
+    /// ([`crate::plan`]). Off by default. It exists for the plan ≡
+    /// interpreted oracle and for `table1`'s paper-faithful row; nothing
+    /// else should need it.
+    pub interpret_all_transformers: bool,
 }
 
 impl Default for ApplyOptions {
@@ -161,6 +168,7 @@ impl Default for ApplyOptions {
             migrate_active_methods: false,
             lazy_scavenge_batch: 128,
             lazy_step_cells: 4096,
+            interpret_all_transformers: false,
         }
     }
 }
@@ -185,9 +193,16 @@ pub struct UpdateStats {
     pub bodies_swapped: usize,
     /// Compiled methods invalidated (indirect + inliners).
     pub methods_invalidated: usize,
-    /// Objects transformed by the update GC + transformer pass.
+    /// Objects brought to their new class layout by the update: every
+    /// live instance of every updated class, however it got there.
     pub objects_transformed: usize,
-    /// Cells the update GC copied (duplicated objects count twice).
+    /// The subset of [`UpdateStats::objects_transformed`] converted by a
+    /// native copy plan ([`crate::plan`]) where the object was copied,
+    /// with no old copy, no update-log entry and no transformer frame.
+    /// The rest ran their `jvolve_object_X` method in the interpreter.
+    pub objects_planned: usize,
+    /// Cells the update GC copied (objects duplicated for an interpreted
+    /// transformer count twice; planned ones once).
     pub gc_copied_cells: usize,
     /// Words the update GC copied, headers included.
     pub gc_copied_words: usize,

@@ -65,6 +65,7 @@ pub mod driver;
 pub mod error;
 pub mod migrate;
 pub mod modes;
+pub mod plan;
 pub mod queue;
 pub mod report;
 pub mod restricted;

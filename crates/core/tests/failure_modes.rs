@@ -68,26 +68,27 @@ fn transformer_source_syntax_error_is_reported() {
 
 #[test]
 fn update_gc_overflow_surfaces_out_of_memory() {
-    // Fill most of a small heap with updatable objects: the duplication
-    // during the update GC cannot fit.
+    // Fill most of a small heap with updatable objects that each grow by a
+    // word: the new versions cannot fit in to-space, even though a copy
+    // plan spares the update GC the old-layout duplicates.
     let (mut vm, update) = prepare(
         VmConfig { semispace_words: 4 * 1024, ..VmConfig::default() },
         "class Blob { field a: int; field b: int; field c: int; field d: int; }
          class H {
            static field keep: Blob[];
            static method init(): void {
-             H.keep = new Blob[500];
+             H.keep = new Blob[650];
              var i: int = 0;
-             while (i < 500) { H.keep[i] = new Blob(); i = i + 1; }
+             while (i < 650) { H.keep[i] = new Blob(); i = i + 1; }
            }
          }",
         "class Blob { field a: int; field b: int; field c: int; field d: int; field e: int; }
          class H {
            static field keep: Blob[];
            static method init(): void {
-             H.keep = new Blob[500];
+             H.keep = new Blob[650];
              var i: int = 0;
-             while (i < 500) { H.keep[i] = new Blob(); i = i + 1; }
+             while (i < 650) { H.keep[i] = new Blob(); i = i + 1; }
            }
          }",
     );

@@ -714,3 +714,36 @@ fn total_time_is_wall_clock_and_tracks_phase_sum() {
         "untimed bookkeeping gap too large: {gap:?}"
     );
 }
+
+#[test]
+fn field_moved_from_superclass_to_subclass_keeps_its_value() {
+    // The default transformer of `C` reads `from.m` through the renamed
+    // old subclass; `m` was declared by the *old* `P`. The registry must
+    // resolve `v1_C`'s superclass to `v1_P`, not to the new `P` (which no
+    // longer has `m`) — with either transformer path.
+    let old_src = "
+      class P { field a: int; field m: int; }
+      class C extends P { field c: int; }
+      class H {
+        static field o: C;
+        static method init(): void {
+          H.o = new C(); H.o.a = 1; H.o.m = 2; H.o.c = 3;
+        }
+        static method sum(): int { return H.o.a * 100 + H.o.m * 10 + H.o.c; }
+      }";
+    let new_src = old_src
+        .replace("class P { field a: int; field m: int; }", "class P { field a: int; }")
+        .replace("class C extends P { field c: int; }", "class C extends P { field c: int; field m: int; }");
+    let new = jvolve_lang::compile(&new_src).unwrap();
+    for interpret_all_transformers in [false, true] {
+        let (mut vm, old) = vm_with(old_src);
+        vm.call_static_sync("H", "init", &[]).unwrap();
+        let update = Update::prepare(&old, &new, "v1_").unwrap();
+        let opts = ApplyOptions { interpret_all_transformers, ..quick_opts() };
+        let stats = apply(&mut vm, &update, &opts).unwrap();
+        assert_eq!(stats.objects_transformed, 1);
+        assert_eq!(stats.objects_planned, usize::from(!interpret_all_transformers));
+        let sum = vm.call_static_sync("H", "sum", &[]).unwrap();
+        assert_eq!(sum, Some(Value::Int(123)));
+    }
+}

@@ -12,12 +12,15 @@
 //!   `Registry::version_fingerprint` and the heap fingerprint;
 //! * benign mutants (no mutation, or an extra-but-resolvable indirect
 //!   method) must commit with the expected guest-visible result, and the
-//!   eager and lazy protocols must agree on it.
+//!   eager and lazy protocols must agree on it;
+//! * a default transformer with an instruction spliced in is no longer a
+//!   pure field copy: it must run interpreted (a copy plan would drop the
+//!   spliced effect), the untouched default must be planned.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use jvolve::{apply, ApplyOptions, ClassChangeKind, Update, UpdateError};
+use jvolve::{apply, ApplyOptions, ClassChangeKind, Update, UpdateError, UpdateStats};
 use jvolve_classfile::{ClassFile, ClassName, MethodRef};
 use jvolve_vm::{Value, Vm, VmConfig};
 
@@ -125,7 +128,11 @@ fn probe(vm: &mut Vm) -> i64 {
 
 /// What a mutation is expected to do to the update.
 enum Expect {
+    /// Commits; the probe reads `probe_after`.
     Commit,
+    /// Commits through the interpreter; the probe reads `probe_after`
+    /// plus this much.
+    CommitSpliced(i64),
     BadSpec,
     Compile,
     BadTransformer,
@@ -136,7 +143,7 @@ fn mutate(rng: &mut Rng, pair: &Pair, update: &mut Update) -> (Expect, &'static 
     // Transformer mutations need a required transformer; spec mutations
     // need a changed/added/deleted class to damage — both pairs have those.
     let menu: &[usize] = if pair.has_class_update {
-        &[0, 1, 2, 3, 4, 5, 6, 7, 8]
+        &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
     } else {
         &[0, 1, 3, 4, 5, 6]
     };
@@ -191,6 +198,16 @@ fn mutate(rng: &mut Rng, pair: &Pair, update: &mut Update) -> (Expect, &'static 
             update.set_transformers_source("class JvolveTransformers { }");
             (Expect::Compile, "dropped-transformer")
         }
+        // Splice an instruction into the generated default: `to.a = from.a`
+        // becomes `to.a = from.a + k`.
+        9 => {
+            let k = 1 + rng.below(9) as i64;
+            let default = &update.transformers_source;
+            let spliced = default.replace("to.a = from.a;", &format!("to.a = from.a + {k};"));
+            assert_ne!(&spliced, default, "pair A's default transformer copies `a`");
+            update.set_transformers_source(spliced);
+            (Expect::CommitSpliced(k), "spliced-transformer")
+        }
         // Retype the required transformer: wrong `from` parameter type.
         _ => {
             update.set_transformers_source(
@@ -203,17 +220,32 @@ fn mutate(rng: &mut Rng, pair: &Pair, update: &mut Update) -> (Expect, &'static 
     }
 }
 
+/// Checks a committed update: the probe reads `want`, and the pair's one
+/// live `P` was converted by a copy plan exactly when the transformer was
+/// left a pure field copy.
 fn check_commit(
     vm: &mut Vm,
+    stats: &UpdateStats,
+    expect: &Expect,
     pair: &Pair,
     fail: &impl Fn(String) -> FuzzFailure,
     label: &str,
 ) -> Result<(u64, String), FuzzFailure> {
+    let (shift, planned) = match expect {
+        Expect::CommitSpliced(k) => (*k, 0),
+        _ => (0, usize::from(pair.has_class_update)),
+    };
     let got = probe(vm);
-    if got != pair.probe_after {
+    if got != pair.probe_after + shift {
         return Err(fail(format!(
             "{label}: committed probe {got}, expected {}",
-            pair.probe_after
+            pair.probe_after + shift
+        )));
+    }
+    if stats.objects_planned != planned {
+        return Err(fail(format!(
+            "{label}: {} objects planned, expected {planned}",
+            stats.objects_planned
         )));
     }
     Ok((vm.heap_fingerprint(), vm.registry().version_fingerprint()))
@@ -246,23 +278,25 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
         };
 
         match (&expect, outcome) {
-            (Expect::Commit, Ok(_)) => {
-                let (heap_eager, reg_eager) = check_commit(&mut vm, pair, &fail, label)?;
+            (Expect::Commit | Expect::CommitSpliced(_), Ok(stats)) => {
+                let (heap_eager, reg_eager) =
+                    check_commit(&mut vm, &stats, &expect, pair, &fail, label)?;
                 // Differential: the same benign update must commit to the
                 // same observable state under the lazy protocol.
                 let (mut lazy_vm, mut lazy_update) = boot(pair, true);
                 let mut lazy_rng = Rng::for_iter(seed, iter);
                 let _ = lazy_rng.bool(); // keep pair pick in lockstep
                 let _ = mutate(&mut lazy_rng, pair, &mut lazy_update);
-                apply(&mut lazy_vm, &lazy_update, &ApplyOptions::default())
+                let lazy_stats = apply(&mut lazy_vm, &lazy_update, &ApplyOptions::default())
                     .map_err(|e| fail(format!("{label}: lazy apply failed: {e}")))?;
-                let (heap_lazy, reg_lazy) = check_commit(&mut lazy_vm, pair, &fail, label)?;
+                let (heap_lazy, reg_lazy) =
+                    check_commit(&mut lazy_vm, &lazy_stats, &expect, pair, &fail, label)?;
                 if heap_lazy != heap_eager || reg_lazy != reg_eager {
                     return Err(fail(format!("{label}: eager and lazy outcomes diverge")));
                 }
                 report.accept();
             }
-            (Expect::Commit, Err(e)) => {
+            (Expect::Commit | Expect::CommitSpliced(_), Err(e)) => {
                 return Err(fail(format!("{label}: benign update rejected: {e}")));
             }
             (_, Ok(_)) => {

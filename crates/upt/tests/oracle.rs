@@ -7,30 +7,17 @@
 //! fingerprints when the two updates are applied to identically driven
 //! VMs).
 
+mod common;
+
 use jvolve::restricted::RestrictedSet;
 use jvolve::Update;
 use jvolve_apps::harness::{apply_prepared_interleaved, bench_apply_options, boot, prepare_next};
 use jvolve_apps::{Emailserver, Ftpserver, GuestApp, Kvstore, Webserver};
-use jvolve_upt::{prepare_classes, prepare_files, UptOptions};
+use jvolve_upt::{prepare_files, UptOptions};
 
-/// The UPT side of the oracle: prepare `from -> from + 1` of `app`
-/// automatically, supplying the Figure 3 customization as a *per-class*
-/// override (rather than a whole replacement source) for emailserver
-/// 1.3.2.
+/// The UPT side of the oracle, with the paper's Figure 3 `User` override.
 fn upt_prepare(app: &dyn GuestApp, from: usize) -> Update {
-    let versions = app.versions();
-    let old = versions[from].compile();
-    let new = versions[from + 1].compile();
-    let mut opts = UptOptions::with_prefix(versions[from + 1].prefix);
-    if app.name() == "emailserver" && versions[from + 1].label == "1.3.2" {
-        opts.overrides.insert(
-            "User".to_string(),
-            jvolve_apps::emailserver::FIGURE3_USER_METHODS.to_string(),
-        );
-    }
-    prepare_classes(&old, &new, &opts)
-        .unwrap_or_else(|e| panic!("{}: UPT preparation of {from}->{} failed: {e}", app.name(), from + 1))
-        .update
+    common::upt_prepare_with(app, from, jvolve_apps::emailserver::FIGURE3_USER_METHODS)
 }
 
 fn assert_statically_equivalent(app: &dyn GuestApp, from: usize) {

@@ -16,9 +16,17 @@
 //! header word:
 //!
 //! ```text
-//! bit 0      forwarded flag; if set, bits 1.. hold the forwarding address
+//! bit 0      forwarded flag; if set, bits 1-32 hold the forwarding
+//!            address and — for a forward the mutator side installed
+//!            ([`Heap::install_forward`]) rather than a collection —
+//!            bits 33-63 the cell's size in words, so a linear walk can
+//!            still step over the cell
 //! bits 1-2   kind: 0 = object, 1 = reference array, 2 = primitive array,
 //!            3 = string (packed UTF-8 bytes)
+//! bits 3-31  tag: zero except on the two objects of an update-log pair
+//!            whose transformer has not finished, where it is the log
+//!            index + 1 ([`Heap::header_tag`]); copied verbatim by every
+//!            collection
 //! bits 32-63 class id (objects) or element/byte length (arrays/strings)
 //! ```
 //!
@@ -36,6 +44,15 @@
 //! one iteration per reference, not one per field. The DSU remap policy is
 //! likewise resolved up front into a dense [`RemapTable`]; ordinary
 //! collections pass `None` and skip the remap probe entirely.
+//!
+//! # Planned copies
+//!
+//! A remapped class whose object transformer is a pure field copy carries
+//! a [`CopyPlan`] in the table. Its instances are not duplicated: the
+//! collector allocates only the new-layout object, fills it from the
+//! from-space original per the plan, and lets the ordinary scan forward
+//! the reference fields it copied. No old copy, no update-log entry, and
+//! no transformer frame exist for such an object.
 //!
 //! # Parallel collection
 //!
@@ -73,9 +90,10 @@ const BUSY: u64 = 1;
 
 /// Words per TLAB-style bump chunk each worker carves from to-space.
 /// Cells larger than this get an exact-fit block instead. Chunk tails the
-/// owner cannot fill are wasted until the next collection — harmless,
-/// since nothing parses to-space linearly after a parallel collection and
-/// the mutator zeroes cells on allocation.
+/// owner cannot fill are wasted until the next collection; each is
+/// covered by a primitive-array filler cell ([`ParWorker::retire_chunk`])
+/// so the linear walks of a lazy epoch (`scan_objects`, `sweep_forwards`)
+/// step over the stale to-space words instead of parsing them as cells.
 const PAR_CHUNK_WORDS: usize = 4096;
 
 /// Reinterprets the heap's words as atomics for the parallel collector.
@@ -237,18 +255,92 @@ impl LayoutSnapshot {
     }
 }
 
+/// A pure field-copy object transformer lowered to slot moves: for every
+/// field word of the *new* layout, the field word of the old layout it is
+/// copied from, or nothing (the field keeps its zero/null default).
+///
+/// This is the relational form of the paper's default transformer — new
+/// slot *f* ← old slot *g* iff the two fields have the same name and type
+/// — but a plan is built from whatever `to.f = from.g` list the compiled
+/// transformer contains (see `jvolve::plan`), never from an update
+/// bundle's say-so.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CopyPlan {
+    /// Indexed by new slot; [`CopyPlan::ZERO`] marks a defaulted field.
+    sources: Vec<u32>,
+}
+
+impl CopyPlan {
+    /// Source marker of a new-layout field no old field is copied into.
+    pub const ZERO: u32 = u32::MAX;
+
+    /// Builds the plan for a new layout of `new_size` field words from
+    /// `(old_slot, new_slot)` moves. Returns `None` if a destination is
+    /// out of range or named twice.
+    pub fn new(new_size: usize, moves: &[(u32, u32)]) -> Option<CopyPlan> {
+        let mut sources = vec![CopyPlan::ZERO; new_size];
+        for &(old_slot, new_slot) in moves {
+            let dst = sources.get_mut(new_slot as usize)?;
+            if *dst != CopyPlan::ZERO || old_slot == CopyPlan::ZERO {
+                return None;
+            }
+            *dst = old_slot;
+        }
+        Some(CopyPlan { sources })
+    }
+
+    /// Per new slot, the old slot it is filled from ([`CopyPlan::ZERO`]
+    /// for none).
+    pub fn sources(&self) -> &[u32] {
+        &self.sources
+    }
+}
+
+/// One class's entry in a [`RemapTable`].
+#[derive(Debug, Clone)]
+struct RemapEntry {
+    new_class: ClassId,
+    plan: Option<CopyPlan>,
+}
+
 /// A [`GcRemap`] policy resolved into a dense per-class table, built once
 /// per update collection so the copy path costs one indexed load per
-/// object instead of a virtual call.
+/// object instead of a virtual call. Remapped classes whose transformer
+/// lowered to a [`CopyPlan`] carry it here ([`RemapTable::set_plan`]).
 #[derive(Debug, Clone, Default)]
 pub struct RemapTable {
-    map: Vec<Option<ClassId>>,
+    map: Vec<Option<RemapEntry>>,
 }
 
 impl RemapTable {
+    /// The table mapping each `(old, new)` pair of `pairs`, over class ids
+    /// below `num_classes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an old class id is not below `num_classes`.
+    pub fn from_pairs(
+        pairs: impl IntoIterator<Item = (ClassId, ClassId)>,
+        num_classes: usize,
+    ) -> Self {
+        let mut map = vec![None; num_classes];
+        for (old_class, new_class) in pairs {
+            map[old_class.index()] = Some(RemapEntry { new_class, plan: None });
+        }
+        RemapTable { map }
+    }
+
     /// Resolves `policy` for every class id below `num_classes`.
     pub fn from_policy(policy: &dyn GcRemap, num_classes: usize) -> Self {
-        RemapTable { map: (0..num_classes).map(|i| policy.remap(ClassId(i as u32))).collect() }
+        RemapTable {
+            map: (0..num_classes)
+                .map(|i| {
+                    policy
+                        .remap(ClassId(i as u32))
+                        .map(|new_class| RemapEntry { new_class, plan: None })
+                })
+                .collect(),
+        }
     }
 
     /// Whether no class is remapped (an ordinary collection — callers
@@ -257,9 +349,47 @@ impl RemapTable {
         self.map.iter().all(Option::is_none)
     }
 
+    /// The updated class instances of `class` are converted to, if any.
     #[inline]
-    fn get(&self, class: ClassId) -> Option<ClassId> {
-        self.map.get(class.index()).copied().flatten()
+    pub fn get(&self, class: ClassId) -> Option<ClassId> {
+        self.entry(class).map(|e| e.new_class)
+    }
+
+    #[inline]
+    fn entry(&self, class: ClassId) -> Option<&RemapEntry> {
+        self.map.get(class.index())?.as_ref()
+    }
+
+    /// The copy plan of remapped class `old_class`, if it has one.
+    pub fn plan(&self, old_class: ClassId) -> Option<&CopyPlan> {
+        self.entry(old_class)?.plan.as_ref()
+    }
+
+    /// Attaches `plan` to remapped class `old_class`: its instances are
+    /// then converted in place of being duplicated and logged.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `old_class` is remapped, the plan covers exactly the
+    /// new layout, every source lies inside the old layout, and each move
+    /// connects two reference fields or two primitive fields — the
+    /// collector scans the new object with the new class's reference
+    /// map, so a primitive word moved into a reference slot would be
+    /// chased as a pointer.
+    pub fn set_plan(&mut self, old_class: ClassId, plan: CopyPlan, layouts: &dyn ClassLayouts) {
+        let entry = self.map[old_class.index()].as_mut().expect("plan for an unmapped class");
+        let (old_refs, new_refs) = (layouts.ref_map(old_class), layouts.ref_map(entry.new_class));
+        assert_eq!(plan.sources.len(), new_refs.len(), "plan does not cover {}", entry.new_class);
+        for (&new_is_ref, &old_slot) in new_refs.iter().zip(&plan.sources) {
+            if old_slot != CopyPlan::ZERO {
+                // (Indexing also checks the source lies inside the old layout.)
+                assert_eq!(
+                    old_refs[old_slot as usize], new_is_ref,
+                    "plan moves {old_class} slot {old_slot} across the reference/primitive divide"
+                );
+            }
+        }
+        entry.plan = Some(plan);
     }
 }
 
@@ -276,6 +406,9 @@ pub struct GcOutcome {
     /// and parallel collections of the same heap produce the same log (and
     /// hence the same transformer execution order).
     pub update_log: Vec<(GcRef, GcRef)>,
+    /// Objects converted to their new layout by a [`CopyPlan`] during the
+    /// copy (one new-layout cell each; never on the update log).
+    pub planned: usize,
     /// OS workers that performed the copy (1 = the serial path).
     pub workers: usize,
 }
@@ -290,22 +423,27 @@ pub struct Heap {
     alloc: usize,
     collections: u64,
     /// Whether any forwarding word has been installed since the last
-    /// collection (lazy indirection or a lazy-migration epoch). While
-    /// set, linear walks size forwarded cells via `forward_headers`; any
+    /// collection (lazy indirection or a lazy-migration epoch); any
     /// collection abandons from-space and clears it.
     lazy_forwards: bool,
-    /// Pre-forward header of every cell [`Heap::install_forward`] has
-    /// overwritten since the last collection. A forwarding word destroys
-    /// the cell's size, so linear walks ([`Heap::for_each_object`], the
-    /// SATB commit scan, the collapse sweep) consult this side table to
-    /// step over forwarded cells. Cleared whenever a collection abandons
-    /// from-space.
-    forward_headers: std::collections::HashMap<u32, u64>,
 }
 
 const KIND_SHIFT: u64 = 1;
 const KIND_MASK: u64 = 0b110;
+const TAG_SHIFT: u64 = 3;
 const META_SHIFT: u64 = 32;
+/// Largest value the spare header bits 3..31 can hold.
+const MAX_HEADER_TAG: u32 = (1 << (META_SHIFT - TAG_SHIFT)) - 1;
+const TAG_MASK: u64 = (MAX_HEADER_TAG as u64) << TAG_SHIFT;
+/// A forwarding word is `size << 33 | target << 1 | 1`; `size` is zero in
+/// the forwards a collection installs (from-space is never walked again).
+const FORWARD_SIZE_SHIFT: u64 = 33;
+
+/// The address a forwarding word points at.
+#[inline]
+fn forward_target(h: u64) -> usize {
+    (h >> 1) as u32 as usize
+}
 
 fn header(kind: HeapKind, meta: u32) -> u64 {
     let k = match kind {
@@ -352,7 +490,6 @@ impl Heap {
             alloc: 1,
             collections: 0,
             lazy_forwards: false,
-            forward_headers: std::collections::HashMap::new(),
         }
     }
 
@@ -492,26 +629,51 @@ impl Heap {
         String::from_utf8(bytes).expect("heap strings are valid UTF-8")
     }
 
+    /// The tag in the spare header bits of the live cell at `r`: zero,
+    /// except on the old copy and the new object of an update-log pair
+    /// whose transformer has not finished, where the VM keeps the log
+    /// index + 1. Collections copy headers verbatim, so the tag follows
+    /// the cell and no address-keyed side table needs rebuilding.
+    pub fn header_tag(&self, r: GcRef) -> u32 {
+        let h = self.words[r.addr()];
+        debug_assert_eq!(h & 1, 0, "header_tag() on forwarded cell {r}");
+        ((h & TAG_MASK) >> TAG_SHIFT) as u32
+    }
+
+    /// Sets the header tag of the live cell at `r` (see
+    /// [`Heap::header_tag`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` does not fit the 29 spare bits.
+    pub fn set_header_tag(&mut self, r: GcRef, tag: u32) {
+        assert!(tag <= MAX_HEADER_TAG, "header tag {tag} overflows the spare header bits");
+        let h = &mut self.words[r.addr()];
+        debug_assert_eq!(*h & 1, 0, "set_header_tag() on forwarded cell {r}");
+        *h = (*h & !TAG_MASK) | (u64::from(tag) << TAG_SHIFT);
+    }
+
     /// Whether the cell at `r` carries a forwarding pointer.
     pub fn is_forwarded(&self, r: GcRef) -> bool {
         self.words[r.addr()] & 1 == 1
     }
 
     /// Installs a forwarding pointer `from → to` (lazy-indirection mode
-    /// and lazy-migration first-touch duplication). The cell's pre-forward
-    /// header is preserved in a side table so linear walks can still step
-    /// over it.
-    pub fn install_forward(&mut self, from: GcRef, to: GcRef) {
+    /// and lazy-migration first-touch duplication). The forwarding word
+    /// destroys the header, so the cell's size goes into its upper bits:
+    /// the linear walks ([`Heap::for_each_object`], the SATB commit scan,
+    /// the collapse sweep) step over forwarded cells with it.
+    pub fn install_forward(&mut self, from: GcRef, to: GcRef, snapshot: &LayoutSnapshot) {
         let h = self.words[from.addr()];
-        debug_assert_eq!(h & 1, 0, "install_forward() on already-forwarded cell {from}");
-        self.forward_headers.insert(from.0, h);
-        self.words[from.addr()] = (u64::from(to.0) << 1) | 1;
+        assert_eq!(h & 1, 0, "install_forward() on already-forwarded cell {from}");
+        let size = cell_size_of(h, snapshot) as u64;
+        assert!(size < 1 << (64 - FORWARD_SIZE_SHIFT), "cell too large to forward");
+        self.words[from.addr()] = (size << FORWARD_SIZE_SHIFT) | (u64::from(to.0) << 1) | 1;
         self.lazy_forwards = true;
     }
 
     /// Whether a forwarding word has been installed since the last
-    /// collection (linear walks then size forwarded cells from the
-    /// side table instead of their headers).
+    /// collection.
     pub fn has_lazy_forwards(&self) -> bool {
         self.lazy_forwards
     }
@@ -528,16 +690,15 @@ impl Heap {
         self.alloc
     }
 
-    /// Size in words (header included) of the cell at `addr`, live or
-    /// forwarded — a forwarded cell is sized from its preserved
-    /// pre-forward header.
-    fn walk_size(&self, addr: usize, h: u64, snapshot: &LayoutSnapshot) -> usize {
+    /// Size in words (header included) of the cell whose first word is
+    /// `h`, live or forwarded — a forwarded cell carries its size in the
+    /// forwarding word.
+    #[inline]
+    fn walk_size(h: u64, snapshot: &LayoutSnapshot) -> usize {
         if h & 1 == 1 {
-            let saved = *self
-                .forward_headers
-                .get(&(addr as u32))
-                .expect("forwarded cell with no preserved header in a linear walk");
-            cell_size_of(saved, snapshot)
+            let size = (h >> FORWARD_SIZE_SHIFT) as usize;
+            assert!(size != 0, "collector forward (no size) met in a linear walk");
+            size
         } else {
             cell_size_of(h, snapshot)
         }
@@ -546,7 +707,7 @@ impl Heap {
     /// Walks every cell in the active semispace in ascending address
     /// order, invoking `f` on each *unforwarded* plain object with its
     /// class. Forwarded cells (lazy-indirection or mid-epoch duplication)
-    /// are stepped over via their preserved headers.
+    /// are stepped over by the size their forwarding word carries.
     pub fn for_each_object(&self, snapshot: &LayoutSnapshot, mut f: impl FnMut(GcRef, ClassId)) {
         self.scan_objects(self.base(self.active_b), self.alloc, usize::MAX, snapshot, |r, c| {
             f(r, c);
@@ -557,7 +718,7 @@ impl Heap {
     /// `from` (a cell boundary) toward `limit`, invoking `f` on each
     /// unforwarded plain object, and returns `(next_addr, cells_stepped)`
     /// (`next_addr >= limit` once the range is exhausted). Forwarded cells
-    /// are stepped over via their preserved pre-forward headers, so the
+    /// are stepped over by the size their forwarding word carries, so the
     /// scan tolerates mutator-installed forwards between batches — the
     /// SATB commit scanner's core.
     pub fn scan_objects(
@@ -575,7 +736,7 @@ impl Heap {
             if h & 1 == 0 && header_kind(h) == HeapKind::Object {
                 f(GcRef(addr as u32), ClassId(header_meta(h)));
             }
-            addr += self.walk_size(addr, h, snapshot);
+            addr += Heap::walk_size(h, snapshot);
             cells += 1;
         }
         (addr, cells)
@@ -624,7 +785,7 @@ impl Heap {
                     HeapKind::PrimArray | HeapKind::Str => {}
                 }
             }
-            addr += self.walk_size(addr, h, snapshot);
+            addr += Heap::walk_size(h, snapshot);
             cells += 1;
         }
         (addr, cells, rewritten)
@@ -652,7 +813,7 @@ impl Heap {
     pub fn resolve(&self, mut r: GcRef) -> GcRef {
         let mut hops = 0;
         while self.words[r.addr()] & 1 == 1 {
-            r = GcRef((self.words[r.addr()] >> 1) as u32);
+            r = GcRef(forward_target(self.words[r.addr()]) as u32);
             hops += 1;
             assert!(hops < 64, "forwarding chain too long; heap corrupt");
         }
@@ -778,7 +939,6 @@ impl Heap {
         self.collections += 1;
         // From-space (and every forwarded header in it) is now abandoned.
         self.lazy_forwards = false;
-        self.forward_headers.clear();
         Ok(outcome)
     }
 
@@ -806,7 +966,7 @@ impl Heap {
             if h & 1 == 0 {
                 break h;
             }
-            let t = (h >> 1) as usize;
+            let t = forward_target(h);
             if t >= to_base && t < to_limit {
                 return Ok(GcRef(t as u32));
             }
@@ -815,7 +975,28 @@ impl Heap {
 
         if HAS_REMAP && header_kind(h) == HeapKind::Object {
             let class = ClassId(header_meta(h));
-            if let Some(new_class) = remap.and_then(|table| table.get(class)) {
+            if let Some(entry) = remap.and_then(|table| table.entry(class)) {
+                let new_class = entry.new_class;
+                let new_size = 1 + snapshot.size_words(new_class);
+                if let Some(plan) = &entry.plan {
+                    // Pure field copy: build the new-layout object straight
+                    // from the original. The scan forwards the references
+                    // it copied, exactly as it would an old copy's.
+                    let new_obj = self.alloc_to(new_size, to_alloc, to_limit)?;
+                    self.words[new_obj] = header(HeapKind::Object, new_class.0);
+                    for (i, &src) in plan.sources.iter().enumerate() {
+                        self.words[new_obj + 1 + i] = match src {
+                            CopyPlan::ZERO => 0,
+                            src => self.words[addr + 1 + src as usize],
+                        };
+                    }
+                    self.words[addr] = ((new_obj as u64) << 1) | 1;
+                    outcome.copied_cells += 1;
+                    outcome.copied_words += new_size;
+                    outcome.planned += 1;
+                    return Ok(GcRef(new_obj as u32));
+                }
+
                 // Paper §3.4: duplicate the object. Allocate an old-layout
                 // copy (scanned normally so its fields get forwarded) and a
                 // zeroed new-layout object the transformer will populate.
@@ -823,7 +1004,6 @@ impl Heap {
                 let old_copy = self.alloc_to(old_size, to_alloc, to_limit)?;
                 self.words.copy_within(addr..addr + old_size, old_copy);
 
-                let new_size = 1 + snapshot.size_words(new_class);
                 let new_obj = self.alloc_to(new_size, to_alloc, to_limit)?;
                 self.words[new_obj..new_obj + new_size].fill(0);
                 self.words[new_obj] = header(HeapKind::Object, new_class.0);
@@ -970,6 +1150,7 @@ impl Heap {
         for state in &states {
             outcome.copied_cells = outcome.copied_cells.saturating_add(state.copied_cells);
             outcome.copied_words = outcome.copied_words.saturating_add(state.copied_words);
+            outcome.planned = outcome.planned.saturating_add(state.planned);
             log.extend_from_slice(&state.log);
         }
         log.sort_by_key(|&(from, _, _)| from);
@@ -980,7 +1161,6 @@ impl Heap {
         self.collections += 1;
         // From-space (and every forwarded header in it) is now abandoned.
         self.lazy_forwards = false;
-        self.forward_headers.clear();
         Ok(outcome)
     }
 }
@@ -1018,6 +1198,7 @@ struct ParWorker {
     gray: Vec<usize>,
     copied_cells: usize,
     copied_words: usize,
+    planned: usize,
     /// Update-log stripe: (from-space address, old copy, new object).
     log: Vec<(u32, GcRef, GcRef)>,
 }
@@ -1040,6 +1221,20 @@ impl ParWorker {
                 return;
             }
         }
+        self.retire_chunk(shared);
+    }
+
+    /// Abandons the unused tail of the current bump chunk, writing a
+    /// primitive-array filler header over it so to-space stays parsable
+    /// cell by cell (the tail holds stale words from before the previous
+    /// collection, forwarding pointers included).
+    fn retire_chunk(&mut self, shared: &ParShared<'_>) {
+        let tail = self.chunk_end - self.chunk;
+        if tail > 0 {
+            let filler = header(HeapKind::PrimArray, (tail - 1) as u32);
+            shared.words[self.chunk].store(filler, Ordering::Relaxed);
+        }
+        self.chunk = self.chunk_end;
     }
 
     /// Bump-allocates `n` words from the current chunk, carving a new
@@ -1070,6 +1265,7 @@ impl ParWorker {
             ) {
                 Ok(_) => {
                     if take > n {
+                        self.retire_chunk(shared);
                         self.chunk = cur + n;
                         self.chunk_end = cur + take;
                     }
@@ -1098,7 +1294,7 @@ impl ParWorker {
                     std::hint::spin_loop();
                     continue;
                 }
-                let t = (h >> 1) as usize;
+                let t = forward_target(h);
                 if t >= shared.to_base && t < shared.to_limit {
                     return Some(t as u32);
                 }
@@ -1127,11 +1323,36 @@ impl ParWorker {
     ) -> Option<u32> {
         if HAS_REMAP && header_kind(h) == HeapKind::Object {
             let class = ClassId(header_meta(h));
-            if let Some(new_class) = shared.remap.and_then(|table| table.get(class)) {
+            if let Some(entry) = shared.remap.and_then(|table| table.entry(class)) {
+                let new_class = entry.new_class;
+                let new_size = 1 + shared.snapshot.size_words(new_class);
+                if let Some(plan) = &entry.plan {
+                    // Pure field copy: only the new-layout object exists,
+                    // filled from the claimed original; the owner scans it
+                    // to forward the references it copied.
+                    let Some(new_obj) = self.par_alloc(shared, new_size) else {
+                        return self.abandon(shared, addr, h);
+                    };
+                    shared.words[new_obj]
+                        .store(header(HeapKind::Object, new_class.0), Ordering::Relaxed);
+                    for (i, &src) in plan.sources.iter().enumerate() {
+                        let w = match src {
+                            CopyPlan::ZERO => 0,
+                            src => shared.words[addr + 1 + src as usize].load(Ordering::Relaxed),
+                        };
+                        shared.words[new_obj + 1 + i].store(w, Ordering::Relaxed);
+                    }
+                    shared.words[addr].store(((new_obj as u64) << 1) | 1, Ordering::Release);
+                    self.copied_cells += 1;
+                    self.copied_words += new_size;
+                    self.planned += 1;
+                    self.gray.push(new_obj);
+                    return Some(new_obj as u32);
+                }
+
                 // Paper §3.4: duplicate the object (old-layout copy the
                 // owner scans normally + zeroed new-layout object).
                 let old_size = 1 + shared.snapshot.size_words(class);
-                let new_size = 1 + shared.snapshot.size_words(new_class);
                 let Some(old_copy) = self.par_alloc(shared, old_size) else {
                     return self.abandon(shared, addr, h);
                 };
@@ -1483,7 +1704,7 @@ mod tests {
         let old = heap.alloc_object(ClassId(0), 2).unwrap();
         let new = heap.alloc_object(ClassId(9), 3).unwrap();
         heap.set(new, 0, 5);
-        heap.install_forward(old, new);
+        heap.install_forward(old, new, &snap());
         assert_eq!(heap.resolve(old), new);
 
         // A holder still referencing the OLD address.

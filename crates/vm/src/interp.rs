@@ -19,7 +19,7 @@ use crate::lazy::MAX_TRANSFORMER_DEPTH;
 use crate::natives::NativeFn;
 use crate::thread::{BlockOn, Frame, FrameNote, ThreadState, VmThread, FRAME_POOL_CAP};
 use crate::value::{GcRef, Value};
-use crate::vm::Vm;
+use crate::vm::{LazyDup, Vm};
 
 /// Why a thread execution slice stopped.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,9 +173,8 @@ impl Vm {
                     ($value:expr) => {{
                         let value: Option<Value> = $value;
                         let mut done = t.frames.pop().expect("frame present");
-                        if let Some(FrameNote::TransformOf(addr)) = done.note {
-                            self.dsu.in_progress.remove(&addr);
-                            self.dsu.done.insert(addr);
+                        if let Some(FrameNote::TransformOf(index)) = done.note {
+                            self.dsu.finish(&mut self.heap, index as usize);
                             if self.lazy.active {
                                 self.lazy.transformed += 1;
                             }
@@ -1346,57 +1345,38 @@ impl Vm {
             let w = self.heap.get(r, old_off);
             self.heap.set(new_obj, new_off, w);
         }
-        self.heap.install_forward(r, new_obj);
+        let snapshot = self.registry.layout_snapshot();
+        self.heap.install_forward(r, new_obj, &snapshot);
         Lazy::Ready(new_obj)
     }
 
     /// The lazy-migration read barrier: first touch of a stale object
-    /// duplicates it ([`Vm::lazy_dup`]) and returns its object-transformer
-    /// frame as [`Lazy::Run`]; everything else is a resolve. The caller
-    /// runs the frame with the faulting instruction's pc and stack
-    /// untouched, so the access retries against the transformed object —
-    /// the same transformer, in the same (new, old-copy) calling
-    /// convention, the eager protocol runs from the update log.
+    /// migrates it ([`Vm::lazy_dup`]). A class with a copy plan is done
+    /// on the spot and the access proceeds against the new object; any
+    /// other class hands back its object-transformer frame as
+    /// [`Lazy::Run`]. The caller runs the frame with the faulting
+    /// instruction's pc and stack untouched, so the access retries
+    /// against the transformed object — the same transformer, in the same
+    /// (new, old-copy) calling convention, the eager protocol runs from
+    /// the update log. Everything else is a resolve.
     fn barrier_object(&mut self, r: GcRef) -> Lazy {
         let r = self.heap.resolve(r);
-        if self.heap.kind(r) != HeapKind::Object {
+        if !self.lazy_is_stale(r) {
             return Lazy::Ready(r);
         }
-        let class = self.heap.class_of(r);
-        if !self.lazy.remap.contains_key(&class) || self.lazy.old_copies.contains(&r.0) {
-            // Old copies keep their stale class on purpose: transformers
-            // read them with old offsets, and migrating one would recurse
-            // forever.
-            return Lazy::Ready(r);
-        }
-        if self.dsu.in_progress.len() >= MAX_TRANSFORMER_DEPTH {
+        if self.dsu.depth >= MAX_TRANSFORMER_DEPTH {
             return Lazy::Trap(VmError::TransformerDepthExceeded {
                 limit: MAX_TRANSFORMER_DEPTH,
             });
         }
-        let Some((old_copy, new_obj)) = self.lazy_dup(r) else {
-            return Lazy::NeedGc;
-        };
-        let new_class = self.heap.class_of(new_obj);
-        let Some(&mid) = self.dsu.transformer_for.get(&new_class) else {
-            return Lazy::Trap(VmError::Internal {
-                message: format!(
-                    "read barrier: no object transformer for {}",
-                    self.registry.class(new_class).name
-                ),
-            });
-        };
-        let compiled = match self.compiled_for(mid) {
-            Ok(c) => c,
-            Err(e) => return Lazy::Trap(e),
-        };
-        self.dsu.in_progress.insert(new_obj.0);
-        let mut frame = match Frame::new(compiled, &[Value::Ref(new_obj), Value::Ref(old_copy)]) {
-            Ok(f) => f,
-            Err(e) => return Lazy::Trap(e),
-        };
-        frame.note = Some(FrameNote::TransformOf(new_obj.0));
-        Lazy::Run(Box::new(frame))
+        match self.lazy_dup(r) {
+            None => Lazy::NeedGc,
+            Some(LazyDup::Planned(new_obj)) => Lazy::Ready(new_obj),
+            Some(LazyDup::Logged(index)) => match self.transformer_frame(index) {
+                Ok(frame) => Lazy::Run(Box::new(frame)),
+                Err(e) => Lazy::Trap(e),
+            },
+        }
     }
 
     /// Executes a native call. Arguments are *peeked* (not popped) so
@@ -1637,18 +1617,14 @@ impl Vm {
                 if self.heap.kind(obj) != HeapKind::Object {
                     return NOut::Val(None);
                 }
-                let addr = obj.0;
-                if self.dsu.done.contains(&addr) {
-                    return NOut::Val(None);
-                }
-                if !self.dsu.index_of.contains_key(&addr) {
-                    // Mid-lazy-epoch an *untouched* stale object has no
-                    // logged pair yet: duplicate and transform it now,
-                    // retrying the native afterwards — the lazy analogue
-                    // of forcing an entry out of the eager update log.
-                    if self.lazy.stale_target(self.heap.class_of(obj)).is_some()
-                        && !self.lazy.old_copies.contains(&addr)
-                    {
+                let Some(index) = self.dsu.entry_of(&self.heap, obj) else {
+                    // Not a logged, untransformed object. Mid-lazy-epoch
+                    // an *untouched* stale object has no logged pair yet:
+                    // migrate it now, retrying the native afterwards — the
+                    // lazy analogue of forcing an entry out of the eager
+                    // update log. Anything else (already transformed,
+                    // converted by a copy plan, never updated) is done.
+                    if self.lazy_is_stale(obj) {
                         return match self.barrier_object(obj) {
                             Lazy::Ready(_) => NOut::Val(None),
                             Lazy::NeedGc => NOut::NeedGc,
@@ -1657,37 +1633,11 @@ impl Vm {
                         };
                     }
                     return NOut::Val(None);
-                }
-                if self.dsu.in_progress.contains(&addr) {
-                    // Recursive transformation of an in-flight object:
-                    // ill-defined transformer set (paper §3.4 aborts).
-                    return NOut::Trap(VmError::TransformerCycle);
-                }
-                if self.dsu.in_progress.len() >= MAX_TRANSFORMER_DEPTH {
-                    return NOut::Trap(VmError::TransformerDepthExceeded {
-                        limit: MAX_TRANSFORMER_DEPTH,
-                    });
-                }
-                let i = self.dsu.index_of[&addr];
-                let (old, new) = self.dsu.pending[i];
-                let class = self.heap.class_of(new);
-                let Some(&mid) = self.dsu.transformer_for.get(&class) else {
-                    return NOut::Trap(VmError::Internal {
-                        message: "forceTransform: no transformer for class".into(),
-                    });
                 };
-                let compiled = match self.compiled_for(mid) {
-                    Ok(c) => c,
-                    Err(e) => return NOut::Trap(e),
-                };
-                self.dsu.in_progress.insert(addr);
-                let mut new_frame = match Frame::new(compiled, &[Value::Ref(new), Value::Ref(old)])
-                {
-                    Ok(f) => f,
-                    Err(e) => return NOut::Trap(e),
-                };
-                new_frame.note = Some(FrameNote::TransformOf(addr));
-                NOut::Frame(Box::new(new_frame))
+                match self.transformer_frame(index) {
+                    Ok(frame) => NOut::Frame(Box::new(frame)),
+                    Err(e) => NOut::Trap(e),
+                }
             }
             NativeFn::DsuUpdateCount => {
                 NOut::Val(Some(Value::Int(self.dsu.update_count as i64)))

@@ -45,9 +45,7 @@
 //! untouched stale objects stay live until transformed — lazy and eager
 //! epochs transform the *same* object multiset.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::ids::ClassId;
+use crate::heap::RemapTable;
 use crate::value::GcRef;
 
 /// Maximum nesting of in-progress object transformers before the VM
@@ -95,9 +93,23 @@ pub struct ScavengeOutcome {
     /// Objects transformed by this batch (worklist entries the guest had
     /// already migrated through the barrier are skipped, not counted).
     pub transformed: usize,
+    /// How many of `transformed` were converted by a
+    /// [`CopyPlan`](crate::heap::CopyPlan) instead of a transformer frame.
+    pub planned: usize,
     /// Worklist entries still pending after the batch; `0` means the
     /// drain is complete (the epoch then moves to collapse).
     pub remaining: usize,
+}
+
+/// What a finished epoch migrated, from
+/// [`Vm::finish_lazy_migration`](crate::Vm::finish_lazy_migration).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochTotals {
+    /// Objects migrated (read barrier + scavenger).
+    pub transformed: usize,
+    /// How many of `transformed` were converted by a
+    /// [`CopyPlan`](crate::heap::CopyPlan) instead of a transformer frame.
+    pub planned: usize,
 }
 
 /// Progress report from one [`Vm::lazy_collapse`](crate::Vm::lazy_collapse)
@@ -121,13 +133,14 @@ pub struct CollapseOutcome {
 pub struct LazyEpoch {
     /// Whether an epoch is in progress (the read barrier is armed).
     pub(crate) active: bool,
-    /// Version-pending classes: old `ClassId` → updated `ClassId`. An
-    /// object is *stale* iff its class is a key here.
-    pub(crate) remap: HashMap<ClassId, ClassId>,
-    /// Old-layout copies produced by first-touch duplication. They keep
-    /// the stale class (so transformers can read them with old offsets)
-    /// and must never themselves trip the barrier.
-    pub(crate) old_copies: HashSet<u32>,
+    /// Version-pending classes: old `ClassId` → updated `ClassId`, with
+    /// the copy plan of every class that has one. An object is *stale*
+    /// iff its class is remapped here and its header tag is zero — the
+    /// old-layout copies first-touch duplication produces keep the stale
+    /// class (so transformers can read them with old offsets) but carry
+    /// their log index in the tag, and must never themselves trip the
+    /// barrier.
+    pub(crate) remap: RemapTable,
     /// Stale objects found so far (barrier-migrated ones are skipped at
     /// scavenge time via their forwarding words), ascending original
     /// address — the scavenger's queue and (from `cursor` on) extra GC
@@ -135,8 +148,11 @@ pub struct LazyEpoch {
     pub(crate) worklist: Vec<GcRef>,
     /// First worklist entry the scavenger has not yet passed.
     pub(crate) cursor: usize,
-    /// Object transformers completed this epoch (barrier + scavenger).
+    /// Objects migrated this epoch (barrier + scavenger), by transformer
+    /// frame or by plan.
     pub(crate) transformed: usize,
+    /// How many of `transformed` a copy plan converted.
+    pub(crate) planned: usize,
     /// Next address the SATB scanner will look at.
     pub(crate) scan_addr: usize,
     /// The commit watermark: the active semispace's allocation cursor at
@@ -155,16 +171,6 @@ pub struct LazyEpoch {
 }
 
 impl LazyEpoch {
-    /// The updated class an instance of `class` must migrate to, if
-    /// `class` is version-pending in this epoch.
-    pub(crate) fn stale_target(&self, class: ClassId) -> Option<ClassId> {
-        if self.active {
-            self.remap.get(&class).copied()
-        } else {
-            None
-        }
-    }
-
     /// Which part of the epoch's work is up next.
     pub(crate) fn stage(&self) -> LazyStage {
         if !self.active {
@@ -199,30 +205,18 @@ impl LazyEpoch {
         }
     }
 
-    /// Clears the epoch back to the inactive state, returning the number
-    /// of objects transformed while it ran.
-    pub(crate) fn reset(&mut self) -> usize {
-        let transformed = self.transformed;
+    /// Clears the epoch back to the inactive state, returning what it
+    /// migrated while it ran.
+    pub(crate) fn reset(&mut self) -> EpochTotals {
+        let totals = EpochTotals { transformed: self.transformed, planned: self.planned };
         *self = LazyEpoch::default();
-        transformed
+        totals
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stale_target_requires_active_epoch() {
-        let mut epoch = LazyEpoch {
-            remap: HashMap::from([(ClassId(1), ClassId(2))]),
-            ..LazyEpoch::default()
-        };
-        assert_eq!(epoch.stale_target(ClassId(1)), None, "inactive epoch never matches");
-        epoch.active = true;
-        assert_eq!(epoch.stale_target(ClassId(1)), Some(ClassId(2)));
-        assert_eq!(epoch.stale_target(ClassId(2)), None);
-    }
 
     #[test]
     fn drop_processed_keeps_only_the_tail() {
@@ -239,8 +233,9 @@ mod tests {
 
     #[test]
     fn reset_reports_and_clears_progress() {
-        let mut epoch = LazyEpoch { active: true, transformed: 7, ..LazyEpoch::default() };
-        assert_eq!(epoch.reset(), 7);
+        let mut epoch =
+            LazyEpoch { active: true, transformed: 7, planned: 3, ..LazyEpoch::default() };
+        assert_eq!(epoch.reset(), EpochTotals { transformed: 7, planned: 3 });
         assert!(!epoch.active);
         assert_eq!(epoch.transformed, 0);
     }

@@ -51,7 +51,9 @@ mod vm;
 pub use config::{VmConfig, GC_THREADS_AUTO, PARALLEL_GC_MIN_WORDS};
 pub use error::VmError;
 pub use ids::{ClassId, MethodId, ThreadId};
-pub use lazy::{CollapseOutcome, LazyStage, ScanOutcome, ScavengeOutcome, MAX_TRANSFORMER_DEPTH};
+pub use lazy::{
+    CollapseOutcome, EpochTotals, LazyStage, ScanOutcome, ScavengeOutcome, MAX_TRANSFORMER_DEPTH,
+};
 pub use registry::{ClassMethodsSnapshot, RegistryMark};
 pub use value::{GcRef, Value};
-pub use vm::{SliceOutcome, SliceReport, Vm, VmStats};
+pub use vm::{ObjectTransformer, SliceOutcome, SliceReport, Vm, VmStats};

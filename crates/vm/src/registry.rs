@@ -434,7 +434,14 @@ impl Registry {
         self.by_name.insert(new_name.clone(), id);
         let class = &mut self.classes[id.index()];
         class.name = new_name.clone();
-        class.file.name = new_name;
+        class.file.name = new_name.clone();
+        // Subclasses name their superclass in their class file; keep that
+        // by-name view in step with `super_id`, or resolving an inherited
+        // field through a renamed old subclass (`v1_C.f`, in a
+        // transformer) would walk into the *new* version of this class.
+        for sub in self.classes.iter_mut().filter(|c| c.super_id == Some(id)) {
+            sub.file.superclass = Some(new_name.clone());
+        }
         self.snapshot = None;
         self.bump_code_epoch();
         Ok(())

@@ -72,8 +72,10 @@ impl Frame {
 /// VM-internal bookkeeping attached to frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameNote {
-    /// This frame runs an object transformer for the object at the given
-    /// heap address; on return the object is marked transformed.
+    /// This frame runs the object transformer of the update-log entry with
+    /// the given index; on return the entry is marked transformed. (An
+    /// index, not an address: the log keeps both objects alive and up to
+    /// date across collections.)
     TransformOf(u32),
 }
 
@@ -133,11 +135,20 @@ pub struct VmThread {
 impl VmThread {
     /// Creates a runnable thread with one initial frame.
     pub fn new(id: ThreadId, name: impl Into<String>, frame: Frame) -> VmThread {
+        let mut thread = VmThread::parked(id, name.into());
+        thread.frames.push(frame);
+        thread.state = ThreadState::Runnable;
+        thread
+    }
+
+    /// A finished thread with no frames, for the VM's synchronous
+    /// host-initiated calls to push work onto.
+    pub(crate) fn parked(id: ThreadId, name: String) -> VmThread {
         VmThread {
             id,
-            name: name.into(),
-            frames: vec![frame],
-            state: ThreadState::Runnable,
+            name,
+            frames: Vec::new(),
+            state: ThreadState::Finished,
             result: None,
             ic: InlineCaches::default(),
             pool: Vec::new(),

@@ -3,7 +3,7 @@
 //! update log, transformer execution, return barriers, OSR) that the
 //! `jvolve` crate's update driver composes into the paper's protocol.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use jvolve_classfile::class::CTOR_NAME;
@@ -12,12 +12,15 @@ use jvolve_classfile::{ClassFile, ClassName};
 use crate::compiled::{CompileLevel, CompiledMethod};
 use crate::config::VmConfig;
 use crate::error::VmError;
-use crate::heap::{ClassLayouts, GcOutcome, GcRemap, Heap, HeapKind, NoRemap, RemapTable};
+use crate::heap::{
+    ClassLayouts, CopyPlan, GcOutcome, GcRemap, Heap, HeapKind, NoRemap, RemapTable,
+};
 use crate::ids::{ClassId, MethodId, ThreadId};
 use crate::interp::SliceEvent;
 use crate::jit;
 use crate::lazy::{
-    CollapseOutcome, LazyEpoch, LazyStage, ScanOutcome, ScavengeOutcome, MAX_TRANSFORMER_DEPTH,
+    CollapseOutcome, EpochTotals, LazyEpoch, LazyStage, ScanOutcome, ScavengeOutcome,
+    MAX_TRANSFORMER_DEPTH,
 };
 use crate::net::Net;
 use crate::registry::Registry;
@@ -53,27 +56,106 @@ pub struct VmStats {
     pub ic_misses: u64,
 }
 
+/// How instances of one updated class reach their new layout.
+#[derive(Debug, Clone)]
+pub enum ObjectTransformer {
+    /// A pure field copy, applied natively wherever the object is copied
+    /// (the update-GC, or first touch in a lazy epoch): no old copy, no
+    /// update-log entry, no frame.
+    Plan(CopyPlan),
+    /// The compiled `jvolve_object_X(to, from)` method, run in an
+    /// interpreter frame over a logged (old copy, new object) pair.
+    Method(MethodId),
+}
+
+/// Where the transformer of one update-log entry stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EntryState {
+    /// Not started.
+    Pending,
+    /// Its frame is on some stack (cycle detection, paper §3.4).
+    InProgress,
+    /// Finished (or forced recursively before the log walk reached it).
+    Done,
+}
+
 /// DSU bookkeeping owned by the VM so the GC can keep it consistent.
+///
+/// Nothing here is keyed by heap address. The paper caches a pointer to
+/// the old version inside the new object; we cache the *log index*: both
+/// objects of a pair carry `index + 1` in their header tag
+/// ([`Heap::header_tag`]) until the transformer returns, and the
+/// per-entry progress lives in `state`, parallel to `pending`. A
+/// collection copies headers verbatim and rewrites `pending` in place,
+/// so nothing is rehashed.
 #[derive(Debug, Default)]
 pub(crate) struct DsuState {
     /// The update log: (old copy, new object) pairs from the last
-    /// update-GC (paper §3.4).
+    /// update-GC (paper §3.4), or from first-touch duplication during a
+    /// lazy epoch.
     pub pending: Vec<(GcRef, GcRef)>,
-    /// new-object address → index in `pending` (the paper caches a pointer
-    /// to the old version inside the new object; a side table is
-    /// equivalent, see DESIGN.md).
-    pub index_of: HashMap<u32, usize>,
-    /// Object transformer for each *new* class.
+    /// Transformer progress of each `pending` entry.
+    pub state: Vec<EntryState>,
+    /// Entries currently [`EntryState::InProgress`] (transformer nesting
+    /// depth).
+    pub depth: usize,
+    /// Interpreted object transformer for each *new* class that has no
+    /// copy plan.
     pub transformer_for: HashMap<ClassId, MethodId>,
-    /// Objects whose transformer is currently on some stack (cycle
-    /// detection, paper §3.4).
-    pub in_progress: HashSet<u32>,
-    /// Objects already transformed.
-    pub done: HashSet<u32>,
     /// Dynamic updates completed.
     pub update_count: u64,
     /// Lazy-indirection mode: classes to migrate on first access.
     pub lazy_remap: HashMap<ClassId, ClassId>,
+}
+
+impl DsuState {
+    /// Appends a pair to the log and stamps its index into both headers.
+    pub(crate) fn log_pair(&mut self, heap: &mut Heap, old_copy: GcRef, new_obj: GcRef) -> usize {
+        let index = self.pending.len();
+        let tag = u32::try_from(index + 1).expect("update log outgrew the header tag");
+        heap.set_header_tag(old_copy, tag);
+        heap.set_header_tag(new_obj, tag);
+        self.pending.push((old_copy, new_obj));
+        self.state.push(EntryState::Pending);
+        index
+    }
+
+    /// The log entry whose not-yet-transformed *new* object is `obj`.
+    pub(crate) fn entry_of(&self, heap: &Heap, obj: GcRef) -> Option<usize> {
+        let index = (heap.header_tag(obj) as usize).checked_sub(1)?;
+        (self.pending.get(index)?.1 == obj).then_some(index)
+    }
+
+    /// Marks entry `index` in progress, or says why its transformer must
+    /// not start.
+    pub(crate) fn begin(&mut self, index: usize) -> Result<(), VmError> {
+        if self.state[index] == EntryState::InProgress {
+            // Recursive transformation of an in-flight object:
+            // ill-defined transformer set (paper §3.4 aborts).
+            return Err(VmError::TransformerCycle);
+        }
+        if self.depth >= MAX_TRANSFORMER_DEPTH {
+            return Err(VmError::TransformerDepthExceeded { limit: MAX_TRANSFORMER_DEPTH });
+        }
+        self.state[index] = EntryState::InProgress;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// The transformer frame of entry `index` returned: the new object is
+    /// an ordinary object from here on.
+    pub(crate) fn finish(&mut self, heap: &mut Heap, index: usize) {
+        self.state[index] = EntryState::Done;
+        self.depth -= 1;
+        heap.set_header_tag(self.pending[index].1, 0);
+    }
+
+    /// Deletes the log (paper §3.4: old copies become unreachable).
+    pub(crate) fn clear_log(&mut self) {
+        self.pending.clear();
+        self.state.clear();
+        self.depth = 0;
+    }
 }
 
 /// A report from one scheduler slice.
@@ -509,6 +591,13 @@ impl Vm {
     ///
     /// Propagates [`VmError::OutOfMemory`] on to-space overflow.
     pub fn collect_full(&mut self, remap: &dyn GcRemap) -> Result<GcOutcome, VmError> {
+        let table = RemapTable::from_policy(remap, self.registry.num_classes());
+        self.collect_with(&table)
+    }
+
+    /// [`Vm::collect_full`] over an already resolved remap table (which
+    /// may carry copy plans).
+    fn collect_with(&mut self, table: &RemapTable) -> Result<GcOutcome, VmError> {
         if self.lazy.active && !self.lazy.scan_done() {
             // A collection abandons from-space, so run the SATB scanner to
             // completion first: the undiscovered worklist tail must be
@@ -523,9 +612,6 @@ impl Vm {
                     if let Value::Ref(r) = v {
                         roots.push(*r);
                     }
-                }
-                if let Some(FrameNote::TransformOf(addr)) = f.note {
-                    roots.push(GcRef(addr));
                 }
             }
         }
@@ -549,8 +635,7 @@ impl Vm {
         }
 
         let snapshot = self.registry.layout_snapshot();
-        let table = RemapTable::from_policy(remap, self.registry.num_classes());
-        let table = if table.is_empty() { None } else { Some(&table) };
+        let table = if table.is_empty() { None } else { Some(table) };
         let workers = self.config.resolve_gc_workers(self.heap.used_words());
         let outcome = self.heap.collect_parallel(&roots, &snapshot, table, workers)?;
         self.stats.gcs += 1;
@@ -563,9 +648,6 @@ impl Vm {
                     if let Value::Ref(r) = v {
                         *r = heap.resolve(*r);
                     }
-                }
-                if let Some(FrameNote::TransformOf(addr)) = &mut f.note {
-                    *addr = heap.resolve(GcRef(*addr)).0;
                 }
             }
         }
@@ -580,15 +662,10 @@ impl Vm {
         for r in &mut self.host_roots {
             *r = heap.resolve(*r);
         }
-        self.dsu.in_progress =
-            self.dsu.in_progress.iter().map(|&a| heap.resolve(GcRef(a)).0).collect();
-        self.dsu.done = self.dsu.done.iter().map(|&a| heap.resolve(GcRef(a)).0).collect();
         if self.lazy.active {
             for r in &mut self.lazy.worklist {
                 *r = heap.resolve(*r);
             }
-            self.lazy.old_copies =
-                self.lazy.old_copies.iter().map(|&a| heap.resolve(GcRef(a)).0).collect();
             // The scan completed up top and its addresses died with
             // from-space; pin the stage at scan-done.
             self.lazy.scan_addr = 0;
@@ -601,13 +678,7 @@ impl Vm {
                 self.lazy.sweep_limit = 0;
             }
         }
-        self.rebuild_dsu_index();
         Ok(outcome)
-    }
-
-    fn rebuild_dsu_index(&mut self) {
-        self.dsu.index_of =
-            self.dsu.pending.iter().enumerate().map(|(i, &(_, new))| (new.0, i)).collect();
     }
 
     /// A canonical, address-independent hash of the reachable heap.
@@ -714,10 +785,41 @@ impl Vm {
 
     // ---- DSU mechanisms (composed by the jvolve update driver) -------------------
 
-    /// Runs the update collection (paper §3.4): a full GC that duplicates
-    /// every instance of a remapped class and stores the update log in the
-    /// VM. `transformer_for` maps each *new* class to its object
-    /// transformer (`jvolve_object_X`).
+    /// Resolves an update's class mapping into a [`RemapTable`]: planned
+    /// classes get their [`CopyPlan`] attached, the rest register their
+    /// transformer method in the DSU state.
+    fn update_table(
+        &mut self,
+        remap: &HashMap<ClassId, ClassId>,
+        mut transformers: HashMap<ClassId, ObjectTransformer>,
+    ) -> RemapTable {
+        let pairs = remap.iter().map(|(&old, &new)| (old, new));
+        let mut table = RemapTable::from_pairs(pairs, self.registry.num_classes());
+        self.dsu.transformer_for.clear();
+        for (&old_class, &new_class) in remap {
+            match transformers.remove(&new_class) {
+                Some(ObjectTransformer::Plan(plan)) => {
+                    table.set_plan(old_class, plan, &self.registry);
+                }
+                Some(ObjectTransformer::Method(mid)) => {
+                    self.dsu.transformer_for.insert(new_class, mid);
+                }
+                // Surfaces as a typed error if an instance ever needs it.
+                None => {}
+            }
+        }
+        table
+    }
+
+    /// Runs the update collection (paper §3.4): a full GC that converts
+    /// every instance of a remapped class. `transformers` maps each *new*
+    /// class to its object transformer: instances of a class with a
+    /// [`ObjectTransformer::Plan`] come out of the collection already in
+    /// their new layout; the rest are duplicated, and their (old copy,
+    /// new object) pairs become the VM's update log for
+    /// [`Vm::transform_pending`]. The log is *moved* into the VM — the
+    /// returned outcome's `update_log` is empty;
+    /// [`Vm::pending_transforms`] is its length.
     ///
     /// # Errors
     ///
@@ -725,20 +827,14 @@ impl Vm {
     pub fn collect_for_update(
         &mut self,
         remap: HashMap<ClassId, ClassId>,
-        transformer_for: HashMap<ClassId, MethodId>,
+        transformers: HashMap<ClassId, ObjectTransformer>,
     ) -> Result<GcOutcome, VmError> {
-        struct MapRemap<'a>(&'a HashMap<ClassId, ClassId>);
-        impl GcRemap for MapRemap<'_> {
-            fn remap(&self, class: ClassId) -> Option<ClassId> {
-                self.0.get(&class).copied()
-            }
+        let table = self.update_table(&remap, transformers);
+        self.dsu.clear_log();
+        let mut outcome = self.collect_with(&table)?;
+        for (old_copy, new_obj) in std::mem::take(&mut outcome.update_log) {
+            self.dsu.log_pair(&mut self.heap, old_copy, new_obj);
         }
-        self.dsu.transformer_for = transformer_for;
-        let outcome = self.collect_full(&MapRemap(&remap))?;
-        self.dsu.pending = outcome.update_log.clone();
-        self.dsu.in_progress.clear();
-        self.dsu.done.clear();
-        self.rebuild_dsu_index();
         Ok(outcome)
     }
 
@@ -759,33 +855,29 @@ impl Vm {
     /// considered failed.
     pub fn transform_pending(&mut self) -> Result<usize, VmError> {
         let mut ran = 0;
-        let n = self.dsu.pending.len();
-        for i in 0..n {
-            let (_, new) = self.dsu.pending[i];
-            if self.dsu.done.contains(&new.0) {
-                continue;
-            }
-            self.transform_one(i)?;
-            ran += 1;
+        if !self.dsu.pending.is_empty() {
+            // One internal thread runs every transformer of the pass.
+            let thread = self.open_sync_thread("object-transformer");
+            let result = (0..self.dsu.pending.len()).try_for_each(|i| {
+                if self.dsu.state[i] == EntryState::Pending {
+                    self.transform_one(thread, i)?;
+                    ran += 1;
+                }
+                Ok(())
+            });
+            self.close_sync_thread(thread);
+            result?;
         }
-        // Delete the log: old copies become unreachable.
-        self.dsu.pending.clear();
-        self.dsu.index_of.clear();
-        self.dsu.in_progress.clear();
-        self.dsu.done.clear();
+        self.dsu.clear_log();
         self.dsu.update_count += 1;
         Ok(ran)
     }
 
-    /// Runs the transformer for log entry `i` synchronously.
-    fn transform_one(&mut self, i: usize) -> Result<(), VmError> {
-        let (old, new) = self.dsu.pending[i];
-        if self.dsu.in_progress.contains(&new.0) {
-            return Err(VmError::TransformerCycle);
-        }
-        if self.dsu.in_progress.len() >= MAX_TRANSFORMER_DEPTH {
-            return Err(VmError::TransformerDepthExceeded { limit: MAX_TRANSFORMER_DEPTH });
-        }
+    /// The frame that transforms log entry `index`, marked in progress.
+    /// Shared by the log walk, `Dsu.forceTransform`, and the lazy read
+    /// barrier.
+    pub(crate) fn transformer_frame(&mut self, index: usize) -> Result<Frame, VmError> {
+        let (old, new) = self.dsu.pending[index];
         let class = self.heap.class_of(new);
         let Some(&mid) = self.dsu.transformer_for.get(&class) else {
             return Err(VmError::Internal {
@@ -795,12 +887,18 @@ impl Vm {
                 ),
             });
         };
-        self.dsu.in_progress.insert(new.0);
         let compiled = self.compiled_for(mid)?;
         let mut frame = Frame::new(compiled, &[Value::Ref(new), Value::Ref(old)])?;
-        frame.note = Some(FrameNote::TransformOf(new.0));
-        self.run_sync(frame, "object-transformer")?;
-        Ok(())
+        self.dsu.begin(index)?;
+        frame.note = Some(FrameNote::TransformOf(index as u32));
+        Ok(frame)
+    }
+
+    /// Runs the transformer for log entry `index` to completion on the
+    /// open internal thread `thread`.
+    fn transform_one(&mut self, thread: usize, index: usize) -> Result<(), VmError> {
+        let frame = self.transformer_frame(index)?;
+        self.run_on_sync_thread(thread, frame).map(|_| ())
     }
 
     /// Calls a static method synchronously on a dedicated internal thread
@@ -823,29 +921,49 @@ impl Vm {
         })?;
         let compiled = self.compiled_for(mid)?;
         let frame = Frame::new(compiled, args)?;
-        self.run_sync(frame, &format!("{class}.{method}"))
+        let thread = self.open_sync_thread(&format!("{class}.{method}"));
+        let result = self.run_on_sync_thread(thread, frame);
+        self.close_sync_thread(thread);
+        result
     }
 
-    /// Runs `frame` to completion on a temporary thread.
-    pub(crate) fn run_sync(&mut self, frame: Frame, what: &str) -> Result<Option<Value>, VmError> {
-        let id = self.add_thread(format!("<sync:{what}>"), frame);
-        let idx = id.0 as usize;
+    /// Adds a parked internal thread for synchronous host-initiated calls
+    /// and returns its table index. It holds no frames between calls, so
+    /// the scheduler and the collector ignore it; a pass that makes many
+    /// calls (the object transformers) opens one and reuses it.
+    fn open_sync_thread(&mut self, what: &str) -> usize {
+        let id = ThreadId(self.threads.len() as u32);
+        self.threads.push(Some(VmThread::parked(id, format!("<sync:{what}>"))));
+        id.0 as usize
+    }
+
+    /// Removes the internal thread [`Vm::open_sync_thread`] added.
+    fn close_sync_thread(&mut self, thread: usize) {
+        self.threads[thread] = None;
+        self.threads.pop_if_last_none();
+    }
+
+    /// Runs `frame` to completion on the parked internal thread `thread`.
+    /// On error the thread's stack is dropped, so it parks again either
+    /// way.
+    fn run_on_sync_thread(&mut self, idx: usize, frame: Frame) -> Result<Option<Value>, VmError> {
+        {
+            let t = self.threads[idx].as_mut().expect("sync thread exists");
+            debug_assert!(t.frames.is_empty(), "sync thread is busy");
+            t.frames.push(frame);
+            t.state = ThreadState::Runnable;
+        }
         let mut gc_retry: Option<(u32, u64)> = None;
-        loop {
+        let result = loop {
             let mut thread = self.threads[idx].take().expect("sync thread exists");
             let event = self.exec_thread(&mut thread, usize::MAX);
             self.threads[idx] = Some(thread);
             match event {
                 SliceEvent::Finished => {
-                    let t = self.threads[idx].take().expect("sync thread");
-                    self.threads.pop_if_last_none();
-                    return Ok(t.result);
+                    let t = self.threads[idx].as_mut().expect("sync thread");
+                    break Ok(t.result.take());
                 }
-                SliceEvent::Trapped(e) => {
-                    self.threads[idx] = None;
-                    self.threads.pop_if_last_none();
-                    return Err(e);
-                }
+                SliceEvent::Trapped(e) => break Err(e),
                 SliceEvent::NeedGc => {
                     let pc = self.threads[idx]
                         .as_ref()
@@ -854,23 +972,28 @@ impl Vm {
                         .unwrap_or(u32::MAX);
                     let steps = self.stats.steps;
                     if gc_retry == Some((pc, steps.saturating_sub(1))) {
-                        self.threads[idx] = None;
-                        self.threads.pop_if_last_none();
-                        return Err(VmError::OutOfMemory { requested: 0 });
+                        break Err(VmError::OutOfMemory { requested: 0 });
                     }
                     gc_retry = Some((pc, steps));
-                    self.collect_full(&NoRemap)?;
+                    if let Err(e) = self.collect_full(&NoRemap) {
+                        break Err(e);
+                    }
                 }
                 SliceEvent::Blocked => {
-                    self.threads[idx] = None;
-                    self.threads.pop_if_last_none();
-                    return Err(VmError::Internal {
-                        message: format!("synchronous call to {what} blocked"),
+                    let t = self.threads[idx].as_ref().expect("sync thread");
+                    break Err(VmError::Internal {
+                        message: format!("synchronous call on {} blocked", t.name),
                     });
                 }
                 SliceEvent::Quantum | SliceEvent::ReturnBarrier { .. } => continue,
             }
+        };
+        if result.is_err() {
+            let t = self.threads[idx].as_mut().expect("sync thread");
+            t.frames.clear();
+            t.state = ThreadState::Finished;
         }
+        result
     }
 
     /// Installs a return barrier on frame `frame_idx` of `thread` (paper
@@ -1051,9 +1174,10 @@ impl Vm {
     // ---- lazy migration (read-barrier epoch, see `crate::lazy`) ------------------
 
     /// Opens a lazy-migration epoch: the O(roots) alternative to
-    /// [`Vm::collect_for_update`]. Marks the `remap` classes
-    /// version-pending, snapshots the allocation **watermark** (the SATB
-    /// commit point — no heap walk, no copying, no transformers, so this
+    /// [`Vm::collect_for_update`], taking the same class mapping and
+    /// transformers. Marks the `remap` classes version-pending, snapshots
+    /// the allocation **watermark** (the SATB commit point — no heap
+    /// walk, no copying, no transformers, so this
     /// *is* the commit pause and it is independent of heap size), arms
     /// the read barrier, and bumps the dispatch epoch so every inline
     /// cache re-resolves into barrier-aware dispatch. Stale objects are
@@ -1069,14 +1193,11 @@ impl Vm {
     pub fn begin_lazy_migration(
         &mut self,
         remap: HashMap<ClassId, ClassId>,
-        transformer_for: HashMap<ClassId, MethodId>,
+        transformers: HashMap<ClassId, ObjectTransformer>,
     ) -> usize {
         assert!(!self.lazy.active, "a lazy-migration epoch is already active");
-        self.dsu.transformer_for = transformer_for;
-        self.dsu.pending.clear();
-        self.dsu.index_of.clear();
-        self.dsu.in_progress.clear();
-        self.dsu.done.clear();
+        let remap = self.update_table(&remap, transformers);
+        self.dsu.clear_log();
         let scan_addr = self.heap.active_base();
         let scan_limit = self.heap.alloc_cursor();
         self.lazy =
@@ -1101,7 +1222,7 @@ impl Vm {
     /// heap cells from the scan cursor toward the watermark, queueing
     /// every not-yet-migrated stale object on the worklist. Objects the
     /// guest already migrated through the barrier sit behind forwarding
-    /// words and are skipped via their preserved headers. Infallible — it
+    /// words and are stepped over by the size those carry. Infallible — it
     /// allocates nothing.
     ///
     /// # Panics
@@ -1121,7 +1242,7 @@ impl Vm {
             max_cells,
             &snapshot,
             |r, class| {
-                if remap.contains_key(&class) {
+                if remap.get(class).is_some() {
                     discovered.push(r);
                 }
             },
@@ -1139,30 +1260,59 @@ impl Vm {
         self.lazy.worklist.len() - self.lazy.cursor
     }
 
-    /// First-touch duplication: the slow path shared by the interpreter's
+    /// Whether the resolved cell `r` is a stale object the epoch still
+    /// has to migrate: an instance of a version-pending class that is not
+    /// an old-layout copy (those keep the stale class on purpose —
+    /// transformers read them with old offsets, and migrating one would
+    /// recurse forever — and are told apart by their header tag).
+    pub(crate) fn lazy_is_stale(&self, r: GcRef) -> bool {
+        self.heap.kind(r) == HeapKind::Object
+            && self.lazy.remap.get(self.heap.class_of(r)).is_some()
+            && self.heap.header_tag(r) == 0
+    }
+
+    /// First-touch migration: the slow path shared by the interpreter's
     /// read barrier, `Dsu.forceTransform`, and the scavenger. `r` must be
-    /// a *resolved* stale object. Allocates the old-layout copy and the
-    /// zeroed new-layout object, registers the pair in the update log, and
-    /// installs the forwarding word — but does **not** run the
-    /// transformer. Returns `None` if either allocation fails, with
-    /// nothing installed (the caller collects and retries).
-    pub(crate) fn lazy_dup(&mut self, r: GcRef) -> Option<(GcRef, GcRef)> {
+    /// a *resolved* stale object ([`Vm::lazy_is_stale`]).
+    ///
+    /// A class with a copy plan is converted on the spot: only the
+    /// new-layout object is allocated, filled from `r` per the plan, and
+    /// `r` forwards to it — the migration is complete and counted. Any
+    /// other class is duplicated as the eager update-GC would: an
+    /// old-layout copy plus a zeroed new-layout object, logged as a pair
+    /// for the caller to run the transformer over.
+    ///
+    /// Returns `None` if an allocation fails, with nothing installed (the
+    /// caller collects and retries).
+    pub(crate) fn lazy_dup(&mut self, r: GcRef) -> Option<LazyDup> {
         let old_class = self.heap.class_of(r);
-        let new_class = *self.lazy.remap.get(&old_class).expect("lazy_dup on a stale object");
+        let new_class = self.lazy.remap.get(old_class).expect("lazy_dup on a stale object");
+        let new_size = self.registry.object_size(new_class);
+        let snapshot = self.registry.layout_snapshot();
+        if let Some(plan) = self.lazy.remap.plan(old_class) {
+            let new_obj = self.heap.alloc_object(new_class, new_size)?;
+            for (i, &src) in plan.sources().iter().enumerate() {
+                if src != CopyPlan::ZERO {
+                    let w = self.heap.get(r, src as usize);
+                    self.heap.set(new_obj, i, w);
+                }
+            }
+            self.heap.install_forward(r, new_obj, &snapshot);
+            self.lazy.transformed += 1;
+            self.lazy.planned += 1;
+            return Some(LazyDup::Planned(new_obj));
+        }
         let old_size = self.registry.object_size(old_class);
         let old_copy = self.heap.alloc_object(old_class, old_size)?;
-        let new_obj = self.heap.alloc_object(new_class, self.registry.object_size(new_class))?;
+        let new_obj = self.heap.alloc_object(new_class, new_size)?;
         // (If the second allocation fails the old copy is dead garbage the
         // caller's collection reclaims; no forwarding was installed.)
         for i in 0..old_size {
             let w = self.heap.get(r, i);
             self.heap.set(old_copy, i, w);
         }
-        self.heap.install_forward(r, new_obj);
-        self.lazy.old_copies.insert(old_copy.0);
-        self.dsu.pending.push((old_copy, new_obj));
-        self.dsu.index_of.insert(new_obj.0, self.dsu.pending.len() - 1);
-        Some((old_copy, new_obj))
+        self.heap.install_forward(r, new_obj, &snapshot);
+        Some(LazyDup::Logged(self.dsu.log_pair(&mut self.heap, old_copy, new_obj)))
     }
 
     /// Transforms up to `batch` untouched stale objects from the worklist
@@ -1182,39 +1332,53 @@ impl Vm {
     /// Panics outside an active epoch.
     pub fn lazy_scavenge(&mut self, batch: usize) -> Result<ScavengeOutcome, VmError> {
         assert!(self.lazy.active, "lazy_scavenge outside an epoch");
-        let mut transformed = 0;
-        while transformed < batch && self.lazy.cursor < self.lazy.worklist.len() {
-            let idx = self.lazy.cursor;
-            let r = self.heap.resolve(self.lazy.worklist[idx]);
-            let stale = self.heap.kind(r) == HeapKind::Object
-                && self.lazy.remap.contains_key(&self.heap.class_of(r))
-                && !self.lazy.old_copies.contains(&r.0);
-            if !stale {
-                // The guest (or a recursive force) got here first.
+        let (mut transformed, mut planned) = (0, 0);
+        // Opened on the first object that needs a transformer frame and
+        // reused for the rest of the batch.
+        let mut thread = None;
+        let result = (|| {
+            while transformed < batch && self.lazy.cursor < self.lazy.worklist.len() {
+                let idx = self.lazy.cursor;
+                if !self.lazy_is_stale(self.heap.resolve(self.lazy.worklist[idx])) {
+                    // The guest (or a recursive force) got here first.
+                    self.lazy.cursor = idx + 1;
+                    continue;
+                }
+                let mut gc_retries = 0;
+                let dup = loop {
+                    // Re-resolve through the worklist each attempt: a failed
+                    // allocation collects, which moves the object.
+                    let r = self.heap.resolve(self.lazy.worklist[idx]);
+                    if let Some(dup) = self.lazy_dup(r) {
+                        break dup;
+                    }
+                    if gc_retries >= 1 {
+                        return Err(VmError::OutOfMemory { requested: 0 });
+                    }
+                    gc_retries += 1;
+                    self.collect_full(&NoRemap)?;
+                };
+                // The object is migrated, or its pair is rooted via the
+                // update log: advance past the entry before running the
+                // transformer (which may itself GC).
                 self.lazy.cursor = idx + 1;
-                continue;
+                match dup {
+                    LazyDup::Planned(_) => planned += 1,
+                    LazyDup::Logged(index) => {
+                        let thread = *thread
+                            .get_or_insert_with(|| self.open_sync_thread("object-transformer"));
+                        self.transform_one(thread, index)?;
+                    }
+                }
+                transformed += 1;
             }
-            let mut gc_retries = 0;
-            let pair_idx = loop {
-                // Re-resolve through the worklist each attempt: a failed
-                // allocation collects, which moves the object.
-                let r = self.heap.resolve(self.lazy.worklist[idx]);
-                if let Some(_pair) = self.lazy_dup(r) {
-                    break self.dsu.pending.len() - 1;
-                }
-                if gc_retries >= 1 {
-                    return Err(VmError::OutOfMemory { requested: 0 });
-                }
-                gc_retries += 1;
-                self.collect_full(&NoRemap)?;
-            };
-            // The pair is rooted via the update log now; advance past the
-            // entry before running the transformer (which may itself GC).
-            self.lazy.cursor = idx + 1;
-            self.transform_one(pair_idx)?;
-            transformed += 1;
+            Ok(())
+        })();
+        if let Some(thread) = thread {
+            self.close_sync_thread(thread);
         }
-        Ok(ScavengeOutcome { transformed, remaining: self.lazy_remaining() })
+        result?;
+        Ok(ScavengeOutcome { transformed, planned, remaining: self.lazy_remaining() })
     }
 
     /// Runs one bounded forwarding-collapse batch. The first call performs
@@ -1238,7 +1402,7 @@ impl Vm {
             self.lazy.scan_done() && self.lazy.cursor >= self.lazy.worklist.len(),
             "lazy_collapse before the epoch drained"
         );
-        assert!(self.dsu.in_progress.is_empty(), "transformer still in progress");
+        assert_eq!(self.dsu.depth, 0, "transformer still in progress");
         if !self.lazy.collapsing {
             let heap = &self.heap;
             for t in self.threads.iter_mut().flatten() {
@@ -1247,9 +1411,6 @@ impl Vm {
                         if let Value::Ref(r) = v {
                             *r = heap.resolve(*r);
                         }
-                    }
-                    if let Some(FrameNote::TransformOf(addr)) = &mut f.note {
-                        *addr = heap.resolve(GcRef(*addr)).0;
                     }
                 }
             }
@@ -1261,10 +1422,7 @@ impl Vm {
             for r in &mut self.host_roots {
                 *r = heap.resolve(*r);
             }
-            self.dsu.pending.clear();
-            self.dsu.index_of.clear();
-            self.dsu.done.clear();
-            self.lazy.old_copies.clear();
+            self.dsu.clear_log();
             self.lazy.worklist.clear();
             self.lazy.cursor = 0;
             self.lazy.collapsing = true;
@@ -1295,22 +1453,21 @@ impl Vm {
     /// is **no commit collection**: the collapse already detached every
     /// live reference from the forwarding words, so the stale originals
     /// are reclaimed by whatever collection happens naturally next.
-    /// Returns the number of objects transformed during the epoch.
+    /// Returns how many objects the epoch migrated, and how many of them
+    /// by copy plan.
     ///
     /// # Panics
     ///
     /// Panics unless the epoch reached [`LazyStage::Done`] or a
     /// transformer is still on some stack.
-    pub fn finish_lazy_migration(&mut self) -> usize {
+    pub fn finish_lazy_migration(&mut self) -> EpochTotals {
         assert!(self.lazy.active, "finish_lazy_migration outside an epoch");
         assert_eq!(self.lazy.stage(), LazyStage::Done, "epoch not collapsed");
-        assert!(self.dsu.in_progress.is_empty(), "transformer still in progress");
-        let transformed = self.lazy.reset();
-        self.dsu.pending.clear();
-        self.dsu.index_of.clear();
-        self.dsu.done.clear();
+        assert_eq!(self.dsu.depth, 0, "transformer still in progress");
+        let totals = self.lazy.reset();
+        self.dsu.clear_log();
         self.registry.bump_code_epoch();
-        transformed
+        totals
     }
 
     // ---- host-side heap access (tests, microbenchmarks) --------------------------
@@ -1415,6 +1572,15 @@ impl Vm {
         let cid = self.registry.class_id(&ClassName::from(class))?;
         self.registry.find_method(cid, CTOR_NAME)
     }
+}
+
+/// What [`Vm::lazy_dup`] did with a stale object.
+pub(crate) enum LazyDup {
+    /// A copy plan converted it; the new object is complete.
+    Planned(GcRef),
+    /// It was duplicated and logged at this update-log index; the
+    /// transformer has yet to run.
+    Logged(usize),
 }
 
 /// Tiny extension: drop trailing `None` thread slots so sync threads don't

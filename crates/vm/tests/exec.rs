@@ -427,7 +427,7 @@ fn update_gc_and_transformers_end_to_end() {
     let mut remap = HashMap::new();
     remap.insert(old_id, new_id);
     let mut tf = HashMap::new();
-    tf.insert(new_id, tmid);
+    tf.insert(new_id, jvolve_vm::ObjectTransformer::Method(tmid));
     vm.collect_for_update(remap, tf).unwrap();
     assert_eq!(vm.pending_transforms(), 1);
     vm.transform_pending().unwrap();

@@ -452,7 +452,7 @@ fn forward_some_objects(heap: &mut Heap, g: &Graph, rng: &mut Rng) -> Vec<GcRef>
                 let w = heap.get(r, slot);
                 heap.set(dup, slot, w);
             }
-            heap.install_forward(r, dup);
+            heap.install_forward(r, dup, &snapshot());
             forwarded.push(r);
         }
     }
@@ -642,5 +642,54 @@ fn parallel_update_log_is_canonical_for_all_worker_counts() {
                 "seed {seed}, {workers} workers: post-update graph diverged"
             );
         }
+    }
+}
+
+/// ROADMAP item 0(a) regression: a parallel collection must leave the
+/// new active semispace parsable cell by cell. Workers abandon the tail
+/// of every bump chunk they cannot fill; those words still hold whatever
+/// the previous collection left there (forwarding pointers included), and
+/// the next linear walk — a lazy epoch's SATB scan or collapse sweep —
+/// used to parse them as cells and panic in `Heap::walk_size`. Each
+/// abandoned tail is now one primitive-array filler cell.
+///
+/// The first, serial collection flips the spaces so the parallel one
+/// copies into a to-space full of stale cells. Whatever the thread
+/// schedule, every worker that allocates abandons a tail, so the walk
+/// fails on an unfixed collector for every worker count.
+#[test]
+fn parallel_collection_leaves_to_space_parsable_cell_by_cell() {
+    let snap = snapshot();
+    for workers in [2, 3, 4, 7] {
+        let mut heap = Heap::new(64 * 1024);
+        let g = build_contended_graph(&mut heap, 7);
+        heap.collect(&g.roots, &snap, None).expect("serial collect");
+        let roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
+        let out = heap.collect_parallel(&roots, &snap, None, workers).expect("parallel collect");
+        let roots: Vec<GcRef> = roots.iter().map(|&r| heap.resolve(r)).collect();
+
+        let live_objects = signature(&heap, &roots)
+            .0
+            .iter()
+            .filter(|sig| matches!(sig, Sig::Object { .. }))
+            .count();
+        let mut walked_objects = 0;
+        let (end, cells) = heap.scan_objects(
+            heap.active_base(),
+            heap.alloc_cursor(),
+            usize::MAX,
+            &snap,
+            |_, _| walked_objects += 1,
+        );
+        assert_eq!(end, heap.alloc_cursor(), "{workers} workers: walk overran the cursor");
+        assert_eq!(
+            walked_objects, live_objects,
+            "{workers} workers: the walk parsed stale chunk-tail words as objects"
+        );
+        assert!(
+            cells >= out.copied_cells && cells <= out.copied_cells + heap.used_words() / 64 + workers,
+            "{workers} workers: {cells} cells walked, {} copied — fillers are one per chunk",
+            out.copied_cells
+        );
     }
 }

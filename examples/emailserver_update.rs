@@ -29,8 +29,11 @@ fn main() {
     println!("outcome: {outcome}");
     let stats = stats.expect("update applied");
     println!(
-        "  {} objects transformed, {} OSR replacements, pause {:?}",
-        stats.objects_transformed, stats.osr_replacements, stats.total_time
+        "  {} objects transformed ({} by copy plan), {} OSR replacements, pause {:?}",
+        stats.objects_transformed,
+        stats.objects_planned,
+        stats.osr_replacements,
+        stats.total_time
     );
 
     // Same data, now held as EmailAddress objects rendered by new code.
