@@ -21,8 +21,10 @@
 //!    no `Aborted`) in the shard's event stream, then a burst of verified
 //!    probe exchanges against the updated shard;
 //! 4. **promote or roll back** — on success the next shard rolls; on an
-//!    install failure the failing shard has already restored itself via
-//!    the controller's rollback ledger, and the coordinator rolls the
+//!    abort the failing shard is still (or, after an install failure,
+//!    back) on the old version — its controller rejects an unusable update
+//!    in `Pending` and replays its rollback ledger for anything later —
+//!    and the coordinator rolls the
 //!    *fleet* back by redeploying every already-promoted shard to the old
 //!    version, converging all shards to a bit-identical
 //!    [`version_fingerprint`](jvolve_vm::Registry::version_fingerprint).
@@ -221,9 +223,10 @@ pub struct LoadReport {
 /// Fault injection for [`Fleet::roll`] (test/bench hooks).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RollFault {
-    /// Corrupt the named shard's update payload so installation fails and
-    /// the shard's controller rolls itself back via its ledger.
-    InstallFailure {
+    /// Hand the named shard an update whose transformer source does not
+    /// compile: its controller rejects it in `Pending` — no thread stopped,
+    /// nothing to roll back on the shard — and reports the abort.
+    BadTransformers {
         /// Shard index the fault hits.
         shard: usize,
     },
@@ -541,10 +544,7 @@ impl Fleet {
             // already queued is served before the update command arrives.
             self.shards[target].serving = false;
             let payload = match ropts.fault {
-                Some(RollFault::InstallFailure { shard }) if shard == target => {
-                    // An update whose transformers class does not compile:
-                    // installation fails mid-flight and the shard's
-                    // controller replays its rollback ledger.
+                Some(RollFault::BadTransformers { shard }) if shard == target => {
                     let mut bad = (*update).clone();
                     bad.set_transformers_source("class JvolveTransformers { syntax error! }");
                     Arc::new(bad)
@@ -621,10 +621,10 @@ impl Fleet {
                 continue;
             }
 
-            // Fleet-wide rollback. The failing shard either rolled itself
-            // back via its controller's ledger (install failure / abort)
-            // or committed but flunked the health gate — the latter must
-            // be redeployed to the old version alongside every
+            // Fleet-wide rollback. The failing shard either never left the
+            // old version (its controller aborted, replaying whatever its
+            // ledger held) or committed but flunked the health gate — the
+            // latter must be redeployed to the old version alongside every
             // already-promoted shard.
             let mut to_redeploy = promoted.clone();
             if committed {

@@ -61,11 +61,11 @@ fn emailserver_13_applies_with_active_migration() {
     // The 1.3 code consults the *added* FileConfig class, whose statics
     // start at defaults; as in the paper's model, the developer customizes
     // a transformer to initialize the new configuration state.
-    let patched = update.transformers_source.replace(
+    let patched = update.transformers_source().replace(
         "static method jvolve_class_User(): void {",
         "static method jvolve_class_User(): void {\n    FileConfig.load();",
     );
-    assert_ne!(patched, update.transformers_source, "patch point exists");
+    assert_ne!(patched, update.transformers_source(), "patch point exists");
     update.set_transformers_source(patched);
 
     let stats =

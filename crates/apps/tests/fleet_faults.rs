@@ -4,9 +4,10 @@
 //! responses.
 //!
 //! Two failure shapes:
-//! * **install failure** — the faulted shard's transformers class does
-//!   not compile, so its controller aborts mid-install and restores the
-//!   shard in place by replaying its rollback ledger;
+//! * **bad transformers** — the faulted shard's transformers class does
+//!   not compile, so its controller rejects the update in `Pending`: the
+//!   shard never stops a thread and has nothing to roll back, but the
+//!   shards promoted before it do;
 //! * **health-check timeout** — the faulted shard *commits*, but its
 //!   probe responses never reach the coordinator in time, so the
 //!   coordinator must redeploy it to the old version alongside every
@@ -16,6 +17,7 @@ use std::sync::Arc;
 
 use jvolve_apps::fleet::{Fleet, RollFault, RollOptions};
 use jvolve_apps::harness::{app_vm_config, bench_apply_options, prepare_next};
+use jvolve::UpdateEvent;
 use jvolve_apps::{AppInstance, GuestApp, Webserver};
 use jvolve_vm::VmConfig;
 
@@ -57,17 +59,28 @@ fn assert_rolled_back_to(fleet_report: &jvolve_apps::RollReport, baseline: &str)
 }
 
 #[test]
-fn install_failure_mid_roll_rolls_the_fleet_back() {
+fn bad_transformers_mid_roll_roll_the_fleet_back() {
     let (mut fleet, baseline) = fleet_with_baseline();
     let update = prepare_next(&Webserver, 0);
-    // Shard 0 promotes; shard 1's install fails after shard 0 already
+    // Shard 0 promotes; shard 1 rejects its update after shard 0 already
     // runs the new version — the coordinator must pull shard 0 back.
-    let ropts = RollOptions { fault: Some(RollFault::InstallFailure { shard: 1 }), ..RollOptions::default() };
+    let ropts = RollOptions { fault: Some(RollFault::BadTransformers { shard: 1 }), ..RollOptions::default() };
     let report = fleet.roll(&update, &bench_apply_options(), &ropts);
 
     assert_eq!(report.shards.len(), 2, "the roll stops at the failing shard");
     assert!(report.shards[0].healthy, "{report:?}");
-    assert!(!report.shards[1].committed, "faulted install must abort: {report:?}");
+    assert!(!report.shards[1].committed, "faulted update must abort: {report:?}");
+    // The rejection was free on the shard: no safe point, an empty ledger.
+    let shard1: Vec<&UpdateEvent> =
+        report.events.iter().filter(|(s, _)| *s == 1).map(|(_, e)| e).collect();
+    assert!(
+        shard1.iter().any(|e| matches!(e, UpdateEvent::RolledBack { actions_undone: 0, .. })),
+        "{shard1:?}"
+    );
+    assert!(
+        !shard1.iter().any(|e| matches!(e, UpdateEvent::SafePointReached { .. })),
+        "{shard1:?}"
+    );
     assert_rolled_back_to(&report, &baseline);
     assert!(
         report.rollback_reason.as_deref().unwrap_or("").contains("shard 1"),

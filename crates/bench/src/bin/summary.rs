@@ -4,7 +4,9 @@
 //!   methods inside always-on-stack loops);
 //! * method-body-only ("edit and continue") systems support far fewer;
 //! * update phase timings (§4.1's "thread-suspend < 1 ms, classloading
-//!   < 20 ms, pause dominated by GC + transformers").
+//!   < 20 ms, pause dominated by GC + transformers"), with the `Pending`
+//!   step — validation and, for these hand-prepared updates, the
+//!   transformer compile — in a column of its own: it is not pause time.
 //!
 //! Usage: `cargo run --release -p jvolve-bench --bin summary`
 
@@ -42,11 +44,12 @@ fn main() {
             }
             if let Some(s) = stats {
                 phase_lines.push(format!(
-                    "{:<12} {:<7} safepoint {:>8.3}ms  load {:>8.3}ms  gc {:>8.3}ms  \
-                     transform {:>8.3}ms  wall {:>8.3}ms (phases {:>8.3}ms)  \
+                    "{:<12} {:<7} pending {:>8.3}ms  safepoint {:>8.3}ms  load {:>8.3}ms  \
+                     gc {:>8.3}ms  transform {:>8.3}ms  wall {:>8.3}ms (phases {:>8.3}ms)  \
                      (objects {:>4}, cells {:>5}, barriers {}, OSR {})",
                     app.name(),
                     to_label,
+                    s.pending_time.as_secs_f64() * 1e3,
                     s.safepoint_time.as_secs_f64() * 1e3,
                     s.classload_time.as_secs_f64() * 1e3,
                     s.gc_time.as_secs_f64() * 1e3,

@@ -105,7 +105,7 @@ pub fn emit(dir: &Path, update: &Update) -> Result<(), BundleError> {
     let spec_path = dir.join(SPEC_FILE);
     fs::write(&spec_path, update.spec.to_json()).map_err(|e| io_err(&spec_path, e))?;
     let t_path = dir.join(TRANSFORMERS_FILE);
-    fs::write(&t_path, &update.transformers_source).map_err(|e| io_err(&t_path, e))?;
+    fs::write(&t_path, update.transformers_source()).map_err(|e| io_err(&t_path, e))?;
     Ok(())
 }
 
@@ -178,7 +178,7 @@ mod tests {
         emit(&dir, &update).unwrap();
         let loaded = load(&dir).unwrap();
         assert_eq!(loaded.spec, update.spec);
-        assert_eq!(loaded.transformers_source, update.transformers_source);
+        assert_eq!(loaded.transformers_source(), update.transformers_source());
         assert_eq!(loaded.old_classes.len(), update.old_classes.len());
         assert_eq!(loaded.new_classes.len(), update.new_classes.len());
         let _ = fs::remove_dir_all(&dir);

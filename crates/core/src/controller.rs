@@ -36,6 +36,18 @@
 //! embedder must not run the VM: install + heap transformation are a
 //! single pause, exactly the paper's stop-the-world step 4–5.
 //!
+//! What runs inside that pause is loading, not preparation. The `Pending`
+//! step does everything that needs no stopped thread: it cross-validates
+//! spec and payload, resolves the compiled `JvolveTransformers` class
+//! ([`Update::compiled_transformers`] — already there when the update came
+//! from the UPT or a bundle, compiled on the spot otherwise) and checks the
+//! transformer signatures. A broken transformer source therefore aborts
+//! with an empty ledger and no slice waited. `Installing` only renames,
+//! strips, loads (new classes, then the precompiled transformer class),
+//! swaps bodies, invalidates, OSRs and recognises copy plans;
+//! [`ControllerCounters::pause_compiles`] counts compiler runs in it and
+//! must read 0.
+//!
 //! With [`jvolve_vm::VmConfig::lazy_migration`] the pause ends early: the
 //! `TransformingHeap` phase only arms the read barrier (one linear scan,
 //! no copying) and runs class transformers, then the controller enters
@@ -50,7 +62,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jvolve_classfile::{ClassName, MethodRef};
+use jvolve_classfile::{ClassFile, ClassName, MethodRef};
 use jvolve_json::Json;
 use jvolve_vm::compiled::CompiledMethod;
 use jvolve_vm::{
@@ -64,9 +76,7 @@ use crate::migrate::method_pc_map;
 use crate::restricted::{
     barrier_targets_into, check_stacks_into, Category, RestrictedSet, StackCheck,
 };
-use crate::transform::{
-    class_transformer_name, compile_transformers, object_transformer_name, TRANSFORMERS_CLASS,
-};
+use crate::transform::{class_transformer_name, object_transformer_name, TRANSFORMERS_CLASS};
 
 /// The controller's phases (the paper's §3 steps 3–5 plus terminals).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -77,8 +87,9 @@ pub enum UpdatePhase {
     /// the two phases (with [`UpdatePhase::LazyMigrating`]) during which
     /// the embedder may run guest slices between `step` calls.
     WaitingForSafePoint,
-    /// Installing modified classes: renames, strips, loads, body swaps,
-    /// invalidation, OSR (paper step 4).
+    /// Installing modified classes: renames, strips, loads (the
+    /// precompiled transformer class included), body swaps, invalidation,
+    /// OSR (paper step 4).
     Installing,
     /// Update GC + class/object transformers (paper step 5). In lazy
     /// mode ([`jvolve_vm::VmConfig::lazy_migration`]) this phase is only
@@ -512,6 +523,14 @@ pub struct ControllerCounters {
     /// clamping; 1 = serial path). Instrumentation only — the event
     /// stream and `UpdateStats` are identical for any worker count.
     pub gc_workers: u64,
+    /// Times this controller compiled the transformer source: 0 when the
+    /// update arrived with its class files (UPT, bundle load, or another
+    /// controller over the same `Update` got there first), 1 when a
+    /// hand-set source had to be compiled in `Pending`.
+    pub transformer_compiles: u64,
+    /// The subset of [`ControllerCounters::transformer_compiles`] that ran
+    /// after `Pending`, i.e. with every thread stopped. Must stay 0.
+    pub pause_compiles: u64,
 }
 
 /// A planned active-method migration (paper §3.5 future work).
@@ -672,10 +691,17 @@ impl<'u> UpdateController<'u> {
                 if let Err(e) = crate::validate::validate_update(self.update) {
                     return self.abort(vm, e, t);
                 }
-                self.emit(UpdateEvent::PhaseEntered {
-                    phase: UpdatePhase::WaitingForSafePoint,
-                    tick: vm.tick(),
+                // Resolve the transformer class files and pin their
+                // calling conventions here too: the heap transformation
+                // invokes jvolve_object_X(to, from) / jvolve_class_X()
+                // blindly, and a source that is broken or retyped should
+                // cost neither a safe point nor a rollback.
+                let checked = self.transformers(false).and_then(|classes| {
+                    crate::validate::check_transformer_signatures(&self.update.spec, classes)
                 });
+                if let Err(e) = checked {
+                    return self.abort(vm, e, t);
+                }
                 let restricted = RestrictedSet::compute(
                     &self.update.spec,
                     &self.update.old_classes,
@@ -688,8 +714,14 @@ impl<'u> UpdateController<'u> {
                     targets: Vec::new(),
                     migrations: Vec::new(),
                 };
+                self.emit(UpdateEvent::PhaseEntered {
+                    phase: UpdatePhase::WaitingForSafePoint,
+                    tick: vm.tick(),
+                });
                 self.state = State::Waiting(ws);
-                self.account_safepoint(t, true);
+                let elapsed = t.elapsed();
+                self.stats.pending_time += elapsed;
+                self.stats.total_time += elapsed;
                 StepProgress::Pending(UpdatePhase::WaitingForSafePoint)
             }
             State::Waiting(mut ws) => match self.poll(vm, &mut ws) {
@@ -1162,20 +1194,20 @@ impl<'u> UpdateController<'u> {
         // Load the new versions of updated classes plus added classes, as
         // one batch (they may reference each other). Everything loaded
         // from here on sits above the mark and is dropped on rollback.
-        let mut batch = Vec::new();
+        let mut batch: Vec<&ClassFile> = Vec::new();
         for delta in update.spec.class_updates() {
             let file = update.new_classes.get(&delta.name).ok_or_else(|| {
                 UpdateError::BadSpec {
                     message: format!("updated class {} missing from the new version", delta.name),
                 }
             })?;
-            batch.push(file.clone());
+            batch.push(file);
         }
         for name in &update.spec.added_classes {
             let file = update.new_classes.get(name).ok_or_else(|| UpdateError::BadSpec {
                 message: format!("added class {name} missing from the new version"),
             })?;
-            batch.push(file.clone());
+            batch.push(file);
         }
         self.ledger.push(UndoAction::Truncate { mark: vm.registry().mark() });
         let new_ids = vm.load_classes(&batch)?;
@@ -1285,21 +1317,10 @@ impl<'u> UpdateController<'u> {
         }
         self.emit(UpdateEvent::OsrApplied { replaced, migrated });
 
-        // Compile and load the transformer class (access-override mode).
-        let transformer_classes = compile_transformers(
-            &update.transformers_source,
-            &update.spec,
-            &update.old_classes,
-            &update.new_classes,
-        )
-        .map_err(|e| UpdateError::Compile(e.to_string()))?;
-        // Pin the transformer calling conventions before loading: the
-        // heap-transformation phase invokes jvolve_object_X(to, from) /
-        // jvolve_class_X() blindly, so a retyped transformer must abort
-        // here (with a full ledger rollback) rather than push mistyped
-        // values into the VM.
-        crate::validate::check_transformer_signatures(&update.spec, &transformer_classes)?;
-        vm.load_classes(&transformer_classes)?;
+        // Load the transformer class `Pending` resolved and checked; the
+        // lookup is a cache hit, and a compile here would be counted.
+        let transformer_classes = self.transformers(true)?;
+        vm.load_classes(transformer_classes)?;
         self.emit(UpdateEvent::ClassesLoaded {
             count: transformer_classes.len(),
             transformers: true,
@@ -1309,7 +1330,7 @@ impl<'u> UpdateController<'u> {
         // plan when the compiled body is a pure field copy, the method to
         // interpret otherwise. One pass over each body — nothing is
         // compiled or diffed again, and the verdict rests on the bytecode
-        // just compiled and the layouts just loaded, not on where the
+        // being loaded and the layouts just loaded, not on where the
         // transformer source came from.
         let mut transformers = HashMap::new();
         let tfile = transformer_classes
@@ -1354,6 +1375,20 @@ impl<'u> UpdateController<'u> {
             transformers.insert(new_id, transformer);
         }
         Ok(TransformInputs { remap, transformers })
+    }
+
+    /// The update's compiled transformer class files, counting the call
+    /// if it is the one that ran the compiler (`in_pause`: the caller has
+    /// every thread stopped).
+    fn transformers(&mut self, in_pause: bool) -> Result<&'u [ClassFile], UpdateError> {
+        let (classes, compiled_now) = self.update.resolve_transformers();
+        if compiled_now {
+            self.counters.transformer_compiles += 1;
+            if in_pause {
+                self.counters.pause_compiles += 1;
+            }
+        }
+        classes
     }
 
     /// Paper step 5: the update GC, then class transformers, then object

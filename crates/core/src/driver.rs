@@ -6,8 +6,9 @@
 //! 3. the driver stops threads at a DSU safe point, installing return
 //!    barriers and performing OSR as needed, with a timeout;
 //! 4. it installs the modified classes: renames old versions, strips
-//!    their methods, loads new class files, swaps method bodies, and
-//!    invalidates every affected compiled method (inliners included);
+//!    their methods, loads new class files and the already-compiled
+//!    transformer class, swaps method bodies, and invalidates every
+//!    affected compiled method (inliners included);
 //! 5. it runs the update GC, then class transformers, then object
 //!    transformers over the update log.
 //!
@@ -16,6 +17,7 @@
 //! machine; [`apply`] is the synchronous convenience wrapper that steps a
 //! controller to completion.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use jvolve_classfile::{verify, ClassFile, ClassSet, MethodRef};
@@ -25,7 +27,7 @@ use crate::controller::UpdateController;
 use crate::diff::prepare_spec;
 use crate::error::UpdateError;
 use crate::spec::UpdateSpec;
-use crate::transform::default_transformers_source;
+use crate::transform::{compile_transformers, default_transformers_source};
 
 /// A prepared update: specification, payload, transformers.
 #[derive(Clone, Debug)]
@@ -36,10 +38,16 @@ pub struct Update {
     pub old_classes: ClassSet,
     /// The new program version.
     pub new_classes: ClassSet,
-    /// MJ source of the `JvolveTransformers` class. Initialized to the
-    /// generated defaults; edit before applying to customize (paper
-    /// Figure 3).
-    pub transformers_source: String,
+    /// MJ source of the `JvolveTransformers` class: the editable, on-disk
+    /// form ([`crate::bundle`]). Private so that it can only change
+    /// through [`Update::set_transformers_source`], which drops the class
+    /// files compiled from the previous source.
+    transformers_source: String,
+    /// The class files `transformers_source` compiles to (or why it does
+    /// not), filled at most once per source: by the UPT, by a bundle load,
+    /// or by the first controller's `Pending` step — never inside the
+    /// pause. An `Arc<Update>` shared by fleet shards shares it too.
+    compiled_transformers: OnceLock<Result<Vec<ClassFile>, UpdateError>>,
     /// User-restricted methods (paper category 3).
     pub blacklist: Vec<MethodRef>,
 }
@@ -77,6 +85,7 @@ impl Update {
             old_classes: old_set,
             new_classes: new_set,
             transformers_source,
+            compiled_transformers: OnceLock::new(),
             blacklist: Vec::new(),
         })
     }
@@ -86,6 +95,10 @@ impl Update {
     /// bundle, see [`crate::bundle`]). The payload is re-verified and the
     /// spec is cross-checked against a fresh diff of the payload, so a
     /// stale or tampered spec is rejected before anything touches a VM.
+    /// The transformer source is compiled here, in this process, so the
+    /// update arrives at its controller with the class files ready; a
+    /// source that does not compile is still accepted and aborts in the
+    /// controller's `Pending` step like any other update's would.
     ///
     /// # Errors
     ///
@@ -105,13 +118,55 @@ impl Update {
                 message: "spec does not match a fresh diff of the payload".into(),
             });
         }
-        update.transformers_source = transformers_source.into();
+        update.set_transformers_source(transformers_source);
+        let _ = update.compiled_transformers();
         Ok(update)
     }
 
-    /// Replaces the transformer source (developer customization).
+    /// MJ source of the `JvolveTransformers` class. Initialized to the
+    /// generated defaults; replace it with
+    /// [`Update::set_transformers_source`] to customize (paper Figure 3).
+    pub fn transformers_source(&self) -> &str {
+        &self.transformers_source
+    }
+
+    /// Replaces the transformer source (developer customization) and
+    /// forgets the class files compiled from the previous one.
     pub fn set_transformers_source(&mut self, source: impl Into<String>) {
         self.transformers_source = source.into();
+        self.compiled_transformers = OnceLock::new();
+    }
+
+    /// The `JvolveTransformers` class files, compiled from
+    /// [`Update::transformers_source`] in access-override mode on first
+    /// use and kept until the source is replaced.
+    ///
+    /// The payload fields are public for inspection and fault injection;
+    /// the cache follows the source only, so code that edits the payload
+    /// of an update it already compiled must set the source again.
+    ///
+    /// # Errors
+    ///
+    /// [`UpdateError::Compile`] when the source does not compile.
+    pub fn compiled_transformers(&self) -> Result<&[ClassFile], UpdateError> {
+        self.resolve_transformers().0
+    }
+
+    /// [`Update::compiled_transformers`], plus whether *this* call ran the
+    /// compiler (exact under sharing: the cell runs one initializer).
+    pub(crate) fn resolve_transformers(&self) -> (Result<&[ClassFile], UpdateError>, bool) {
+        let mut compiled_now = false;
+        let cached = self.compiled_transformers.get_or_init(|| {
+            compiled_now = true;
+            compile_transformers(
+                &self.transformers_source,
+                &self.spec,
+                &self.old_classes,
+                &self.new_classes,
+            )
+            .map_err(|e| UpdateError::Compile(e.to_string()))
+        });
+        (cached.as_ref().map(Vec::as_slice).map_err(Clone::clone), compiled_now)
     }
 
     /// Adds user-restricted methods (paper category 3).
@@ -206,9 +261,18 @@ pub struct UpdateStats {
     pub gc_copied_cells: usize,
     /// Words the update GC copied, headers included.
     pub gc_copied_words: usize,
+    /// The `Pending` step: spec/payload cross-validation, transformer
+    /// resolution (a compile only when the update did not arrive with its
+    /// class files, see [`Update::compiled_transformers`]), signature
+    /// checks and the restricted-set build. Every thread is still
+    /// running, so none of it is pause time.
+    pub pending_time: Duration,
     /// Time spent reaching the safe point (thread-suspend analogue).
     pub safepoint_time: Duration,
-    /// Time spent loading/installing classes and transformers.
+    /// The whole `Installing` step, all of it with every thread stopped:
+    /// the safe-point re-check, renames, strips, loading the new classes
+    /// and the precompiled transformer class, body swaps, invalidation,
+    /// OSR and copy-plan recognition. No compiler runs in it.
     pub classload_time: Duration,
     /// Update-GC time. Zero in lazy mode, which never runs a commit
     /// collection — the in-pause heap work is [`UpdateStats::arm_time`].
@@ -236,23 +300,26 @@ pub struct UpdateStats {
     /// batches (informational sub-bucket; not added separately by
     /// [`UpdateStats::phase_sum`]).
     pub lazy_collapse_time: Duration,
-    /// End-to-end wall-clock pause, measured independently of the phases.
-    /// Slightly larger than [`UpdateStats::phase_sum`]: it also covers
-    /// inter-phase bookkeeping (restricted-set checks, transformer-class
-    /// retirement).
+    /// End-to-end wall-clock controller time, first step to commit,
+    /// measured independently of the phases. Slightly larger than
+    /// [`UpdateStats::phase_sum`]: it also covers inter-phase bookkeeping
+    /// (event emission, transformer-class retirement). The harnesses read
+    /// it as the pause; the part of it spent with threads running is
+    /// [`UpdateStats::pending_time`] plus the safe-point wait.
     pub total_time: Duration,
 }
 
 impl UpdateStats {
-    /// Sum of the timed phases (safepoint + classload + GC + transform,
-    /// plus the barrier arm and the lazy epoch when one ran). The paper's
-    /// Figure 6 stacks the first four; the gap to
+    /// Sum of the timed phases (pending + safepoint + classload + GC +
+    /// transform, plus the barrier arm and the lazy epoch when one ran).
+    /// The paper's Figure 6 stacks safepoint through transform; the gap to
     /// [`UpdateStats::total_time`] is untimed bookkeeping.
     /// [`UpdateStats::lazy_scan_time`] and
     /// [`UpdateStats::lazy_collapse_time`] are sub-buckets of
     /// [`UpdateStats::lazy_time`] and are deliberately not added again.
     pub fn phase_sum(&self) -> Duration {
-        self.safepoint_time
+        self.pending_time
+            + self.safepoint_time
             + self.classload_time
             + self.gc_time
             + self.transform_time
@@ -278,8 +345,11 @@ impl UpdateStats {
 /// * [`UpdateError::Timeout`] — no DSU safe point was reached; the VM is
 ///   left running the old version, unchanged (barriers cleared).
 /// * [`UpdateError::BadSpec`] / [`UpdateError::Compile`] /
-///   [`UpdateError::Vm`] during installation — the controller rolled the
-///   VM back to the old version.
+///   [`UpdateError::BadTransformer`] — the spec, payload or transformer
+///   source is unusable; rejected before any thread was stopped, the VM
+///   was never touched.
+/// * [`UpdateError::BadSpec`] / [`UpdateError::Vm`] during installation —
+///   the controller rolled the VM back to the old version.
 /// * [`UpdateError::Vm`] during heap transformation — the caller should
 ///   treat the VM as poisoned (no rollback is possible once object
 ///   transformers have started).

@@ -260,14 +260,17 @@ mod tests {
 
         let mut queue = UpdateQueue::new();
         // First update carries a transformer source that fails to compile —
-        // the controller rolls it back; the second still applies.
+        // its controller rejects it in `Pending`, before it waits for a safe
+        // point (so the pump never runs for it); the second still applies.
         let mut broken = prepare(&v1, &counter_source(9, true), "vX_");
         broken.set_transformers_source("class JvolveTransformers { nonsense");
         queue.push(broken);
         queue.push(prepare(&v1, &v2, "v1_"));
-        let outcomes = queue.drain(&mut vm, &ApplyOptions::default(), |_, _| {});
+        let mut pumps = 0;
+        let outcomes = queue.drain(&mut vm, &ApplyOptions::default(), |_, _| pumps += 1);
         assert_eq!(outcomes.len(), 2);
-        assert!(!outcomes[0].committed());
+        assert!(matches!(outcomes[0].result, Err(UpdateError::Compile(_))), "{:?}", outcomes[0]);
         assert!(outcomes[1].committed(), "{:?}", outcomes[1].result);
+        assert_eq!(pumps, 1, "only the second update ever waited for a safe point");
     }
 }

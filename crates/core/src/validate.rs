@@ -12,10 +12,10 @@
 //! instances keep the old one, and a dropped indirect method leaves
 //! compiled code holding stale field offsets.
 //!
-//! [`validate_update`] runs in the controller's `Pending` phase, before
-//! anything touches the VM, and re-derives the UPT diff from the payload
-//! to confirm the spec's shape. [`check_transformer_signatures`] runs at
-//! install time, after the transformer class compiles, and pins the
+//! Both checks run in the controller's `Pending` phase, before anything
+//! touches the VM. [`validate_update`] re-derives the UPT diff from the
+//! payload to confirm the spec's shape. [`check_transformer_signatures`]
+//! takes the compiled transformer class and pins the
 //! `jvolve_object_X(to, from)` / `jvolve_class_X()` calling conventions
 //! the heap-transformation phase later relies on blindly.
 
@@ -371,7 +371,7 @@ mod tests {
     fn default_transformers_pass_the_signature_check() {
         let u = base_update();
         let classes = compile_transformers(
-            &u.transformers_source,
+            u.transformers_source(),
             &u.spec,
             &u.old_classes,
             &u.new_classes,

@@ -11,10 +11,15 @@
 use std::fmt::Write as _;
 
 use jvolve::{
-    ApplyOptions, MemorySink, StepProgress, Update, UpdateController, UpdateError, UpdateEvent,
-    UpdatePhase,
+    ApplyOptions, ControllerCounters, MemorySink, StepProgress, Update, UpdateController,
+    UpdateError, UpdateEvent, UpdatePhase,
 };
-use jvolve_vm::{MethodId, Value, Vm, VmConfig};
+use jvolve_apps::harness::{app_vm_config, bench_apply_options, boot_with, custom_transformer};
+use jvolve_apps::stream::prepare_via_upt;
+use jvolve_apps::workload::scripted_session;
+use jvolve_apps::{Emailserver, GuestApp};
+use jvolve_upt::{prepare_classes, UptOptions};
+use jvolve_vm::{MethodId, Value, Vm, VmConfig, VmError};
 
 /// A deterministic dump of every registry table (HashMap-backed tables are
 /// sorted before printing, so rebuilding a map during rollback cannot
@@ -146,10 +151,79 @@ fn timeout_rolls_back_to_a_bit_identical_registry() {
 }
 
 #[test]
-fn bad_transformer_source_rolls_back_mid_install() {
+fn bad_transformers_abort_in_pending_without_costing_a_safe_point() {
+    // spin() is changed and always on stack, so this update can never
+    // reach a safe point. A broken or retyped transformer source used to
+    // be discovered only inside the install step: here that meant waiting
+    // out the whole timeout and reporting `Timeout`. It is now rejected in
+    // `Pending`, before a single poll, with nothing to roll back.
+    let retyped = "class JvolveTransformers {
+        static method jvolve_object_App(to: App, from: App): void { }
+    }";
+    let v2_layout = SPINNER_V2.replace("static field mode: int;", "static field mode: int; field pad: int;");
+    for (source, want_compile) in [("this is not a valid MJ program {{{", true), (retyped, false)] {
+        let mut vm = boot_spinner();
+        let mut update = Update::prepare(&compile(SPINNER_V1), &compile(&v2_layout), "v1_")
+            .expect("non-empty update");
+        update.set_transformers_source(source);
+
+        let before = registry_fingerprint(&vm);
+        let slices_before = vm.stats().slices;
+        let mut events = MemorySink::default();
+        let mut controller = UpdateController::new(
+            &update,
+            ApplyOptions { timeout_slices: 50, ..Default::default() },
+        );
+        controller.attach_sink(&mut events);
+        let err = controller.run_to_completion(&mut vm).expect_err("transformers are unusable");
+        if want_compile {
+            assert!(matches!(err, UpdateError::Compile(_)), "got: {err}");
+        } else {
+            assert!(matches!(err, UpdateError::BadTransformer { .. }), "got: {err}");
+        }
+        assert_eq!(controller.phase(), UpdatePhase::Aborted);
+        assert_eq!(controller.stats().slices_waited, 0, "no slice may be waited");
+        let counters = controller.counters();
+        assert_eq!(counters.polls, 0, "no safe-point poll may run");
+        assert_eq!(counters.transformer_compiles, 1, "the hand-set source is compiled once");
+        assert_eq!(counters.pause_compiles, 0);
+        drop(controller);
+        assert_eq!(vm.stats().slices, slices_before, "the guest was never stepped");
+
+        assert!(
+            events.events.iter().any(|e| matches!(e, UpdateEvent::RolledBack { actions_undone: 0, .. })),
+            "the ledger must have been empty: {:?}",
+            events.events
+        );
+        assert!(
+            !events.events.iter().any(|e| matches!(e, UpdateEvent::PhaseEntered { .. })),
+            "no phase may be entered: {:?}",
+            events.events
+        );
+        assert_eq!(before, registry_fingerprint(&vm), "the registry must be untouched");
+    }
+}
+
+/// A class the VM has loaded but no update payload knows about. A
+/// transformer source that *also* defines it compiles and passes the
+/// signature checks, but cannot be loaded: the one way left to fail at
+/// the very end of the install step, after renames, strips, the new
+/// batch, body swaps, invalidation and OSR.
+const BYSTANDER: &str = "class Bystander { }";
+
+/// Loads [`BYSTANDER`] into `vm` and makes `update`'s transformer batch
+/// collide with it.
+fn rig_install_failure(vm: &mut Vm, update: &mut Update) {
+    vm.load_classes(&compile(BYSTANDER)).expect("bystander loads");
+    let source = format!("{}{BYSTANDER}", update.transformers_source());
+    update.set_transformers_source(source);
+}
+
+#[test]
+fn install_failure_rolls_back_mid_install() {
     // No thread is running restricted code, so the controller sails
     // through the safe point and fails *inside* the install phase when the
-    // transformer class does not compile — after classes were renamed,
+    // transformer batch cannot be loaded — after classes were renamed,
     // stripped, and the new batch loaded. All of it must be undone.
     let v1 = compile("class Counter { static field hits: int; field pad: int;
         static method bump(): int { Counter.hits = Counter.hits + 1; return Counter.hits; } }");
@@ -160,13 +234,24 @@ fn bad_transformer_source_rolls_back_mid_install() {
     assert_eq!(vm.call_static_sync("Counter", "bump", &[]).unwrap(), Some(Value::Int(1)));
 
     let mut update = Update::prepare(&v1, &v2, "v1_").expect("non-empty update");
-    update.set_transformers_source("this is not a valid MJ program {{{");
+    rig_install_failure(&mut vm, &mut update);
 
     let before = registry_fingerprint(&vm);
+    let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
-    let err = controller.run_to_completion(&mut vm).expect_err("transformer compile fails");
-    assert!(matches!(err, UpdateError::Compile(_)), "got: {err}");
+    controller.attach_sink(&mut events);
+    let err = controller.run_to_completion(&mut vm).expect_err("transformer batch collides");
+    assert!(matches!(err, UpdateError::Vm(VmError::LoadError { .. })), "got: {err}");
     assert_eq!(controller.phase(), UpdatePhase::Aborted);
+    assert_eq!(controller.counters().pause_compiles, 0);
+    drop(controller);
+    assert!(
+        events.events.iter().any(
+            |e| matches!(e, UpdateEvent::RolledBack { actions_undone, .. } if *actions_undone >= 3)
+        ),
+        "rename, strip and batch load must all have been on the ledger: {:?}",
+        events.events
+    );
 
     let after = registry_fingerprint(&vm);
     assert_eq!(before, after, "mid-install rollback must restore the registry bit-for-bit");
@@ -410,13 +495,13 @@ fn rollback_invalidates_warm_inline_caches() {
     );
 
     let mut update = Update::prepare(&v1, &v2, "v1_").expect("non-empty update");
-    update.set_transformers_source("this is not a valid MJ program {{{");
+    rig_install_failure(&mut vm, &mut update);
 
     let before = registry_fingerprint(&vm);
     let epoch_before = vm.registry().code_epoch();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
-    let err = controller.run_to_completion(&mut vm).expect_err("transformer compile fails");
-    assert!(matches!(err, UpdateError::Compile(_)), "got: {err}");
+    let err = controller.run_to_completion(&mut vm).expect_err("transformer batch collides");
+    assert!(matches!(err, UpdateError::Vm(VmError::LoadError { .. })), "got: {err}");
 
     let after = registry_fingerprint(&vm);
     assert_eq!(before, after, "rollback must restore the registry bit-for-bit");
@@ -432,4 +517,181 @@ fn rollback_invalidates_warm_inline_caches() {
         vm.call_static_sync("App", "drive", &[Value::Int(3)]).unwrap(),
         Some(Value::Int(503))
     );
+}
+
+// ---- transformer class files: compiled once, never inside the pause --------
+
+const SHAPE_V1: &str = "
+class Shape {
+  field w: int;
+  ctor(w: int) { this.w = w; }
+  method area(): int { return this.w; }
+}
+class Main {
+  static field s: Shape;
+  static method setup(): void { Main.s = new Shape(6); }
+  static method probe(): int { return Main.s.area(); }
+}";
+
+/// `Shape` gains a field (a class update with a required object
+/// transformer) and `area` changes body.
+const SHAPE_V2: &str = "
+class Shape {
+  field w: int;
+  field h: int;
+  ctor(w: int) { this.w = w; this.h = 1; }
+  method area(): int { return this.w * 10 + this.h; }
+}
+class Main {
+  static field s: Shape;
+  static method setup(): void { Main.s = new Shape(6); }
+  static method probe(): int { return Main.s.area(); }
+}";
+
+/// Boots [`SHAPE_V1`], applies `update` and returns the controller's
+/// counters; the live `Shape` must read `want` afterwards.
+fn apply_counted(update: &Update, lazy: bool, want: i64) -> ControllerCounters {
+    let mut vm = Vm::new(VmConfig { lazy_migration: lazy, gc_threads: 1, ..VmConfig::small() });
+    vm.load_classes(&compile(SHAPE_V1)).expect("v1 loads");
+    vm.call_static_sync("Main", "setup", &[]).expect("setup runs");
+    let mut controller = UpdateController::new(update, ApplyOptions::default());
+    controller.run_to_completion(&mut vm).expect("update applies");
+    let counters = controller.counters();
+    drop(controller);
+    assert_eq!(vm.call_static_sync("Main", "probe", &[]).unwrap(), Some(Value::Int(want)));
+    counters
+}
+
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("jvolve-controller-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn transformers_compile_at_most_once_and_never_inside_the_pause() {
+    let (v1, v2) = (compile(SHAPE_V1), compile(SHAPE_V2));
+    let upt = || {
+        prepare_classes(&v1, &v2, &UptOptions::with_prefix("v1_")).expect("UPT prepares").update
+    };
+    for lazy in [false, true] {
+        // UPT-prepared: the class files ship with the update.
+        let c = apply_counted(&upt(), lazy, 60);
+        assert_eq!((c.transformer_compiles, c.pause_compiles), (0, 0), "upt, lazy={lazy}");
+
+        // Hand-prepared: the generated defaults are compiled in Pending.
+        let hand = Update::prepare(&v1, &v2, "v1_").expect("update prepares");
+        let c = apply_counted(&hand, lazy, 60);
+        assert_eq!((c.transformer_compiles, c.pause_compiles), (1, 0), "prepare, lazy={lazy}");
+
+        // Rebuilt from parts: compiled on arrival, not at apply time.
+        let parts = Update::from_parts(hand.spec.clone(), &v1, &v2, hand.transformers_source())
+            .expect("parts form an update");
+        let c = apply_counted(&parts, lazy, 60);
+        assert_eq!((c.transformer_compiles, c.pause_compiles), (0, 0), "from_parts, lazy={lazy}");
+
+        // Bundle round trip: the bundle carries source only; the load
+        // compiles it.
+        let dir = temp_dir(if lazy { "bundle-lazy" } else { "bundle-eager" });
+        jvolve::bundle::emit(&dir, &upt()).expect("bundle emits");
+        let loaded = jvolve::bundle::load(&dir).expect("bundle loads");
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = apply_counted(&loaded, lazy, 60);
+        assert_eq!((c.transformer_compiles, c.pause_compiles), (0, 0), "bundle, lazy={lazy}");
+
+        // Customised after the UPT ran: the shipped class files are
+        // dropped, the new source is compiled in Pending, and it runs.
+        let mut custom = upt();
+        let edited = custom.transformers_source().replace("to.w = from.w;", "to.w = from.w + 1;");
+        assert_ne!(edited, custom.transformers_source(), "the default copies `w`");
+        custom.set_transformers_source(edited);
+        let c = apply_counted(&custom, lazy, 70);
+        assert_eq!((c.transformer_compiles, c.pause_compiles), (1, 0), "custom, lazy={lazy}");
+    }
+}
+
+#[test]
+fn setting_the_source_after_the_upt_ran_replaces_the_shipped_transformer() {
+    // The paper's Figure 3 on the live email server (1.3.1 → 1.3.2): the
+    // UPT's default leaves `User.forwardAddresses` null (its type changed);
+    // the developer's transformer converts it. Attaching that transformer
+    // to an update the UPT already compiled must drop the compiled
+    // defaults — alice's forward list is the oracle.
+    let app = Emailserver;
+    let from = 5;
+    let forwards = |vm: &mut Vm| {
+        scripted_session(vm, 1100, &["USER alice", "FWD", "QUIT"], 40_000).expect("POP session")[1]
+            .clone()
+    };
+    for lazy in [false, true] {
+        for customise in [false, true] {
+            let config = VmConfig { lazy_migration: lazy, ..app_vm_config() };
+            let mut vm = boot_with(&app, from, config);
+            assert_eq!(forwards(&mut vm), "+OK carol@ext.example.org");
+
+            let mut update = prepare_via_upt(&app, from);
+            if customise {
+                let label = app.versions()[from + 1].label;
+                update.set_transformers_source(custom_transformer(&app, label).expect("Figure 3"));
+            }
+            let mut controller = UpdateController::new(&update, bench_apply_options());
+            controller.run_to_completion(&mut vm).expect("1.3.2 applies");
+            let counters = controller.counters();
+            drop(controller);
+            assert_eq!(counters.transformer_compiles, u64::from(customise));
+            assert_eq!(counters.pause_compiles, 0);
+            assert_eq!(
+                forwards(&mut vm) == "+OK carol@ext.example.org",
+                customise,
+                "lazy={lazy}: the forward list survives exactly when Figure 3's transformer ran"
+            );
+        }
+    }
+}
+
+#[test]
+fn bundle_round_trip_compiles_to_the_same_bytes_as_the_upt() {
+    let release = prepare_classes(
+        &compile(SHAPE_V1),
+        &compile(SHAPE_V2),
+        &UptOptions::with_prefix("v1_"),
+    )
+    .expect("UPT prepares");
+    let dir = temp_dir("bundle-bytes");
+    jvolve::bundle::emit(&dir, &release.update).expect("bundle emits");
+    let loaded = jvolve::bundle::load(&dir).expect("bundle loads");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let encode = |u: &Update| -> Vec<Vec<u8>> {
+        let classes = u.compiled_transformers().expect("transformers compile");
+        classes.iter().map(jvolve_classfile::codec::encode).collect()
+    };
+    assert_eq!(encode(&loaded), encode(&release.update));
+}
+
+#[test]
+fn controllers_sharing_one_update_compile_it_once_between_them() {
+    // The fleet shape: every shard's controller borrows the same update.
+    let update = Update::prepare(&compile(SHAPE_V1), &compile(SHAPE_V2), "v1_")
+        .expect("update prepares");
+    let barrier = std::sync::Barrier::new(2);
+    let compiles: u64 = std::thread::scope(|scope| {
+        let shards: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    apply_counted(&update, false, 60)
+                })
+            })
+            .collect();
+        shards
+            .into_iter()
+            .map(|s| {
+                let c = s.join().expect("shard thread");
+                assert_eq!(c.pause_compiles, 0);
+                c.transformer_compiles
+            })
+            .sum()
+    });
+    assert_eq!(compiles, 1, "one compile per release, not one per shard");
 }

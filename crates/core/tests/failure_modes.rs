@@ -1,7 +1,9 @@
 //! Failure-injection tests: updates that go wrong must fail loudly and
 //! leave the system in a known state.
 
-use jvolve::{apply, ApplyOptions, Update, UpdateError};
+use jvolve::{
+    apply, ApplyOptions, MemorySink, Update, UpdateController, UpdateError, UpdateEvent,
+};
 use jvolve_vm::{Value, Vm, VmConfig, VmError};
 
 fn prepare(vm_cfg: VmConfig, old_src: &str, new_src: &str) -> (Vm, Update) {
@@ -41,6 +43,29 @@ fn transformer_trap_aborts_the_update() {
     );
 }
 
+/// Applies an update whose transformers are unusable and returns the
+/// error, having checked that the rejection was free: no slice waited, an
+/// empty rollback ledger, no compile inside the pause, and a registry
+/// fingerprint that never moved.
+fn rejected_before_the_safe_point(vm: &mut Vm, update: &Update) -> UpdateError {
+    let before = vm.registry().version_fingerprint();
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(update, ApplyOptions::default());
+    controller.attach_sink(&mut events);
+    let err = controller.run_to_completion(vm).unwrap_err();
+    assert_eq!(controller.stats().slices_waited, 0);
+    assert_eq!(controller.counters().polls, 0);
+    assert_eq!(controller.counters().pause_compiles, 0);
+    drop(controller);
+    assert!(
+        events.events.iter().any(|e| matches!(e, UpdateEvent::RolledBack { actions_undone: 0, .. })),
+        "{:?}",
+        events.events
+    );
+    assert_eq!(vm.registry().version_fingerprint(), before);
+    err
+}
+
 #[test]
 fn transformer_missing_method_is_a_compile_style_error() {
     let (mut vm, mut update) = prepare(
@@ -50,7 +75,7 @@ fn transformer_missing_method_is_a_compile_style_error() {
     );
     // Custom source that forgets the object transformer entirely.
     update.set_transformers_source("class JvolveTransformers { }");
-    let err = apply(&mut vm, &update, &ApplyOptions::default()).unwrap_err();
+    let err = rejected_before_the_safe_point(&mut vm, &update);
     assert!(matches!(err, UpdateError::Compile(_)), "{err}");
 }
 
@@ -62,8 +87,24 @@ fn transformer_source_syntax_error_is_reported() {
         "class P { field a: int; field b: int; }",
     );
     update.set_transformers_source("class JvolveTransformers { this is not MJ }");
-    let err = apply(&mut vm, &update, &ApplyOptions::default()).unwrap_err();
+    let err = rejected_before_the_safe_point(&mut vm, &update);
     assert!(matches!(err, UpdateError::Compile(_)), "{err}");
+}
+
+#[test]
+fn retyped_transformer_is_rejected_before_the_safe_point() {
+    let (mut vm, mut update) = prepare(
+        VmConfig::small(),
+        "class P { field a: int; }",
+        "class P { field a: int; field b: int; }",
+    );
+    update.set_transformers_source(
+        "class JvolveTransformers {
+           static method jvolve_object_P(to: P, from: P): void { to.a = from.a; }
+         }",
+    );
+    let err = rejected_before_the_safe_point(&mut vm, &update);
+    assert!(matches!(err, UpdateError::BadTransformer { .. }), "{err}");
 }
 
 #[test]

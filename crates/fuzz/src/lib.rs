@@ -14,10 +14,13 @@
 //!   damage). Oracle: never a panic; anything accepted round-trips.
 //! * [`Family::Semantic`] — mutation of *valid* prepared updates (drop or
 //!   retype a transformer, flip `ClassChangeKind`, desynchronize spec and
-//!   payload, truncate the class batch). Oracle: every rejection is the
-//!   expected typed [`UpdateError`] and leaves registry and heap
-//!   fingerprints bit-identical; every accepted mutant commits and passes
-//!   the eager-vs-lazy differential.
+//!   payload, truncate the class batch, make the transformer batch
+//!   unloadable). Oracle: every rejection is the expected typed
+//!   [`UpdateError`] and leaves registry and heap fingerprints
+//!   bit-identical — without a single safe-point poll unless the fault is
+//!   the install failure; every accepted mutant commits and passes the
+//!   eager-vs-lazy differential; no transformer compile ever runs inside
+//!   the pause.
 //! * [`Family::Stream`] — random multi-release streams driven end-to-end
 //!   through `UpdateController` against a Rust-side mirror model, with
 //!   fault injection at the validation and install phase boundaries, and
@@ -148,6 +151,33 @@ pub fn run_family(family: Family, seed: u64, iters: u64) -> Result<FuzzReport, F
         Family::Stream => stream_fuzz::run(seed, iters),
         Family::Upt => upt_fuzz::run(seed, iters),
     }
+}
+
+/// [`jvolve::apply`] with the default options, also returning the
+/// controller's counters. A transformer compile inside the pause panics,
+/// which every family reports as (or lets end the run as) a failure.
+pub(crate) fn apply_counted(
+    vm: &mut jvolve_vm::Vm,
+    update: &jvolve::Update,
+) -> (Result<jvolve::UpdateStats, jvolve::UpdateError>, jvolve::ControllerCounters) {
+    let mut controller = jvolve::UpdateController::new(update, jvolve::ApplyOptions::default());
+    let result = controller.run_to_completion(vm);
+    let counters = controller.counters();
+    assert_eq!(counters.pause_compiles, 0, "the transformer compiler ran inside the pause");
+    (result, counters)
+}
+
+/// A class the fuzz VMs load that no update payload knows about. A
+/// transformer source that also defines it compiles and type-checks but
+/// cannot be loaded — the fault that still fails at the very end of the
+/// install step, so the rollback ledger stays fuzzed now that unusable
+/// transformer sources are rejected before anything is installed.
+pub(crate) const BYSTANDER: &str = "class Bystander { }";
+
+/// Makes `update`'s transformer batch define [`BYSTANDER`] too.
+pub(crate) fn make_transformers_unloadable(update: &mut jvolve::Update) {
+    let source = format!("{}{BYSTANDER}", update.transformers_source());
+    update.set_transformers_source(source);
 }
 
 /// Extracts a printable message from a `catch_unwind` payload.

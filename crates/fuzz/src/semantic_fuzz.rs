@@ -8,8 +8,12 @@
 //!
 //! * every rejection is the *expected* typed [`UpdateError`] variant
 //!   (never a panic, never a silent commit of a corrupted update);
-//! * every aborted install leaves the VM bit-identical — both
+//! * every abort leaves the VM bit-identical — both
 //!   `Registry::version_fingerprint` and the heap fingerprint;
+//! * a corrupted spec, payload or transformer source is rejected in
+//!   `Pending`, before a single safe-point poll; only the unloadable
+//!   transformer batch gets as far as the install step (and its rollback
+//!   ledger), and no update ever compiles transformers inside the pause;
 //! * benign mutants (no mutation, or an extra-but-resolvable indirect
 //!   method) must commit with the expected guest-visible result, and the
 //!   eager and lazy protocols must agree on it;
@@ -20,12 +24,15 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use jvolve::{apply, ApplyOptions, ClassChangeKind, Update, UpdateError, UpdateStats};
+use jvolve::{ClassChangeKind, Update, UpdateError, UpdateStats};
 use jvolve_classfile::{ClassFile, ClassName, MethodRef};
-use jvolve_vm::{Value, Vm, VmConfig};
+use jvolve_vm::{Value, Vm, VmConfig, VmError};
 
 use crate::rng::Rng;
-use crate::{panic_message, Family, FuzzFailure, FuzzReport};
+use crate::{
+    apply_counted, make_transformers_unloadable, panic_message, Family, FuzzFailure, FuzzReport,
+    BYSTANDER,
+};
 
 /// A guest program pair with a known post-update probe value.
 struct Pair {
@@ -114,6 +121,7 @@ fn boot(pair: &Pair, lazy: bool) -> (Vm, Update) {
     let mut vm =
         Vm::new(VmConfig { lazy_migration: lazy, gc_threads: 1, ..VmConfig::small() });
     vm.load_classes(v1).expect("v1 loads");
+    vm.load_source(BYSTANDER).expect("bystander loads");
     vm.call_static_sync("Main", "setup", &[]).expect("setup runs");
     let update = Update::prepare(v1, v2, "v1_").expect("update prepares");
     (vm, update)
@@ -136,6 +144,9 @@ enum Expect {
     BadSpec,
     Compile,
     BadTransformer,
+    /// Fails loading the transformer batch, at the end of the install
+    /// step: the one expectation that reaches a safe point first.
+    InstallFailure,
 }
 
 /// Applies one mutation to `update`; returns the expectation and a label.
@@ -148,8 +159,17 @@ fn mutate(rng: &mut Rng, pair: &Pair, update: &mut Update) -> (Expect, &'static 
         &[0, 1, 3, 4, 5, 6]
     };
     match rng.pick(menu) {
-        // Benign: untouched update.
-        0 => (Expect::Commit, "none"),
+        // Benign: untouched update — or, on a coin drawn after the pick (so
+        // every other mutation keeps its seed), the same update with a
+        // transformer batch that collides with a loaded class.
+        0 => {
+            if rng.bool() {
+                make_transformers_unloadable(update);
+                (Expect::InstallFailure, "unloadable-transformer-batch")
+            } else {
+                (Expect::Commit, "none")
+            }
+        }
         // Benign: an extra indirect method that resolves in the old
         // version — a superset spec is safe and must still commit.
         1 => {
@@ -202,9 +222,9 @@ fn mutate(rng: &mut Rng, pair: &Pair, update: &mut Update) -> (Expect, &'static 
         // becomes `to.a = from.a + k`.
         9 => {
             let k = 1 + rng.below(9) as i64;
-            let default = &update.transformers_source;
+            let default = update.transformers_source();
             let spliced = default.replace("to.a = from.a;", &format!("to.a = from.a + {k};"));
-            assert_ne!(&spliced, default, "pair A's default transformer copies `a`");
+            assert_ne!(spliced, default, "pair A's default transformer copies `a`");
             update.set_transformers_source(spliced);
             (Expect::CommitSpliced(k), "spliced-transformer")
         }
@@ -267,10 +287,8 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
         let heap_before = vm.heap_fingerprint();
         let (expect, label) = mutate(&mut rng, pair, &mut update);
 
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            apply(&mut vm, &update, &ApplyOptions::default())
-        }));
-        let outcome = match outcome {
+        let outcome = catch_unwind(AssertUnwindSafe(|| apply_counted(&mut vm, &update)));
+        let (outcome, counters) = match outcome {
             Err(payload) => {
                 return Err(fail(format!("{label}: panicked: {}", panic_message(payload))));
             }
@@ -287,7 +305,8 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
                 let mut lazy_rng = Rng::for_iter(seed, iter);
                 let _ = lazy_rng.bool(); // keep pair pick in lockstep
                 let _ = mutate(&mut lazy_rng, pair, &mut lazy_update);
-                let lazy_stats = apply(&mut lazy_vm, &lazy_update, &ApplyOptions::default())
+                let lazy_stats = apply_counted(&mut lazy_vm, &lazy_update)
+                    .0
                     .map_err(|e| fail(format!("{label}: lazy apply failed: {e}")))?;
                 let (heap_lazy, reg_lazy) =
                     check_commit(&mut lazy_vm, &lazy_stats, &expect, pair, &fail, label)?;
@@ -308,9 +327,17 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
                     (Expect::BadSpec, UpdateError::BadSpec { .. })
                         | (Expect::Compile, UpdateError::Compile(_))
                         | (Expect::BadTransformer, UpdateError::BadTransformer { .. })
+                        | (Expect::InstallFailure, UpdateError::Vm(VmError::LoadError { .. }))
                 );
                 if !matches_expected {
                     return Err(fail(format!("{label}: wrong error type: {e}")));
+                }
+                let installing = matches!(expect, Expect::InstallFailure);
+                if (counters.polls > 0) != installing {
+                    return Err(fail(format!(
+                        "{label}: {} safe-point polls before the rejection",
+                        counters.polls
+                    )));
                 }
                 if vm.registry().version_fingerprint() != reg_before {
                     return Err(fail(format!("{label}: registry fingerprint diverged after abort")));

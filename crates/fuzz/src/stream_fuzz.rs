@@ -8,22 +8,27 @@
 //! default transformer's contract), deleted fields vanish.
 //!
 //! Each release optionally injects a fault at a phase boundary before the
-//! clean release is applied: spec/payload desynchronization (rejected by
-//! validation in `Pending`), a broken or retyped transformer (rejected
-//! mid-install, after renames and loads, exercising the rollback ledger).
-//! After every fault the registry and heap fingerprints must be
-//! bit-identical to the pre-update snapshot. Every clean release is
+//! clean release is applied: spec/payload desynchronization or a broken
+//! or retyped transformer (all rejected in `Pending`, before a single
+//! safe-point poll), or a transformer batch that compiles but cannot be
+//! loaded (rejected at the end of the install step, after renames, loads
+//! and swaps, exercising the rollback ledger). After every fault the
+//! registry and heap fingerprints must be bit-identical to the pre-update
+//! snapshot, and no update may compile transformers inside the pause. Every clean release is
 //! applied to an eager VM *and* a lazy VM; at stream end both must agree
 //! on the probe value and the registry fingerprint.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use jvolve::{apply, ApplyOptions, ClassChangeKind, Update, UpdateError};
+use jvolve::{ClassChangeKind, Update, UpdateError};
 use jvolve_classfile::{ClassFile, ClassName, MethodRef};
 use jvolve_vm::{Value, Vm, VmConfig};
 
 use crate::rng::Rng;
-use crate::{panic_message, Family, FuzzFailure, FuzzReport};
+use crate::{
+    apply_counted, make_transformers_unloadable, panic_message, Family, FuzzFailure, FuzzReport,
+    BYSTANDER,
+};
 
 /// The mirror model: what the guest program looks like and what its live
 /// `Data` object holds.
@@ -122,6 +127,7 @@ enum Fault {
     EmptyTransformers,
     GarbageTransformers,
     RetypedTransformer,
+    UnloadableTransformers,
 }
 
 impl Fault {
@@ -162,6 +168,10 @@ impl Fault {
                 );
                 "BadTransformer"
             }
+            Fault::UnloadableTransformers => {
+                make_transformers_unloadable(update);
+                "Vm"
+            }
         }
     }
 }
@@ -188,6 +198,7 @@ fn boot(lazy: bool, source: &str) -> StreamVm {
     let mut vm =
         Vm::new(VmConfig { lazy_migration: lazy, gc_threads: 1, ..VmConfig::small() });
     vm.load_classes(&classes).expect("release 0 loads");
+    vm.load_source(BYSTANDER).expect("bystander loads");
     vm.call_static_sync("Main", "setup", &[]).expect("setup runs");
     StreamVm { vm, classes }
 }
@@ -229,7 +240,7 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
             let menu: &[Option<Fault>] = if has_class_update {
                 &[
                     None,
-                    None,
+                    Some(Fault::UnloadableTransformers),
                     Some(Fault::FlipKind),
                     Some(Fault::DropPayloadClass),
                     Some(Fault::DanglingIndirect),
@@ -240,7 +251,7 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
             } else {
                 &[
                     None,
-                    None,
+                    Some(Fault::UnloadableTransformers),
                     Some(Fault::DropPayloadClass),
                     Some(Fault::DanglingIndirect),
                     Some(Fault::GarbageTransformers),
@@ -252,9 +263,8 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
                 let expected = fault.inject(&mut corrupted);
                 let reg_before = eager.vm.registry().version_fingerprint();
                 let heap_before = eager.vm.heap_fingerprint();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    apply(&mut eager.vm, &corrupted, &ApplyOptions::default())
-                }));
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| apply_counted(&mut eager.vm, &corrupted)));
                 match outcome {
                     Err(payload) => {
                         return Err(fail(format!(
@@ -262,15 +272,22 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
                             panic_message(payload)
                         )));
                     }
-                    Ok(Ok(_)) => {
+                    Ok((Ok(_), _)) => {
                         return Err(fail(format!(
                             "release {r}: corrupted update ({expected}) was accepted"
                         )));
                     }
-                    Ok(Err(e)) => {
+                    Ok((Err(e), counters)) => {
                         if error_variant(&e) != expected {
                             return Err(fail(format!(
                                 "release {r}: expected {expected}, got {e}"
+                            )));
+                        }
+                        // Only the unloadable batch gets past `Pending`.
+                        if (counters.polls > 0) != (expected == "Vm") {
+                            return Err(fail(format!(
+                                "release {r}: {expected} rejected after {} safe-point polls",
+                                counters.polls
                             )));
                         }
                         if eager.vm.registry().version_fingerprint() != reg_before {
@@ -293,11 +310,13 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
             }
 
             // The clean release must commit on both protocols.
-            apply(&mut eager.vm, &update, &ApplyOptions::default())
+            apply_counted(&mut eager.vm, &update)
+                .0
                 .map_err(|e| fail(format!("release {r}: eager apply failed: {e}")))?;
             let lazy_update = prepare(&lazy.classes)
                 .map_err(|e| fail(format!("release {r}: lazy prepare failed: {e}")))?;
-            apply(&mut lazy.vm, &lazy_update, &ApplyOptions::default())
+            apply_counted(&mut lazy.vm, &lazy_update)
+                .0
                 .map_err(|e| fail(format!("release {r}: lazy apply failed: {e}")))?;
             eager.classes = next_classes.clone();
             lazy.classes = next_classes;

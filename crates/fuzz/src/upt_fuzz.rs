@@ -16,13 +16,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use jvolve::{apply, validate_update, ApplyOptions, ClassChangeKind};
+use jvolve::{validate_update, ClassChangeKind};
 use jvolve_classfile::MethodRef;
 use jvolve_upt::{prepare_sources, PreparedRelease, UptError, UptOptions};
 use jvolve_vm::{Value, Vm, VmConfig};
 
 use crate::rng::Rng;
-use crate::{panic_message, Family, FuzzFailure, FuzzReport};
+use crate::{apply_counted, panic_message, Family, FuzzFailure, FuzzReport};
 
 /// Version prefix used by every generated release.
 const PREFIX: &str = "u1_";
@@ -340,10 +340,15 @@ pub(crate) fn run(seed: u64, iters: u64) -> Result<FuzzReport, FuzzFailure> {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let mut eager = boot(false, &old_src);
                     let mut lazy = boot(true, &old_src);
-                    apply(&mut eager, &release.update, &ApplyOptions::default())
-                        .map_err(|e| format!("eager apply failed: {e}"))?;
-                    apply(&mut lazy, &release.update, &ApplyOptions::default())
-                        .map_err(|e| format!("lazy apply failed: {e}"))?;
+                    // The UPT ships the compiled transformers: neither VM
+                    // may have to compile them.
+                    for (mode, vm) in [("eager", &mut eager), ("lazy", &mut lazy)] {
+                        let (result, counters) = apply_counted(vm, &release.update);
+                        result.map_err(|e| format!("{mode} apply failed: {e}"))?;
+                        if counters.transformer_compiles != 0 {
+                            return Err(format!("{mode} apply compiled the UPT's transformers"));
+                        }
+                    }
                     let (pe, pl) = (probe(&mut eager), probe(&mut lazy));
                     if pe != next.probe() {
                         return Err(format!("probe {pe}, mirror model expected {}", next.probe()));

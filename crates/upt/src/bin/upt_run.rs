@@ -145,7 +145,7 @@ fn run(cli: &Cli) -> Result<(), String> {
         println!("wrote spec to {path}");
     }
     if let Some(path) = &cli.transformers {
-        std::fs::write(path, &release.update.transformers_source)
+        std::fs::write(path, release.update.transformers_source())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote transformers to {path}");
     }

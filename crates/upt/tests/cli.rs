@@ -91,7 +91,7 @@ fn upt_run_emits_a_loadable_bundle() {
 
     let update = jvolve_upt::load_bundle(&bundle).expect("bundle loads and re-verifies");
     assert_eq!(update.spec.version_prefix, "vB_");
-    assert!(update.transformers_source.contains("jvolve_object_Counter"));
+    assert!(update.transformers_source().contains("jvolve_object_Counter"));
 }
 
 #[test]

@@ -28,7 +28,7 @@ fn assert_statically_equivalent(app: &dyn GuestApp, from: usize) {
 
     assert_eq!(hand.spec, upt.spec, "{label}: specs differ");
     assert_eq!(
-        hand.transformers_source, upt.transformers_source,
+        hand.transformers_source(), upt.transformers_source(),
         "{label}: transformer sources differ"
     );
     let hand_rs = RestrictedSet::compute(&hand.spec, &hand.old_classes, &hand.blacklist);
@@ -67,7 +67,7 @@ fn upt_matches_hand_preparation_for_the_list_example() {
 
     assert_eq!(hand.spec, upt.spec, "list example: specs differ");
     assert_eq!(
-        hand.transformers_source, upt.transformers_source,
+        hand.transformers_source(), upt.transformers_source(),
         "list example: transformer sources differ"
     );
 }

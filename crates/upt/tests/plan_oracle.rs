@@ -88,7 +88,7 @@ fn run_app(
         }
     }
     let retired = format!("{}JvolveTransformers", update.spec.version_prefix);
-    let traced = update.transformers_source.contains("static field trace");
+    let traced = update.transformers_source().contains("static field trace");
     let trace = match (outcome.supported() && traced).then(|| vm.read_static(&retired, "trace")) {
         Some(Value::Int(t)) => t,
         Some(other) => panic!("trace is {other:?}"),

@@ -8,6 +8,7 @@
 //! manipulates exactly these structures: renaming old classes, installing
 //! new ones, invalidating TIB entries and compiled code.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -264,7 +265,15 @@ impl Registry {
     ///
     /// Returns [`VmError::LoadError`] on verification failures, duplicate
     /// names, missing superclasses, or unresolvable native methods.
-    pub fn load_batch(&mut self, files: &[ClassFile]) -> Result<Vec<ClassId>, VmError> {
+    pub fn load_batch<C: Borrow<ClassFile>>(
+        &mut self,
+        files: &[C],
+    ) -> Result<Vec<ClassId>, VmError> {
+        let files: Vec<&ClassFile> = files.iter().map(Borrow::borrow).collect();
+        self.load_batch_refs(&files)
+    }
+
+    fn load_batch_refs(&mut self, files: &[&ClassFile]) -> Result<Vec<ClassId>, VmError> {
         // Duplicate/conflict detection.
         for f in files {
             if self.by_name.contains_key(&f.name)
@@ -288,7 +297,7 @@ impl Registry {
 
         // Link in superclass order (supers within the batch first), but
         // return the ids in the caller's input order.
-        let mut pending: Vec<&ClassFile> = files.iter().collect();
+        let mut pending: Vec<&ClassFile> = files.to_vec();
         let mut progress = true;
         while !pending.is_empty() {
             if !progress {
@@ -752,13 +761,14 @@ impl ClassResolver for Registry {
 /// Resolver over the registry plus a batch being loaded.
 struct BatchView<'a> {
     registry: &'a Registry,
-    batch: &'a [ClassFile],
+    batch: &'a [&'a ClassFile],
 }
 
 impl ClassResolver for BatchView<'_> {
     fn resolve(&self, name: &ClassName) -> Option<&ClassFile> {
         self.batch
             .iter()
+            .copied()
             .find(|f| &f.name == name)
             .or_else(|| self.registry.resolve(name))
     }

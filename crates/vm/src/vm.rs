@@ -3,6 +3,7 @@
 //! update log, transformer execution, return barriers, OSR) that the
 //! `jvolve` crate's update driver composes into the paper's protocol.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -184,8 +185,6 @@ pub enum SliceOutcome {
         /// Method that returned.
         method: MethodId,
     },
-    /// A collection was triggered by allocation pressure.
-    GcOccurred,
     /// No thread was runnable (all blocked or finished).
     Idle,
 }
@@ -238,12 +237,18 @@ impl Vm {
 
     // ---- program loading ----------------------------------------------------
 
-    /// Loads a batch of classes (verification included).
+    /// Loads a batch of classes (verification included). The batch may be
+    /// owned (`&[ClassFile]`) or borrowed from wherever the files live
+    /// (`&[&ClassFile]`); the update controller uses the latter so the
+    /// install step copies no class file just to form a batch.
     ///
     /// # Errors
     ///
     /// Propagates [`VmError::LoadError`].
-    pub fn load_classes(&mut self, classes: &[ClassFile]) -> Result<Vec<ClassId>, VmError> {
+    pub fn load_classes<C: Borrow<ClassFile>>(
+        &mut self,
+        classes: &[C],
+    ) -> Result<Vec<ClassId>, VmError> {
         self.registry.load_batch(classes)
     }
 

@@ -65,7 +65,7 @@ fn main() {
     // changes, and generates default transformers.
     let update = Update::prepare(&v1, &v2, "v1_").expect("update is non-empty");
     println!("\nupdate specification:\n{}", update.spec.to_json());
-    println!("generated transformers:\n{}", update.transformers_source);
+    println!("generated transformers:\n{}", update.transformers_source());
 
     // Apply it to the running VM: safe point, class installation, update
     // GC, transformers.

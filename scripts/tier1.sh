@@ -71,10 +71,10 @@ echo "== tier-1: plan == interpreted transformer oracle (42 release pairs, eager
 cargo test -q -p jvolve-upt --test plan_oracle
 cargo test -q --test plan_props
 
-# Fleet fault injection: a mid-roll install failure or health-check
+# Fleet fault injection: a mid-roll update rejection or health-check
 # timeout must roll the whole fleet back to bit-identical registry
 # fingerprints with zero dropped or incorrect responses.
-echo "== tier-1: fleet fault-injection rollback oracle (install failure + health timeout) =="
+echo "== tier-1: fleet fault-injection rollback oracle (bad transformers + health timeout) =="
 cargo test -q -p jvolve-apps --test fleet_faults
 
 # Fuzz smoke: a fixed-seed, bounded-budget pass of all five mutator
@@ -85,6 +85,20 @@ echo "== tier-1: adversarial update fuzz smoke (all families, fixed seed) =="
 cargo run --release -q -p jvolve-fuzz --bin fuzz_run -- --seed 1 --iters 250
 echo "== tier-1: fuzz regression-corpus replay =="
 cargo run --release -q -p jvolve-fuzz --bin fuzz_run -- --replay crates/fuzz/corpus
+
+# The stand-alone benchmark package (benchmark/, its own manifest and
+# target directory) names jvolve::Update / UpdateController / Vm items in
+# benchmark/src/layers.rs but is not a workspace member, so nothing above
+# builds it. Build it and run one workload for a second: exit 0 with
+# "correct":true means it still builds against this tree and every reply
+# verified. Not a timing gate, so --skip-bench does not skip it.
+echo "== tier-1: benchmark package builds and runs (kv_stream_eager, 1 s smoke) =="
+bench_smoke=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload kv_stream_eager --seed 1 --seconds 1 --trace 0)
+case "$bench_smoke" in
+    *'"correct":true'*) echo "benchmark smoke ok" ;;
+    *) echo "benchmark smoke did not report \"correct\":true: $bench_smoke" >&2; exit 1 ;;
+esac
 
 if [ "$skip_bench" = 0 ]; then
     echo "== tier-1: GC pause regression check =="

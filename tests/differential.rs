@@ -364,6 +364,21 @@ struct CacheOracleOutcome {
     events: Vec<String>,
 }
 
+/// Makes `update` fail at the very end of its install step — after the
+/// renames, strips, batch load, body swaps, invalidation and OSR — so the
+/// controller replays a full rollback ledger: the VM gets a class no
+/// payload knows about, and the transformer batch is made to define it
+/// too. The source still compiles and type-checks (a source that does
+/// not is rejected in `Pending`, before anything is installed); only the
+/// load collides.
+fn rig_install_failure(vm: &mut Vm, update: &mut Update) {
+    const BYSTANDER: &str = "class Bystander { }";
+    let bystander = jvolve_repro::lang::compile(BYSTANDER).expect("bystander compiles");
+    vm.load_classes(&bystander).expect("bystander loads");
+    let source = format!("{}{BYSTANDER}", update.transformers_source());
+    update.set_transformers_source(source);
+}
+
 /// Runs the §4.2-style workload with dispatch caches on or off, applies an
 /// update (or induces a mid-install failure and controller *rollback* when
 /// `rollback` is set), then keeps executing guest code through the same
@@ -382,12 +397,9 @@ fn run_cache_oracle(enable_inline_caches: bool, rollback: bool) -> CacheOracleOu
     }
 
     let mut update = Update::prepare(&old, &new, "v1_").expect("update prepares");
+    update.set_transformers_source(GC_ORACLE_TRANSFORMERS);
     if rollback {
-        // Mid-install failure: the controller undoes everything installed
-        // so far and replays the rollback ledger.
-        update.set_transformers_source("this is not a valid MJ program {{{");
-    } else {
-        update.set_transformers_source(GC_ORACLE_TRANSFORMERS);
+        rig_install_failure(&mut vm, &mut update);
     }
 
     let mut events = MemorySink::default();
@@ -440,6 +452,11 @@ fn inline_caches_are_observationally_invisible() {
         if rollback {
             assert_eq!(on.trace, 1, "no transformer ran before the rollback");
             assert!(on.events.iter().any(|e| e == "Aborted"), "{:?}", on.events);
+            assert!(
+                on.events.iter().any(|e| e.starts_with("OsrApplied")),
+                "the install must have run to its last step before failing: {:?}",
+                on.events
+            );
         } else {
             assert!(on.trace != 1, "transformers fed the trace");
         }
@@ -495,10 +512,9 @@ fn run_jit_oracle(
     }
 
     let mut update = Update::prepare(&old, &new, "v1_").expect("update prepares");
+    update.set_transformers_source(GC_ORACLE_TRANSFORMERS);
     if rollback {
-        update.set_transformers_source("this is not a valid MJ program {{{");
-    } else {
-        update.set_transformers_source(GC_ORACLE_TRANSFORMERS);
+        rig_install_failure(&mut vm, &mut update);
     }
 
     let mut events = MemorySink::default();
@@ -566,6 +582,11 @@ fn jit_tier_is_observationally_invisible() {
         if rollback {
             assert_eq!(on.trace, 1, "no transformer ran before the rollback");
             assert!(on.events.iter().any(|e| e == "Aborted"), "{:?}", on.events);
+            assert!(
+                on.events.iter().any(|e| e.starts_with("OsrApplied")),
+                "the install must have run to its last step before failing: {:?}",
+                on.events
+            );
         } else {
             assert!(on.trace != 1, "transformers fed the trace");
         }

@@ -135,7 +135,7 @@ fn case_for(old: &Version, new: &Version) -> Option<Case> {
     let new_classes = jvolve_repro::lang::compile(&new.source()).expect("new version compiles");
     let update = Update::prepare(&old_classes, &new_classes, "v1_").ok()?;
     let compiled = compile_transformers(
-        &update.transformers_source,
+        update.transformers_source(),
         &update.spec,
         &update.old_classes,
         &update.new_classes,
