@@ -19,6 +19,11 @@ pub enum VmError {
         /// Array length.
         len: u32,
     },
+    /// A string was cut at a byte offset inside a multi-byte character.
+    NotCharBoundary {
+        /// Offending byte offset.
+        index: usize,
+    },
     /// Integer division or remainder by zero.
     DivisionByZero,
     /// The heap cannot satisfy an allocation even after collection.
@@ -64,6 +69,9 @@ impl fmt::Display for VmError {
             VmError::NullPointer { context } => write!(f, "null pointer dereference in {context}"),
             VmError::IndexOutOfBounds { index, len } => {
                 write!(f, "array index {index} out of bounds for length {len}")
+            }
+            VmError::NotCharBoundary { index } => {
+                write!(f, "string offset {index} is not a character boundary")
             }
             VmError::DivisionByZero => f.write_str("division by zero"),
             VmError::OutOfMemory { requested } => {

@@ -33,6 +33,22 @@
 //! Objects are `1 + size_words(class)` words; arrays `1 + len`; strings
 //! `1 + ceil(bytes/8)`.
 //!
+//! # String cells
+//!
+//! A string's UTF-8 bytes are packed into its payload words in order, byte
+//! *i* at bits `8·(i mod 8)` of word `i / 8` — on a little-endian host
+//! (asserted at compile time) exactly the bytes of those words in memory.
+//! Two invariants hold for every string cell from allocation on:
+//!
+//! * **validity** — the first `len` payload bytes are valid UTF-8. The
+//!   allocators take a `&str`, two existing cells, or a range of one cut
+//!   at checked char boundaries; collections copy cells verbatim; and
+//!   [`Heap::set`] refuses string cells. So [`Heap::str_view`] hands out a
+//!   `&str` over the bytes in place without validating them again (debug
+//!   builds do, on every view).
+//! * **zero padding** — the bytes of the last payload word past `len` are
+//!   zero, so equal strings are equal word for word.
+//!
 //! # The flattened hot path
 //!
 //! The collector does not consult the class registry directly. Instead the
@@ -110,6 +126,26 @@ fn as_atomic(words: &mut [u64]) -> &[AtomicU64] {
     // the exclusive borrow guarantees no non-atomic access can alias the
     // returned view for its lifetime.
     unsafe { &*(words as *mut [u64] as *const [AtomicU64]) }
+}
+
+// String payloads are read and copied as the bytes of their words in
+// memory order, which is the stored (little-endian) order only here.
+const _: () = assert!(cfg!(target_endian = "little"), "string cells assume a little-endian host");
+
+/// The bytes of `words` in memory order.
+fn bytes_of(words: &[u64]) -> &[u8] {
+    // SAFETY: same memory, same lifetime; `u8` has alignment 1 and every
+    // byte of an initialised `u64` is an initialised `u8`.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
+}
+
+/// The bytes of `words` in memory order, writable.
+fn bytes_of_mut(words: &mut [u64]) -> &mut [u8] {
+    // SAFETY: as `bytes_of`, under the exclusive borrow; any eight bytes
+    // are a valid `u64`, so no write through the view can invalidate one.
+    unsafe {
+        std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), std::mem::size_of_val(words))
+    }
 }
 
 /// What kind of heap cell a header describes.
@@ -430,6 +466,8 @@ pub struct Heap {
 
 const KIND_SHIFT: u64 = 1;
 const KIND_MASK: u64 = 0b110;
+/// The low header bits (forwarded flag + kind) of a live string cell.
+const STR_KIND_BITS: u64 = 3 << KIND_SHIFT;
 const TAG_SHIFT: u64 = 3;
 const META_SHIFT: u64 = 32;
 /// Largest value the spare header bits 3..31 can hold.
@@ -552,18 +590,69 @@ impl Heap {
         Some(GcRef(addr as u32))
     }
 
+    /// Allocates a zeroed string cell of `len` bytes and returns its
+    /// address; the caller fills the first `len` payload bytes.
+    fn alloc_str_cell(&mut self, len: usize) -> Option<usize> {
+        let meta = u32::try_from(len).ok()?;
+        let addr = self.alloc_raw(1 + len.div_ceil(8))?;
+        self.words[addr] = header(HeapKind::Str, meta);
+        Some(addr)
+    }
+
     /// Allocates a string cell holding `s`.
     pub fn alloc_string(&mut self, s: &str) -> Option<GcRef> {
-        let bytes = s.as_bytes();
-        let payload = bytes.len().div_ceil(8);
-        let addr = self.alloc_raw(1 + payload)?;
-        self.words[addr] = header(HeapKind::Str, bytes.len() as u32);
-        for (i, chunk) in bytes.chunks(8).enumerate() {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.words[addr + 1 + i] = u64::from_le_bytes(w);
-        }
+        let addr = self.alloc_str_cell(s.len())?;
+        bytes_of_mut(&mut self.words[addr + 1..])[..s.len()].copy_from_slice(s.as_bytes());
         Some(GcRef(addr as u32))
+    }
+
+    /// Allocates the concatenation of the strings at `a` and `b`, copying
+    /// their bytes inside the heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either cell is not a string.
+    pub fn alloc_concat(&mut self, a: GcRef, b: GcRef) -> Option<GcRef> {
+        let (a_at, a_len) = self.str_span(a);
+        let (b_at, b_len) = self.str_span(b);
+        let addr = self.alloc_str_cell(a_len + b_len)?;
+        let bytes = bytes_of_mut(&mut self.words);
+        let at = (addr + 1) * 8;
+        bytes.copy_within(a_at..a_at + a_len, at);
+        bytes.copy_within(b_at..b_at + b_len, at + a_len);
+        Some(GcRef(addr as u32))
+    }
+
+    /// Allocates the substring `from..to` (byte offsets) of the string at
+    /// `r`, copying inside the heap; `Ok(None)` when the heap is full.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::IndexOutOfBounds`] unless `from <= to <= len`, and
+    /// [`VmError::NotCharBoundary`] if either offset splits a UTF-8
+    /// sequence — the new cell would break the validity invariant
+    /// [`Heap::str_view`] rests on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell is not a string.
+    pub fn alloc_substr(
+        &mut self,
+        r: GcRef,
+        from: usize,
+        to: usize,
+    ) -> Result<Option<GcRef>, VmError> {
+        let s = self.str_view(r);
+        if from > to || to > s.len() {
+            return Err(VmError::IndexOutOfBounds { index: to as i64, len: s.len() as u32 });
+        }
+        if let Some(&index) = [from, to].iter().find(|&&i| !s.is_char_boundary(i)) {
+            return Err(VmError::NotCharBoundary { index });
+        }
+        let (at, _) = self.str_span(r);
+        let Some(addr) = self.alloc_str_cell(to - from) else { return Ok(None) };
+        bytes_of_mut(&mut self.words).copy_within(at + from..at + to, (addr + 1) * 8);
+        Ok(Some(GcRef(addr as u32)))
     }
 
     /// The kind of the cell at `r`.
@@ -602,31 +691,66 @@ impl Heap {
         self.words[r.addr() + 1 + offset]
     }
 
-    /// Writes field/element word `offset` of the cell at `r`.
+    /// Writes field/element word `offset` of the cell at `r`, which the
+    /// caller keeps inside the cell (the heap does not know object sizes;
+    /// the interpreter's offsets come from verified bytecode resolved
+    /// against the class layout).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell is a string: strings are immutable, and their
+    /// bytes must stay valid UTF-8 for [`Heap::str_view`].
     pub fn set(&mut self, r: GcRef, offset: usize, word: u64) {
+        let h = self.words[r.addr()];
+        assert_ne!(h & (KIND_MASK | 1), STR_KIND_BITS, "set() on string cell {r}");
         self.words[r.addr() + 1 + offset] = word;
     }
 
-    /// Reads the string cell at `r`.
+    /// Byte offset (into the heap's words viewed as bytes) and byte length
+    /// of the payload of the string cell at `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell is forwarded or not a string.
+    #[inline]
+    fn str_span(&self, r: GcRef) -> (usize, usize) {
+        let h = self.words[r.addr()];
+        assert_eq!(h & (KIND_MASK | 1), STR_KIND_BITS, "string read of non-string cell {r}");
+        ((r.addr() + 1) * 8, header_meta(h) as usize)
+    }
+
+    /// The string at `r`, borrowed from the heap: its payload bytes in
+    /// place, no copy. Every `&mut self` method may move or overwrite
+    /// cells, so the borrow checker already forbids holding a view across
+    /// an allocation or a collection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell is forwarded or not a string.
+    #[inline]
+    pub fn str_view(&self, r: GcRef) -> &str {
+        let (at, len) = self.str_span(r);
+        let bytes = &bytes_of(&self.words)[at..at + len];
+        debug_assert!(std::str::from_utf8(bytes).is_ok(), "string cell {r} is not UTF-8");
+        // SAFETY: the first `len` payload bytes of a string cell are valid
+        // UTF-8 (the string-cell invariant in the module docs): cells are
+        // filled only by `alloc_string` (from a `&str`), `alloc_concat`
+        // (two valid strings end to end), `alloc_substr` (cut at checked
+        // char boundaries) and the collectors' verbatim cell copies. The
+        // only other writer of heap words, `set`, refuses a string cell
+        // and is never aimed past the end of its own cell (its contract).
+        unsafe { std::str::from_utf8_unchecked(bytes) }
+    }
+
+    /// Copies the string cell at `r` out of the heap (host-side
+    /// convenience; the interpreter reads strings through
+    /// [`Heap::str_view`]).
     ///
     /// # Panics
     ///
     /// Panics if the cell is not a string.
     pub fn read_string(&self, r: GcRef) -> String {
-        let h = self.words[r.addr()];
-        assert_eq!(header_kind(h), HeapKind::Str, "read_string() on non-string");
-        let len = header_meta(h) as usize;
-        let mut bytes = Vec::with_capacity(len);
-        let mut remaining = len;
-        let mut i = r.addr() + 1;
-        while remaining > 0 {
-            let chunk = self.words[i].to_le_bytes();
-            let take = remaining.min(8);
-            bytes.extend_from_slice(&chunk[..take]);
-            remaining -= take;
-            i += 1;
-        }
-        String::from_utf8(bytes).expect("heap strings are valid UTF-8")
+        self.str_view(r).to_owned()
     }
 
     /// The tag in the spare header bits of the live cell at `r`: zero,
@@ -1517,6 +1641,72 @@ mod tests {
             let r = heap.alloc_string(s).unwrap();
             assert_eq!(heap.read_string(r), s);
         }
+    }
+
+    /// The payload words of the string cell at `r`.
+    fn str_words(heap: &Heap, r: GcRef) -> Vec<u64> {
+        (0..(heap.len_of(r) as usize).div_ceil(8)).map(|i| heap.get(r, i)).collect()
+    }
+
+    #[test]
+    fn derived_strings_equal_allocated_ones_word_for_word() {
+        // Stale non-zero words under every fresh cell: padding must be
+        // written, not inherited.
+        let mut heap = Heap::new(4096);
+        heap.words.fill(u64::MAX);
+        let text = "0123456789abcdefé€𝄞-tail of the text";
+        let cell = heap.alloc_string(text).unwrap();
+        assert_eq!(heap.str_view(cell), text);
+        let bounds: Vec<usize> = (0..=text.len()).filter(|&i| text.is_char_boundary(i)).collect();
+        for &from in &bounds {
+            for &to in bounds.iter().filter(|&&to| to >= from) {
+                let sub = heap.alloc_substr(cell, from, to).unwrap().unwrap();
+                let plain = heap.alloc_string(&text[from..to]).unwrap();
+                assert_eq!(heap.str_view(sub), &text[from..to]);
+                assert_eq!(str_words(&heap, sub), str_words(&heap, plain), "{from}..{to}");
+                let last = str_words(&heap, plain).last().copied().unwrap_or(0);
+                let used = (to - from) % 8;
+                assert!(used == 0 || last >> (8 * used) == 0, "padding of {from}..{to} is zero");
+            }
+            let (head, tail) = text.split_at(from);
+            let (a, b) = (heap.alloc_string(head).unwrap(), heap.alloc_string(tail).unwrap());
+            let joined = heap.alloc_concat(a, b).unwrap();
+            assert_eq!(str_words(&heap, joined), str_words(&heap, cell), "split at {from}");
+            heap.alloc = cell.addr() + 1 + text.len().div_ceil(8);
+        }
+    }
+
+    #[test]
+    fn substr_rejects_bad_ranges_and_split_characters() {
+        let mut heap = Heap::new(64);
+        let s = heap.alloc_string("aé€").unwrap();
+        let used = heap.used_words();
+        assert_eq!(heap.alloc_substr(s, 2, 1), Err(VmError::IndexOutOfBounds { index: 1, len: 6 }));
+        assert_eq!(heap.alloc_substr(s, 0, 7), Err(VmError::IndexOutOfBounds { index: 7, len: 6 }));
+        assert_eq!(heap.alloc_substr(s, 0, 2), Err(VmError::NotCharBoundary { index: 2 }));
+        assert_eq!(heap.alloc_substr(s, 4, 6), Err(VmError::NotCharBoundary { index: 4 }));
+        assert_eq!(heap.used_words(), used, "a rejected cut allocates nothing");
+        let cut = heap.alloc_substr(s, 1, 3).unwrap().unwrap();
+        assert_eq!(heap.str_view(cut), "é");
+    }
+
+    #[test]
+    fn full_heap_fails_string_allocation_without_a_partial_cell() {
+        let mut heap = Heap::new(16);
+        let forty = "0123456789abcdef0123456789abcdef01234567";
+        let (a, b) = (heap.alloc_string(forty).unwrap(), heap.alloc_string(forty).unwrap());
+        let used = heap.used_words();
+        assert_eq!(heap.alloc_concat(a, b), None);
+        assert_eq!(heap.alloc_substr(a, 0, 40), Ok(None));
+        assert_eq!(heap.used_words(), used);
+    }
+
+    #[test]
+    #[should_panic(expected = "set() on string cell")]
+    fn strings_are_immutable() {
+        let mut heap = Heap::new(64);
+        let s = heap.alloc_string("immutable").unwrap();
+        heap.set(s, 0, u64::MAX);
     }
 
     #[test]

@@ -493,13 +493,7 @@ impl Vm {
                     RInstr::StrEq => {
                         let b = pop!().as_ref_opt();
                         let a = pop!().as_ref_opt();
-                        let eq = match (a, b) {
-                            (None, None) => true,
-                            (Some(x), Some(y)) => {
-                                x == y || self.heap.read_string(x) == self.heap.read_string(y)
-                            }
-                            _ => false,
-                        };
+                        let eq = self.str_eq(a, b);
                         t.frames[fi].stack.push(Value::Bool(eq));
                     }
                     RInstr::StrConcat => {
@@ -511,9 +505,7 @@ impl Vm {
                         ) else {
                             trap!(VmError::NullPointer { context: "string concatenation".into() });
                         };
-                        let joined =
-                            format!("{}{}", self.heap.read_string(a), self.heap.read_string(b));
-                        match self.heap.alloc_string(&joined) {
+                        match self.heap.alloc_concat(a, b) {
                             Some(r) => {
                                 let frame = &mut t.frames[fi];
                                 frame.stack.truncate(n - 2);
@@ -1068,14 +1060,7 @@ impl Vm {
                 RInstr::StrEq => {
                     let b = frame.stack.pop().expect("verified").as_ref_opt();
                     let a = frame.stack.pop().expect("verified").as_ref_opt();
-                    let eq = match (a, b) {
-                        (None, None) => true,
-                        (Some(x), Some(y)) => {
-                            x == y || self.heap.read_string(x) == self.heap.read_string(y)
-                        }
-                        _ => false,
-                    };
-                    frame.stack.push(Value::Bool(eq));
+                    frame.stack.push(Value::Bool(self.str_eq(a, b)));
                 }
                 RInstr::GetField { offset, is_ref } => {
                     let n = frame.stack.len();
@@ -1379,6 +1364,18 @@ impl Vm {
         }
     }
 
+    /// Guest `==` on strings, the one definition both dispatch loops use:
+    /// `null` equals only `null`, otherwise the texts are compared in
+    /// place.
+    #[inline]
+    fn str_eq(&self, a: Option<GcRef>, b: Option<GcRef>) -> bool {
+        match (a, b) {
+            (None, None) => true,
+            (Some(x), Some(y)) => x == y || self.heap.str_view(x) == self.heap.str_view(y),
+            _ => false,
+        }
+    }
+
     /// Executes a native call. Arguments are *peeked* (not popped) so
     /// blocking/GC outcomes can retry with an intact stack.
     fn exec_native(&mut self, t: &mut VmThread, fi: usize, native: NativeFn, argc: usize) -> NOut {
@@ -1386,15 +1383,32 @@ impl Vm {
         let n = frame.stack.len();
         let arg = |i: usize| frame.stack[n - argc + i];
 
-        macro_rules! str_arg {
+        // The string cell behind argument `$i`; `str_arg!` borrows its
+        // text from the heap, so a native that allocates works from the
+        // cell refs and re-borrows.
+        macro_rules! str_ref {
             ($i:expr) => {
                 match arg($i).as_ref_opt() {
-                    Some(r) => self.heap.read_string(self.heap.resolve(r)),
+                    Some(r) => self.heap.resolve(r),
                     None => {
                         return NOut::Trap(VmError::NullPointer {
                             context: format!("native {:?}", native),
                         })
                     }
+                }
+            };
+        }
+        macro_rules! str_arg {
+            ($i:expr) => {
+                self.heap.str_view(str_ref!($i))
+            };
+        }
+        // The result of a string allocation as a native outcome.
+        macro_rules! new_str {
+            ($alloc:expr) => {
+                match $alloc {
+                    Some(r) => NOut::Val(Some(Value::Ref(r))),
+                    None => NOut::NeedGc,
                 }
             };
         }
@@ -1405,7 +1419,7 @@ impl Vm {
                 if self.config.echo_output {
                     println!("{s}");
                 }
-                self.output.push(s);
+                self.output.push(s.to_owned());
                 NOut::Val(None)
             }
             NativeFn::SysPrintInt => {
@@ -1488,48 +1502,54 @@ impl Vm {
                 NOut::Val(Some(Value::Int(s.len() as i64)))
             }
             NativeFn::StrSubstr => {
-                let s = str_arg!(0);
-                let from = arg(1).as_int();
+                let s = str_ref!(0);
                 let to = arg(2).as_int();
-                if from < 0 || to < from || to as usize > s.len() {
+                let (Ok(from), Ok(end)) = (usize::try_from(arg(1).as_int()), usize::try_from(to))
+                else {
                     return NOut::Trap(VmError::IndexOutOfBounds {
                         index: to,
-                        len: s.len() as u32,
+                        len: self.heap.len_of(s),
                     });
-                }
-                match self.heap.alloc_string(&s[from as usize..to as usize]) {
-                    Some(r) => NOut::Val(Some(Value::Ref(r))),
-                    None => NOut::NeedGc,
+                };
+                match self.heap.alloc_substr(s, from, end) {
+                    Ok(r) => new_str!(r),
+                    Err(e) => NOut::Trap(e),
                 }
             }
             NativeFn::StrIndexOf => {
-                let s = str_arg!(0);
-                let needle = str_arg!(1);
-                let idx = s.find(&needle).map_or(-1, |i| i as i64);
+                let idx = str_arg!(0).find(str_arg!(1)).map_or(-1, |i| i as i64);
                 NOut::Val(Some(Value::Int(idx)))
             }
             NativeFn::StrSplit => {
-                let s = str_arg!(0);
-                let sep = str_arg!(1);
-                let parts: Vec<&str> =
-                    if sep.is_empty() { vec![s.as_str()] } else { s.split(&sep).collect() };
-                let Some(arr) = self.heap.alloc_array(true, parts.len()) else {
+                let (s, sep) = (str_ref!(0), str_ref!(1));
+                // Two passes, so no piece list lives on the host: count the
+                // pieces, then cut them one by one at re-found separators.
+                let sep_len = self.heap.len_of(sep) as usize;
+                let pieces = match sep_len {
+                    0 => 1,
+                    _ => self.heap.str_view(s).split(self.heap.str_view(sep)).count(),
+                };
+                let Some(arr) = self.heap.alloc_array(true, pieces) else {
                     return NOut::NeedGc;
                 };
-                for (i, p) in parts.iter().enumerate() {
-                    let Some(r) = self.heap.alloc_string(p) else {
-                        return NOut::NeedGc;
-                    };
-                    self.heap.set(arr, i, u64::from(r.0));
+                let mut from = 0;
+                for i in 0..pieces {
+                    let text = self.heap.str_view(s);
+                    let next_sep =
+                        if i + 1 < pieces { text[from..].find(self.heap.str_view(sep)) } else { None };
+                    let to = next_sep.map_or(text.len(), |at| from + at);
+                    match self.heap.alloc_substr(s, from, to) {
+                        Ok(Some(r)) => self.heap.set(arr, i, u64::from(r.0)),
+                        Ok(None) => return NOut::NeedGc,
+                        Err(e) => return NOut::Trap(e),
+                    }
+                    from = to + sep_len;
                 }
                 NOut::Val(Some(Value::Ref(arr)))
             }
             NativeFn::StrFromInt => {
-                let v = arg(0).as_int();
-                match self.heap.alloc_string(&v.to_string()) {
-                    Some(r) => NOut::Val(Some(Value::Ref(r))),
-                    None => NOut::NeedGc,
-                }
+                let mut buf = [0u8; 20];
+                new_str!(self.heap.alloc_string(fmt_int(arg(0).as_int(), &mut buf)))
             }
             NativeFn::StrToInt => {
                 let s = str_arg!(0);
@@ -1546,20 +1566,19 @@ impl Vm {
                 NOut::Val(Some(Value::Int(i64::from(s.as_bytes()[i as usize]))))
             }
             NativeFn::StrContains => {
-                let s = str_arg!(0);
-                let needle = str_arg!(1);
-                NOut::Val(Some(Value::Bool(s.contains(&needle))))
+                NOut::Val(Some(Value::Bool(str_arg!(0).contains(str_arg!(1)))))
             }
             NativeFn::StrStartsWith => {
-                let s = str_arg!(0);
-                let prefix = str_arg!(1);
-                NOut::Val(Some(Value::Bool(s.starts_with(&prefix))))
+                NOut::Val(Some(Value::Bool(str_arg!(0).starts_with(str_arg!(1)))))
             }
             NativeFn::StrTrim => {
-                let s = str_arg!(0);
-                match self.heap.alloc_string(s.trim()) {
-                    Some(r) => NOut::Val(Some(Value::Ref(r))),
-                    None => NOut::NeedGc,
+                let s = str_ref!(0);
+                let text = self.heap.str_view(s);
+                let from = text.len() - text.trim_start().len();
+                let to = from + text[from..].trim_end().len();
+                match self.heap.alloc_substr(s, from, to) {
+                    Ok(r) => new_str!(r),
+                    Err(e) => NOut::Trap(e),
                 }
             }
 
@@ -1599,8 +1618,7 @@ impl Vm {
             }
             NativeFn::NetWrite => {
                 let conn = arg(0).as_int() as usize;
-                let line = str_arg!(1);
-                self.net.guest_write(conn, line);
+                self.net.guest_write(conn, str_arg!(1));
                 NOut::Val(None)
             }
             NativeFn::NetClose => {
@@ -1644,6 +1662,26 @@ impl Vm {
             }
         }
     }
+}
+
+/// Decimal text of `v` written into the tail of `buf` (`i64::MIN` fills
+/// all twenty bytes), so `Str.fromInt` needs no host allocation.
+fn fmt_int(v: i64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 /// Marker so `STRING_CLASS` stays referenced (string cells carry their own

@@ -40,6 +40,24 @@ struct Conn {
     closed_by_client: bool,
 }
 
+impl Conn {
+    /// Both ends closed and the client has taken every reply: nothing can
+    /// be written any more and nobody is left to read.
+    fn finished(&self) -> bool {
+        self.closed_by_guest && self.closed_by_client && self.to_client.is_empty()
+    }
+
+    /// Frees both queues once the connection is finished. The slot itself
+    /// stays (ids are never reused) and keeps answering: reads see EOF,
+    /// writes are ignored.
+    fn release_if_finished(&mut self) {
+        if self.finished() {
+            self.to_guest = VecDeque::new();
+            self.to_client = VecDeque::new();
+        }
+    }
+}
+
 /// The network: listeners, backlogs and connections.
 #[derive(Debug, Default)]
 pub struct Net {
@@ -103,11 +121,12 @@ impl Net {
             .is_some_and(|c| !c.to_guest.is_empty() || c.closed_by_client)
     }
 
-    /// Guest `Net.write`.
-    pub fn guest_write(&mut self, conn: ConnId, line: String) {
+    /// Guest `Net.write`: the line is copied out of the guest heap here,
+    /// at the host boundary.
+    pub fn guest_write(&mut self, conn: ConnId, line: &str) {
         if let Some(c) = self.conns.get_mut(conn) {
             if !c.closed_by_guest {
-                c.to_client.push_back(line);
+                c.to_client.push_back(line.to_owned());
             }
         }
     }
@@ -116,6 +135,7 @@ impl Net {
     pub fn guest_close(&mut self, conn: ConnId) {
         if let Some(c) = self.conns.get_mut(conn) {
             c.closed_by_guest = true;
+            c.release_if_finished();
         }
     }
 
@@ -146,7 +166,10 @@ impl Net {
 
     /// Receives a line from the guest, if one is queued.
     pub fn client_recv(&mut self, conn: ConnId) -> Option<String> {
-        self.conns.get_mut(conn)?.to_client.pop_front()
+        let c = self.conns.get_mut(conn)?;
+        let line = c.to_client.pop_front();
+        c.release_if_finished();
+        line
     }
 
     /// Whether the guest has closed its end (and output is drained).
@@ -160,12 +183,19 @@ impl Net {
     pub fn client_close(&mut self, conn: ConnId) {
         if let Some(c) = self.conns.get_mut(conn) {
             c.closed_by_client = true;
+            c.release_if_finished();
         }
     }
 
     /// Total connections ever created (diagnostics).
     pub fn connection_count(&self) -> usize {
         self.conns.len()
+    }
+
+    /// Connections not yet finished — an end still open, or a reply the
+    /// client has not taken (diagnostics; walks every slot).
+    pub fn open_connections(&self) -> usize {
+        self.conns.iter().filter(|c| !c.finished()).count()
     }
 }
 
@@ -187,7 +217,7 @@ mod tests {
         assert_eq!(net.guest_read(g), GuestRead::Line("GET /".to_string()));
         assert_eq!(net.guest_read(g), GuestRead::WouldBlock, "no data: guest must block");
 
-        net.guest_write(g, "200 OK".to_string());
+        net.guest_write(g, "200 OK");
         assert_eq!(net.client_recv(c), Some("200 OK".to_string()));
         assert_eq!(net.client_recv(c), None);
     }
@@ -209,11 +239,54 @@ mod tests {
         assert_eq!(net.guest_read(c), GuestRead::Line("last".to_string()));
         assert_eq!(net.guest_read(c), GuestRead::Eof);
 
-        net.guest_write(c, "ignored?".to_string());
+        net.guest_write(c, "ignored?");
         net.guest_close(c);
         assert!(!net.client_at_eof(c), "pending output first");
         net.client_recv(c);
         assert!(net.client_at_eof(c));
+    }
+
+    #[test]
+    fn finished_connections_hold_no_queue_memory() {
+        let mut net = Net::new();
+        let l = net.listen(7);
+        for cycle in 0..100_000 {
+            let c = net.client_connect(7).unwrap();
+            let g = net.try_accept(l).unwrap();
+            net.client_send(c, "GET /");
+            // Alternate who closes first, and leave a line unread on odd
+            // cycles: a finished connection drops that too.
+            if cycle % 2 == 0 {
+                assert_eq!(net.guest_read(g), GuestRead::Line("GET /".to_string()));
+            }
+            net.guest_write(g, "200 OK");
+            // `open_connections` walks every slot: watch the first cycles
+            // step by step, the rest through the total below.
+            let watched = cycle < 1_000;
+            if cycle % 4 < 2 {
+                net.guest_close(g);
+                assert!(!watched || net.open_connections() == 1, "reply not taken yet");
+                assert_eq!(net.client_recv(c).as_deref(), Some("200 OK"));
+                net.client_close(c);
+            } else {
+                assert_eq!(net.client_recv(c).as_deref(), Some("200 OK"));
+                net.client_close(c);
+                assert!(!watched || net.open_connections() == 1, "guest end still open");
+                net.guest_close(g);
+            }
+            assert!(!watched || net.open_connections() == 0);
+        }
+        assert_eq!(net.open_connections(), 0);
+        assert_eq!(net.connection_count(), 100_000);
+        let queued: usize =
+            net.conns.iter().map(|c| c.to_guest.capacity() + c.to_client.capacity()).sum();
+        assert_eq!(queued, 0, "every finished connection freed both queues");
+        // Old ids keep answering as a closed, drained connection does.
+        assert!(net.client_at_eof(0));
+        assert_eq!(net.guest_read(1), GuestRead::Eof);
+        assert_eq!(net.client_recv(1), None);
+        net.guest_write(1, "late");
+        assert_eq!(net.client_recv(1), None);
     }
 
     #[test]

@@ -778,7 +778,7 @@ impl Vm {
                 }
                 HeapKind::Str => {
                     h = mix(h, 4);
-                    for b in self.heap.read_string(r).into_bytes() {
+                    for b in self.heap.str_view(r).bytes() {
                         h = mix(h, u64::from(b));
                     }
                     h = mix(h, 5);

@@ -335,3 +335,47 @@ fn osr_migrate_rejects_opt_frames_and_bad_pcs() {
     assert!(vm.run_to_completion(100_000));
     assert_eq!(vm.output(), ["5"], "the frame now runs `other`");
 }
+
+#[test]
+fn substr_inside_a_character_traps_the_thread_not_the_vm() {
+    // The line comes off the network, so a remote client chooses the
+    // bytes: cutting `é` after its first byte must trap the handler
+    // thread with a typed error while the server keeps accepting.
+    let mut vm = Vm::new(VmConfig::small());
+    vm.load_source(
+        "class Handler {
+           field conn: int;
+           ctor(c: int) { this.conn = c; }
+           method run(): void {
+             var line: String = Net.readLine(this.conn);
+             Net.write(this.conn, Str.substr(line, 0, 1));
+             Net.close(this.conn);
+           }
+         }
+         class Main {
+           static method main(): void {
+             var l: int = Net.listen(7100);
+             while (true) { Sys.spawn(new Handler(Net.accept(l))); }
+           }
+         }",
+    )
+    .unwrap();
+    let server = vm.spawn("Main", "main").unwrap();
+    vm.run_slices(10);
+    let serve = |vm: &mut Vm, line: &str| {
+        let conn = vm.net_mut().client_connect(7100).expect("listening");
+        vm.net_mut().client_send(conn, line);
+        vm.run_slices(50);
+        vm.net_mut().client_recv(conn)
+    };
+
+    assert_eq!(serve(&mut vm, "é"), None, "no reply: the handler died");
+    let trapped: Vec<&ThreadState> =
+        vm.threads().map(|t| &t.state).filter(|s| matches!(s, ThreadState::Trapped(_))).collect();
+    assert_eq!(trapped, [&ThreadState::Trapped(VmError::NotCharBoundary { index: 1 })]);
+
+    assert_eq!(serve(&mut vm, "abc").as_deref(), Some("a"), "other threads keep serving");
+    assert_eq!(serve(&mut vm, "éa").as_deref(), None);
+    assert_eq!(serve(&mut vm, "x").as_deref(), Some("x"));
+    assert!(vm.thread(server).unwrap().is_live(), "the accept loop is still running");
+}

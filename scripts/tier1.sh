@@ -86,19 +86,32 @@ cargo run --release -q -p jvolve-fuzz --bin fuzz_run -- --seed 1 --iters 250
 echo "== tier-1: fuzz regression-corpus replay =="
 cargo run --release -q -p jvolve-fuzz --bin fuzz_run -- --replay crates/fuzz/corpus
 
+# The serving path's host-allocation budget: webserver 5.1.6 and kvstore
+# 1.20 serve 10 000 requests each under a counting global allocator, and
+# the allocations made inside Vm::step_slice are pinned (two per request:
+# the reply and its queue slot). The timing-free guard for guest strings
+# being read in place; part of the workspace run above, named here so a
+# string op that goes back to copying through the host fails under its
+# own heading.
+echo "== tier-1: host-allocation budget of the serving path (<= 4 per request) =="
+cargo test -q --test alloc_budget
+
 # The stand-alone benchmark package (benchmark/, its own manifest and
 # target directory) names jvolve::Update / UpdateController / Vm items in
 # benchmark/src/layers.rs but is not a workspace member, so nothing above
-# builds it. Build it and run one workload for a second: exit 0 with
-# "correct":true means it still builds against this tree and every reply
-# verified. Not a timing gate, so --skip-bench does not skip it.
-echo "== tier-1: benchmark package builds and runs (kv_stream_eager, 1 s smoke) =="
-bench_smoke=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-    --workload kv_stream_eager --seed 1 --seconds 1 --trace 0)
-case "$bench_smoke" in
-    *'"correct":true'*) echo "benchmark smoke ok" ;;
-    *) echo "benchmark smoke did not report \"correct\":true: $bench_smoke" >&2; exit 1 ;;
-esac
+# builds it. Build it and run the steady-state serving workload and the
+# release-stream workload for a second each: exit 0 with "correct":true
+# means it still builds against this tree and every reply verified. Not
+# a timing gate, so --skip-bench does not skip it.
+for workload in web_steady kv_stream_eager; do
+    echo "== tier-1: benchmark package builds and runs ($workload, 1 s smoke) =="
+    bench_smoke=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0)
+    case "$bench_smoke" in
+        *'"correct":true'*) echo "benchmark smoke ok" ;;
+        *) echo "benchmark smoke did not report \"correct\":true: $bench_smoke" >&2; exit 1 ;;
+    esac
+done
 
 if [ "$skip_bench" = 0 ]; then
     echo "== tier-1: GC pause regression check =="
