@@ -28,7 +28,7 @@ fn main() {
     let mut gc = Vec::new();
     let mut tf = Vec::new();
     for f in paper_fractions() {
-        let s = measure_pause_with(objects, f, 1, true);
+        let s = measure_pause_with(objects, f, true);
         let planned = measure_pause(objects, f);
         println!(
             "{:>8.0}% {:>12.1} {:>14.1} {:>12.1} {:>14} {:>16.1}",

@@ -5,8 +5,7 @@
 //! 1. **Scaling**: a 4-shard webserver fleet must complete a closed
 //!    request batch at ≥ [`SCALING_MIN`]× the aggregate throughput of a
 //!    single shard. Shards are OS threads, so this gate only runs on
-//!    hosts with at least [`FLEET_GATE_MIN_CPUS`] CPUs (same skip rule
-//!    as `gcbench`'s parallel-GC gate).
+//!    hosts with at least [`FLEET_GATE_MIN_CPUS`] CPUs.
 //! 2. **Roll integrity**: rolling the webserver 5.1.0 → 5.1.1 lazy
 //!    update across a loaded 4-shard fleet must promote every shard,
 //!    drop nothing, serve zero incorrect responses, keep serving *during*

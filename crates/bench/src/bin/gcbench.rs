@@ -2,14 +2,12 @@
 //!
 //! Measures the **update-GC phase** of the §4.1 microbenchmark — the part
 //! the flattened `LayoutSnapshot` hot path optimizes — as median
-//! nanoseconds per live object, at 0%/50%/100% updated fractions, two
-//! heap sizes, and three GC worker counts (the parallel collector's
-//! threads axis), and gates changes against the committed baseline.
-//! Every row is the product default — the generated field-copy
-//! transformer lowered to a copy plan and applied inside the copy — and
-//! the serial configurations are measured a second time with every
-//! transformer interpreted (the paper-faithful path), so the two can be
-//! read side by side.
+//! nanoseconds per live object, at 0%/50%/100% updated fractions and two
+//! heap sizes, and gates changes against the committed baseline. Every
+//! configuration is measured twice: as the product default — the
+//! generated field-copy transformer lowered to a copy plan and applied
+//! inside the copy — and with every transformer interpreted (the
+//! paper-faithful path), so the two can be read side by side.
 //!
 //! Usage:
 //!
@@ -17,24 +15,17 @@
 //!   write `BENCH_gc.json` (override with `--out FILE`; to refresh the
 //!   committed baseline, `--out results/BENCH_gc.json`).
 //! * `cargo run --release -p jvolve-bench --bin gcbench -- --check` —
-//!   quick mode: re-measure and exit nonzero if any serial
-//!   (`gc_threads = 1`) configuration's GC phase regressed more than 15%
-//!   vs `results/BENCH_gc.json` (override with `--baseline FILE`).
+//!   quick mode: re-measure and exit nonzero if any plan-path
+//!   configuration's GC phase regressed more than 15% vs
+//!   `results/BENCH_gc.json` (override with `--baseline FILE`).
 //!   `scripts/tier1.sh` runs this. The gate compares *best-of-N* times,
 //!   not medians — noise only adds time, so min-of-N is the stable
-//!   statistic at microsecond scales. Baseline entries without a
-//!   `gc_threads` field (the v1 schema) are treated as serial.
+//!   statistic at microsecond scales.
 //!
 //!   `--check` also gates the plan path against the interpreted one: at
 //!   the largest configuration, 100% updated, the whole pause per object
 //!   on the plan path must be at most half the interpreted path's in the
 //!   same run (ROADMAP item 2's gate).
-//!
-//!   `--check` also gates the parallel collector itself: at the largest
-//!   configuration, 4 workers must not be more than 15% *slower* than
-//!   serial. That gate only makes sense with real cores behind the
-//!   workers, so it is skipped (with a message) on hosts with fewer than
-//!   4 logical CPUs.
 //!
 //! `--iters N` controls timed iterations per configuration (default 5).
 
@@ -44,24 +35,17 @@ use jvolve_bench::{arg_value, baseline_for_check, enforce_gate_args, gate_iters}
 use jvolve_json::Json;
 
 /// The gated configurations: two heap sizes (the semispace scales with the
-/// object count) × three updated fractions × three GC worker counts.
+/// object count) × three updated fractions × two transformer modes.
 const OBJECT_COUNTS: [usize; 2] = [5_000, 20_000];
 const FRACTIONS: [f64; 3] = [0.0, 0.5, 1.0];
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// The plan path's total pause per object at 100% updated may be at most
 /// this fraction of the interpreted path's.
 const PLAN_TOTAL_LIMIT: f64 = 0.5;
 
-/// Minimum logical CPUs before the parallel-vs-serial gate is enforced.
-/// With fewer cores the workers time-slice one CPU and "parallel beats
-/// serial" is not a meaningful claim.
-const PARALLEL_GATE_MIN_CPUS: usize = 4;
-
 struct Entry {
     objects: usize,
     fraction: f64,
-    gc_threads: usize,
     /// Every transformer interpreted (`true`) or the default plan path.
     interpreted: bool,
     semispace_words: usize,
@@ -76,15 +60,9 @@ struct Entry {
     gc_copied_words: usize,
 }
 
-fn measure_one(
-    objects: usize,
-    fraction: f64,
-    gc_threads: usize,
-    interpreted: bool,
-    iters: usize,
-) -> Entry {
+fn measure_one(objects: usize, fraction: f64, interpreted: bool, iters: usize) -> Entry {
     eprint!(
-        "\rmeasuring {objects} objects, {:>3.0}% updated, {gc_threads} worker(s), {}...",
+        "\rmeasuring {objects} objects, {:>3.0}% updated, {}...",
         fraction * 100.0,
         mode_name(interpreted)
     );
@@ -93,9 +71,9 @@ fn measure_one(
     let mut last: Option<PauseSample> = None;
     // Warmup run, then timed runs; measure_pause_with builds a fresh VM
     // each time, so iterations are independent.
-    measure_pause_with(objects, fraction, gc_threads, interpreted);
+    measure_pause_with(objects, fraction, interpreted);
     for _ in 0..iters {
-        let s = measure_pause_with(objects, fraction, gc_threads, interpreted);
+        let s = measure_pause_with(objects, fraction, interpreted);
         gc_ns.push(s.gc_time.as_nanos() as u64);
         total_ns.push(s.total_time.as_nanos() as u64);
         last = Some(s);
@@ -105,7 +83,6 @@ fn measure_one(
     Entry {
         objects,
         fraction,
-        gc_threads,
         interpreted,
         semispace_words: last.semispace_words,
         gc_ns_per_object: gc.median_ns() as f64 / objects as f64,
@@ -129,10 +106,9 @@ fn measure(iters: usize) -> Vec<Entry> {
     let mut entries = Vec::new();
     for &objects in &OBJECT_COUNTS {
         for &fraction in &FRACTIONS {
-            for &gc_threads in &THREAD_COUNTS {
-                entries.push(measure_one(objects, fraction, gc_threads, false, iters));
+            for interpreted in [false, true] {
+                entries.push(measure_one(objects, fraction, interpreted, iters));
             }
-            entries.push(measure_one(objects, fraction, 1, true, iters));
         }
     }
     eprintln!();
@@ -141,7 +117,7 @@ fn measure(iters: usize) -> Vec<Entry> {
 
 fn to_json(entries: &[Entry], iters: usize) -> Json {
     Json::obj([
-        ("schema", Json::from("jvolve-gcbench-v3")),
+        ("schema", Json::from("jvolve-gcbench-v4")),
         ("iters", Json::from(iters)),
         (
             "entries",
@@ -152,7 +128,6 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
                         Json::obj([
                             ("objects", Json::from(e.objects)),
                             ("fraction", Json::from(e.fraction)),
-                            ("gc_threads", Json::from(e.gc_threads)),
                             ("transformers", Json::from(mode_name(e.interpreted))),
                             ("semispace_words", Json::from(e.semispace_words)),
                             ("gc_ns_per_object", Json::from(e.gc_ns_per_object)),
@@ -169,23 +144,15 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
     ])
 }
 
-/// Best-of-`iters` GC phase time for one configuration, in ns/object.
-/// Used by `--check` to re-measure a configuration that tripped the gate:
-/// a real regression survives the retry, scheduler noise does not.
-fn gc_min_ns(objects: usize, fraction: f64, gc_threads: usize, iters: usize) -> f64 {
-    measure_one(objects, fraction, gc_threads, false, iters).gc_min_ns_per_object
-}
-
 fn baseline_gc_ns(baseline: &Json, objects: usize, fraction: f64) -> Option<f64> {
     baseline.get("entries")?.as_arr()?.iter().find_map(|e| {
         let obj = e.get("objects")?.as_u64()? as usize;
         let frac = e.get("fraction")?.as_f64()?;
-        // v1 baselines predate the threads axis: no gc_threads field means
-        // the serial collector. v1/v2 baselines predate the transformer
-        // axis; their rows stand in for the plan path.
-        let threads = e.get("gc_threads").and_then(Json::as_u64).unwrap_or(1) as usize;
+        // v1/v2 baselines predate the transformer axis; their rows stand
+        // in for the plan path. (v3 rows also carry a collector worker
+        // count, 1 on every row of the committed baseline; it is not read.)
         let plan = e.get("transformers").and_then(Json::as_str).unwrap_or("plan") == "plan";
-        (obj == objects && threads == 1 && plan && (frac - fraction).abs() < 1e-9)
+        (obj == objects && plan && (frac - fraction).abs() < 1e-9)
             .then(|| e.get("gc_min_ns_per_object")?.as_f64())
             .flatten()
     })
@@ -193,16 +160,15 @@ fn baseline_gc_ns(baseline: &Json, objects: usize, fraction: f64) -> Option<f64>
 
 fn print_table(entries: &[Entry]) {
     println!(
-        "{:>9} {:>9} {:>8} {:>12} {:>10} {:>16} {:>18} {:>14}",
-        "objects", "updated%", "workers", "transformers", "heap(MB)", "gc ns/object",
-        "total ns/object", "copied cells"
+        "{:>9} {:>9} {:>12} {:>10} {:>16} {:>18} {:>14}",
+        "objects", "updated%", "transformers", "heap(MB)", "gc ns/object", "total ns/object",
+        "copied cells"
     );
     for e in entries {
         println!(
-            "{:>9} {:>8.0}% {:>8} {:>12} {:>10.1} {:>16.1} {:>18.1} {:>14}",
+            "{:>9} {:>8.0}% {:>12} {:>10.1} {:>16.1} {:>18.1} {:>14}",
             e.objects,
             e.fraction * 100.0,
-            e.gc_threads,
             mode_name(e.interpreted),
             (e.semispace_words * 2 * 8) as f64 / (1024.0 * 1024.0),
             e.gc_ns_per_object,
@@ -212,12 +178,12 @@ fn print_table(entries: &[Entry]) {
     }
 }
 
-/// The serial-vs-baseline regression gate, `gc_threads = 1` entries only.
-/// Returns human-readable descriptions of configurations beyond the limit.
-fn check_serial(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<String> {
+/// The plan-path-vs-baseline regression gate. Returns human-readable
+/// descriptions of configurations beyond the limit.
+fn check_baseline(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<String> {
     let mut regressions = Vec::new();
     println!("\nregression check vs {path} (limit +{:.0}%):", REGRESSION_LIMIT * 100.0);
-    for e in entries.iter().filter(|e| e.gc_threads == 1 && !e.interpreted) {
+    for e in entries.iter().filter(|e| !e.interpreted) {
         let Some(base) = baseline_gc_ns(baseline, e.objects, e.fraction) else {
             println!(
                 "  {:>7} objects {:>3.0}%: no baseline entry — skipped",
@@ -227,9 +193,10 @@ fn check_serial(entries: &[Entry], baseline: &Json, path: &str, iters: usize) ->
             continue;
         };
         // A tripped gate re-measures with 3x iterations before declaring
-        // a regression.
+        // a regression: a real one survives the retry, scheduler noise
+        // does not.
         let g = gate_best_of(e.gc_min_ns_per_object, base, || {
-            gc_min_ns(e.objects, e.fraction, 1, iters * 3)
+            measure_one(e.objects, e.fraction, false, iters * 3).gc_min_ns_per_object
         });
         println!(
             "  {:>7} objects {:>3.0}%: {:>9} -> {:>9} per object ({:>+6.1}%) {}",
@@ -253,55 +220,6 @@ fn check_serial(entries: &[Entry], baseline: &Json, path: &str, iters: usize) ->
     regressions
 }
 
-/// The parallel-vs-serial gate: at the largest configuration, 4 workers
-/// must not be more than `REGRESSION_LIMIT` slower than serial in the
-/// same run. Skipped on hosts without enough CPUs to run the workers in
-/// parallel at all.
-fn check_parallel(entries: &[Entry], iters: usize) -> Vec<String> {
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if cpus < PARALLEL_GATE_MIN_CPUS {
-        println!(
-            "\nparallel-vs-serial gate skipped: host has {cpus} logical CPU(s), \
-             need >= {PARALLEL_GATE_MIN_CPUS}"
-        );
-        return Vec::new();
-    }
-    let objects = *OBJECT_COUNTS.last().expect("object counts");
-    let fraction = *FRACTIONS.last().expect("fractions");
-    let pick = |threads: usize| {
-        entries
-            .iter()
-            .find(|e| {
-                e.objects == objects
-                    && e.fraction == fraction
-                    && e.gc_threads == threads
-                    && !e.interpreted
-            })
-            .map(|e| e.gc_min_ns_per_object)
-    };
-    let (Some(serial), Some(parallel)) = (pick(1), pick(4)) else {
-        return Vec::new();
-    };
-    // Retry before declaring the parallel collector slow.
-    let g = gate_best_of(parallel, serial, || gc_min_ns(objects, fraction, 4, iters * 3));
-    println!(
-        "\nparallel-vs-serial gate ({objects} objects, {:.0}% updated): \
-         serial {} -> 4 workers {} per object ({:+.1}%)",
-        fraction * 100.0,
-        fmt_ns(serial as u64),
-        fmt_ns(g.current as u64),
-        g.delta * 100.0,
-    );
-    if g.regressed() {
-        vec![format!(
-            "4 workers slower than serial at {objects} objects: {serial:.1} -> {:.1} ns/object",
-            g.current
-        )]
-    } else {
-        Vec::new()
-    }
-}
-
 /// The plan-vs-interpreted gate: at the largest configuration with every
 /// object updated, the plan path's best-of-N total pause must be at most
 /// `PLAN_TOTAL_LIMIT` of the interpreted path's, measured in the same
@@ -311,18 +229,13 @@ fn check_plan(entries: &[Entry], iters: usize) -> Vec<String> {
     let pick = |interpreted: bool| {
         entries
             .iter()
-            .find(|e| {
-                e.objects == objects
-                    && e.fraction == 1.0
-                    && e.gc_threads == 1
-                    && e.interpreted == interpreted
-            })
+            .find(|e| e.objects == objects && e.fraction == 1.0 && e.interpreted == interpreted)
             .map(|e| e.total_min_ns_per_object)
-            .expect("serial 100% rows are always measured")
+            .expect("100% rows are always measured")
     };
     let (mut plan, mut interpreted) = (pick(false), pick(true));
     if plan > PLAN_TOTAL_LIMIT * interpreted {
-        let again = |mode| measure_one(objects, 1.0, 1, mode, iters * 3).total_min_ns_per_object;
+        let again = |mode| measure_one(objects, 1.0, mode, iters * 3).total_min_ns_per_object;
         plan = plan.min(again(false));
         interpreted = interpreted.min(again(true));
     }
@@ -354,9 +267,8 @@ fn main() {
     print_table(&entries);
 
     if let Some((path, baseline)) = baseline {
-        let mut regressions = check_serial(&entries, &baseline, &path, iters);
+        let mut regressions = check_baseline(&entries, &baseline, &path, iters);
         regressions.extend(check_plan(&entries, iters));
-        regressions.extend(check_parallel(&entries, iters));
         if !regressions.is_empty() {
             eprintln!("\nGC pause regression(s) beyond {:.0}%:", REGRESSION_LIMIT * 100.0);
             for r in &regressions {

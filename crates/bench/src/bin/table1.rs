@@ -44,7 +44,7 @@ fn main() {
             let mut row = Vec::new();
             for &f in &fractions {
                 eprint!("\rmeasuring {n} objects, {:>3.0}% updated, {mode}...", f * 100.0);
-                row.push(measure_pause_with(n, f, 1, interpret));
+                row.push(measure_pause_with(n, f, interpret));
             }
             rows.push(row);
             eprintln!();

@@ -129,7 +129,7 @@ pub struct UpdateRun {
 
 /// Runs one configuration end to end: build `objects` live objects (a
 /// `fraction` of them `Change`), apply the v1→v2 update in the requested
-/// mode on the serial collector, then time the steady-state spin loop.
+/// mode, then time the steady-state spin loop.
 /// `interpret` runs the generated transformer as a compiled method (the
 /// paper-faithful path) where the default lowers it to a copy plan.
 ///
@@ -150,7 +150,6 @@ pub fn measure_update(
     let semispace_words = (objects * 14 * 3).max(64 * 1024);
     let mut vm = Vm::new(VmConfig {
         semispace_words,
-        gc_threads: 1,
         lazy_migration: lazy,
         ..VmConfig::default()
     });

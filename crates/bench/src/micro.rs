@@ -68,26 +68,23 @@ pub struct PauseSample {
 }
 
 /// Runs one microbenchmark configuration: `objects` live objects, a
-/// `fraction` of which are instances of the updated class, on the serial
-/// (single-worker) collector — the paper's configuration, and the one
-/// `fig6` reports — with the product defaults, i.e. the generated
-/// field-copy transformer lowered to a copy plan.
+/// `fraction` of which are instances of the updated class, with the
+/// product defaults, i.e. the generated field-copy transformer lowered to
+/// a copy plan.
 ///
 /// # Panics
 ///
 /// Panics on fixture errors (the microbenchmark classes always compile
 /// and the update always applies).
 pub fn measure_pause(objects: usize, fraction: f64) -> PauseSample {
-    measure_pause_with(objects, fraction, 1, false)
+    measure_pause_with(objects, fraction, false)
 }
 
-/// [`measure_pause`] with an explicit GC worker count (`gcbench`'s
-/// threads axis) and transformer mode: `interpret_all_transformers` runs
-/// the transformer as a compiled method in one interpreter frame per
-/// object, as the paper does (`table1`'s faithful row). Any worker count
-/// yields the same transformed counts, copied cells/words, and
-/// post-update heap, and both modes the same transformed count and heap
-/// — only the timings and the GC work move.
+/// [`measure_pause`] with an explicit transformer mode:
+/// `interpret_all_transformers` runs the transformer as a compiled method
+/// in one interpreter frame per object, as the paper does (`table1`'s
+/// faithful row). Both modes yield the same transformed count and
+/// post-update heap — only the timings and the GC work move.
 ///
 /// # Panics
 ///
@@ -95,7 +92,6 @@ pub fn measure_pause(objects: usize, fraction: f64) -> PauseSample {
 pub fn measure_pause_with(
     objects: usize,
     fraction: f64,
-    gc_threads: usize,
     interpret_all_transformers: bool,
 ) -> PauseSample {
     // Size the heap generously (the paper uses 5x the minimum): live data
@@ -103,7 +99,7 @@ pub fn measure_pause_with(
     // old copy (7 words) and a new object (8 words) per updated object.
     let per_object = 8 + 1;
     let semispace_words = (objects * per_object * 3).max(64 * 1024);
-    let mut vm = Vm::new(VmConfig { semispace_words, gc_threads, ..VmConfig::default() });
+    let mut vm = Vm::new(VmConfig { semispace_words, ..VmConfig::default() });
 
     let old = jvolve_lang::compile(MICRO_V1).expect("micro v1 compiles");
     let new = jvolve_lang::compile(MICRO_V2).expect("micro v2 compiles");
@@ -208,7 +204,7 @@ mod tests {
 
     #[test]
     fn interpreting_the_transformer_duplicates_instead_of_planning() {
-        let s = measure_pause_with(1_000, 0.3, 1, true);
+        let s = measure_pause_with(1_000, 0.3, true);
         assert_eq!((s.transformed, s.planned), (300, 0));
         // 1000 live objects + 300 duplicates (old copy + new object each
         // replaces the single normal copy).
@@ -226,15 +222,6 @@ mod tests {
     fn full_fraction_transforms_everything() {
         let s = measure_pause(500, 1.0);
         assert_eq!(s.transformed, 500);
-    }
-
-    #[test]
-    fn threads_axis_changes_only_timings() {
-        let serial = measure_pause_with(2_000, 0.5, 1, false);
-        let par = measure_pause_with(2_000, 0.5, 4, false);
-        assert_eq!((par.transformed, par.planned), (serial.transformed, serial.planned));
-        assert_eq!(par.gc_copied_cells, serial.gc_copied_cells);
-        assert_eq!(par.gc_copied_words, serial.gc_copied_words);
     }
 
     #[test]

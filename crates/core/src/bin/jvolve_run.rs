@@ -3,7 +3,7 @@
 //! command).
 //!
 //! ```text
-//! jvolve_run <v1.mj> --main Class.method [--slices N] [--gc-threads N|auto]
+//! jvolve_run <v1.mj> --main Class.method [--slices N]
 //!            [--no-inline-caches] [--no-jit | --jit-threshold N]
 //!            [--update <v2.mj> --after N [--prefix vN_] [--transformers t.mj]
 //!             [--lazy] [--lazy-batch N] [--trace results/update_trace.json]]
@@ -15,8 +15,7 @@
 //! discovers stale objects, they transform on first touch or by scavenger
 //! batch, and a final incremental collapse rewrites forwarded references
 //! — all interleaved with the running program. `--lazy-batch` scales the
-//! per-step budgets. `--gc-threads auto` picks the collector's worker
-//! count per collection from the live-heap size.
+//! per-step budgets.
 //!
 //! When an update is applied, the controller's structured event stream
 //! (phase transitions, safe-point polls, install counts, GC outcome) is
@@ -36,9 +35,9 @@ use std::process::ExitCode;
 use jvolve::{
     ApplyOptions, JsonTraceSink, StepProgress, Update, UpdateController, UpdateError, UpdatePhase,
 };
-use jvolve_vm::{Vm, VmConfig, GC_THREADS_AUTO};
+use jvolve_vm::{Vm, VmConfig};
 
-const USAGE: &str = "usage: jvolve_run <v1.mj> --main Class.method [--slices N] [--gc-threads N|auto] \
+const USAGE: &str = "usage: jvolve_run <v1.mj> --main Class.method [--slices N] \
      [--no-inline-caches] [--no-jit | --jit-threshold N] \
      [(--update <v2.mj> [--prefix vN_] [--transformers t.mj] | --update-bundle dir/) \
       --after N [--lazy] [--lazy-batch N] [--trace out.json]]";
@@ -51,7 +50,6 @@ struct Cli {
     slices: usize,
     after: usize,
     prefix: String,
-    gc_threads: usize,
     inline_caches: bool,
     jit: bool,
     jit_threshold: Option<u32>,
@@ -65,12 +63,11 @@ struct Cli {
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut program: Option<String> = None;
-    let mut values: [(&str, Option<String>); 11] = [
+    let mut values: [(&str, Option<String>); 10] = [
         ("--main", None),
         ("--slices", None),
         ("--after", None),
         ("--prefix", None),
-        ("--gc-threads", None),
         ("--jit-threshold", None),
         ("--lazy-batch", None),
         ("--update", None),
@@ -141,7 +138,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let slices = take("--slices");
     let after = take("--after");
     let prefix = take("--prefix");
-    let gc_threads = take("--gc-threads");
     let jit_threshold = take("--jit-threshold");
     let lazy_batch = take("--lazy-batch");
     let update = take("--update");
@@ -188,14 +184,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         slices: parse_num("--slices", slices)?.unwrap_or(100_000),
         after: parse_num("--after", after)?.unwrap_or(0),
         prefix: prefix.unwrap_or_else(|| "v1_".to_string()),
-        gc_threads: match gc_threads.as_deref() {
-            // `auto` defers the worker count to each collection: serial
-            // for small live heaps, the default fan-out for large ones.
-            Some("auto") => GC_THREADS_AUTO,
-            _ => parse_num("--gc-threads", gc_threads)?
-                .unwrap_or_else(VmConfig::default_gc_threads)
-                .max(1),
-        },
         inline_caches,
         jit,
         jit_threshold: parse_num("--jit-threshold", jit_threshold)?
@@ -241,7 +229,6 @@ fn main() -> ExitCode {
     let default_config = VmConfig::default();
     let mut vm = Vm::new(VmConfig {
         echo_output: true,
-        gc_threads: cli.gc_threads,
         enable_inline_caches: cli.inline_caches,
         enable_jit: cli.jit,
         jit_threshold: cli.jit_threshold.unwrap_or(default_config.jit_threshold),

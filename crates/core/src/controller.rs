@@ -519,10 +519,6 @@ pub struct ControllerCounters {
     /// Times the restricted set was built. Must stay 1 no matter how many
     /// polls run: the set is hoisted into the waiting state.
     pub restricted_builds: u64,
-    /// OS workers the update GC ran on (`VmConfig::gc_threads` after
-    /// clamping; 1 = serial path). Instrumentation only — the event
-    /// stream and `UpdateStats` are identical for any worker count.
-    pub gc_workers: u64,
     /// Times this controller compiled the transformer source: 0 when the
     /// update arrived with its class files (UPT, bundle load, or another
     /// controller over the same `Update` got there first), 1 when a
@@ -1397,7 +1393,6 @@ impl<'u> UpdateController<'u> {
         let t_gc = Instant::now();
         let gc_out = vm.collect_for_update(inputs.remap, inputs.transformers)?;
         self.stats.gc_time = t_gc.elapsed();
-        self.counters.gc_workers = gc_out.workers as u64;
         self.emit(UpdateEvent::GcCompleted {
             copied_cells: gc_out.copied_cells,
             copied_words: gc_out.copied_words,

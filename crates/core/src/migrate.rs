@@ -17,9 +17,7 @@
 //! by the developer when enabling [`migrate_active_methods`].
 //!
 //! Migration runs during install, before the update GC, and only touches
-//! stack frames — so it is independent of `VmConfig::gc_threads`; the
-//! parallel collector sees the already-migrated frames as roots exactly
-//! as the serial one does.
+//! stack frames; the collector sees the already-migrated frames as roots.
 //!
 //! [`migrate_active_methods`]: crate::ApplyOptions::migrate_active_methods
 

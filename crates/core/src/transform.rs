@@ -17,11 +17,10 @@
 //! DESIGN.md). Developers may customize the generated source before the
 //! update is applied, exactly as in the paper's workflow (Figure 1).
 //!
-//! Object transformers run serially over the update GC's log, which both
-//! the serial and parallel collectors emit in one canonical order (sorted
-//! by the old object's from-space address — see DESIGN.md §5 "Parallel
-//! update-GC"). Transformers with order-dependent effects on shared
-//! state therefore behave identically for any `VmConfig::gc_threads`.
+//! Object transformers run over the update GC's log in its order: sorted
+//! by the old object's from-space address. A transformer with
+//! order-dependent effects on shared state therefore sees the same order
+//! on every run of the same program.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;

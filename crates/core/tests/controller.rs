@@ -551,7 +551,7 @@ class Main {
 /// Boots [`SHAPE_V1`], applies `update` and returns the controller's
 /// counters; the live `Shape` must read `want` afterwards.
 fn apply_counted(update: &Update, lazy: bool, want: i64) -> ControllerCounters {
-    let mut vm = Vm::new(VmConfig { lazy_migration: lazy, gc_threads: 1, ..VmConfig::small() });
+    let mut vm = Vm::new(VmConfig { lazy_migration: lazy, ..VmConfig::small() });
     vm.load_classes(&compile(SHAPE_V1)).expect("v1 loads");
     vm.call_static_sync("Main", "setup", &[]).expect("setup runs");
     let mut controller = UpdateController::new(update, ApplyOptions::default());

@@ -30,12 +30,7 @@ fn updated_items(opts: &ApplyOptions) -> (Vm, usize) {
     );
     let old = jvolve_lang::compile(old_src).unwrap();
     let new = jvolve_lang::compile(&new_src).unwrap();
-    // One GC worker: parallel workers pad `used_words` with chunk-tail fillers.
-    let config = VmConfig {
-        semispace_words: 256 * 1024,
-        gc_threads: 1,
-        ..VmConfig::default()
-    };
+    let config = VmConfig { semispace_words: 256 * 1024, ..VmConfig::default() };
     let mut vm = Vm::new(config);
     vm.load_classes(&old).unwrap();
     vm.spawn("M", "main").unwrap();

@@ -119,7 +119,7 @@ fn compiled(pair: &Pair) -> &'static (Vec<ClassFile>, Vec<ClassFile>) {
 fn boot(pair: &Pair, lazy: bool) -> (Vm, Update) {
     let (v1, v2) = compiled(pair);
     let mut vm =
-        Vm::new(VmConfig { lazy_migration: lazy, gc_threads: 1, ..VmConfig::small() });
+        Vm::new(VmConfig { lazy_migration: lazy, ..VmConfig::small() });
     vm.load_classes(v1).expect("v1 loads");
     vm.load_source(BYSTANDER).expect("bystander loads");
     vm.call_static_sync("Main", "setup", &[]).expect("setup runs");

@@ -196,7 +196,7 @@ struct StreamVm {
 fn boot(lazy: bool, source: &str) -> StreamVm {
     let classes = jvolve_lang::compile(source).expect("generated source compiles");
     let mut vm =
-        Vm::new(VmConfig { lazy_migration: lazy, gc_threads: 1, ..VmConfig::small() });
+        Vm::new(VmConfig { lazy_migration: lazy, ..VmConfig::small() });
     vm.load_classes(&classes).expect("release 0 loads");
     vm.load_source(BYSTANDER).expect("bystander loads");
     vm.call_static_sync("Main", "setup", &[]).expect("setup runs");

@@ -146,7 +146,7 @@ fn probe(vm: &mut Vm) -> i64 {
 
 fn boot(lazy: bool, source: &str) -> Vm {
     let classes = jvolve_lang::compile(source).expect("generated source compiles");
-    let mut vm = Vm::new(VmConfig { lazy_migration: lazy, gc_threads: 1, ..VmConfig::small() });
+    let mut vm = Vm::new(VmConfig { lazy_migration: lazy, ..VmConfig::small() });
     vm.load_classes(&classes).expect("release 0 loads");
     vm.call_static_sync("Main", "setup", &[]).expect("setup runs");
     vm

@@ -11,11 +11,10 @@
 //! the order-sensitive trace the *user* transformers leave (a planned
 //! class runs no code, so it has nothing to order). Covered: all 42
 //! consecutive release pairs of the four guest apps plus the §2.3 List
-//! example, committed eagerly and lazily, on 1, 2 and 4 GC workers —
-//! including emailserver 1.3.2, whose `User` transformer (the paper's
-//! Figure 3) has a loop, a `new` and calls and so must keep interpreting
-//! — and a fixture where an interpreted transformer reads through
-//! planned neighbours.
+//! example, committed eagerly and lazily — including emailserver 1.3.2,
+//! whose `User` transformer (the paper's Figure 3) has a loop, a `new`
+//! and calls and so must keep interpreting — and a fixture where an
+//! interpreted transformer reads through planned neighbours.
 
 mod common;
 
@@ -25,8 +24,6 @@ use jvolve_apps::harness::{
 };
 use jvolve_apps::{Emailserver, Ftpserver, GuestApp, Kvstore, Webserver};
 use jvolve_vm::{Value, Vm, VmConfig};
-
-const GC_THREADS: [usize; 3] = [1, 2, 4];
 
 /// Figure 3's `User` transformer, instrumented: every run folds the
 /// user's name into a rolling hash held in a static of the transformer
@@ -116,41 +113,35 @@ fn plans_match_interpreted_transformers_on_every_guest_app_pair() {
             let update = common::upt_prepare_with(app, from, &figure3);
             let figure3_pair = app.name() == "emailserver" && versions[from + 1].label == "1.3.2";
             for lazy_migration in [false, true] {
-                for gc_threads in GC_THREADS {
-                    let label = format!(
-                        "{} update to {} ({}, {gc_threads} GC workers)",
-                        app.name(),
-                        versions[from + 1].label,
-                        if lazy_migration { "lazy" } else { "eager" },
-                    );
-                    let config = VmConfig {
-                        lazy_migration,
-                        gc_threads,
-                        ..app_vm_config()
-                    };
-                    let (plan, plan_stats) = run_app(app, from, &update, config.clone(), false);
-                    let (interp, interp_stats) = run_app(app, from, &update, config, true);
-                    assert_eq!(plan, interp, "{label}: plan and interpreted runs diverge");
+                let label = format!(
+                    "{} update to {} ({})",
+                    app.name(),
+                    versions[from + 1].label,
+                    if lazy_migration { "lazy" } else { "eager" },
+                );
+                let config = VmConfig { lazy_migration, ..app_vm_config() };
+                let (plan, plan_stats) = run_app(app, from, &update, config.clone(), false);
+                let (interp, interp_stats) = run_app(app, from, &update, config, true);
+                assert_eq!(plan, interp, "{label}: plan and interpreted runs diverge");
 
-                    let (Some(plan_stats), Some(interp_stats)) = (plan_stats, interp_stats) else {
-                        continue; // an always-on-stack release: both runs timed out alike
-                    };
-                    assert_eq!(interp_stats.objects_planned, 0, "{label}");
-                    if figure3_pair {
-                        // The Users interpret in both modes.
-                        assert_ne!(plan.trace, 0, "{label}: Figure 3 transformer left no trace");
-                        let users = plan_stats.objects_transformed - plan_stats.objects_planned;
-                        assert!(users > 0, "{label}: User must not be planned");
-                        interpreted_users += users;
-                    } else {
-                        // Every other transformer is a generated default.
-                        assert_eq!(
-                            plan_stats.objects_planned, plan_stats.objects_transformed,
-                            "{label}: a generated default transformer was not planned"
-                        );
-                    }
-                    planned_objects += plan_stats.objects_planned;
+                let (Some(plan_stats), Some(interp_stats)) = (plan_stats, interp_stats) else {
+                    continue; // an always-on-stack release: both runs timed out alike
+                };
+                assert_eq!(interp_stats.objects_planned, 0, "{label}");
+                if figure3_pair {
+                    // The Users interpret in both modes.
+                    assert_ne!(plan.trace, 0, "{label}: Figure 3 transformer left no trace");
+                    let users = plan_stats.objects_transformed - plan_stats.objects_planned;
+                    assert!(users > 0, "{label}: User must not be planned");
+                    interpreted_users += users;
+                } else {
+                    // Every other transformer is a generated default.
+                    assert_eq!(
+                        plan_stats.objects_planned, plan_stats.objects_transformed,
+                        "{label}: a generated default transformer was not planned"
+                    );
                 }
+                planned_objects += plan_stats.objects_planned;
             }
         }
     }
@@ -197,32 +188,23 @@ fn run_list(config: VmConfig, interpret: bool) -> (Observed, UpdateStats, Vec<St
 #[test]
 fn plans_match_interpreted_transformers_on_the_list_example() {
     for lazy_migration in [false, true] {
-        for gc_threads in GC_THREADS {
-            let config = VmConfig {
-                lazy_migration,
-                gc_threads,
-                ..VmConfig::small()
-            };
-            let (plan, plan_stats, plan_out) = run_list(config.clone(), false);
-            let (interp, interp_stats, interp_out) = run_list(config, true);
-            assert_eq!(
-                plan, interp,
-                "lazy={lazy_migration}, {gc_threads} GC workers"
-            );
-            assert_eq!(plan_out, interp_out);
-            assert_eq!(plan_out, ["0", "3"], "three live nodes gained x = 0");
-            assert_eq!(
-                (plan_stats.objects_transformed, plan_stats.objects_planned),
-                (3, 3)
-            );
-            assert_eq!(
-                (
-                    interp_stats.objects_transformed,
-                    interp_stats.objects_planned
-                ),
-                (3, 0)
-            );
-        }
+        let config = VmConfig { lazy_migration, ..VmConfig::small() };
+        let (plan, plan_stats, plan_out) = run_list(config.clone(), false);
+        let (interp, interp_stats, interp_out) = run_list(config, true);
+        assert_eq!(plan, interp, "lazy={lazy_migration}");
+        assert_eq!(plan_out, interp_out);
+        assert_eq!(plan_out, ["0", "3"], "three live nodes gained x = 0");
+        assert_eq!(
+            (plan_stats.objects_transformed, plan_stats.objects_planned),
+            (3, 3)
+        );
+        assert_eq!(
+            (
+                interp_stats.objects_transformed,
+                interp_stats.objects_planned
+            ),
+            (3, 0)
+        );
     }
 }
 
@@ -337,23 +319,17 @@ fn run_mixed(config: VmConfig, interpret: bool) -> (Observed, UpdateStats, i64) 
 #[test]
 fn an_interpreted_transformer_sees_planned_neighbours_as_if_force_transformed() {
     for lazy_migration in [false, true] {
-        for gc_threads in GC_THREADS {
-            let label = format!("lazy={lazy_migration}, {gc_threads} GC workers");
-            let config = VmConfig {
-                lazy_migration,
-                gc_threads,
-                ..VmConfig::small()
-            };
-            let (plan, plan_stats, plan_sum) = run_mixed(config.clone(), false);
-            let (interp, interp_stats, interp_sum) = run_mixed(config, true);
-            assert_eq!(plan, interp, "{label}");
-            assert_eq!(plan_sum, interp_sum, "{label}");
-            assert_ne!(plan.trace, 1, "{label}: the Owner transformer ran");
-            // 60 owners interpret; their 60 tags and the 30 accounts they
-            // share plan.
-            assert_eq!(plan_stats.objects_transformed, 60 + 60 + 30, "{label}");
-            assert_eq!(plan_stats.objects_planned, 60 + 30, "{label}");
-            assert_eq!(interp_stats.objects_planned, 0, "{label}");
-        }
+        let label = format!("lazy={lazy_migration}");
+        let config = VmConfig { lazy_migration, ..VmConfig::small() };
+        let (plan, plan_stats, plan_sum) = run_mixed(config.clone(), false);
+        let (interp, interp_stats, interp_sum) = run_mixed(config, true);
+        assert_eq!(plan, interp, "{label}");
+        assert_eq!(plan_sum, interp_sum, "{label}");
+        assert_ne!(plan.trace, 1, "{label}: the Owner transformer ran");
+        // 60 owners interpret; their 60 tags and the 30 accounts they
+        // share plan.
+        assert_eq!(plan_stats.objects_transformed, 60 + 60 + 30, "{label}");
+        assert_eq!(plan_stats.objects_planned, 60 + 30, "{label}");
+        assert_eq!(interp_stats.objects_planned, 0, "{label}");
     }
 }

@@ -1,19 +1,5 @@
 //! VM configuration.
 
-/// Sentinel for [`VmConfig::gc_threads`]: pick the worker count per
-/// collection from the live-heap size (see
-/// [`VmConfig::resolve_gc_workers`]).
-pub const GC_THREADS_AUTO: usize = 0;
-
-/// Live-heap size (in words) below which an adaptive collection runs
-/// serially. BENCH_gc shows parallel copying *losing* to the serial path
-/// up through ~300k copied words (51 vs 21 ns/object at 5k objects;
-/// still behind at 20k objects / 140k words copied) — per-worker chunk
-/// carving and the claim protocol dominate until there is real copy work
-/// to amortize them. 1 Mi words (8 MiB live) leaves margin above the
-/// measured crossover region.
-pub const PARALLEL_GC_MIN_WORDS: usize = 1 << 20;
-
 /// Tuning knobs for a [`Vm`](crate::Vm).
 #[derive(Clone, Debug)]
 pub struct VmConfig {
@@ -75,17 +61,10 @@ pub struct VmConfig {
     /// Combined invocation + loop-trip count after which a method is
     /// promoted to the template-JIT tier.
     pub jit_threshold: u32,
-    /// OS worker threads for the copying collector (clamped to
-    /// `1..=`[`MAX_GC_THREADS`](crate::heap::MAX_GC_THREADS)). `1` runs
-    /// the serial path; any setting produces bit-identical post-GC state
-    /// (same graph, same canonical update-log order, same stats) — only
-    /// wall-clock time and to-space placement differ. The sentinel
-    /// [`GC_THREADS_AUTO`] (`0`, `--gc-threads auto` on the CLI) defers
-    /// the choice to collection time: serial below
-    /// [`PARALLEL_GC_MIN_WORDS`] live words, [`default_gc_threads`]
-    /// workers above it.
-    ///
-    /// [`default_gc_threads`]: VmConfig::default_gc_threads
+    /// Read by nothing: the collector is serial (DESIGN §5). The field
+    /// survives only because `benchmark/src/layers.rs`, frozen outside
+    /// benchmark PRs, names it in a `VmConfig` literal; ROADMAP item 0
+    /// (the benchmark-correction PR) deletes it.
     pub gc_threads: usize,
 }
 
@@ -93,34 +72,6 @@ impl VmConfig {
     /// A small heap suitable for unit tests (1 MiB semispaces).
     pub fn small() -> Self {
         VmConfig { semispace_words: 128 * 1024, ..VmConfig::default() }
-    }
-
-    /// Default GC parallelism: one worker per available core, capped at
-    /// [`MAX_GC_THREADS`](crate::heap::MAX_GC_THREADS).
-    pub fn default_gc_threads() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(crate::heap::MAX_GC_THREADS))
-            .unwrap_or(1)
-    }
-
-    /// Worker count for a collection of `live_words` live heap words:
-    /// the explicit `gc_threads` setting, or — under [`GC_THREADS_AUTO`]
-    /// — serial below the [`PARALLEL_GC_MIN_WORDS`] crossover and
-    /// [`VmConfig::default_gc_threads`] at or above it. Worker choice
-    /// never affects post-GC state (the parallel collector is
-    /// bit-identical to serial), so adapting per collection is purely a
-    /// wall-clock decision.
-    pub fn resolve_gc_workers(&self, live_words: usize) -> usize {
-        match self.gc_threads {
-            GC_THREADS_AUTO => {
-                if live_words < PARALLEL_GC_MIN_WORDS {
-                    1
-                } else {
-                    VmConfig::default_gc_threads()
-                }
-            }
-            n => n,
-        }
     }
 }
 
@@ -141,7 +92,7 @@ impl Default for VmConfig {
             enable_inline_caches: true,
             enable_jit: true,
             jit_threshold: 400,
-            gc_threads: VmConfig::default_gc_threads(),
+            gc_threads: 1,
         }
     }
 }
@@ -161,28 +112,5 @@ mod tests {
         assert!(c.enable_inline_caches);
         assert!(c.enable_jit);
         assert!(c.jit_threshold > 0);
-    }
-
-    #[test]
-    fn gc_threads_default_is_in_clamp_range() {
-        let c = VmConfig::default();
-        assert!((1..=crate::heap::MAX_GC_THREADS).contains(&c.gc_threads));
-    }
-
-    #[test]
-    fn auto_gc_threads_crosses_over_on_live_heap_size() {
-        let auto = VmConfig { gc_threads: GC_THREADS_AUTO, ..VmConfig::default() };
-        // Below the crossover the measured parallel overhead dominates:
-        // auto must run serial.
-        assert_eq!(auto.resolve_gc_workers(0), 1);
-        assert_eq!(auto.resolve_gc_workers(PARALLEL_GC_MIN_WORDS - 1), 1);
-        // At and above it, auto fans out to the default worker count.
-        assert_eq!(auto.resolve_gc_workers(PARALLEL_GC_MIN_WORDS), VmConfig::default_gc_threads());
-        assert_eq!(auto.resolve_gc_workers(usize::MAX), VmConfig::default_gc_threads());
-
-        // An explicit setting is an override, not a hint.
-        let fixed = VmConfig { gc_threads: 3, ..VmConfig::default() };
-        assert_eq!(fixed.resolve_gc_workers(0), 3);
-        assert_eq!(fixed.resolve_gc_workers(usize::MAX), 3);
     }
 }

@@ -18,8 +18,7 @@
 //! safe without enumerating threads.
 //!
 //! Cache state lives on the [`VmThread`](crate::thread::VmThread), keyed
-//! by (method, call-site id), so [`CompiledMethod`] stays shareable and
-//! the parallel-GC oracle never sees it.
+//! by (method, call-site id), so [`CompiledMethod`] stays shareable.
 
 use std::sync::Arc;
 

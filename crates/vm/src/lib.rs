@@ -48,7 +48,7 @@ pub mod thread;
 pub mod value;
 mod vm;
 
-pub use config::{VmConfig, GC_THREADS_AUTO, PARALLEL_GC_MIN_WORDS};
+pub use config::VmConfig;
 pub use error::VmError;
 pub use ids::{ClassId, MethodId, ThreadId};
 pub use lazy::{

@@ -641,8 +641,7 @@ impl Vm {
 
         let snapshot = self.registry.layout_snapshot();
         let table = if table.is_empty() { None } else { Some(table) };
-        let workers = self.config.resolve_gc_workers(self.heap.used_words());
-        let outcome = self.heap.collect_parallel(&roots, &snapshot, table, workers)?;
+        let outcome = self.heap.collect(&roots, &snapshot, table)?;
         self.stats.gcs += 1;
 
         // Rewrite every root location through the forwarding pointers.
@@ -694,8 +693,7 @@ impl Vm {
     /// bytes — with reference fields contributing the *visit index* of
     /// their target rather than its address. Two heaps holding isomorphic
     /// object graphs therefore hash equal even when cell placement
-    /// differs, which is exactly what distinguishes a parallel collection
-    /// (different placement, same graph) from a corrupted one.
+    /// differs — an eager and a lazy commit of the same update, say.
     ///
     /// # Panics
     ///

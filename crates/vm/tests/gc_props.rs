@@ -11,11 +11,8 @@
 //! * collection is deterministic: two identical heaps collected with the
 //!   same snapshot and remap table produce identical update logs, in the
 //!   same order, and identical copy counts;
-//! * the parallel collector is observationally identical to the serial
-//!   one for every worker count 1–8: same reachable-graph signature (so
-//!   no cell was copied twice — a double copy would break sharing — and
-//!   every live edge was remapped to the single surviving copy), same
-//!   fold of the copy counters, and the same canonical update-log order.
+//! * a collection leaves the active semispace parsable cell by cell:
+//!   exactly the copied cells, ending exactly at the allocation cursor.
 
 use std::collections::BTreeMap;
 
@@ -162,61 +159,6 @@ fn build_graph(heap: &mut Heap, seed: u64) -> Graph {
     let mut roots: Vec<GcRef> =
         (0..rng.range(1, 6)).map(|_| nodes[rng.below(n)]).collect();
     roots.dedup();
-    Graph { nodes, roots }
-}
-
-/// Like [`build_graph`] but sized and wired to make parallel workers
-/// collide: hundreds of nodes, a handful of "hub" cells that half of all
-/// edges target (shared subgraphs — every worker races to claim them),
-/// long ref arrays whose elements span the whole allocation range
-/// (cross-shard edges), and enough roots that all 8 workers get a shard.
-fn build_contended_graph(heap: &mut Heap, seed: u64) -> Graph {
-    let mut rng = Rng::new(seed ^ 0xC0FF_EE00_C0FF_EE00);
-    let n = rng.range(600, 1000);
-    let mut nodes: Vec<GcRef> = Vec::with_capacity(n);
-    for i in 0..n {
-        let node = match rng.below(5) {
-            0 | 1 => {
-                let r = heap.alloc_object(ClassId(0), 3).expect("fits");
-                heap.set(r, 0, rng.next_u64() | 1);
-                r
-            }
-            2 => {
-                let r = heap.alloc_object(ClassId(1), 2).expect("fits");
-                heap.set(r, 1, rng.next_u64() | 1);
-                r
-            }
-            3 => heap.alloc_array(true, rng.range(1, 32)).expect("fits"),
-            _ => heap.alloc_string(&format!("cell-{i}")).expect("fits"),
-        };
-        nodes.push(node);
-        if rng.below(7) == 0 {
-            heap.alloc_object(ClassId(1), 2).expect("fits"); // garbage
-        }
-    }
-
-    let hubs: Vec<GcRef> = (0..4).map(|_| nodes[rng.below(n)]).collect();
-    for i in 0..n {
-        let node = nodes[i];
-        let slots: Vec<usize> = match heap.kind(node) {
-            HeapKind::Object if heap.class_of(node) == ClassId(0) => vec![1, 2],
-            HeapKind::Object => vec![0],
-            HeapKind::RefArray => (0..heap.len_of(node) as usize).collect(),
-            _ => vec![],
-        };
-        for slot in slots {
-            let target = if rng.below(2) == 0 {
-                hubs[rng.below(hubs.len())] // contended shared target
-            } else {
-                nodes[rng.below(n)] // cross-shard edge (cycles included)
-            };
-            heap.set(node, slot, u64::from(target.0));
-        }
-    }
-
-    // One root per prospective worker shard plus extras: strided sharding
-    // gives every worker real work, maximizing claim races.
-    let roots: Vec<GcRef> = (0..16).map(|_| nodes[rng.below(n)]).collect();
     Graph { nodes, roots }
 }
 
@@ -397,45 +339,6 @@ fn identical_collections_are_deterministic() {
     }
 }
 
-/// Parallel ordinary collections are observationally identical to serial
-/// ones for every worker count: the reachable-graph signature is
-/// preserved (every live edge remapped; sharing intact, so no cell can
-/// have been copied twice) and the folded copy counters equal the serial
-/// collector's exact totals.
-#[test]
-fn parallel_collection_matches_serial_for_all_worker_counts() {
-    let snap = snapshot();
-    for seed in 0..6 {
-        let (serial_out, expected) = {
-            let mut heap = Heap::new(64 * 1024);
-            let g = build_contended_graph(&mut heap, seed);
-            let before = signature(&heap, &g.roots);
-            let out = heap.collect(&g.roots, &snap, None).expect("serial collect");
-            let new_roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
-            assert_eq!(before, signature(&heap, &new_roots), "seed {seed}: serial baseline");
-            (out, before)
-        };
-        for workers in 1..=8 {
-            let mut heap = Heap::new(64 * 1024);
-            let g = build_contended_graph(&mut heap, seed);
-            let out = heap
-                .collect_parallel(&g.roots, &snap, None, workers)
-                .expect("parallel collect");
-            assert_eq!(
-                out.copied_cells, serial_out.copied_cells,
-                "seed {seed}, {workers} workers: a claim race double-copied a cell"
-            );
-            assert_eq!(out.copied_words, serial_out.copied_words, "seed {seed}, {workers} workers");
-            let new_roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
-            assert_eq!(
-                expected,
-                signature(&heap, &new_roots),
-                "seed {seed}, {workers} workers: reachable graph shape changed"
-            );
-        }
-    }
-}
-
 /// Forwards a random subset of the graph's class-0 objects to fresh
 /// duplicates (payload and edges copied raw), the way lazy first-touch
 /// migration does. Returns the forwarded originals.
@@ -595,77 +498,23 @@ fn batched_sweep_collapses_every_forward_like_one_pass() {
     }
 }
 
-/// Parallel update collections produce the same canonical update log as
-/// serial ones — same length, same per-entry original object (identified
-/// by the odd payload planted at build time), same old/new classes — and
-/// the post-collection graph signature matches for every worker count.
-#[test]
-fn parallel_update_log_is_canonical_for_all_worker_counts() {
-    let snap = snapshot();
-    let table = RemapTable::from_policy(&Remap09, 10);
-    // The old-copy payloads, in log order, identify the original objects
-    // regardless of where the collector placed the copies.
-    let log_payloads = |heap: &Heap, out: &jvolve_vm::heap::GcOutcome| -> Vec<u64> {
-        out.update_log
-            .iter()
-            .map(|&(old, new)| {
-                assert_eq!(heap.class_of(old), ClassId(0));
-                assert_eq!(heap.class_of(new), ClassId(9));
-                heap.get(old, 0)
-            })
-            .collect()
-    };
-    for seed in 0..6 {
-        let (serial_log, expected_after) = {
-            let mut heap = Heap::new(64 * 1024);
-            let g = build_contended_graph(&mut heap, seed);
-            let out = heap.collect(&g.roots, &snap, Some(&table)).expect("serial collect");
-            let new_roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
-            (log_payloads(&heap, &out), signature(&heap, &new_roots))
-        };
-        assert!(!serial_log.is_empty(), "seed {seed}: graph must contain remapped objects");
-        for workers in 1..=8 {
-            let mut heap = Heap::new(64 * 1024);
-            let g = build_contended_graph(&mut heap, seed);
-            let out = heap
-                .collect_parallel(&g.roots, &snap, Some(&table), workers)
-                .expect("parallel collect");
-            assert_eq!(
-                log_payloads(&heap, &out),
-                serial_log,
-                "seed {seed}, {workers} workers: canonical log order diverged"
-            );
-            let new_roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
-            assert_eq!(
-                expected_after,
-                signature(&heap, &new_roots),
-                "seed {seed}, {workers} workers: post-update graph diverged"
-            );
-        }
-    }
-}
-
-/// ROADMAP item 0(a) regression: a parallel collection must leave the
-/// new active semispace parsable cell by cell. Workers abandon the tail
-/// of every bump chunk they cannot fill; those words still hold whatever
-/// the previous collection left there (forwarding pointers included), and
-/// the next linear walk — a lazy epoch's SATB scan or collapse sweep —
-/// used to parse them as cells and panic in `Heap::walk_size`. Each
-/// abandoned tail is now one primitive-array filler cell.
+/// A collection into a to-space full of stale cells (forwarding pointers
+/// included) leaves the active semispace parsable cell by cell: the linear
+/// walks of a lazy epoch — the SATB scan, the collapse sweep — step over
+/// exactly the cells the collection copied and stop exactly at
+/// `alloc_cursor()`.
 ///
-/// The first, serial collection flips the spaces so the parallel one
-/// copies into a to-space full of stale cells. Whatever the thread
-/// schedule, every worker that allocates abandons a tail, so the walk
-/// fails on an unfixed collector for every worker count.
+/// The first collection flips the spaces, so the second one copies back
+/// over the original graph and the first one's forwarding words.
 #[test]
-fn parallel_collection_leaves_to_space_parsable_cell_by_cell() {
+fn collection_into_stale_to_space_leaves_it_parsable_cell_by_cell() {
     let snap = snapshot();
-    for workers in [2, 3, 4, 7] {
+    for seed in 0..48 {
         let mut heap = Heap::new(64 * 1024);
-        let g = build_contended_graph(&mut heap, 7);
-        heap.collect(&g.roots, &snap, None).expect("serial collect");
+        let g = build_graph(&mut heap, seed);
+        heap.collect(&g.roots, &snap, None).expect("first collect");
         let roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
-        let out = heap.collect_parallel(&roots, &snap, None, workers).expect("parallel collect");
+        let out = heap.collect(&roots, &snap, None).expect("second collect");
         let roots: Vec<GcRef> = roots.iter().map(|&r| heap.resolve(r)).collect();
 
         let live_objects = signature(&heap, &roots)
@@ -681,15 +530,8 @@ fn parallel_collection_leaves_to_space_parsable_cell_by_cell() {
             &snap,
             |_, _| walked_objects += 1,
         );
-        assert_eq!(end, heap.alloc_cursor(), "{workers} workers: walk overran the cursor");
-        assert_eq!(
-            walked_objects, live_objects,
-            "{workers} workers: the walk parsed stale chunk-tail words as objects"
-        );
-        assert!(
-            cells >= out.copied_cells && cells <= out.copied_cells + heap.used_words() / 64 + workers,
-            "{workers} workers: {cells} cells walked, {} copied — fillers are one per chunk",
-            out.copied_cells
-        );
+        assert_eq!(end, heap.alloc_cursor(), "seed {seed}: walk overran the cursor");
+        assert_eq!(walked_objects, live_objects, "seed {seed}: the walk parsed stale words");
+        assert_eq!(cells, out.copied_cells, "seed {seed}: one walked cell per copied cell");
     }
 }

@@ -27,46 +27,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1: cargo test (workspace) =="
 cargo test -q --workspace
 
-# Runs one integration-test target N times over. The differential oracles
-# take ~0.2 s each and race OS threads (the parallel collector), so a
-# single green run says little: a chunk-tail bug in the parallel collector
-# once failed lazy_differential on about half of all runs on a 2-CPU host
-# and still landed.
-repeat_test() {
-    local n="$1"
-    shift
-    for i in $(seq 1 "$n"); do
-        cargo test -q "$@" >/dev/null 2>&1 || {
-            echo "run $i of $n failed: cargo test -q $*" >&2
-            cargo test -q "$@"
-            exit 1
-        }
-    done
-    echo "$n of $n runs passed: cargo test -q $*"
-}
-
-# The parallel update-GC differential oracle: serial vs gc_threads in
-# {2, 4, 7} must produce bit-identical heaps, logs, and stats. The same
-# target holds the inline-cache oracle (caches on vs off observationally
-# identical across a full update and a rolled-back one) and the
-# template-JIT oracle (jit on vs off identical — fingerprints, transformer
-# traces, retired steps, slice counts — across eager, lazy, and
-# rolled-back updates). Part of the workspace run above, but named and
-# repeated so a gate failure here is unambiguous in CI logs.
-echo "== tier-1: differential oracles x20 (parallel update-GC 2/4/7, inline caches, template JIT) =="
-repeat_test 20 --test differential
+# The differential oracles: an update is deterministic down to heap
+# addresses (two identically booted VMs, same update, same cells at the
+# same addresses, same logs and stats); inline caches on vs off are
+# observationally identical across a full update and a rolled-back one;
+# and the template JIT on vs off likewise (fingerprints, transformer
+# traces, retired steps, slice counts) across eager, lazy, and
+# rolled-back updates. Part of the workspace run above, but named so a
+# gate failure here is unambiguous in CI logs.
+echo "== tier-1: differential oracles (update determinism, inline caches, template JIT) =="
+cargo test -q --test differential
 
 # The lazy-migration differential oracle: a lazily committed update must
 # be observationally identical to the eager one under arbitrary
 # interleavings of guest execution, scavenger steps, and full GCs.
-echo "== tier-1: lazy-migration differential oracle x20 (eager vs lazy, interleaved) =="
-repeat_test 20 --test lazy_differential
+echo "== tier-1: lazy-migration differential oracle (eager vs lazy, interleaved) =="
+cargo test -q --test lazy_differential
 
 # The plan ≡ interpreted oracle: lowering pure field-copy transformers to
 # native copy plans must change nothing observable — outcome, heap and
 # registry fingerprints, objects transformed, user-transformer order —
 # over all 42 guest-app release pairs and the List example, eager and
-# lazy, on 1/2/4 GC workers; plus the plan builder's property tests.
+# lazy; plus the plan builder's property tests.
 echo "== tier-1: plan == interpreted transformer oracle (42 release pairs, eager + lazy) =="
 cargo test -q -p jvolve-upt --test plan_oracle
 cargo test -q --test plan_props

@@ -15,7 +15,7 @@ use std::cell::Cell;
 
 use jvolve_apps::harness::{app_vm_config, boot_with};
 use jvolve_apps::{GuestApp, Kvstore, Webserver};
-use jvolve_vm::{Vm, VmConfig};
+use jvolve_vm::Vm;
 use testkit::Rng;
 
 thread_local! {
@@ -105,11 +105,10 @@ fn serve(
     ALLOCS.with(Cell::get) - before
 }
 
-/// Boots the release of `app` labelled `label`. The collector runs on the
-/// calling thread, so the count does not depend on the host's core count.
+/// Boots the release of `app` labelled `label`.
 fn boot_release(app: &dyn GuestApp, label: &str) -> Vm {
     let index = app.versions().iter().position(|v| v.label == label).expect("known release");
-    boot_with(app, index, VmConfig { gc_threads: 1, ..app_vm_config() })
+    boot_with(app, index, app_vm_config())
 }
 
 const WARM_UP: usize = 20_000;

@@ -2,11 +2,12 @@
 //!
 //! * The optimizing tier (inlining) must compute exactly what the
 //!   baseline tier computes, on randomly generated guest programs.
-//! * The parallel update-GC must be observationally identical to the
-//!   serial collector: same post-update heap fingerprint, registry
-//!   fingerprint, transformer execution order (= canonical update-log
-//!   order), event stream, and `UpdateStats` (minus wall-clock fields)
-//!   for every `gc_threads` setting.
+//! * An update is deterministic: two VMs booted alike and given the same
+//!   update agree address for address — same cells at the same heap
+//!   addresses, registry fingerprint, transformer execution order
+//!   (= update-log order; allocation order while nothing has been
+//!   collected), event stream, and `UpdateStats` (minus wall-clock
+//!   fields).
 //! * The template-JIT tier (superinstruction fusion) must be
 //!   observationally invisible: jit-on and jit-off runs agree on every
 //!   non-profiling observable — including step and slice counts, since
@@ -20,7 +21,7 @@ use std::fmt::Write as _;
 use testkit::Rng;
 
 use jvolve_repro::dsu::{ApplyOptions, MemorySink, Update, UpdateController, UpdateEvent};
-use jvolve_repro::vm::{MethodId, Value, Vm, VmConfig};
+use jvolve_repro::vm::{ClassId, GcRef, MethodId, Value, Vm, VmConfig};
 
 /// A tiny expression language over two variables and helper calls,
 /// rendered to MJ. Helpers are small enough to be inlined, so evaluating
@@ -140,12 +141,14 @@ fn opt_tier_matches_base_tier_and_host() {
     }
 }
 
-// ---- parallel vs serial update-GC oracle -------------------------------
+// ---- update determinism -------------------------------------------------
 
 /// v1 workload: a ring of `Node`s densely cross-linked through `peer`
 /// (every node is shared by several others) plus the backing array, all
-/// reachable from statics. `App.trace` accumulates an order-sensitive
-/// hash the object transformers feed.
+/// reachable from statics — the array and three nodes of the ring, so a
+/// collection starts from several roots into one shared graph.
+/// `App.trace` accumulates an order-sensitive hash the object
+/// transformers feed.
 const GC_ORACLE_V1: &str = "
 class Node {
   field id: int;
@@ -155,6 +158,9 @@ class Node {
 }
 class App {
   static field nodes: Node[];
+  static field a: Node;
+  static field b: Node;
+  static field c: Node;
   static field trace: int;
   static method build(n: int): void {
     var arr: Node[] = new Node[n];
@@ -167,6 +173,9 @@ class App {
       i = i + 1;
     }
     App.nodes = arr;
+    App.a = arr[n / 4];
+    App.b = arr[n / 2];
+    App.c = arr[(3 * n) / 4];
     App.trace = 1;
   }
   static method checksum(): int {
@@ -192,6 +201,9 @@ class Node {
 }
 class App {
   static field nodes: Node[];
+  static field a: Node;
+  static field b: Node;
+  static field c: Node;
   static field trace: int;
   static method build(n: int): void {
     var arr: Node[] = new Node[n];
@@ -204,6 +216,9 @@ class App {
       i = i + 1;
     }
     App.nodes = arr;
+    App.a = arr[n / 4];
+    App.b = arr[n / 2];
+    App.c = arr[(3 * n) / 4];
     App.trace = 1;
   }
   static method checksum(): int {
@@ -219,8 +234,8 @@ class App {
 }";
 
 /// Order-sensitive transformer: `App.trace` becomes a rolling hash of the
-/// transformer *execution order* — any divergence from the serial
-/// collector's canonical update-log order changes it.
+/// transformer *execution order* — any divergence from the update log's
+/// from-space-address order changes it.
 const GC_ORACLE_TRANSFORMERS: &str = "
 class JvolveTransformers {
   static method jvolve_class_Node(): void { }
@@ -261,12 +276,15 @@ fn registry_fingerprint(vm: &Vm) -> String {
     out
 }
 
-/// Everything the oracle compares across `gc_threads` settings. No
-/// wall-clock: `UpdateStats` Duration fields and `PhaseExited` events
-/// (which carry elapsed time) are excluded; everything else must be
-/// bit-identical.
+/// Everything two runs of the same update must agree on. No wall-clock:
+/// `UpdateStats` Duration fields and `PhaseExited` events (which carry
+/// elapsed time) are excluded; everything else must be bit-identical,
+/// heap addresses included.
 #[derive(Debug, PartialEq, Eq)]
 struct OracleOutcome {
+    used_words: usize,
+    /// Every object in the active semispace, in address order.
+    objects: Vec<(GcRef, ClassId)>,
     heap_fingerprint: u64,
     registry_fingerprint: String,
     /// Rolling hash of transformer execution order (= update-log order).
@@ -276,8 +294,8 @@ struct OracleOutcome {
     events: Vec<String>,
 }
 
-fn run_gc_oracle(gc_threads: usize, nodes: i64) -> OracleOutcome {
-    let mut vm = Vm::new(VmConfig { gc_threads, ..VmConfig::small() });
+fn run_gc_oracle(nodes: i64) -> OracleOutcome {
+    let mut vm = Vm::new(VmConfig::default());
     let old = jvolve_repro::lang::compile(GC_ORACLE_V1).expect("v1 compiles");
     let new = jvolve_repro::lang::compile(GC_ORACLE_V2).expect("v2 compiles");
     vm.load_classes(&old).expect("v1 loads");
@@ -300,7 +318,12 @@ fn run_gc_oracle(gc_threads: usize, nodes: i64) -> OracleOutcome {
         .expect("checksum runs")
         .expect("returns")
         .as_int();
+    let snapshot = vm.registry_mut().layout_snapshot();
+    let mut objects = Vec::new();
+    vm.heap().for_each_object(&snapshot, |r, class| objects.push((r, class)));
     OracleOutcome {
+        used_words: vm.heap().used_words(),
+        objects,
         heap_fingerprint: vm.heap_fingerprint(),
         registry_fingerprint: registry_fingerprint(&vm),
         trace,
@@ -332,19 +355,25 @@ fn run_gc_oracle(gc_threads: usize, nodes: i64) -> OracleOutcome {
     }
 }
 
-/// The differential oracle: the same workload + update spec under
-/// `gc_threads = 1` and `{2, 4, 7}` must be bit-identical in every
-/// non-wall-clock observable.
+/// What the oracle transformers leave in `App.trace` after running over
+/// nodes with these ids, in this order.
+fn trace_of(ids: impl Iterator<Item = i64>) -> i64 {
+    ids.fold(1, |t, id| t.wrapping_mul(31).wrapping_add(id + 1))
+}
+
+/// The determinism gate: the same workload + update under
+/// `VmConfig::default()`, twice, must agree in every non-wall-clock
+/// observable down to heap addresses, and the transformers must have run
+/// in update-log order — allocation order here, where nothing is
+/// collected before the update.
 #[test]
-fn parallel_update_gc_is_bit_identical_to_serial() {
+fn same_update_twice_agrees_address_for_address() {
     const NODES: i64 = 400;
-    let serial = run_gc_oracle(1, NODES);
-    assert_eq!(serial.stats.7, NODES as usize, "every node transformed");
-    assert!(serial.trace != 1, "transformers fed the trace");
-    for gc_threads in [2, 4, 7] {
-        let parallel = run_gc_oracle(gc_threads, NODES);
-        assert_eq!(serial, parallel, "gc_threads={gc_threads} diverged from serial");
-    }
+    let first = run_gc_oracle(NODES);
+    assert_eq!(first.stats.7, NODES as usize, "every node transformed");
+    assert!(first.objects.len() >= NODES as usize, "the heap walk saw the nodes");
+    assert_eq!(first.trace, trace_of(0..NODES), "transformers ran in update-log order");
+    assert_eq!(first, run_gc_oracle(NODES));
 }
 
 // ---- inline-cache on/off oracle ----------------------------------------
@@ -651,8 +680,8 @@ class JvolveTransformers {
 }";
 
 /// Runs the chain update and returns (trace transcript hash, head depth).
-fn run_chain_oracle(gc_threads: usize, nodes: i64) -> (i64, i64) {
-    let mut vm = Vm::new(VmConfig { gc_threads, ..VmConfig::small() });
+fn run_chain_oracle(nodes: i64) -> (i64, i64) {
+    let mut vm = Vm::new(VmConfig::small());
     let old = jvolve_repro::lang::compile(GC_CHAIN_V1).expect("v1 compiles");
     let new = jvolve_repro::lang::compile(GC_CHAIN_V2).expect("v2 compiles");
     vm.load_classes(&old).expect("v1 loads");
@@ -673,17 +702,14 @@ fn run_chain_oracle(gc_threads: usize, nodes: i64) -> (i64, i64) {
     (trace, depth)
 }
 
-/// Recursive \"transform before read\" requests must resolve in the same
-/// order under parallel copy as serial: the completion-order transcript
-/// and the recursively-computed depths must match exactly.
+/// Recursive "transform before read" requests resolve in update-log
+/// order: the chain is allocated tail first, so the completion-order
+/// transcript lists the ids descending, and every depth is computed from
+/// an already-transformed referent.
 #[test]
-fn recursive_transformer_ordering_matches_serial_under_parallel_gc() {
+fn recursive_transformer_ordering_follows_the_update_log() {
     const NODES: i64 = 40;
-    let (serial_trace, serial_depth) = run_chain_oracle(1, NODES);
-    assert_eq!(serial_depth, NODES - 1, "depth propagated from the chain tail");
-    for gc_threads in [2, 4, 7] {
-        let (trace, depth) = run_chain_oracle(gc_threads, NODES);
-        assert_eq!(trace, serial_trace, "gc_threads={gc_threads}: transcript diverged");
-        assert_eq!(depth, serial_depth, "gc_threads={gc_threads}: resolution order diverged");
-    }
+    let (trace, depth) = run_chain_oracle(NODES);
+    assert_eq!(trace, trace_of((0..NODES).rev()), "transcript diverged");
+    assert_eq!(depth, NODES - 1, "depth propagated from the chain tail");
 }

@@ -19,9 +19,10 @@ use jvolve_repro::vm::{Value, Vm, VmConfig, VmError};
 // ---- fixtures ----------------------------------------------------------
 
 /// v1 ring workload: densely cross-linked `Node`s behind statics. Same
-/// shape as the serial-vs-parallel oracle's, but the transformer trace is
-/// *commutative* (a sum, not a rolling hash): lazy mode transforms the
-/// same multiset as eager but in a touch-dependent order.
+/// shape as the determinism gate's in `differential.rs`, but the
+/// transformer trace is *commutative* (a sum, not a rolling hash): lazy
+/// mode transforms the same multiset as eager but in a touch-dependent
+/// order.
 const RING_V1: &str = "
 class Node {
   field id: int;
@@ -286,12 +287,8 @@ struct Fixture {
     build_args: Vec<Value>,
 }
 
-fn make_vm(fixture: &Fixture, lazy: bool, gc_threads: usize) -> (Vm, Update) {
-    let mut vm = Vm::new(VmConfig {
-        lazy_migration: lazy,
-        gc_threads,
-        ..VmConfig::small()
-    });
+fn make_vm(fixture: &Fixture, lazy: bool) -> (Vm, Update) {
+    let mut vm = Vm::new(VmConfig { lazy_migration: lazy, ..VmConfig::small() });
     let old = jvolve_repro::lang::compile(fixture.v1).expect("v1 compiles");
     let new = jvolve_repro::lang::compile(fixture.v2).expect("v2 compiles");
     vm.load_classes(&old).expect("v1 loads");
@@ -342,7 +339,7 @@ fn ring_fixture(nodes: i64) -> Fixture {
 }
 
 fn run_eager(fixture: &Fixture) -> Outcome {
-    let (mut vm, update) = make_vm(fixture, false, 1);
+    let (mut vm, update) = make_vm(fixture, false);
     let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
         .expect("eager update applies");
     assert!(!vm.lazy_epoch_active());
@@ -353,9 +350,9 @@ fn run_eager(fixture: &Fixture) -> Outcome {
 
 /// The core oracle: a controller-driven lazy commit (SATB scan, scavenger
 /// drain, forwarding collapse) is observationally identical to the eager
-/// commit, for every GC parallelism setting, and its event stream tells
-/// the lazy story (epoch begun with the watermark, scan steps discovering
-/// every stale node, scavenge steps, collapse steps, commit).
+/// commit, and its event stream tells the lazy story (epoch begun with the
+/// watermark, scan steps discovering every stale node, scavenge steps,
+/// collapse steps, commit).
 #[test]
 fn lazy_commit_is_observationally_identical_to_eager() {
     const NODES: i64 = 400;
@@ -364,58 +361,56 @@ fn lazy_commit_is_observationally_identical_to_eager() {
     assert_eq!(eager.objects_transformed, NODES as usize);
     assert_eq!(eager.trace, NODES * NODES, "sum of 2i+1 over all ids");
 
-    for gc_threads in [1, 2, 4] {
-        let (mut vm, update) = make_vm(&fixture, true, gc_threads);
-        let mut events = MemorySink::default();
-        let mut controller = UpdateController::new(
-            &update,
-            ApplyOptions { lazy_scavenge_batch: 64, ..ApplyOptions::default() },
-        );
-        controller.attach_sink(&mut events);
-        let stats = controller.run_to_completion(&mut vm).expect("lazy update applies");
-        assert!(!vm.lazy_epoch_active(), "epoch completed");
+    let (mut vm, update) = make_vm(&fixture, true);
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions { lazy_scavenge_batch: 64, ..ApplyOptions::default() },
+    );
+    controller.attach_sink(&mut events);
+    let stats = controller.run_to_completion(&mut vm).expect("lazy update applies");
+    assert!(!vm.lazy_epoch_active(), "epoch completed");
 
-        let lazy = outcome(&mut vm, stats.objects_transformed);
-        assert_eq!(lazy, eager, "gc_threads={gc_threads}: lazy diverged from eager");
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "lazy diverged from eager");
 
-        let begun = events.events.iter().find_map(|e| match e {
-            UpdateEvent::LazyEpochBegun { watermark_words, .. } => Some(*watermark_words),
+    let begun = events.events.iter().find_map(|e| match e {
+        UpdateEvent::LazyEpochBegun { watermark_words, .. } => Some(*watermark_words),
+        _ => None,
+    });
+    assert!(begun.expect("epoch begun") > 0, "watermark snapshots the v1 heap");
+    let found: usize = events
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            UpdateEvent::LazyScanStep { found, .. } => Some(*found),
             _ => None,
-        });
-        assert!(begun.expect("epoch begun") > 0, "watermark snapshots the v1 heap");
-        let found: usize = events
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                UpdateEvent::LazyScanStep { found, .. } => Some(*found),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(found, NODES as usize, "SATB scan discovered every stale node");
-        let scavenged: usize = events
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                UpdateEvent::LazyScavengeStep { transformed, .. } => Some(*transformed),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(scavenged, NODES as usize, "scavenger transformed the whole worklist");
-        assert!(
-            events.events.iter().any(|e| matches!(e, UpdateEvent::LazyCollapseStep { .. })),
-            "forwarding collapse ran"
-        );
-        assert!(
-            events.events.iter().any(|e| matches!(e, UpdateEvent::Committed { .. })),
-            "lazy run committed"
-        );
-        // Lazy-phase wall time is booked; no commit collection runs (the
-        // in-pause heap cost is the O(roots) barrier arm); and the phase
-        // sum stays consistent with the independently-measured total.
-        assert!(stats.lazy_time > std::time::Duration::ZERO);
-        assert_eq!(stats.gc_time, std::time::Duration::ZERO, "lazy mode never runs a commit GC");
-        assert!(stats.phase_sum() <= stats.total_time, "{stats:?}");
-    }
+        })
+        .sum();
+    assert_eq!(found, NODES as usize, "SATB scan discovered every stale node");
+    let scavenged: usize = events
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            UpdateEvent::LazyScavengeStep { transformed, .. } => Some(*transformed),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(scavenged, NODES as usize, "scavenger transformed the whole worklist");
+    assert!(
+        events.events.iter().any(|e| matches!(e, UpdateEvent::LazyCollapseStep { .. })),
+        "forwarding collapse ran"
+    );
+    assert!(
+        events.events.iter().any(|e| matches!(e, UpdateEvent::Committed { .. })),
+        "lazy run committed"
+    );
+    // Lazy-phase wall time is booked; no commit collection runs (the
+    // in-pause heap cost is the O(roots) barrier arm); and the phase
+    // sum stays consistent with the independently-measured total.
+    assert!(stats.lazy_time > std::time::Duration::ZERO);
+    assert_eq!(stats.gc_time, std::time::Duration::ZERO, "lazy mode never runs a commit GC");
+    assert!(stats.phase_sum() <= stats.total_time, "{stats:?}");
 }
 
 /// Objects allocated while the epoch drains land above the SATB
@@ -431,7 +426,7 @@ fn allocation_during_epoch_stays_above_the_watermark() {
     let fixture = ring_fixture(NODES);
 
     // Eager reference: commit first, then allocate.
-    let (mut vm, update) = make_vm(&fixture, false, 1);
+    let (mut vm, update) = make_vm(&fixture, false);
     let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
         .expect("eager update applies");
     for k in 0..EXTRA {
@@ -444,7 +439,7 @@ fn allocation_during_epoch_stays_above_the_watermark() {
     // the epoch drains, finishing any remainder after the commit (the
     // reference allocated all of them post-commit, which is equivalent —
     // both sequences only keep the last extra node live).
-    let (mut vm, update) = make_vm(&fixture, true, 1);
+    let (mut vm, update) = make_vm(&fixture, true);
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(
         &update,
@@ -510,14 +505,14 @@ fn recursive_force_transform_matches_eager_ordering() {
         (trace, depth)
     };
 
-    let (mut vm, update) = make_vm(&fixture, false, 1);
+    let (mut vm, update) = make_vm(&fixture, false);
     let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
         .expect("eager update applies");
     assert_eq!(stats.objects_transformed, NODES as usize);
     let (eager_trace, eager_depth) = read_chain(&mut vm);
     assert_eq!(eager_depth, NODES - 1, "depth propagated from the chain tail");
 
-    let (mut vm, update) = make_vm(&fixture, true, 1);
+    let (mut vm, update) = make_vm(&fixture, true);
     let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
         .expect("lazy update applies");
     assert_eq!(stats.objects_transformed, NODES as usize);
@@ -528,42 +523,39 @@ fn recursive_force_transform_matches_eager_ordering() {
 
 /// Full collections forced mid-epoch — between scavenger batches, with
 /// the worklist half drained and forwarding words live — must not lose
-/// untouched stale objects or corrupt the pending pairs, at every GC
-/// parallelism setting.
+/// untouched stale objects or corrupt the pending pairs.
 #[test]
 fn gc_forced_mid_lazy_epoch_preserves_the_oracle() {
     const NODES: i64 = 300;
     let fixture = ring_fixture(NODES);
     let eager = run_eager(&fixture);
 
-    for gc_threads in [1, 2, 4] {
-        let (mut vm, update) = make_vm(&fixture, true, gc_threads);
-        let mut controller = UpdateController::new(
-            &update,
-            ApplyOptions { lazy_scavenge_batch: 17, ..ApplyOptions::default() },
-        );
-        let mut in_epoch = false;
-        let stats = loop {
-            match controller.step(&mut vm) {
-                StepProgress::Pending(UpdatePhase::LazyMigrating) => {
-                    // A full collection between every scavenge batch:
-                    // copies the half-migrated heap, rewrites the
-                    // worklist tail and pending pairs.
-                    assert!(vm.lazy_epoch_active());
-                    vm.collect_full(&NoRemap).expect("mid-epoch GC succeeds");
-                    in_epoch = true;
-                }
-                StepProgress::Pending(_) => {}
-                StepProgress::Committed => break controller.stats().clone(),
-                StepProgress::Aborted => {
-                    panic!("lazy update aborted: {:?}", controller.error())
-                }
+    let (mut vm, update) = make_vm(&fixture, true);
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions { lazy_scavenge_batch: 17, ..ApplyOptions::default() },
+    );
+    let mut in_epoch = false;
+    let stats = loop {
+        match controller.step(&mut vm) {
+            StepProgress::Pending(UpdatePhase::LazyMigrating) => {
+                // A full collection between every scavenge batch:
+                // copies the half-migrated heap, rewrites the
+                // worklist tail and pending pairs.
+                assert!(vm.lazy_epoch_active());
+                vm.collect_full(&NoRemap).expect("mid-epoch GC succeeds");
+                in_epoch = true;
             }
-        };
-        assert!(in_epoch, "the update actually went through a lazy epoch");
-        let lazy = outcome(&mut vm, stats.objects_transformed);
-        assert_eq!(lazy, eager, "gc_threads={gc_threads}: mid-epoch GCs broke the oracle");
-    }
+            StepProgress::Pending(_) => {}
+            StepProgress::Committed => break controller.stats().clone(),
+            StepProgress::Aborted => {
+                panic!("lazy update aborted: {:?}", controller.error())
+            }
+        }
+    };
+    assert!(in_epoch, "the update actually went through a lazy epoch");
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "mid-epoch GCs broke the oracle");
 }
 
 /// Property test: randomized interleavings of guest execution (touching
@@ -578,7 +570,7 @@ fn random_interleavings_of_guest_scavenger_and_gc_match_eager() {
 
     for seed in 0..12 {
         let mut rng = Rng::new(seed);
-        let (mut vm, update) = make_vm(&fixture, true, 1 + (seed as usize % 3));
+        let (mut vm, update) = make_vm(&fixture, true);
         // A guest thread that keeps reading the whole ring while the
         // epoch drains: every read goes through the barrier.
         vm.spawn("App", "churn").expect("churn spawns");
@@ -629,7 +621,7 @@ fn deep_force_transform_chains_raise_a_typed_depth_error() {
     for lazy in [false, true] {
         // Under the limit: commits, and the head's depth proves the
         // recursion reached the tail.
-        let (mut vm, update) = make_vm(&fixture(100), lazy, 1);
+        let (mut vm, update) = make_vm(&fixture(100), lazy);
         let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
             .unwrap_or_else(|e| panic!("lazy={lazy}: 100-node chain applies: {e}"));
         assert_eq!(stats.objects_transformed, 100);
@@ -637,7 +629,7 @@ fn deep_force_transform_chains_raise_a_typed_depth_error() {
         assert_eq!(vm.read_field(head, "depth"), Value::Int(99), "lazy={lazy}");
 
         // Over the limit: the typed error, not a guest stack overflow.
-        let (mut vm, update) = make_vm(&fixture(200), lazy, 1);
+        let (mut vm, update) = make_vm(&fixture(200), lazy);
         let err = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
             .expect_err("200-node forced chain must exceed the depth limit");
         match err {
@@ -660,7 +652,7 @@ fn force_transform_cycles_raise_a_typed_cycle_error() {
         build_args: vec![],
     };
     for lazy in [false, true] {
-        let (mut vm, update) = make_vm(&fixture, lazy, 1);
+        let (mut vm, update) = make_vm(&fixture, lazy);
         let err = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
             .expect_err("cyclic force-transform must abort");
         match err {

@@ -112,7 +112,7 @@ fn needle(rng: &mut Rng, hay: &str) -> String {
 fn new_vm(enable_jit: bool) -> Vm {
     // The default 16 MiB semispaces: host-held operands are not GC roots,
     // so these VMs must never collect (asserted by every caller).
-    let mut vm = Vm::new(VmConfig { enable_jit, gc_threads: 1, ..VmConfig::default() });
+    let mut vm = Vm::new(VmConfig { enable_jit, ..VmConfig::default() });
     vm.load_source(V1).expect("oracle program loads");
     vm
 }
@@ -264,7 +264,6 @@ fn guest_string_ops_match_the_reference_mid_lazy_epoch() {
         let mut vm = Vm::new(VmConfig {
             enable_jit,
             lazy_migration: true,
-            gc_threads: 1,
             ..VmConfig::default()
         });
         let old = jvolve_repro::lang::compile(V1).expect("v1 compiles");
@@ -383,7 +382,6 @@ fn string_allocation_retries_after_its_operands_moved() {
             let mut vm = Vm::new(VmConfig {
                 semispace_words: 256,
                 enable_jit,
-                gc_threads: 1,
                 ..VmConfig::default()
             });
             vm.load_source(V1).expect("oracle program loads");
