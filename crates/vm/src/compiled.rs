@@ -349,6 +349,63 @@ pub enum RInstr {
     },
 }
 
+/// The ops that need a frame of their own: allocation (a collection may
+/// interleave, so the operands must sit in a scanned frame), calls and
+/// natives, and branches. Every other op is *simple* — a body over
+/// `(stack, locals)` in the interpreter's op table, which the framed loop
+/// and the leaf-call loop both instantiate. The leaf loop matches this
+/// pattern as its only extra arm, so a new variant that is neither given a
+/// table body nor listed here does not compile.
+macro_rules! framed_ops {
+    () => {
+        RInstr::ConstStr(_) | RInstr::StrConcat | RInstr::New { .. } | RInstr::NewArray { .. }
+            | RInstr::CallVirtual { .. } | RInstr::CallDirect { .. } | RInstr::CallNative { .. }
+            | RInstr::Jump(_) | RInstr::JumpIfTrue(_) | RInstr::JumpIfFalse(_)
+            | RInstr::FusedLoadLoadCmpBr { .. } | RInstr::FusedLoadConstCmpBr { .. }
+            | RInstr::FusedStackConstCmpBr { .. } | RInstr::FusedLoadCallVirtual { .. }
+            | RInstr::FusedLoadCallDirect { .. }
+    };
+}
+pub(crate) use framed_ops;
+
+impl RInstr {
+    /// Whether the op is in the simple class (not a `framed_ops!` op): what
+    /// the leaf-call fast path can run without a frame.
+    pub fn is_simple(&self) -> bool {
+        !matches!(self, framed_ops!())
+    }
+
+    /// Base instructions this op retires: 1 for a plain op, the length of
+    /// the fused group for a superinstruction. The fusion pass advances by
+    /// it, and both dispatch loops charge it to `steps`/`fused_steps`.
+    #[inline]
+    pub const fn covers(&self) -> usize {
+        use RInstr::*;
+        match self {
+            FusedIncLocal { .. }
+            | FusedLoadLoadCmpBr { .. }
+            | FusedLoadConstCmpBr { .. }
+            | FusedLoadConstAddReturn { .. } => 4,
+            FusedLoadGetFieldReturn { .. }
+            | FusedStackConstCmpBr { .. }
+            | FusedLoadLoadAdd { .. }
+            | FusedLoadConstAdd { .. } => 3,
+            FusedLoadGetField { .. }
+            | FusedConstReturn { .. }
+            | FusedLoadReturn { .. }
+            | FusedLoadStore { .. }
+            | FusedLoadCallVirtual { .. }
+            | FusedLoadCallDirect { .. } => 2,
+            ConstInt(_) | ConstBool(_) | ConstStr(_) | ConstNull | Load(_) | Store(_) | Add
+            | Sub | Mul | Div | Rem | Neg | CmpEq | CmpNe | CmpLt | CmpLe | CmpGt | CmpGe | Not
+            | BoolEq | RefEq | RefNe | StrConcat | StrEq | New { .. } | GetField { .. }
+            | PutField { .. } | GetStatic { .. } | PutStatic { .. } | NewArray { .. } | ALoad
+            | AStore | ArrayLen | CallVirtual { .. } | CallDirect { .. } | CallNative { .. }
+            | Jump(_) | JumpIfTrue(_) | JumpIfFalse(_) | Return | ReturnValue | Pop | Dup => 1,
+        }
+    }
+}
+
 /// A compiled method body.
 #[derive(Clone, Debug)]
 pub struct CompiledMethod {
@@ -388,14 +445,39 @@ pub struct CompiledMethod {
     /// retained base body at the mapped pc, which is exact and
     /// semantically a no-op.
     pub fused: Option<Arc<crate::jit2::FusedCode>>,
-    /// Whether this body qualifies for the fused executor's leaf-call fast
-    /// path: short, straight-line, allocation- and call-free code a fused
-    /// call site may run inline without pushing a frame (see
-    /// [`crate::jit2`]).
+    /// Whether this body qualifies for the leaf-call fast path: short and
+    /// made of simple ops only, so an inline-cache hit may run it on the
+    /// caller's operand stack without pushing a frame
+    /// ([`crate::jit2::is_leaf`]).
     pub leaf: bool,
 }
 
 impl CompiledMethod {
+    /// Code for `method` at `level` with fresh hotness counters, nothing
+    /// inlined or referenced and no fusion metadata; `leaf` is derived
+    /// from `code`.
+    pub fn new(
+        method: MethodId,
+        level: CompileLevel,
+        code: Vec<RInstr>,
+        max_locals: u16,
+        call_sites: u32,
+    ) -> Self {
+        CompiledMethod {
+            method,
+            level,
+            leaf: crate::jit2::is_leaf(&code),
+            code,
+            max_locals,
+            inlined: Vec::new(),
+            referenced_classes: Vec::new(),
+            invocations: CounterCell::default(),
+            loop_trips: CounterCell::default(),
+            call_sites,
+            fused: None,
+        }
+    }
+
     /// Whether this code can be OSR-replaced. Base code is 1:1 with
     /// bytecode so pc and locals carry over directly; jit code maps every
     /// fused index back to the base pc it starts at. Opt code inlines and
@@ -421,19 +503,7 @@ mod tests {
 
     #[test]
     fn osr_capability_follows_tier() {
-        let base = CompiledMethod {
-            method: MethodId(0),
-            level: CompileLevel::Base,
-            code: vec![RInstr::Return],
-            max_locals: 0,
-            inlined: vec![],
-            referenced_classes: vec![],
-            invocations: CounterCell::default(),
-            loop_trips: CounterCell::default(),
-            call_sites: 0,
-            fused: None,
-            leaf: false,
-        };
+        let base = CompiledMethod::new(MethodId(0), CompileLevel::Base, vec![RInstr::Return], 0, 0);
         assert!(base.osr_capable());
         let opt = CompiledMethod { level: CompileLevel::Opt, ..base.clone() };
         assert!(!opt.osr_capable());

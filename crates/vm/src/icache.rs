@@ -143,19 +143,8 @@ mod tests {
     use crate::compiled::{CompileLevel, RInstr};
 
     fn code(method: u32, call_sites: u32) -> Arc<CompiledMethod> {
-        Arc::new(CompiledMethod {
-            method: MethodId(method),
-            level: CompileLevel::Base,
-            code: vec![RInstr::Return],
-            max_locals: 0,
-            inlined: vec![],
-            referenced_classes: vec![],
-            invocations: Default::default(),
-            loop_trips: Default::default(),
-            call_sites,
-            fused: None,
-            leaf: false,
-        })
+        let body = vec![RInstr::Return];
+        Arc::new(CompiledMethod::new(MethodId(method), CompileLevel::Base, body, 0, call_sites))
     }
 
     fn entry(class: u32, target: &Arc<CompiledMethod>) -> SiteEntry {

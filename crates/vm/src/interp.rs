@@ -5,16 +5,26 @@
 //! thread asked to stop only pauses at one of those, which is what makes
 //! every inter-slice point a VM safe point. Return barriers and the
 //! lazy-indirection access checks are implemented here.
+//!
+//! Each op is defined once. The *simple* ops (everything that needs no
+//! frame of its own: no call, branch or allocation) live in one op table,
+//! [`op_table!`], which the framed loop ([`Vm::exec_thread`]) and the
+//! frameless leaf-call loop (`Vm::exec_leaf`) both instantiate, and whose
+//! superinstruction arms reuse the plain ops' bodies; the framed loop
+//! adds the call, native, branch and allocation arms. Which ops are
+//! simple, and how many base instructions a superinstruction retires, is
+//! [`RInstr::is_simple`] / [`RInstr::covers`].
 
 use std::sync::Arc;
 
 use jvolve_classfile::STRING_CLASS;
 
-use crate::compiled::{CompileLevel, CompiledMethod, RInstr};
+use crate::compiled::{framed_ops, CompileLevel, CompiledMethod, RInstr};
 use crate::error::VmError;
 use crate::heap::HeapKind;
 use crate::icache::SiteEntry;
 use crate::ids::{ClassId, MethodId};
+use crate::jit2::CmpOp;
 use crate::lazy::MAX_TRANSFORMER_DEPTH;
 use crate::natives::NativeFn;
 use crate::thread::{BlockOn, Frame, FrameNote, ThreadState, VmThread, FRAME_POOL_CAP};
@@ -76,30 +86,262 @@ enum Lazy {
     Trap(VmError),
 }
 
+/// Pops the top operand.
+#[inline(always)]
+fn pop(stack: &mut Vec<Value>) -> Value {
+    stack.pop().expect("verified code: stack underflow")
+}
+
+/// Replaces the two top operands `a`, `b` with `f(a, b)`.
+#[inline(always)]
+fn bin_op(stack: &mut Vec<Value>, f: impl FnOnce(Value, Value) -> Value) {
+    let b = pop(stack);
+    let a = pop(stack);
+    stack.push(f(a, b));
+}
+
+/// [`bin_op`] on ints.
+#[inline(always)]
+fn int_op(stack: &mut Vec<Value>, f: impl FnOnce(i64, i64) -> Value) {
+    bin_op(stack, |a, b| f(a.as_int(), b.as_int()));
+}
+
+/// Guest `+` on ints: the body of `Add` and of every fused add.
+#[inline(always)]
+fn add(a: i64, b: i64) -> Value {
+    Value::Int(a.wrapping_add(b))
+}
+
+/// Charges a completed superinstruction that [covers](RInstr::covers)
+/// `$covers` base instructions: the loop top counted 1 for the dispatch,
+/// this adds the rest, so slice budgets, yield positions and the
+/// differential oracles see the base tier's totals. A trap charges the
+/// faulting base instruction's position instead (the `fail` hook's first
+/// argument) and a barrier exit nothing — the whole op retries, costing 1
+/// per attempt just as the base tier's faulting instruction does. An arm
+/// that stores or calls out first reads `covers()` before it does, while
+/// the compiler still knows which arm it is in and folds it to a constant.
+macro_rules! retire {
+    ($vm:ident, $steps:expr, $covers:expr) => {{
+        let covers: usize = $covers;
+        $steps += covers - 1;
+        $vm.stats.fused_steps += covers as u64;
+    }};
+}
+
+/// The `Div`/`Rem` body: `$op` on the two top ints, trapping on a zero
+/// divisor.
+macro_rules! div_op {
+    ($stack:expr, $fail:ident, $op:ident) => {{
+        let b = pop(&mut $stack).as_int();
+        let a = pop(&mut $stack).as_int();
+        if b == 0 {
+            $fail!(0, VmError::DivisionByZero);
+        }
+        $stack.push(Value::Int(a.$op(b)));
+    }};
+}
+
+/// Element `$idx` of array operand `$arr`, null- and bounds-checked:
+/// `(array, index)`.
+macro_rules! element {
+    ($vm:ident, $fail:ident, $arr:expr, $idx:expr, $what:literal) => {{
+        let Some(arr) = $arr.as_ref_opt() else {
+            $fail!(0, VmError::NullPointer { context: $what.into() });
+        };
+        let (arr, idx) = ($vm.heap.resolve(arr), $idx);
+        let len = $vm.heap.len_of(arr);
+        if idx < 0 || idx >= i64::from(len) {
+            $fail!(0, VmError::IndexOutOfBounds { index: idx, len });
+        }
+        (arr, idx as usize)
+    }};
+}
+
+/// The `GetField` body over operand `$v`, which is base instruction `$k`
+/// of the executing op (0 for the plain op, 1 behind a fused `Load`).
+/// `$v` is only read, so a barrier exit leaves the op retryable.
+macro_rules! get_field {
+    ($vm:ident, $fail:ident, $obj:ident, $v:expr, $offset:expr, $is_ref:expr, $k:expr) => {{
+        let Some(r) = $v.as_ref_opt() else {
+            $fail!($k, VmError::NullPointer { context: "field read".into() });
+        };
+        let obj = $obj!(r);
+        let word = $vm.heap.get(obj, $offset as usize);
+        Value::from_word($vm.loaded(word, $is_ref), $is_ref)
+    }};
+}
+
+/// The op table: the one definition of every *simple* op (everything but
+/// `framed_ops!`), written over an operand stack and a locals slice with
+/// three caller-supplied hooks —
+///
+/// * `$fail!(k, error)`: trap at base instruction `k` of the op;
+/// * `$ret!(value)`: return `value` from the executing method;
+/// * `$obj!(r)`: the object to access for reference `r` (the read barrier
+///   in the framed loop, the identity in the leaf loop).
+///
+/// Expands to the dispatch `match` itself, with `$framed` spliced in as
+/// the remaining arms, so an instantiation is one dense jump table: the
+/// framed loop passes its call/native/branch/allocation arms, the leaf
+/// loop one arm rejecting them. Superinstructions are compositions of the
+/// same component bodies fed from locals instead of the stack.
+macro_rules! op_table {
+    (
+        $vm:ident, $instr:ident, $stack:expr, $locals:expr, $steps:expr,
+        fail: $fail:ident, ret: $ret:ident, obj: $obj:ident,
+        { $($framed:tt)* }
+    ) => {
+        match $instr {
+            RInstr::ConstInt(v) => $stack.push(Value::Int(*v)),
+            RInstr::ConstBool(v) => $stack.push(Value::Bool(*v)),
+            RInstr::ConstNull => $stack.push(Value::Null),
+            RInstr::Load(slot) => $stack.push($locals[*slot as usize]),
+            RInstr::Store(slot) => $locals[*slot as usize] = pop(&mut $stack),
+            RInstr::Add => int_op(&mut $stack, add),
+            RInstr::Sub => int_op(&mut $stack, |a, b| Value::Int(a.wrapping_sub(b))),
+            RInstr::Mul => int_op(&mut $stack, |a, b| Value::Int(a.wrapping_mul(b))),
+            RInstr::Div => div_op!($stack, $fail, wrapping_div),
+            RInstr::Rem => div_op!($stack, $fail, wrapping_rem),
+            RInstr::Neg => {
+                let a = pop(&mut $stack).as_int();
+                $stack.push(Value::Int(a.wrapping_neg()));
+            }
+            RInstr::CmpEq => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Eq.apply(a, b))),
+            RInstr::CmpNe => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Ne.apply(a, b))),
+            RInstr::CmpLt => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Lt.apply(a, b))),
+            RInstr::CmpLe => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Le.apply(a, b))),
+            RInstr::CmpGt => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Gt.apply(a, b))),
+            RInstr::CmpGe => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Ge.apply(a, b))),
+            RInstr::Not => {
+                let a = pop(&mut $stack).as_bool();
+                $stack.push(Value::Bool(!a));
+            }
+            RInstr::BoolEq => {
+                bin_op(&mut $stack, |a, b| Value::Bool(a.as_bool() == b.as_bool()))
+            }
+            RInstr::RefEq => bin_op(&mut $stack, |a, b| Value::Bool($vm.ref_eq(a, b))),
+            RInstr::RefNe => bin_op(&mut $stack, |a, b| Value::Bool(!$vm.ref_eq(a, b))),
+            RInstr::StrEq => bin_op(&mut $stack, |a, b| {
+                Value::Bool($vm.str_eq(a.as_ref_opt(), b.as_ref_opt()))
+            }),
+            RInstr::GetField { offset, is_ref } => {
+                let top = $stack.len() - 1;
+                let v = get_field!($vm, $fail, $obj, $stack[top], *offset, *is_ref, 0);
+                $stack[top] = v;
+            }
+            RInstr::PutField { offset } => {
+                // Peeked until the barrier is through, so its exit leaves
+                // the op retryable.
+                let n = $stack.len();
+                let Some(r) = $stack[n - 2].as_ref_opt() else {
+                    $fail!(0, VmError::NullPointer { context: "field write".into() });
+                };
+                let obj = $obj!(r);
+                let val = pop(&mut $stack);
+                $stack.pop();
+                $vm.heap.set(obj, *offset as usize, val.to_word());
+            }
+            RInstr::GetStatic { slot, is_ref } => {
+                $stack.push(Value::from_word($vm.registry.jtoc_get(*slot), *is_ref));
+            }
+            RInstr::PutStatic { slot } => {
+                let val = pop(&mut $stack);
+                $vm.registry.jtoc_set(*slot, val.to_word());
+            }
+            RInstr::ALoad => {
+                let idx = pop(&mut $stack).as_int();
+                let (arr, idx) = element!($vm, $fail, pop(&mut $stack), idx, "array read");
+                let is_ref = $vm.heap.kind(arr) == HeapKind::RefArray;
+                let word = $vm.heap.get(arr, idx);
+                $stack.push(Value::from_word($vm.loaded(word, is_ref), is_ref));
+            }
+            RInstr::AStore => {
+                let val = pop(&mut $stack);
+                let idx = pop(&mut $stack).as_int();
+                let (arr, idx) = element!($vm, $fail, pop(&mut $stack), idx, "array write");
+                $vm.heap.set(arr, idx, val.to_word());
+            }
+            RInstr::ArrayLen => {
+                let Some(arr) = pop(&mut $stack).as_ref_opt() else {
+                    $fail!(0, VmError::NullPointer { context: "array length".into() });
+                };
+                let len = $vm.heap.len_of($vm.heap.resolve(arr));
+                $stack.push(Value::Int(i64::from(len)));
+            }
+            RInstr::Pop => {
+                pop(&mut $stack);
+            }
+            RInstr::Dup => {
+                let v = *$stack.last().expect("verified code: stack underflow");
+                $stack.push(v);
+            }
+            RInstr::Return => $ret!(None),
+            RInstr::ReturnValue => {
+                let v = pop(&mut $stack);
+                $ret!(Some(v))
+            }
+
+            // ---- call-free superinstructions (crate::jit2) ----
+            RInstr::FusedIncLocal { slot, delta } => {
+                retire!($vm, $steps, $instr.covers());
+                $locals[*slot as usize] = add($locals[*slot as usize].as_int(), *delta);
+            }
+            RInstr::FusedLoadGetField { slot, offset, is_ref } => {
+                let covers = $instr.covers();
+                let v =
+                    get_field!($vm, $fail, $obj, $locals[*slot as usize], *offset, *is_ref, 1);
+                retire!($vm, $steps, covers);
+                $stack.push(v);
+            }
+            RInstr::FusedLoadGetFieldReturn { slot, offset, is_ref } => {
+                let covers = $instr.covers();
+                let v =
+                    get_field!($vm, $fail, $obj, $locals[*slot as usize], *offset, *is_ref, 1);
+                retire!($vm, $steps, covers);
+                $ret!(Some(v))
+            }
+            RInstr::FusedLoadLoadAdd { a, b } => {
+                retire!($vm, $steps, $instr.covers());
+                $stack.push(add($locals[*a as usize].as_int(), $locals[*b as usize].as_int()));
+            }
+            RInstr::FusedLoadConstAdd { slot, k } => {
+                retire!($vm, $steps, $instr.covers());
+                $stack.push(add($locals[*slot as usize].as_int(), *k));
+            }
+            RInstr::FusedLoadConstAddReturn { slot, k } => {
+                retire!($vm, $steps, $instr.covers());
+                $ret!(Some(add($locals[*slot as usize].as_int(), *k)))
+            }
+            RInstr::FusedConstReturn { k } => {
+                retire!($vm, $steps, $instr.covers());
+                $ret!(Some(Value::Int(*k)))
+            }
+            RInstr::FusedLoadReturn { slot } => {
+                retire!($vm, $steps, $instr.covers());
+                $ret!(Some($locals[*slot as usize]))
+            }
+            RInstr::FusedLoadStore { from, to } => {
+                retire!($vm, $steps, $instr.covers());
+                $locals[*to as usize] = $locals[*from as usize];
+            }
+            $($framed)*
+        }
+    };
+}
+
 impl Vm {
     /// Runs `t` until a slice-ending event, with `budget` steps before the
     /// next yield point ends the slice.
     pub(crate) fn exec_thread(&mut self, t: &mut VmThread, budget: usize) -> SliceEvent {
-        let (event, steps) = self.exec_inner(t, budget);
-        // Folded once per slice rather than once per instruction; callers
-        // (e.g. GC-retry stuck detection) only read the total between
-        // `exec_thread` calls, which always see it up to date.
-        self.stats.steps += steps as u64;
-        event
-    }
-
-    fn exec_inner(&mut self, t: &mut VmThread, budget: usize) -> (SliceEvent, usize) {
         let mut steps: usize = 0;
         let use_ic = self.config.enable_inline_caches;
-        let opt_threshold = self.config.opt_threshold;
-        let enable_opt = self.config.enable_opt;
         let enable_jit = self.config.enable_jit;
-        let jit_threshold = self.config.jit_threshold;
 
-        'outer: loop {
+        let event = 'outer: loop {
             let Some(fi) = t.frames.len().checked_sub(1) else {
                 t.state = ThreadState::Finished;
-                return (SliceEvent::Finished, steps);
+                break 'outer SliceEvent::Finished;
             };
             // Template-JIT epoch check at method entry/re-entry: a fused
             // frame whose dispatch epoch moved revalidates against the
@@ -129,46 +371,39 @@ impl Vm {
                 let instr = &code.code[pc];
                 let frame = &mut t.frames[fi];
 
+                // The op table's `fail` hook: `$k` is the position of the
+                // faulting base instruction inside a superinstruction.
                 macro_rules! trap {
-                    ($e:expr) => {{
-                        return (SliceEvent::Trapped($e), steps);
+                    ($e:expr) => {
+                        break 'outer SliceEvent::Trapped($e)
+                    };
+                    ($k:expr, $e:expr) => {{
+                        steps += $k;
+                        break 'outer SliceEvent::Trapped($e)
                     }};
                 }
-                macro_rules! push {
-                    ($v:expr) => {
-                        frame.stack.push($v)
-                    };
-                }
-                macro_rules! pop {
-                    () => {
-                        frame.stack.pop().expect("verified code: stack underflow")
-                    };
-                }
-                // The read-barrier dance shared by every reference load:
-                // `Run` pushes the object transformer with pc and stack
-                // untouched, so the faulting instruction (which only
-                // *peeked* its operands) retries after it returns.
+                // The op table's `obj` hook, the read-barrier dance shared
+                // by every reference load: `Run` pushes the object
+                // transformer with pc and stack untouched, so the faulting
+                // instruction (which only *peeked* its operands) retries
+                // after it returns.
                 macro_rules! barrier {
                     ($obj:expr) => {
                         match self.lazy_object($obj) {
                             Lazy::Ready(o) => o,
-                            Lazy::NeedGc => return (SliceEvent::NeedGc, steps),
-                            Lazy::Run(f) => {
-                                if t.frames.len() >= self.config.max_stack_depth {
-                                    trap!(VmError::StackOverflow);
-                                }
-                                t.frames.push(*f);
-                                continue 'outer;
-                            }
+                            Lazy::NeedGc => break 'outer SliceEvent::NeedGc,
+                            Lazy::Run(f) => match self.push_frame(t, *f) {
+                                Ok(()) => continue 'outer,
+                                Err(e) => trap!(e),
+                            },
                             Lazy::Trap(e) => trap!(e),
                         }
                     };
                 }
-                // The shared return path: pops the frame, processes its
-                // note, recycles its vectors, delivers the value, and
-                // ends the slice if a barrier fired, the thread finished,
-                // or the budget ran out. Used by the plain return arms
-                // and every fused superinstruction ending in a return.
+                // The op table's `ret` hook, the shared return path: pops
+                // the frame, processes its note, recycles its vectors,
+                // delivers the value, and ends the slice if a barrier
+                // fired, the thread finished, or the budget ran out.
                 macro_rules! do_return {
                     ($value:expr) => {{
                         let value: Option<Value> = $value;
@@ -205,17 +440,14 @@ impl Vm {
                         if done.return_barrier {
                             // Paper §3.2: the bridge code notifies the
                             // update driver, which restarts the update.
-                            return (
-                                SliceEvent::ReturnBarrier { method: done.method },
-                                steps,
-                            );
+                            break 'outer SliceEvent::ReturnBarrier { method: done.method };
                         }
                         if t.frames.is_empty() {
                             t.state = ThreadState::Finished;
-                            return (SliceEvent::Finished, steps);
+                            break 'outer SliceEvent::Finished;
                         }
                         if steps >= budget {
-                            return (SliceEvent::Quantum, steps);
+                            break 'outer SliceEvent::Quantum;
                         }
                         continue 'outer;
                     }};
@@ -223,25 +455,31 @@ impl Vm {
 
                 let mut next_pc = pc + 1;
 
+                // Enters a resolved callee: pushes its frame over `total`
+                // arguments; method entry is a yield point.
+                macro_rules! enter {
+                    ($callee:expr, $total:expr) => {{
+                        if let Err(e) = self.push_callee(t, fi, $callee, $total, next_pc) {
+                            trap!(e);
+                        }
+                        if steps >= budget {
+                            break 'outer SliceEvent::Quantum;
+                        }
+                        continue 'outer;
+                    }};
+                }
                 // The inline-cache hit tail shared by every call arm:
-                // hotness sampling (so adaptive recompilation triggers at
-                // the same call number as with caches off), tier
-                // promotion to Opt or to the template JIT, and — for
-                // whitelisted leaf callees — execution without
+                // hotness sampling and the promotion rule (so adaptive
+                // recompilation triggers at the same call number as with
+                // caches off), and — for leaf callees — execution without
                 // materializing a frame. Expands to `true` when the call
                 // was fully handled (the surrounding arm must have left
                 // via `continue`), `false` to fall through to the
                 // resolving slow path.
                 macro_rules! ic_hit {
                     ($callee:ident, $total:expr) => {{
-                        let pre = $callee.invocations.bump();
-                        let promote = (enable_opt
-                            && $callee.level == CompileLevel::Base
-                            && pre >= opt_threshold)
-                            || (enable_jit
-                                && $callee.level != CompileLevel::Jit
-                                && pre.saturating_add($callee.loop_trips.get())
-                                    >= jit_threshold);
+                        let promote = $callee.next_tier(&self.config).is_some();
+                        $callee.invocations.bump();
                         if promote {
                             // Crossed a tier threshold: fall through to
                             // the slow path, which recompiles.
@@ -252,7 +490,7 @@ impl Vm {
                                 && steps < budget
                                 && !self.lazy.active
                                 && !self.config.lazy_indirection
-                                && t.frames.len() < self.config.max_stack_depth
+                                && self.frame_room(t).is_ok()
                             {
                                 // Leaf fast path: run the callee on the
                                 // caller's operand stack. Gated on the
@@ -264,31 +502,35 @@ impl Vm {
                                     Ok(()) => {
                                         t.frames[fi].pc = next_pc as u32;
                                         if steps >= budget {
-                                            return (SliceEvent::Quantum, steps);
+                                            break 'outer SliceEvent::Quantum;
                                         }
                                         continue;
                                     }
                                     Err(e) => trap!(e),
                                 }
                             }
-                            if let Err(e) = self.push_callee(t, fi, $callee, $total, next_pc)
-                            {
-                                trap!(e);
-                            }
-                            if steps >= budget {
-                                return (SliceEvent::Quantum, steps);
-                            }
-                            continue 'outer;
+                            enter!($callee, $total)
                         }
+                    }};
+                }
+                // The receiver of a virtual call held in `$v`, which is
+                // base instruction `$k` of the executing op: null-checked
+                // and through the read barrier.
+                macro_rules! receiver {
+                    ($v:expr, $k:expr) => {{
+                        let Some(recv) = $v.as_ref_opt() else {
+                            trap!($k, VmError::NullPointer { context: "virtual call".into() });
+                        };
+                        barrier!(recv)
                     }};
                 }
                 // The virtual-call dispatch tail shared by `CallVirtual`
                 // and `FusedLoadCallVirtual`: IC fast path, then TIB walk
                 // + adaptive recompilation + cache fill. Always leaves
-                // via `continue` or a slice-ending return.
+                // via `continue` or a slice-ending break.
                 macro_rules! dispatch_virtual {
-                    ($vslot:expr, $site:expr, $class:expr, $total:expr) => {{
-                        let class = $class;
+                    ($vslot:expr, $site:expr, $recv:expr, $total:expr) => {{
+                        let class = self.heap.class_of($recv);
                         let total: usize = $total;
                         let site = $site;
                         if use_ic {
@@ -297,9 +539,6 @@ impl Vm {
                             if let Some(entry) = row.lookup(epoch, class) {
                                 let callee = Arc::clone(&entry.code);
                                 self.stats.ic_hits += 1;
-                                // Hotness sampled on the hit path too, so
-                                // adaptive recompilation triggers at the
-                                // same call number as with caches off.
                                 let _ = ic_hit!(callee, total);
                             } else {
                                 self.stats.ic_misses += 1;
@@ -329,14 +568,20 @@ impl Vm {
                                 SiteEntry { class, method: mid, code: Arc::clone(&callee) },
                             );
                         }
-                        if let Err(e) = self.push_callee(t, fi, callee, total, next_pc) {
-                            trap!(e);
-                        }
-                        if steps >= budget {
-                            return (SliceEvent::Quantum, steps);
-                        }
-                        continue 'outer;
+                        enter!(callee, total)
                     }};
+                }
+                // The receiver check of a direct call whose last operand
+                // was pushed by base instruction `$k` of the executing op.
+                macro_rules! direct_receiver {
+                    ($total:expr, $has_receiver:expr, $k:expr) => {
+                        if $has_receiver {
+                            let stack = &t.frames[fi].stack;
+                            if stack[stack.len() - $total].as_ref_opt().is_none() {
+                                trap!($k, VmError::NullPointer { context: "instance call".into() });
+                            }
+                        }
+                    };
                 }
                 // The direct-call dispatch tail shared by `CallDirect` and
                 // `FusedLoadCallDirect`.
@@ -373,129 +618,24 @@ impl Vm {
                                 },
                             );
                         }
-                        if let Err(e) = self.push_callee(t, fi, callee, total, next_pc) {
-                            trap!(e);
-                        }
-                        if steps >= budget {
-                            return (SliceEvent::Quantum, steps);
-                        }
-                        continue 'outer;
+                        enter!(callee, total)
                     }};
                 }
-                match instr {
-                    RInstr::ConstInt(v) => push!(Value::Int(*v)),
-                    RInstr::ConstBool(v) => push!(Value::Bool(*v)),
-                    RInstr::ConstNull => push!(Value::Null),
+                // A conditional branch on `$cond`.
+                macro_rules! branch_if {
+                    ($cond:expr, $target:expr) => {
+                        if $cond {
+                            next_pc = *$target as usize;
+                        }
+                    };
+                }
+                op_table!(self, instr, frame.stack, frame.locals, steps,
+                    fail: trap, ret: do_return, obj: barrier,
+                {
                     RInstr::ConstStr(s) => match self.heap.alloc_string(s) {
-                        Some(r) => t.frames[fi].stack.push(Value::Ref(r)),
-                        None => return (SliceEvent::NeedGc, steps),
+                        Some(r) => frame.stack.push(Value::Ref(r)),
+                        None => break 'outer SliceEvent::NeedGc,
                     },
-                    RInstr::Load(slot) => {
-                        let v = frame.locals[*slot as usize];
-                        push!(v);
-                    }
-                    RInstr::Store(slot) => {
-                        let v = pop!();
-                        frame.locals[*slot as usize] = v;
-                    }
-                    RInstr::Add => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Int(a.wrapping_add(b)));
-                    }
-                    RInstr::Sub => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Int(a.wrapping_sub(b)));
-                    }
-                    RInstr::Mul => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Int(a.wrapping_mul(b)));
-                    }
-                    RInstr::Div => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        if b == 0 {
-                            trap!(VmError::DivisionByZero);
-                        }
-                        push!(Value::Int(a.wrapping_div(b)));
-                    }
-                    RInstr::Rem => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        if b == 0 {
-                            trap!(VmError::DivisionByZero);
-                        }
-                        push!(Value::Int(a.wrapping_rem(b)));
-                    }
-                    RInstr::Neg => {
-                        let a = pop!().as_int();
-                        push!(Value::Int(a.wrapping_neg()));
-                    }
-                    RInstr::CmpEq => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Bool(a == b));
-                    }
-                    RInstr::CmpNe => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Bool(a != b));
-                    }
-                    RInstr::CmpLt => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Bool(a < b));
-                    }
-                    RInstr::CmpLe => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Bool(a <= b));
-                    }
-                    RInstr::CmpGt => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Bool(a > b));
-                    }
-                    RInstr::CmpGe => {
-                        let b = pop!().as_int();
-                        let a = pop!().as_int();
-                        push!(Value::Bool(a >= b));
-                    }
-                    RInstr::Not => {
-                        let a = pop!().as_bool();
-                        push!(Value::Bool(!a));
-                    }
-                    RInstr::BoolEq => {
-                        let b = pop!().as_bool();
-                        let a = pop!().as_bool();
-                        push!(Value::Bool(a == b));
-                    }
-                    RInstr::RefEq | RInstr::RefNe => {
-                        let b = pop!();
-                        let a = pop!();
-                        let eq = match (a, b) {
-                            (Value::Null, Value::Null) => true,
-                            // Mid-epoch (or under JDrums indirection) one
-                            // operand may be a stale address and the other
-                            // its migrated copy: identity must compare
-                            // through the forwarding words.
-                            (Value::Ref(x), Value::Ref(y)) => {
-                                x == y
-                                    || ((self.lazy.active || self.config.lazy_indirection)
-                                        && self.heap.resolve(x) == self.heap.resolve(y))
-                            }
-                            _ => false,
-                        };
-                        push!(Value::Bool(if matches!(instr, RInstr::RefEq) { eq } else { !eq }));
-                    }
-                    RInstr::StrEq => {
-                        let b = pop!().as_ref_opt();
-                        let a = pop!().as_ref_opt();
-                        let eq = self.str_eq(a, b);
-                        t.frames[fi].stack.push(Value::Bool(eq));
-                    }
                     RInstr::StrConcat => {
                         // Peek (no pops) so a GC retry sees an intact stack.
                         let n = frame.stack.len();
@@ -507,17 +647,16 @@ impl Vm {
                         };
                         match self.heap.alloc_concat(a, b) {
                             Some(r) => {
-                                let frame = &mut t.frames[fi];
                                 frame.stack.truncate(n - 2);
                                 frame.stack.push(Value::Ref(r));
                             }
-                            None => return (SliceEvent::NeedGc, steps),
+                            None => break 'outer SliceEvent::NeedGc,
                         }
                     }
                     RInstr::New { class, size } => {
                         match self.heap.alloc_object(*class, *size as usize) {
-                            Some(r) => t.frames[fi].stack.push(Value::Ref(r)),
-                            None => return (SliceEvent::NeedGc, steps),
+                            Some(r) => frame.stack.push(Value::Ref(r)),
+                            None => break 'outer SliceEvent::NeedGc,
                         }
                     }
                     RInstr::NewArray { is_ref } => {
@@ -527,158 +666,65 @@ impl Vm {
                         }
                         match self.heap.alloc_array(*is_ref, len as usize) {
                             Some(r) => {
-                                let frame = &mut t.frames[fi];
                                 frame.stack.pop();
                                 frame.stack.push(Value::Ref(r));
                             }
-                            None => return (SliceEvent::NeedGc, steps),
+                            None => break 'outer SliceEvent::NeedGc,
                         }
-                    }
-                    RInstr::GetField { offset, is_ref } => {
-                        let n = frame.stack.len();
-                        let Some(obj) = frame.stack[n - 1].as_ref_opt() else {
-                            trap!(VmError::NullPointer { context: "field read".into() });
-                        };
-                        let obj = barrier!(obj);
-                        let mut word = self.heap.get(obj, *offset as usize);
-                        // Mid-epoch, loaded references resolve through any
-                        // forwarding word: during the collapse sweep this
-                        // keeps stale addresses read from unswept cells
-                        // from recontaminating swept ones (the SATB/
-                        // collapse invariant); outside an epoch the branch
-                        // is never taken.
-                        if *is_ref && word != 0 && self.lazy.active {
-                            word = u64::from(self.heap.resolve(GcRef(word as u32)).0);
-                        }
-                        let frame = &mut t.frames[fi];
-                        frame.stack.pop();
-                        frame.stack.push(Value::from_word(word, *is_ref));
-                    }
-                    RInstr::PutField { offset } => {
-                        let n = frame.stack.len();
-                        let Some(obj) = frame.stack[n - 2].as_ref_opt() else {
-                            trap!(VmError::NullPointer { context: "field write".into() });
-                        };
-                        let obj = barrier!(obj);
-                        let frame = &mut t.frames[fi];
-                        let val = frame.stack.pop().expect("verified");
-                        frame.stack.pop();
-                        self.heap.set(obj, *offset as usize, val.to_word());
-                    }
-                    RInstr::GetStatic { slot, is_ref } => {
-                        let word = self.registry.jtoc_get(*slot);
-                        push!(Value::from_word(word, *is_ref));
-                    }
-                    RInstr::PutStatic { slot } => {
-                        let val = pop!();
-                        self.registry.jtoc_set(*slot, val.to_word());
-                    }
-                    RInstr::ALoad => {
-                        let idx = pop!().as_int();
-                        let Some(arr) = pop!().as_ref_opt() else {
-                            trap!(VmError::NullPointer { context: "array read".into() });
-                        };
-                        let arr = self.heap.resolve(arr);
-                        let len = self.heap.len_of(arr);
-                        if idx < 0 || idx as u32 >= len {
-                            trap!(VmError::IndexOutOfBounds { index: idx, len });
-                        }
-                        let is_ref = self.heap.kind(arr) == HeapKind::RefArray;
-                        let mut word = self.heap.get(arr, idx as usize);
-                        // Same mid-epoch load resolution as GetField.
-                        if is_ref && word != 0 && self.lazy.active {
-                            word = u64::from(self.heap.resolve(GcRef(word as u32)).0);
-                        }
-                        t.frames[fi].stack.push(Value::from_word(word, is_ref));
-                    }
-                    RInstr::AStore => {
-                        let val = pop!();
-                        let idx = pop!().as_int();
-                        let Some(arr) = pop!().as_ref_opt() else {
-                            trap!(VmError::NullPointer { context: "array write".into() });
-                        };
-                        let arr = self.heap.resolve(arr);
-                        let len = self.heap.len_of(arr);
-                        if idx < 0 || idx as u32 >= len {
-                            trap!(VmError::IndexOutOfBounds { index: idx, len });
-                        }
-                        self.heap.set(arr, idx as usize, val.to_word());
-                    }
-                    RInstr::ArrayLen => {
-                        let Some(arr) = pop!().as_ref_opt() else {
-                            trap!(VmError::NullPointer { context: "array length".into() });
-                        };
-                        let arr = self.heap.resolve(arr);
-                        let len = self.heap.len_of(arr);
-                        t.frames[fi].stack.push(Value::Int(i64::from(len)));
                     }
                     RInstr::CallVirtual { vslot, argc, site } => {
-                        let n = frame.stack.len();
-                        let ridx = n - 1 - *argc as usize;
-                        let Some(recv) = frame.stack[ridx].as_ref_opt() else {
-                            trap!(VmError::NullPointer { context: "virtual call".into() });
-                        };
-                        let recv = barrier!(recv);
+                        let ridx = frame.stack.len() - 1 - *argc as usize;
+                        let recv = receiver!(frame.stack[ridx], 0);
                         t.frames[fi].stack[ridx] = Value::Ref(recv);
-                        let class = self.heap.class_of(recv);
-                        dispatch_virtual!(*vslot, *site, class, *argc as usize + 1)
+                        dispatch_virtual!(*vslot, *site, recv, *argc as usize + 1)
                     }
                     RInstr::CallDirect { method, argc, has_receiver, site } => {
                         let total = *argc as usize + usize::from(*has_receiver);
-                        if *has_receiver {
-                            let n = frame.stack.len();
-                            if frame.stack[n - total].as_ref_opt().is_none() {
-                                trap!(VmError::NullPointer { context: "instance call".into() });
-                            }
-                        }
+                        direct_receiver!(total, *has_receiver, 0);
                         dispatch_direct!(*method, *site, total)
                     }
                     RInstr::CallNative { native, argc } => {
                         let argc = *argc as usize;
-                        match self.exec_native(t, fi, *native, argc) {
-                            NOut::Val(result) => {
+                        // Pops the arguments and advances past the call.
+                        macro_rules! complete {
+                            () => {{
                                 let frame = &mut t.frames[fi];
                                 let n = frame.stack.len();
                                 frame.stack.truncate(n - argc);
-                                if let Some(v) = result {
-                                    frame.stack.push(v);
-                                }
+                                frame.pc = next_pc as u32;
+                            }};
+                        }
+                        match self.exec_native(t, fi, *native, argc) {
+                            NOut::Val(result) => {
+                                complete!();
+                                t.frames[fi].stack.extend(result);
+                                continue;
                             }
                             NOut::Block(on) => {
                                 t.state = ThreadState::Blocked(on);
-                                return (SliceEvent::Blocked, steps);
+                                break 'outer SliceEvent::Blocked;
                             }
                             NOut::BlockAfter(on) => {
-                                let frame = &mut t.frames[fi];
-                                let n = frame.stack.len();
-                                frame.stack.truncate(n - argc);
-                                frame.pc = next_pc as u32;
+                                complete!();
                                 t.state = ThreadState::Blocked(on);
-                                return (SliceEvent::Blocked, steps);
+                                break 'outer SliceEvent::Blocked;
                             }
-                            NOut::NeedGc => return (SliceEvent::NeedGc, steps),
+                            NOut::NeedGc => break 'outer SliceEvent::NeedGc,
                             NOut::Trap(e) => trap!(e),
                             NOut::Frame(new_frame) => {
-                                let frame = &mut t.frames[fi];
-                                let n = frame.stack.len();
-                                frame.stack.truncate(n - argc);
-                                frame.pc = next_pc as u32;
-                                t.frames.push(*new_frame);
-                                continue 'outer;
-                            }
-                            NOut::Barrier(new_frame) => {
-                                if t.frames.len() >= self.config.max_stack_depth {
-                                    trap!(VmError::StackOverflow);
+                                if let Err(e) = self.push_frame(t, *new_frame) {
+                                    trap!(e);
                                 }
-                                t.frames.push(*new_frame);
+                                complete!();
                                 continue 'outer;
                             }
+                            NOut::Barrier(new_frame) => match self.push_frame(t, *new_frame) {
+                                Ok(()) => continue 'outer,
+                                Err(e) => trap!(e),
+                            },
                             NOut::Yield => {
-                                let frame = &mut t.frames[fi];
-                                let n = frame.stack.len();
-                                frame.stack.truncate(n - argc);
-                                frame.pc = next_pc as u32;
-                                return (SliceEvent::Quantum, steps);
+                                complete!();
+                                break 'outer SliceEvent::Quantum;
                             }
                         }
                     }
@@ -688,7 +734,7 @@ impl Vm {
                         if target <= pc {
                             // Loop back-edge: a yield point.
                             if steps >= budget {
-                                return (SliceEvent::Quantum, steps);
+                                break 'outer SliceEvent::Quantum;
                             }
                             if enable_jit {
                                 match code.level {
@@ -697,11 +743,10 @@ impl Vm {
                                         // heat; a long-running loop promotes
                                         // mid-method (OSR-in) without waiting
                                         // for the next invocation.
-                                        let trips = code.loop_trips.bump();
-                                        if trips.saturating_add(code.invocations.get())
-                                            >= jit_threshold
-                                            && self.osr_into_jit(t, fi)
-                                        {
+                                        let hot =
+                                            code.next_tier(&self.config) == Some(CompileLevel::Jit);
+                                        code.loop_trips.bump();
+                                        if hot && self.osr_into_jit(t, fi) {
                                             continue 'outer;
                                         }
                                     }
@@ -721,172 +766,74 @@ impl Vm {
                         continue;
                     }
                     RInstr::JumpIfTrue(target) => {
-                        if pop!().as_bool() {
-                            next_pc = *target as usize;
-                        }
+                        branch_if!(pop(&mut frame.stack).as_bool(), target)
                     }
                     RInstr::JumpIfFalse(target) => {
-                        if !pop!().as_bool() {
-                            next_pc = *target as usize;
-                        }
-                    }
-                    RInstr::Return | RInstr::ReturnValue => {
-                        let value = if matches!(instr, RInstr::ReturnValue) {
-                            Some(frame.stack.pop().expect("verified"))
-                        } else {
-                            None
-                        };
-                        do_return!(value)
-                    }
-                    RInstr::Pop => {
-                        pop!();
-                    }
-                    RInstr::Dup => {
-                        let v = *frame.stack.last().expect("verified");
-                        push!(v);
+                        branch_if!(!pop(&mut frame.stack).as_bool(), target)
                     }
 
-                    // ---- template-JIT superinstructions (crate::jit2) ----
-                    //
-                    // Each arm executes its covered base instructions in one
-                    // dispatch. Step accounting mirrors the base tier
-                    // exactly: the loop top counted 1, the completion path
-                    // adds covered-1 (and the partial count before a trap
-                    // matches the base trap point), so slice budgets, yield
-                    // positions, and the differential oracles see identical
-                    // totals. Barrier exits add nothing — the whole
-                    // superinstruction retries, costing 1 per attempt just
-                    // as the base tier's faulting instruction does.
-                    RInstr::FusedIncLocal { slot, delta } => {
-                        steps += 3;
-                        self.stats.fused_steps += 4;
-                        let v = frame.locals[*slot as usize].as_int();
-                        frame.locals[*slot as usize] = Value::Int(v.wrapping_add(*delta));
-                    }
-                    RInstr::FusedLoadGetField { slot, offset, is_ref } => {
-                        let Some(obj) = frame.locals[*slot as usize].as_ref_opt() else {
-                            steps += 1;
-                            trap!(VmError::NullPointer { context: "field read".into() });
-                        };
-                        let obj = barrier!(obj);
-                        steps += 1;
-                        self.stats.fused_steps += 2;
-                        let mut word = self.heap.get(obj, *offset as usize);
-                        // Same mid-epoch load resolution as GetField.
-                        if *is_ref && word != 0 && self.lazy.active {
-                            word = u64::from(self.heap.resolve(GcRef(word as u32)).0);
-                        }
-                        t.frames[fi].stack.push(Value::from_word(word, *is_ref));
-                    }
-                    RInstr::FusedLoadGetFieldReturn { slot, offset, is_ref } => {
-                        let Some(obj) = frame.locals[*slot as usize].as_ref_opt() else {
-                            steps += 1;
-                            trap!(VmError::NullPointer { context: "field read".into() });
-                        };
-                        let obj = barrier!(obj);
-                        steps += 2;
-                        self.stats.fused_steps += 3;
-                        let mut word = self.heap.get(obj, *offset as usize);
-                        if *is_ref && word != 0 && self.lazy.active {
-                            word = u64::from(self.heap.resolve(GcRef(word as u32)).0);
-                        }
-                        do_return!(Some(Value::from_word(word, *is_ref)))
-                    }
+                    // ---- superinstructions that branch or call ----
                     RInstr::FusedLoadLoadCmpBr { a, b, op, when, target } => {
-                        steps += 3;
-                        self.stats.fused_steps += 4;
+                        retire!(self, steps, instr.covers());
                         let x = frame.locals[*a as usize].as_int();
                         let y = frame.locals[*b as usize].as_int();
-                        if op.apply(x, y) == *when {
-                            next_pc = *target as usize;
-                        }
+                        branch_if!(op.apply(x, y) == *when, target);
                     }
                     RInstr::FusedLoadConstCmpBr { slot, k, op, when, target } => {
-                        steps += 3;
-                        self.stats.fused_steps += 4;
+                        retire!(self, steps, instr.covers());
                         let x = frame.locals[*slot as usize].as_int();
-                        if op.apply(x, *k) == *when {
-                            next_pc = *target as usize;
-                        }
+                        branch_if!(op.apply(x, *k) == *when, target);
                     }
                     RInstr::FusedStackConstCmpBr { k, op, when, target } => {
-                        steps += 2;
-                        self.stats.fused_steps += 3;
-                        let x = pop!().as_int();
-                        if op.apply(x, *k) == *when {
-                            next_pc = *target as usize;
-                        }
-                    }
-                    RInstr::FusedLoadLoadAdd { a, b } => {
-                        steps += 2;
-                        self.stats.fused_steps += 3;
-                        let x = frame.locals[*a as usize].as_int();
-                        let y = frame.locals[*b as usize].as_int();
-                        push!(Value::Int(x.wrapping_add(y)));
-                    }
-                    RInstr::FusedLoadConstAdd { slot, k } => {
-                        steps += 2;
-                        self.stats.fused_steps += 3;
-                        let x = frame.locals[*slot as usize].as_int();
-                        push!(Value::Int(x.wrapping_add(*k)));
-                    }
-                    RInstr::FusedLoadConstAddReturn { slot, k } => {
-                        steps += 3;
-                        self.stats.fused_steps += 4;
-                        let x = frame.locals[*slot as usize].as_int();
-                        do_return!(Some(Value::Int(x.wrapping_add(*k))))
-                    }
-                    RInstr::FusedConstReturn { k } => {
-                        steps += 1;
-                        self.stats.fused_steps += 2;
-                        do_return!(Some(Value::Int(*k)))
-                    }
-                    RInstr::FusedLoadReturn { slot } => {
-                        steps += 1;
-                        self.stats.fused_steps += 2;
-                        let v = frame.locals[*slot as usize];
-                        do_return!(Some(v))
-                    }
-                    RInstr::FusedLoadStore { from, to } => {
-                        steps += 1;
-                        self.stats.fused_steps += 2;
-                        frame.locals[*to as usize] = frame.locals[*from as usize];
+                        retire!(self, steps, instr.covers());
+                        let x = pop(&mut frame.stack).as_int();
+                        branch_if!(op.apply(x, *k) == *when, target);
                     }
                     RInstr::FusedLoadCallVirtual { slot, vslot, site } => {
-                        let Some(recv) = frame.locals[*slot as usize].as_ref_opt() else {
-                            steps += 1;
-                            trap!(VmError::NullPointer { context: "virtual call".into() });
-                        };
-                        let recv = barrier!(recv);
-                        steps += 1;
-                        self.stats.fused_steps += 2;
+                        let covers = instr.covers();
+                        let recv = receiver!(frame.locals[*slot as usize], 1);
+                        retire!(self, steps, covers);
                         // Base pushes the receiver then resolves the stack
                         // copy in place; pushing the resolved receiver is
                         // the same final stack (the local keeps the stale
                         // ref in both tiers).
                         t.frames[fi].stack.push(Value::Ref(recv));
-                        let class = self.heap.class_of(recv);
-                        dispatch_virtual!(*vslot, *site, class, 1)
+                        dispatch_virtual!(*vslot, *site, recv, 1)
                     }
                     RInstr::FusedLoadCallDirect { slot, method, argc, has_receiver, site } => {
+                        let covers = instr.covers();
                         let v = frame.locals[*slot as usize];
-                        let total = *argc as usize + usize::from(*has_receiver);
                         frame.stack.push(v);
-                        if *has_receiver {
-                            let n = frame.stack.len();
-                            if frame.stack[n - total].as_ref_opt().is_none() {
-                                steps += 1;
-                                trap!(VmError::NullPointer { context: "instance call".into() });
-                            }
-                        }
-                        steps += 1;
-                        self.stats.fused_steps += 2;
+                        let total = *argc as usize + usize::from(*has_receiver);
+                        direct_receiver!(total, *has_receiver, 1);
+                        retire!(self, steps, covers);
                         dispatch_direct!(*method, *site, total)
                     }
-                }
+                });
                 t.frames[fi].pc = next_pc as u32;
             }
+        };
+        // Folded once per slice rather than once per instruction; callers
+        // (e.g. GC-retry stuck detection) only read the total between
+        // `exec_thread` calls, which always see it up to date.
+        self.stats.steps += steps as u64;
+        event
+    }
+
+    /// The one frame-depth check: whether `t` may take another frame.
+    #[inline]
+    fn frame_room(&self, t: &VmThread) -> Result<(), VmError> {
+        if t.frames.len() >= self.config.max_stack_depth {
+            return Err(VmError::StackOverflow);
         }
+        Ok(())
+    }
+
+    /// Pushes an already-built frame (a transformer's), depth-checked.
+    fn push_frame(&self, t: &mut VmThread, frame: Frame) -> Result<(), VmError> {
+        self.frame_room(t)?;
+        t.frames.push(frame);
+        Ok(())
     }
 
     /// Pushes a frame for already-resolved code, consuming `total` stack
@@ -899,9 +846,9 @@ impl Vm {
         total: usize,
         caller_next_pc: usize,
     ) -> Result<(), VmError> {
-        if t.frames.len() >= self.config.max_stack_depth {
-            return Err(VmError::StackOverflow);
-        }
+        // Checked before the arguments move, so an overflow traps with
+        // them still on the caller's stack.
+        self.frame_room(t)?;
         let (mut locals, stack) = t.pool.pop().unwrap_or_default();
         let frame = &mut t.frames[fi];
         frame.pc = caller_next_pc as u32;
@@ -923,16 +870,15 @@ impl Vm {
         Ok(())
     }
 
-    /// Executes a whitelisted leaf callee (see [`crate::jit2::is_leaf`])
-    /// inline on the caller's operand stack, without materializing a
-    /// [`Frame`]. Only reachable from inline-cache hit paths when the
-    /// template JIT is enabled and no lazy epoch or indirection is
-    /// active, so reference loads need no read barrier; the whitelist
-    /// excludes allocation, so no GC can interleave and the scratch
-    /// locals never need root scanning. Step accounting mirrors the main
-    /// loop exactly — one step per plain op, the covered count per fused
-    /// op — so slice budgets and the differential oracles see identical
-    /// totals to framed execution.
+    /// Executes a leaf callee (see [`crate::jit2::is_leaf`]) on the
+    /// caller's operand stack, without materializing a [`Frame`]: the op
+    /// table instantiated over scratch locals, with the identity for the
+    /// reference hook. Only reachable from inline-cache hit paths when the
+    /// template JIT is enabled and no lazy epoch or indirection is active,
+    /// so reference loads need no read barrier; simple ops never allocate,
+    /// so no GC can interleave and the scratch locals never need root
+    /// scanning. What is left here is the prologue, the epilogue and the
+    /// trap-state reconstruction.
     fn exec_leaf(
         &mut self,
         t: &mut VmThread,
@@ -946,278 +892,58 @@ impl Vm {
         let frame = &mut t.frames[fi];
         let stack_base = frame.stack.len() - total;
         locals.extend_from_slice(&frame.stack[stack_base..]);
-        if locals.len() < callee.max_locals as usize {
-            locals.resize(callee.max_locals as usize, Value::Null);
-        }
+        locals.resize((callee.max_locals as usize).max(total), Value::Null);
         frame.stack.truncate(stack_base);
 
         let mut pc = 0usize;
-        let mut error: Option<VmError> = None;
-        macro_rules! fail {
-            ($e:expr) => {{
-                error = Some($e);
-                break None;
-            }};
-        }
-        let ret: Option<Value> = loop {
-            *steps += 1;
-            match &callee.code[pc] {
-                RInstr::ConstInt(v) => frame.stack.push(Value::Int(*v)),
-                RInstr::ConstBool(v) => frame.stack.push(Value::Bool(*v)),
-                RInstr::ConstNull => frame.stack.push(Value::Null),
-                RInstr::Load(slot) => frame.stack.push(locals[*slot as usize]),
-                RInstr::Store(slot) => {
-                    locals[*slot as usize] = frame.stack.pop().expect("verified");
-                }
-                RInstr::Add => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Int(a.wrapping_add(b)));
-                }
-                RInstr::Sub => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Int(a.wrapping_sub(b)));
-                }
-                RInstr::Mul => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Int(a.wrapping_mul(b)));
-                }
-                RInstr::Div => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    if b == 0 {
-                        fail!(VmError::DivisionByZero);
-                    }
-                    frame.stack.push(Value::Int(a.wrapping_div(b)));
-                }
-                RInstr::Rem => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    if b == 0 {
-                        fail!(VmError::DivisionByZero);
-                    }
-                    frame.stack.push(Value::Int(a.wrapping_rem(b)));
-                }
-                RInstr::Neg => {
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Int(a.wrapping_neg()));
-                }
-                RInstr::CmpEq => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Bool(a == b));
-                }
-                RInstr::CmpNe => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Bool(a != b));
-                }
-                RInstr::CmpLt => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Bool(a < b));
-                }
-                RInstr::CmpLe => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Bool(a <= b));
-                }
-                RInstr::CmpGt => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Bool(a > b));
-                }
-                RInstr::CmpGe => {
-                    let b = frame.stack.pop().expect("verified").as_int();
-                    let a = frame.stack.pop().expect("verified").as_int();
-                    frame.stack.push(Value::Bool(a >= b));
-                }
-                RInstr::Not => {
-                    let a = frame.stack.pop().expect("verified").as_bool();
-                    frame.stack.push(Value::Bool(!a));
-                }
-                RInstr::BoolEq => {
-                    let b = frame.stack.pop().expect("verified").as_bool();
-                    let a = frame.stack.pop().expect("verified").as_bool();
-                    frame.stack.push(Value::Bool(a == b));
-                }
-                instr @ (RInstr::RefEq | RInstr::RefNe) => {
-                    let b = frame.stack.pop().expect("verified");
-                    let a = frame.stack.pop().expect("verified");
-                    // Plain identity: the leaf path is gated on no lazy
-                    // epoch / indirection, so no forwarding word exists.
-                    let eq = match (a, b) {
-                        (Value::Null, Value::Null) => true,
-                        (Value::Ref(x), Value::Ref(y)) => x == y,
-                        _ => false,
-                    };
-                    frame
-                        .stack
-                        .push(Value::Bool(if matches!(instr, RInstr::RefEq) { eq } else { !eq }));
-                }
-                RInstr::StrEq => {
-                    let b = frame.stack.pop().expect("verified").as_ref_opt();
-                    let a = frame.stack.pop().expect("verified").as_ref_opt();
-                    frame.stack.push(Value::Bool(self.str_eq(a, b)));
-                }
-                RInstr::GetField { offset, is_ref } => {
-                    let n = frame.stack.len();
-                    let Some(obj) = frame.stack[n - 1].as_ref_opt() else {
-                        fail!(VmError::NullPointer { context: "field read".into() });
-                    };
-                    let word = self.heap.get(obj, *offset as usize);
-                    frame.stack.pop();
-                    frame.stack.push(Value::from_word(word, *is_ref));
-                }
-                RInstr::PutField { offset } => {
-                    let n = frame.stack.len();
-                    let Some(obj) = frame.stack[n - 2].as_ref_opt() else {
-                        fail!(VmError::NullPointer { context: "field write".into() });
-                    };
-                    let val = frame.stack.pop().expect("verified");
-                    frame.stack.pop();
-                    self.heap.set(obj, *offset as usize, val.to_word());
-                }
-                RInstr::GetStatic { slot, is_ref } => {
-                    let word = self.registry.jtoc_get(*slot);
-                    frame.stack.push(Value::from_word(word, *is_ref));
-                }
-                RInstr::PutStatic { slot } => {
-                    let val = frame.stack.pop().expect("verified");
-                    self.registry.jtoc_set(*slot, val.to_word());
-                }
-                RInstr::ALoad => {
-                    let idx = frame.stack.pop().expect("verified").as_int();
-                    let Some(arr) = frame.stack.pop().expect("verified").as_ref_opt() else {
-                        fail!(VmError::NullPointer { context: "array read".into() });
-                    };
-                    let arr = self.heap.resolve(arr);
-                    let len = self.heap.len_of(arr);
-                    if idx < 0 || idx as u32 >= len {
-                        fail!(VmError::IndexOutOfBounds { index: idx, len });
-                    }
-                    let is_ref = self.heap.kind(arr) == HeapKind::RefArray;
-                    let word = self.heap.get(arr, idx as usize);
-                    frame.stack.push(Value::from_word(word, is_ref));
-                }
-                RInstr::AStore => {
-                    let val = frame.stack.pop().expect("verified");
-                    let idx = frame.stack.pop().expect("verified").as_int();
-                    let Some(arr) = frame.stack.pop().expect("verified").as_ref_opt() else {
-                        fail!(VmError::NullPointer { context: "array write".into() });
-                    };
-                    let arr = self.heap.resolve(arr);
-                    let len = self.heap.len_of(arr);
-                    if idx < 0 || idx as u32 >= len {
-                        fail!(VmError::IndexOutOfBounds { index: idx, len });
-                    }
-                    self.heap.set(arr, idx as usize, val.to_word());
-                }
-                RInstr::ArrayLen => {
-                    let Some(arr) = frame.stack.pop().expect("verified").as_ref_opt() else {
-                        fail!(VmError::NullPointer { context: "array length".into() });
-                    };
-                    let arr = self.heap.resolve(arr);
-                    frame.stack.push(Value::Int(i64::from(self.heap.len_of(arr))));
-                }
-                RInstr::Pop => {
-                    frame.stack.pop().expect("verified");
-                }
-                RInstr::Dup => {
-                    let v = *frame.stack.last().expect("verified");
-                    frame.stack.push(v);
-                }
-                RInstr::Return => break None,
-                RInstr::ReturnValue => break Some(frame.stack.pop().expect("verified")),
-
-                RInstr::FusedIncLocal { slot, delta } => {
-                    *steps += 3;
-                    self.stats.fused_steps += 4;
-                    let v = locals[*slot as usize].as_int();
-                    locals[*slot as usize] = Value::Int(v.wrapping_add(*delta));
-                }
-                RInstr::FusedLoadGetField { slot, offset, is_ref } => {
-                    let Some(obj) = locals[*slot as usize].as_ref_opt() else {
-                        *steps += 1;
-                        fail!(VmError::NullPointer { context: "field read".into() });
-                    };
-                    *steps += 1;
-                    self.stats.fused_steps += 2;
-                    let word = self.heap.get(obj, *offset as usize);
-                    frame.stack.push(Value::from_word(word, *is_ref));
-                }
-                RInstr::FusedLoadGetFieldReturn { slot, offset, is_ref } => {
-                    let Some(obj) = locals[*slot as usize].as_ref_opt() else {
-                        *steps += 1;
-                        fail!(VmError::NullPointer { context: "field read".into() });
-                    };
-                    *steps += 2;
-                    self.stats.fused_steps += 3;
-                    let word = self.heap.get(obj, *offset as usize);
-                    break Some(Value::from_word(word, *is_ref));
-                }
-                RInstr::FusedLoadLoadAdd { a, b } => {
-                    *steps += 2;
-                    self.stats.fused_steps += 3;
-                    let x = locals[*a as usize].as_int();
-                    let y = locals[*b as usize].as_int();
-                    frame.stack.push(Value::Int(x.wrapping_add(y)));
-                }
-                RInstr::FusedLoadConstAdd { slot, k } => {
-                    *steps += 2;
-                    self.stats.fused_steps += 3;
-                    let x = locals[*slot as usize].as_int();
-                    frame.stack.push(Value::Int(x.wrapping_add(*k)));
-                }
-                RInstr::FusedLoadConstAddReturn { slot, k } => {
-                    *steps += 3;
-                    self.stats.fused_steps += 4;
-                    let x = locals[*slot as usize].as_int();
-                    break Some(Value::Int(x.wrapping_add(*k)));
-                }
-                RInstr::FusedConstReturn { k } => {
-                    *steps += 1;
-                    self.stats.fused_steps += 2;
-                    break Some(Value::Int(*k));
-                }
-                RInstr::FusedLoadReturn { slot } => {
-                    *steps += 1;
-                    self.stats.fused_steps += 2;
-                    break Some(locals[*slot as usize]);
-                }
-                RInstr::FusedLoadStore { from, to } => {
-                    *steps += 1;
-                    self.stats.fused_steps += 2;
-                    locals[*to as usize] = locals[*from as usize];
-                }
-
-                other => unreachable!("non-leaf instruction {other:?} in leaf code"),
+        let outcome: Result<Option<Value>, VmError> = 'leaf: loop {
+            macro_rules! fail {
+                ($k:expr, $e:expr) => {{
+                    *steps += $k;
+                    break 'leaf Err($e)
+                }};
             }
+            macro_rules! ret {
+                ($value:expr) => {
+                    break 'leaf Ok($value)
+                };
+            }
+            macro_rules! identity {
+                ($obj:expr) => {
+                    $obj
+                };
+            }
+            *steps += 1;
+            let instr = &callee.code[pc];
+            op_table!(self, instr, frame.stack, locals, *steps,
+                fail: fail, ret: ret, obj: identity,
+            {
+                framed_ops!() => fail!(0, VmError::Internal {
+                    message: format!("framed op {instr:?} in leaf code"),
+                }),
+            });
             pc += 1;
         };
 
-        if let Some(e) = error {
-            // Reconstruct the framed trap state for the GC and the heap
-            // fingerprint: a framed callee would hold the arguments in
-            // its locals (enumerated between the caller's stack and the
-            // callee's partial operands), so reinsert them at the same
-            // point in root order before surfacing the trap.
-            let frame = &mut t.frames[fi];
-            let args = &locals[..total];
-            frame.stack.splice(stack_base..stack_base, args.iter().copied());
-            locals.clear();
-            t.leaf_locals = locals;
-            return Err(e);
-        }
-        if let Some(v) = ret {
-            frame.stack.push(v);
-        }
-        debug_assert_eq!(frame.stack.len(), stack_base + usize::from(ret.is_some()));
+        let result = match outcome {
+            Ok(ret) => {
+                frame.stack.extend(ret);
+                debug_assert_eq!(frame.stack.len(), stack_base + usize::from(ret.is_some()));
+                Ok(())
+            }
+            Err(e) => {
+                // Reconstruct the framed trap state for the GC and the heap
+                // fingerprint: a framed callee would hold the arguments in
+                // its locals (enumerated between the caller's stack and the
+                // callee's partial operands), so reinsert them at the same
+                // point in root order before surfacing the trap.
+                frame.stack.splice(stack_base..stack_base, locals[..total].iter().copied());
+                Err(e)
+            }
+        };
         locals.clear();
         t.leaf_locals = locals;
-        Ok(())
+        result
     }
 
     /// Template-JIT epoch revalidation for the frame `fi` of `t`, called
@@ -1277,8 +1003,8 @@ impl Vm {
         self.stats.jit_compiles += 1;
         self.registry.set_compiled(mid, Arc::clone(&fresh));
         let target = t.frames[fi].pc;
-        let new_pc =
-            fresh.fused.as_ref().expect("jit code carries a fusion map").fused_index_of(target);
+        let map = &fresh.fused.as_ref().expect("jit code carries a fusion map").base_pc;
+        let new_pc = crate::jit2::fused_index_of(map, target);
         let f = &mut t.frames[fi];
         f.compiled = fresh;
         f.pc = new_pc;
@@ -1364,9 +1090,39 @@ impl Vm {
         }
     }
 
-    /// Guest `==` on strings, the one definition both dispatch loops use:
-    /// `null` equals only `null`, otherwise the texts are compared in
-    /// place.
+    /// Guest `==` on references: identity, with `null` equal only to
+    /// `null`.
+    #[inline]
+    fn ref_eq(&self, a: Value, b: Value) -> bool {
+        match (a, b) {
+            (Value::Null, Value::Null) => true,
+            // Mid-epoch (or under JDrums indirection) one operand may be a
+            // stale address and the other its migrated copy: identity must
+            // compare through the forwarding words.
+            (Value::Ref(x), Value::Ref(y)) => {
+                x == y
+                    || ((self.lazy.active || self.config.lazy_indirection)
+                        && self.heap.resolve(x) == self.heap.resolve(y))
+            }
+            _ => false,
+        }
+    }
+
+    /// A word just loaded from a field or array element. Mid-epoch, loaded
+    /// references resolve through any forwarding word: during the collapse
+    /// sweep this keeps stale addresses read from unswept cells from
+    /// recontaminating swept ones (the SATB/collapse invariant); outside
+    /// an epoch the branch is never taken.
+    #[inline]
+    fn loaded(&self, word: u64, is_ref: bool) -> u64 {
+        if is_ref && word != 0 && self.lazy.active {
+            return u64::from(self.heap.resolve(GcRef(word as u32)).0);
+        }
+        word
+    }
+
+    /// Guest `==` on strings: `null` equals only `null`, otherwise the
+    /// texts are compared in place.
     #[inline]
     fn str_eq(&self, a: Option<GcRef>, b: Option<GcRef>) -> bool {
         match (a, b) {
@@ -1652,7 +1408,9 @@ impl Vm {
                     }
                     return NOut::Val(None);
                 };
-                match self.transformer_frame(index) {
+                // Depth-checked before `transformer_frame` marks the entry
+                // in progress: an overflow leaves it pending.
+                match self.frame_room(t).and_then(|()| self.transformer_frame(index)) {
                     Ok(frame) => NOut::Frame(Box::new(frame)),
                     Err(e) => NOut::Trap(e),
                 }

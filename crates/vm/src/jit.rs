@@ -18,8 +18,9 @@
 //! deopt back to plain base code mid-method when an update invalidates
 //! them, and the fused-index → base-pc mapping is only exact when the
 //! underlying stream is the 1:1 one. Cross-method win comes from the leaf
-//! fast path instead (the interpreter runs tiny call-free callees inline
-//! at fused call sites without pushing a frame).
+//! fast path instead (at an inline-cache hit the interpreter runs a short
+//! callee made of simple ops without pushing a frame — any tier's code
+//! can be such a [`CompiledMethod::leaf`]).
 
 use std::sync::Arc;
 
@@ -51,100 +52,46 @@ pub fn compile(
         message: format!("method {} has no bytecode", info.name),
     })?;
 
-    match level {
-        CompileLevel::Base => {
-            let (mut rcode, referenced) = resolve_code(registry, &code.instrs)?;
-            let call_sites = assign_call_sites(&mut rcode);
-            let leaf = crate::jit2::is_leaf(&rcode);
-            Ok(CompiledMethod {
-                method: mid,
-                level: CompileLevel::Base,
-                code: rcode,
-                max_locals: code.max_locals,
-                inlined: Vec::new(),
-                referenced_classes: referenced,
-                invocations: Default::default(),
-                loop_trips: Default::default(),
-                call_sites,
-                fused: None,
-                leaf,
-            })
-        }
-        CompileLevel::Jit => {
-            // Resolve 1:1 exactly like the baseline, number the call
-            // sites over that stream (fusion preserves call ops and
-            // their order, so the ids stay dense), then fuse. The fused
-            // stream *is* the method body; the base body is retained in
-            // the fusion metadata as the deopt target — swapping a frame
-            // onto it at the mapped pc is exact and semantically a no-op.
-            let (mut rcode, referenced) = resolve_code(registry, &code.instrs)?;
-            let call_sites = assign_call_sites(&mut rcode);
-            let base = Arc::new(CompiledMethod {
-                method: mid,
-                level: CompileLevel::Base,
-                leaf: crate::jit2::is_leaf(&rcode),
-                code: rcode,
-                max_locals: code.max_locals,
-                inlined: Vec::new(),
-                referenced_classes: referenced.clone(),
-                invocations: Default::default(),
-                loop_trips: Default::default(),
-                call_sites,
-                fused: None,
-            });
-            let fusion = crate::jit2::fuse(&base.code);
-            let leaf = crate::jit2::is_leaf(&fusion.code);
-            Ok(CompiledMethod {
-                method: mid,
-                level: CompileLevel::Jit,
-                code: fusion.code,
-                max_locals: code.max_locals,
-                inlined: Vec::new(),
-                referenced_classes: referenced,
-                invocations: Default::default(),
-                loop_trips: Default::default(),
-                call_sites,
-                fused: Some(Arc::new(crate::jit2::FusedCode {
-                    base,
-                    base_pc: fusion.base_pc,
-                    valid_epoch: std::sync::atomic::AtomicU64::new(registry.code_epoch()),
-                    fused_count: fusion.fused_count,
-                })),
-                leaf,
-            })
-        }
-        CompileLevel::Opt => {
-            let mut next_local = code.max_locals;
-            let mut inlined = Vec::new();
-            let mut chain = vec![mid];
-            let expanded = expand(
-                registry,
-                &code.instrs,
-                config,
-                0,
-                &mut chain,
-                &mut inlined,
-                &mut next_local,
-                0,
-            );
-            let (mut rcode, referenced) = resolve_code(registry, &expanded)?;
-            let call_sites = assign_call_sites(&mut rcode);
-            let leaf = crate::jit2::is_leaf(&rcode);
-            Ok(CompiledMethod {
-                method: mid,
-                level: CompileLevel::Opt,
-                code: rcode,
-                max_locals: next_local,
-                inlined,
-                referenced_classes: referenced,
-                invocations: Default::default(),
-                loop_trips: Default::default(),
-                call_sites,
-                fused: None,
-                leaf,
-            })
-        }
+    // Opt expands inline candidates over the symbolic bytecode first; the
+    // other two tiers resolve the method's own instructions 1:1.
+    let mut max_locals = code.max_locals;
+    let mut inlined = Vec::new();
+    let expanded;
+    let instrs = if level == CompileLevel::Opt {
+        let mut chain = vec![mid];
+        expanded =
+            expand(registry, &code.instrs, config, 0, &mut chain, &mut inlined, &mut max_locals, 0);
+        &expanded
+    } else {
+        &code.instrs
+    };
+    let (mut rcode, referenced) = resolve_code(registry, instrs)?;
+    let call_sites = assign_call_sites(&mut rcode);
+    let resolved = CompiledMethod {
+        inlined,
+        referenced_classes: referenced,
+        ..CompiledMethod::new(mid, level, rcode, max_locals, call_sites)
+    };
+    if level != CompileLevel::Jit {
+        return Ok(resolved);
     }
+    // The template JIT fuses the 1:1 stream (the call sites were numbered
+    // over it; fusion preserves call ops and their order, so the ids stay
+    // dense). The fused stream *is* the method body; the base body is
+    // retained in the fusion metadata as the deopt target — swapping a
+    // frame onto it at the mapped pc is exact and semantically a no-op.
+    let fusion = crate::jit2::fuse(&resolved.code);
+    let referenced_classes = resolved.referenced_classes.clone();
+    let base = Arc::new(CompiledMethod { level: CompileLevel::Base, ..resolved });
+    Ok(CompiledMethod {
+        referenced_classes,
+        fused: Some(Arc::new(crate::jit2::FusedCode {
+            base,
+            base_pc: fusion.base_pc,
+            valid_epoch: std::sync::atomic::AtomicU64::new(registry.code_epoch()),
+        })),
+        ..CompiledMethod::new(mid, level, fusion.code, max_locals, call_sites)
+    })
 }
 
 /// Numbers every call site sequentially over the *final* instruction
@@ -165,6 +112,16 @@ fn assign_call_sites(code: &mut [RInstr]) -> u32 {
     next
 }
 
+/// `found`, or the resolution error for a member the registry lacks.
+fn member<T>(
+    found: Option<T>,
+    what: &str,
+    class: &jvolve_classfile::ClassName,
+    name: &str,
+) -> Result<T, VmError> {
+    found.ok_or_else(|| VmError::ResolutionError { message: format!("{what} {class}.{name}") })
+}
+
 /// Resolves a symbolic instruction sequence (1:1).
 fn resolve_code(
     registry: &Registry,
@@ -172,15 +129,15 @@ fn resolve_code(
 ) -> Result<(Vec<RInstr>, Vec<ClassId>), VmError> {
     let mut out = Vec::with_capacity(instrs.len());
     let mut referenced: Vec<ClassId> = Vec::new();
-    let touch = |referenced: &mut Vec<ClassId>, id: ClassId| {
+    // Resolves a class name, recording the class as referenced.
+    let mut class_id = |name: &jvolve_classfile::ClassName| {
+        let id = registry.class_id(name).ok_or_else(|| VmError::ResolutionError {
+            message: format!("unknown class {name}"),
+        })?;
         if !referenced.contains(&id) {
             referenced.push(id);
         }
-    };
-    let class_id = |name: &jvolve_classfile::ClassName| {
-        registry.class_id(name).ok_or_else(|| VmError::ResolutionError {
-            message: format!("unknown class {name}"),
-        })
+        Ok::<ClassId, VmError>(id)
     };
 
     for instr in instrs {
@@ -211,44 +168,31 @@ fn resolve_code(
             Instr::StrEq => RInstr::StrEq,
             Instr::New(name) => {
                 let id = class_id(name)?;
-                touch(&mut referenced, id);
                 let size = registry.class(id).layout.len();
                 RInstr::New { class: id, size: size as u16 }
             }
             Instr::GetField { class, field } => {
                 let id = class_id(class)?;
-                touch(&mut referenced, id);
                 let (offset, is_ref) =
-                    registry.field_offset(id, field).ok_or_else(|| VmError::ResolutionError {
-                        message: format!("unknown field {class}.{field}"),
-                    })?;
+                    member(registry.field_offset(id, field), "unknown field", class, field)?;
                 RInstr::GetField { offset, is_ref }
             }
             Instr::PutField { class, field } => {
                 let id = class_id(class)?;
-                touch(&mut referenced, id);
                 let (offset, _) =
-                    registry.field_offset(id, field).ok_or_else(|| VmError::ResolutionError {
-                        message: format!("unknown field {class}.{field}"),
-                    })?;
+                    member(registry.field_offset(id, field), "unknown field", class, field)?;
                 RInstr::PutField { offset }
             }
             Instr::GetStatic { class, field } => {
                 let id = class_id(class)?;
-                touch(&mut referenced, id);
                 let (slot, is_ref) =
-                    registry.static_slot(id, field).ok_or_else(|| VmError::ResolutionError {
-                        message: format!("unknown static field {class}.{field}"),
-                    })?;
+                    member(registry.static_slot(id, field), "unknown static field", class, field)?;
                 RInstr::GetStatic { slot, is_ref }
             }
             Instr::PutStatic { class, field } => {
                 let id = class_id(class)?;
-                touch(&mut referenced, id);
                 let (slot, _) =
-                    registry.static_slot(id, field).ok_or_else(|| VmError::ResolutionError {
-                        message: format!("unknown static field {class}.{field}"),
-                    })?;
+                    member(registry.static_slot(id, field), "unknown static field", class, field)?;
                 RInstr::PutStatic { slot }
             }
             Instr::NewArray(ty) => RInstr::NewArray { is_ref: ty.is_reference() },
@@ -257,20 +201,14 @@ fn resolve_code(
             Instr::ArrayLen => RInstr::ArrayLen,
             Instr::CallVirtual { class, method, argc } => {
                 let id = class_id(class)?;
-                touch(&mut referenced, id);
                 let vslot =
-                    registry.vslot(id, method).ok_or_else(|| VmError::ResolutionError {
-                        message: format!("no virtual slot for {class}.{method}"),
-                    })?;
+                    member(registry.vslot(id, method), "no virtual slot for", class, method)?;
                 RInstr::CallVirtual { vslot, argc: *argc, site: 0 }
             }
             Instr::CallStatic { class, method, argc } => {
                 let id = class_id(class)?;
-                touch(&mut referenced, id);
                 let target =
-                    registry.find_method(id, method).ok_or_else(|| VmError::ResolutionError {
-                        message: format!("unknown method {class}.{method}"),
-                    })?;
+                    member(registry.find_method(id, method), "unknown method", class, method)?;
                 match registry.method(target).native {
                     Some(native) => RInstr::CallNative { native, argc: *argc },
                     None => RInstr::CallDirect {
@@ -283,11 +221,8 @@ fn resolve_code(
             }
             Instr::CallSpecial { class, method, argc } => {
                 let id = class_id(class)?;
-                touch(&mut referenced, id);
                 let target =
-                    registry.find_method(id, method).ok_or_else(|| VmError::ResolutionError {
-                        message: format!("unknown method {class}.{method}"),
-                    })?;
+                    member(registry.find_method(id, method), "unknown method", class, method)?;
                 RInstr::CallDirect { method: target, argc: *argc, has_receiver: true, site: 0 }
             }
             Instr::Jump(t) => RInstr::Jump(*t),
@@ -641,7 +576,7 @@ mod tests {
         let mid = method_id(&r, "T", "big");
         let c = compile(&r, mid, CompileLevel::Jit, &VmConfig::default()).unwrap();
         let meta = c.fused.as_ref().expect("jit code carries fusion metadata");
-        assert!(meta.fused_count > 0, "loop body should fuse: {:?}", c.code);
+        assert!(c.code.iter().any(|op| op.covers() > 1), "loop body should fuse: {:?}", c.code);
         assert!(c.code.len() < meta.base.code.len());
         assert_eq!(meta.base.level, CompileLevel::Base);
         assert_eq!(meta.base.call_sites, c.call_sites);

@@ -8,7 +8,11 @@
 //! off` becomes one `FusedLoadGetField { slot, offset }` op. The fused
 //! stream is still a `Vec<RInstr>` executed by the interpreter's dense
 //! `match` (which compiles to a jump table), so one fused op costs one
-//! dispatch where the base stream paid two to four.
+//! dispatch where the base stream paid two to four. A superinstruction
+//! has no semantics of its own: its arm in the interpreter's op table
+//! (`crate::interp`) composes the bodies of the ops it covers, and
+//! [`RInstr::covers`] says once how many those are (the fusion stride,
+//! the `base_pc` map and the step accounting all read it).
 //!
 //! # Why this still counts as "JIT" for the paper's purposes
 //!
@@ -42,6 +46,7 @@
 //! that logic in one arm; and anything spanning a branch target.
 //!
 //! [`RInstr`]: crate::compiled::RInstr
+//! [`RInstr::covers`]: crate::compiled::RInstr::covers
 //! [`MethodId`]: crate::ids::MethodId
 //! [`VmConfig::jit_threshold`]: crate::config::VmConfig::jit_threshold
 //! [`Registry::code_epoch`]: crate::registry::Registry::code_epoch
@@ -117,23 +122,12 @@ pub struct FusedCode {
     ///
     /// [`Registry::code_epoch`]: crate::registry::Registry::code_epoch
     pub valid_epoch: AtomicU64,
-    /// Number of superinstructions in the fused stream (the rest are
-    /// passed-through base ops). Drives the fusion-coverage stat.
-    pub fused_count: u32,
 }
 
-impl FusedCode {
-    /// Fused index whose op *starts at* base pc `base` — exact lookup;
-    /// panics if `base` is not an op boundary. Callers only translate
-    /// branch targets and OSR entry pcs, which fusion guarantees are
-    /// boundaries.
-    pub fn fused_index_of(&self, base: u32) -> u32 {
-        fused_index_of(&self.base_pc, base)
-    }
-}
-
-/// Exact reverse lookup in a fused-index → base-pc map; panics if `base`
-/// is not an op boundary (see [`FusedCode::fused_index_of`]).
+/// Fused index whose op *starts at* base pc `base` in a fused-index →
+/// base-pc map — exact lookup; panics if `base` is not an op boundary.
+/// Callers only translate branch targets and OSR entry pcs, which fusion
+/// guarantees are boundaries.
 pub fn fused_index_of(map: &[u32], base: u32) -> u32 {
     map.binary_search(&base)
         .unwrap_or_else(|_| panic!("base pc {base} is not a fused-op boundary")) as u32
@@ -148,112 +142,104 @@ pub struct Fusion {
     pub code: Vec<RInstr>,
     /// Fused index → base pc of the first covered base instruction.
     pub base_pc: Vec<u32>,
-    /// Number of superinstructions emitted.
-    pub fused_count: u32,
 }
 
-/// Longest-first peephole match at `i`. Returns the superinstruction and
-/// how many base instructions it covers. A candidate is rejected if any
-/// *interior* pc is a branch target (the target must stay addressable);
-/// `i` itself being a target is fine — the fused op starts there.
-fn try_fuse(base: &[RInstr], i: usize, target: &[bool]) -> Option<(RInstr, usize)> {
+/// The comparison a base compare op performs, if it is one.
+fn cmp_of(ins: &RInstr) -> Option<CmpOp> {
+    match ins {
+        RInstr::CmpEq => Some(CmpOp::Eq),
+        RInstr::CmpNe => Some(CmpOp::Ne),
+        RInstr::CmpLt => Some(CmpOp::Lt),
+        RInstr::CmpLe => Some(CmpOp::Le),
+        RInstr::CmpGt => Some(CmpOp::Gt),
+        RInstr::CmpGe => Some(CmpOp::Ge),
+        _ => None,
+    }
+}
+
+/// `(branch when, target)` of a conditional branch, if it is one.
+fn br_of(ins: &RInstr) -> Option<(bool, u32)> {
+    match ins {
+        RInstr::JumpIfTrue(t) => Some((true, *t)),
+        RInstr::JumpIfFalse(t) => Some((false, *t)),
+        _ => None,
+    }
+}
+
+/// The four-instruction superinstruction `rest` starts with, if any.
+fn quad(rest: &[RInstr]) -> Option<RInstr> {
     use RInstr::*;
-    let clear = |n: usize| i + n <= base.len() && (i + 1..i + n).all(|p| !target[p]);
-    let cmp_of = |ins: &RInstr| match ins {
-        CmpEq => Some(CmpOp::Eq),
-        CmpNe => Some(CmpOp::Ne),
-        CmpLt => Some(CmpOp::Lt),
-        CmpLe => Some(CmpOp::Le),
-        CmpGt => Some(CmpOp::Gt),
-        CmpGe => Some(CmpOp::Ge),
+    match rest {
+        [Load(s), ConstInt(k), Add, Store(d), ..] if d == s => {
+            Some(FusedIncLocal { slot: *s, delta: *k })
+        }
+        [Load(s), ConstInt(k), Add, ReturnValue, ..] => {
+            Some(FusedLoadConstAddReturn { slot: *s, k: *k })
+        }
+        [Load(s), ConstInt(k), c, b, ..] => {
+            let (op, (when, target)) = (cmp_of(c)?, br_of(b)?);
+            Some(FusedLoadConstCmpBr { slot: *s, k: *k, op, when, target })
+        }
+        [Load(a), Load(b), c, j, ..] => {
+            let (op, (when, target)) = (cmp_of(c)?, br_of(j)?);
+            Some(FusedLoadLoadCmpBr { a: *a, b: *b, op, when, target })
+        }
         _ => None,
-    };
-    let br_of = |ins: &RInstr| match ins {
-        JumpIfTrue(t) => Some((true, *t)),
-        JumpIfFalse(t) => Some((false, *t)),
+    }
+}
+
+/// The three-instruction superinstruction `rest` starts with, if any.
+fn triple(rest: &[RInstr]) -> Option<RInstr> {
+    use RInstr::*;
+    match rest {
+        [Load(s), GetField { offset, is_ref }, ReturnValue, ..] => {
+            Some(FusedLoadGetFieldReturn { slot: *s, offset: *offset, is_ref: *is_ref })
+        }
+        [Load(a), Load(b), Add, ..] => Some(FusedLoadLoadAdd { a: *a, b: *b }),
+        [Load(s), ConstInt(k), Add, ..] => Some(FusedLoadConstAdd { slot: *s, k: *k }),
+        [ConstInt(k), c, b, ..] => {
+            let (op, (when, target)) = (cmp_of(c)?, br_of(b)?);
+            Some(FusedStackConstCmpBr { k: *k, op, when, target })
+        }
         _ => None,
-    };
+    }
+}
 
-    // --- quads ---
-    if let [Load(s), ConstInt(k), rest @ ..] = &base[i..] {
-        if clear(4) {
-            match rest {
-                [Add, Store(d), ..] if d == s => {
-                    return Some((FusedIncLocal { slot: *s, delta: *k }, 4));
-                }
-                [Add, ReturnValue, ..] => {
-                    return Some((FusedLoadConstAddReturn { slot: *s, k: *k }, 4));
-                }
-                [c, b, ..] => {
-                    if let (Some(op), Some((when, t))) = (cmp_of(c), br_of(b)) {
-                        return Some(
-                            (FusedLoadConstCmpBr { slot: *s, k: *k, op, when, target: t }, 4),
-                        );
-                    }
-                }
-                _ => {}
-            }
+/// The two-instruction superinstruction `rest` starts with, if any.
+fn pair(rest: &[RInstr]) -> Option<RInstr> {
+    use RInstr::*;
+    match rest {
+        [Load(s), GetField { offset, is_ref }, ..] => {
+            Some(FusedLoadGetField { slot: *s, offset: *offset, is_ref: *is_ref })
         }
-    }
-    if let [Load(a), Load(b), c, j, ..] = &base[i..] {
-        if clear(4) {
-            if let (Some(op), Some((when, t))) = (cmp_of(c), br_of(j)) {
-                return Some((FusedLoadLoadCmpBr { a: *a, b: *b, op, when, target: t }, 4));
-            }
+        [Load(s), CallVirtual { vslot, argc: 0, site }, ..] => {
+            Some(FusedLoadCallVirtual { slot: *s, vslot: *vslot, site: *site })
         }
+        [Load(s), CallDirect { method, argc, has_receiver, site }, ..] => {
+            Some(FusedLoadCallDirect {
+                slot: *s,
+                method: *method,
+                argc: *argc,
+                has_receiver: *has_receiver,
+                site: *site,
+            })
+        }
+        [Load(s), ReturnValue, ..] => Some(FusedLoadReturn { slot: *s }),
+        [Load(f), Store(t), ..] => Some(FusedLoadStore { from: *f, to: *t }),
+        [ConstInt(k), ReturnValue, ..] => Some(FusedConstReturn { k: *k }),
+        _ => None,
     }
+}
 
-    // --- triples ---
-    if clear(3) {
-        match &base[i..] {
-            [Load(s), GetField { offset, is_ref }, ReturnValue, ..] => {
-                return Some(
-                    (FusedLoadGetFieldReturn { slot: *s, offset: *offset, is_ref: *is_ref }, 3),
-                );
-            }
-            [Load(a), Load(b), Add, ..] => {
-                return Some((FusedLoadLoadAdd { a: *a, b: *b }, 3));
-            }
-            [Load(s), ConstInt(k), Add, ..] => {
-                return Some((FusedLoadConstAdd { slot: *s, k: *k }, 3));
-            }
-            [ConstInt(k), c, b, ..] => {
-                if let (Some(op), Some((when, t))) = (cmp_of(c), br_of(b)) {
-                    return Some((FusedStackConstCmpBr { k: *k, op, when, target: t }, 3));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // --- pairs ---
-    if clear(2) {
-        match &base[i..] {
-            [Load(s), GetField { offset, is_ref }, ..] => {
-                return Some((FusedLoadGetField { slot: *s, offset: *offset, is_ref: *is_ref }, 2));
-            }
-            [Load(s), CallVirtual { vslot, argc: 0, site }, ..] => {
-                return Some((FusedLoadCallVirtual { slot: *s, vslot: *vslot, site: *site }, 2));
-            }
-            [Load(s), CallDirect { method, argc, has_receiver, site }, ..] => {
-                return Some((
-                    FusedLoadCallDirect {
-                        slot: *s,
-                        method: *method,
-                        argc: *argc,
-                        has_receiver: *has_receiver,
-                        site: *site,
-                    },
-                    2,
-                ));
-            }
-            [Load(s), ReturnValue, ..] => return Some((FusedLoadReturn { slot: *s }, 2)),
-            [Load(f), Store(t), ..] => return Some((FusedLoadStore { from: *f, to: *t }, 2)),
-            [ConstInt(k), ReturnValue, ..] => return Some((FusedConstReturn { k: *k }, 2)),
-            _ => {}
-        }
-    }
-    None
+/// Longest-first peephole match at `i`. How many base instructions the
+/// returned superinstruction swallows is its [`RInstr::covers`]. A
+/// candidate is rejected if any *interior* pc is a branch target (the
+/// target must stay addressable); `i` itself being a target is fine — the
+/// fused op starts there.
+fn try_fuse(base: &[RInstr], i: usize, target: &[bool]) -> Option<RInstr> {
+    [quad, triple, pair].iter().find_map(|shape| {
+        shape(&base[i..]).filter(|op| (i + 1..i + op.covers()).all(|p| !target[p]))
+    })
 }
 
 /// Peephole-fuses a 1:1 base-resolved stream into superinstruction
@@ -274,22 +260,13 @@ pub fn fuse(base: &[RInstr]) -> Fusion {
     let mut base_pc = Vec::with_capacity(base.len());
     // Base boundary pc → fused index, for the branch-target fixup pass.
     let mut fused_of = vec![u32::MAX; base.len() + 1];
-    let mut fused_count = 0u32;
     let mut i = 0;
     while i < base.len() {
         fused_of[i] = out.len() as u32;
         base_pc.push(i as u32);
-        match try_fuse(base, i, &target) {
-            Some((op, n)) => {
-                out.push(op);
-                fused_count += 1;
-                i += n;
-            }
-            None => {
-                out.push(base[i].clone());
-                i += 1;
-            }
-        }
+        let op = try_fuse(base, i, &target).unwrap_or_else(|| base[i].clone());
+        i += op.covers();
+        out.push(op);
     }
     fused_of[base.len()] = out.len() as u32;
 
@@ -297,11 +274,10 @@ pub fn fuse(base: &[RInstr]) -> Fusion {
     // Every target is a boundary (forced above), so the map is defined.
     for ins in &mut out {
         match ins {
-            Jump(t) | JumpIfTrue(t) | JumpIfFalse(t) => {
-                debug_assert_ne!(fused_of[*t as usize], u32::MAX);
-                *t = fused_of[*t as usize];
-            }
-            FusedLoadLoadCmpBr { target: t, .. }
+            Jump(t)
+            | JumpIfTrue(t)
+            | JumpIfFalse(t)
+            | FusedLoadLoadCmpBr { target: t, .. }
             | FusedLoadConstCmpBr { target: t, .. }
             | FusedStackConstCmpBr { target: t, .. } => {
                 debug_assert_ne!(fused_of[*t as usize], u32::MAX);
@@ -311,74 +287,29 @@ pub fn fuse(base: &[RInstr]) -> Fusion {
         }
     }
 
-    Fusion { code: out, base_pc, fused_count }
+    Fusion { code: out, base_pc }
 }
 
 /// Longest body eligible for the leaf-call fast path.
 const LEAF_MAX_LEN: usize = 16;
 
 /// Whether a (possibly fused) body qualifies for the leaf-call fast
-/// path: short, straight-line, allocation- and call-free code a fused
-/// caller's inline-cache hit may execute without pushing a frame. The
-/// whitelist is exactly the op set the interpreter's leaf mini-loop
-/// implements; anything else (branches, calls, allocation, string
-/// concat) disqualifies the body.
+/// path: short and made of simple ops only ([`RInstr::is_simple`] — no
+/// branch, call or allocation), so an inline-cache hit may execute it on
+/// the caller's operand stack without pushing a frame.
 pub fn is_leaf(code: &[RInstr]) -> bool {
-    use RInstr::*;
-    code.len() <= LEAF_MAX_LEN
-        && code.iter().all(|ins| {
-            matches!(
-                ins,
-                ConstInt(_)
-                    | ConstBool(_)
-                    | ConstNull
-                    | Load(_)
-                    | Store(_)
-                    | Add
-                    | Sub
-                    | Mul
-                    | Div
-                    | Rem
-                    | Neg
-                    | CmpEq
-                    | CmpNe
-                    | CmpLt
-                    | CmpLe
-                    | CmpGt
-                    | CmpGe
-                    | Not
-                    | BoolEq
-                    | RefEq
-                    | RefNe
-                    | StrEq
-                    | GetField { .. }
-                    | PutField { .. }
-                    | GetStatic { .. }
-                    | PutStatic { .. }
-                    | ALoad
-                    | AStore
-                    | ArrayLen
-                    | Pop
-                    | Dup
-                    | Return
-                    | ReturnValue
-                    | FusedIncLocal { .. }
-                    | FusedLoadGetField { .. }
-                    | FusedLoadGetFieldReturn { .. }
-                    | FusedLoadLoadAdd { .. }
-                    | FusedLoadConstAdd { .. }
-                    | FusedLoadConstAddReturn { .. }
-                    | FusedConstReturn { .. }
-                    | FusedLoadReturn { .. }
-                    | FusedLoadStore { .. }
-            )
-        })
+    code.len() <= LEAF_MAX_LEN && code.iter().all(RInstr::is_simple)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use RInstr::*;
+
+    /// Superinstructions in a fused stream.
+    fn fused_count(f: &Fusion) -> usize {
+        f.code.iter().filter(|op| op.covers() > 1).count()
+    }
 
     #[test]
     fn getter_fuses_to_a_single_superinstruction() {
@@ -391,7 +322,7 @@ mod tests {
             vec![FusedLoadGetFieldReturn { slot: 0, offset: 0, is_ref: false }]
         );
         assert_eq!(f.base_pc, vec![0]);
-        assert_eq!(f.fused_count, 1);
+        assert_eq!(fused_count(&f), 1);
         assert!(is_leaf(&f.code));
     }
 
@@ -452,7 +383,7 @@ mod tests {
             ]
         );
         assert_eq!(f.base_pc, vec![0, 1, 2, 6, 9, 10, 14, 15]);
-        assert_eq!(f.fused_count, 4);
+        assert_eq!(fused_count(&f), 4);
         // The loop-exit target (base 15) resolved to fused index 7.
         assert_eq!(fused_index_of(&f.base_pc, 15), 7);
         assert_eq!(fused_index_of(&f.base_pc, 2), 2);
@@ -468,7 +399,7 @@ mod tests {
         let f = fuse(&base);
         assert_eq!(f.code[1], Load(0));
         assert_eq!(f.code[2], ReturnValue);
-        assert_eq!(f.fused_count, 0);
+        assert_eq!(fused_count(&f), 0);
         assert_eq!(f.base_pc, vec![0, 1, 2, 3]);
         // Both branches retarget to the (unchanged) fused index 2.
         assert_eq!(f.code[0], JumpIfTrue(2));

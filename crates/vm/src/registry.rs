@@ -904,19 +904,13 @@ mod tests {
         // Fake compiled code so invalidation is observable.
         r.set_compiled(
             mid,
-            Arc::new(CompiledMethod {
-                method: mid,
-                level: crate::compiled::CompileLevel::Base,
-                code: vec![RInstrStub()],
-                max_locals: 0,
-                inlined: vec![],
-                referenced_classes: vec![],
-                invocations: Default::default(),
-                loop_trips: Default::default(),
-                call_sites: 0,
-                fused: None,
-                leaf: false,
-            }),
+            Arc::new(CompiledMethod::new(
+                mid,
+                crate::compiled::CompileLevel::Base,
+                vec![RInstrStub()],
+                0,
+                0,
+            )),
         );
         let new_def = jvolve_lang::compile("class T { static method f(): int { return 2; } }")
             .unwrap()[0]
@@ -1020,17 +1014,14 @@ mod tests {
         r.set_compiled(
             g,
             Arc::new(CompiledMethod {
-                method: g,
-                level: crate::compiled::CompileLevel::Opt,
-                code: vec![crate::compiled::RInstr::Return],
-                max_locals: 0,
                 inlined: vec![f],
-                referenced_classes: vec![],
-                invocations: Default::default(),
-                loop_trips: Default::default(),
-                call_sites: 0,
-                fused: None,
-                leaf: false,
+                ..CompiledMethod::new(
+                    g,
+                    crate::compiled::CompileLevel::Opt,
+                    vec![crate::compiled::RInstr::Return],
+                    0,
+                    0,
+                )
             }),
         );
         let victims = r.invalidate_inliners(&[f]);
@@ -1059,19 +1050,13 @@ mod tests {
         let m = r.find_method(e, "m").unwrap();
         r.set_compiled(
             m,
-            Arc::new(CompiledMethod {
-                method: m,
-                level: crate::compiled::CompileLevel::Base,
-                code: vec![RInstrStub()],
-                max_locals: 0,
-                inlined: vec![],
-                referenced_classes: vec![],
-                invocations: Default::default(),
-                loop_trips: Default::default(),
-                call_sites: 0,
-                fused: None,
-                leaf: false,
-            }),
+            Arc::new(CompiledMethod::new(
+                m,
+                crate::compiled::CompileLevel::Base,
+                vec![RInstrStub()],
+                0,
+                0,
+            )),
         );
         expect_bump(&r, "set_compiled", &mut last);
 

@@ -173,19 +173,8 @@ mod tests {
     use crate::compiled::{CompileLevel, RInstr};
 
     fn dummy_compiled(max_locals: u16) -> Arc<CompiledMethod> {
-        Arc::new(CompiledMethod {
-            method: MethodId(0),
-            level: CompileLevel::Base,
-            code: vec![RInstr::Return],
-            max_locals,
-            inlined: vec![],
-            referenced_classes: vec![],
-            invocations: Default::default(),
-            loop_trips: Default::default(),
-            call_sites: 0,
-            fused: None,
-            leaf: false,
-        })
+        let body = vec![RInstr::Return];
+        Arc::new(CompiledMethod::new(MethodId(0), CompileLevel::Base, body, max_locals, 0))
     }
 
     #[test]

@@ -207,6 +207,35 @@ pub struct Vm {
     next_thread: usize,
 }
 
+impl CompiledMethod {
+    /// The tier this code's heat says it should be recompiled at, if any —
+    /// the one statement of the promotion rule. Read *before* the counter
+    /// bump of the call or back-edge being sampled, so the slow path, the
+    /// inline-cache hit path and the back-edge OSR trigger all promote at
+    /// the same call number. The template JIT outranks Opt and also
+    /// promotes *from* Opt: invocations plus loop trips measure total
+    /// heat, while Opt is driven by invocations alone. (Defined here, by
+    /// [`Vm::compiled_for`], because it is VM policy over [`VmConfig`],
+    /// not part of the code representation.)
+    #[inline]
+    pub fn next_tier(&self, config: &VmConfig) -> Option<CompileLevel> {
+        let calls = self.invocations.get();
+        if config.enable_jit
+            && self.level != CompileLevel::Jit
+            && calls.saturating_add(self.loop_trips.get()) >= config.jit_threshold
+        {
+            Some(CompileLevel::Jit)
+        } else if config.enable_opt
+            && self.level == CompileLevel::Base
+            && calls >= config.opt_threshold
+        {
+            Some(CompileLevel::Opt)
+        } else {
+            None
+        }
+    }
+}
+
 impl Vm {
     /// Creates a VM with the builtin classes loaded.
     pub fn new(config: VmConfig) -> Vm {
@@ -378,44 +407,23 @@ impl Vm {
     /// compilation system naturally optimizes updated methods further if
     /// they execute frequently", §1).
     pub(crate) fn compiled_for(&mut self, mid: MethodId) -> Result<Arc<CompiledMethod>, VmError> {
-        let threshold = self.config.opt_threshold;
-        let enable_opt = self.config.enable_opt;
-        let enable_jit = self.config.enable_jit;
-        let jit_threshold = self.config.jit_threshold;
         let info = self.registry.method(mid);
         debug_assert!(info.native.is_none(), "natives are dispatched separately");
 
         // The hotness counter lives on the code object so inline-cache
-        // hits (which bypass this path) can keep sampling it; checked
-        // pre-bump, so promotion fires at the same call number in both
-        // cache modes. The template-JIT tier takes priority over Opt and
-        // also promotes *from* Opt — invocations plus loop trips measure
-        // total heat, matching the back-edge OSR-in condition.
-        let needs_jit = enable_jit
-            && info.compiled.as_ref().is_some_and(|c| {
-                c.level != CompileLevel::Jit
-                    && c.invocations.get().saturating_add(c.loop_trips.get()) >= jit_threshold
-            });
-        let needs_opt = !needs_jit
-            && enable_opt
-            && info
-                .compiled
-                .as_ref()
-                .is_some_and(|c| c.level == CompileLevel::Base && c.invocations.get() >= threshold);
-
-        if let (Some(c), false, false) = (&info.compiled, needs_opt, needs_jit) {
-            let c = c.clone();
-            c.invocations.bump();
-            self.registry.method_mut(mid).invocations = c.invocations.get();
-            return Ok(c);
-        }
-
-        let level = if needs_jit {
-            CompileLevel::Jit
-        } else if needs_opt {
-            CompileLevel::Opt
-        } else {
-            CompileLevel::Base
+        // hits (which bypass this path) can keep sampling it; the
+        // promotion rule ([`CompiledMethod::next_tier`]) is read pre-bump.
+        let level = match &info.compiled {
+            Some(c) => match c.next_tier(&self.config) {
+                Some(level) => level,
+                None => {
+                    let c = c.clone();
+                    c.invocations.bump();
+                    self.registry.method_mut(mid).invocations = c.invocations.get();
+                    return Ok(c);
+                }
+            },
+            None => CompileLevel::Base,
         };
         let compiled = Arc::new(jit::compile(&self.registry, mid, level, &self.config)?);
         match level {

@@ -379,3 +379,99 @@ fn substr_inside_a_character_traps_the_thread_not_the_vm() {
     assert_eq!(serve(&mut vm, "x").as_deref(), Some("x"));
     assert!(vm.thread(server).unwrap().is_live(), "the accept loop is still running");
 }
+
+#[test]
+fn force_transform_at_the_stack_limit_overflows_without_starting_the_entry() {
+    // A guest already at `max_stack_depth` forces a logged object: the
+    // transformer frame must be refused like any other frame, and refused
+    // *before* the log entry is marked in progress.
+    const LIMIT: usize = 16;
+    let mut vm = Vm::new(VmConfig { max_stack_depth: LIMIT, quantum: 8, ..VmConfig::small() });
+    vm.load_source(&format!(
+        "class Leaf {{ field v: int; }}
+         class Holder {{ static field p: Leaf; }}
+         class Probe {{ static field ran: int; }}
+         class Main {{
+           static method main(): void {{ Holder.p = new Leaf(); Holder.p.v = 7; }}
+           static method dive(n: int): void {{
+             if (n > 0) {{ Main.dive(n - 1); return; }}
+             Dsu.forceTransform(Holder.p);
+           }}
+           static method force(): void {{ Main.dive({}); }}
+         }}",
+        LIMIT - 2 // force + dive(LIMIT-2) .. dive(0) = LIMIT frames
+    ))
+    .unwrap();
+    vm.spawn("Main", "main").unwrap();
+    assert!(vm.run_to_completion(10_000));
+
+    let old_id = vm.registry().class_id(&"Leaf".into()).unwrap();
+    vm.registry_mut().rename_class(old_id, "v1_Leaf".into()).unwrap();
+    let mut externs = jvolve_classfile::ClassSet::new();
+    externs.insert(vm.registry().class(old_id).file.clone());
+    let probe = vm.registry().class_id(&"Probe".into()).unwrap();
+    externs.insert(vm.registry().class(probe).file.clone());
+    let new_classes = jvolve_lang::compile("class Leaf { field v: int; field w: int; }").unwrap();
+    let new_id = vm.load_classes(&new_classes).unwrap()[0];
+    externs.insert(new_classes[0].clone());
+    // The transformer yields mid-body, so a frame pushed past the limit
+    // would be visible between slices.
+    let transformer = jvolve_lang::compile_with(
+        "class JvolveTransformers {
+           static method jvolve_object_Leaf(to: Leaf, from: v1_Leaf): void {
+             Probe.ran = Probe.ran + 1;
+             Sys.yieldNow();
+             to.v = from.v;
+             to.w = 1;
+           }
+         }",
+        &jvolve_lang::CompileOptions { externs, override_access: true },
+    )
+    .unwrap();
+    let tids = vm.load_classes(&transformer).unwrap();
+    let tmid = vm.registry().find_method(tids[0], "jvolve_object_Leaf").unwrap();
+    let remap = std::collections::HashMap::from([(old_id, new_id)]);
+    let tf = std::collections::HashMap::from([(new_id, jvolve_vm::ObjectTransformer::Method(tmid))]);
+    vm.collect_for_update(remap, tf).unwrap();
+    assert_eq!(vm.pending_transforms(), 1);
+
+    let tid = vm.spawn("Main", "force").unwrap();
+    let mut deepest = 0;
+    while vm.thread(tid).unwrap().is_live() {
+        vm.step_slice();
+        let depth = vm.thread(tid).unwrap().frames.len();
+        assert!(depth <= LIMIT, "{depth} frames on a stack limited to {LIMIT}");
+        deepest = deepest.max(depth);
+    }
+    assert_eq!(deepest, LIMIT, "the guest must reach the limit before forcing");
+    assert!(matches!(
+        &vm.thread(tid).unwrap().state,
+        ThreadState::Trapped(VmError::StackOverflow)
+    ));
+    assert_eq!(vm.read_static("Probe", "ran"), Value::Int(0), "the forced transformer ran");
+
+    // The entry is still pending: the log walk runs it now (an entry left
+    // in progress would be skipped).
+    assert_eq!(vm.transform_pending().unwrap(), 1);
+    assert_eq!(vm.read_static("Probe", "ran"), Value::Int(1));
+    let Value::Ref(p) = vm.read_static("Holder", "p") else { panic!("Holder.p is a ref") };
+    assert_eq!(vm.read_field(p, "v"), Value::Int(7));
+    assert_eq!(vm.read_field(p, "w"), Value::Int(1));
+}
+
+#[test]
+fn array_index_beyond_u32_traps_instead_of_wrapping() {
+    // 2^32 truncates to 0 as a u32; the bounds check must not.
+    let mut vm = Vm::new(VmConfig::small());
+    vm.load_source(
+        "class A {
+           static method get(): int { var a: int[] = new int[4]; return a[4294967296]; }
+           static method put(): void { var a: int[] = new int[4]; a[4294967297] = 1; }
+         }",
+    )
+    .unwrap();
+    for method in ["get", "put"] {
+        let err = vm.call_static_sync("A", method, &[]).unwrap_err();
+        assert!(matches!(err, VmError::IndexOutOfBounds { len: 4, .. }), "{method}: {err}");
+    }
+}

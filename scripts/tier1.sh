@@ -36,7 +36,14 @@ cargo test -q --workspace
 # rolled-back updates. Part of the workspace run above, but named so a
 # gate failure here is unambiguous in CI logs.
 echo "== tier-1: differential oracles (update determinism, inline caches, template JIT) =="
-cargo test -q --test differential
+cargo test -q --test differential -- --skip opt_tier_matches_base_tier_and_host
+
+# The tier lattice: random guest programs over every simple op, trapping
+# forms included, run at base, opt, jit (fused code + frameless leaf
+# calls) and opt+jit against a host model — same result or same trap,
+# and for the jit the base tier's retired steps and post-trap heap.
+echo "== tier-1: tier-lattice differential (base vs opt vs jit+leaf vs host model) =="
+cargo test -q --test differential opt_tier_matches_base_tier_and_host
 
 # The lazy-migration differential oracle: a lazily committed update must
 # be observationally identical to the eager one under arbitrary
@@ -98,10 +105,13 @@ done
 if [ "$skip_bench" = 0 ]; then
     echo "== tier-1: GC pause regression check =="
     cargo run --release -q -p jvolve-bench --bin gcbench -- --check --iters 5
-    # interpbench --check also enforces the jit gates: jit_on >= 2x
-    # caches_on (best-of-N), and jit_on_updated within the regression
-    # limit of warm jit_on.
-    echo "== tier-1: interpreter dispatch + jit tier throughput check =="
+    # interpbench --check holds nothing recorded on another host: four
+    # same-run best-of-N ratios (caches_on >= 1.2x caches_off, jit_on >=
+    # 2x caches_on, each post-update configuration within the regression
+    # limit of its warm twin) and equality of the deterministic columns
+    # (checksum, calls, compile counts, fusion coverage) with the
+    # committed results/BENCH_interp.json.
+    echo "== tier-1: interpreter tiers, ratio + exact-count gates =="
     cargo run --release -q -p jvolve-bench --bin interpbench -- --check --iters 5
     echo "== tier-1: lazy migration pause + steady-state check =="
     cargo run --release -q -p jvolve-bench --bin lazybench -- --check --iters 5
@@ -111,7 +121,7 @@ if [ "$skip_bench" = 0 ]; then
     cargo run --release -q -p jvolve-bench --bin streambench -- --check --iters 5
 else
     echo "== tier-1: GC pause regression check skipped (--skip-bench) =="
-    echo "== tier-1: interpreter dispatch + jit tier throughput check skipped (--skip-bench) =="
+    echo "== tier-1: interpreter tiers, ratio + exact-count gates skipped (--skip-bench) =="
     echo "== tier-1: lazy migration pause + steady-state check skipped (--skip-bench) =="
     echo "== tier-1: fleet throughput + rolling-update integrity check skipped (--skip-bench) =="
     echo "== tier-1: UPT release-stream integrity + pause check skipped (--skip-bench) =="

@@ -1,7 +1,10 @@
 //! Differential testing.
 //!
-//! * The optimizing tier (inlining) must compute exactly what the
-//!   baseline tier computes, on randomly generated guest programs.
+//! * The tier lattice: base, opt (inlining), jit with the frameless leaf
+//!   calls, and opt+jit must compute what the host model computes on
+//!   randomly generated guest programs — the same result or the same
+//!   trap — and the jit must retire the base tier's step count and leave
+//!   the base tier's heap and trap state behind.
 //! * An update is deterministic: two VMs booted alike and given the same
 //!   update agree address for address — same cells at the same heap
 //!   addresses, registry fingerprint, transformer execution order
@@ -21,12 +24,17 @@ use std::fmt::Write as _;
 use testkit::Rng;
 
 use jvolve_repro::dsu::{ApplyOptions, MemorySink, Update, UpdateController, UpdateEvent};
-use jvolve_repro::vm::{ClassId, GcRef, MethodId, Value, Vm, VmConfig};
+use jvolve_repro::vm::thread::ThreadState;
+use jvolve_repro::vm::{ClassId, GcRef, MethodId, Value, Vm, VmConfig, VmError};
 
 /// A tiny expression language over two variables and helper calls,
-/// rendered to MJ. Helpers are small enough to be inlined, so evaluating
-/// the same program with and without the optimizing tier exercises the
-/// inliner end-to-end.
+/// rendered to MJ. The arithmetic helpers are small enough to be inlined,
+/// so the optimizing tier exercises the inliner end-to-end; the rest are
+/// call- and branch-free bodies — what the template JIT fuses and the
+/// leaf-call fast path runs without a frame — that between them execute
+/// every simple op, in its trapping form too: `/` and `%` by zero, field
+/// access through a null box, array access out of bounds, `.length` of
+/// null. The host model mirrors the guest-visible state they mutate.
 #[derive(Debug, Clone)]
 enum Expr {
     A,
@@ -41,10 +49,77 @@ enum Expr {
     H2(Box<Expr>),
     /// `abs(x)` with a branch (inlined control flow)
     Abs(Box<Expr>),
+    /// `x / (y % 11)`: traps on a zero divisor.
+    Div(Box<Expr>, Box<Expr>),
+    /// `x % (y % 13)`: traps on a zero divisor.
+    Rem(Box<Expr>, Box<Expr>),
+    /// `box.v += x; box.v` through a box that is null when `x % 11 == 0`.
+    Field(Box<Expr>),
+    /// The same through the never-null box, read back through a virtual
+    /// getter.
+    FieldOk(Box<Expr>),
+    /// `arr[wrap(x, 9)]` on the 8-element array: index 8 traps.
+    AGet(Box<Expr>),
+    /// `arr[wrap(x, 9) - 1]`: index -1 traps.
+    AGetLo(Box<Expr>),
+    /// `arr[wrap(x, 9)] = y; arr.length + y`.
+    APut(Box<Expr>, Box<Expr>),
+    /// `arrs[wrap(x, 13)].length` on a 12-slot `int[][]` holding a null
+    /// (slot 5) and a shorter array (slot 7): slot 12 traps on the
+    /// reference-array load, slot 5 on the length.
+    ALen(Box<Expr>),
+    /// `T.s += x; T.s` (statics).
+    Bump(Box<Expr>),
+    /// `==` on two of four strings (equal texts in two cells, a third
+    /// text, null), as 0/1.
+    StrEq(Box<Expr>, Box<Expr>),
+    /// `==` and `!=` on two of three references (two objects, null), as
+    /// `2 * same + differ`.
+    RefEq(Box<Expr>, Box<Expr>),
+    /// Two boolean formulas over every int comparison, `!`, unary `-` and
+    /// `==` on bools, as `2 * rel + rel2`.
+    Rel(Box<Expr>, Box<Expr>),
+    /// `succ(id(inc(x))) + seven()`: bodies that fuse to a single
+    /// superinstruction each (`x + 9`).
+    Leafy(Box<Expr>),
+}
+
+/// The trap a guest evaluation ends in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Trap {
+    DivZero,
+    Null,
+    Bounds,
+}
+
+impl Trap {
+    fn of(e: &VmError) -> Trap {
+        match e {
+            VmError::DivisionByZero => Trap::DivZero,
+            VmError::NullPointer { .. } => Trap::Null,
+            VmError::IndexOutOfBounds { .. } => Trap::Bounds,
+            other => panic!("unexpected trap {other}"),
+        }
+    }
+}
+
+/// Host mirror of the guest state the helpers mutate.
+#[derive(Default)]
+struct Model {
+    s: i64,
+    box_v: i64,
+    arr: [i64; 8],
+}
+
+/// `T.wrap`: `x` reduced into `0..m`.
+fn wrap(x: i64, m: i64) -> usize {
+    ((x % m + m) % m) as usize
 }
 
 impl Expr {
     fn render(&self) -> String {
+        let call1 = |f: &str, x: &Expr| format!("T.{f}({})", x.render());
+        let call2 = |f: &str, x: &Expr, y: &Expr| format!("T.{f}({}, {})", x.render(), y.render());
         match self {
             Expr::A => "a".into(),
             Expr::B => "b".into(),
@@ -52,29 +127,110 @@ impl Expr {
             Expr::Add(x, y) => format!("({} + {})", x.render(), y.render()),
             Expr::Sub(x, y) => format!("({} - {})", x.render(), y.render()),
             Expr::Mul(x, y) => format!("({} * {})", x.render(), y.render()),
-            Expr::H1(x, y) => format!("T.h1({}, {})", x.render(), y.render()),
-            Expr::H2(x) => format!("T.h2({})", x.render()),
-            Expr::Abs(x) => format!("T.abs({})", x.render()),
+            Expr::H1(x, y) => call2("h1", x, y),
+            Expr::H2(x) => call1("h2", x),
+            Expr::Abs(x) => call1("abs", x),
+            Expr::Div(x, y) => call2("div", x, y),
+            Expr::Rem(x, y) => call2("rem", x, y),
+            Expr::Field(x) => call1("fld", x),
+            Expr::FieldOk(x) => call1("fldok", x),
+            Expr::AGet(x) => call1("aget", x),
+            Expr::AGetLo(x) => call1("agetlo", x),
+            Expr::APut(x, y) => call2("aput", x, y),
+            Expr::ALen(x) => call1("alen", x),
+            Expr::Bump(x) => call1("bump", x),
+            Expr::StrEq(x, y) => call2("streq", x, y),
+            Expr::RefEq(x, y) => call2("refeq", x, y),
+            Expr::Rel(x, y) => call2("relop", x, y),
+            Expr::Leafy(x) => call1("leafy", x),
         }
     }
 
-    fn eval(&self, a: i64, b: i64) -> i64 {
-        match self {
+    /// Evaluates left to right, arguments before the call, as the guest
+    /// does — so the first trap is the guest's first trap.
+    fn eval(&self, a: i64, b: i64, m: &mut Model) -> Result<i64, Trap> {
+        let ev = |e: &Expr, m: &mut Model| e.eval(a, b, m);
+        Ok(match self {
             Expr::A => a,
             Expr::B => b,
             Expr::Lit(v) => i64::from(*v),
-            Expr::Add(x, y) => x.eval(a, b).wrapping_add(y.eval(a, b)),
-            Expr::Sub(x, y) => x.eval(a, b).wrapping_sub(y.eval(a, b)),
-            Expr::Mul(x, y) => x.eval(a, b).wrapping_mul(y.eval(a, b)),
-            Expr::H1(x, y) => x.eval(a, b).wrapping_mul(2).wrapping_sub(y.eval(a, b)),
-            Expr::H2(x) => Expr::H1(x.clone(), Box::new(Expr::Lit(3))).eval(a, b).wrapping_add(1),
-            Expr::Abs(x) => x.eval(a, b).wrapping_abs(),
-        }
+            Expr::Add(x, y) => ev(x, m)?.wrapping_add(ev(y, m)?),
+            Expr::Sub(x, y) => ev(x, m)?.wrapping_sub(ev(y, m)?),
+            Expr::Mul(x, y) => ev(x, m)?.wrapping_mul(ev(y, m)?),
+            Expr::H1(x, y) => ev(x, m)?.wrapping_mul(2).wrapping_sub(ev(y, m)?),
+            Expr::H2(x) => ev(x, m)?.wrapping_mul(2).wrapping_sub(3).wrapping_add(1),
+            Expr::Abs(x) => ev(x, m)?.wrapping_abs(),
+            Expr::Div(x, y) => {
+                let (x, d) = (ev(x, m)?, ev(y, m)? % 11);
+                if d == 0 {
+                    return Err(Trap::DivZero);
+                }
+                x.wrapping_div(d)
+            }
+            Expr::Rem(x, y) => {
+                let (x, d) = (ev(x, m)?, ev(y, m)? % 13);
+                if d == 0 {
+                    return Err(Trap::DivZero);
+                }
+                x.wrapping_rem(d)
+            }
+            Expr::Field(x) | Expr::FieldOk(x) => {
+                let x = ev(x, m)?;
+                if matches!(self, Expr::Field(_)) && x % 11 == 0 {
+                    return Err(Trap::Null);
+                }
+                m.box_v = m.box_v.wrapping_add(x);
+                m.box_v
+            }
+            Expr::AGet(x) => {
+                let i = wrap(ev(x, m)?, 9);
+                *m.arr.get(i).ok_or(Trap::Bounds)?
+            }
+            Expr::AGetLo(x) => {
+                let i = wrap(ev(x, m)?, 9).checked_sub(1).ok_or(Trap::Bounds)?;
+                m.arr[i]
+            }
+            Expr::APut(x, y) => {
+                let (x, y) = (ev(x, m)?, ev(y, m)?);
+                *m.arr.get_mut(wrap(x, 9)).ok_or(Trap::Bounds)? = y;
+                8i64.wrapping_add(y)
+            }
+            Expr::ALen(x) => match wrap(ev(x, m)?, 13) {
+                12 => return Err(Trap::Bounds),
+                5 => return Err(Trap::Null),
+                7 => 3,
+                _ => 8,
+            },
+            Expr::Bump(x) => {
+                let x = ev(x, m)?;
+                m.s = m.s.wrapping_add(x);
+                m.s
+            }
+            Expr::StrEq(x, y) => {
+                let texts = [Some("ab"), Some("ab"), Some("cd"), None];
+                i64::from(texts[wrap(ev(x, m)?, 4)] == texts[wrap(ev(y, m)?, 4)])
+            }
+            Expr::RefEq(x, y) => {
+                // Three distinct referents (the third is null), so
+                // identity is index equality.
+                let same = wrap(ev(x, m)?, 3) == wrap(ev(y, m)?, 3);
+                2 * i64::from(same) + i64::from(!same)
+            }
+            Expr::Rel(x, y) => {
+                let (x, y) = (ev(x, m)?, ev(y, m)?);
+                let rel = ((x < y) == (x <= 3)) == (y < 0); // the guest spells it !(y >= 0)
+                let rel2 = ((x == y) == (x != y.wrapping_neg())) == (x > y);
+                2 * i64::from(rel) + i64::from(rel2)
+            }
+            Expr::Leafy(x) => ev(x, m)?.wrapping_add(9),
+        })
     }
 }
 
 /// Random expression with a bounded depth; leaves get likelier as the
-/// budget shrinks, matching the old recursive-strategy shape.
+/// budget shrinks, matching the old recursive-strategy shape. Two in five
+/// inner nodes can trap (about one evaluation in ten each), so some
+/// programs die rounds in, after the tiers have warmed, and some run through.
 fn expr(rng: &mut Rng, depth: usize) -> Expr {
     if depth == 0 || rng.below(4) == 0 {
         return match rng.below(3) {
@@ -84,61 +240,214 @@ fn expr(rng: &mut Rng, depth: usize) -> Expr {
         };
     }
     let d = depth - 1;
-    match rng.below(6) {
-        0 => Expr::Add(Box::new(expr(rng, d)), Box::new(expr(rng, d))),
-        1 => Expr::Sub(Box::new(expr(rng, d)), Box::new(expr(rng, d))),
-        2 => Expr::Mul(Box::new(expr(rng, d)), Box::new(expr(rng, d))),
-        3 => Expr::H1(Box::new(expr(rng, d)), Box::new(expr(rng, d))),
-        4 => Expr::H2(Box::new(expr(rng, d))),
-        _ => Expr::Abs(Box::new(expr(rng, d))),
+    let kind = rng.below(20);
+    let mut sub = || Box::new(expr(rng, d));
+    match kind {
+        0 => Expr::Add(sub(), sub()),
+        1 => Expr::Sub(sub(), sub()),
+        2 => Expr::Mul(sub(), sub()),
+        3 => Expr::H1(sub(), sub()),
+        4 => Expr::H2(sub()),
+        5 => Expr::Abs(sub()),
+        6 => Expr::FieldOk(sub()),
+        7 => Expr::Bump(sub()),
+        8 => Expr::StrEq(sub(), sub()),
+        9 => Expr::RefEq(sub(), sub()),
+        10 => Expr::Rel(sub(), sub()),
+        11 => Expr::Leafy(sub()),
+        12 | 13 => Expr::Div(sub(), sub()),
+        14 => Expr::Rem(sub(), sub()),
+        15 => Expr::Field(sub()),
+        16 => Expr::AGet(sub()),
+        17 => Expr::AGetLo(sub()),
+        18 => Expr::APut(sub(), sub()),
+        _ => Expr::ALen(sub()),
     }
 }
 
-fn program_for(e: &Expr) -> String {
+/// Guest calls of `T.f` per program: past the tier thresholds of
+/// [`run_tier`], so late rounds run opt-inlined or fused code with the
+/// leaf helpers executed frameless.
+const ROUNDS: i64 = 32;
+
+fn program_for(e: &Expr, a: i64, b: i64) -> String {
     format!(
-        "class T {{
+        "class Box {{ field v: int; method get(): int {{ return this.v; }} }}
+         class T {{
+           static field s: int; static field n: int; static field out: int;
+           static field bx: Box; static field arr: int[]; static field arrs: int[][];
+           static field strs: String[]; static field objs: Box[];
+           static method setup(): void {{
+             T.bx = new Box();
+             T.arr = new int[8];
+             T.arrs = new int[12][];
+             var i: int = 0;
+             while (i < 12) {{ T.arrs[i] = T.arr; i = i + 1; }}
+             T.arrs[5] = null; T.arrs[7] = new int[3];
+             T.strs = new String[4];
+             T.strs[0] = \"ab\"; T.strs[1] = \"a\" + \"b\"; T.strs[2] = \"cd\";
+             T.objs = new Box[3]; T.objs[0] = T.bx; T.objs[1] = new Box();
+           }}
+
            static method h1(x: int, y: int): int {{ return x * 2 - y; }}
+           static method div(x: int, y: int): int {{ return x / (y % 11); }}
+           static method rem(x: int, y: int): int {{ return x % (y % 13); }}
+           static method wrap(x: int, m: int): int {{ return (x % m + m) % m; }}
+           static method thru(b: Box, x: int): int {{ b.v = b.v + x; return b.v; }}
+           static method at(i: int, q: int[]): int {{ return q[i]; }}
+           static method put(q: int[], i: int, y: int): int {{ q[i] = y; return q.length + y; }}
+           static method len(i: int): int {{ return T.arrs[i].length; }}
+           static method bump(x: int): int {{ T.s = T.s + x; return T.s; }}
+           static method str(i: int): String {{ return T.strs[i]; }}
+           static method obj(i: int): Box {{ return T.objs[i]; }}
+           static method seq(p: String, q: String): bool {{ return p == q; }}
+           static method same(p: Box, q: Box): bool {{ return p == q; }}
+           static method differ(p: Box, q: Box): bool {{ return p != q; }}
+           static method rel(x: int, y: int): bool {{
+             return ((x < y) == (x <= 3)) == (!(y >= 0));
+           }}
+           static method rel2(x: int, y: int): bool {{
+             return ((x == y) == (x != -y)) == (x > y);
+           }}
+           static method inc(x: int): int {{ var t: int = x; t + 0; t = t + 1; return t; }}
+           static method id(x: int): int {{ return x; }}
+           static method succ(x: int): int {{ return x + 1; }}
+           static method seven(): int {{ return 7; }}
+           static method note(x: int): void {{ T.n = x; }}
+
            static method h2(x: int): int {{ return T.h1(x, 3) + 1; }}
            static method abs(x: int): int {{ if (x < 0) {{ return -x; }} return x; }}
+           static method b2i(c: bool): int {{ if (c) {{ return 1; }} return 0; }}
+           static method pick(x: int): Box {{ if (x % 11 == 0) {{ return null; }} return T.bx; }}
+           static method fld(x: int): int {{ return T.thru(T.pick(x), x); }}
+           static method fldok(x: int): int {{ var p: Box = T.bx; T.thru(p, x); return p.get(); }}
+           static method aget(x: int): int {{ return T.at(T.wrap(x, 9), T.arr); }}
+           static method agetlo(x: int): int {{ return T.at(T.wrap(x, 9) - 1, T.arr); }}
+           static method aput(x: int, y: int): int {{ return T.put(T.arr, T.wrap(x, 9), y); }}
+           static method alen(x: int): int {{ return T.len(T.wrap(x, 13)); }}
+           static method streq(x: int, y: int): int {{
+             return T.b2i(T.seq(T.str(T.wrap(x, 4)), T.str(T.wrap(y, 4))));
+           }}
+           static method refeq(x: int, y: int): int {{
+             var p: Box = T.obj(T.wrap(x, 3));
+             var q: Box = T.obj(T.wrap(y, 3));
+             return 2 * T.b2i(T.same(p, q)) + T.b2i(T.differ(p, q));
+           }}
+           static method relop(x: int, y: int): int {{
+             return 2 * T.b2i(T.rel(x, y)) + T.b2i(T.rel2(x, y));
+           }}
+           static method leafy(x: int): int {{ return T.succ(T.id(T.inc(x))) + T.seven(); }}
+
            static method f(a: int, b: int): int {{ return {}; }}
+           static method main(): void {{
+             T.setup();
+             var i: int = 0;
+             while (i < {ROUNDS}) {{
+               T.note(i);
+               T.out = T.out * 31 + T.f({a} + i, {b}) + T.n;
+               i = i + 1;
+             }}
+           }}
          }}",
         e.render()
     )
 }
 
-fn run_tier(src: &str, opt: bool, a: i64, b: i64, reps: u32) -> i64 {
+/// What the host model says `T.main` does: the final `T.out`, or the trap
+/// that kills the thread and the round it strikes in.
+fn model_run(e: &Expr, a: i64, b: i64) -> Result<i64, (Trap, i64)> {
+    let mut m = Model::default();
+    let mut out = 0i64;
+    for i in 0..ROUNDS {
+        let f = e.eval(a.wrapping_add(i), b, &mut m).map_err(|trap| (trap, i))?;
+        out = out.wrapping_mul(31).wrapping_add(f).wrapping_add(i);
+    }
+    Ok(out)
+}
+
+/// One guest run of `T.main` at one point of the tier lattice.
+struct TierRun {
+    /// `T.out` of a finished thread, or the trap that killed it.
+    end: Result<i64, VmError>,
+    steps: u64,
+    fused_steps: u64,
+    /// After the thread ended; a trapped thread's frames are still roots.
+    fingerprint: u64,
+}
+
+fn run_tier(src: &str, opt: bool, jit: bool) -> TierRun {
     let mut vm = Vm::new(VmConfig {
         enable_opt: opt,
         opt_threshold: 2,
+        enable_jit: jit,
+        jit_threshold: 3,
         ..VmConfig::small()
     });
     vm.load_source(src).expect("program loads");
-    let mut last = 0;
-    // Repeat so the opt tier actually kicks in (threshold 2).
-    for _ in 0..reps {
-        last = vm
-            .call_static_sync("T", "f", &[Value::Int(a), Value::Int(b)])
-            .expect("runs")
-            .expect("returns")
-            .as_int();
+    let tid = vm.spawn("T", "main").expect("main spawns");
+    assert!(vm.run_to_completion(100_000), "main ends");
+    let end = match &vm.thread(tid).expect("thread exists").state {
+        ThreadState::Finished => Ok(vm.read_static("T", "out").as_int()),
+        ThreadState::Trapped(e) => Err(e.clone()),
+        other => panic!("main neither finished nor trapped: {other:?}"),
+    };
+    let stats = vm.stats();
+    TierRun {
+        end,
+        steps: stats.steps,
+        fused_steps: stats.fused_steps,
+        fingerprint: vm.heap_fingerprint(),
     }
-    last
 }
 
 #[test]
 fn opt_tier_matches_base_tier_and_host() {
-    for seed in 0..64 {
+    let (mut finished, mut trapped_warm) = (0, 0);
+    for seed in 0..96 {
         let mut rng = Rng::new(seed);
-        let e = expr(&mut rng, 4);
+        let e = expr(&mut rng, 5);
         let a = rng.i64_in(-1000, 1000);
         let b = rng.i64_in(-1000, 1000);
-        let src = program_for(&e);
-        let expected = e.eval(a, b);
-        let base = run_tier(&src, false, a, b, 1);
-        let opt = run_tier(&src, true, a, b, 5);
-        assert_eq!(base, expected, "seed {seed}: baseline vs host model\n{src}");
-        assert_eq!(opt, expected, "seed {seed}: opt (inlining) vs host model\n{src}");
+        let src = program_for(&e, a, b);
+        let expected = model_run(&e, a, b);
+        let base = run_tier(&src, false, false);
+        let opt = run_tier(&src, true, false);
+        let jit = run_tier(&src, false, true);
+        let lattice = run_tier(&src, true, true);
+
+        // Result or trap variant: every tier against the host model.
+        for (tier, run) in [("base", &base), ("opt", &opt), ("jit+leaf", &jit), ("opt+jit", &lattice)]
+        {
+            let got = run.end.as_ref().copied().map_err(Trap::of);
+            let want = expected.map_err(|(trap, _round)| trap);
+            assert_eq!(got, want, "seed {seed}: {tier} vs host model\n{src}");
+            // ...and the very same trap (context, index, length) as base.
+            assert_eq!(run.end, base.end, "seed {seed}: {tier} vs base\n{src}");
+        }
+        // Fusion and the frameless leaf calls retire exactly the base
+        // step count and leave exactly the base trap state behind: the
+        // dead thread's frames, with the leaf callee's arguments where
+        // its frame would have held them. (Inlining legitimately changes
+        // both, so opt is held to the heap only when nothing trapped.)
+        assert_eq!(jit.steps, base.steps, "seed {seed}: jit+leaf steps\n{src}");
+        assert_eq!(jit.fingerprint, base.fingerprint, "seed {seed}: jit+leaf heap\n{src}");
+        if expected.is_ok() {
+            assert_eq!(opt.fingerprint, base.fingerprint, "seed {seed}: opt heap\n{src}");
+            assert_eq!(lattice.fingerprint, base.fingerprint, "seed {seed}: opt+jit heap\n{src}");
+        }
+        // `main`'s loop OSRs into fused code on its fourth trip.
+        let rounds = expected.map_or_else(|(_trap, round)| round, |_| ROUNDS);
+        if rounds >= 8 {
+            assert!(jit.fused_steps > 0, "seed {seed}: no superinstruction retired\n{src}");
+            assert_eq!(base.fused_steps, 0, "seed {seed}: jit off never fuses");
+        }
+        finished += usize::from(expected.is_ok());
+        trapped_warm += usize::from(matches!(expected, Err((_, round)) if round >= 4));
     }
+    // The generator keeps both populations alive: programs that run
+    // through, and programs that trap in warmed-up (fused, leaf) code.
+    assert!(finished >= 5, "only {finished} of 64 programs ran through");
+    assert!(trapped_warm >= 10, "only {trapped_warm} of 64 programs trapped after warm-up");
 }
 
 // ---- update determinism -------------------------------------------------

@@ -5,9 +5,10 @@
 //! Every `Str.*` native, `==` and `+`, executed by guest code, must equal
 //! the same operation on Rust `str`s — over random strings that include
 //! the empty string, multi-byte UTF-8 and byte lengths straddling the
-//! heap's word boundaries; with the jit tier (and its leaf-call copy of
-//! `==`) on and off; and in the middle of a lazy-migration epoch, where
-//! operands are loaded through the read barrier.
+//! heap's word boundaries; with the jit tier (and with it the frameless
+//! leaf-call instantiation of the op table that `==` lives in) on and
+//! off; and in the middle of a lazy-migration epoch, where operands are
+//! loaded through the read barrier.
 
 mod testkit;
 
