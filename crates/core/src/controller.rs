@@ -1435,7 +1435,7 @@ impl<'u> UpdateController<'u> {
                 method: f.method,
                 compiled: f.compiled.clone(),
                 pc: f.pc,
-                locals_len: f.locals.len(),
+                locals_len: f.locals_len(),
             });
         }
     }

@@ -695,3 +695,117 @@ fn controllers_sharing_one_update_compile_it_once_between_them() {
     });
     assert_eq!(compiles, 1, "one compile per release, not one per shard");
 }
+
+// ---- OSR of a frame that has callees above it ---------------------------
+
+/// `outer → mid → inner`, parked inside `inner`'s loop: `mid` sits in the
+/// middle of the stack with a pending operand (`b`) under its call.
+const NESTED_V1: &str = "
+class Main {
+  static field out: int;
+  static method outer(n: int): int { var a: int = n * 2; return a + Main.mid(n + 1); }
+  static method mid(n: int): int { var b: int = n * 3; return b + Main.inner(n + 1); }
+  static method inner(n: int): int {
+    var i: int = 0;
+    var acc: int = 0;
+    while (i < 20000) { acc = acc + n; i = i + 1; }
+    return acc;
+  }
+  static method main(): void { Main.out = Main.outer(1); }
+}";
+
+/// v2 changes only `mid`: the same code up to the call's return point, then
+/// two more locals — migrating the on-stack frame has to grow its slots
+/// underneath `inner`'s. It computes what v1 computes.
+const NESTED_V2_MID: &str = "static method mid(n: int): int {
+    var b: int = n * 3;
+    var r: int = b + Main.inner(n + 1);
+    var extra: int = 7;
+    return r + extra - 7;
+  }";
+
+/// (code identity, pc, locals, operands) of every frame of the one guest
+/// thread.
+fn stack_shape(vm: &Vm) -> Vec<(usize, u32, Vec<Value>, Vec<Value>)> {
+    let t = vm.threads().next().expect("guest thread");
+    let frame = |(i, f): (usize, &jvolve_vm::thread::Frame)| {
+        let code = std::sync::Arc::as_ptr(&f.compiled) as usize;
+        (code, f.pc, t.locals(i).to_vec(), t.operands(i).to_vec())
+    };
+    t.frames.iter().enumerate().map(frame).collect()
+}
+
+fn boot_nested() -> Vm {
+    let config = VmConfig { quantum: 500, enable_opt: false, ..VmConfig::small() };
+    let mut vm = Vm::new(config);
+    vm.load_classes(&compile(NESTED_V1)).expect("v1 loads");
+    vm.spawn("Main", "main").expect("main spawns");
+    for _ in 0..5 {
+        vm.step_slice();
+    }
+    assert_eq!(stack_shape(&vm).len(), 4, "main, outer, mid, inner");
+    vm
+}
+
+fn nested_update() -> Update {
+    let v1_mid = "static method mid(n: int): int { var b: int = n * 3; return b + Main.inner(n + 1); }";
+    let v2 = NESTED_V1.replace(v1_mid, NESTED_V2_MID);
+    assert_ne!(v2, NESTED_V1, "patch point exists");
+    Update::prepare(&compile(NESTED_V1), &compile(&v2), "v1_").expect("non-empty update")
+}
+
+fn migrating() -> ApplyOptions {
+    ApplyOptions { migrate_active_methods: true, ..ApplyOptions::default() }
+}
+
+#[test]
+fn osr_of_a_middle_frame_grows_its_locals_under_its_callees() {
+    let mut plain = boot_nested();
+    assert!(plain.run_to_completion(100_000));
+
+    let mut vm = boot_nested();
+    let before = stack_shape(&vm);
+    let stats = jvolve::apply(&mut vm, &nested_update(), &migrating()).expect("update applies");
+    assert_eq!(stats.active_migrations, 1, "{stats:?}");
+
+    let after = stack_shape(&vm);
+    // `mid` is on its new version with two more (null) locals and its
+    // pending operand; every other frame is untouched.
+    let (mid_before, mid_after) = (&before[2], &after[2]);
+    assert_ne!(mid_after.0, mid_before.0, "mid runs its new code");
+    assert_eq!(mid_after.2[..2], mid_before.2[..], "old slots carry over");
+    assert_eq!(mid_after.2[2..], [Value::Null, Value::Null], "new slots are nulled");
+    assert_eq!(mid_after.3, mid_before.3, "the pending operand stays");
+    for i in [0, 1, 3] {
+        assert_eq!(after[i], before[i], "frame {i} moved intact");
+    }
+
+    assert!(vm.run_to_completion(100_000));
+    assert_eq!(vm.read_static("Main", "out"), plain.read_static("Main", "out"));
+}
+
+#[test]
+fn rollback_shrinks_a_migrated_middle_frame_back() {
+    let mut vm = boot_nested();
+    let mut update = nested_update();
+    rig_install_failure(&mut vm, &mut update);
+    let (shape, heap, registry) =
+        (stack_shape(&vm), vm.heap_fingerprint(), registry_fingerprint(&vm));
+
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(&update, migrating());
+    controller.attach_sink(&mut events);
+    controller.run_to_completion(&mut vm).expect_err("transformer batch collides");
+    drop(controller);
+    assert!(
+        events.events.iter().any(|e| matches!(e, UpdateEvent::OsrApplied { migrated: 1, .. })),
+        "the abort must come after the frame migrated: {:?}",
+        events.events
+    );
+
+    assert_eq!(stack_shape(&vm), shape, "every frame's code, pc, locals and operands");
+    assert_eq!(vm.heap_fingerprint(), heap);
+    assert_eq!(registry_fingerprint(&vm), registry);
+    assert!(vm.run_to_completion(100_000));
+    assert_eq!(vm.read_static("Main", "out"), Value::Int(2 + 6 + 20000 * 3));
+}

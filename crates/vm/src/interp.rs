@@ -27,9 +27,9 @@ use crate::ids::{ClassId, MethodId};
 use crate::jit2::CmpOp;
 use crate::lazy::MAX_TRANSFORMER_DEPTH;
 use crate::natives::NativeFn;
-use crate::thread::{BlockOn, Frame, FrameNote, ThreadState, VmThread, FRAME_POOL_CAP};
+use crate::thread::{BlockOn, FrameNote, ThreadState, VmThread};
 use crate::value::{GcRef, Value};
-use crate::vm::{LazyDup, Vm};
+use crate::vm::{LazyDup, TransformerCall, Vm};
 
 /// Why a thread execution slice stopped.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,11 +63,11 @@ enum NOut {
     NeedGc,
     /// Kill the thread.
     Trap(VmError),
-    /// Pop the arguments, advance, then run this frame (transformers).
-    Frame(Box<Frame>),
-    /// Leave pc and stack untouched; run this frame, then retry the
+    /// Pop the arguments, advance, then run this transformer.
+    Frame(TransformerCall),
+    /// Leave pc and stack untouched; run this transformer, then retry the
     /// instruction (lazy-migration barrier hit inside a native).
-    Barrier(Box<Frame>),
+    Barrier(TransformerCall),
     /// Pop the arguments, advance, then end the slice.
     Yield,
 }
@@ -80,30 +80,41 @@ enum Lazy {
     /// An allocation needs a collection; retry the instruction after.
     NeedGc,
     /// Lazy migration duplicated a stale object: run this transformer
-    /// frame with pc and stack untouched, then retry the instruction.
-    Run(Box<Frame>),
+    /// with pc and stack untouched, then retry the instruction.
+    Run(TransformerCall),
     /// The barrier itself trapped (depth limit, missing transformer).
     Trap(VmError),
 }
 
+/// Index of the `depth`-th operand from the top (1 = the top). `floor` is
+/// where the executing frame's operands start: on the shared value stack an
+/// underflow would read the frame below, so every pop, peek and truncate is
+/// debug-checked against it — verified code (`verify_class`) never trips it.
+#[inline(always)]
+fn at(stack: &[Value], floor: usize, depth: usize) -> usize {
+    debug_assert!(stack.len() >= floor + depth, "verified code: stack underflow");
+    stack.len() - depth
+}
+
 /// Pops the top operand.
 #[inline(always)]
-fn pop(stack: &mut Vec<Value>) -> Value {
+fn pop(stack: &mut Vec<Value>, floor: usize) -> Value {
+    debug_assert!(stack.len() > floor, "verified code: stack underflow");
     stack.pop().expect("verified code: stack underflow")
 }
 
 /// Replaces the two top operands `a`, `b` with `f(a, b)`.
 #[inline(always)]
-fn bin_op(stack: &mut Vec<Value>, f: impl FnOnce(Value, Value) -> Value) {
-    let b = pop(stack);
-    let a = pop(stack);
+fn bin_op(stack: &mut Vec<Value>, floor: usize, f: impl FnOnce(Value, Value) -> Value) {
+    let b = pop(stack, floor);
+    let a = pop(stack, floor);
     stack.push(f(a, b));
 }
 
 /// [`bin_op`] on ints.
 #[inline(always)]
-fn int_op(stack: &mut Vec<Value>, f: impl FnOnce(i64, i64) -> Value) {
-    bin_op(stack, |a, b| f(a.as_int(), b.as_int()));
+fn int_op(stack: &mut Vec<Value>, floor: usize, f: impl FnOnce(i64, i64) -> Value) {
+    bin_op(stack, floor, |a, b| f(a.as_int(), b.as_int()));
 }
 
 /// Guest `+` on ints: the body of `Add` and of every fused add.
@@ -132,9 +143,9 @@ macro_rules! retire {
 /// The `Div`/`Rem` body: `$op` on the two top ints, trapping on a zero
 /// divisor.
 macro_rules! div_op {
-    ($stack:expr, $fail:ident, $op:ident) => {{
-        let b = pop(&mut $stack).as_int();
-        let a = pop(&mut $stack).as_int();
+    ($stack:expr, $floor:expr, $fail:ident, $op:ident) => {{
+        let b = pop(&mut $stack, $floor).as_int();
+        let a = pop(&mut $stack, $floor).as_int();
         if b == 0 {
             $fail!(0, VmError::DivisionByZero);
         }
@@ -173,8 +184,9 @@ macro_rules! get_field {
 }
 
 /// The op table: the one definition of every *simple* op (everything but
-/// `framed_ops!`), written over an operand stack and a locals slice with
-/// three caller-supplied hooks —
+/// `framed_ops!`), written over the value stack `$stack` of a frame whose
+/// locals start at `$base` and whose operands start at `$floor`, with three
+/// caller-supplied hooks —
 ///
 /// * `$fail!(k, error)`: trap at base instruction `k` of the op;
 /// * `$ret!(value)`: return `value` from the executing method;
@@ -188,7 +200,7 @@ macro_rules! get_field {
 /// same component bodies fed from locals instead of the stack.
 macro_rules! op_table {
     (
-        $vm:ident, $instr:ident, $stack:expr, $locals:expr, $steps:expr,
+        $vm:ident, $instr:ident, $stack:expr, $base:expr, $floor:expr, $steps:expr,
         fail: $fail:ident, ret: $ret:ident, obj: $obj:ident,
         { $($framed:tt)* }
     ) => {
@@ -196,49 +208,54 @@ macro_rules! op_table {
             RInstr::ConstInt(v) => $stack.push(Value::Int(*v)),
             RInstr::ConstBool(v) => $stack.push(Value::Bool(*v)),
             RInstr::ConstNull => $stack.push(Value::Null),
-            RInstr::Load(slot) => $stack.push($locals[*slot as usize]),
-            RInstr::Store(slot) => $locals[*slot as usize] = pop(&mut $stack),
-            RInstr::Add => int_op(&mut $stack, add),
-            RInstr::Sub => int_op(&mut $stack, |a, b| Value::Int(a.wrapping_sub(b))),
-            RInstr::Mul => int_op(&mut $stack, |a, b| Value::Int(a.wrapping_mul(b))),
-            RInstr::Div => div_op!($stack, $fail, wrapping_div),
-            RInstr::Rem => div_op!($stack, $fail, wrapping_rem),
+            RInstr::Load(slot) => {
+                let v = $stack[$base + *slot as usize];
+                $stack.push(v);
+            }
+            RInstr::Store(slot) => {
+                let v = pop(&mut $stack, $floor);
+                $stack[$base + *slot as usize] = v;
+            }
+            RInstr::Add => int_op(&mut $stack, $floor, add),
+            RInstr::Sub => int_op(&mut $stack, $floor, |a, b| Value::Int(a.wrapping_sub(b))),
+            RInstr::Mul => int_op(&mut $stack, $floor, |a, b| Value::Int(a.wrapping_mul(b))),
+            RInstr::Div => div_op!($stack, $floor, $fail, wrapping_div),
+            RInstr::Rem => div_op!($stack, $floor, $fail, wrapping_rem),
             RInstr::Neg => {
-                let a = pop(&mut $stack).as_int();
+                let a = pop(&mut $stack, $floor).as_int();
                 $stack.push(Value::Int(a.wrapping_neg()));
             }
-            RInstr::CmpEq => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Eq.apply(a, b))),
-            RInstr::CmpNe => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Ne.apply(a, b))),
-            RInstr::CmpLt => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Lt.apply(a, b))),
-            RInstr::CmpLe => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Le.apply(a, b))),
-            RInstr::CmpGt => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Gt.apply(a, b))),
-            RInstr::CmpGe => int_op(&mut $stack, |a, b| Value::Bool(CmpOp::Ge.apply(a, b))),
+            RInstr::CmpEq => int_op(&mut $stack, $floor, |a, b| Value::Bool(CmpOp::Eq.apply(a, b))),
+            RInstr::CmpNe => int_op(&mut $stack, $floor, |a, b| Value::Bool(CmpOp::Ne.apply(a, b))),
+            RInstr::CmpLt => int_op(&mut $stack, $floor, |a, b| Value::Bool(CmpOp::Lt.apply(a, b))),
+            RInstr::CmpLe => int_op(&mut $stack, $floor, |a, b| Value::Bool(CmpOp::Le.apply(a, b))),
+            RInstr::CmpGt => int_op(&mut $stack, $floor, |a, b| Value::Bool(CmpOp::Gt.apply(a, b))),
+            RInstr::CmpGe => int_op(&mut $stack, $floor, |a, b| Value::Bool(CmpOp::Ge.apply(a, b))),
             RInstr::Not => {
-                let a = pop(&mut $stack).as_bool();
+                let a = pop(&mut $stack, $floor).as_bool();
                 $stack.push(Value::Bool(!a));
             }
             RInstr::BoolEq => {
-                bin_op(&mut $stack, |a, b| Value::Bool(a.as_bool() == b.as_bool()))
+                bin_op(&mut $stack, $floor, |a, b| Value::Bool(a.as_bool() == b.as_bool()))
             }
-            RInstr::RefEq => bin_op(&mut $stack, |a, b| Value::Bool($vm.ref_eq(a, b))),
-            RInstr::RefNe => bin_op(&mut $stack, |a, b| Value::Bool(!$vm.ref_eq(a, b))),
-            RInstr::StrEq => bin_op(&mut $stack, |a, b| {
+            RInstr::RefEq => bin_op(&mut $stack, $floor, |a, b| Value::Bool($vm.ref_eq(a, b))),
+            RInstr::RefNe => bin_op(&mut $stack, $floor, |a, b| Value::Bool(!$vm.ref_eq(a, b))),
+            RInstr::StrEq => bin_op(&mut $stack, $floor, |a, b| {
                 Value::Bool($vm.str_eq(a.as_ref_opt(), b.as_ref_opt()))
             }),
             RInstr::GetField { offset, is_ref } => {
-                let top = $stack.len() - 1;
+                let top = at(&$stack, $floor, 1);
                 let v = get_field!($vm, $fail, $obj, $stack[top], *offset, *is_ref, 0);
                 $stack[top] = v;
             }
             RInstr::PutField { offset } => {
                 // Peeked until the barrier is through, so its exit leaves
                 // the op retryable.
-                let n = $stack.len();
-                let Some(r) = $stack[n - 2].as_ref_opt() else {
+                let Some(r) = $stack[at(&$stack, $floor, 2)].as_ref_opt() else {
                     $fail!(0, VmError::NullPointer { context: "field write".into() });
                 };
                 let obj = $obj!(r);
-                let val = pop(&mut $stack);
+                let val = pop(&mut $stack, $floor);
                 $stack.pop();
                 $vm.heap.set(obj, *offset as usize, val.to_word());
             }
@@ -246,72 +263,77 @@ macro_rules! op_table {
                 $stack.push(Value::from_word($vm.registry.jtoc_get(*slot), *is_ref));
             }
             RInstr::PutStatic { slot } => {
-                let val = pop(&mut $stack);
+                let val = pop(&mut $stack, $floor);
                 $vm.registry.jtoc_set(*slot, val.to_word());
             }
             RInstr::ALoad => {
-                let idx = pop(&mut $stack).as_int();
-                let (arr, idx) = element!($vm, $fail, pop(&mut $stack), idx, "array read");
+                let idx = pop(&mut $stack, $floor).as_int();
+                let (arr, idx) =
+                    element!($vm, $fail, pop(&mut $stack, $floor), idx, "array read");
                 let is_ref = $vm.heap.kind(arr) == HeapKind::RefArray;
                 let word = $vm.heap.get(arr, idx);
                 $stack.push(Value::from_word($vm.loaded(word, is_ref), is_ref));
             }
             RInstr::AStore => {
-                let val = pop(&mut $stack);
-                let idx = pop(&mut $stack).as_int();
-                let (arr, idx) = element!($vm, $fail, pop(&mut $stack), idx, "array write");
+                let val = pop(&mut $stack, $floor);
+                let idx = pop(&mut $stack, $floor).as_int();
+                let (arr, idx) =
+                    element!($vm, $fail, pop(&mut $stack, $floor), idx, "array write");
                 $vm.heap.set(arr, idx, val.to_word());
             }
             RInstr::ArrayLen => {
-                let Some(arr) = pop(&mut $stack).as_ref_opt() else {
+                let Some(arr) = pop(&mut $stack, $floor).as_ref_opt() else {
                     $fail!(0, VmError::NullPointer { context: "array length".into() });
                 };
                 let len = $vm.heap.len_of($vm.heap.resolve(arr));
                 $stack.push(Value::Int(i64::from(len)));
             }
             RInstr::Pop => {
-                pop(&mut $stack);
+                pop(&mut $stack, $floor);
             }
             RInstr::Dup => {
-                let v = *$stack.last().expect("verified code: stack underflow");
+                let v = $stack[at(&$stack, $floor, 1)];
                 $stack.push(v);
             }
             RInstr::Return => $ret!(None),
             RInstr::ReturnValue => {
-                let v = pop(&mut $stack);
+                let v = pop(&mut $stack, $floor);
                 $ret!(Some(v))
             }
 
             // ---- call-free superinstructions (crate::jit2) ----
             RInstr::FusedIncLocal { slot, delta } => {
                 retire!($vm, $steps, $instr.covers());
-                $locals[*slot as usize] = add($locals[*slot as usize].as_int(), *delta);
+                let slot = $base + *slot as usize;
+                $stack[slot] = add($stack[slot].as_int(), *delta);
             }
             RInstr::FusedLoadGetField { slot, offset, is_ref } => {
                 let covers = $instr.covers();
-                let v =
-                    get_field!($vm, $fail, $obj, $locals[*slot as usize], *offset, *is_ref, 1);
+                let local = $stack[$base + *slot as usize];
+                let v = get_field!($vm, $fail, $obj, local, *offset, *is_ref, 1);
                 retire!($vm, $steps, covers);
                 $stack.push(v);
             }
             RInstr::FusedLoadGetFieldReturn { slot, offset, is_ref } => {
                 let covers = $instr.covers();
-                let v =
-                    get_field!($vm, $fail, $obj, $locals[*slot as usize], *offset, *is_ref, 1);
+                let local = $stack[$base + *slot as usize];
+                let v = get_field!($vm, $fail, $obj, local, *offset, *is_ref, 1);
                 retire!($vm, $steps, covers);
                 $ret!(Some(v))
             }
             RInstr::FusedLoadLoadAdd { a, b } => {
                 retire!($vm, $steps, $instr.covers());
-                $stack.push(add($locals[*a as usize].as_int(), $locals[*b as usize].as_int()));
+                let (x, y) = ($stack[$base + *a as usize], $stack[$base + *b as usize]);
+                $stack.push(add(x.as_int(), y.as_int()));
             }
             RInstr::FusedLoadConstAdd { slot, k } => {
                 retire!($vm, $steps, $instr.covers());
-                $stack.push(add($locals[*slot as usize].as_int(), *k));
+                let x = $stack[$base + *slot as usize].as_int();
+                $stack.push(add(x, *k));
             }
             RInstr::FusedLoadConstAddReturn { slot, k } => {
                 retire!($vm, $steps, $instr.covers());
-                $ret!(Some(add($locals[*slot as usize].as_int(), *k)))
+                $ret!(Some(add($stack[$base + *slot as usize].as_int(), *k)))
             }
             RInstr::FusedConstReturn { k } => {
                 retire!($vm, $steps, $instr.covers());
@@ -319,11 +341,11 @@ macro_rules! op_table {
             }
             RInstr::FusedLoadReturn { slot } => {
                 retire!($vm, $steps, $instr.covers());
-                $ret!(Some($locals[*slot as usize]))
+                $ret!(Some($stack[$base + *slot as usize]))
             }
             RInstr::FusedLoadStore { from, to } => {
                 retire!($vm, $steps, $instr.covers());
-                $locals[*to as usize] = $locals[*from as usize];
+                $stack[$base + *to as usize] = $stack[$base + *from as usize];
             }
             $($framed)*
         }
@@ -356,30 +378,48 @@ impl Vm {
             // a back-edge, deopt via `jit_revalidate`) re-enter 'outer
             // immediately without touching the borrow again — and the
             // borrow is last used before the frame pops (the return path
-            // re-enters 'outer immediately, and the popped frame keeps
+            // re-enters 'outer immediately, and the popped record keeps
             // the `Arc` alive through the arm).
-            // Pushing frames may move the `Arc` struct itself; the
+            // Pushing records may move the `Arc` struct itself; the
             // pointee is heap-allocated and unaffected.
             let code: &CompiledMethod =
                 unsafe { &*Arc::as_ptr(&t.frames[fi].compiled) };
             let code_key = Arc::as_ptr(&t.frames[fi].compiled) as usize;
+            // This frame's slice of the value stack: locals from `base`, operands
+            // from `floor`; only an OSR between slices resizes the locals.
+            let base = t.frames[fi].base as usize;
+            let floor = t.frames[fi].floor();
+            // The pc lives here while the activation executes; the record
+            // gets it back (`park!`) whenever control leaves this loop, and
+            // debug builds poison it meanwhile so a skipped `park!` is caught.
+            let ops: &[RInstr] = &code.code;
+            let mut pc = t.frames[fi].pc as usize;
 
             loop {
                 steps += 1;
-                let pc = t.frames[fi].pc as usize;
-                debug_assert!(pc < code.code.len(), "pc ran off method end");
-                let instr = &code.code[pc];
-                let frame = &mut t.frames[fi];
+                debug_assert!(pc < ops.len(), "pc ran off method end");
+                if cfg!(debug_assertions) {
+                    t.frames[fi].pc = u32::MAX;
+                }
+                let instr = &ops[pc];
 
+                // Leaves the loop at `$pc`: the executing instruction, to
+                // retry it or to name the trap site, or the next one.
+                macro_rules! park {
+                    ($pc:expr, $leave:expr) => {{
+                        t.frames[fi].pc = $pc as u32;
+                        $leave
+                    }};
+                }
                 // The op table's `fail` hook: `$k` is the position of the
                 // faulting base instruction inside a superinstruction.
                 macro_rules! trap {
                     ($e:expr) => {
-                        break 'outer SliceEvent::Trapped($e)
+                        park!(pc, break 'outer SliceEvent::Trapped($e))
                     };
                     ($k:expr, $e:expr) => {{
                         steps += $k;
-                        break 'outer SliceEvent::Trapped($e)
+                        trap!($e)
                     }};
                 }
                 // The op table's `obj` hook, the read-barrier dance shared
@@ -391,9 +431,9 @@ impl Vm {
                     ($obj:expr) => {
                         match self.lazy_object($obj) {
                             Lazy::Ready(o) => o,
-                            Lazy::NeedGc => break 'outer SliceEvent::NeedGc,
-                            Lazy::Run(f) => match self.push_frame(t, *f) {
-                                Ok(()) => continue 'outer,
+                            Lazy::NeedGc => park!(pc, break 'outer SliceEvent::NeedGc),
+                            Lazy::Run(call) => match self.push_transformer(t, call) {
+                                Ok(()) => park!(pc, continue 'outer),
                                 Err(e) => trap!(e),
                             },
                             Lazy::Trap(e) => trap!(e),
@@ -401,41 +441,25 @@ impl Vm {
                     };
                 }
                 // The op table's `ret` hook, the shared return path: pops
-                // the frame, processes its note, recycles its vectors,
-                // delivers the value, and ends the slice if a barrier
-                // fired, the thread finished, or the budget ran out.
+                // the record and its slice of the value stack, processes
+                // its note, delivers the value, and ends the slice if a
+                // barrier fired, the thread finished, or the budget ran
+                // out.
                 macro_rules! do_return {
                     ($value:expr) => {{
                         let value: Option<Value> = $value;
-                        let mut done = t.frames.pop().expect("frame present");
+                        let done = t.frames.pop().expect("frame present");
+                        t.values.truncate(base);
                         if let Some(FrameNote::TransformOf(index)) = done.note {
                             self.dsu.finish(&mut self.heap, index as usize);
                             if self.lazy.active {
                                 self.lazy.transformed += 1;
                             }
                         }
-                        // Recycle the frame's vectors (cleared, so the GC
-                        // and roots never see stale references). Gated with
-                        // the inline caches: together they are the
-                        // steady-state dispatch fast path, and caches-off
-                        // holds the stock per-call allocation behavior.
-                        if use_ic && t.pool.len() < FRAME_POOL_CAP {
-                            done.locals.clear();
-                            done.stack.clear();
-                            t.pool.push((
-                                std::mem::take(&mut done.locals),
-                                std::mem::take(&mut done.stack),
-                            ));
-                        }
-                        match t.frames.last_mut() {
-                            Some(caller) => {
-                                if let Some(v) = value {
-                                    caller.stack.push(v);
-                                }
-                            }
-                            None => {
-                                t.result = value;
-                            }
+                        if t.frames.is_empty() {
+                            t.result = value;
+                        } else {
+                            t.values.extend(value);
                         }
                         if done.return_barrier {
                             // Paper §3.2: the bridge code notifies the
@@ -455,27 +479,32 @@ impl Vm {
 
                 let mut next_pc = pc + 1;
 
-                // Enters a resolved callee: pushes its frame over `total`
-                // arguments; method entry is a yield point.
+                // Enters a resolved callee over the `total` arguments on top
+                // of the stack, which become its first locals where they lie;
+                // method entry is a yield point. The depth is checked first,
+                // so an overflow traps with the caller's pc still on the call.
                 macro_rules! enter {
                     ($callee:expr, $total:expr) => {{
-                        if let Err(e) = self.push_callee(t, fi, $callee, $total, next_pc) {
+                        let callee: Arc<CompiledMethod> = $callee;
+                        if let Err(e) = self.frame_room(t.frames.len()) {
                             trap!(e);
                         }
+                        t.frames[fi].pc = next_pc as u32;
+                        t.enter(callee, $total, None);
                         if steps >= budget {
                             break 'outer SliceEvent::Quantum;
                         }
                         continue 'outer;
                     }};
                 }
-                // The inline-cache hit tail shared by every call arm:
-                // hotness sampling and the promotion rule (so adaptive
-                // recompilation triggers at the same call number as with
-                // caches off), and — for leaf callees — execution without
-                // materializing a frame. Expands to `true` when the call
-                // was fully handled (the surrounding arm must have left
-                // via `continue`), `false` to fall through to the
-                // resolving slow path.
+                // The inline-cache hit tail shared by every call arm, over the
+                // cached callee *borrowed* from the cache row: hotness sampling
+                // and the promotion rule (so adaptive recompilation triggers at
+                // the same call number as with caches off), and — for leaf
+                // callees — execution without pushing a record or touching the
+                // `Arc`'s count. Expands to `true` when the call was fully
+                // handled (the surrounding arm must have left via `continue`),
+                // `false` to fall through to the resolving slow path.
                 macro_rules! ic_hit {
                     ($callee:ident, $total:expr) => {{
                         let promote = $callee.next_tier(&self.config).is_some();
@@ -490,26 +519,26 @@ impl Vm {
                                 && steps < budget
                                 && !self.lazy.active
                                 && !self.config.lazy_indirection
-                                && self.frame_room(t).is_ok()
+                                && self.frame_room(t.frames.len()).is_ok()
                             {
                                 // Leaf fast path: run the callee on the
-                                // caller's operand stack. Gated on the
-                                // budget so a slice that would have
+                                // value stack, over its arguments. Gated
+                                // on the budget so a slice that would have
                                 // paused inside the callee frame still
                                 // does, and on lazy modes so no read
                                 // barrier is ever skipped.
-                                match self.exec_leaf(t, fi, &$callee, $total, &mut steps) {
+                                match self.exec_leaf(&mut t.values, $callee, $total, &mut steps) {
                                     Ok(()) => {
-                                        t.frames[fi].pc = next_pc as u32;
                                         if steps >= budget {
-                                            break 'outer SliceEvent::Quantum;
+                                            park!(next_pc, break 'outer SliceEvent::Quantum);
                                         }
+                                        pc = next_pc;
                                         continue;
                                     }
                                     Err(e) => trap!(e),
                                 }
                             }
-                            enter!($callee, $total)
+                            enter!(Arc::clone($callee), $total)
                         }
                     }};
                 }
@@ -537,7 +566,7 @@ impl Vm {
                             let epoch = self.registry.code_epoch();
                             let row = t.ic.site(code, code_key, site);
                             if let Some(entry) = row.lookup(epoch, class) {
-                                let callee = Arc::clone(&entry.code);
+                                let callee = &entry.code;
                                 self.stats.ic_hits += 1;
                                 let _ = ic_hit!(callee, total);
                             } else {
@@ -575,11 +604,10 @@ impl Vm {
                 // was pushed by base instruction `$k` of the executing op.
                 macro_rules! direct_receiver {
                     ($total:expr, $has_receiver:expr, $k:expr) => {
-                        if $has_receiver {
-                            let stack = &t.frames[fi].stack;
-                            if stack[stack.len() - $total].as_ref_opt().is_none() {
-                                trap!($k, VmError::NullPointer { context: "instance call".into() });
-                            }
+                        if $has_receiver
+                            && t.values[at(&t.values, floor, $total)].as_ref_opt().is_none()
+                        {
+                            trap!($k, VmError::NullPointer { context: "instance call".into() });
                         }
                     };
                 }
@@ -594,7 +622,7 @@ impl Vm {
                             let epoch = self.registry.code_epoch();
                             let row = t.ic.site(code, code_key, site);
                             if let Some(entry) = row.lookup_direct(epoch) {
-                                let callee = Arc::clone(&entry.code);
+                                let callee = &entry.code;
                                 self.stats.ic_hits += 1;
                                 let _ = ic_hit!(callee, total);
                             } else {
@@ -629,53 +657,50 @@ impl Vm {
                         }
                     };
                 }
-                op_table!(self, instr, frame.stack, frame.locals, steps,
+                op_table!(self, instr, t.values, base, floor, steps,
                     fail: trap, ret: do_return, obj: barrier,
                 {
                     RInstr::ConstStr(s) => match self.heap.alloc_string(s) {
-                        Some(r) => frame.stack.push(Value::Ref(r)),
-                        None => break 'outer SliceEvent::NeedGc,
+                        Some(r) => t.values.push(Value::Ref(r)),
+                        None => park!(pc, break 'outer SliceEvent::NeedGc),
                     },
                     RInstr::StrConcat => {
                         // Peek (no pops) so a GC retry sees an intact stack.
-                        let n = frame.stack.len();
-                        let (Some(a), Some(b)) = (
-                            frame.stack[n - 2].as_ref_opt(),
-                            frame.stack[n - 1].as_ref_opt(),
-                        ) else {
+                        let n = at(&t.values, floor, 2);
+                        let (Some(a), Some(b)) =
+                            (t.values[n].as_ref_opt(), t.values[n + 1].as_ref_opt())
+                        else {
                             trap!(VmError::NullPointer { context: "string concatenation".into() });
                         };
                         match self.heap.alloc_concat(a, b) {
                             Some(r) => {
-                                frame.stack.truncate(n - 2);
-                                frame.stack.push(Value::Ref(r));
+                                t.values.truncate(n);
+                                t.values.push(Value::Ref(r));
                             }
-                            None => break 'outer SliceEvent::NeedGc,
+                            None => park!(pc, break 'outer SliceEvent::NeedGc),
                         }
                     }
                     RInstr::New { class, size } => {
                         match self.heap.alloc_object(*class, *size as usize) {
-                            Some(r) => frame.stack.push(Value::Ref(r)),
-                            None => break 'outer SliceEvent::NeedGc,
+                            Some(r) => t.values.push(Value::Ref(r)),
+                            None => park!(pc, break 'outer SliceEvent::NeedGc),
                         }
                     }
                     RInstr::NewArray { is_ref } => {
-                        let len = frame.stack.last().expect("verified").as_int();
+                        let top = at(&t.values, floor, 1);
+                        let len = t.values[top].as_int();
                         if len < 0 {
                             trap!(VmError::IndexOutOfBounds { index: len, len: 0 });
                         }
                         match self.heap.alloc_array(*is_ref, len as usize) {
-                            Some(r) => {
-                                frame.stack.pop();
-                                frame.stack.push(Value::Ref(r));
-                            }
-                            None => break 'outer SliceEvent::NeedGc,
+                            Some(r) => t.values[top] = Value::Ref(r),
+                            None => park!(pc, break 'outer SliceEvent::NeedGc),
                         }
                     }
                     RInstr::CallVirtual { vslot, argc, site } => {
-                        let ridx = frame.stack.len() - 1 - *argc as usize;
-                        let recv = receiver!(frame.stack[ridx], 0);
-                        t.frames[fi].stack[ridx] = Value::Ref(recv);
+                        let ridx = at(&t.values, floor, 1 + *argc as usize);
+                        let recv = receiver!(t.values[ridx], 0);
+                        t.values[ridx] = Value::Ref(recv);
                         dispatch_virtual!(*vslot, *site, recv, *argc as usize + 1)
                     }
                     RInstr::CallDirect { method, argc, has_receiver, site } => {
@@ -684,55 +709,56 @@ impl Vm {
                         dispatch_direct!(*method, *site, total)
                     }
                     RInstr::CallNative { native, argc } => {
-                        let argc = *argc as usize;
+                        let first = at(&t.values, floor, *argc as usize);
                         // Pops the arguments and advances past the call.
                         macro_rules! complete {
                             () => {{
-                                let frame = &mut t.frames[fi];
-                                let n = frame.stack.len();
-                                frame.stack.truncate(n - argc);
-                                frame.pc = next_pc as u32;
+                                t.values.truncate(first);
+                                pc = next_pc;
                             }};
                         }
-                        match self.exec_native(t, fi, *native, argc) {
+                        match self.exec_native(t, first, *native) {
                             NOut::Val(result) => {
                                 complete!();
-                                t.frames[fi].stack.extend(result);
+                                t.values.extend(result);
                                 continue;
                             }
                             NOut::Block(on) => {
                                 t.state = ThreadState::Blocked(on);
-                                break 'outer SliceEvent::Blocked;
+                                park!(pc, break 'outer SliceEvent::Blocked);
                             }
                             NOut::BlockAfter(on) => {
                                 complete!();
                                 t.state = ThreadState::Blocked(on);
-                                break 'outer SliceEvent::Blocked;
+                                park!(pc, break 'outer SliceEvent::Blocked);
                             }
-                            NOut::NeedGc => break 'outer SliceEvent::NeedGc,
+                            NOut::NeedGc => park!(pc, break 'outer SliceEvent::NeedGc),
                             NOut::Trap(e) => trap!(e),
-                            NOut::Frame(new_frame) => {
-                                if let Err(e) = self.push_frame(t, *new_frame) {
-                                    trap!(e);
-                                }
+                            NOut::Frame(call) => {
+                                // The push cannot fail once the arguments are
+                                // gone: the native checked the depth itself.
                                 complete!();
-                                continue 'outer;
+                                match self.push_transformer(t, call) {
+                                    Ok(()) => park!(pc, continue 'outer),
+                                    Err(e) => trap!(e),
+                                }
                             }
-                            NOut::Barrier(new_frame) => match self.push_frame(t, *new_frame) {
-                                Ok(()) => continue 'outer,
+                            NOut::Barrier(call) => match self.push_transformer(t, call) {
+                                Ok(()) => park!(pc, continue 'outer),
                                 Err(e) => trap!(e),
                             },
                             NOut::Yield => {
                                 complete!();
-                                break 'outer SliceEvent::Quantum;
+                                park!(pc, break 'outer SliceEvent::Quantum);
                             }
                         }
                     }
                     RInstr::Jump(target) => {
                         let target = *target as usize;
-                        t.frames[fi].pc = target as u32;
                         if target <= pc {
-                            // Loop back-edge: a yield point.
+                            // Loop back-edge: a yield point, and where the
+                            // tier checks below read the record's pc.
+                            t.frames[fi].pc = target as u32;
                             if steps >= budget {
                                 break 'outer SliceEvent::Quantum;
                             }
@@ -763,149 +789,112 @@ impl Vm {
                                 }
                             }
                         }
+                        pc = target;
                         continue;
                     }
                     RInstr::JumpIfTrue(target) => {
-                        branch_if!(pop(&mut frame.stack).as_bool(), target)
+                        branch_if!(pop(&mut t.values, floor).as_bool(), target)
                     }
                     RInstr::JumpIfFalse(target) => {
-                        branch_if!(!pop(&mut frame.stack).as_bool(), target)
+                        branch_if!(!pop(&mut t.values, floor).as_bool(), target)
                     }
 
                     // ---- superinstructions that branch or call ----
                     RInstr::FusedLoadLoadCmpBr { a, b, op, when, target } => {
                         retire!(self, steps, instr.covers());
-                        let x = frame.locals[*a as usize].as_int();
-                        let y = frame.locals[*b as usize].as_int();
+                        let x = t.values[base + *a as usize].as_int();
+                        let y = t.values[base + *b as usize].as_int();
                         branch_if!(op.apply(x, y) == *when, target);
                     }
                     RInstr::FusedLoadConstCmpBr { slot, k, op, when, target } => {
                         retire!(self, steps, instr.covers());
-                        let x = frame.locals[*slot as usize].as_int();
+                        let x = t.values[base + *slot as usize].as_int();
                         branch_if!(op.apply(x, *k) == *when, target);
                     }
                     RInstr::FusedStackConstCmpBr { k, op, when, target } => {
                         retire!(self, steps, instr.covers());
-                        let x = pop(&mut frame.stack).as_int();
+                        let x = pop(&mut t.values, floor).as_int();
                         branch_if!(op.apply(x, *k) == *when, target);
                     }
                     RInstr::FusedLoadCallVirtual { slot, vslot, site } => {
                         let covers = instr.covers();
-                        let recv = receiver!(frame.locals[*slot as usize], 1);
+                        let recv = receiver!(t.values[base + *slot as usize], 1);
                         retire!(self, steps, covers);
                         // Base pushes the receiver then resolves the stack
                         // copy in place; pushing the resolved receiver is
                         // the same final stack (the local keeps the stale
                         // ref in both tiers).
-                        t.frames[fi].stack.push(Value::Ref(recv));
+                        t.values.push(Value::Ref(recv));
                         dispatch_virtual!(*vslot, *site, recv, 1)
                     }
                     RInstr::FusedLoadCallDirect { slot, method, argc, has_receiver, site } => {
                         let covers = instr.covers();
-                        let v = frame.locals[*slot as usize];
-                        frame.stack.push(v);
+                        let v = t.values[base + *slot as usize];
+                        t.values.push(v);
                         let total = *argc as usize + usize::from(*has_receiver);
                         direct_receiver!(total, *has_receiver, 1);
                         retire!(self, steps, covers);
                         dispatch_direct!(*method, *site, total)
                     }
                 });
-                t.frames[fi].pc = next_pc as u32;
+                pc = next_pc;
             }
         };
         // Folded once per slice rather than once per instruction; callers
         // (e.g. GC-retry stuck detection) only read the total between
         // `exec_thread` calls, which always see it up to date.
         self.stats.steps += steps as u64;
+        debug_assert!(t.frames.iter().all(|f| f.pc != u32::MAX), "a loop exit skipped park!");
         event
     }
 
-    /// The one frame-depth check: whether `t` may take another frame.
+    /// The one frame-depth check: whether a thread `depth` frames deep may
+    /// take another.
     #[inline]
-    fn frame_room(&self, t: &VmThread) -> Result<(), VmError> {
-        if t.frames.len() >= self.config.max_stack_depth {
+    fn frame_room(&self, depth: usize) -> Result<(), VmError> {
+        if depth >= self.config.max_stack_depth {
             return Err(VmError::StackOverflow);
         }
         Ok(())
     }
 
-    /// Pushes an already-built frame (a transformer's), depth-checked.
-    fn push_frame(&self, t: &mut VmThread, frame: Frame) -> Result<(), VmError> {
-        self.frame_room(t)?;
-        t.frames.push(frame);
-        Ok(())
+    /// Starts an object transformer on top of `t`'s stack, depth-checked.
+    fn push_transformer(&self, t: &mut VmThread, call: TransformerCall) -> Result<(), VmError> {
+        self.frame_room(t.frames.len())?;
+        t.push_call(call.compiled, &call.args, Some(call.note))
     }
 
-    /// Pushes a frame for already-resolved code, consuming `total` stack
-    /// values as arguments. Reuses pooled vectors when available.
-    fn push_callee(
-        &mut self,
-        t: &mut VmThread,
-        fi: usize,
-        compiled: Arc<CompiledMethod>,
-        total: usize,
-        caller_next_pc: usize,
-    ) -> Result<(), VmError> {
-        // Checked before the arguments move, so an overflow traps with
-        // them still on the caller's stack.
-        self.frame_room(t)?;
-        let (mut locals, stack) = t.pool.pop().unwrap_or_default();
-        let frame = &mut t.frames[fi];
-        frame.pc = caller_next_pc as u32;
-        let base = frame.stack.len() - total;
-        // Pooled vectors arrive cleared, so resize nulls every slot past
-        // the arguments — same as a fresh `Frame::new`.
-        locals.resize((compiled.max_locals as usize).max(total), Value::Null);
-        locals[..total].copy_from_slice(&frame.stack[base..]);
-        frame.stack.truncate(base);
-        t.frames.push(Frame {
-            method: compiled.method,
-            compiled,
-            pc: 0,
-            locals,
-            stack,
-            return_barrier: false,
-            note: None,
-        });
-        Ok(())
-    }
-
-    /// Executes a leaf callee (see [`crate::jit2::is_leaf`]) on the
-    /// caller's operand stack, without materializing a [`Frame`]: the op
-    /// table instantiated over scratch locals, with the identity for the
-    /// reference hook. Only reachable from inline-cache hit paths when the
-    /// template JIT is enabled and no lazy epoch or indirection is active,
-    /// so reference loads need no read barrier; simple ops never allocate,
-    /// so no GC can interleave and the scratch locals never need root
-    /// scanning. What is left here is the prologue, the epilogue and the
-    /// trap-state reconstruction.
+    /// Executes a leaf callee (see [`crate::jit2::is_leaf`]) over the
+    /// `total` arguments on top of `values` without pushing a record: the
+    /// op table instantiated on the same value stack, with the identity
+    /// for the reference hook. Only reachable from inline-cache hit paths
+    /// when the template JIT is enabled and no lazy epoch or indirection
+    /// is active, so reference loads need no read barrier; simple ops
+    /// never allocate, so no GC can interleave. On a trap the stack is
+    /// left as it stands — arguments, other locals and partial operands
+    /// right where a framed callee would hold them in root order.
     fn exec_leaf(
         &mut self,
-        t: &mut VmThread,
-        fi: usize,
+        values: &mut Vec<Value>,
         callee: &CompiledMethod,
         total: usize,
         steps: &mut usize,
     ) -> Result<(), VmError> {
-        let mut locals = std::mem::take(&mut t.leaf_locals);
-        debug_assert!(locals.is_empty());
-        let frame = &mut t.frames[fi];
-        let stack_base = frame.stack.len() - total;
-        locals.extend_from_slice(&frame.stack[stack_base..]);
-        locals.resize((callee.max_locals as usize).max(total), Value::Null);
-        frame.stack.truncate(stack_base);
+        let base = values.len() - total;
+        let floor = base + (callee.max_locals as usize).max(total);
+        values.resize(floor, Value::Null);
 
         let mut pc = 0usize;
-        let outcome: Result<Option<Value>, VmError> = 'leaf: loop {
+        let ret: Option<Value> = 'leaf: loop {
             macro_rules! fail {
                 ($k:expr, $e:expr) => {{
                     *steps += $k;
-                    break 'leaf Err($e)
+                    return Err($e)
                 }};
             }
             macro_rules! ret {
                 ($value:expr) => {
-                    break 'leaf Ok($value)
+                    break 'leaf $value
                 };
             }
             macro_rules! identity {
@@ -915,7 +904,7 @@ impl Vm {
             }
             *steps += 1;
             let instr = &callee.code[pc];
-            op_table!(self, instr, frame.stack, locals, *steps,
+            op_table!(self, instr, *values, base, floor, *steps,
                 fail: fail, ret: ret, obj: identity,
             {
                 framed_ops!() => fail!(0, VmError::Internal {
@@ -924,26 +913,9 @@ impl Vm {
             });
             pc += 1;
         };
-
-        let result = match outcome {
-            Ok(ret) => {
-                frame.stack.extend(ret);
-                debug_assert_eq!(frame.stack.len(), stack_base + usize::from(ret.is_some()));
-                Ok(())
-            }
-            Err(e) => {
-                // Reconstruct the framed trap state for the GC and the heap
-                // fingerprint: a framed callee would hold the arguments in
-                // its locals (enumerated between the caller's stack and the
-                // callee's partial operands), so reinsert them at the same
-                // point in root order before surfacing the trap.
-                frame.stack.splice(stack_base..stack_base, locals[..total].iter().copied());
-                Err(e)
-            }
-        };
-        locals.clear();
-        t.leaf_locals = locals;
-        result
+        values.truncate(base);
+        values.extend(ret);
+        Ok(())
     }
 
     /// Template-JIT epoch revalidation for the frame `fi` of `t`, called
@@ -1064,8 +1036,8 @@ impl Vm {
     /// The lazy-migration read barrier: first touch of a stale object
     /// migrates it ([`Vm::lazy_dup`]). A class with a copy plan is done
     /// on the spot and the access proceeds against the new object; any
-    /// other class hands back its object-transformer frame as
-    /// [`Lazy::Run`]. The caller runs the frame with the faulting
+    /// other class hands back its object-transformer call as
+    /// [`Lazy::Run`]. The caller runs it with the faulting
     /// instruction's pc and stack untouched, so the access retries
     /// against the transformed object — the same transformer, in the same
     /// (new, old-copy) calling convention, the eager protocol runs from
@@ -1083,8 +1055,8 @@ impl Vm {
         match self.lazy_dup(r) {
             None => Lazy::NeedGc,
             Some(LazyDup::Planned(new_obj)) => Lazy::Ready(new_obj),
-            Some(LazyDup::Logged(index)) => match self.transformer_frame(index) {
-                Ok(frame) => Lazy::Run(Box::new(frame)),
+            Some(LazyDup::Logged(index)) => match self.transformer_call(index) {
+                Ok(call) => Lazy::Run(call),
                 Err(e) => Lazy::Trap(e),
             },
         }
@@ -1132,12 +1104,11 @@ impl Vm {
         }
     }
 
-    /// Executes a native call. Arguments are *peeked* (not popped) so
-    /// blocking/GC outcomes can retry with an intact stack.
-    fn exec_native(&mut self, t: &mut VmThread, fi: usize, native: NativeFn, argc: usize) -> NOut {
-        let frame = &t.frames[fi];
-        let n = frame.stack.len();
-        let arg = |i: usize| frame.stack[n - argc + i];
+    /// Executes a native call whose arguments start at `t.values[first]`.
+    /// They are *peeked* (not popped) so blocking/GC outcomes can retry
+    /// with an intact stack.
+    fn exec_native(&mut self, t: &VmThread, first: usize, native: NativeFn) -> NOut {
+        let arg = |i: usize| t.values[first + i];
 
         // The string cell behind argument `$i`; `str_arg!` borrows its
         // text from the heap, so a native that allocates works from the
@@ -1218,7 +1189,7 @@ impl Vm {
                     match self.barrier_object(obj) {
                         Lazy::Ready(_) => {}
                         Lazy::NeedGc => return NOut::NeedGc,
-                        Lazy::Run(f) => return NOut::Barrier(f),
+                        Lazy::Run(call) => return NOut::Barrier(call),
                         Lazy::Trap(e) => return NOut::Trap(e),
                     }
                 }
@@ -1244,13 +1215,11 @@ impl Vm {
                     Ok(c) => c,
                     Err(e) => return NOut::Trap(e),
                 };
-                let new_frame = match Frame::new(compiled, &[Value::Ref(obj)]) {
-                    Ok(f) => f,
-                    Err(e) => return NOut::Trap(e),
-                };
                 let name = format!("{}::run", self.registry.class(class).name);
-                let tid = self.add_thread(name, new_frame);
-                NOut::Val(Some(Value::Int(i64::from(tid.0))))
+                match self.add_thread(name, compiled, &[Value::Ref(obj)]) {
+                    Ok(tid) => NOut::Val(Some(Value::Int(i64::from(tid.0)))),
+                    Err(e) => NOut::Trap(e),
+                }
             }
 
             NativeFn::StrLen => {
@@ -1402,16 +1371,16 @@ impl Vm {
                         return match self.barrier_object(obj) {
                             Lazy::Ready(_) => NOut::Val(None),
                             Lazy::NeedGc => NOut::NeedGc,
-                            Lazy::Run(f) => NOut::Barrier(f),
+                            Lazy::Run(call) => NOut::Barrier(call),
                             Lazy::Trap(e) => NOut::Trap(e),
                         };
                     }
                     return NOut::Val(None);
                 };
-                // Depth-checked before `transformer_frame` marks the entry
+                // Depth-checked before `transformer_call` marks the entry
                 // in progress: an overflow leaves it pending.
-                match self.frame_room(t).and_then(|()| self.transformer_frame(index)) {
-                    Ok(frame) => NOut::Frame(Box::new(frame)),
+                match self.frame_room(t.frames.len()).and_then(|()| self.transformer_call(index)) {
+                    Ok(call) => NOut::Frame(call),
                     Err(e) => NOut::Trap(e),
                 }
             }

@@ -25,7 +25,7 @@ use crate::lazy::{
 };
 use crate::net::Net;
 use crate::registry::Registry;
-use crate::thread::{BlockOn, Frame, FrameNote, ThreadState, VmThread};
+use crate::thread::{BlockOn, FrameNote, ThreadState, VmThread};
 use crate::value::{GcRef, Value};
 
 /// Statistics maintained by the VM.
@@ -388,14 +388,18 @@ impl Vm {
             });
         }
         let compiled = self.compiled_for(mid)?;
-        let frame = Frame::new(compiled, &[])?;
-        Ok(self.add_thread(format!("{class}.{method}"), frame))
+        self.add_thread(format!("{class}.{method}"), compiled, &[])
     }
 
-    pub(crate) fn add_thread(&mut self, name: String, frame: Frame) -> ThreadId {
+    pub(crate) fn add_thread(
+        &mut self,
+        name: String,
+        compiled: Arc<CompiledMethod>,
+        args: &[Value],
+    ) -> Result<ThreadId, VmError> {
         let id = ThreadId(self.threads.len() as u32);
-        self.threads.push(Some(VmThread::new(id, name, frame)));
-        id
+        self.threads.push(Some(VmThread::new(id, name, compiled, args)?));
+        Ok(id)
     }
 
     // ---- compilation ------------------------------------------------------------
@@ -483,9 +487,6 @@ impl Vm {
 
         let budget = self.config.quantum;
         let tid = ThreadId(idx as u32);
-        // (pc, step counter) at the last allocation failure: failing again
-        // at the same pc with no intervening progress means the collection
-        // freed nothing useful and the request can never be satisfied.
         let mut gc_retry: Option<(u32, u64)> = None;
         loop {
             let mut thread = self.threads[idx].take().expect("chosen thread exists");
@@ -505,17 +506,7 @@ impl Vm {
                     // Allocation pressure: stop-the-world collection (all
                     // other threads already paused at safe points), then
                     // resume the same thread at the same pc.
-                    let pc = self.threads[idx]
-                        .as_ref()
-                        .and_then(|t| t.frames.last())
-                        .map(|f| f.pc)
-                        .unwrap_or(u32::MAX);
-                    let steps = self.stats.steps;
-                    // Exactly one step since the last failure = the retried
-                    // instruction itself.
-                    let stuck = gc_retry == Some((pc, steps.saturating_sub(1)));
-                    gc_retry = Some((pc, steps));
-                    let result = if stuck {
+                    let result = if self.gc_retry_stuck(idx, &mut gc_retry) {
                         // The collection just ran and the same allocation
                         // still fails: out of memory.
                         Err(VmError::OutOfMemory { requested: 0 })
@@ -534,6 +525,18 @@ impl Vm {
             };
             return SliceReport { thread: Some(tid), event: outcome };
         }
+    }
+
+    /// Records thread `idx`'s allocation failure in `last` — (pc, step
+    /// counter) — and says whether it is stuck: failing again at the same pc
+    /// exactly one step later (the retried instruction itself) means the
+    /// collection freed nothing useful and the request can never be satisfied.
+    fn gc_retry_stuck(&self, idx: usize, last: &mut Option<(u32, u64)>) -> bool {
+        let top = self.threads[idx].as_ref().and_then(|t| t.frames.last());
+        let now = (top.map_or(u32::MAX, |f| f.pc), self.stats.steps);
+        let stuck = *last == Some((now.0, now.1.saturating_sub(1)));
+        *last = Some(now);
+        stuck
     }
 
     /// Runs up to `n` slices; stops early when no thread is live.
@@ -591,6 +594,26 @@ impl Vm {
 
     // ---- GC --------------------------------------------------------------------
 
+    /// Every reference on a thread's value stack, threads in id order: one
+    /// front-to-back pass each, which is frame order, locals before
+    /// operands (the stack *is* the stack map, see [`crate::thread`]).
+    fn stack_refs(&self) -> impl Iterator<Item = GcRef> + '_ {
+        self.threads.iter().flatten().flat_map(|t| &t.values).filter_map(|v| match v {
+            Value::Ref(r) => Some(*r),
+            _ => None,
+        })
+    }
+
+    /// Rewrites every [`Vm::stack_refs`] slot through the heap's
+    /// forwarding words.
+    fn resolve_stacks(&mut self) {
+        for v in self.threads.iter_mut().flatten().flat_map(|t| &mut t.values) {
+            if let Value::Ref(r) = v {
+                *r = self.heap.resolve(*r);
+            }
+        }
+    }
+
     /// Gathers every root location, runs a collection with `remap`, and
     /// rewrites roots and DSU bookkeeping.
     ///
@@ -618,16 +641,7 @@ impl Vm {
             // here that an eager commit would have transformed.
             self.lazy_scan(usize::MAX);
         }
-        let mut roots: Vec<GcRef> = Vec::new();
-        for t in self.threads.iter().flatten() {
-            for f in &t.frames {
-                for v in f.locals.iter().chain(f.stack.iter()) {
-                    if let Value::Ref(r) = v {
-                        roots.push(*r);
-                    }
-                }
-            }
-        }
+        let mut roots: Vec<GcRef> = self.stack_refs().collect();
         let jtoc_slots: Vec<u32> = self.registry.jtoc_ref_slots().collect();
         for &slot in &jtoc_slots {
             roots.push(GcRef(self.registry.jtoc_get(slot) as u32));
@@ -653,16 +667,8 @@ impl Vm {
         self.stats.gcs += 1;
 
         // Rewrite every root location through the forwarding pointers.
+        self.resolve_stacks();
         let heap = &self.heap;
-        for t in self.threads.iter_mut().flatten() {
-            for f in &mut t.frames {
-                for v in f.locals.iter_mut().chain(f.stack.iter_mut()) {
-                    if let Value::Ref(r) = v {
-                        *r = heap.resolve(*r);
-                    }
-                }
-            }
-        }
         for &slot in &jtoc_slots {
             let old = self.registry.jtoc_get(slot) as u32;
             self.registry.jtoc_set(slot, u64::from(heap.resolve(GcRef(old)).0));
@@ -733,14 +739,8 @@ impl Vm {
         let mut h = 0xA076_1D64_78BD_642Fu64;
 
         // Roots, in collect_full's gathering order.
-        for t in self.threads.iter().flatten() {
-            for f in &t.frames {
-                for val in f.locals.iter().chain(f.stack.iter()) {
-                    if let Value::Ref(r) = val {
-                        h = mix(h, v.visit(*r));
-                    }
-                }
-            }
+        for r in self.stack_refs() {
+            h = mix(h, v.visit(r));
         }
         for slot in self.registry.jtoc_ref_slots() {
             h = mix(h, v.visit(GcRef(self.registry.jtoc_get(slot) as u32)));
@@ -884,10 +884,10 @@ impl Vm {
         Ok(ran)
     }
 
-    /// The frame that transforms log entry `index`, marked in progress.
+    /// The call that transforms log entry `index`, marked in progress.
     /// Shared by the log walk, `Dsu.forceTransform`, and the lazy read
     /// barrier.
-    pub(crate) fn transformer_frame(&mut self, index: usize) -> Result<Frame, VmError> {
+    pub(crate) fn transformer_call(&mut self, index: usize) -> Result<TransformerCall, VmError> {
         let (old, new) = self.dsu.pending[index];
         let class = self.heap.class_of(new);
         let Some(&mid) = self.dsu.transformer_for.get(&class) else {
@@ -899,17 +899,16 @@ impl Vm {
             });
         };
         let compiled = self.compiled_for(mid)?;
-        let mut frame = Frame::new(compiled, &[Value::Ref(new), Value::Ref(old)])?;
         self.dsu.begin(index)?;
-        frame.note = Some(FrameNote::TransformOf(index as u32));
-        Ok(frame)
+        let note = FrameNote::TransformOf(index as u32);
+        Ok(TransformerCall { compiled, args: [Value::Ref(new), Value::Ref(old)], note })
     }
 
     /// Runs the transformer for log entry `index` to completion on the
     /// open internal thread `thread`.
     fn transform_one(&mut self, thread: usize, index: usize) -> Result<(), VmError> {
-        let frame = self.transformer_frame(index)?;
-        self.run_on_sync_thread(thread, frame).map(|_| ())
+        let call = self.transformer_call(index)?;
+        self.run_on_sync_thread(thread, call.compiled, &call.args, Some(call.note)).map(|_| ())
     }
 
     /// Calls a static method synchronously on a dedicated internal thread
@@ -931,9 +930,8 @@ impl Vm {
             VmError::ResolutionError { message: format!("unknown method {class}.{method}") }
         })?;
         let compiled = self.compiled_for(mid)?;
-        let frame = Frame::new(compiled, args)?;
         let thread = self.open_sync_thread(&format!("{class}.{method}"));
-        let result = self.run_on_sync_thread(thread, frame);
+        let result = self.run_on_sync_thread(thread, compiled, args, None);
         self.close_sync_thread(thread);
         result
     }
@@ -948,20 +946,29 @@ impl Vm {
         id.0 as usize
     }
 
-    /// Removes the internal thread [`Vm::open_sync_thread`] added.
+    /// Removes the internal thread [`Vm::open_sync_thread`] added, and any
+    /// trailing empty slots, so sync threads don't grow the table forever.
     fn close_sync_thread(&mut self, thread: usize) {
         self.threads[thread] = None;
-        self.threads.pop_if_last_none();
+        while matches!(self.threads.last(), Some(None)) {
+            self.threads.pop();
+        }
     }
 
-    /// Runs `frame` to completion on the parked internal thread `thread`.
-    /// On error the thread's stack is dropped, so it parks again either
-    /// way.
-    fn run_on_sync_thread(&mut self, idx: usize, frame: Frame) -> Result<Option<Value>, VmError> {
+    /// Runs `compiled` over `args` to completion on the parked internal
+    /// thread `thread`. On error the thread's stack is dropped, so it
+    /// parks again either way.
+    fn run_on_sync_thread(
+        &mut self,
+        idx: usize,
+        compiled: Arc<CompiledMethod>,
+        args: &[Value],
+        note: Option<FrameNote>,
+    ) -> Result<Option<Value>, VmError> {
         {
             let t = self.threads[idx].as_mut().expect("sync thread exists");
             debug_assert!(t.frames.is_empty(), "sync thread is busy");
-            t.frames.push(frame);
+            t.push_call(compiled, args, note)?;
             t.state = ThreadState::Runnable;
         }
         let mut gc_retry: Option<(u32, u64)> = None;
@@ -976,16 +983,9 @@ impl Vm {
                 }
                 SliceEvent::Trapped(e) => break Err(e),
                 SliceEvent::NeedGc => {
-                    let pc = self.threads[idx]
-                        .as_ref()
-                        .and_then(|t| t.frames.last())
-                        .map(|f| f.pc)
-                        .unwrap_or(u32::MAX);
-                    let steps = self.stats.steps;
-                    if gc_retry == Some((pc, steps.saturating_sub(1))) {
+                    if self.gc_retry_stuck(idx, &mut gc_retry) {
                         break Err(VmError::OutOfMemory { requested: 0 });
                     }
-                    gc_retry = Some((pc, steps));
                     if let Err(e) = self.collect_full(&NoRemap) {
                         break Err(e);
                     }
@@ -1002,9 +1002,27 @@ impl Vm {
         if result.is_err() {
             let t = self.threads[idx].as_mut().expect("sync thread");
             t.frames.clear();
+            t.values.clear();
             t.state = ThreadState::Finished;
         }
         result
+    }
+
+    /// The thread `thread`, checked to own a frame `frame_idx`.
+    fn frame_owner(
+        &mut self,
+        thread: ThreadId,
+        frame_idx: usize,
+    ) -> Result<&mut VmThread, VmError> {
+        let t = self
+            .threads
+            .get_mut(thread.0 as usize)
+            .and_then(|t| t.as_mut())
+            .ok_or_else(|| VmError::Internal { message: format!("no thread {thread}") })?;
+        if frame_idx >= t.frames.len() {
+            return Err(VmError::Internal { message: format!("no frame {frame_idx} on {thread}") });
+        }
+        Ok(t)
     }
 
     /// Installs a return barrier on frame `frame_idx` of `thread` (paper
@@ -1019,15 +1037,7 @@ impl Vm {
         thread: ThreadId,
         frame_idx: usize,
     ) -> Result<(), VmError> {
-        let t = self
-            .threads
-            .get_mut(thread.0 as usize)
-            .and_then(|t| t.as_mut())
-            .ok_or_else(|| VmError::Internal { message: format!("no thread {thread}") })?;
-        let f = t.frames.get_mut(frame_idx).ok_or_else(|| VmError::Internal {
-            message: format!("no frame {frame_idx} on {thread}"),
-        })?;
-        f.return_barrier = true;
+        self.frame_owner(thread, frame_idx)?.frames[frame_idx].return_barrier = true;
         Ok(())
     }
 
@@ -1042,46 +1052,24 @@ impl Vm {
 
     /// On-stack replacement of an **OSR-capable** frame (paper §3.2):
     /// recompiles the method against current class metadata and swaps the
-    /// frame's code. Base-tier code is 1:1 with bytecode so `pc` and
-    /// `locals` carry over; a template-JIT frame first translates its pc
-    /// through the fused stream's retained base-pc mapping.
+    /// frame's code. Base-tier code is 1:1 with bytecode so `pc` and the
+    /// local slots carry over (a body with more locals grows the frame's
+    /// slice of the value stack, moving the frames above it); a
+    /// template-JIT frame first translates its pc through the fused
+    /// stream's retained base-pc mapping.
     ///
     /// # Errors
     ///
     /// Fails if the frame is opt-compiled (not OSR-capable) or stale.
     pub fn osr_replace(&mut self, thread: ThreadId, frame_idx: usize) -> Result<(), VmError> {
-        let (mid, osr_ok, base_pc) = {
-            let t = self
-                .threads
-                .get(thread.0 as usize)
-                .and_then(|t| t.as_ref())
-                .ok_or_else(|| VmError::Internal { message: format!("no thread {thread}") })?;
-            let f = t.frames.get(frame_idx).ok_or_else(|| VmError::Internal {
-                message: format!("no frame {frame_idx} on {thread}"),
-            })?;
-            (f.method, f.compiled.osr_capable(), f.compiled.base_pc_of(f.pc))
-        };
-        if !osr_ok {
+        let f = &self.frame_owner(thread, frame_idx)?.frames[frame_idx];
+        let (mid, base_pc) = (f.method, f.compiled.base_pc_of(f.pc));
+        if !f.compiled.osr_capable() {
             return Err(VmError::Internal {
                 message: "OSR supported only for base- or jit-compiled frames".to_string(),
             });
         }
-        let fresh = Arc::new(jit::compile(
-            &self.registry,
-            mid,
-            CompileLevel::Base,
-            &self.config,
-        )?);
-        self.registry.set_compiled(mid, fresh.clone());
-        let t = self.threads[thread.0 as usize].as_mut().expect("checked above");
-        let f = &mut t.frames[frame_idx];
-        let needed = fresh.max_locals as usize;
-        if f.locals.len() < needed {
-            f.locals.resize(needed, Value::Null);
-        }
-        f.compiled = fresh;
-        f.pc = base_pc;
-        Ok(())
+        self.osr_onto(thread, frame_idx, mid, base_pc)
     }
 
     /// On-stack migration of a frame to a **different method version**
@@ -1103,42 +1091,35 @@ impl Vm {
         new_method: MethodId,
         new_pc: u32,
     ) -> Result<(), VmError> {
-        {
-            let t = self
-                .threads
-                .get(thread.0 as usize)
-                .and_then(|t| t.as_ref())
-                .ok_or_else(|| VmError::Internal { message: format!("no thread {thread}") })?;
-            let f = t.frames.get(frame_idx).ok_or_else(|| VmError::Internal {
-                message: format!("no frame {frame_idx} on {thread}"),
-            })?;
-            if !f.compiled.osr_capable() {
-                return Err(VmError::Internal {
-                    message: "active-method migration needs a base-tier frame".to_string(),
-                });
-            }
-        }
-        let fresh = Arc::new(jit::compile(
-            &self.registry,
-            new_method,
-            CompileLevel::Base,
-            &self.config,
-        )?);
-        if new_pc as usize >= fresh.code.len() {
+        if !self.frame_owner(thread, frame_idx)?.frames[frame_idx].compiled.osr_capable() {
             return Err(VmError::Internal {
-                message: format!("migration pc {new_pc} out of range"),
+                message: "active-method migration needs a base-tier frame".to_string(),
             });
         }
-        self.registry.set_compiled(new_method, fresh.clone());
-        let t = self.threads[thread.0 as usize].as_mut().expect("checked above");
-        let f = &mut t.frames[frame_idx];
-        let needed = fresh.max_locals as usize;
-        if f.locals.len() < needed {
-            f.locals.resize(needed, Value::Null);
+        self.osr_onto(thread, frame_idx, new_method, new_pc)
+    }
+
+    /// The shared tail of [`Vm::osr_replace`] / [`Vm::osr_migrate`] over a
+    /// checked frame: compiles `method` at the base tier, publishes it,
+    /// and puts the frame on it at `pc` with at least its local slots.
+    fn osr_onto(
+        &mut self,
+        thread: ThreadId,
+        frame_idx: usize,
+        method: MethodId,
+        pc: u32,
+    ) -> Result<(), VmError> {
+        let fresh =
+            Arc::new(jit::compile(&self.registry, method, CompileLevel::Base, &self.config)?);
+        if pc as usize >= fresh.code.len() {
+            return Err(VmError::Internal { message: format!("migration pc {pc} out of range") });
         }
-        f.method = new_method;
-        f.compiled = fresh;
-        f.pc = new_pc;
+        self.registry.set_compiled(method, fresh.clone());
+        let t = self.threads[thread.0 as usize].as_mut().expect("checked by the caller");
+        let locals = t.frames[frame_idx].locals.max(fresh.max_locals);
+        t.resize_locals(frame_idx, locals);
+        let f = &mut t.frames[frame_idx];
+        (f.method, f.compiled, f.pc) = (method, fresh, pc);
         Ok(())
     }
 
@@ -1159,18 +1140,11 @@ impl Vm {
         pc: u32,
         locals_len: usize,
     ) -> Result<(), VmError> {
-        let t = self
-            .threads
-            .get_mut(thread.0 as usize)
-            .and_then(|t| t.as_mut())
-            .ok_or_else(|| VmError::Internal { message: format!("no thread {thread}") })?;
-        let f = t.frames.get_mut(frame_idx).ok_or_else(|| VmError::Internal {
-            message: format!("no frame {frame_idx} on {thread}"),
-        })?;
-        f.method = method;
-        f.compiled = compiled;
-        f.pc = pc;
-        f.locals.truncate(locals_len);
+        let t = self.frame_owner(thread, frame_idx)?;
+        let locals = t.frames[frame_idx].locals;
+        t.resize_locals(frame_idx, u16::try_from(locals_len).map_or(locals, |len| len.min(locals)));
+        let f = &mut t.frames[frame_idx];
+        (f.method, f.compiled, f.pc) = (method, compiled, pc);
         Ok(())
     }
 
@@ -1415,16 +1389,8 @@ impl Vm {
         );
         assert_eq!(self.dsu.depth, 0, "transformer still in progress");
         if !self.lazy.collapsing {
+            self.resolve_stacks();
             let heap = &self.heap;
-            for t in self.threads.iter_mut().flatten() {
-                for f in &mut t.frames {
-                    for v in f.locals.iter_mut().chain(f.stack.iter_mut()) {
-                        if let Value::Ref(r) = v {
-                            *r = heap.resolve(*r);
-                        }
-                    }
-                }
-            }
             let jtoc_slots: Vec<u32> = self.registry.jtoc_ref_slots().collect();
             for slot in jtoc_slots {
                 let old = self.registry.jtoc_get(slot) as u32;
@@ -1585,6 +1551,15 @@ impl Vm {
     }
 }
 
+/// An object transformer ready to start: `jvolve_object_X(new, old)`, and
+/// the note naming its update-log entry for the frame to carry.
+#[derive(Debug)]
+pub(crate) struct TransformerCall {
+    pub compiled: Arc<CompiledMethod>,
+    pub args: [Value; 2],
+    pub note: FrameNote,
+}
+
 /// What [`Vm::lazy_dup`] did with a stale object.
 pub(crate) enum LazyDup {
     /// A copy plan converted it; the new object is complete.
@@ -1592,20 +1567,6 @@ pub(crate) enum LazyDup {
     /// It was duplicated and logged at this update-log index; the
     /// transformer has yet to run.
     Logged(usize),
-}
-
-/// Tiny extension: drop trailing `None` thread slots so sync threads don't
-/// grow the table forever.
-trait PopIfLastNone {
-    fn pop_if_last_none(&mut self);
-}
-
-impl PopIfLastNone for Vec<Option<VmThread>> {
-    fn pop_if_last_none(&mut self) {
-        while matches!(self.last(), Some(None)) {
-            self.pop();
-        }
-    }
 }
 
 // A fleet shard owns its `Vm` on a dedicated OS thread; this compile-time

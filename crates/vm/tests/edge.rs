@@ -475,3 +475,49 @@ fn array_index_beyond_u32_traps_instead_of_wrapping() {
         assert!(matches!(err, VmError::IndexOutOfBounds { len: 4, .. }), "{method}: {err}");
     }
 }
+
+#[test]
+fn operand_stack_underflow_is_rejected_at_load() {
+    // On the shared value stack an underflowing pop would read the frame
+    // below instead of panicking, so the verifier has to keep such code
+    // out: one hand-assembled body per pop arity, each one operand short.
+    use jvolve_classfile::builder::ClassBuilder;
+    use jvolve_classfile::bytecode::Instr::{self, *};
+    use jvolve_classfile::Type;
+
+    let table: [(&str, Vec<Instr>); 6] = [
+        ("unary", vec![Neg, ReturnValue]),
+        ("binary", vec![ConstInt(1), Add, ReturnValue]),
+        ("PutField", {
+            let put = PutField { class: "U".into(), field: "f".into() };
+            vec![ConstInt(1), put, ConstInt(0), ReturnValue]
+        }),
+        ("AStore", vec![ConstInt(0), ConstInt(1), AStore, ConstInt(0), ReturnValue]),
+        ("call with too few arguments", {
+            let call = CallStatic { class: "U".into(), method: "two".into(), argc: 2 };
+            vec![ConstInt(1), call, ReturnValue]
+        }),
+        ("ReturnValue on an empty stack", vec![ReturnValue]),
+    ];
+    for (what, body) in table {
+        let class = ClassBuilder::new("U")
+            .field("f", Type::Int)
+            .static_method("two", [Type::Int, Type::Int], Type::Int, |m| {
+                m.instrs([Load(0), Load(1), Add, ReturnValue]);
+            })
+            .static_method("bad", [], Type::Int, |m| {
+                m.instrs(body);
+            })
+            .build();
+        let mut vm = Vm::new(VmConfig::small());
+        let err = vm.load_classes(&[class]).expect_err(what);
+        assert!(
+            matches!(&err, VmError::LoadError { message, .. } if message.contains("underflow")),
+            "{what}: {err}"
+        );
+        // Rejected before anything could run or compile it.
+        assert!(vm.registry().class_id(&"U".into()).is_none(), "{what}: class registered");
+        assert!(vm.spawn("U", "bad").is_err(), "{what}: spawnable");
+        assert_eq!(vm.stats().base_compiles, 0, "{what}: compiled");
+    }
+}

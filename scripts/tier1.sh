@@ -106,12 +106,12 @@ if [ "$skip_bench" = 0 ]; then
     echo "== tier-1: GC pause regression check =="
     cargo run --release -q -p jvolve-bench --bin gcbench -- --check --iters 5
     # interpbench --check holds nothing recorded on another host: four
-    # same-run best-of-N ratios (caches_on >= 1.2x caches_off, jit_on >=
-    # 2x caches_on, each post-update configuration within the regression
+    # same-run best-of-N ratios (caches_on >= 0.96x caches_off, jit_on >=
+    # 2.55x caches_on, each post-update configuration within the regression
     # limit of its warm twin) and equality of the deterministic columns
     # (checksum, calls, compile counts, fusion coverage) with the
     # committed results/BENCH_interp.json.
-    echo "== tier-1: interpreter tiers, ratio + exact-count gates =="
+    echo "== tier-1: interpreter tiers, ratio (caches >= 0.96x, jit >= 2.55x) + exact-count gates =="
     cargo run --release -q -p jvolve-bench --bin interpbench -- --check --iters 5
     echo "== tier-1: lazy migration pause + steady-state check =="
     cargo run --release -q -p jvolve-bench --bin lazybench -- --check --iters 5
@@ -121,7 +121,7 @@ if [ "$skip_bench" = 0 ]; then
     cargo run --release -q -p jvolve-bench --bin streambench -- --check --iters 5
 else
     echo "== tier-1: GC pause regression check skipped (--skip-bench) =="
-    echo "== tier-1: interpreter tiers, ratio + exact-count gates skipped (--skip-bench) =="
+    echo "== tier-1: interpreter tiers, ratio (caches >= 0.96x, jit >= 2.55x) + exact-count gates skipped (--skip-bench) =="
     echo "== tier-1: lazy migration pause + steady-state check skipped (--skip-bench) =="
     echo "== tier-1: fleet throughput + rolling-update integrity check skipped (--skip-bench) =="
     echo "== tier-1: UPT release-stream integrity + pause check skipped (--skip-bench) =="

@@ -542,6 +542,56 @@ class App {
   }
 }";
 
+/// Unchanged by the update and appended to both versions: a thread that
+/// parks five frames deep, every frame holding one reference in a local
+/// (`L<k>`, the argument) and one as a pending operand (`S<k>`, the first
+/// argument of a `keep` call whose second is still being computed), each
+/// of its own class — so the address order of the cells the update-GC
+/// copies first spells out the order it enumerated the thread's roots in.
+const DEEP_STACK: &str = "
+class L0 { } class L1 { } class L2 { } class L3 { }
+class S0 { } class S1 { } class S2 { } class S3 { }
+class Deep {
+  static method main(): void { Deep.f0(new L0()); }
+  static method f0(l: L0): int { return Deep.keep0(new S0(), Deep.f1(new L1())); }
+  static method f1(l: L1): int { return Deep.keep1(new S1(), Deep.f2(new L2())); }
+  static method f2(l: L2): int { return Deep.keep2(new S2(), Deep.f3(new L3())); }
+  static method f3(l: L3): int {
+    var node: Node = App.a;
+    return Deep.keep3(new S3(), Deep.park(node));
+  }
+  static method park(n: Node): int { Sys.sleep(1000000); return 0; }
+  static method keep0(s: S0, v: int): int { return v; }
+  static method keep1(s: S1, v: int): int { return v; }
+  static method keep2(s: S2, v: int): int { return v; }
+  static method keep3(s: S3, v: int): int { return v; }
+}";
+
+/// The first 16 cells of the active semispace after [`run_gc_oracle`]'s
+/// update, as `(address, class id)`: a copying collection lays cells out
+/// in root order, so these read `L0 S0 L1 S1 L2 S2 L3` (classes 8–15),
+/// `f3`'s `node` as its (old copy, new object) pair, `S3`, then the
+/// statics' ring. Recorded with per-frame `locals`/`stack` vectors; a
+/// frame layout that enumerates roots in any other order fails here.
+const ROOT_ORDER_HEAD: [(u32, u32); 16] = [
+    (2097153, 8),
+    (2097154, 12),
+    (2097155, 9),
+    (2097156, 13),
+    (2097157, 10),
+    (2097158, 14),
+    (2097159, 11),
+    (2097160, 6),
+    (2097164, 17),
+    (2097169, 15),
+    (2097571, 6),
+    (2097575, 17),
+    (2097580, 6),
+    (2097584, 17),
+    (2097589, 6),
+    (2097593, 17),
+];
+
 /// Order-sensitive transformer: `App.trace` becomes a rolling hash of the
 /// transformer *execution order* — any divergence from the update log's
 /// from-space-address order changes it.
@@ -605,10 +655,19 @@ struct OracleOutcome {
 
 fn run_gc_oracle(nodes: i64) -> OracleOutcome {
     let mut vm = Vm::new(VmConfig::default());
-    let old = jvolve_repro::lang::compile(GC_ORACLE_V1).expect("v1 compiles");
-    let new = jvolve_repro::lang::compile(GC_ORACLE_V2).expect("v2 compiles");
+    let old = jvolve_repro::lang::compile(&format!("{GC_ORACLE_V1}{DEEP_STACK}"))
+        .expect("v1 compiles");
+    let new = jvolve_repro::lang::compile(&format!("{GC_ORACLE_V2}{DEEP_STACK}"))
+        .expect("v2 compiles");
     vm.load_classes(&old).expect("v1 loads");
     vm.call_static_sync("App", "build", &[Value::Int(nodes)]).expect("build runs");
+    // Park the deep thread before the update, so the update-GC's first
+    // roots are its frames.
+    let deep = vm.spawn("Deep", "main").expect("Deep.main spawns");
+    vm.run_until(1_000, |vm, _| {
+        matches!(vm.thread(deep).expect("deep thread").state, ThreadState::Blocked(_))
+    });
+    assert_eq!(vm.thread(deep).expect("deep thread").frames.len(), 6, "main, f0..f3, park");
 
     let mut update = Update::prepare(&old, &new, "v1_").expect("update prepares");
     update.set_transformers_source(GC_ORACLE_TRANSFORMERS);
@@ -683,6 +742,8 @@ fn same_update_twice_agrees_address_for_address() {
     assert!(first.objects.len() >= NODES as usize, "the heap walk saw the nodes");
     assert_eq!(first.trace, trace_of(0..NODES), "transformers ran in update-log order");
     assert_eq!(first, run_gc_oracle(NODES));
+    let head: Vec<(u32, u32)> = first.objects.iter().take(16).map(|(r, c)| (r.0, c.0)).collect();
+    assert_eq!(head, ROOT_ORDER_HEAD, "the update-GC enumerated roots in a different order");
 }
 
 // ---- inline-cache on/off oracle ----------------------------------------
