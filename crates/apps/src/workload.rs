@@ -21,7 +21,7 @@ pub struct LoadStats {
     /// Scheduler slices the run took.
     pub slices: u64,
     /// Host wall-clock time of the run (exposes per-instruction VM
-    /// overhead, e.g. lazy-indirection checks, that the slice-based
+    /// overhead, e.g. an open lazy epoch's read barrier, that the slice-based
     /// metric cannot see).
     pub wall: Duration,
 }

@@ -3,7 +3,12 @@
 //! * **Eager (GC-time) vs lazy (access-time) transformation** — the paper
 //!   argues eager updating has *zero* steady-state overhead while
 //!   JDrums/DVM-style indirection pays on every access (§5, ~10% for
-//!   DVM). We measure webserver throughput in both modes.
+//!   DVM). One lazy mechanism stands in for both lazy systems: a
+//!   lazy-migration epoch drained to completion (the barrier disarms
+//!   again) and one held open (the controller is never stepped past
+//!   arming, so every reference load pays the read barrier forever). We
+//!   time a CPU-bound field-access churn in all four configurations and
+//!   report the heap each leaves behind.
 //! * **Return barriers / OSR on vs off** — the safe-point machinery of
 //!   §3.2. Without OSR, updates restricted by category-2 methods on
 //!   always-running stacks time out; without barriers, reaching a safe
@@ -14,47 +19,17 @@
 //!   deopt and re-promote them, and steady state afterwards must still
 //!   match the warm-jit run.
 
-use jvolve::modes::apply_lazy;
-use jvolve::{apply, ApplyOptions, UpdateError};
+use jvolve::{apply, ApplyOptions, StepProgress, UpdateController, UpdateError, UpdatePhase};
 use jvolve_apps::harness::{app_vm_config, boot_with, prepare_next};
 use jvolve_apps::webserver::{Webserver, PORT};
-use jvolve_apps::workload::{drive_http, LoadStats};
+use jvolve_apps::workload::drive_http;
 use jvolve_vm::VmConfig;
 
 const PATHS: [&str; 3] = ["/index.html", "/about.html", "/data.json"];
 
-/// Steady-state throughput of webserver 5.1.6 in eager mode (no update
-/// pending — the deployment-steady-state case).
-pub fn eager_steady_state(concurrency: usize, slices: u64) -> LoadStats {
-    let mut vm = boot_with(&Webserver, 6, app_vm_config());
-    drive_http(&mut vm, PORT, &PATHS, concurrency, 2_000); // warm-up
-    drive_http(&mut vm, PORT, &PATHS, concurrency, slices)
-}
-
-/// Steady-state throughput with lazy-indirection checks armed: the VM
-/// pays a forwarding check on every field access and virtual dispatch,
-/// the cost the paper attributes to JDrums/DVM-style systems.
-pub fn lazy_steady_state(concurrency: usize, slices: u64, with_update: bool) -> LoadStats {
-    let config = VmConfig { lazy_indirection: true, ..app_vm_config() };
-    if with_update {
-        // Start at 5.1.5, lazily update to 5.1.6, then measure: objects
-        // migrate on first touch, checks persist forever after.
-        let mut vm = boot_with(&Webserver, 5, config);
-        drive_http(&mut vm, PORT, &PATHS, concurrency, 2_000);
-        let update = prepare_next(&Webserver, 5);
-        apply_lazy(&mut vm, &update).expect("lazy update applies");
-        drive_http(&mut vm, PORT, &PATHS, concurrency, 2_000);
-        drive_http(&mut vm, PORT, &PATHS, concurrency, slices)
-    } else {
-        let mut vm = boot_with(&Webserver, 6, config);
-        drive_http(&mut vm, PORT, &PATHS, concurrency, 2_000);
-        drive_http(&mut vm, PORT, &PATHS, concurrency, slices)
-    }
-}
-
 /// Guest program for the CPU-bound indirection-overhead measurement: a
 /// linked-list traversal that is nothing but field accesses and virtual
-/// dispatch — the operations lazy indirection taxes.
+/// dispatch — the operations a held-open epoch's read barrier taxes.
 pub const CHURN_V1: &str = "
 class Node {
   field value: int;
@@ -116,38 +91,39 @@ class Bench {
 /// Which steady-state configuration to time.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChurnMode {
-    /// Plain eager VM, no update.
+    /// Plain VM, no update.
     Eager,
-    /// Eager VM after a full (GC-based) update — checks still never run.
+    /// After an eager (GC-based) update — no check ever runs.
     EagerUpdated,
-    /// Lazy-indirection VM, no update pending: the check executes on
-    /// every access but always takes the fast path.
-    Lazy,
-    /// Lazy-indirection VM after a lazy update: objects migrated on first
-    /// touch; the checks keep running forever.
-    LazyUpdated,
+    /// `lazy_migration` VM after a lazy update whose epoch the controller
+    /// drained to completion: the read barrier is disarmed again.
+    LazyDrained,
+    /// `lazy_migration` VM after a lazy update whose controller was never
+    /// stepped past arming: touched objects migrate through the read
+    /// barrier, which every reference load keeps paying — the JDrums/DVM
+    /// indirection baseline (paper §5).
+    LazyHeldOpen,
 }
 
-/// Wall-clock time of the CPU-bound churn under `mode` on the default VM
-/// (template-JIT tier on), plus the computed checksum (identical across
-/// modes — the correctness anchor).
-pub fn churn_wall_time(mode: ChurnMode, nodes: i64, iters: i64) -> (std::time::Duration, i64) {
-    churn_wall_time_with_jit(mode, nodes, iters, true)
+/// One timed churn run.
+#[derive(Clone, Copy, Debug)]
+pub struct ChurnRun {
+    /// Wall-clock time of the timed traversal.
+    pub wall: std::time::Duration,
+    /// The guest's checksum — identical across modes, the correctness
+    /// anchor.
+    pub checksum: i64,
+    /// `Heap::used_words` after the timed run.
+    pub used_words: usize,
 }
 
-/// [`churn_wall_time`] with the template-JIT tier pinned on or off — the
-/// jit ablation axis: the same churn, same checksum, with fused code
-/// either carrying the hot loops or the cached interpreter doing so.
-pub fn churn_wall_time_with_jit(
-    mode: ChurnMode,
-    nodes: i64,
-    iters: i64,
-    jit: bool,
-) -> (std::time::Duration, i64) {
+/// The CPU-bound churn under `mode`, with the template-JIT tier on or off
+/// (the jit ablation axis: same churn, same checksum, with fused code
+/// either carrying the hot loops or the cached interpreter doing so).
+pub fn churn_wall_time_with_jit(mode: ChurnMode, nodes: i64, iters: i64, jit: bool) -> ChurnRun {
     use jvolve_vm::Value;
-    let lazy = matches!(mode, ChurnMode::Lazy | ChurnMode::LazyUpdated);
     let mut vm = jvolve_vm::Vm::new(VmConfig {
-        lazy_indirection: lazy,
+        lazy_migration: matches!(mode, ChurnMode::LazyDrained | ChurnMode::LazyHeldOpen),
         semispace_words: 512 * 1024,
         enable_jit: jit,
         ..VmConfig::default()
@@ -156,17 +132,23 @@ pub fn churn_wall_time_with_jit(
     vm.load_classes(&old).expect("churn loads");
     vm.call_static_sync("Bench", "setup", &[Value::Int(nodes)]).expect("setup runs");
 
-    match mode {
-        ChurnMode::Eager | ChurnMode::Lazy => {}
-        ChurnMode::EagerUpdated | ChurnMode::LazyUpdated => {
-            let new = jvolve_lang::compile(CHURN_V2).expect("churn v2 compiles");
-            let update =
-                jvolve::Update::prepare(&old, &new, "v1_").expect("non-empty churn update");
-            if lazy {
-                apply_lazy(&mut vm, &update).expect("lazy churn update");
-            } else {
-                apply(&mut vm, &update, &ApplyOptions::default()).expect("eager churn update");
+    if mode != ChurnMode::Eager {
+        let new = jvolve_lang::compile(CHURN_V2).expect("churn v2 compiles");
+        let update = jvolve::Update::prepare(&old, &new, "v1_").expect("non-empty churn update");
+        if mode == ChurnMode::LazyHeldOpen {
+            // Arm the epoch, then never step the controller again.
+            let mut controller = UpdateController::new(&update, ApplyOptions::default());
+            loop {
+                match controller.step(&mut vm) {
+                    StepProgress::Pending(UpdatePhase::LazyMigrating) => break,
+                    StepProgress::Pending(_) => {}
+                    other => {
+                        panic!("churn update ended unarmed: {other:?} {:?}", controller.error())
+                    }
+                }
             }
+        } else {
+            apply(&mut vm, &update, &ApplyOptions::default()).expect("churn update");
         }
     }
 
@@ -177,7 +159,11 @@ pub fn churn_wall_time_with_jit(
         .call_static_sync("Bench", "churn", &[Value::Int(iters)])
         .expect("churn runs")
         .expect("churn returns");
-    (start.elapsed(), sum.as_int())
+    let wall = start.elapsed();
+    if mode == ChurnMode::LazyHeldOpen {
+        assert!(vm.lazy_epoch_active(), "the held-open epoch must still be open");
+    }
+    ChurnRun { wall, checksum: sum.as_int(), used_words: vm.heap().used_words() }
 }
 
 /// Outcome of the safe-point machinery ablation.
@@ -222,21 +208,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lazy_mode_still_serves() {
-        let stats = lazy_steady_state(2, 3_000, false);
-        assert!(stats.completed > 0);
-    }
-
-    #[test]
-    fn lazy_update_migrates_and_serves() {
-        let stats = lazy_steady_state(2, 3_000, true);
-        assert!(stats.completed > 0);
-    }
-
-    #[test]
-    fn eager_serves() {
-        let stats = eager_steady_state(2, 3_000);
-        assert!(stats.completed > 0);
+    fn churn_modes_agree_and_the_held_open_epoch_keeps_its_stale_copies() {
+        let run = |mode| churn_wall_time_with_jit(mode, 50, 8, true);
+        let eager = run(ChurnMode::Eager);
+        for mode in [ChurnMode::EagerUpdated, ChurnMode::LazyDrained, ChurnMode::LazyHeldOpen] {
+            assert_eq!(run(mode).checksum, eager.checksum, "{mode:?}");
+        }
+        let held = run(ChurnMode::LazyHeldOpen);
+        assert!(held.used_words > eager.used_words, "{held:?} vs {eager:?}");
     }
 
     #[test]

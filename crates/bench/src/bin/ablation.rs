@@ -1,9 +1,10 @@
 //! Ablation harness: the design-choice comparisons DESIGN.md §5 calls out.
 //!
-//! * eager (GC-time) vs lazy (access-time, JDrums/DVM-style) updating —
-//!   steady-state throughput with and without per-access indirection
-//!   checks (the paper's "zero overhead during steady-state execution" vs
-//!   ~10% for DVM, §5);
+//! * eager (GC-time) vs lazy (access-time) updating — steady-state time
+//!   and heap words after an eager update, after a drained lazy-migration
+//!   epoch, and with the epoch held open, which is the JDrums/DVM-style
+//!   per-access indirection (the paper's "zero overhead during
+//!   steady-state execution" vs ~10% for DVM, §5);
 //! * the §3.2 safe-point machinery (return barriers + OSR) on vs off;
 //! * the template-JIT tier on vs off, warm and after a dynamic update —
 //!   DSU must cost nothing even when hot loops run superinstruction-fused
@@ -11,34 +12,32 @@
 //!
 //! Usage: `cargo run --release -p jvolve-bench --bin ablation`
 
-use jvolve_bench::ablation::safepoint_ablation;
-
+use jvolve_bench::ablation::{churn_wall_time_with_jit, safepoint_ablation, ChurnMode};
 
 fn main() {
-
-    println!("== Ablation 1: eager vs lazy-indirection DSU (steady state) ==\n");
+    println!("== Ablation 1: eager vs lazy DSU (steady state) ==\n");
     // CPU-bound guest workload (field accesses + virtual dispatch), timed
     // by wall clock; interleaved rounds, medians.
-    use jvolve_bench::ablation::{churn_wall_time, ChurnMode};
     let rounds = 5;
     let (nodes, iters) = (400, 4_000);
-    let mut results: Vec<(ChurnMode, &str, Vec<f64>)> = vec![
-        (ChurnMode::Eager, "eager (JVolve), no update", Vec::new()),
-        (ChurnMode::EagerUpdated, "eager (JVolve), after GC update", Vec::new()),
-        (ChurnMode::Lazy, "lazy indirection, no update", Vec::new()),
-        (ChurnMode::LazyUpdated, "lazy indirection, after lazy update", Vec::new()),
+    let mut results: Vec<(ChurnMode, &str, Vec<f64>, usize)> = vec![
+        (ChurnMode::Eager, "eager (JVolve), no update", Vec::new(), 0),
+        (ChurnMode::EagerUpdated, "eager (JVolve), after GC update", Vec::new(), 0),
+        (ChurnMode::LazyDrained, "lazy, epoch drained", Vec::new(), 0),
+        (ChurnMode::LazyHeldOpen, "lazy, epoch held open (JDrums/DVM)", Vec::new(), 0),
     ];
     let mut checksum = None;
-    let _ = churn_wall_time(ChurnMode::Eager, nodes, iters); // process warm-up
+    let _ = churn_wall_time_with_jit(ChurnMode::Eager, nodes, iters, true); // process warm-up
     for round in 0..rounds {
         eprintln!("round {}/{rounds} ...", round + 1);
-        for (mode, _, samples) in &mut results {
-            let (wall, sum) = churn_wall_time(*mode, nodes, iters);
+        for (mode, _, samples, words) in &mut results {
+            let run = churn_wall_time_with_jit(*mode, nodes, iters, true);
             match checksum {
-                None => checksum = Some(sum),
-                Some(c) => assert_eq!(c, sum, "all modes must compute the same result"),
+                None => checksum = Some(run.checksum),
+                Some(c) => assert_eq!(c, run.checksum, "all modes must compute the same result"),
             }
-            samples.push(wall.as_secs_f64());
+            samples.push(run.wall.as_secs_f64());
+            *words = run.used_words;
         }
     }
     let median = |xs: &mut Vec<f64>| {
@@ -46,29 +45,35 @@ fn main() {
         xs[xs.len() / 2]
     };
     let mut base = 0.0;
-    println!("{:<38} {:>12} {:>10}", "mode", "time (ms)", "vs eager");
-    for (i, (_, name, samples)) in results.iter_mut().enumerate() {
+    println!("{:<38} {:>12} {:>10} {:>12}", "mode", "time (ms)", "vs eager", "heap words");
+    for (i, (_, name, samples, words)) in results.iter_mut().enumerate() {
         let med = median(samples);
         if i == 0 {
             base = med;
         }
         println!(
-            "{:<38} {:>12.1} {:>9.1}%",
+            "{:<38} {:>12.1} {:>9.1}% {:>12}",
             name,
             med * 1e3,
-            (med / base - 1.0) * 100.0
+            (med / base - 1.0) * 100.0,
+            words
         );
     }
-    println!("(median of {rounds} interleaved rounds; {nodes}-node list x {iters} traversals)");
+    println!(
+        "(median of {rounds} interleaved rounds; {nodes}-node list x {iters} traversals; \
+         checksum {} in every row)",
+        checksum.expect("at least one round")
+    );
     println!(
         "\n(paper \u{a7}5: eager updating imposes no steady-state overhead; \
-         indirection-based lazy systems pay on every access \u{2014} ~10% for DVM)"
+         indirection-based lazy systems pay on every access \u{2014} ~10% for DVM.\n \
+         The held-open epoch keeps every stale original behind a forwarding word \
+         next to its migrated copy.)"
     );
 
     println!("\n== Ablation 2: template-JIT tier (superinstruction fusion) ==\n");
     // Same churn, eager mode, jit axis: off, warm on, and on after a
     // GC-based update (deopted fused code must re-promote and recover).
-    use jvolve_bench::ablation::churn_wall_time_with_jit;
     let mut jit_rows: Vec<(ChurnMode, bool, &str, Vec<f64>)> = vec![
         (ChurnMode::Eager, false, "jit off (cached interpreter)", Vec::new()),
         (ChurnMode::Eager, true, "jit on, warm", Vec::new()),
@@ -77,9 +82,9 @@ fn main() {
     for round in 0..rounds {
         eprintln!("jit round {}/{rounds} ...", round + 1);
         for (mode, jit, _, samples) in &mut jit_rows {
-            let (wall, sum) = churn_wall_time_with_jit(*mode, nodes, iters, *jit);
-            assert_eq!(checksum, Some(sum), "jit must not change the churn result");
-            samples.push(wall.as_secs_f64());
+            let run = churn_wall_time_with_jit(*mode, nodes, iters, *jit);
+            assert_eq!(checksum, Some(run.checksum), "jit must not change the churn result");
+            samples.push(run.wall.as_secs_f64());
         }
     }
     let mut no_jit = 0.0;

@@ -12,12 +12,13 @@
 //!    disarmed, a field-read spin loop must cost no more than
 //!    `REGRESSION_LIMIT` over the same loop after an eager commit —
 //!    the zero-steady-state-overhead half of the claim.
-//! 3. **Baseline**: the lazy pause itself is gated against the committed
-//!    `results/BENCH_lazy.json` like every other tier-1 bench.
-//! 4. **Flatness**: the lazy pause at the largest heap point must be
+//! 3. **Flatness**: the lazy pause at the largest heap point must be
 //!    within [`FLATNESS_LIMIT`] of the smallest point's — with the SATB
 //!    watermark arm there is no per-object work left in the pause, so it
 //!    must not grow with the heap.
+//!
+//! All three are ratios of two measurements taken in the same run, so no
+//! gate compares nanoseconds recorded on another host.
 //!
 //! Every gate runs on the product default, where the generated field-copy
 //! transformer is lowered to a copy plan. The eager pause and the lazy
@@ -29,9 +30,9 @@
 //!
 //! * `cargo run --release -p jvolve-bench --bin lazybench` — measure and
 //!   write `BENCH_lazy.json` (`--out FILE`; to refresh the committed
-//!   baseline, `--out results/BENCH_lazy.json`).
+//!   record, `--out results/BENCH_lazy.json`).
 //! * `... --bin lazybench -- --check` — re-measure and exit nonzero if
-//!   any gate fails (`--baseline FILE` overrides the baseline path).
+//!   any gate fails; it reads no file, so `--baseline` is refused.
 //!   `scripts/tier1.sh` runs this. Gates compare *best-of-N* times and
 //!   re-measure with 3× iterations before declaring a failure.
 //!
@@ -39,8 +40,8 @@
 
 use jvolve_bench::lazy::{measure_update, UpdateRun};
 use jvolve_bench::micro::paper_object_counts;
-use jvolve_bench::timing::{fmt_ns, gate_best_of, Samples, REGRESSION_LIMIT};
-use jvolve_bench::{arg_value, baseline_for_check, enforce_gate_args, gate_iters};
+use jvolve_bench::timing::{fmt_ns, gate_best_of, Samples};
+use jvolve_bench::{arg_flag, arg_value, enforce_gate_args, gate_iters};
 use jvolve_json::Json;
 
 /// The lazy commit pause may cost at most this fraction of the eager
@@ -200,14 +201,6 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
     ])
 }
 
-fn baseline_lazy_pause_ns(baseline: &Json, objects: usize) -> Option<f64> {
-    baseline.get("entries")?.as_arr()?.iter().find_map(|e| {
-        (e.get("objects")?.as_u64()? as usize == objects)
-            .then(|| e.get("lazy_pause_min_ns")?.as_f64())
-            .flatten()
-    })
-}
-
 fn print_table(entries: &[Entry]) {
     println!(
         "{:>9} {:>14} {:>14} {:>8} {:>10} {:>13} {:>16} {:>15}",
@@ -247,35 +240,8 @@ fn retry_lazy_pause_ns(objects: usize, iters: usize) -> f64 {
     best_of(objects, true, false, iters).0.min_ns() as f64
 }
 
-fn check(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<String> {
+fn check(entries: &[Entry], iters: usize) -> Vec<String> {
     let mut failures = Vec::new();
-
-    // Gate 3: the lazy pause vs the committed baseline, every point.
-    println!("\nregression check vs {path} (limit +{:.0}%):", REGRESSION_LIMIT * 100.0);
-    for e in entries {
-        let Some(base) = baseline_lazy_pause_ns(baseline, e.objects) else {
-            println!("  {:>7} objects: no baseline entry — skipped", e.objects);
-            continue;
-        };
-        let g = gate_best_of(e.lazy_pause_min_ns, base, || {
-            retry_lazy_pause_ns(e.objects, iters * 3)
-        });
-        println!(
-            "  {:>7} objects: lazy pause {:>9} -> {:>9} ({:>+6.1}%) {}",
-            e.objects,
-            fmt_ns(base as u64),
-            fmt_ns(g.current as u64),
-            g.delta * 100.0,
-            g.verdict(),
-        );
-        if g.regressed() {
-            failures.push(format!(
-                "lazy pause at {} objects: {:.0} -> {:.0} ns",
-                e.objects, base, g.current
-            ));
-        }
-    }
-
     let largest = entries.last().expect("at least one entry");
 
     // Gate 1: the pause contract at the largest heap point. A tripped
@@ -305,7 +271,7 @@ fn check(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<St
         ));
     }
 
-    // Gate 4: pause flatness across heap sizes. The smallest and largest
+    // Gate 3: pause flatness across heap sizes. The smallest and largest
     // §4.1 points differ ~13× in heap size; an O(roots) pause must stay
     // within FLATNESS_LIMIT. A tripped gate re-measures both points with
     // 3× iterations before failing (commit pauses are microseconds, so
@@ -362,14 +328,17 @@ fn check(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<St
 
 fn main() {
     enforce_gate_args("lazybench");
+    if arg_value("--baseline").is_some() {
+        eprintln!("lazybench: every gate is a same-run ratio; --check reads no baseline");
+        std::process::exit(2);
+    }
     let iters = gate_iters();
-    let baseline = baseline_for_check("lazybench", "results/BENCH_lazy.json");
 
     let entries = measure(iters);
     print_table(&entries);
 
-    if let Some((path, baseline)) = baseline {
-        let failures = check(&entries, &baseline, &path, iters);
+    if arg_flag("--check") {
+        let failures = check(&entries, iters);
         if !failures.is_empty() {
             eprintln!("\nlazy migration gate failure(s):");
             for f in &failures {

@@ -9,15 +9,16 @@
 //! * `fig6`   — pause-time series at the largest configuration
 //! * `table2` / `table3` / `table4` — per-release summaries + live updates
 //! * `summary` — the "20 of 22" headline and the E&C comparison
-//! * `ablation` — eager vs lazy steady state; jit tier on/off/updated;
+//! * `ablation` — eager vs lazy (epoch drained, epoch held open)
+//!   steady-state time and heap words; jit tier on/off/updated;
 //!   barriers/OSR machinery
 //! * `gcbench` — update-GC pause regression gate vs `results/BENCH_gc.json`
 //! * `interpbench` — steady-state dispatch throughput gate vs
 //!   `results/BENCH_interp.json` (inline caches on/off/after-update plus
 //!   the template-JIT tier on and on-after-update)
-//! * `lazybench` — lazy-migration pause and steady-state gate vs
-//!   `results/BENCH_lazy.json` (commit pause ≤ 25% of eager, barrier-free
-//!   steady state after the epoch drains)
+//! * `lazybench` — lazy-migration same-run ratio gates (commit pause ≤ 25%
+//!   of eager, pause flat across heap sizes, barrier-free steady state
+//!   after the epoch drains); writes `results/BENCH_lazy.json`
 //! * `fleetbench` — sharded fleet throughput scaling and rolling-update
 //!   integrity gate vs `results/BENCH_fleet.json` (zero dropped/incorrect
 //!   responses during a rolling lazy update; ≥2× aggregate throughput at
@@ -51,7 +52,8 @@ pub fn arg_flag(name: &str) -> bool {
 /// Validates the gate binaries' shared CLI
 /// (`[--check] [--iters N] [--baseline FILE] [--out FILE]`): anything
 /// else prints the usage line and exits 2. `gcbench`, `interpbench`, and
-/// `lazybench` all speak exactly this dialect.
+/// `lazybench` all speak this dialect (`lazybench` then refuses
+/// `--baseline`: its gates read no file).
 pub fn enforce_gate_args(bin: &str) {
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {

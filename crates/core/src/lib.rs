@@ -15,16 +15,17 @@
 //! * [`controller`] — the update protocol as a resumable phase machine:
 //!   reach a safe point (with return barriers, OSR and a timeout) while
 //!   interleaving with VM scheduling, install classes with a rollback
-//!   ledger, run the update GC and the transformers, emitting a typed
-//!   event stream throughout.
+//!   ledger, run the update GC and the transformers — or, on a
+//!   `lazy_migration` VM, arm the read barrier and drain the epoch in
+//!   bounded steps — emitting a typed event stream throughout. An epoch
+//!   never stepped past arming is the JDrums/DVM indirection baseline the
+//!   paper compares against (§5).
 //! * [`driver`] — update preparation plus the synchronous [`apply`]
 //!   wrapper over the controller.
 //! * [`bundle`] — the UPT's on-disk artifact: spec + transformers +
 //!   encoded class payloads, re-verified on load.
 //! * [`queue`] — serialized application of back-to-back and overlapping
 //!   update arrivals (release streams).
-//! * [`modes`] — the baselines the paper compares against: method-body-
-//!   only (E&C) updating and lazy-indirection updating.
 //! * [`report`] — per-release summaries (the rows of Tables 2–4).
 //!
 //! # Example
@@ -64,7 +65,6 @@ pub mod diff;
 pub mod driver;
 pub mod error;
 pub mod migrate;
-pub mod modes;
 pub mod plan;
 pub mod queue;
 pub mod report;

@@ -13,21 +13,12 @@ pub struct VmConfig {
     /// Invocations after which a baseline-compiled method is recompiled by
     /// the optimizing tier (with inlining).
     pub opt_threshold: u32,
-    /// Maximum callee bytecode length eligible for inlining.
-    pub inline_max_len: usize,
-    /// Maximum inlining depth.
-    pub inline_max_depth: usize,
     /// Whether the optimizing tier runs at all.
     pub enable_opt: bool,
     /// Maximum guest call-stack depth per thread.
     pub max_stack_depth: usize,
     /// Echo `Sys.print` output to the host's stdout as well as buffering it.
     pub echo_output: bool,
-    /// Lazy-indirection DSU baseline (JDrums/DVM-style, paper §5): every
-    /// field access and virtual dispatch performs a forwarding check so
-    /// objects can be migrated on first touch, imposing steady-state
-    /// overhead. The default (eager, GC-based) mode never pays this cost.
-    pub lazy_indirection: bool,
     /// Lazy migration: commit updates with an O(roots) pause instead of a
     /// stop-the-world full-heap update-GC. Changed classes are marked
     /// version-pending; the interpreter's reference loads go through a
@@ -35,17 +26,17 @@ pub struct VmConfig {
     /// background scavenger (stepped by the update controller) transforms
     /// the untouched remainder. When the epoch completes the heap flips
     /// back to the barrier-free fast path, so steady-state overhead is
-    /// zero outside an epoch — unlike [`lazy_indirection`], which pays the
-    /// check forever. Mutually exclusive with `lazy_indirection`.
-    ///
-    /// [`lazy_indirection`]: VmConfig::lazy_indirection
+    /// zero outside an epoch. An epoch the controller is never stepped
+    /// through again stays open, paying the check forever: that is the
+    /// JDrums/DVM indirection baseline (paper §5) the `ablation` bench
+    /// times.
     pub lazy_migration: bool,
     /// The steady-state dispatch fast path: per-thread inline caches for
     /// `CallVirtual`/`CallDirect` (guarded by the registry's dispatch
     /// epoch — every registry mutation that can change dispatch
-    /// invalidates all caches at once) plus call-frame vector recycling.
-    /// On by default; off holds the honest stock baseline for the
-    /// differential oracle and Fig. 5's "stock" configuration.
+    /// invalidates all caches at once). On by default; off holds the
+    /// honest stock baseline for the differential oracle and Fig. 5's
+    /// "stock" configuration.
     pub enable_inline_caches: bool,
     /// The template-JIT tier: hot methods are recompiled into
     /// superinstruction-fused threaded code ([`crate::jit2`]), promoted by
@@ -82,12 +73,9 @@ impl Default for VmConfig {
             semispace_words: 2 * 1024 * 1024,
             quantum: 4_000,
             opt_threshold: 100,
-            inline_max_len: 24,
-            inline_max_depth: 3,
             enable_opt: true,
             max_stack_depth: 2_048,
             echo_output: false,
-            lazy_indirection: false,
             lazy_migration: false,
             enable_inline_caches: true,
             enable_jit: true,
@@ -107,7 +95,6 @@ mod tests {
         assert!(c.semispace_words > 0);
         assert!(c.quantum > 0);
         assert!(c.enable_opt);
-        assert!(!c.lazy_indirection);
         assert!(!c.lazy_migration);
         assert!(c.enable_inline_caches);
         assert!(c.enable_jit);

@@ -402,8 +402,8 @@ pub struct Heap {
     alloc: usize,
     collections: u64,
     /// Whether any forwarding word has been installed since the last
-    /// collection (lazy indirection or a lazy-migration epoch); any
-    /// collection abandons from-space and clears it.
+    /// collection (a lazy-migration epoch); any collection abandons
+    /// from-space and clears it.
     lazy_forwards: bool,
 }
 
@@ -602,8 +602,8 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if `r` points at a forwarded cell (only occurs mid-GC or in
-    /// lazy-indirection mode before [`Heap::resolve`]).
+    /// Panics if `r` points at a forwarded cell (only occurs mid-GC or
+    /// mid-lazy-epoch before [`Heap::resolve`]).
     pub fn kind(&self, r: GcRef) -> HeapKind {
         let h = self.words[r.addr()];
         assert_eq!(h & 1, 0, "kind() on forwarded cell {r}");
@@ -725,8 +725,8 @@ impl Heap {
         self.words[r.addr()] & 1 == 1
     }
 
-    /// Installs a forwarding pointer `from → to` (lazy-indirection mode
-    /// and lazy-migration first-touch duplication). The forwarding word
+    /// Installs a forwarding pointer `from → to` (lazy-migration
+    /// first-touch duplication). The forwarding word
     /// destroys the header, so the cell's size goes into its upper bits:
     /// the linear walks ([`Heap::for_each_object`], the SATB commit scan,
     /// the collapse sweep) step over forwarded cells with it.
@@ -773,8 +773,8 @@ impl Heap {
 
     /// Walks every cell in the active semispace in ascending address
     /// order, invoking `f` on each *unforwarded* plain object with its
-    /// class. Forwarded cells (lazy-indirection or mid-epoch duplication)
-    /// are stepped over by the size their forwarding word carries.
+    /// class. Forwarded cells (mid-epoch duplication) are stepped over by
+    /// the size their forwarding word carries.
     pub fn for_each_object(&self, snapshot: &LayoutSnapshot, mut f: impl FnMut(GcRef, ClassId)) {
         self.scan_objects(self.base(self.active_b), self.alloc, usize::MAX, snapshot, |r, c| {
             f(r, c);
@@ -874,9 +874,10 @@ impl Heap {
     /// Follows forwarding pointers from `r` to the live cell.
     ///
     /// In eager mode this is only meaningful immediately after a collection
-    /// (to re-derive roots); in lazy-indirection mode the interpreter calls
-    /// it on every access — that check is exactly the steady-state overhead
-    /// the paper attributes to JDrums/DVM-style systems.
+    /// (to re-derive roots); while a lazy-migration epoch is open the
+    /// interpreter calls it on every reference load — held open forever,
+    /// that check is exactly the steady-state overhead the paper attributes
+    /// to JDrums/DVM-style systems.
     pub fn resolve(&self, mut r: GcRef) -> GcRef {
         let mut hops = 0;
         while self.words[r.addr()] & 1 == 1 {

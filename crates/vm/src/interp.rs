@@ -4,7 +4,7 @@
 //! at method entries, method exits and loop back-edges (paper §3.2) — a
 //! thread asked to stop only pauses at one of those, which is what makes
 //! every inter-slice point a VM safe point. Return barriers and the
-//! lazy-indirection access checks are implemented here.
+//! lazy-migration read barrier are implemented here.
 //!
 //! Each op is defined once. The *simple* ops (everything that needs no
 //! frame of its own: no call, branch or allocation) live in one op table,
@@ -72,8 +72,7 @@ enum NOut {
     Yield,
 }
 
-/// Result of a lazy object check (JDrums indirection or the
-/// lazy-migration read barrier).
+/// Result of the lazy-migration read barrier ([`Vm::barrier_object`]).
 enum Lazy {
     /// Access this (resolved, current-version) object.
     Ready(GcRef),
@@ -423,22 +422,29 @@ impl Vm {
                     }};
                 }
                 // The op table's `obj` hook, the read-barrier dance shared
-                // by every reference load: `Run` pushes the object
-                // transformer with pc and stack untouched, so the faulting
-                // instruction (which only *peeked* its operands) retries
-                // after it returns.
+                // by every reference load: the identity outside a lazy
+                // epoch (zero steady-state cost, the paper's headline
+                // property), [`Vm::barrier_object`] inside one. `Run`
+                // pushes the object transformer with pc and stack
+                // untouched, so the faulting instruction (which only
+                // *peeked* its operands) retries after it returns.
                 macro_rules! barrier {
-                    ($obj:expr) => {
-                        match self.lazy_object($obj) {
-                            Lazy::Ready(o) => o,
-                            Lazy::NeedGc => park!(pc, break 'outer SliceEvent::NeedGc),
-                            Lazy::Run(call) => match self.push_transformer(t, call) {
-                                Ok(()) => park!(pc, continue 'outer),
-                                Err(e) => trap!(e),
-                            },
-                            Lazy::Trap(e) => trap!(e),
+                    ($obj:expr) => {{
+                        let obj = $obj;
+                        if self.lazy.active {
+                            match self.barrier_object(obj) {
+                                Lazy::Ready(o) => o,
+                                Lazy::NeedGc => park!(pc, break 'outer SliceEvent::NeedGc),
+                                Lazy::Run(call) => match self.push_transformer(t, call) {
+                                    Ok(()) => park!(pc, continue 'outer),
+                                    Err(e) => trap!(e),
+                                },
+                                Lazy::Trap(e) => trap!(e),
+                            }
+                        } else {
+                            obj
                         }
-                    };
+                    }};
                 }
                 // The op table's `ret` hook, the shared return path: pops
                 // the record and its slice of the value stack, processes
@@ -518,14 +524,13 @@ impl Vm {
                                 && $callee.leaf
                                 && steps < budget
                                 && !self.lazy.active
-                                && !self.config.lazy_indirection
                                 && self.frame_room(t.frames.len()).is_ok()
                             {
                                 // Leaf fast path: run the callee on the
                                 // value stack, over its arguments. Gated
                                 // on the budget so a slice that would have
                                 // paused inside the callee frame still
-                                // does, and on lazy modes so no read
+                                // does, and on lazy epochs so no read
                                 // barrier is ever skipped.
                                 match self.exec_leaf(&mut t.values, $callee, $total, &mut steps) {
                                     Ok(()) => {
@@ -735,13 +740,15 @@ impl Vm {
                             NOut::NeedGc => park!(pc, break 'outer SliceEvent::NeedGc),
                             NOut::Trap(e) => trap!(e),
                             NOut::Frame(call) => {
-                                // The push cannot fail once the arguments are
-                                // gone: the native checked the depth itself.
+                                // Nothing may trap once the call retired, and
+                                // nothing can: `Dsu.forceTransform` checked
+                                // `frame_room` before marking the entry, and
+                                // two arguments never overflow a frame's
+                                // local slots — so no checked push here.
                                 complete!();
-                                match self.push_transformer(t, call) {
-                                    Ok(()) => park!(pc, continue 'outer),
-                                    Err(e) => trap!(e),
-                                }
+                                t.values.extend_from_slice(&call.args);
+                                t.enter(call.compiled, call.args.len(), Some(call.note));
+                                park!(pc, continue 'outer)
                             }
                             NOut::Barrier(call) => match self.push_transformer(t, call) {
                                 Ok(()) => park!(pc, continue 'outer),
@@ -868,9 +875,9 @@ impl Vm {
     /// `total` arguments on top of `values` without pushing a record: the
     /// op table instantiated on the same value stack, with the identity
     /// for the reference hook. Only reachable from inline-cache hit paths
-    /// when the template JIT is enabled and no lazy epoch or indirection
-    /// is active, so reference loads need no read barrier; simple ops
-    /// never allocate, so no GC can interleave. On a trap the stack is
+    /// when the template JIT is enabled and no lazy epoch is active, so
+    /// reference loads need no read barrier; simple ops never allocate,
+    /// so no GC can interleave. On a trap the stack is
     /// left as it stands — arguments, other locals and partial operands
     /// right where a framed callee would hold them in root order.
     fn exec_leaf(
@@ -983,56 +990,6 @@ impl Vm {
         true
     }
 
-    /// Lazy object check on every reference load. Three modes:
-    ///
-    /// * Eager (default): the identity — zero steady-state cost, the
-    ///   paper's headline property. Outside an epoch, lazy-migration VMs
-    ///   take this same path, which is what `lazybench`'s steady-state
-    ///   gate asserts.
-    /// * Lazy-migration epoch active: the read barrier
-    ///   ([`Vm::barrier_object`]) — duplicate stale objects on first
-    ///   touch and hand back their transformer frame to run.
-    /// * JDrums/DVM lazy indirection (paper §5 baseline): resolve
-    ///   forwarding pointers and apply the default field-copy migration
-    ///   on first touch, forever.
-    fn lazy_object(&mut self, r: GcRef) -> Lazy {
-        if self.lazy.active {
-            return self.barrier_object(r);
-        }
-        if !self.config.lazy_indirection {
-            return Lazy::Ready(r);
-        }
-        let r = self.heap.resolve(r);
-        let class = self.heap.class_of(r);
-        let Some(&new_class) = self.dsu.lazy_remap.get(&class) else {
-            return Lazy::Ready(r);
-        };
-        // Migrate: allocate the new version, copy same-named same-typed
-        // fields (the default transformation, applied in-VM as JDrums
-        // does), and leave a forwarding pointer.
-        let new_layout_len = self.registry.class(new_class).layout.len();
-        let Some(new_obj) = self.heap.alloc_object(new_class, new_layout_len) else {
-            return Lazy::NeedGc;
-        };
-        let old_class_info = self.registry.class(class);
-        let new_class_info = self.registry.class(new_class);
-        let mut copies: Vec<(usize, usize)> = Vec::new();
-        for (old_off, slot) in old_class_info.layout.iter().enumerate() {
-            if let Some(new_off) =
-                new_class_info.layout.iter().position(|s| s.name == slot.name && s.ty == slot.ty)
-            {
-                copies.push((old_off, new_off));
-            }
-        }
-        for (old_off, new_off) in copies {
-            let w = self.heap.get(r, old_off);
-            self.heap.set(new_obj, new_off, w);
-        }
-        let snapshot = self.registry.layout_snapshot();
-        self.heap.install_forward(r, new_obj, &snapshot);
-        Lazy::Ready(new_obj)
-    }
-
     /// The lazy-migration read barrier: first touch of a stale object
     /// migrates it ([`Vm::lazy_dup`]). A class with a copy plan is done
     /// on the spot and the access proceeds against the new object; any
@@ -1041,7 +998,10 @@ impl Vm {
     /// instruction's pc and stack untouched, so the access retries
     /// against the transformed object — the same transformer, in the same
     /// (new, old-copy) calling convention, the eager protocol runs from
-    /// the update log. Everything else is a resolve.
+    /// the update log. Everything else is a resolve. An epoch the
+    /// controller is never stepped past arming keeps every reference load
+    /// on this path for good: the JDrums/DVM indirection baseline (paper
+    /// §5) is this barrier, held open.
     fn barrier_object(&mut self, r: GcRef) -> Lazy {
         let r = self.heap.resolve(r);
         if !self.lazy_is_stale(r) {
@@ -1068,13 +1028,11 @@ impl Vm {
     fn ref_eq(&self, a: Value, b: Value) -> bool {
         match (a, b) {
             (Value::Null, Value::Null) => true,
-            // Mid-epoch (or under JDrums indirection) one operand may be a
-            // stale address and the other its migrated copy: identity must
-            // compare through the forwarding words.
+            // Mid-epoch one operand may be a stale address and the other
+            // its migrated copy: identity must compare through the
+            // forwarding words.
             (Value::Ref(x), Value::Ref(y)) => {
-                x == y
-                    || ((self.lazy.active || self.config.lazy_indirection)
-                        && self.heap.resolve(x) == self.heap.resolve(y))
+                x == y || (self.lazy.active && self.heap.resolve(x) == self.heap.resolve(y))
             }
             _ => false,
         }

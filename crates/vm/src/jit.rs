@@ -32,7 +32,14 @@ use crate::error::VmError;
 use crate::ids::{ClassId, MethodId};
 use crate::registry::Registry;
 
-/// Compiles `mid` at the requested tier.
+/// Maximum callee bytecode length the optimizing tier inlines.
+const INLINE_MAX_LEN: usize = 24;
+/// Maximum inlining depth.
+const INLINE_MAX_DEPTH: usize = 3;
+
+/// Compiles `mid` at the requested tier. No tier reads the VM's
+/// configuration today: the inliner's limits are `INLINE_MAX_LEN` and
+/// `INLINE_MAX_DEPTH`.
 ///
 /// # Errors
 ///
@@ -44,7 +51,7 @@ pub fn compile(
     registry: &Registry,
     mid: MethodId,
     level: CompileLevel,
-    config: &VmConfig,
+    _config: &VmConfig,
 ) -> Result<CompiledMethod, VmError> {
     let info = registry.method(mid);
     let def = &info.def;
@@ -59,8 +66,7 @@ pub fn compile(
     let expanded;
     let instrs = if level == CompileLevel::Opt {
         let mut chain = vec![mid];
-        expanded =
-            expand(registry, &code.instrs, config, 0, &mut chain, &mut inlined, &mut max_locals, 0);
+        expanded = expand(registry, &code.instrs, 0, &mut chain, &mut inlined, &mut max_locals, 0);
         &expanded
     } else {
         &code.instrs
@@ -249,7 +255,6 @@ fn resolve_code(
 fn expand(
     registry: &Registry,
     instrs: &[Instr],
-    config: &VmConfig,
     depth: usize,
     chain: &mut Vec<MethodId>,
     inlined: &mut Vec<MethodId>,
@@ -267,8 +272,7 @@ fn expand(
             Instr::CallStatic { class, method, argc }
             | Instr::CallSpecial { class, method, argc } => {
                 let has_receiver = matches!(instr, Instr::CallSpecial { .. });
-                if let Some(target) = inline_candidate(registry, class, method, config, depth, chain)
-                {
+                if let Some(target) = inline_candidate(registry, class, method, depth, chain) {
                     let callee = registry.method(target);
                     let callee_code = callee.def.code.as_ref().expect("candidate has code");
                     let base = *next_local;
@@ -278,7 +282,6 @@ fn expand(
                     let mut body = expand(
                         registry,
                         &callee_code.instrs,
-                        config,
                         depth + 1,
                         chain,
                         inlined,
@@ -342,11 +345,10 @@ fn inline_candidate(
     registry: &Registry,
     class: &jvolve_classfile::ClassName,
     method: &str,
-    config: &VmConfig,
     depth: usize,
     chain: &[MethodId],
 ) -> Option<MethodId> {
-    if depth >= config.inline_max_depth {
+    if depth >= INLINE_MAX_DEPTH {
         return None;
     }
     let cid = registry.class_id(class)?;
@@ -356,7 +358,7 @@ fn inline_candidate(
         return None;
     }
     let code = info.def.code.as_ref()?;
-    (code.instrs.len() <= config.inline_max_len).then_some(target)
+    (code.instrs.len() <= INLINE_MAX_LEN).then_some(target)
 }
 
 #[cfg(test)]

@@ -40,10 +40,15 @@
 //!   path. No GC runs: the stale originals are unreferenced garbage and
 //!   their forwarding words are reclaimed by the next natural collection.
 //!
-//! The collectors forward through the pending pairs exactly as they do
-//! for lazy-indirection forwards: the worklist tail is rooted, so
-//! untouched stale objects stay live until transformed — lazy and eager
-//! epochs transform the *same* object multiset.
+//! The collectors forward through the pending pairs and the barrier's
+//! forwarding words alike: the worklist tail is rooted, so untouched stale
+//! objects stay live until transformed — lazy and eager epochs transform
+//! the *same* object multiset.
+//!
+//! An epoch the controller never steps past arming is never drained: the
+//! barrier stays armed, touched objects migrate through it and untouched
+//! ones stay stale. That held-open epoch is the JDrums/DVM indirection
+//! baseline (paper §5) the `ablation` bench times.
 
 use crate::heap::RemapTable;
 use crate::value::GcRef;

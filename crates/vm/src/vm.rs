@@ -105,8 +105,6 @@ pub(crate) struct DsuState {
     pub transformer_for: HashMap<ClassId, MethodId>,
     /// Dynamic updates completed.
     pub update_count: u64,
-    /// Lazy-indirection mode: classes to migrate on first access.
-    pub lazy_remap: HashMap<ClassId, ClassId>,
 }
 
 impl DsuState {
@@ -239,10 +237,6 @@ impl CompiledMethod {
 impl Vm {
     /// Creates a VM with the builtin classes loaded.
     pub fn new(config: VmConfig) -> Vm {
-        assert!(
-            !(config.lazy_migration && config.lazy_indirection),
-            "lazy_migration and lazy_indirection are mutually exclusive"
-        );
         let mut registry = Registry::new();
         registry
             .load_batch(&jvolve_lang::builtins::builtin_classes())
@@ -1146,14 +1140,6 @@ impl Vm {
         let f = &mut t.frames[frame_idx];
         (f.method, f.compiled, f.pc) = (method, compiled, pc);
         Ok(())
-    }
-
-    /// Enables lazy-indirection migration for the given class mapping
-    /// (the JDrums/DVM-style baseline, paper §5). Only meaningful when
-    /// [`VmConfig::lazy_indirection`] is set.
-    pub fn begin_lazy_update(&mut self, remap: HashMap<ClassId, ClassId>) {
-        self.dsu.lazy_remap.extend(remap);
-        self.dsu.update_count += 1;
     }
 
     // ---- lazy migration (read-barrier epoch, see `crate::lazy`) ------------------

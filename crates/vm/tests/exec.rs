@@ -440,42 +440,3 @@ fn update_gc_and_transformers_end_to_end() {
     assert_eq!(vm.read_field(r, "z"), Value::Int(7));
     assert_eq!(vm.update_count(), 1);
 }
-
-#[test]
-fn lazy_indirection_migrates_on_first_access() {
-    let mut vm = Vm::new(VmConfig { lazy_indirection: true, ..VmConfig::small() });
-    vm.load_source(
-        "class Point {
-           field x: int; field y: int;
-           ctor(x: int, y: int) { this.x = x; this.y = y; }
-         }
-         class Holder { static field p: Point; }
-         class Main {
-           static method main(): void { Holder.p = new Point(3, 4); }
-           static method readx(): int { return Holder.p.x; }
-         }",
-    )
-    .unwrap();
-    vm.spawn("Main", "main").unwrap();
-    assert!(vm.run_to_completion(10_000));
-
-    let old_id = vm.registry().class_id(&"Point".into()).unwrap();
-    vm.registry_mut().rename_class(old_id, "v1_Point".into()).unwrap();
-    let new_classes = jvolve_lang::compile(
-        "class Point { field x: int; field y: int; field z: int; }",
-    )
-    .unwrap();
-    let new_id = vm.load_classes(&new_classes).unwrap()[0];
-
-    let mut remap = HashMap::new();
-    remap.insert(old_id, new_id);
-    vm.begin_lazy_update(remap);
-
-    // First access migrates the object; same-named fields carry over.
-    let v = vm.call_static_sync("Main", "readx", &[]).unwrap();
-    assert_eq!(v, Some(Value::Int(3)));
-    let p = vm.read_static("Holder", "p");
-    let Value::Ref(r) = p else { panic!() };
-    let resolved = vm.heap().resolve(r);
-    assert_eq!(vm.heap().class_of(resolved), new_id);
-}

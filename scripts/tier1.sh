@@ -113,7 +113,11 @@ if [ "$skip_bench" = 0 ]; then
     # committed results/BENCH_interp.json.
     echo "== tier-1: interpreter tiers, ratio (caches >= 0.96x, jit >= 2.55x) + exact-count gates =="
     cargo run --release -q -p jvolve-bench --bin interpbench -- --check --iters 5
-    echo "== tier-1: lazy migration pause + steady-state check =="
+    # lazybench --check reads no file: three same-run best-of-N ratios
+    # (lazy pause <= 25% of eager, lazy pause at the largest heap point <=
+    # 2x the smallest's, post-drain steady state within the regression
+    # limit of eager's).
+    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, steady state) =="
     cargo run --release -q -p jvolve-bench --bin lazybench -- --check --iters 5
     echo "== tier-1: fleet throughput + rolling-update integrity check =="
     cargo run --release -q -p jvolve-bench --bin fleetbench -- --check --iters 5
@@ -122,7 +126,7 @@ if [ "$skip_bench" = 0 ]; then
 else
     echo "== tier-1: GC pause regression check skipped (--skip-bench) =="
     echo "== tier-1: interpreter tiers, ratio (caches >= 0.96x, jit >= 2.55x) + exact-count gates skipped (--skip-bench) =="
-    echo "== tier-1: lazy migration pause + steady-state check skipped (--skip-bench) =="
+    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, steady state) skipped (--skip-bench) =="
     echo "== tier-1: fleet throughput + rolling-update integrity check skipped (--skip-bench) =="
     echo "== tier-1: UPT release-stream integrity + pause check skipped (--skip-bench) =="
 fi

@@ -413,6 +413,59 @@ fn lazy_commit_is_observationally_identical_to_eager() {
     assert!(stats.phase_sum() <= stats.total_time, "{stats:?}");
 }
 
+/// The JDrums/DVM indirection baseline is an epoch held open: the
+/// controller is stepped only until the barrier arms, then never again.
+/// Every node must still migrate — through the read barrier alone, with
+/// the update's real transformer, across a full collection that lands in
+/// the middle of the guest's traversal — and the epoch must stay open
+/// with no scavenge or collapse step ever run. A barrier that is skipped
+/// outside a controller step (say, once the SATB scan has finished) lets
+/// the traversal read stale layouts and fails the trace/checksum oracle.
+#[test]
+fn held_open_epoch_migrates_through_the_barrier_alone() {
+    const NODES: i64 = 400;
+    let fixture = ring_fixture(NODES);
+    let eager = run_eager(&fixture);
+
+    let (mut vm, update) = make_vm(&fixture, true);
+    let mut events = MemorySink::default();
+    {
+        let mut controller = UpdateController::new(&update, ApplyOptions::default());
+        controller.attach_sink(&mut events);
+        loop {
+            match controller.step(&mut vm) {
+                StepProgress::Pending(UpdatePhase::LazyMigrating) => break,
+                StepProgress::Pending(_) => {}
+                other => panic!("update ended before arming: {other:?} {:?}", controller.error()),
+            }
+        }
+    }
+
+    // One slice reaches part way through the ring; the collection then
+    // completes the SATB scan and copies a half-migrated heap.
+    let id = vm.spawn("App", "checksum").expect("checksum spawns");
+    vm.run_slices(1);
+    assert!(vm.thread(id).is_some_and(|t| t.is_live()), "the GC lands mid-traversal");
+    vm.collect_full(&NoRemap).expect("mid-epoch GC succeeds");
+    assert!(vm.run_to_completion(1_000_000));
+    let first = vm.thread(id).and_then(|t| t.result).expect("checksum returns").as_int();
+    assert_eq!(first, eager.checksum, "traversal across the GC diverged");
+
+    // Compared field by field: `heap_fingerprint` walks from the worklist
+    // roots, which mid-epoch still name forwarded stale originals.
+    let again = vm.call_static_sync("App", "checksum", &[]).expect("checksum runs");
+    assert_eq!(again, Some(Value::Int(eager.checksum)));
+    assert_eq!(vm.read_static("App", "trace"), Value::Int(eager.trace));
+    assert!(vm.lazy_epoch_active(), "nothing closed the epoch");
+    assert!(
+        !events.events.iter().any(|e| matches!(
+            e,
+            UpdateEvent::LazyScavengeStep { .. } | UpdateEvent::LazyCollapseStep { .. }
+        )),
+        "the held-open epoch ran a scavenge or collapse step"
+    );
+}
+
 /// Objects allocated while the epoch drains land above the SATB
 /// watermark: the scanner must never visit them (they are born
 /// new-version, and no executable code can allocate old-version instances
