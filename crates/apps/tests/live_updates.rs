@@ -9,6 +9,7 @@ use jvolve_apps::harness::{
 };
 use jvolve_apps::workload::{ftp_retr, one_shot, pop_list, smtp_send};
 use jvolve_apps::{AppInstance, Emailserver, Ftpserver, GuestApp, Webserver};
+use jvolve_vm::{Vm, VmConfig};
 
 #[test]
 fn webserver_updates_match_paper() {
@@ -122,6 +123,75 @@ fn webserver_serves_verified_responses_while_lazy_epoch_drains() {
     let resp = one_shot(&mut vm, app.port(), "GET /about.html", 40_000)
         .expect("server unresponsive after lazy update");
     assert!(resp.0.starts_with("200"), "{resp:?}");
+}
+
+/// A closed-loop client that keeps [`InFlight::DEPTH`] `GET /index.html`
+/// requests open across calls and runs one scheduler slice per call, so
+/// an update lands while handler frames are mid-request.
+#[derive(Default)]
+struct InFlight {
+    open: Vec<usize>,
+    served: u64,
+}
+
+impl InFlight {
+    const DEPTH: usize = 8;
+
+    fn pump(&mut self, vm: &mut Vm) {
+        while self.open.len() < Self::DEPTH {
+            let conn = vm.net_mut().client_connect(Webserver.port()).expect("server listens");
+            vm.net_mut().client_send(conn, "GET /index.html");
+            self.open.push(conn);
+        }
+        vm.step_slice();
+        let net = vm.net_mut();
+        self.open.retain(|&conn| {
+            let Some(reply) = net.client_recv(conn) else { return true };
+            assert_eq!(reply, "200 <html>welcome</html>", "response corrupted");
+            net.client_close(conn);
+            self.served += 1;
+            false
+        });
+    }
+}
+
+#[test]
+fn webserver_update_with_requests_in_flight_needs_no_return_barrier() {
+    // 5.1.5 → 5.1.6 while handlers run: their frames are category-2
+    // (indirect) methods, which OSR lifts in place at the first poll. No
+    // tier inlines, so no frame is left for a return barrier to wait on —
+    // with an inlining opt tier, warm handlers sat in inlined code and the
+    // update waited on barriers (and under the no-jit load never
+    // committed).
+    let app = Webserver;
+    let from = 5; // 5.1.5 → 5.1.6
+    let no_jit = VmConfig { enable_jit: false, ..app_vm_config() };
+    for (config, warm_rounds) in [(app_vm_config(), 300), (no_jit, 3_000)] {
+        let jit = config.enable_jit;
+        let mut vm = boot_with(&app, from, config);
+        let mut client = InFlight::default();
+        for _ in 0..warm_rounds {
+            client.pump(&mut vm);
+        }
+        assert!(client.served > 0, "jit={jit}: warm-up served nothing");
+        let (outcome, stats) = attempt_update_interleaved(
+            &mut vm,
+            &app,
+            from,
+            &bench_apply_options(),
+            |vm| client.pump(vm),
+        );
+        assert!(matches!(outcome, UpdateOutcome::Applied { .. }), "jit={jit}: {outcome}");
+        let stats = stats.expect("stats on commit");
+        assert_eq!(stats.barriers_installed, 0, "jit={jit}: waited on a return barrier");
+        assert!(stats.osr_replacements >= 1, "jit={jit}: no handler frame was OSR-lifted");
+        // The requests in flight across the update finish on 5.1.6.
+        let served = client.served;
+        for _ in 0..300 {
+            client.pump(&mut vm);
+        }
+        assert!(client.served > served, "jit={jit}: nothing served after the update");
+    }
 }
 
 #[test]

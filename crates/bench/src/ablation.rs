@@ -152,7 +152,7 @@ pub fn churn_wall_time_with_jit(mode: ChurnMode, nodes: i64, iters: i64, jit: bo
         }
     }
 
-    // Warm up (drives opt compilation), then measure.
+    // Warm up (drives jit promotion), then measure.
     vm.call_static_sync("Bench", "churn", &[Value::Int(iters / 4)]).expect("warmup");
     let start = std::time::Instant::now();
     let sum = vm

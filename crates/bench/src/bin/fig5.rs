@@ -61,16 +61,16 @@ fn main() {
     );
 
     // Post-update warm-up: invalidated methods re-baseline on first call,
-    // then the adaptive system re-optimizes the hot ones (paper §3.3).
+    // then the adaptive system re-promotes the hot ones (paper §3.3).
     println!("\npost-update warm-up (adaptive recompilation):");
     println!(
-        "{:>8} {:>14} {:>14} {:>13} {:>13}",
-        "window", "tput (r/ks)", "base compiles", "opt compiles", "jit compiles"
+        "{:>8} {:>14} {:>14} {:>13}",
+        "window", "tput (r/ks)", "base compiles", "jit compiles"
     );
     for w in jvolve_bench::fig5::warmup_series(5, 2_000, concurrency) {
         println!(
-            "{:>8} {:>14.1} {:>14} {:>13} {:>13}",
-            w.window, w.throughput, w.base_compiles, w.opt_compiles, w.jit_compiles
+            "{:>8} {:>14.1} {:>14} {:>13}",
+            w.window, w.throughput, w.base_compiles, w.jit_compiles
         );
     }
 }

@@ -13,28 +13,27 @@
 //!    fingerprint. This gate is unconditional — it is the ISSUE 7
 //!    zero-dropped-responses acceptance check.
 //!
-//! The single-shard request cost is additionally gated against the
-//! committed `results/BENCH_fleet.json` like every other tier-1 bench.
+//! No gate compares nanoseconds with a file recorded on another host:
+//! the scaling gate is a same-run ratio and the roll gate counts.
 //!
 //! Usage (same dialect as `gcbench`/`interpbench`/`lazybench`):
 //!
 //! * `cargo run --release -p jvolve-bench --bin fleetbench` — measure and
 //!   write `BENCH_fleet.json` (`--out FILE`; to refresh the committed
-//!   baseline, `--out results/BENCH_fleet.json`).
+//!   record, `--out results/BENCH_fleet.json`).
 //! * `... --bin fleetbench -- --check` — re-measure and exit nonzero if
-//!   any gate fails (`--baseline FILE` overrides the baseline path).
-//!   `scripts/tier1.sh` runs this. Timed gates compare *best-of-N* and
-//!   re-measure with 3× iterations before declaring a failure.
+//!   any gate fails; it reads no file, so `--baseline` is refused.
+//!   `scripts/tier1.sh` runs this. The scaling gate compares *best-of-N*
+//!   and re-measures with 3× iterations before declaring a failure.
 //!
 //! `--iters N` controls timed iterations per shard count (default 5).
 
 use jvolve_bench::fleet::{measure_roll, measure_throughput, RollRun, ThroughputRun};
-use jvolve_bench::timing::{fmt_ns, gate_best_of, Samples, REGRESSION_LIMIT};
-use jvolve_bench::{arg_value, baseline_for_check, enforce_gate_args, gate_iters};
+use jvolve_bench::timing::{fmt_ns, Samples};
+use jvolve_bench::{arg_flag, arg_value, enforce_gate_args, gate_iters};
 use jvolve_json::Json;
 
-/// Shard counts measured; the first carries the baseline gate and the
-/// pair carries the scaling gate.
+/// Shard counts measured; the pair carries the scaling gate.
 const SHARD_POINTS: [usize; 2] = [1, 4];
 
 /// Requests per timed batch — large enough that per-request cost
@@ -129,14 +128,6 @@ fn to_json(entries: &[Entry], roll: &RollRun, iters: usize, cpus: usize) -> Json
     ])
 }
 
-fn baseline_single_shard_ns(baseline: &Json) -> Option<f64> {
-    baseline.get("entries")?.as_arr()?.iter().find_map(|e| {
-        (e.get("shards")?.as_u64()? == 1)
-            .then(|| e.get("ns_per_request_min")?.as_f64())
-            .flatten()
-    })
-}
-
 fn print_table(entries: &[Entry], roll: &RollRun) {
     println!("{:>7} {:>16} {:>16}", "shards", "ns/req (min)", "ns/req (median)");
     for e in entries {
@@ -161,7 +152,7 @@ fn print_table(entries: &[Entry], roll: &RollRun) {
     );
 }
 
-fn check(entries: &[Entry], roll: &RollRun, baseline: &Json, path: &str, iters: usize) -> Vec<String> {
+fn check(entries: &[Entry], roll: &RollRun, iters: usize) -> Vec<String> {
     let mut failures = Vec::new();
 
     // Gate 2 (unconditional): roll integrity. No timing, no retry — a
@@ -178,30 +169,6 @@ fn check(entries: &[Entry], roll: &RollRun, baseline: &Json, path: &str, iters: 
         println!("  {} {}", if ok { "ok  " } else { "FAIL" }, what);
         if !ok {
             failures.push(format!("roll integrity: {what}"));
-        }
-    }
-
-    // Baseline gate: single-shard request cost vs the committed numbers.
-    println!("\nregression check vs {path} (limit +{:.0}%):", REGRESSION_LIMIT * 100.0);
-    match baseline_single_shard_ns(baseline) {
-        None => println!("  1 shard: no baseline entry — skipped"),
-        Some(base) => {
-            let g = gate_best_of(entries[0].ns_per_request_min, base, || {
-                best_of(1, iters * 3).min_ns() as f64
-            });
-            println!(
-                "  1 shard: ns/request {:>9} -> {:>9} ({:>+6.1}%) {}",
-                fmt_ns(base as u64),
-                fmt_ns(g.current as u64),
-                g.delta * 100.0,
-                g.verdict(),
-            );
-            if g.regressed() {
-                failures.push(format!(
-                    "single-shard request cost: {:.0} -> {:.0} ns",
-                    base, g.current
-                ));
-            }
         }
     }
 
@@ -241,15 +208,18 @@ fn check(entries: &[Entry], roll: &RollRun, baseline: &Json, path: &str, iters: 
 
 fn main() {
     enforce_gate_args("fleetbench");
+    if arg_value("--baseline").is_some() {
+        eprintln!("fleetbench: no gate compares a recorded file; --check reads no baseline");
+        std::process::exit(2);
+    }
     let iters = gate_iters();
-    let baseline = baseline_for_check("fleetbench", "results/BENCH_fleet.json");
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     let (entries, roll) = measure(iters);
     print_table(&entries, &roll);
 
-    if let Some((path, baseline)) = baseline {
-        let failures = check(&entries, &roll, &baseline, &path, iters);
+    if arg_flag("--check") {
+        let failures = check(&entries, &roll, iters);
         if !failures.is_empty() {
             eprintln!("\nfleet gate failure(s):");
             for f in &failures {

@@ -47,7 +47,7 @@ const SPEEDUP_FLOOR: f64 = 0.96;
 /// Measured 2.85×, less 10 %.
 const JIT_SPEEDUP_FLOOR: f64 = 2.55;
 
-/// Guest loop iterations per timed run (16 calls each).
+/// Guest loop iterations per timed run (`CALLS_PER_ITER` calls each).
 const GUEST_ITERS: i64 = 100_000;
 
 struct Entry {
@@ -58,8 +58,8 @@ struct Entry {
     calls: u64,
     checksum: i64,
     ic_hit_rate: f64,
-    /// Whole-run per-tier promotion counts: (base, opt, jit) compiles.
-    tier_compiles: (u64, u64, u64),
+    /// Whole-run per-tier compile counts: (base, jit).
+    tier_compiles: (u64, u64),
     /// Fraction of retired base instructions executed inside
     /// superinstructions during the timed run.
     fusion_coverage: f64,
@@ -102,7 +102,7 @@ fn run(iters: usize) -> Vec<Entry> {
 
 fn to_json(entries: &[Entry], iters: usize) -> Json {
     Json::obj([
-        ("schema", Json::from("jvolve-interpbench-v2")),
+        ("schema", Json::from("jvolve-interpbench-v3")),
         ("iters", Json::from(iters)),
         (
             "entries",
@@ -118,8 +118,7 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
                             ("checksum", Json::from(e.checksum as f64)),
                             ("ic_hit_rate", Json::from(e.ic_hit_rate)),
                             ("base_compiles", Json::from(e.tier_compiles.0)),
-                            ("opt_compiles", Json::from(e.tier_compiles.1)),
-                            ("jit_compiles", Json::from(e.tier_compiles.2)),
+                            ("jit_compiles", Json::from(e.tier_compiles.1)),
                             ("fusion_coverage", Json::from(e.fusion_coverage)),
                         ])
                     })
@@ -132,7 +131,7 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
 /// The columns that must repeat exactly on any host: what the guest
 /// computed, how many calls it made, what the tier policy compiled, and
 /// the share of steps retired inside superinstructions.
-type Counts = (f64, u64, (u64, u64, u64), f64);
+type Counts = (f64, u64, (u64, u64), f64);
 
 impl Entry {
     fn counts(&self) -> Counts {
@@ -150,7 +149,7 @@ fn baseline_counts(baseline: &Json, config: Config) -> Option<Counts> {
     Some((
         e.get("checksum")?.as_f64()?,
         count("calls")?,
-        (count("base_compiles")?, count("opt_compiles")?, count("jit_compiles")?),
+        (count("base_compiles")?, count("jit_compiles")?),
         e.get("fusion_coverage")?.as_f64()?,
     ))
 }
@@ -158,7 +157,7 @@ fn baseline_counts(baseline: &Json, config: Config) -> Option<Counts> {
 fn print_table(entries: &[Entry]) {
     println!(
         "{:>20} {:>14} {:>14} {:>12} {:>10} {:>16} {:>8}",
-        "config", "ns/call", "min ns/call", "calls", "hit rate", "tiers b/o/j", "fused"
+        "config", "ns/call", "min ns/call", "calls", "hit rate", "tiers b/j", "fused"
     );
     for e in entries {
         println!(
@@ -168,7 +167,7 @@ fn print_table(entries: &[Entry]) {
             e.min_ns_per_call,
             e.calls,
             e.ic_hit_rate * 100.0,
-            format!("{}/{}/{}", e.tier_compiles.0, e.tier_compiles.1, e.tier_compiles.2),
+            format!("{}/{}", e.tier_compiles.0, e.tier_compiles.1),
             e.fusion_coverage * 100.0,
         );
     }

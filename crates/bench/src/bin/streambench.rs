@@ -10,33 +10,30 @@
 //!    previous epoch was still draining; both streams end on the same
 //!    registry version fingerprint.
 //! 2. **Pause bound**: the longest single-update pause across the eager
-//!    stream (best-of-N) must stay under the absolute [`PAUSE_CEILING_NS`]
-//!    and within the regression limit of the committed
-//!    `results/BENCH_stream.json` baseline.
+//!    stream (best-of-N) must stay under the absolute [`PAUSE_CEILING_NS`].
+//!    Nothing is compared with a pause recorded on another host.
 //!
 //! Usage (same dialect as `gcbench`/`interpbench`/`lazybench`/`fleetbench`):
 //!
 //! * `cargo run --release -p jvolve-bench --bin streambench` — measure
 //!   and write `BENCH_stream.json` (`--out FILE`; to refresh the
-//!   committed baseline, `--out results/BENCH_stream.json`).
+//!   committed record, `--out results/BENCH_stream.json`).
 //! * `... --bin streambench -- --check` — re-measure and exit nonzero if
-//!   any gate fails (`--baseline FILE` overrides the baseline path).
-//!   `scripts/tier1.sh` runs this. The timed gate compares *best-of-N*
-//!   and re-measures with 3× iterations before declaring a failure.
+//!   any gate fails; it reads no file, so `--baseline` is refused.
+//!   `scripts/tier1.sh` runs this.
 //!
 //! `--iters N` controls full eager-stream iterations (default 5).
 
 use jvolve_apps::StreamReport;
 use jvolve_bench::stream::{chain_len, measure_eager, measure_lazy};
-use jvolve_bench::timing::{fmt_ns, gate_best_of, Samples, REGRESSION_LIMIT};
-use jvolve_bench::{arg_value, baseline_for_check, gate_iters};
+use jvolve_bench::timing::{fmt_ns, Samples};
+use jvolve_bench::{arg_flag, arg_value, gate_iters};
 use jvolve_json::Json;
 
 /// Absolute ceiling on the longest single-update pause in the eager
 /// stream. The paper's pauses are dominated by the update GC; a chain
 /// update on the kvstore's working set is far below this — the ceiling
-/// catches pathological regressions even when the committed baseline
-/// drifts with it.
+/// catches pathological regressions on any host.
 const PAUSE_CEILING_NS: u64 = 25_000_000;
 
 /// Best-of-`iters` eager streams. Every run must be clean — a stream
@@ -107,14 +104,7 @@ fn print_table(pauses: &Samples, eager: &StreamReport, lazy: &StreamReport) {
     );
 }
 
-fn check(
-    pauses: &Samples,
-    eager: &StreamReport,
-    lazy: &StreamReport,
-    baseline: &Json,
-    path: &str,
-    iters: usize,
-) -> Vec<String> {
+fn check(pauses: &Samples, eager: &StreamReport, lazy: &StreamReport) -> Vec<String> {
     let mut failures = Vec::new();
     let updates = chain_len();
 
@@ -138,39 +128,18 @@ fn check(
         }
     }
 
-    // Gate 2: the pause bound — absolute ceiling plus baseline drift.
-    let mut pause = pauses.min_ns() as f64;
-    println!("\npause gate vs {path} (limit +{:.0}%):", REGRESSION_LIMIT * 100.0);
-    match baseline.get("pause_ns_min").and_then(Json::as_f64) {
-        None => println!("  no baseline entry — regression check skipped"),
-        Some(base) => {
-            let g = gate_best_of(pause, base, || {
-                let (retry, _) = best_of_eager(iters * 3);
-                retry.min_ns() as f64
-            });
-            pause = g.current;
-            println!(
-                "  max pause {:>9} -> {:>9} ({:>+6.1}%) {}",
-                fmt_ns(base as u64),
-                fmt_ns(g.current as u64),
-                g.delta * 100.0,
-                g.verdict(),
-            );
-            if g.regressed() {
-                failures.push(format!("per-update pause: {:.0} -> {:.0} ns", base, g.current));
-            }
-        }
-    }
+    // Gate 2: the pause bound, an absolute ceiling.
+    let pause = pauses.min_ns();
     println!(
-        "  absolute ceiling: {} (limit {}) {}",
-        fmt_ns(pause as u64),
+        "\npause gate: max pause {} (ceiling {}) {}",
+        fmt_ns(pause),
         fmt_ns(PAUSE_CEILING_NS),
-        if (pause as u64) <= PAUSE_CEILING_NS { "ok" } else { "FAIL" }
+        if pause <= PAUSE_CEILING_NS { "ok" } else { "FAIL" }
     );
-    if pause as u64 > PAUSE_CEILING_NS {
+    if pause > PAUSE_CEILING_NS {
         failures.push(format!(
             "per-update pause {} exceeds the absolute ceiling {}",
-            fmt_ns(pause as u64),
+            fmt_ns(pause),
             fmt_ns(PAUSE_CEILING_NS)
         ));
     }
@@ -179,8 +148,11 @@ fn check(
 
 fn main() {
     jvolve_bench::enforce_gate_args("streambench");
+    if arg_value("--baseline").is_some() {
+        eprintln!("streambench: no gate compares a recorded file; --check reads no baseline");
+        std::process::exit(2);
+    }
     let iters = gate_iters();
-    let baseline = baseline_for_check("streambench", "results/BENCH_stream.json");
 
     eprint!("\rmeasuring eager stream...        ");
     let (pauses, eager) = best_of_eager(iters);
@@ -189,8 +161,8 @@ fn main() {
     eprintln!();
     print_table(&pauses, &eager, &lazy);
 
-    if let Some((path, baseline)) = baseline {
-        let failures = check(&pauses, &eager, &lazy, &baseline, &path, iters);
+    if arg_flag("--check") {
+        let failures = check(&pauses, &eager, &lazy);
         if !failures.is_empty() {
             eprintln!("\nstream gate failure(s):");
             for f in &failures {

@@ -86,7 +86,7 @@ pub fn measure(config: Config, concurrency: usize, slices: u64) -> (LoadStats, f
             let (outcome, _) = attempt_update(&mut vm, &Webserver, from, &bench_apply_options());
             assert!(outcome.supported(), "5.1.5 -> 5.1.6 must apply: {outcome}");
             // Post-update warm-up: invalidated methods re-baseline and
-            // re-optimize, as the paper describes.
+            // re-promote to the jit, as the paper describes.
             warmup(&mut vm, &paths, concurrency);
             vm
         }
@@ -163,15 +163,13 @@ pub struct WarmupWindow {
     pub throughput: f64,
     /// Cumulative baseline compilations since VM start.
     pub base_compiles: u64,
-    /// Cumulative optimizing compilations since VM start.
-    pub opt_compiles: u64,
     /// Cumulative jit-tier promotions since VM start.
     pub jit_compiles: u64,
 }
 
 /// Measures the adaptive-recompilation warm-up after a dynamic update
 /// (paper §3.3: invalidated methods are first base-compiled on next call,
-/// then progressively optimized — "any added overhead due to
+/// then re-promoted to the jit tier — "any added overhead due to
 /// recompilation will be short-lived").
 pub fn warmup_series(windows: usize, window_slices: u64, concurrency: usize) -> Vec<WarmupWindow> {
     let vm_config = VmConfig { semispace_words: 512 * 1024, quantum: 300, ..VmConfig::default() };
@@ -189,7 +187,6 @@ pub fn warmup_series(windows: usize, window_slices: u64, concurrency: usize) -> 
                 window,
                 throughput: stats.throughput_per_kslice(),
                 base_compiles: vm.stats().base_compiles,
-                opt_compiles: vm.stats().opt_compiles,
                 jit_compiles: vm.stats().jit_compiles,
             }
         })

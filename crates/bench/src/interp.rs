@@ -24,22 +24,22 @@ use std::time::{Duration, Instant};
 use jvolve::{ApplyOptions, MemorySink, Update, UpdateController};
 use jvolve_vm::{Value, Vm, VmConfig};
 
-/// Dispatch-bound guest workload: a small class hierarchy whose `area`
-/// methods get opt-promoted while `Bench.run` itself stays baseline, so
-/// its call sites keep dispatching through the interpreter — 8 virtual
-/// calls and 2 direct (static) calls per loop iteration, with minimal
-/// loop overhead around them.
+/// Dispatch-bound guest workload: a small class hierarchy of short
+/// `area` methods called from one loop — 8 virtual calls and 2 direct
+/// (static) calls per loop iteration, with minimal loop overhead around
+/// them. With caches on, every call is an inline-cache hit; with the jit
+/// on, the callees are leaf bodies run without a frame.
 pub const INTERP_V1: &str = "
 class Shape { method area(): int { return 1; } }
 class Square extends Shape {
   field side: int;
   ctor(s: int) { this.side = s; }
-  method area(): int { return this.side; }
+  method area(): int { return this.side + 1; }
 }
 class Circle extends Shape {
   field r: int;
   ctor(r: int) { this.r = r; }
-  method area(): int { return this.r + this.r; }
+  method area(): int { return this.r + this.r + 1; }
 }
 class Bench {
   static method bump(x: int): int { return x + 1; }
@@ -61,18 +61,21 @@ class Bench {
 ";
 
 /// New version: every callee body changes, so the update invalidates (and
-/// the epoch bump flushes) every dispatch target the caches held.
+/// the epoch bump flushes) every dispatch target the caches held. Each
+/// body differs from its v1 body only in a constant, so both versions
+/// compile and fuse to the same shapes and a post-update ratio measures
+/// the update alone.
 pub const INTERP_V2: &str = "
 class Shape { method area(): int { return 2; } }
 class Square extends Shape {
   field side: int;
   ctor(s: int) { this.side = s; }
-  method area(): int { return this.side + 1; }
+  method area(): int { return this.side + 2; }
 }
 class Circle extends Shape {
   field r: int;
   ctor(r: int) { this.r = r; }
-  method area(): int { return this.r + this.r + 1; }
+  method area(): int { return this.r + this.r + 2; }
 }
 class Bench {
   static method bump(x: int): int { return x + 2; }
@@ -159,8 +162,8 @@ pub struct InterpSample {
     pub ic_hits: u64,
     /// Inline-cache misses during the timed run.
     pub ic_misses: u64,
-    /// Whole-run per-tier promotion counts: (base, opt, jit) compiles.
-    pub tier_compiles: (u64, u64, u64),
+    /// Whole-run per-tier compile counts: (base, jit).
+    pub tier_compiles: (u64, u64),
     /// Base instructions retired during the timed run.
     pub steps: u64,
     /// Of those, retired inside superinstructions (0 with jit off).
@@ -194,9 +197,9 @@ impl InterpSample {
     }
 }
 
-/// Runs one configuration: boot, warm up (promoting the `area` methods
-/// past the opt threshold and filling the caches), then time one
-/// `Bench.run(iters)` call.
+/// Runs one configuration: boot, warm up (filling the caches and, with
+/// the jit on, promoting the hot bodies), then time one `Bench.run(iters)`
+/// call.
 ///
 /// # Panics
 ///
@@ -212,9 +215,9 @@ pub fn measure(config: Config, iters: i64) -> InterpSample {
     let v1 = jvolve_lang::compile(INTERP_V1).expect("interp v1 compiles");
     vm.load_classes(&v1).expect("interp classes load");
 
-    // Warm-up: fills caches and drives every `area` body past the opt
-    // threshold (and, in jit mode, `run`'s loop trips past the jit
-    // threshold), so the timed run sees steady-state code in every mode.
+    // Warm-up: fills caches and, in jit mode, drives every `area` body and
+    // `run`'s loop trips past the jit threshold, so the timed run sees
+    // steady-state code in every mode.
     let warm = vm
         .call_static_sync("Bench", "run", &[Value::Int(1_000)])
         .expect("warmup runs")
@@ -252,7 +255,7 @@ pub fn measure(config: Config, iters: i64) -> InterpSample {
         checksum,
         ic_hits: s.ic_hits - hits0,
         ic_misses: s.ic_misses - misses0,
-        tier_compiles: (s.base_compiles, s.opt_compiles, s.jit_compiles),
+        tier_compiles: (s.base_compiles, s.jit_compiles),
         steps: s.steps - steps0,
         fused_steps: s.fused_steps - fused0,
     }
@@ -270,7 +273,7 @@ mod tests {
         assert_eq!(off.checksum, on.checksum, "caches must not change results");
         assert_eq!(off.ic_hits, 0, "caches-off must never consult a cache");
         assert!(on.hit_rate() > 0.9, "steady state should hit: {}", on.hit_rate());
-        assert_eq!(on.tier_compiles.2, 0, "jit off never jit-compiles");
+        assert_eq!(on.tier_compiles.1, 0, "jit off never jit-compiles");
         assert_eq!(on.fused_steps, 0, "jit off never fuses");
 
         // The jit configuration computes the same result while actually
@@ -279,7 +282,7 @@ mod tests {
         let jit = measure(Config::JitOn, iters);
         assert_eq!(jit.checksum, on.checksum, "jit must not change results");
         assert_eq!(jit.steps, on.steps, "fused ops must retire the base step count");
-        assert!(jit.tier_compiles.2 > 0, "the jit tier never engaged");
+        assert!(jit.tier_compiles.1 > 0, "the jit tier never engaged");
         assert!(jit.fusion_coverage() > 0.0, "no superinstruction retired");
 
         // The updated configurations run v2 bodies, so their checksums

@@ -20,13 +20,13 @@
 //!   of eager, pause flat across heap sizes, barrier-free steady state
 //!   after the epoch drains); writes `results/BENCH_lazy.json`
 //! * `fleetbench` — sharded fleet throughput scaling and rolling-update
-//!   integrity gate vs `results/BENCH_fleet.json` (zero dropped/incorrect
-//!   responses during a rolling lazy update; ≥2× aggregate throughput at
-//!   4 shards on hosts with ≥4 CPUs)
-//! * `streambench` — UPT release-stream gate vs `results/BENCH_stream.json`
-//!   (the kvstore's 20-update chain applies eager and lazy with zero
-//!   incorrect responses, mid-drain arrivals serialized, and the longest
-//!   per-update pause bounded)
+//!   integrity gate (zero dropped/incorrect responses during a rolling lazy
+//!   update; ≥2× aggregate throughput at 4 shards on hosts with ≥4 CPUs);
+//!   writes `results/BENCH_fleet.json`
+//! * `streambench` — UPT release-stream gate (the kvstore's 20-update
+//!   chain applies eager and lazy with zero incorrect responses,
+//!   mid-drain arrivals serialized, and the longest per-update pause under
+//!   an absolute ceiling); writes `results/BENCH_stream.json`
 
 pub mod ablation;
 pub mod fig5;
@@ -51,9 +51,9 @@ pub fn arg_flag(name: &str) -> bool {
 
 /// Validates the gate binaries' shared CLI
 /// (`[--check] [--iters N] [--baseline FILE] [--out FILE]`): anything
-/// else prints the usage line and exits 2. `gcbench`, `interpbench`, and
-/// `lazybench` all speak this dialect (`lazybench` then refuses
-/// `--baseline`: its gates read no file).
+/// else prints the usage line and exits 2. Every gate binary speaks this
+/// dialect; `lazybench`, `fleetbench` and `streambench` then refuse
+/// `--baseline`, because their gates read no file.
 pub fn enforce_gate_args(bin: &str) {
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {

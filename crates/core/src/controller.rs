@@ -147,7 +147,7 @@ pub enum UpdateEvent {
         slices_waited: u64,
         /// Methods still blocking, one entry per distinct method.
         blocking: Vec<String>,
-        /// Base-compiled indirect frames OSR could replace.
+        /// Indirect frames OSR could replace.
         osr_candidates: usize,
         /// Return barriers installed so far.
         barriers: usize,
@@ -186,10 +186,8 @@ pub enum UpdateEvent {
     },
     /// Compiled methods were invalidated.
     MethodsInvalidated {
-        /// Indirect (category-2) methods invalidated directly.
+        /// Indirect (category-2) methods invalidated.
         direct: usize,
-        /// Compiled inliners of restricted methods invalidated.
-        inliners: usize,
     },
     /// On-stack frames were moved to fresh code.
     OsrApplied {
@@ -318,8 +316,9 @@ impl UpdateEventSink for MemorySink {
 /// migration `mode` ("eager" or "lazy"), so trace consumers can
 /// distinguish the two commit protocols. `v3` adds a `shard_id` envelope
 /// field identifying which fleet shard produced the trace; single-VM
-/// runs emit `shard_id: 0`.
-pub const TRACE_SCHEMA: &str = "jvolve-update-trace-v3";
+/// runs emit `shard_id: 0`. `v4` drops `methods_invalidated`'s count of
+/// invalidated inlining callers, with the opt tier that inlined.
+pub const TRACE_SCHEMA: &str = "jvolve-update-trace-v4";
 
 /// A sink that serializes the event stream to JSON (via `jvolve-json`),
 /// for `results/update_trace.json`. Consecutive safe-point polls with an
@@ -420,10 +419,9 @@ fn event_to_json(event: &UpdateEvent) -> Json {
             ("class", Json::from(class.as_str())),
             ("count", Json::from(*count)),
         ]),
-        UpdateEvent::MethodsInvalidated { direct, inliners } => Json::obj([
+        UpdateEvent::MethodsInvalidated { direct } => Json::obj([
             ("event", Json::from("methods_invalidated")),
             ("direct", Json::from(*direct)),
-            ("inliners", Json::from(*inliners)),
         ]),
         UpdateEvent::OsrApplied { replaced, migrated } => Json::obj([
             ("event", Json::from("osr_applied")),
@@ -958,9 +956,7 @@ impl<'u> UpdateController<'u> {
         match event {
             UpdateEvent::ClassesLoaded { count, .. } => self.stats.classes_loaded += count,
             UpdateEvent::MethodBodiesSwapped { count, .. } => self.stats.bodies_swapped += count,
-            UpdateEvent::MethodsInvalidated { direct, inliners } => {
-                self.stats.methods_invalidated += direct + inliners;
-            }
+            UpdateEvent::MethodsInvalidated { direct } => self.stats.methods_invalidated += direct,
             UpdateEvent::OsrApplied { replaced, migrated } => {
                 self.stats.osr_replacements += replaced;
                 self.stats.active_migrations += migrated;
@@ -1094,9 +1090,6 @@ impl<'u> UpdateController<'u> {
                         let frame = vm
                             .thread(finding.thread)
                             .and_then(|t| t.frames.get(finding.frame))?;
-                        if !frame.compiled.osr_capable() {
-                            return None;
-                        }
                         let map = method_pc_map(
                             &self.update.old_classes,
                             &self.update.new_classes,
@@ -1161,7 +1154,6 @@ impl<'u> UpdateController<'u> {
         let migrations = &ws.migrations;
         let update = self.update;
         let mut remap = HashMap::new();
-        let mut invalidated: Vec<MethodId> = Vec::new();
 
         // Rename old versions out of the way and strip their methods
         // (paper §2.3/§3.3).
@@ -1179,7 +1171,6 @@ impl<'u> UpdateController<'u> {
             old_ids.insert(delta.name.clone(), old_id);
         }
         for &old_id in old_ids.values() {
-            invalidated.extend(vm.registry().methods_of(old_id));
             self.ledger.push(UndoAction::RestoreClassMethods {
                 id: old_id,
                 snap: vm.registry().snapshot_class_methods(old_id),
@@ -1238,8 +1229,7 @@ impl<'u> UpdateController<'u> {
                         self.ledger.push(capture_method(vm, mid));
                     }
                 }
-                let mid = vm.registry_mut().replace_method_body(class_id, mname, def)?;
-                invalidated.push(mid);
+                vm.registry_mut().replace_method_body(class_id, mname, def)?;
             }
             self.emit(UpdateEvent::MethodBodiesSwapped {
                 class: delta.name.clone(),
@@ -1255,21 +1245,13 @@ impl<'u> UpdateController<'u> {
                 if let Some(mid) = vm.registry().find_method(cid, &mref.method) {
                     self.ledger.push(capture_method(vm, mid));
                     vm.registry_mut().invalidate(mid);
-                    invalidated.push(mid);
                     direct += 1;
                 }
             }
         }
-        // Inlined copies of anything invalidated must go too (paper §3.2).
-        let victims = vm.registry().inliners_of(&invalidated);
-        for &mid in &victims {
-            self.ledger.push(capture_method(vm, mid));
-        }
-        let inliners = vm.registry_mut().invalidate_inliners(&invalidated);
-        debug_assert_eq!(victims, inliners);
-        self.emit(UpdateEvent::MethodsInvalidated { direct, inliners: inliners.len() });
+        self.emit(UpdateEvent::MethodsInvalidated { direct });
 
-        // OSR-replace on-stack base-compiled category-2 frames now that
+        // OSR-replace on-stack category-2 frames now that
         // the new metadata is installed (paper: "the exact timing of OSR
         // for DSU requires the VM to first load modified classes").
         let mut replaced = 0;

@@ -8,7 +8,8 @@
 //! 4. it installs the modified classes: renames old versions, strips
 //!    their methods, loads new class files and the already-compiled
 //!    transformer class, swaps method bodies, and invalidates every
-//!    affected compiled method (inliners included);
+//!    affected compiled method (no tier inlines, so there are no inlining
+//!    callers to invalidate with them);
 //! 5. it runs the update GC, then class transformers, then object
 //!    transformers over the update log.
 //!
@@ -186,7 +187,7 @@ pub struct ApplyOptions {
     /// degrades to plain polling — exposed for the ablation benchmark.
     pub use_return_barriers: bool,
     /// Use OSR to lift category-2 restrictions (paper §3.2). Disabling
-    /// makes base-compiled indirect frames block like everything else.
+    /// makes indirect frames block like everything else.
     pub use_osr: bool,
     /// The paper's §3.5 future work (UpStare-style): migrate *changed*
     /// methods while they run, deriving the program-point map by aligning
@@ -246,7 +247,7 @@ pub struct UpdateStats {
     pub classes_loaded: usize,
     /// Method bodies swapped in place.
     pub bodies_swapped: usize,
-    /// Compiled methods invalidated (indirect + inliners).
+    /// Compiled methods invalidated (indirect, category 2).
     pub methods_invalidated: usize,
     /// Objects brought to their new class layout by the update: every
     /// live instance of every updated class, however it got there.

@@ -7,12 +7,13 @@
 //!    method of a class-updated class);
 //! 2. methods whose bytecode is unchanged but whose compiled
 //!    representation may change (*indirect* methods) — these don't block
-//!    the update if their frame is base-compiled, because OSR can replace
-//!    them in place;
+//!    the update, because OSR can replace their frames in place;
 //! 3. user-blacklisted methods (version-consistency, e.g. the paper's
-//!    `handle`/`process`/`cleanup` example);
+//!    `handle`/`process`/`cleanup` example).
 //!
-//! plus any method that **inlined** one of the above.
+//! The paper also restricts any method whose compiled code **inlined** one
+//! of the above. Neither tier here inlines (DESIGN §2), so that clause has
+//! nothing to restrict.
 
 use std::collections::BTreeSet;
 
@@ -30,8 +31,6 @@ pub enum Category {
     Indirect,
     /// User-blacklisted (paper category 3).
     Blacklisted,
-    /// Inlined a restricted method.
-    InlinedRestricted,
 }
 
 /// The restricted sets, as symbolic method references (pre-update names).
@@ -82,7 +81,7 @@ impl RestrictedSet {
         }
     }
 
-    /// Category of `m`, if restricted at all (ignoring inlining).
+    /// Category of `m`, if restricted at all.
     pub fn category(&self, m: &MethodRef) -> Option<Category> {
         if self.changed.contains(m) {
             Some(Category::Changed)
@@ -122,11 +121,10 @@ pub struct FrameFinding {
 /// Result of scanning all thread stacks at a VM safe point.
 #[derive(Clone, Debug, Default)]
 pub struct StackCheck {
-    /// Frames that block the update (categories 1/3, opt-compiled
-    /// category 2, and inliners of restricted methods).
+    /// Frames that block the update (categories 1 and 3).
     pub blocking: Vec<FrameFinding>,
-    /// Base-compiled category-2 frames that OSR can replace (paper §3.2
-    /// "lifting category (2) restrictions").
+    /// Category-2 frames that OSR can replace (paper §3.2 "lifting
+    /// category (2) restrictions").
     pub osr_candidates: Vec<FrameFinding>,
 }
 
@@ -163,36 +161,12 @@ pub fn check_stacks_into(vm: &Vm, restricted: &RestrictedSet, check: &mut StackC
             let info = registry.method(frame.method);
             let class_name = registry.class(info.class).name.clone();
             let mref = MethodRef::new(class_name, info.name.clone());
-
-            let finding = |category| FrameFinding {
-                thread: thread.id,
-                frame: i,
-                method: mref.clone(),
-                category,
-            };
-
-            match restricted.category(&mref) {
-                Some(Category::Indirect) => {
-                    if frame.compiled.osr_capable() {
-                        check.osr_candidates.push(finding(Category::Indirect));
-                    } else {
-                        check.blocking.push(finding(Category::Indirect));
-                    }
-                }
-                Some(cat) => check.blocking.push(finding(cat)),
-                None => {
-                    // Inlining check: does this frame's compiled code embed
-                    // a restricted method's body?
-                    let inlined_restricted = frame.compiled.inlined.iter().any(|&mid| {
-                        let ii = registry.method(mid);
-                        let iname = registry.class(ii.class).name.clone();
-                        let imref = MethodRef::new(iname, ii.name.clone());
-                        restricted.category(&imref).is_some()
-                    });
-                    if inlined_restricted {
-                        check.blocking.push(finding(Category::InlinedRestricted));
-                    }
-                }
+            let Some(category) = restricted.category(&mref) else { continue };
+            let finding = FrameFinding { thread: thread.id, frame: i, method: mref, category };
+            if category == Category::Indirect {
+                check.osr_candidates.push(finding);
+            } else {
+                check.blocking.push(finding);
             }
         }
     }
@@ -280,7 +254,7 @@ mod tests {
             }
             static method main(): void { Sys.printInt(Main.spin()); }
           }";
-        let mut vm = Vm::new(VmConfig { quantum: 10, enable_opt: false, ..VmConfig::small() });
+        let mut vm = Vm::new(VmConfig { quantum: 10, ..VmConfig::small() });
         vm.load_source(src).unwrap();
         vm.spawn("Main", "main").unwrap();
         // Get spin() onto the stack.

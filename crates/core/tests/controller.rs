@@ -444,7 +444,7 @@ fn json_trace_is_valid_and_ordered() {
 #[test]
 fn rollback_invalidates_warm_inline_caches() {
     // Fill per-site dispatch caches with hot pre-update targets (past the
-    // opt threshold, so the cached code is the optimizing tier's), induce
+    // jit threshold, so the cached code is the template JIT's), induce
     // a mid-install failure, and verify the rollback re-resolves every
     // cached site to the *restored* old code: v1 semantics, bit-identical
     // registry, and a dispatch epoch strictly newer than every filled
@@ -487,8 +487,8 @@ fn rollback_invalidates_warm_inline_caches() {
     assert!(vm.config().enable_inline_caches, "caches are on by default");
     vm.load_classes(&v1).expect("v1 loads");
     vm.call_static_sync("App", "init", &[]).expect("init runs");
-    // 500 calls: well past the opt threshold, so the cached `tick` target
-    // is opt-tier code and the sites are as warm as they get.
+    // 500 calls: past the jit threshold, so the cached `tick` target is
+    // jit-tier code and the sites are as warm as they get.
     assert_eq!(
         vm.call_static_sync("App", "drive", &[Value::Int(500)]).unwrap(),
         Some(Value::Int(500))
@@ -736,7 +736,7 @@ fn stack_shape(vm: &Vm) -> Vec<(usize, u32, Vec<Value>, Vec<Value>)> {
 }
 
 fn boot_nested() -> Vm {
-    let config = VmConfig { quantum: 500, enable_opt: false, ..VmConfig::small() };
+    let config = VmConfig { quantum: 500, ..VmConfig::small() };
     let mut vm = Vm::new(config);
     vm.load_classes(&compile(NESTED_V1)).expect("v1 loads");
     vm.spawn("Main", "main").expect("main spawns");

@@ -273,7 +273,7 @@ fn category_2_methods_get_osr_when_on_stack() {
         }
         static method main(): void { Main.spin(new A(1)); }
       }";
-    let mut vm = Vm::new(VmConfig { quantum: 500, enable_opt: false, ..VmConfig::small() });
+    let mut vm = Vm::new(VmConfig { quantum: 500, ..VmConfig::small() });
     let old = jvolve_lang::compile(src_v1).unwrap();
     vm.load_classes(&old).unwrap();
     vm.spawn("Main", "main").unwrap();
@@ -316,7 +316,7 @@ fn without_osr_category_2_update_times_out() {
         static method main(): void { Sys.printInt(Main.spin(new A(1))); }
       }";
     let src_v2 = src_v1.replace("field x: int; ctor", "field pad: int; field x: int; ctor");
-    let mut vm = Vm::new(VmConfig { quantum: 500, enable_opt: false, ..VmConfig::small() });
+    let mut vm = Vm::new(VmConfig { quantum: 500, ..VmConfig::small() });
     let old = jvolve_lang::compile(src_v1).unwrap();
     vm.load_classes(&old).unwrap();
     vm.spawn("Main", "main").unwrap();

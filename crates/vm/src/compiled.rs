@@ -44,7 +44,7 @@ impl CounterCell {
     }
 
     /// Adds one, returning the *previous* value (the call number before
-    /// this invocation — what the opt-promotion threshold compares).
+    /// this invocation).
     #[inline]
     pub fn bump(&self) -> u32 {
         self.0.fetch_add(1, Ordering::Relaxed)
@@ -60,16 +60,14 @@ impl Clone for CounterCell {
 /// Compilation tier.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CompileLevel {
-    /// Straightforward 1:1 resolution of bytecode; OSR-capable because the
-    /// instruction indices coincide with bytecode indices.
+    /// Straightforward 1:1 resolution of bytecode: instruction indices
+    /// coincide with bytecode indices.
     Base,
-    /// Resolution plus inlining; not OSR-capable (matches the paper's
-    /// current implementation, §3.2).
-    Opt,
     /// Template JIT: the base-resolved stream peephole-fused into
-    /// superinstructions ([`crate::jit2`]). OSR-capable — every fused op
-    /// records the base pc of its first covered instruction, so a frame
-    /// deopts/OSRs back to 1:1 base code at an exact reconstruction point.
+    /// superinstructions ([`crate::jit2`]). Every fused op records the base
+    /// pc of its first covered instruction, so a frame deopts/OSRs back to
+    /// 1:1 base code at an exact reconstruction point. No tier inlines, so
+    /// every frame is an OSR candidate (paper §3.2).
     Jit,
 }
 
@@ -176,7 +174,7 @@ pub enum RInstr {
         /// Argument count (receiver excluded).
         argc: u8,
         /// Dense call-site id within this code object (assigned by the
-        /// JIT after inlining); indexes the per-thread inline-cache table.
+        /// compiler); indexes the per-thread inline-cache table.
         site: u32,
     },
     /// Direct call (static methods, constructors, `super` calls).
@@ -415,24 +413,18 @@ pub struct CompiledMethod {
     pub level: CompileLevel,
     /// Resolved instructions.
     pub code: Vec<RInstr>,
-    /// Local slots needed (grows with inlining).
+    /// Local slots needed.
     pub max_locals: u16,
-    /// Methods whose bodies were inlined into this code (transitive).
-    ///
-    /// The DSU restricted-set analysis consults this: if an updated method
-    /// was inlined here, this method must be restricted and recompiled too
-    /// (paper §3.2).
-    pub inlined: Vec<MethodId>,
     /// Classes whose layout/dispatch data is baked into this code.
     pub referenced_classes: Vec<ClassId>,
     /// Invocation counter driving adaptive recompilation (sampled by the
     /// interpreter on every call, cache hit or miss).
     pub invocations: CounterCell,
     /// Loop back-edges taken by base-tier frames of this code (bumped only
-    /// when the JIT tier is enabled). Kept separate from `invocations` so
-    /// the opt tier's promotion timing is untouched: invocations + trips
-    /// drive *jit* promotion, letting loopy methods that are rarely called
-    /// (a server's main loop) get compiled via OSR-in at a back-edge.
+    /// when the JIT tier is enabled). Invocations + trips drive promotion,
+    /// so a loopy method that is rarely called (a server's main loop) gets
+    /// compiled via OSR-in at a back-edge; kept as its own cell because
+    /// only the back-edge bumps it and only [`Self::next_tier`] sums them.
     pub loop_trips: CounterCell,
     /// Number of call sites in `code` (`CallVirtual`/`CallDirect` carry
     /// ids `0..call_sites`); sizes the per-thread inline-cache rows.
@@ -454,8 +446,7 @@ pub struct CompiledMethod {
 
 impl CompiledMethod {
     /// Code for `method` at `level` with fresh hotness counters, nothing
-    /// inlined or referenced and no fusion metadata; `leaf` is derived
-    /// from `code`.
+    /// referenced and no fusion metadata; `leaf` is derived from `code`.
     pub fn new(
         method: MethodId,
         level: CompileLevel,
@@ -469,7 +460,6 @@ impl CompiledMethod {
             leaf: crate::jit2::is_leaf(&code),
             code,
             max_locals,
-            inlined: Vec::new(),
             referenced_classes: Vec::new(),
             invocations: CounterCell::default(),
             loop_trips: CounterCell::default(),
@@ -478,17 +468,9 @@ impl CompiledMethod {
         }
     }
 
-    /// Whether this code can be OSR-replaced. Base code is 1:1 with
-    /// bytecode so pc and locals carry over directly; jit code maps every
-    /// fused index back to the base pc it starts at. Opt code inlines and
-    /// has no such mapping.
-    pub fn osr_capable(&self) -> bool {
-        matches!(self.level, CompileLevel::Base | CompileLevel::Jit)
-    }
-
     /// The base-tier (bytecode) pc a frame of this code stands at when its
-    /// `pc` field reads `pc` — the identity for base/opt code, the fused
-    /// op's first covered base instruction for jit code.
+    /// `pc` field reads `pc` — the identity for base code, the fused op's
+    /// first covered base instruction for jit code.
     pub fn base_pc_of(&self, pc: u32) -> u32 {
         match &self.fused {
             Some(f) => f.base_pc[pc as usize],
@@ -500,18 +482,6 @@ impl CompiledMethod {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn osr_capability_follows_tier() {
-        let base = CompiledMethod::new(MethodId(0), CompileLevel::Base, vec![RInstr::Return], 0, 0);
-        assert!(base.osr_capable());
-        let opt = CompiledMethod { level: CompileLevel::Opt, ..base.clone() };
-        assert!(!opt.osr_capable());
-        // Jit code keeps a 1:1 mapping back to base pcs via FusedCode, so
-        // it stays an OSR candidate.
-        let jit = CompiledMethod { level: CompileLevel::Jit, ..base };
-        assert!(jit.osr_capable());
-    }
 
     #[test]
     fn counter_cell_bump_returns_previous_and_clone_copies() {

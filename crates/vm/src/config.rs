@@ -10,11 +10,6 @@ pub struct VmConfig {
     /// the first *yield point* (method entry/exit or loop back-edge) at or
     /// after the quantum, reproducing safe-point-based scheduling.
     pub quantum: usize,
-    /// Invocations after which a baseline-compiled method is recompiled by
-    /// the optimizing tier (with inlining).
-    pub opt_threshold: u32,
-    /// Whether the optimizing tier runs at all.
-    pub enable_opt: bool,
     /// Maximum guest call-stack depth per thread.
     pub max_stack_depth: usize,
     /// Echo `Sys.print` output to the host's stdout as well as buffering it.
@@ -72,8 +67,6 @@ impl Default for VmConfig {
             // 16 MiB semispaces by default.
             semispace_words: 2 * 1024 * 1024,
             quantum: 4_000,
-            opt_threshold: 100,
-            enable_opt: true,
             max_stack_depth: 2_048,
             echo_output: false,
             lazy_migration: false,
@@ -94,7 +87,6 @@ mod tests {
         let c = VmConfig::default();
         assert!(c.semispace_words > 0);
         assert!(c.quantum > 0);
-        assert!(c.enable_opt);
         assert!(!c.lazy_migration);
         assert!(c.enable_inline_caches);
         assert!(c.enable_jit);

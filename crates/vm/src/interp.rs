@@ -792,7 +792,6 @@ impl Vm {
                                             continue 'outer;
                                         }
                                     }
-                                    CompileLevel::Opt => {}
                                 }
                             }
                         }
@@ -974,8 +973,7 @@ impl Vm {
         if !current.is_some_and(|c| Arc::ptr_eq(c, &t.frames[fi].compiled)) {
             return false;
         }
-        let Ok(fresh) = crate::jit::compile(&self.registry, mid, CompileLevel::Jit, &self.config)
-        else {
+        let Ok(fresh) = crate::jit::compile(&self.registry, mid, CompileLevel::Jit) else {
             return false;
         };
         let fresh = Arc::new(fresh);

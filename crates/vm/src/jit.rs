@@ -1,45 +1,34 @@
-//! The (simulated) JIT: baseline, optimizing, and template compilers.
+//! The (simulated) JIT: baseline and template compilers.
 //!
 //! The **baseline compiler** resolves symbolic bytecode 1:1 into
 //! [`RInstr`]s, baking field offsets, static slots, TIB slots, instance
 //! sizes, and direct-call targets — the analogue of Jikes RVM's
-//! base-compiled machine code. Because the mapping is 1:1, base-compiled
-//! frames are OSR-capable: the pc and locals transfer directly to a
-//! recompilation (paper §3.2).
-//!
-//! The **optimizing compiler** additionally inlines small statically-bound
-//! callees (static methods, constructors, `super` calls) up to a depth
-//! limit, recording every inlined method so the DSU restricted-set
-//! analysis can extend restrictions to inlining callers (paper §3.2).
+//! base-compiled machine code. Because the mapping is 1:1, the pc and
+//! locals of a base-compiled frame transfer directly to a recompilation
+//! (OSR, paper §3.2).
 //!
 //! The **template JIT** ([`CompileLevel::Jit`]) resolves 1:1 like the
 //! baseline and then peephole-fuses the stream into superinstructions
-//! ([`crate::jit2`]). It deliberately does *not* inline: fused frames must
-//! deopt back to plain base code mid-method when an update invalidates
-//! them, and the fused-index → base-pc mapping is only exact when the
-//! underlying stream is the 1:1 one. Cross-method win comes from the leaf
-//! fast path instead (at an inline-cache hit the interpreter runs a short
-//! callee made of simple ops without pushing a frame — any tier's code
-//! can be such a [`CompiledMethod::leaf`]).
+//! ([`crate::jit2`]), keeping a fused-index → base-pc map, so its frames
+//! are OSR candidates too. Neither compiler inlines: a frame running
+//! inlined code cannot be OSR-lifted (the paper's §3.2 restriction), so
+//! the webserver's update waited on return barriers while handlers ran
+//! the deleted opt tier's inlined code (EXPERIMENTS.md, "PR 23").
+//! Cross-method win comes from the leaf fast path instead (at an
+//! inline-cache hit the interpreter runs a short callee made of simple
+//! ops without pushing a frame — either tier's code can be such a
+//! [`CompiledMethod::leaf`]).
 
 use std::sync::Arc;
 
 use jvolve_classfile::bytecode::Instr;
 
 use crate::compiled::{CompileLevel, CompiledMethod, RInstr};
-use crate::config::VmConfig;
 use crate::error::VmError;
 use crate::ids::{ClassId, MethodId};
 use crate::registry::Registry;
 
-/// Maximum callee bytecode length the optimizing tier inlines.
-const INLINE_MAX_LEN: usize = 24;
-/// Maximum inlining depth.
-const INLINE_MAX_DEPTH: usize = 3;
-
-/// Compiles `mid` at the requested tier. No tier reads the VM's
-/// configuration today: the inliner's limits are `INLINE_MAX_LEN` and
-/// `INLINE_MAX_DEPTH`.
+/// Compiles `mid` at the requested tier.
 ///
 /// # Errors
 ///
@@ -51,7 +40,6 @@ pub fn compile(
     registry: &Registry,
     mid: MethodId,
     level: CompileLevel,
-    _config: &VmConfig,
 ) -> Result<CompiledMethod, VmError> {
     let info = registry.method(mid);
     let def = &info.def;
@@ -59,36 +47,24 @@ pub fn compile(
         message: format!("method {} has no bytecode", info.name),
     })?;
 
-    // Opt expands inline candidates over the symbolic bytecode first; the
-    // other two tiers resolve the method's own instructions 1:1.
-    let mut max_locals = code.max_locals;
-    let mut inlined = Vec::new();
-    let expanded;
-    let instrs = if level == CompileLevel::Opt {
-        let mut chain = vec![mid];
-        expanded = expand(registry, &code.instrs, 0, &mut chain, &mut inlined, &mut max_locals, 0);
-        &expanded
-    } else {
-        &code.instrs
-    };
-    let (mut rcode, referenced) = resolve_code(registry, instrs)?;
+    let max_locals = code.max_locals;
+    let (mut rcode, referenced) = resolve_code(registry, &code.instrs)?;
     let call_sites = assign_call_sites(&mut rcode);
-    let resolved = CompiledMethod {
-        inlined,
+    let base = CompiledMethod {
         referenced_classes: referenced,
-        ..CompiledMethod::new(mid, level, rcode, max_locals, call_sites)
+        ..CompiledMethod::new(mid, CompileLevel::Base, rcode, max_locals, call_sites)
     };
-    if level != CompileLevel::Jit {
-        return Ok(resolved);
+    if level == CompileLevel::Base {
+        return Ok(base);
     }
     // The template JIT fuses the 1:1 stream (the call sites were numbered
     // over it; fusion preserves call ops and their order, so the ids stay
     // dense). The fused stream *is* the method body; the base body is
     // retained in the fusion metadata as the deopt target — swapping a
     // frame onto it at the mapped pc is exact and semantically a no-op.
-    let fusion = crate::jit2::fuse(&resolved.code);
-    let referenced_classes = resolved.referenced_classes.clone();
-    let base = Arc::new(CompiledMethod { level: CompileLevel::Base, ..resolved });
+    let fusion = crate::jit2::fuse(&base.code);
+    let referenced_classes = base.referenced_classes.clone();
+    let base = Arc::new(base);
     Ok(CompiledMethod {
         referenced_classes,
         fused: Some(Arc::new(crate::jit2::FusedCode {
@@ -100,10 +76,10 @@ pub fn compile(
     })
 }
 
-/// Numbers every call site sequentially over the *final* instruction
-/// sequence (after inlining dropped or duplicated symbolic call sites),
-/// returning the count. The interpreter's per-thread inline-cache rows
-/// are indexed by these ids, so they must be dense and code-relative.
+/// Numbers every call site sequentially over the resolved instruction
+/// sequence, returning the count. The interpreter's per-thread
+/// inline-cache rows are indexed by these ids, so they must be dense and
+/// code-relative.
 fn assign_call_sites(code: &mut [RInstr]) -> u32 {
     let mut next = 0u32;
     for instr in code {
@@ -244,123 +220,6 @@ fn resolve_code(
     Ok((out, referenced))
 }
 
-/// Inline expansion over symbolic bytecode.
-///
-/// Returns a self-contained instruction sequence (branch targets within
-/// `[0, len]`) whose `Load`/`Store` slots are already shifted by `shift`
-/// (0 for the outermost method; an inline site's local-window base for
-/// recursively expanded callees — nested inline windows are allocated
-/// from the shared `next_local` counter and must not be shifted again).
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    registry: &Registry,
-    instrs: &[Instr],
-    depth: usize,
-    chain: &mut Vec<MethodId>,
-    inlined: &mut Vec<MethodId>,
-    next_local: &mut u16,
-    shift: u16,
-) -> Vec<Instr> {
-    let mut out: Vec<Instr> = Vec::with_capacity(instrs.len());
-    let mut map: Vec<u32> = Vec::with_capacity(instrs.len() + 1);
-    // (out index, original target) pairs for the caller's own branches.
-    let mut fixups: Vec<(usize, u32)> = Vec::new();
-
-    for instr in instrs {
-        map.push(out.len() as u32);
-        match instr {
-            Instr::CallStatic { class, method, argc }
-            | Instr::CallSpecial { class, method, argc } => {
-                let has_receiver = matches!(instr, Instr::CallSpecial { .. });
-                if let Some(target) = inline_candidate(registry, class, method, depth, chain) {
-                    let callee = registry.method(target);
-                    let callee_code = callee.def.code.as_ref().expect("candidate has code");
-                    let base = *next_local;
-                    *next_local += callee_code.max_locals;
-                    inlined.push(target);
-                    chain.push(target);
-                    let mut body = expand(
-                        registry,
-                        &callee_code.instrs,
-                        depth + 1,
-                        chain,
-                        inlined,
-                        next_local,
-                        base,
-                    );
-                    chain.pop();
-
-                    // Returns become jumps past the inlined block.
-                    let body_len = body.len() as u32;
-                    for b in &mut body {
-                        match b {
-                            Instr::Return | Instr::ReturnValue => *b = Instr::Jump(body_len),
-                            _ => {}
-                        }
-                    }
-
-                    // Prologue: pop receiver+args into the fresh local window.
-                    let arity = *argc as u16 + u16::from(has_receiver);
-                    for i in (0..arity).rev() {
-                        out.push(Instr::Store(base + i));
-                    }
-                    // Splice body, rebasing only branch targets (locals are
-                    // already absolute).
-                    let start = out.len() as u32;
-                    for mut b in body {
-                        match &mut b {
-                            Instr::Jump(t) | Instr::JumpIfTrue(t) | Instr::JumpIfFalse(t) => {
-                                *t += start;
-                            }
-                            _ => {}
-                        }
-                        out.push(b);
-                    }
-                } else {
-                    out.push(instr.clone());
-                }
-            }
-            Instr::Load(s) => out.push(Instr::Load(*s + shift)),
-            Instr::Store(s) => out.push(Instr::Store(*s + shift)),
-            Instr::Jump(t) | Instr::JumpIfTrue(t) | Instr::JumpIfFalse(t) => {
-                fixups.push((out.len(), *t));
-                out.push(instr.clone());
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    map.push(out.len() as u32);
-
-    for (at, old_target) in fixups {
-        let new_target = map[old_target as usize];
-        match &mut out[at] {
-            Instr::Jump(t) | Instr::JumpIfTrue(t) | Instr::JumpIfFalse(t) => *t = new_target,
-            _ => unreachable!("fixup records only branches"),
-        }
-    }
-    out
-}
-
-fn inline_candidate(
-    registry: &Registry,
-    class: &jvolve_classfile::ClassName,
-    method: &str,
-    depth: usize,
-    chain: &[MethodId],
-) -> Option<MethodId> {
-    if depth >= INLINE_MAX_DEPTH {
-        return None;
-    }
-    let cid = registry.class_id(class)?;
-    let target = registry.find_method(cid, method)?;
-    let info = registry.method(target);
-    if info.native.is_some() || chain.contains(&target) {
-        return None;
-    }
-    let code = info.def.code.as_ref()?;
-    (code.instrs.len() <= INLINE_MAX_LEN).then_some(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,13 +245,12 @@ mod tests {
                method getAge(): int { return this.age; } }",
         );
         let mid = method_id(&r, "User", "getAge");
-        let c = compile(&r, mid, CompileLevel::Base, &VmConfig::default()).unwrap();
+        let c = compile(&r, mid, CompileLevel::Base).unwrap();
         let bytecode_len =
             r.method(mid).def.code.as_ref().unwrap().instrs.len();
         assert_eq!(c.code.len(), bytecode_len, "baseline must map 1:1 for OSR");
         // Offset baked: age is the second field.
         assert!(c.code.iter().any(|i| matches!(i, RInstr::GetField { offset: 1, is_ref: false })));
-        assert!(c.osr_capable());
     }
 
     #[test]
@@ -402,7 +260,7 @@ mod tests {
              class T { static method f(a: A): int { return a.x; } }",
         );
         let mid = method_id(&r, "T", "f");
-        let c = compile(&r, mid, CompileLevel::Base, &VmConfig::default()).unwrap();
+        let c = compile(&r, mid, CompileLevel::Base).unwrap();
         let a = r.class_id(&ClassName::from("A")).unwrap();
         assert!(c.referenced_classes.contains(&a));
     }
@@ -413,127 +271,13 @@ mod tests {
             "class T { static method f(): void { Sys.printInt(Str.len(\"ab\")); } }",
         );
         let mid = method_id(&r, "T", "f");
-        let c = compile(&r, mid, CompileLevel::Base, &VmConfig::default()).unwrap();
+        let c = compile(&r, mid, CompileLevel::Base).unwrap();
         let natives = c.code.iter().filter(|i| matches!(i, RInstr::CallNative { .. })).count();
         assert_eq!(natives, 2);
     }
 
     #[test]
-    fn opt_inlines_small_static_callee() {
-        let r = registry_with(
-            "class T {
-               static method add(a: int, b: int): int { return a + b; }
-               static method f(): int { return T.add(1, 2); }
-             }",
-        );
-        let f = method_id(&r, "T", "f");
-        let add = method_id(&r, "T", "add");
-        let c = compile(&r, f, CompileLevel::Opt, &VmConfig::default()).unwrap();
-        assert!(c.inlined.contains(&add));
-        assert!(
-            !c.code.iter().any(|i| matches!(i, RInstr::CallDirect { .. })),
-            "call should be gone: {:?}",
-            c.code
-        );
-        assert!(!c.osr_capable());
-    }
-
-    #[test]
-    fn opt_inlining_is_transitive_up_to_depth() {
-        let r = registry_with(
-            "class T {
-               static method a(): int { return 1; }
-               static method b(): int { return T.a() + 1; }
-               static method c(): int { return T.b() + 1; }
-             }",
-        );
-        let c_mid = method_id(&r, "T", "c");
-        let compiled = compile(&r, c_mid, CompileLevel::Opt, &VmConfig::default()).unwrap();
-        assert_eq!(compiled.inlined.len(), 2);
-    }
-
-    #[test]
-    fn opt_does_not_inline_recursion() {
-        let r = registry_with(
-            "class T { static method f(n: int): int {
-               if (n <= 0) { return 0; }
-               return T.f(n - 1) + 1;
-             } }",
-        );
-        let f = method_id(&r, "T", "f");
-        let c = compile(&r, f, CompileLevel::Opt, &VmConfig::default()).unwrap();
-        assert!(c.inlined.is_empty());
-        assert!(c.code.iter().any(|i| matches!(i, RInstr::CallDirect { .. })));
-    }
-
-    #[test]
-    fn opt_does_not_inline_virtual_calls() {
-        let r = registry_with(
-            "class A { method id(): int { return 1; } }
-             class T { static method f(a: A): int { return a.id(); } }",
-        );
-        let f = method_id(&r, "T", "f");
-        let c = compile(&r, f, CompileLevel::Opt, &VmConfig::default()).unwrap();
-        assert!(c.inlined.is_empty());
-        assert!(c.code.iter().any(|i| matches!(i, RInstr::CallVirtual { .. })));
-    }
-
-    #[test]
-    fn inlined_branches_are_rebased() {
-        let r = registry_with(
-            "class T {
-               static method abs(x: int): int {
-                 if (x < 0) { return -x; }
-                 return x;
-               }
-               static method f(y: int): int { return T.abs(y) + T.abs(-y); }
-             }",
-        );
-        let f = method_id(&r, "T", "f");
-        let c = compile(&r, f, CompileLevel::Opt, &VmConfig::default()).unwrap();
-        // All branch targets must stay in range.
-        for (pc, i) in c.code.iter().enumerate() {
-            if let RInstr::Jump(t) | RInstr::JumpIfTrue(t) | RInstr::JumpIfFalse(t) = i {
-                assert!(
-                    (*t as usize) <= c.code.len(),
-                    "target {t} out of range at {pc}: {:?}",
-                    c.code
-                );
-            }
-        }
-        assert_eq!(c.inlined.len(), 2, "abs inlined at two sites");
-    }
-
-    #[test]
-    fn nested_inline_windows_do_not_collide() {
-        // Regression: locals of a callee inlined *within* an inlined
-        // callee were shifted twice, indexing past the frame.
-        let r = registry_with(
-            "class T {
-               static method g(x: int): int {
-                 var t: int = x * 2;
-                 return t + 1;
-               }
-               static method f(y: int): int {
-                 var u: int = T.g(y);
-                 return u + y;
-               }
-               static method top(z: int): int { return T.f(z) + T.g(z); }
-             }",
-        );
-        let top = method_id(&r, "T", "top");
-        let c = compile(&r, top, CompileLevel::Opt, &VmConfig::default()).unwrap();
-        assert_eq!(c.inlined.len(), 3, "f, g-within-f, and g");
-        // Every local slot referenced must fit in the declared frame.
-        for i in &c.code {
-            if let RInstr::Load(s) | RInstr::Store(s) = i {
-                assert!(*s < c.max_locals, "slot {s} >= max_locals {}", c.max_locals);
-            }
-        }
-    }
-
-    #[test]
-    fn call_sites_are_dense_and_counted_after_inlining() {
+    fn call_sites_are_dense_and_counted() {
         let r = registry_with(
             "class A { method id(): int { return 1; } }
              class T {
@@ -545,22 +289,18 @@ mod tests {
              }",
         );
         let mid = method_id(&r, "T", "big");
-        for level in [CompileLevel::Base, CompileLevel::Opt] {
-            let c = compile(&r, mid, level, &VmConfig::default()).unwrap();
-            let sites: Vec<u32> = c
-                .code
-                .iter()
-                .filter_map(|i| match i {
-                    RInstr::CallVirtual { site, .. } | RInstr::CallDirect { site, .. } => {
-                        Some(*site)
-                    }
-                    _ => None,
-                })
-                .collect();
-            let expect: Vec<u32> = (0..c.call_sites).collect();
-            assert_eq!(sites, expect, "sites dense in code order at {level:?}");
-            assert!(c.call_sites >= 3, "two virtual + one recursive direct call");
-        }
+        let c = compile(&r, mid, CompileLevel::Base).unwrap();
+        let sites: Vec<u32> = c
+            .code
+            .iter()
+            .filter_map(|i| match i {
+                RInstr::CallVirtual { site, .. } | RInstr::CallDirect { site, .. } => Some(*site),
+                _ => None,
+            })
+            .collect();
+        let expect: Vec<u32> = (0..c.call_sites).collect();
+        assert_eq!(sites, expect, "sites dense in code order");
+        assert_eq!(c.call_sites, 3, "two virtual + one recursive direct call");
     }
 
     #[test]
@@ -576,13 +316,12 @@ mod tests {
              }",
         );
         let mid = method_id(&r, "T", "big");
-        let c = compile(&r, mid, CompileLevel::Jit, &VmConfig::default()).unwrap();
+        let c = compile(&r, mid, CompileLevel::Jit).unwrap();
         let meta = c.fused.as_ref().expect("jit code carries fusion metadata");
         assert!(c.code.iter().any(|op| op.covers() > 1), "loop body should fuse: {:?}", c.code);
         assert!(c.code.len() < meta.base.code.len());
         assert_eq!(meta.base.level, CompileLevel::Base);
         assert_eq!(meta.base.call_sites, c.call_sites);
-        assert!(c.osr_capable());
         // Call sites stay dense in fused-code order (fusion preserves
         // call ops), so the per-thread inline-cache rows still fit.
         let sites: Vec<u32> = c
@@ -604,7 +343,7 @@ mod tests {
         }
         // The getter body fuses to a single leaf superinstruction.
         let id = method_id(&r, "A", "id");
-        let g = compile(&r, id, CompileLevel::Jit, &VmConfig::default()).unwrap();
+        let g = compile(&r, id, CompileLevel::Jit).unwrap();
         assert!(g.leaf, "getter should be a leaf: {:?}", g.code);
         assert!(matches!(g.code[..], [RInstr::FusedLoadGetFieldReturn { .. }]));
     }
@@ -628,7 +367,7 @@ mod tests {
         let t = r2.class_id(&ClassName::from("T")).unwrap();
         r2.replace_method_body(t, "f", info_def).unwrap();
         let mid2 = r2.find_method(t, "f").unwrap();
-        let err = compile(&r2, mid2, CompileLevel::Base, &VmConfig::default()).unwrap_err();
+        let err = compile(&r2, mid2, CompileLevel::Base).unwrap_err();
         assert!(matches!(err, VmError::ResolutionError { .. }), "{err}");
     }
 }

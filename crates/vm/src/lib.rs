@@ -2,9 +2,9 @@
 //!
 //! This crate is the stand-in for Jikes RVM: a word-addressed semi-space
 //! copying [heap], a class [registry] with object layouts, dispatch tables
-//! (TIBs) and a static table (JTOC), a three-tier [JIT model](jit) (base,
-//! opt, and a superinstruction-fusing [template JIT](jit2)) whose compiled
-//! code bakes in field offsets, an [interpreter](interp) for the
+//! (TIBs) and a static table (JTOC), a two-tier [JIT model](jit) (base and
+//! a superinstruction-fusing [template JIT](jit2)) whose compiled code
+//! bakes in field offsets, an [interpreter](interp) for the
 //! resolved code with yield points at method entries/exits and loop
 //! back-edges, a cooperative green-[thread] scheduler, a simulated
 //! [network](net), return barriers, and on-stack replacement.

@@ -521,32 +521,6 @@ impl Registry {
         self.bump_code_epoch();
     }
 
-    /// Every compiled method that inlined one of `changed` (paper §3.2:
-    /// inlined callers of restricted methods are restricted). Read-only so
-    /// the update controller can capture each victim's state for its
-    /// rollback ledger before invalidating.
-    pub fn inliners_of(&self, changed: &[MethodId]) -> Vec<MethodId> {
-        self.methods
-            .iter()
-            .filter(|m| {
-                m.compiled
-                    .as_ref()
-                    .is_some_and(|c| c.inlined.iter().any(|i| changed.contains(i)))
-            })
-            .map(|m| m.id)
-            .collect()
-    }
-
-    /// Invalidates every compiled method that inlined one of `changed`.
-    /// Returns the invalidated methods.
-    pub fn invalidate_inliners(&mut self, changed: &[MethodId]) -> Vec<MethodId> {
-        let victims = self.inliners_of(changed);
-        for &v in &victims {
-            self.invalidate(v);
-        }
-        victims
-    }
-
     /// Installs compiled code for a method. Advances the dispatch epoch:
     /// caches holding the previous code object (e.g. the base-tier body a
     /// hot method just outgrew, or pre-OSR code) must re-resolve.
@@ -997,36 +971,6 @@ mod tests {
         assert_eq!(r.class(id).tib, tib_before);
         assert_eq!(r.class(id).file.methods.len(), file_methods_before);
         assert_eq!(r.method(mid).invalidations, 0, "counters restored");
-    }
-
-    #[test]
-    fn invalidate_inliners_cascades() {
-        let mut r = base_registry();
-        let classes = jvolve_lang::compile(
-            "class T { static method f(): int { return 1; }
-                       static method g(): int { return T.f(); } }",
-        )
-        .unwrap();
-        r.load_batch(&classes).unwrap();
-        let t = r.class_id(&ClassName::from("T")).unwrap();
-        let f = r.find_method(t, "f").unwrap();
-        let g = r.find_method(t, "g").unwrap();
-        r.set_compiled(
-            g,
-            Arc::new(CompiledMethod {
-                inlined: vec![f],
-                ..CompiledMethod::new(
-                    g,
-                    crate::compiled::CompileLevel::Opt,
-                    vec![crate::compiled::RInstr::Return],
-                    0,
-                    0,
-                )
-            }),
-        );
-        let victims = r.invalidate_inliners(&[f]);
-        assert_eq!(victims, vec![g]);
-        assert!(r.method(g).compiled.is_none());
     }
 
     #[test]

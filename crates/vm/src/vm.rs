@@ -39,7 +39,10 @@ pub struct VmStats {
     pub gcs: u64,
     /// Methods baseline-compiled.
     pub base_compiles: u64,
-    /// Methods opt-compiled.
+    /// Always 0: there is no opt tier (DESIGN §2). The field survives only
+    /// because `benchmark/src/layers.rs`, frozen outside benchmark PRs,
+    /// reads it; ROADMAP item 1 (the benchmark-correction PR) deletes it
+    /// with `VmConfig::gc_threads`.
     pub opt_compiles: u64,
     /// Methods compiled at the template-JIT tier (superinstruction fusion).
     pub jit_compiles: u64,
@@ -207,30 +210,20 @@ pub struct Vm {
 
 impl CompiledMethod {
     /// The tier this code's heat says it should be recompiled at, if any —
-    /// the one statement of the promotion rule. Read *before* the counter
-    /// bump of the call or back-edge being sampled, so the slow path, the
-    /// inline-cache hit path and the back-edge OSR trigger all promote at
-    /// the same call number. The template JIT outranks Opt and also
-    /// promotes *from* Opt: invocations plus loop trips measure total
-    /// heat, while Opt is driven by invocations alone. (Defined here, by
-    /// [`Vm::compiled_for`], because it is VM policy over [`VmConfig`],
-    /// not part of the code representation.)
+    /// the one statement of the promotion rule: base code goes to the
+    /// template JIT once invocations plus loop trips reach
+    /// `jit_threshold`. Read *before* the counter bump of the call or
+    /// back-edge being sampled, so the slow path, the inline-cache hit
+    /// path and the back-edge OSR trigger all promote at the same call
+    /// number. (Defined here, by [`Vm::compiled_for`], because it is VM
+    /// policy over [`VmConfig`], not part of the code representation.)
     #[inline]
     pub fn next_tier(&self, config: &VmConfig) -> Option<CompileLevel> {
-        let calls = self.invocations.get();
-        if config.enable_jit
-            && self.level != CompileLevel::Jit
-            && calls.saturating_add(self.loop_trips.get()) >= config.jit_threshold
-        {
-            Some(CompileLevel::Jit)
-        } else if config.enable_opt
+        (config.enable_jit
             && self.level == CompileLevel::Base
-            && calls >= config.opt_threshold
-        {
-            Some(CompileLevel::Opt)
-        } else {
-            None
-        }
+            && self.invocations.get().saturating_add(self.loop_trips.get())
+                >= config.jit_threshold)
+            .then_some(CompileLevel::Jit)
     }
 }
 
@@ -400,8 +393,8 @@ impl Vm {
 
     /// Returns (compiling if necessary) executable code for `mid`, and
     /// advances the adaptive-recompilation counter: a method crossing the
-    /// hotness threshold is recompiled at the optimizing tier, exactly the
-    /// behavior the paper leans on after invalidation ("the adaptive
+    /// hotness threshold is recompiled at the template-JIT tier, exactly
+    /// the behavior the paper leans on after invalidation ("the adaptive
     /// compilation system naturally optimizes updated methods further if
     /// they execute frequently", §1).
     pub(crate) fn compiled_for(&mut self, mid: MethodId) -> Result<Arc<CompiledMethod>, VmError> {
@@ -423,10 +416,9 @@ impl Vm {
             },
             None => CompileLevel::Base,
         };
-        let compiled = Arc::new(jit::compile(&self.registry, mid, level, &self.config)?);
+        let compiled = Arc::new(jit::compile(&self.registry, mid, level)?);
         match level {
             CompileLevel::Base => self.stats.base_compiles += 1,
-            CompileLevel::Opt => self.stats.opt_compiles += 1,
             CompileLevel::Jit => self.stats.jit_compiles += 1,
         }
         compiled.invocations.bump();
@@ -1044,26 +1036,21 @@ impl Vm {
         }
     }
 
-    /// On-stack replacement of an **OSR-capable** frame (paper §3.2):
-    /// recompiles the method against current class metadata and swaps the
-    /// frame's code. Base-tier code is 1:1 with bytecode so `pc` and the
-    /// local slots carry over (a body with more locals grows the frame's
-    /// slice of the value stack, moving the frames above it); a
-    /// template-JIT frame first translates its pc through the fused
-    /// stream's retained base-pc mapping.
+    /// On-stack replacement of a frame (paper §3.2): recompiles the method
+    /// against current class metadata and swaps the frame's code.
+    /// Base-tier code is 1:1 with bytecode so `pc` and the local slots
+    /// carry over (a body with more locals grows the frame's slice of the
+    /// value stack, moving the frames above it); a template-JIT frame
+    /// first translates its pc through the fused stream's retained base-pc
+    /// mapping.
     ///
     /// # Errors
     ///
-    /// Fails if the frame is opt-compiled (not OSR-capable) or stale.
+    /// Fails if the frame is stale.
     pub fn osr_replace(&mut self, thread: ThreadId, frame_idx: usize) -> Result<(), VmError> {
         let f = &self.frame_owner(thread, frame_idx)?.frames[frame_idx];
         let (mid, base_pc) = (f.method, f.compiled.base_pc_of(f.pc));
-        if !f.compiled.osr_capable() {
-            return Err(VmError::Internal {
-                message: "OSR supported only for base- or jit-compiled frames".to_string(),
-            });
-        }
-        self.osr_onto(thread, frame_idx, mid, base_pc)
+        self.osr_migrate(thread, frame_idx, mid, base_pc)
     }
 
     /// On-stack migration of a frame to a **different method version**
@@ -1072,12 +1059,13 @@ impl Vm {
     /// and repositions the pc at `new_pc`. Locals carry over by slot and
     /// the operand stack is preserved — the caller (the update driver)
     /// asserts that `new_pc` is an equivalent program point, as the
-    /// paper's user-provided yield-point mapping does.
+    /// paper's user-provided yield-point mapping does. The new code is
+    /// published, and the frame keeps at least its local slots.
+    /// [`Vm::osr_replace`] is this migration onto the frame's own method.
     ///
     /// # Errors
     ///
-    /// Fails on a stale thread/frame, a non-base-tier frame (pc would not
-    /// be a bytecode index), or an out-of-range `new_pc`.
+    /// Fails on a stale thread/frame or an out-of-range `new_pc`.
     pub fn osr_migrate(
         &mut self,
         thread: ThreadId,
@@ -1085,35 +1073,19 @@ impl Vm {
         new_method: MethodId,
         new_pc: u32,
     ) -> Result<(), VmError> {
-        if !self.frame_owner(thread, frame_idx)?.frames[frame_idx].compiled.osr_capable() {
+        self.frame_owner(thread, frame_idx)?;
+        let fresh = Arc::new(jit::compile(&self.registry, new_method, CompileLevel::Base)?);
+        if new_pc as usize >= fresh.code.len() {
             return Err(VmError::Internal {
-                message: "active-method migration needs a base-tier frame".to_string(),
+                message: format!("migration pc {new_pc} out of range"),
             });
         }
-        self.osr_onto(thread, frame_idx, new_method, new_pc)
-    }
-
-    /// The shared tail of [`Vm::osr_replace`] / [`Vm::osr_migrate`] over a
-    /// checked frame: compiles `method` at the base tier, publishes it,
-    /// and puts the frame on it at `pc` with at least its local slots.
-    fn osr_onto(
-        &mut self,
-        thread: ThreadId,
-        frame_idx: usize,
-        method: MethodId,
-        pc: u32,
-    ) -> Result<(), VmError> {
-        let fresh =
-            Arc::new(jit::compile(&self.registry, method, CompileLevel::Base, &self.config)?);
-        if pc as usize >= fresh.code.len() {
-            return Err(VmError::Internal { message: format!("migration pc {pc} out of range") });
-        }
-        self.registry.set_compiled(method, fresh.clone());
-        let t = self.threads[thread.0 as usize].as_mut().expect("checked by the caller");
+        self.registry.set_compiled(new_method, fresh.clone());
+        let t = self.threads[thread.0 as usize].as_mut().expect("checked by frame_owner");
         let locals = t.frames[frame_idx].locals.max(fresh.max_locals);
         t.resize_locals(frame_idx, locals);
         let f = &mut t.frames[frame_idx];
-        (f.method, f.compiled, f.pc) = (method, fresh, pc);
+        (f.method, f.compiled, f.pc) = (new_method, fresh, new_pc);
         Ok(())
     }
 

@@ -2,6 +2,7 @@
 //! corner cases, string semantics.
 
 use jvolve_vm::thread::ThreadState;
+use jvolve_vm::compiled::CompileLevel;
 use jvolve_vm::{Value, Vm, VmConfig, VmError};
 
 #[test]
@@ -45,32 +46,31 @@ fn deep_recursion_overflows_cleanly() {
 #[test]
 fn invalidated_method_recompiles_and_reoptimizes() {
     // The paper: after invalidation the adaptive system recompiles at
-    // baseline, then re-optimizes hot methods.
-    let mut vm = Vm::new(VmConfig { opt_threshold: 10, ..VmConfig::small() });
+    // baseline, then re-optimizes hot methods (here: re-promotes them to
+    // the template JIT).
+    let mut vm = Vm::new(VmConfig { jit_threshold: 10, ..VmConfig::small() });
     vm.load_source("class W { static method w(x: int): int { return x + 1; } }").unwrap();
-    // Heat it past the opt threshold.
+    // Heat it past the jit threshold.
     for i in 0..30 {
         vm.call_static_sync("W", "w", &[Value::Int(i)]).unwrap();
     }
     let w_class = vm.registry().class_id(&"W".into()).unwrap();
     let w = vm.registry().find_method(w_class, "w").unwrap();
-    assert!(matches!(
-        vm.registry().method(w).compiled.as_ref().unwrap().level,
-        jvolve_vm::compiled::CompileLevel::Opt
-    ));
-    let opt_compiles_before = vm.stats().opt_compiles;
+    let level = |vm: &Vm| vm.registry().method(w).compiled.as_ref().unwrap().level;
+    assert_eq!(level(&vm), CompileLevel::Jit);
+    let jit_compiles_before = vm.stats().jit_compiles;
 
-    // Invalidate (as an update would) and heat again.
+    // Invalidate (as an update would): the next call recompiles at base.
     vm.registry_mut().invalidate(w);
     assert!(vm.registry().method(w).compiled.is_none());
+    vm.call_static_sync("W", "w", &[Value::Int(0)]).unwrap();
+    assert_eq!(level(&vm), CompileLevel::Base);
+    // Heat again: it re-promotes.
     for i in 0..30 {
         vm.call_static_sync("W", "w", &[Value::Int(i)]).unwrap();
     }
-    assert!(matches!(
-        vm.registry().method(w).compiled.as_ref().unwrap().level,
-        jvolve_vm::compiled::CompileLevel::Opt
-    ));
-    assert!(vm.stats().opt_compiles > opt_compiles_before);
+    assert_eq!(level(&vm), CompileLevel::Jit);
+    assert_eq!(vm.stats().jit_compiles, jit_compiles_before + 1);
 }
 
 #[test]
@@ -303,8 +303,8 @@ fn super_constructor_chain_initializes_all_levels() {
 }
 
 #[test]
-fn osr_migrate_rejects_opt_frames_and_bad_pcs() {
-    let mut vm = Vm::new(VmConfig { quantum: 10, enable_opt: false, ..VmConfig::small() });
+fn osr_migrate_rejects_bad_pcs() {
+    let mut vm = Vm::new(VmConfig { quantum: 10, ..VmConfig::small() });
     vm.load_source(
         "class M {
            static method spin(): int {

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use jvolve_vm::thread::ThreadState;
+use jvolve_vm::compiled::CompileLevel;
 use jvolve_vm::{SliceOutcome, Value, Vm, VmConfig, VmError};
 
 fn run_main(src: &str) -> Vm {
@@ -190,8 +191,8 @@ fn division_by_zero_trap() {
 }
 
 #[test]
-fn hot_methods_get_opt_compiled() {
-    let mut vm = Vm::new(VmConfig { opt_threshold: 10, ..VmConfig::small() });
+fn hot_methods_get_jit_compiled() {
+    let mut vm = Vm::new(VmConfig { jit_threshold: 10, ..VmConfig::small() });
     vm.load_source(
         "class Main {
            static method inc(x: int): int { return x + 1; }
@@ -207,7 +208,13 @@ fn hot_methods_get_opt_compiled() {
     vm.spawn("Main", "main").unwrap();
     assert!(vm.run_to_completion(1_000_000));
     assert_eq!(vm.output(), ["500"]);
-    assert!(vm.stats().opt_compiles >= 1, "main should have been opt-compiled");
+    assert!(vm.stats().jit_compiles >= 2, "inc and main's loop should have been jit-compiled");
+    let class = vm.registry().class_id(&"Main".into()).unwrap();
+    for method in ["inc", "main"] {
+        let mid = vm.registry().find_method(class, method).unwrap();
+        let level = vm.registry().method(mid).compiled.as_ref().unwrap().level;
+        assert_eq!(level, CompileLevel::Jit, "{method}");
+    }
 }
 
 #[test]
@@ -343,7 +350,7 @@ fn return_barrier_fires_on_return() {
 
 #[test]
 fn osr_replaces_base_compiled_frame() {
-    let mut vm = Vm::new(VmConfig { quantum: 10, enable_opt: false, ..VmConfig::small() });
+    let mut vm = Vm::new(VmConfig { quantum: 10, ..VmConfig::small() });
     vm.load_source(
         "class Main {
            static method spin(): int {

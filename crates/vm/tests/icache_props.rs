@@ -146,11 +146,9 @@ fn run_interleaving(
     jit: bool,
 ) {
     let mut rng = Rng::new(seed);
-    // Small quantum = many safe points per print burst; low opt threshold
-    // so the callee gets opt-promoted (and republished) during the run.
+    // Small quantum = many safe points per print burst.
     let mut vm = Vm::new(VmConfig {
         quantum: 500,
-        opt_threshold: 20,
         enable_jit: jit,
         jit_threshold: 30,
         ..VmConfig::small()
@@ -168,7 +166,7 @@ fn run_interleaving(
     // install — what the update controller's rollback ledger would hold.
     let mut saved: Option<(MethodDef, _, u32, u32, i64)> = None;
 
-    // Warm up: fill the cache and cross the opt threshold.
+    // Warm up: fill the cache.
     drain_until_settled(&mut vm, &mut cursor, expected, expected);
 
     for _ in 0..ops {
@@ -190,7 +188,6 @@ fn run_interleaving(
                 vm.registry_mut()
                     .replace_method_body(cid, method, defs[k].clone())
                     .expect("method exists");
-                vm.registry_mut().invalidate_inliners(&[mid]);
                 expected = VERSIONS[k];
             }
             // Invalidate: recompile on next call, semantics unchanged.
@@ -211,7 +208,6 @@ fn run_interleaving(
                         invocations,
                         invalidations,
                     );
-                    vm.registry_mut().invalidate_inliners(&[mid]);
                     expected = val;
                 }
             }

@@ -123,9 +123,12 @@ const BUDGET_PER_REQUEST: u64 = 4;
 /// Deterministic — one host thread, seeded traffic, serial collector. The
 /// webserver total holds with the inline caches off too: a guest call
 /// allocates nothing in either mode (frames are records over the thread's
-/// one value stack).
+/// one value stack). The kvstore read 20 031 while the opt tier existed:
+/// opt compiles of methods that crossed its threshold only after warm-up
+/// fell inside the window. 20 000 is exactly two per request, so no
+/// compile does now.
 const WEB_ALLOCS: u64 = 20_005;
-const KV_ALLOCS: u64 = 20_031;
+const KV_ALLOCS: u64 = 20_000;
 
 #[test]
 fn webserver_requests_stay_inside_the_host_allocation_budget() {

@@ -1,10 +1,10 @@
 //! Differential testing.
 //!
-//! * The tier lattice: base, opt (inlining), jit with the frameless leaf
-//!   calls, and opt+jit must compute what the host model computes on
-//!   randomly generated guest programs — the same result or the same
-//!   trap — and the jit must retire the base tier's step count and leave
-//!   the base tier's heap and trap state behind.
+//! * The tiers: base and jit with the frameless leaf calls must compute
+//!   what the host model computes on randomly generated guest programs —
+//!   the same result or the same trap — and the jit must retire the base
+//!   tier's step count and leave the base tier's heap and trap state
+//!   behind.
 //! * An update is deterministic: two VMs booted alike and given the same
 //!   update agree address for address — same cells at the same heap
 //!   addresses, registry fingerprint, transformer execution order
@@ -28,11 +28,10 @@ use jvolve_repro::vm::thread::ThreadState;
 use jvolve_repro::vm::{ClassId, GcRef, MethodId, Value, Vm, VmConfig, VmError};
 
 /// A tiny expression language over two variables and helper calls,
-/// rendered to MJ. The arithmetic helpers are small enough to be inlined,
-/// so the optimizing tier exercises the inliner end-to-end; the rest are
-/// call- and branch-free bodies — what the template JIT fuses and the
-/// leaf-call fast path runs without a frame — that between them execute
-/// every simple op, in its trapping form too: `/` and `%` by zero, field
+/// rendered to MJ. The arithmetic helpers nest calls and branches; the
+/// rest are call- and branch-free bodies — what the template JIT fuses
+/// and the leaf-call fast path runs without a frame — that between them
+/// execute every simple op, in its trapping form too: `/` and `%` by zero, field
 /// access through a null box, array access out of bounds, `.length` of
 /// null. The host model mirrors the guest-visible state they mutate.
 #[derive(Debug, Clone)]
@@ -45,9 +44,9 @@ enum Expr {
     Mul(Box<Expr>, Box<Expr>),
     /// `h1(x, y) = x * 2 - y`
     H1(Box<Expr>, Box<Expr>),
-    /// `h2(x) = h1(x, 3) + 1` (nested inlining)
+    /// `h2(x) = h1(x, 3) + 1` (a nested call)
     H2(Box<Expr>),
-    /// `abs(x)` with a branch (inlined control flow)
+    /// `abs(x)` with a branch
     Abs(Box<Expr>),
     /// `x / (y % 11)`: traps on a zero divisor.
     Div(Box<Expr>, Box<Expr>),
@@ -265,9 +264,9 @@ fn expr(rng: &mut Rng, depth: usize) -> Expr {
     }
 }
 
-/// Guest calls of `T.f` per program: past the tier thresholds of
-/// [`run_tier`], so late rounds run opt-inlined or fused code with the
-/// leaf helpers executed frameless.
+/// Guest calls of `T.f` per program: past the jit threshold of
+/// [`run_tier`], so late rounds run fused code with the leaf helpers
+/// executed frameless.
 const ROUNDS: i64 = 32;
 
 fn program_for(e: &Expr, a: i64, b: i64) -> String {
@@ -365,7 +364,7 @@ fn model_run(e: &Expr, a: i64, b: i64) -> Result<i64, (Trap, i64)> {
     Ok(out)
 }
 
-/// One guest run of `T.main` at one point of the tier lattice.
+/// One guest run of `T.main` with the jit off (base) or on.
 struct TierRun {
     /// `T.out` of a finished thread, or the trap that killed it.
     end: Result<i64, VmError>,
@@ -375,14 +374,8 @@ struct TierRun {
     fingerprint: u64,
 }
 
-fn run_tier(src: &str, opt: bool, jit: bool) -> TierRun {
-    let mut vm = Vm::new(VmConfig {
-        enable_opt: opt,
-        opt_threshold: 2,
-        enable_jit: jit,
-        jit_threshold: 3,
-        ..VmConfig::small()
-    });
+fn run_tier(src: &str, jit: bool) -> TierRun {
+    let mut vm = Vm::new(VmConfig { enable_jit: jit, jit_threshold: 3, ..VmConfig::small() });
     vm.load_source(src).expect("program loads");
     let tid = vm.spawn("T", "main").expect("main spawns");
     assert!(vm.run_to_completion(100_000), "main ends");
@@ -401,7 +394,7 @@ fn run_tier(src: &str, opt: bool, jit: bool) -> TierRun {
 }
 
 #[test]
-fn opt_tier_matches_base_tier_and_host() {
+fn tiers_match_base_and_host() {
     let (mut finished, mut trapped_warm) = (0, 0);
     for seed in 0..96 {
         let mut rng = Rng::new(seed);
@@ -410,14 +403,11 @@ fn opt_tier_matches_base_tier_and_host() {
         let b = rng.i64_in(-1000, 1000);
         let src = program_for(&e, a, b);
         let expected = model_run(&e, a, b);
-        let base = run_tier(&src, false, false);
-        let opt = run_tier(&src, true, false);
-        let jit = run_tier(&src, false, true);
-        let lattice = run_tier(&src, true, true);
+        let base = run_tier(&src, false);
+        let jit = run_tier(&src, true);
 
-        // Result or trap variant: every tier against the host model.
-        for (tier, run) in [("base", &base), ("opt", &opt), ("jit+leaf", &jit), ("opt+jit", &lattice)]
-        {
+        // Result or trap variant: both tiers against the host model.
+        for (tier, run) in [("base", &base), ("jit+leaf", &jit)] {
             let got = run.end.as_ref().copied().map_err(Trap::of);
             let want = expected.map_err(|(trap, _round)| trap);
             assert_eq!(got, want, "seed {seed}: {tier} vs host model\n{src}");
@@ -427,14 +417,9 @@ fn opt_tier_matches_base_tier_and_host() {
         // Fusion and the frameless leaf calls retire exactly the base
         // step count and leave exactly the base trap state behind: the
         // dead thread's frames, with the leaf callee's arguments where
-        // its frame would have held them. (Inlining legitimately changes
-        // both, so opt is held to the heap only when nothing trapped.)
+        // its frame would have held them.
         assert_eq!(jit.steps, base.steps, "seed {seed}: jit+leaf steps\n{src}");
         assert_eq!(jit.fingerprint, base.fingerprint, "seed {seed}: jit+leaf heap\n{src}");
-        if expected.is_ok() {
-            assert_eq!(opt.fingerprint, base.fingerprint, "seed {seed}: opt heap\n{src}");
-            assert_eq!(lattice.fingerprint, base.fingerprint, "seed {seed}: opt+jit heap\n{src}");
-        }
         // `main`'s loop OSRs into fused code on its fourth trip.
         let rounds = expected.map_or_else(|(_trap, round)| round, |_| ROUNDS);
         if rounds >= 8 {
@@ -446,8 +431,8 @@ fn opt_tier_matches_base_tier_and_host() {
     }
     // The generator keeps both populations alive: programs that run
     // through, and programs that trap in warmed-up (fused, leaf) code.
-    assert!(finished >= 5, "only {finished} of 64 programs ran through");
-    assert!(trapped_warm >= 10, "only {trapped_warm} of 64 programs trapped after warm-up");
+    assert!(finished >= 5, "only {finished} of 96 programs ran through");
+    assert!(trapped_warm >= 10, "only {trapped_warm} of 96 programs trapped after warm-up");
 }
 
 // ---- update determinism -------------------------------------------------
@@ -758,7 +743,7 @@ struct CacheOracleOutcome {
     registry_fingerprint: String,
     trace: i64,
     checksum: i64,
-    /// (slices, steps, gcs, base_compiles, opt_compiles).
+    /// (slices, steps, gcs, base_compiles, jit_compiles).
     vm_stats: (u64, u64, u64, u64, u64),
     events: Vec<String>,
 }
@@ -825,7 +810,7 @@ fn run_cache_oracle(enable_inline_caches: bool, rollback: bool) -> CacheOracleOu
         registry_fingerprint: registry_fingerprint(&vm),
         trace,
         checksum,
-        vm_stats: (s.slices, s.steps, s.gcs, s.base_compiles, s.opt_compiles),
+        vm_stats: (s.slices, s.steps, s.gcs, s.base_compiles, s.jit_compiles),
         events: events
             .events
             .iter()
@@ -866,8 +851,7 @@ fn inline_caches_are_observationally_invisible() {
 
 /// Everything the jit oracle compares across `enable_jit` settings. VM
 /// stats deliberately exclude the tier-population counters that differ by
-/// construction (`opt_compiles` — a method can reach the jit threshold
-/// before the opt threshold; `jit_compiles`, `deopts`, `fused_steps`) but
+/// construction (`jit_compiles`, `deopts`, `fused_steps`) but
 /// include `steps` and `slices`: fused superinstructions must retire
 /// *exactly* the base instruction count at exactly the same yield points,
 /// so even the scheduler's interleaving is bit-identical.
