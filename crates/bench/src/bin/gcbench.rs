@@ -3,35 +3,41 @@
 //! Measures the **update-GC phase** of the §4.1 microbenchmark — the part
 //! the flattened `LayoutSnapshot` hot path optimizes — as median
 //! nanoseconds per live object, at 0%/50%/100% updated fractions and two
-//! heap sizes, and gates changes against the committed baseline. Every
-//! configuration is measured twice: as the product default — the
-//! generated field-copy transformer lowered to a copy plan and applied
-//! inside the copy — and with every transformer interpreted (the
-//! paper-faithful path), so the two can be read side by side.
+//! heap sizes. Every configuration is measured twice: as the product
+//! default — the generated field-copy transformer lowered to a copy plan
+//! and applied inside the copy — and with every transformer interpreted
+//! (the paper-faithful path), so the two can be read side by side.
 //!
 //! Usage:
 //!
 //! * `cargo run --release -p jvolve-bench --bin gcbench` — measure and
 //!   write `BENCH_gc.json` (override with `--out FILE`; to refresh the
-//!   committed baseline, `--out results/BENCH_gc.json`).
+//!   committed record, `--out results/BENCH_gc.json`).
 //! * `cargo run --release -p jvolve-bench --bin gcbench -- --check` —
-//!   quick mode: re-measure and exit nonzero if any plan-path
-//!   configuration's GC phase regressed more than 15% vs
-//!   `results/BENCH_gc.json` (override with `--baseline FILE`).
-//!   `scripts/tier1.sh` runs this. The gate compares *best-of-N* times,
-//!   not medians — noise only adds time, so min-of-N is the stable
-//!   statistic at microsecond scales.
+//!   re-measure and exit nonzero if any gate fails. `scripts/tier1.sh`
+//!   runs this. It reads no file, so `--baseline` is refused: no gate
+//!   compares nanoseconds recorded on another host.
 //!
-//!   `--check` also gates the plan path against the interpreted one: at
-//!   the largest configuration, 100% updated, the whole pause per object
-//!   on the plan path must be at most half the interpreted path's in the
-//!   same run (ROADMAP item 2's gate).
+//!   1. **Copy counts**, exact: every configuration copies the cells and
+//!      words its population implies (one cell per object, a second one
+//!      per updated object when its transformer is interpreted).
+//!   2. **Update cost**: on the plan path at the largest configuration,
+//!      the best-of-N GC phase per object with every object updated may
+//!      be at most [`UPDATED_GC_LIMIT`] times the same run's with none
+//!      updated — a remapped object costs about what a plain copy does.
+//!   3. **Plan vs interpreted**: at the largest configuration, 100%
+//!      updated, the whole pause per object on the plan path must be at
+//!      most half the interpreted path's in the same run.
+//!
+//!   The timed gates compare *best-of-N* times, not medians — noise only
+//!   adds time, so min-of-N is the stable statistic at microsecond scales
+//!   — and re-measure with 3× iterations before failing.
 //!
 //! `--iters N` controls timed iterations per configuration (default 5).
 
 use jvolve_bench::micro::{measure_pause_with, PauseSample};
-use jvolve_bench::timing::{fmt_ns, gate_best_of, Samples, REGRESSION_LIMIT};
-use jvolve_bench::{arg_value, baseline_for_check, enforce_gate_args, gate_iters};
+use jvolve_bench::timing::{fmt_ns, Samples};
+use jvolve_bench::{arg_flag, arg_value, enforce_gate_args, gate_iters};
 use jvolve_json::Json;
 
 /// The gated configurations: two heap sizes (the semispace scales with the
@@ -42,6 +48,19 @@ const FRACTIONS: [f64; 3] = [0.0, 0.5, 1.0];
 /// The plan path's total pause per object at 100% updated may be at most
 /// this fraction of the interpreted path's.
 const PLAN_TOTAL_LIMIT: f64 = 0.5;
+
+/// On the plan path, the update-GC per object with every object updated
+/// may cost at most this multiple of the same GC with none updated: a
+/// planned object is one copy of a one-word-larger cell, so the ratio
+/// sits near 1.1. On a noisy 2-vCPU host best-of-5 reads 0.8–1.8×: the
+/// remapped 20 000-object rows swing with the host's memory state while
+/// the 0 % row does not.
+const UPDATED_GC_LIMIT: f64 = 2.5;
+
+/// Words of a `Change`/`NoChange` cell at the old layout (header + three
+/// int and three reference fields), and of `Change` at the new one (+ `w`).
+const OLD_CELL_WORDS: usize = 7;
+const NEW_CELL_WORDS: usize = 8;
 
 struct Entry {
     objects: usize,
@@ -144,20 +163,6 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
     ])
 }
 
-fn baseline_gc_ns(baseline: &Json, objects: usize, fraction: f64) -> Option<f64> {
-    baseline.get("entries")?.as_arr()?.iter().find_map(|e| {
-        let obj = e.get("objects")?.as_u64()? as usize;
-        let frac = e.get("fraction")?.as_f64()?;
-        // v1/v2 baselines predate the transformer axis; their rows stand
-        // in for the plan path. (v3 rows also carry a collector worker
-        // count, 1 on every row of the committed baseline; it is not read.)
-        let plan = e.get("transformers").and_then(Json::as_str).unwrap_or("plan") == "plan";
-        (obj == objects && plan && (frac - fraction).abs() < 1e-9)
-            .then(|| e.get("gc_min_ns_per_object")?.as_f64())
-            .flatten()
-    })
-}
-
 fn print_table(entries: &[Entry]) {
     println!(
         "{:>9} {:>9} {:>12} {:>10} {:>16} {:>18} {:>14}",
@@ -178,46 +183,78 @@ fn print_table(entries: &[Entry]) {
     }
 }
 
-/// The plan-path-vs-baseline regression gate. Returns human-readable
-/// descriptions of configurations beyond the limit.
-fn check_baseline(entries: &[Entry], baseline: &Json, path: &str, iters: usize) -> Vec<String> {
-    let mut regressions = Vec::new();
-    println!("\nregression check vs {path} (limit +{:.0}%):", REGRESSION_LIMIT * 100.0);
-    for e in entries.iter().filter(|e| !e.interpreted) {
-        let Some(base) = baseline_gc_ns(baseline, e.objects, e.fraction) else {
-            println!(
-                "  {:>7} objects {:>3.0}%: no baseline entry — skipped",
-                e.objects,
-                e.fraction * 100.0
-            );
-            continue;
-        };
-        // A tripped gate re-measures with 3x iterations before declaring
-        // a regression: a real one survives the retry, scheduler noise
-        // does not.
-        let g = gate_best_of(e.gc_min_ns_per_object, base, || {
-            measure_one(e.objects, e.fraction, false, iters * 3).gc_min_ns_per_object
-        });
-        println!(
-            "  {:>7} objects {:>3.0}%: {:>9} -> {:>9} per object ({:>+6.1}%) {}",
-            e.objects,
-            e.fraction * 100.0,
-            fmt_ns(base as u64),
-            fmt_ns(g.current as u64),
-            g.delta * 100.0,
-            g.verdict(),
+/// The exact-count gate: every configuration's update-GC copied the
+/// cells and words its population implies. A planned object is copied
+/// once, at the new layout; an interpreted one is duplicated into an old
+/// copy and a new object.
+fn check_counts(entries: &[Entry]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for e in entries {
+        let updated = (e.objects as f64 * e.fraction).round() as usize;
+        let (cells_each, words_each) =
+            if e.interpreted { (2, OLD_CELL_WORDS + NEW_CELL_WORDS) } else { (1, NEW_CELL_WORDS) };
+        let want = (
+            e.objects - updated + updated * cells_each,
+            (e.objects - updated) * OLD_CELL_WORDS + updated * words_each,
         );
-        if g.regressed() {
-            regressions.push(format!(
-                "{} objects at {:.0}%: {:.1} -> {:.1} ns/object",
+        if (e.gc_copied_cells, e.gc_copied_words) != want {
+            failures.push(format!(
+                "{} objects at {:.0}% ({}): copied {} cells / {} words, expected {} / {}",
                 e.objects,
                 e.fraction * 100.0,
-                base,
-                g.current
+                mode_name(e.interpreted),
+                e.gc_copied_cells,
+                e.gc_copied_words,
+                want.0,
+                want.1
             ));
         }
     }
-    regressions
+    println!(
+        "\ncopy-count gate ({} configurations, exact): {}",
+        entries.len(),
+        if failures.is_empty() { "ok" } else { "DIFFERS" }
+    );
+    failures
+}
+
+/// The update-cost gate: at the largest configuration on the plan path,
+/// the best-of-N GC phase per object at 100% updated over the same run's
+/// at 0% must stay within [`UPDATED_GC_LIMIT`]. A tripped gate re-measures
+/// both with 3× iterations first.
+fn check_updated_cost(entries: &[Entry], iters: usize) -> Vec<String> {
+    let objects = *OBJECT_COUNTS.last().expect("object counts");
+    let pick = |fraction: f64| {
+        entries
+            .iter()
+            .find(|e| e.objects == objects && e.fraction == fraction && !e.interpreted)
+            .map(|e| e.gc_min_ns_per_object)
+            .expect("0% and 100% rows are always measured")
+    };
+    let (mut none, mut all) = (pick(0.0), pick(1.0));
+    if all > UPDATED_GC_LIMIT * none {
+        let again =
+            |fraction| measure_one(objects, fraction, false, iters * 3).gc_min_ns_per_object;
+        none = none.min(again(0.0));
+        all = all.min(again(1.0));
+    }
+    println!(
+        "update-cost gate ({objects} objects, plan): update-GC 0% updated {} -> 100% updated {} \
+         per object = {:.2}x (limit {:.2}x)",
+        fmt_ns(none as u64),
+        fmt_ns(all as u64),
+        all / none,
+        UPDATED_GC_LIMIT,
+    );
+    if all > UPDATED_GC_LIMIT * none {
+        vec![format!(
+            "update-GC at 100% updated is {:.2}x the 0% GC at {objects} objects \
+             (limit {UPDATED_GC_LIMIT:.2}x)",
+            all / none
+        )]
+    } else {
+        Vec::new()
+    }
 }
 
 /// The plan-vs-interpreted gate: at the largest configuration with every
@@ -240,7 +277,7 @@ fn check_plan(entries: &[Entry], iters: usize) -> Vec<String> {
         interpreted = interpreted.min(again(true));
     }
     println!(
-        "\nplan-vs-interpreted gate ({objects} objects, 100% updated): total pause \
+        "plan-vs-interpreted gate ({objects} objects, 100% updated): total pause \
          interpreted {} -> plan {} per object = {:.2}x (limit {:.2}x)",
         fmt_ns(interpreted as u64),
         fmt_ns(plan as u64),
@@ -260,19 +297,23 @@ fn check_plan(entries: &[Entry], iters: usize) -> Vec<String> {
 
 fn main() {
     enforce_gate_args("gcbench");
+    if arg_value("--baseline").is_some() {
+        eprintln!("gcbench: every gate is a count or a same-run ratio; --check reads no file");
+        std::process::exit(2);
+    }
     let iters = gate_iters();
-    let baseline = baseline_for_check("gcbench", "results/BENCH_gc.json");
 
     let entries = measure(iters);
     print_table(&entries);
 
-    if let Some((path, baseline)) = baseline {
-        let mut regressions = check_baseline(&entries, &baseline, &path, iters);
-        regressions.extend(check_plan(&entries, iters));
-        if !regressions.is_empty() {
-            eprintln!("\nGC pause regression(s) beyond {:.0}%:", REGRESSION_LIMIT * 100.0);
-            for r in &regressions {
-                eprintln!("  {r}");
+    if arg_flag("--check") {
+        let mut failures = check_counts(&entries);
+        failures.extend(check_updated_cost(&entries, iters));
+        failures.extend(check_plan(&entries, iters));
+        if !failures.is_empty() {
+            eprintln!("\nGC pause gate failure(s):");
+            for f in &failures {
+                eprintln!("  {f}");
             }
             std::process::exit(1);
         }

@@ -117,6 +117,10 @@ pub struct UpdateRun {
     /// the O(roots) claim says is independent of heap size. Zero when
     /// eager.
     pub arm_ns: u64,
+    /// Lazy only: the longest single controller step after the mutator
+    /// is released — the longest the guest waits when the embedder runs
+    /// its slices between steps. Zero when eager.
+    pub max_step_ns: u64,
     /// Objects the transformers migrated (must equal the `Change` count).
     pub transformed: usize,
     /// Post-commit steady-state cost of one spin iteration (three field
@@ -173,11 +177,18 @@ pub fn measure_update(
 
     // Drive the controller by hand: the first Pending(LazyMigrating) step
     // is the moment a real deployment resumes the guest, so everything
-    // before it is the pause and everything after it is the drain.
+    // before it is the pause and everything after it is the drain, whose
+    // steps are timed one by one.
     let t0 = Instant::now();
     let mut pause_ns = None;
+    let mut max_step_ns = 0;
     loop {
-        match controller.step(&mut vm) {
+        let t = Instant::now();
+        let progress = controller.step(&mut vm);
+        if pause_ns.is_some() {
+            max_step_ns = max_step_ns.max(t.elapsed().as_nanos() as u64);
+        }
+        match progress {
             StepProgress::Pending(UpdatePhase::LazyMigrating) => {
                 pause_ns.get_or_insert_with(|| t0.elapsed().as_nanos() as u64);
             }
@@ -215,6 +226,7 @@ pub fn measure_update(
         pause_ns,
         drain_ns: total_ns - pause_ns,
         arm_ns,
+        max_step_ns,
         transformed,
         steady_ns_per_op,
         spin_result,
@@ -244,6 +256,8 @@ mod tests {
         assert_eq!(eager.arm_ns, 0, "eager never arms the barrier");
         assert!(lazy.arm_ns > 0, "the lazy arm pause was measured");
         assert!(lazy.arm_ns <= lazy.pause_ns, "the arm is part of the pause");
+        assert_eq!(eager.max_step_ns, 0, "eager has no step after the pause");
+        assert!(lazy.max_step_ns > 0 && lazy.max_step_ns <= lazy.drain_ns, "steps are the drain");
     }
 
     #[test]

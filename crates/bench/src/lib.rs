@@ -12,13 +12,16 @@
 //! * `ablation` — eager vs lazy (epoch drained, epoch held open)
 //!   steady-state time and heap words; jit tier on/off/updated;
 //!   barriers/OSR machinery
-//! * `gcbench` — update-GC pause regression gate vs `results/BENCH_gc.json`
+//! * `gcbench` — update-GC gate: exact copy counts plus same-run ratios
+//!   (100%- vs 0%-updated GC, plan vs interpreted pause); writes
+//!   `results/BENCH_gc.json`
 //! * `interpbench` — steady-state dispatch throughput gate vs
 //!   `results/BENCH_interp.json` (inline caches on/off/after-update plus
 //!   the template-JIT tier on and on-after-update)
 //! * `lazybench` — lazy-migration same-run ratio gates (commit pause ≤ 25%
-//!   of eager, pause flat across heap sizes, barrier-free steady state
-//!   after the epoch drains); writes `results/BENCH_lazy.json`
+//!   of eager, pause and longest later step flat across heap sizes,
+//!   barrier-free steady state after the epoch drains); writes
+//!   `results/BENCH_lazy.json`
 //! * `fleetbench` — sharded fleet throughput scaling and rolling-update
 //!   integrity gate (zero dropped/incorrect responses during a rolling lazy
 //!   update; ≥2× aggregate throughput at 4 shards on hosts with ≥4 CPUs);
@@ -52,8 +55,8 @@ pub fn arg_flag(name: &str) -> bool {
 /// Validates the gate binaries' shared CLI
 /// (`[--check] [--iters N] [--baseline FILE] [--out FILE]`): anything
 /// else prints the usage line and exits 2. Every gate binary speaks this
-/// dialect; `lazybench`, `fleetbench` and `streambench` then refuse
-/// `--baseline`, because their gates read no file.
+/// dialect; all but `interpbench` then refuse `--baseline`, because their
+/// gates read no file.
 pub fn enforce_gate_args(bin: &str) {
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {

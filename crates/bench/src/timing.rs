@@ -83,8 +83,8 @@ pub fn run_with_setup<S, T>(
 }
 
 /// Allowed best-of-N regression before a bench check gate fails. Shared
-/// by `gcbench`, `interpbench`, and `lazybench` so "no worse than 15%"
-/// means the same thing across every tier-1 performance gate.
+/// by `interpbench` and `lazybench` so "no worse than 15%" means the same
+/// thing across every tier-1 performance gate.
 pub const REGRESSION_LIMIT: f64 = 0.15;
 
 /// Result of one best-of-N gate comparison (see [`gate_best_of`]).

@@ -890,8 +890,14 @@ impl<'u> UpdateController<'u> {
                     self.state = State::Committed;
                     StepProgress::Committed
                 }
+                // Something other than this controller closed the epoch
+                // (the embedder called `Vm::finish_lazy_migration`, say):
+                // whatever it migrated cannot be rolled back.
                 LazyStage::Inactive => {
-                    unreachable!("LazyMigrating state requires an active epoch")
+                    let err = jvolve_vm::VmError::Internal {
+                        message: "lazy epoch closed outside its update controller".into(),
+                    };
+                    self.abort_no_rollback(UpdateError::Vm(err), t)
                 }
             },
             State::Committed => {

@@ -202,7 +202,8 @@ pub struct ApplyOptions {
     pub lazy_scavenge_batch: usize,
     /// Heap cells each `LazyMigrating` controller step covers during the
     /// SATB discovery scan and the forwarding-collapse sweep (lazy mode
-    /// only; clamped to at least 1). These are linear walks over cells,
+    /// only; clamped to at least 1); in the collapse sweep an array
+    /// element counts as a cell. These are linear walks over cells,
     /// not per-object transformer runs, so the budget is much larger than
     /// [`ApplyOptions::lazy_scavenge_batch`].
     pub lazy_step_cells: usize,

@@ -19,7 +19,7 @@ use jvolve_apps::stream::prepare_via_upt;
 use jvolve_apps::workload::scripted_session;
 use jvolve_apps::{Emailserver, GuestApp};
 use jvolve_upt::{prepare_classes, UptOptions};
-use jvolve_vm::{MethodId, Value, Vm, VmConfig, VmError};
+use jvolve_vm::{LazyStage, MethodId, Value, Vm, VmConfig, VmError};
 
 /// A deterministic dump of every registry table (HashMap-backed tables are
 /// sorted before printing, so rebuilding a map during rollback cannot
@@ -694,6 +694,40 @@ fn controllers_sharing_one_update_compile_it_once_between_them() {
             .sum()
     });
     assert_eq!(compiles, 1, "one compile per release, not one per shard");
+}
+
+#[test]
+fn an_epoch_closed_outside_the_controller_aborts_with_a_typed_error() {
+    // The embedder closes the lazy epoch itself, behind the controller's
+    // back: the controller's next step finds no epoch. That is a typed
+    // abort without rollback (the epoch's migrations already happened),
+    // not a host panic.
+    let mut vm = Vm::new(VmConfig { lazy_migration: true, ..VmConfig::small() });
+    vm.load_classes(&compile(SHAPE_V1)).expect("v1 loads");
+    vm.call_static_sync("Main", "setup", &[]).expect("setup runs");
+    let update =
+        Update::prepare(&compile(SHAPE_V1), &compile(SHAPE_V2), "v1_").expect("update prepares");
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(&update, ApplyOptions::default());
+    controller.attach_sink(&mut events);
+    while vm.lazy_stage() != LazyStage::Done {
+        let progress = controller.step(&mut vm);
+        assert!(matches!(progress, StepProgress::Pending(_)), "{progress:?}");
+    }
+    vm.finish_lazy_migration();
+
+    assert_eq!(controller.step(&mut vm), StepProgress::Aborted);
+    assert!(
+        matches!(controller.error(), Some(UpdateError::Vm(VmError::Internal { .. }))),
+        "{:?}",
+        controller.error()
+    );
+    drop(controller);
+    assert!(
+        events.events.iter().any(|e| matches!(e, UpdateEvent::Aborted { rolled_back: false, .. })),
+        "the abort must record that nothing was rolled back"
+    );
+    assert_eq!(vm.call_static_sync("Main", "probe", &[]).unwrap(), Some(Value::Int(60)));
 }
 
 // ---- OSR of a frame that has callees above it ---------------------------

@@ -809,22 +809,38 @@ impl Heap {
         (addr, cells)
     }
 
-    /// Resumable bounded forwarding collapse: walks at most `max_cells`
-    /// cells from `from` toward `limit`, rewriting every reference slot
-    /// that points at a forwarded cell to its resolved target. Returns
-    /// `(next_addr, cells_stepped, slots_rewritten)`. Once every referrer
-    /// below the epoch's allocation horizon has been swept (and roots
-    /// rewritten by the caller), no live reference crosses a forwarding
-    /// word and the stale originals are plain garbage for the next
-    /// collection.
+    /// Resumable bounded forwarding collapse: sweeps from the cursor
+    /// `(from, from_slot)` toward `limit`, rewriting every reference slot
+    /// that points at a forwarded cell to its resolved target, and stops
+    /// once it has charged `max_cells`. A cell is charged 1, except a
+    /// non-empty reference array, which is charged 1 per element and may
+    /// be left part-swept: `from_slot` is the first element of the array
+    /// at `from` still to sweep (0 at a cell boundary). So no call sweeps
+    /// more than `max_cells` slots of one array, however long it is.
+    /// Returns `(next_addr, next_slot, cells_charged, slots_rewritten)`.
+    /// Once every referrer below the epoch's allocation horizon has been
+    /// swept (and roots rewritten by the caller), no live reference
+    /// crosses a forwarding word and the stale originals are plain
+    /// garbage for the next collection.
     pub fn sweep_forwards(
         &mut self,
         from: usize,
+        from_slot: usize,
         limit: usize,
         max_cells: usize,
         snapshot: &LayoutSnapshot,
-    ) -> (usize, usize, usize) {
+    ) -> (usize, usize, usize, usize) {
+        debug_assert!(
+            from_slot == 0 || {
+                let h = self.words[from];
+                h & 1 == 0
+                    && header_kind(h) == HeapKind::RefArray
+                    && from_slot < header_meta(h) as usize
+            },
+            "sweep cursor slot {from_slot} is not inside the reference array at {from}"
+        );
         let mut addr = from;
+        let mut slot = from_slot;
         let mut cells = 0;
         let mut rewritten = 0;
         while addr < limit && cells < max_cells {
@@ -844,18 +860,27 @@ impl Heap {
                             }
                         }
                     }
-                    HeapKind::RefArray => {
-                        for slot in addr + 1..addr + 1 + meta {
-                            rewritten += self.collapse_slot(slot);
+                    HeapKind::RefArray if meta > 0 => {
+                        let end = meta.min(slot + (max_cells - cells));
+                        for elem in addr + 1 + slot..addr + 1 + end {
+                            rewritten += self.collapse_slot(elem);
                         }
+                        cells += end - slot;
+                        if end < meta {
+                            slot = end;
+                            break;
+                        }
+                        slot = 0;
+                        addr += 1 + meta;
+                        continue;
                     }
-                    HeapKind::PrimArray | HeapKind::Str => {}
+                    HeapKind::RefArray | HeapKind::PrimArray | HeapKind::Str => {}
                 }
             }
             addr += Heap::walk_size(h, snapshot);
             cells += 1;
         }
-        (addr, cells, rewritten)
+        (addr, slot, cells, rewritten)
     }
 
     /// Rewrites one reference slot through the forwarding chain; returns 1

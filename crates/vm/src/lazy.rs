@@ -31,10 +31,11 @@
 //!   forwarding words are compacted away incrementally
 //!   ([`Vm::lazy_collapse`](crate::Vm)): one O(roots) pass rewrites
 //!   thread frames, statics, and host roots through the forwards, then a
-//!   resumable sweep rewrites heap referrers batch by batch. Reference
-//!   *loads* resolve through forwards while the epoch is active, so a
-//!   stale reference read from an unswept cell can never recontaminate a
-//!   swept one.
+//!   resumable sweep rewrites heap referrers batch by batch — a batch may
+//!   end inside a reference array, whose elements count against the
+//!   budget one by one. Reference *loads* resolve through forwards while
+//!   the epoch is active, so a stale reference read from an unswept cell
+//!   can never recontaminate a swept one.
 //! * **Done** — [`Vm::finish_lazy_migration`](crate::Vm) disarms the
 //!   barrier and bumps `code_epoch`, restoring the barrier-free fast
 //!   path. No GC runs: the stale originals are unreferenced garbage and
@@ -121,7 +122,8 @@ pub struct EpochTotals {
 /// batch.
 #[derive(Debug, Clone, Copy)]
 pub struct CollapseOutcome {
-    /// Heap cells the batch swept.
+    /// Heap cells the batch swept, a reference array's elements counted
+    /// one cell each.
     pub cells: usize,
     /// Reference slots rewritten through forwarding words.
     pub rewritten: usize,
@@ -169,6 +171,10 @@ pub struct LazyEpoch {
     pub(crate) collapsing: bool,
     /// Next address the collapse sweep will look at.
     pub(crate) sweep_addr: usize,
+    /// First element of the reference array at `sweep_addr` still to
+    /// sweep: a step that spends its budget inside an array stops there
+    /// (0 at a cell boundary).
+    pub(crate) sweep_slot: usize,
     /// The collapse horizon: the allocation cursor when the sweep began.
     /// Cells past it were allocated after the O(roots) root rewrite and
     /// load-resolution took effect, so they hold no stale references.

@@ -677,8 +677,10 @@ impl Vm {
             if self.lazy.collapsing {
                 // A copying collection resolves every reference as it
                 // copies, which is exactly what the sweep was doing —
-                // the collapse is complete.
+                // the collapse is complete, even one stopped inside an
+                // array.
                 self.lazy.sweep_addr = 0;
+                self.lazy.sweep_slot = 0;
                 self.lazy.sweep_limit = 0;
             }
         }
@@ -1328,9 +1330,12 @@ impl Vm {
     /// the stage's only O(roots) work — rewriting thread frames, statics,
     /// and host roots through the forwarding words and dropping the update
     /// log, at which point the stale originals and old copies are plain
-    /// garbage — and records the sweep horizon. Subsequent calls sweep at
-    /// most `max_cells` heap cells, rewriting reference slots that still
-    /// point at forwarded cells. Reference loads resolve through forwards
+    /// garbage — and records the sweep horizon. Every call then sweeps at
+    /// most `max_cells` heap cells ([`Heap::sweep_forwards`]), rewriting
+    /// reference slots that still point at forwarded cells; a reference
+    /// array counts one cell per element, and the next call resumes at
+    /// the element where this one stopped, so no call's work grows with
+    /// the longest array. Reference loads resolve through forwards
     /// while the epoch is active, so swept cells can never be
     /// recontaminated by stale references read out of unswept ones.
     /// Infallible — it allocates nothing.
@@ -1372,13 +1377,15 @@ impl Vm {
             return CollapseOutcome { cells: 0, rewritten: 0, done: true };
         }
         let snapshot = self.registry.layout_snapshot();
-        let (next, cells, rewritten) = self.heap.sweep_forwards(
+        let (next, slot, cells, rewritten) = self.heap.sweep_forwards(
             self.lazy.sweep_addr,
+            self.lazy.sweep_slot,
             self.lazy.sweep_limit,
             max_cells,
             &snapshot,
         );
         self.lazy.sweep_addr = next;
+        self.lazy.sweep_slot = slot;
         CollapseOutcome { cells, rewritten, done: self.lazy.sweep_addr >= self.lazy.sweep_limit }
     }
 

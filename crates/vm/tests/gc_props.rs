@@ -414,9 +414,17 @@ fn batched_scan_visits_unforwarded_objects_below_the_watermark() {
     }
 }
 
+/// Every word of both semispaces, in address order.
+fn heap_words(heap: &Heap) -> Vec<u64> {
+    (0..2 * heap.semispace_words()).map(|i| heap.get(GcRef(0), i)).collect()
+}
+
 /// A batched forwarding collapse is equivalent to a single unbounded
-/// sweep: same number of slots rewritten, and afterwards no reference
-/// reachable from the (resolved) roots crosses a forwarding word.
+/// sweep: the same heap, word for word, and afterwards no reference
+/// reachable from the (resolved) roots crosses a forwarding word. Each
+/// graph also holds reference arrays longer than any batch, full of
+/// forwarded referents, so batches end inside arrays; no batch may charge
+/// more than its budget.
 #[test]
 fn batched_sweep_collapses_every_forward_like_one_pass() {
     let snap = snapshot();
@@ -425,7 +433,19 @@ fn batched_sweep_collapses_every_forward_like_one_pass() {
         // pass, one in randomly-sized batches.
         let build = |heap: &mut Heap| -> Graph {
             let mut rng = Rng::new(seed ^ 0xF0F0_F0F0_F0F0_F0F0);
-            let g = build_graph(heap, seed);
+            let mut g = build_graph(heap, seed);
+            for _ in 0..2 {
+                let len = rng.range(6, 24);
+                let arr = heap.alloc_array(true, len).expect("fits");
+                for i in 0..len {
+                    if rng.below(4) != 0 {
+                        let target = g.nodes[rng.below(g.nodes.len())];
+                        heap.set(arr, i, u64::from(target.0));
+                    }
+                }
+                g.nodes.push(arr);
+                g.roots.push(arr);
+            }
             forward_some_objects(heap, &g, &mut rng);
             g
         };
@@ -433,24 +453,35 @@ fn batched_sweep_collapses_every_forward_like_one_pass() {
         let mut h1 = Heap::new(64 * 1024);
         let g1 = build(&mut h1);
         let limit = h1.alloc_cursor();
-        let (_, _, single_rewritten) =
-            h1.sweep_forwards(h1.active_base(), limit, usize::MAX, &snap);
+        let (end, end_slot, _, single_rewritten) =
+            h1.sweep_forwards(h1.active_base(), 0, limit, usize::MAX, &snap);
+        assert_eq!((end, end_slot), (limit, 0), "seed {seed}: one pass sweeps everything");
 
         let mut h2 = Heap::new(64 * 1024);
         let g2 = build(&mut h2);
         let mut rng = Rng::new(seed ^ 0xBA7C_4BA7_C4BA_7C4B);
-        let mut addr = h2.active_base();
+        let (mut addr, mut slot) = (h2.active_base(), 0);
         let mut batched_rewritten = 0;
+        let mut inside_arrays = 0;
         while addr < limit {
-            let (next, _, rewritten) =
-                h2.sweep_forwards(addr, limit, 1 + rng.below(5), &snap);
-            assert!(next > addr, "seed {seed}: sweep must make progress");
-            addr = next;
+            let budget = 1 + rng.below(5);
+            let (next, next_slot, cells, rewritten) =
+                h2.sweep_forwards(addr, slot, limit, budget, &snap);
+            assert!((next, next_slot) > (addr, slot), "seed {seed}: sweep must make progress");
+            assert!(cells <= budget, "seed {seed}: charged {cells} cells on a budget of {budget}");
+            inside_arrays += usize::from(next_slot > 0);
+            (addr, slot) = (next, next_slot);
             batched_rewritten += rewritten;
         }
+        assert_eq!((addr, slot), (limit, 0), "seed {seed}: the batches stop at the horizon");
+        assert!(inside_arrays > 0, "seed {seed}: no batch ended inside an array");
         assert_eq!(
             batched_rewritten, single_rewritten,
             "seed {seed}: batching changed the rewrite count"
+        );
+        assert!(
+            heap_words(&h1) == heap_words(&h2),
+            "seed {seed}: the batched sweep left different heap words than the single pass"
         );
 
         for (heap, g) in [(&h1, &g1), (&h2, &g2)] {

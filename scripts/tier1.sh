@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full workspace test suite, and the quick
-# GC-pause regression check against the committed baseline
-# (results/BENCH_gc.json). Run from the repository root:
+# Tier-1 gate: release build, clippy, full workspace test suite, the
+# named oracles, a benchmark/ smoke, and the quick bench gates — exact
+# counts and same-run ratios; only interpbench reads a committed file
+# (results/BENCH_interp.json), and only for its exact counts. Run from
+# the repository root:
 #
 #   scripts/tier1.sh
 #
-# Pass --skip-bench to skip the pause-time gate (e.g. on heavily loaded
-# CI machines where even best-of-N timing is meaningless).
+# Pass --skip-bench to skip the bench gates (e.g. on heavily loaded CI
+# machines where even best-of-N timing is meaningless).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,7 +105,11 @@ for workload in web_steady kv_stream_eager; do
 done
 
 if [ "$skip_bench" = 0 ]; then
-    echo "== tier-1: GC pause regression check =="
+    # gcbench --check reads no file: exact copy counts for every
+    # configuration, and two same-run best-of-N ratios (100%-updated
+    # update-GC <= 2.5x the 0%-updated one, plan pause <= 0.5x the
+    # interpreted pause).
+    echo "== tier-1: update-GC, exact counts + ratio gates (100%/0% <= 2.5x, plan/interpreted <= 0.5x) =="
     cargo run --release -q -p jvolve-bench --bin gcbench -- --check --iters 5
     # interpbench --check holds nothing recorded on another host: four
     # same-run best-of-N ratios (caches_on >= 0.96x caches_off, jit_on >=
@@ -113,11 +119,12 @@ if [ "$skip_bench" = 0 ]; then
     # committed results/BENCH_interp.json.
     echo "== tier-1: interpreter tiers, ratio (caches >= 0.96x, jit >= 2.55x) + exact-count gates =="
     cargo run --release -q -p jvolve-bench --bin interpbench -- --check --iters 5
-    # lazybench --check reads no file: three same-run best-of-N ratios
+    # lazybench --check reads no file: four same-run best-of-N ratios
     # (lazy pause <= 25% of eager, lazy pause at the largest heap point <=
-    # 2x the smallest's, post-drain steady state within the regression
-    # limit of eager's).
-    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, steady state) =="
+    # 2x the smallest's, longest controller step after the release <= 4x
+    # across the same points, post-drain steady state within the
+    # regression limit of eager's).
+    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, step flatness <= 4x, steady state) =="
     cargo run --release -q -p jvolve-bench --bin lazybench -- --check --iters 5
     # fleetbench and streambench --check read no file either: roll and
     # stream integrity are counts, the fleet's scaling gate a same-run
@@ -128,9 +135,9 @@ if [ "$skip_bench" = 0 ]; then
     echo "== tier-1: UPT release-stream integrity + absolute pause ceiling check =="
     cargo run --release -q -p jvolve-bench --bin streambench -- --check --iters 5
 else
-    echo "== tier-1: GC pause regression check skipped (--skip-bench) =="
+    echo "== tier-1: update-GC, exact counts + ratio gates (100%/0% <= 2.5x, plan/interpreted <= 0.5x) skipped (--skip-bench) =="
     echo "== tier-1: interpreter tiers, ratio (caches >= 0.96x, jit >= 2.55x) + exact-count gates skipped (--skip-bench) =="
-    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, steady state) skipped (--skip-bench) =="
+    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, step flatness <= 4x, steady state) skipped (--skip-bench) =="
     echo "== tier-1: fleet rolling-update integrity + scaling (same-run ratio) check skipped (--skip-bench) =="
     echo "== tier-1: UPT release-stream integrity + absolute pause ceiling check skipped (--skip-bench) =="
 fi

@@ -14,7 +14,7 @@ use jvolve_repro::dsu::{
     UpdatePhase,
 };
 use jvolve_repro::vm::heap::NoRemap;
-use jvolve_repro::vm::{Value, Vm, VmConfig, VmError};
+use jvolve_repro::vm::{LazyStage, Value, Vm, VmConfig, VmError};
 
 // ---- fixtures ----------------------------------------------------------
 
@@ -278,6 +278,71 @@ class JvolveTransformers {
   }
 }";
 
+/// Every node lives in one array and no node references another: the
+/// array holds every reference the collapse has to rewrite, so one array
+/// is all the collapse sweep ever finds forwarded.
+const FLAT_V1: &str = "
+class Node {
+  field id: int;
+  field next: Node;
+  ctor(i: int) { this.id = i; }
+}
+class App {
+  static field nodes: Node[];
+  static field trace: int;
+  static method build(n: int): void {
+    var arr: Node[] = new Node[n];
+    var i: int = 0;
+    while (i < n) { arr[i] = new Node(i); i = i + 1; }
+    App.nodes = arr;
+    App.trace = 0;
+  }
+  static method checksum(): int {
+    var sum: int = 0;
+    var i: int = 0;
+    var n: int = App.nodes.length;
+    while (i < n) { sum = sum * 31 + App.nodes[i].id; i = i + 1; }
+    return sum;
+  }
+}";
+
+const FLAT_V2: &str = "
+class Node {
+  field id: int;
+  field gen: int;
+  field next: Node;
+  ctor(i: int) { this.id = i; this.gen = 0; }
+}
+class App {
+  static field nodes: Node[];
+  static field trace: int;
+  static method build(n: int): void {
+    var arr: Node[] = new Node[n];
+    var i: int = 0;
+    while (i < n) { arr[i] = new Node(i); i = i + 1; }
+    App.nodes = arr;
+    App.trace = 0;
+  }
+  static method checksum(): int {
+    var sum: int = 0;
+    var i: int = 0;
+    var n: int = App.nodes.length;
+    while (i < n) { sum = sum * 31 + App.nodes[i].id; i = i + 1; }
+    return sum;
+  }
+}";
+
+const FLAT_TRANSFORMERS: &str = "
+class JvolveTransformers {
+  static method jvolve_class_Node(): void { }
+  static method jvolve_object_Node(to: Node, from: v1_Node): void {
+    to.id = from.id;
+    to.next = from.next;
+    to.gen = 1;
+    App.trace = App.trace + from.id * 2 + 1;
+  }
+}";
+
 // ---- harness -----------------------------------------------------------
 
 struct Fixture {
@@ -288,7 +353,11 @@ struct Fixture {
 }
 
 fn make_vm(fixture: &Fixture, lazy: bool) -> (Vm, Update) {
-    let mut vm = Vm::new(VmConfig { lazy_migration: lazy, ..VmConfig::small() });
+    make_vm_sized(fixture, lazy, VmConfig::small().semispace_words)
+}
+
+fn make_vm_sized(fixture: &Fixture, lazy: bool, semispace_words: usize) -> (Vm, Update) {
+    let mut vm = Vm::new(VmConfig { lazy_migration: lazy, semispace_words, ..VmConfig::small() });
     let old = jvolve_repro::lang::compile(fixture.v1).expect("v1 compiles");
     let new = jvolve_repro::lang::compile(fixture.v2).expect("v2 compiles");
     vm.load_classes(&old).expect("v1 loads");
@@ -339,11 +408,45 @@ fn ring_fixture(nodes: i64) -> Fixture {
 }
 
 fn run_eager(fixture: &Fixture) -> Outcome {
-    let (mut vm, update) = make_vm(fixture, false);
+    run_eager_sized(fixture, VmConfig::small().semispace_words)
+}
+
+fn run_eager_sized(fixture: &Fixture, semispace_words: usize) -> Outcome {
+    let (mut vm, update) = make_vm_sized(fixture, false, semispace_words);
     let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
         .expect("eager update applies");
     assert!(!vm.lazy_epoch_active());
     outcome(&mut vm, stats.objects_transformed)
+}
+
+/// [`FLAT_V1`]'s population: one array longer than a collapse step's
+/// budget many times over, on a heap that holds the whole epoch (the
+/// originals, an old copy and a new object per node) without collecting.
+const FLAT_NODES: i64 = 20_000;
+const FLAT_HEAP_WORDS: usize = 512 * 1024;
+/// The collapse budget of the flat tests: a fortieth of the array.
+const FLAT_STEP_CELLS: usize = 512;
+
+fn flat_fixture() -> Fixture {
+    Fixture {
+        v1: FLAT_V1,
+        v2: FLAT_V2,
+        transformers: FLAT_TRANSFORMERS,
+        build_args: vec![Value::Int(FLAT_NODES)],
+    }
+}
+
+/// The `(cells, rewritten, done)` of every collapse step in `events`.
+fn collapse_steps(events: &[UpdateEvent]) -> Vec<(usize, usize, bool)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            UpdateEvent::LazyCollapseStep { cells, rewritten, done } => {
+                Some((cells, rewritten, done))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 // ---- tests -------------------------------------------------------------
@@ -609,6 +712,85 @@ fn gc_forced_mid_lazy_epoch_preserves_the_oracle() {
     assert!(in_epoch, "the update actually went through a lazy epoch");
     let lazy = outcome(&mut vm, stats.objects_transformed);
     assert_eq!(lazy, eager, "mid-epoch GCs broke the oracle");
+}
+
+/// A collapse step sweeps at most its budget even when one reference
+/// array holds every forwarded referent: the array's elements count one
+/// cell each and the sweep resumes inside the array, so the 20 000 slots
+/// are rewritten over many steps, never in one.
+#[test]
+fn collapse_steps_stay_inside_their_budget_on_one_long_array() {
+    let fixture = flat_fixture();
+    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS);
+
+    let (mut vm, update) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions { lazy_step_cells: FLAT_STEP_CELLS, ..ApplyOptions::default() },
+    );
+    controller.attach_sink(&mut events);
+    let stats = controller.run_to_completion(&mut vm).expect("lazy update applies");
+    drop(controller);
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "the bounded collapse diverged from eager");
+
+    let steps = collapse_steps(&events.events);
+    for (i, &(cells, rewritten, _)) in steps.iter().enumerate() {
+        assert!(
+            rewritten <= FLAT_STEP_CELLS && cells <= FLAT_STEP_CELLS,
+            "collapse step {i} charged {cells} cells and rewrote {rewritten} slots \
+             on a budget of {FLAT_STEP_CELLS}"
+        );
+    }
+    let rewritten: usize = steps.iter().map(|s| s.1).sum();
+    assert_eq!(rewritten, FLAT_NODES as usize, "every array slot is rewritten exactly once");
+    assert!(steps.len() > FLAT_NODES as usize / FLAT_STEP_CELLS, "{} steps", steps.len());
+}
+
+/// A full collection that lands between two collapse steps, with the
+/// sweep stopped inside the array, finishes the collapse itself: the
+/// epoch commits with the eager heap fingerprint and runs no further
+/// collapse step.
+#[test]
+fn gc_between_collapse_steps_inside_an_array_matches_eager() {
+    let fixture = flat_fixture();
+    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS);
+
+    let (mut vm, update) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions { lazy_step_cells: FLAT_STEP_CELLS, ..ApplyOptions::default() },
+    );
+    controller.attach_sink(&mut events);
+    // Two collapse steps, then the collection: both steps end inside the
+    // array, which is longer than two budgets.
+    let mut collapse_steps_run = 0;
+    let stats = loop {
+        let collapsing = vm.lazy_stage() == LazyStage::Collapse;
+        match controller.step(&mut vm) {
+            StepProgress::Pending(UpdatePhase::LazyMigrating) if collapsing => {
+                collapse_steps_run += 1;
+                if collapse_steps_run == 2 {
+                    vm.collect_full(&NoRemap).expect("mid-collapse GC succeeds");
+                    assert_eq!(vm.lazy_stage(), LazyStage::Done, "the copy finished the sweep");
+                }
+            }
+            StepProgress::Pending(_) => {}
+            StepProgress::Committed => break controller.stats().clone(),
+            StepProgress::Aborted => panic!("lazy update aborted: {:?}", controller.error()),
+        }
+    };
+    drop(controller);
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "a GC inside the array's sweep broke the oracle");
+
+    let steps = collapse_steps(&events.events);
+    assert_eq!(steps.len(), 2, "no collapse step runs after the collection: {steps:?}");
+    for (cells, rewritten, done) in steps {
+        assert!(!done && cells == FLAT_STEP_CELLS && rewritten > 0, "{cells} {rewritten} {done}");
+    }
 }
 
 /// Property test: randomized interleavings of guest execution (touching
