@@ -23,8 +23,15 @@
 //!    and the longest stall of a guest whose slices run between steps —
 //!    must not grow with the heap. The population lives in one array, so
 //!    a sweep that cannot stop inside an array fails this gate.
+//! 5. **Drain**: the lazy drain (everything from the release to the
+//!    commit: SATB scan, scavenge, forwarding collapse) must cost at most
+//!    [`DRAIN_RATIO_LIMIT`] × the eager pause at the largest heap point —
+//!    the background work of a lazy commit stays within a small factor of
+//!    the one full-heap copy an eager commit pays. The scan converts
+//!    planned objects as it finds them; a drain that visits them a second
+//!    time reads ≈ 2.4× and fails.
 //!
-//! All four are ratios of two measurements taken in the same run, so no
+//! All five are ratios of two measurements taken in the same run, so no
 //! gate compares nanoseconds recorded on another host.
 //!
 //! Every gate runs on the product default, where the generated field-copy
@@ -70,6 +77,10 @@ const FLATNESS_LIMIT: f64 = 2.0;
 /// array as one cell reads 17–19× on the same host.
 const STEP_FLATNESS_LIMIT: f64 = 4.0;
 
+/// The lazy drain at the largest heap point may cost at most this
+/// multiple of the eager pause there (best-of-N each).
+const DRAIN_RATIO_LIMIT: f64 = 1.5;
+
 /// Paper object counts are scaled by 1/80 (the gate must run in seconds,
 /// not minutes); the largest point is still the harness's biggest heap.
 const SCALE_DIV: usize = 80;
@@ -96,6 +107,9 @@ struct Entry {
     /// the mutator is released.
     max_step_min_ns: f64,
     lazy_drain_ns: f64,
+    /// Best-of-N lazy drain. Gate 5 compares this with the best-of-N
+    /// eager pause.
+    lazy_drain_min_ns: f64,
     /// Best-of-N eager pause with every transformer interpreted.
     interp_eager_pause_min_ns: f64,
     /// Lazy drain (last run) with every transformer interpreted.
@@ -110,6 +124,11 @@ impl Entry {
     fn pause_ratio(&self) -> f64 {
         self.lazy_pause_min_ns / self.eager_pause_min_ns
     }
+
+    /// Best-of-N lazy drain over best-of-N eager pause.
+    fn drain_ratio(&self) -> f64 {
+        self.lazy_drain_min_ns / self.eager_pause_min_ns
+    }
 }
 
 /// `iters` runs of one configuration in one mode.
@@ -119,6 +138,7 @@ struct Runs {
     steady: Vec<f64>,
     arm: Samples,
     max_step: Samples,
+    drain: Samples,
     last: UpdateRun,
 }
 
@@ -130,6 +150,7 @@ fn best_of(objects: usize, lazy: bool, interpret: bool, iters: usize) -> Runs {
     let mut steady = Vec::with_capacity(iters);
     let mut arm = Vec::with_capacity(iters);
     let mut max_step = Vec::with_capacity(iters);
+    let mut drain = Vec::with_capacity(iters);
     let mut last = None;
     for _ in 0..iters {
         let r = measure_update(objects, FRACTION, lazy, interpret, SPIN_ITERS);
@@ -137,6 +158,7 @@ fn best_of(objects: usize, lazy: bool, interpret: bool, iters: usize) -> Runs {
         steady.push(r.steady_ns_per_op);
         arm.push(r.arm_ns);
         max_step.push(r.max_step_ns);
+        drain.push(r.drain_ns);
         last = Some(r);
     }
     steady.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
@@ -145,6 +167,7 @@ fn best_of(objects: usize, lazy: bool, interpret: bool, iters: usize) -> Runs {
         steady,
         arm: Samples::from_ns(arm),
         max_step: Samples::from_ns(max_step),
+        drain: Samples::from_ns(drain),
         last: last.expect("at least one iteration"),
     }
 }
@@ -178,6 +201,7 @@ fn measure(iters: usize) -> Vec<Entry> {
             arm_min_ns: lazy.arm.min_ns() as f64,
             max_step_min_ns: lazy.max_step.min_ns() as f64,
             lazy_drain_ns: lazy.last.drain_ns as f64,
+            lazy_drain_min_ns: lazy.drain.min_ns() as f64,
             interp_eager_pause_min_ns: interp_eager.pause.min_ns() as f64,
             interp_lazy_drain_ns: interp_lazy.last.drain_ns as f64,
             steady_eager_min_ns_per_op: eager.steady[0],
@@ -191,7 +215,7 @@ fn measure(iters: usize) -> Vec<Entry> {
 
 fn to_json(entries: &[Entry], iters: usize) -> Json {
     Json::obj([
-        ("schema", Json::from("jvolve-lazybench-v4")),
+        ("schema", Json::from("jvolve-lazybench-v5")),
         ("iters", Json::from(iters)),
         ("spin_iters", Json::from(SPIN_ITERS as f64)),
         (
@@ -211,6 +235,8 @@ fn to_json(entries: &[Entry], iters: usize) -> Json {
                             ("pause_ratio", Json::from(e.pause_ratio())),
                             ("lazy_max_step_min_ns", Json::from(e.max_step_min_ns)),
                             ("lazy_drain_ns", Json::from(e.lazy_drain_ns)),
+                            ("lazy_drain_min_ns", Json::from(e.lazy_drain_min_ns)),
+                            ("drain_ratio", Json::from(e.drain_ratio())),
                             (
                                 "interpreted_eager_pause_min_ns",
                                 Json::from(e.interp_eager_pause_min_ns),
@@ -361,6 +387,32 @@ fn check(entries: &[Entry], iters: usize) -> Vec<String> {
         |e| e.max_step_min_ns,
         |r| r.max_step.min_ns(),
     ));
+
+    // Gate 5: the drain costs a small multiple of the eager pause. A
+    // tripped gate re-measures both modes with 3× iterations.
+    let mut drain_min = largest.lazy_drain_min_ns;
+    let mut eager_min = largest.eager_pause_min_ns;
+    let mut ratio = drain_min / eager_min;
+    if ratio > DRAIN_RATIO_LIMIT {
+        let again = |lazy| best_of(largest.objects, lazy, false, iters * 3);
+        drain_min = drain_min.min(again(true).drain.min_ns() as f64);
+        eager_min = eager_min.min(again(false).pause.min_ns() as f64);
+        ratio = drain_min / eager_min;
+    }
+    println!(
+        "drain gate ({} objects): lazy drain {} / eager pause {} = {:.2}x (limit {:.1}x)",
+        largest.objects,
+        fmt_ns(drain_min as u64),
+        fmt_ns(eager_min as u64),
+        ratio,
+        DRAIN_RATIO_LIMIT,
+    );
+    if ratio > DRAIN_RATIO_LIMIT {
+        failures.push(format!(
+            "lazy drain is {:.2}x the eager pause at {} objects (limit {:.1}x)",
+            ratio, largest.objects, DRAIN_RATIO_LIMIT
+        ));
+    }
 
     // Gate 2: zero steady-state overhead once the epoch has drained.
     let g = gate_best_of(

@@ -293,8 +293,9 @@ fn main() -> ExitCode {
         // `--lazy-batch N` scales both per-step budgets from their
         // defaults: N objects per scavenge batch and proportionally many
         // heap cells per SATB-scan/collapse batch (the default ratio is
-        // 128 objects : 4096 cells; the collapse counts each element of
-        // a reference array as a cell).
+        // 128 objects : 4096 cells; the scan counts each object it
+        // converts by copy plan as one more cell, the collapse each
+        // element of a reference array as a cell).
         let opts = match cli.lazy_batch {
             Some(n) => ApplyOptions {
                 lazy_scavenge_batch: n,

@@ -229,8 +229,11 @@ pub enum UpdateEvent {
     LazyScanStep {
         /// Heap cells the batch stepped over.
         cells: usize,
-        /// Stale objects discovered and queued.
+        /// Stale objects discovered: converted on the spot or queued.
         found: usize,
+        /// How many of them a native copy plan converted on the spot (the
+        /// rest were queued for the scavenger).
+        planned: usize,
         /// Whether the scan reached the watermark.
         done: bool,
     },
@@ -317,8 +320,11 @@ impl UpdateEventSink for MemorySink {
 /// distinguish the two commit protocols. `v3` adds a `shard_id` envelope
 /// field identifying which fleet shard produced the trace; single-VM
 /// runs emit `shard_id: 0`. `v4` drops `methods_invalidated`'s count of
-/// invalidated inlining callers, with the opt tier that inlined.
-pub const TRACE_SCHEMA: &str = "jvolve-update-trace-v4";
+/// invalidated inlining callers, with the opt tier that inlined. `v5`
+/// adds `lazy_scan_step`'s `planned`: the SATB scan converts planned
+/// objects as it finds them, so a fully planned update emits no
+/// `lazy_scavenge_step` at all.
+pub const TRACE_SCHEMA: &str = "jvolve-update-trace-v5";
 
 /// A sink that serializes the event stream to JSON (via `jvolve-json`),
 /// for `results/update_trace.json`. Consecutive safe-point polls with an
@@ -444,10 +450,11 @@ fn event_to_json(event: &UpdateEvent) -> Json {
             ("watermark_words", Json::from(*watermark_words)),
             ("arm_ms", duration_ms(*arm)),
         ]),
-        UpdateEvent::LazyScanStep { cells, found, done } => Json::obj([
+        UpdateEvent::LazyScanStep { cells, found, planned, done } => Json::obj([
             ("event", Json::from("lazy_scan_step")),
             ("cells", Json::from(*cells)),
             ("found", Json::from(*found)),
+            ("planned", Json::from(*planned)),
             ("done", Json::from(*done)),
         ]),
         UpdateEvent::LazyScavengeStep { transformed, planned, remaining } => Json::obj([
@@ -828,6 +835,7 @@ impl<'u> UpdateController<'u> {
                     self.emit(UpdateEvent::LazyScanStep {
                         cells: out.cells,
                         found: out.found,
+                        planned: out.planned,
                         done: out.done,
                     });
                     self.state = State::LazyMigrating;

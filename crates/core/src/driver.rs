@@ -202,10 +202,11 @@ pub struct ApplyOptions {
     pub lazy_scavenge_batch: usize,
     /// Heap cells each `LazyMigrating` controller step covers during the
     /// SATB discovery scan and the forwarding-collapse sweep (lazy mode
-    /// only; clamped to at least 1); in the collapse sweep an array
-    /// element counts as a cell. These are linear walks over cells,
-    /// not per-object transformer runs, so the budget is much larger than
-    /// [`ApplyOptions::lazy_scavenge_batch`].
+    /// only; clamped to at least 1). In the scan, an object it converts
+    /// by copy plan counts as one more cell; in the collapse sweep an
+    /// array element counts as a cell. These are linear walks over
+    /// cells, not per-object transformer runs, so the budget is much
+    /// larger than [`ApplyOptions::lazy_scavenge_batch`].
     pub lazy_step_cells: usize,
     /// Run every object transformer as a compiled method in an interpreter
     /// frame, as the paper does, even when its body is a pure field copy

@@ -70,13 +70,17 @@ fn read_trace_events(path: &std::path::Path, expect_mode: &str) -> Vec<String> {
         "trace carries the schema tag"
     );
     assert_eq!(parsed.get("mode").and_then(|v| v.as_str()), Some(expect_mode));
-    parsed
-        .get("events")
-        .and_then(|v| v.as_arr())
-        .expect("trace has an event array")
+    trace_events(path)
         .iter()
         .filter_map(|e| e.get("event").and_then(|v| v.as_str()).map(str::to_string))
         .collect()
+}
+
+/// The event objects of a trace file.
+fn trace_events(path: &std::path::Path) -> Vec<jvolve_json::Json> {
+    let trace_json = std::fs::read_to_string(path).expect("trace file written");
+    let parsed = jvolve_json::Json::parse(&trace_json).expect("trace is valid JSON");
+    parsed.get("events").and_then(|v| v.as_arr()).expect("trace has an event array").to_vec()
 }
 
 // The lazy workload keeps live instances of the changed class so the
@@ -132,9 +136,24 @@ fn jvolve_run_lazy_updates_and_traces_the_epoch() {
     let kinds = read_trace_events(&trace, "lazy");
     assert!(kinds.iter().any(|k| k == "lazy_epoch_begun"), "{kinds:?}");
     assert!(kinds.iter().any(|k| k == "lazy_scan_step"), "{kinds:?}");
-    assert!(kinds.iter().any(|k| k == "lazy_scavenge_step"), "{kinds:?}");
     assert!(kinds.iter().any(|k| k == "lazy_collapse_step"), "{kinds:?}");
     assert_eq!(kinds.last().map(String::as_str), Some("committed"), "{kinds:?}");
+
+    // `Node`'s default transformer is a pure field copy, so the scan
+    // converts every `Node` it finds and leaves the scavenger nothing.
+    let sum = |event: &str, field: &str| -> usize {
+        trace_events(&trace)
+            .iter()
+            .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some(event))
+            .map(|e| e.get(field).and_then(|v| v.as_f64()).expect("numeric field") as usize)
+            .sum()
+    };
+    let planned = sum("transformers_run", "objects_planned");
+    assert!(planned > 0, "{kinds:?}");
+    assert_eq!(sum("lazy_scan_step", "planned"), planned, "the scan converted every Node");
+    assert_eq!(sum("lazy_scan_step", "found"), planned, "{kinds:?}");
+    assert!(!kinds.iter().any(|k| k == "lazy_scavenge_step"), "{kinds:?}");
+    assert!(stderr.contains(&format!("{planned} of them by copy plan")), "{stderr}");
 }
 
 #[test]

@@ -68,7 +68,9 @@
 //! collector allocates only the new-layout object, fills it from the
 //! from-space original per the plan, and lets the ordinary scan forward
 //! the reference fields it copied. No old copy, no update-log entry, and
-//! no transformer frame exist for such an object.
+//! no transformer frame exist for such an object. A lazy epoch applies
+//! the same plan on the live heap instead ([`Heap::apply_plan`]), from
+//! its discovery scan ([`Heap::convert_stale`]) or on first touch.
 
 use crate::error::VmError;
 use crate::ids::ClassId;
@@ -776,37 +778,93 @@ impl Heap {
     /// class. Forwarded cells (mid-epoch duplication) are stepped over by
     /// the size their forwarding word carries.
     pub fn for_each_object(&self, snapshot: &LayoutSnapshot, mut f: impl FnMut(GcRef, ClassId)) {
-        self.scan_objects(self.base(self.active_b), self.alloc, usize::MAX, snapshot, |r, c| {
-            f(r, c);
-        });
-    }
-
-    /// Resumable bounded heap walk: scans at most `max_cells` cells from
-    /// `from` (a cell boundary) toward `limit`, invoking `f` on each
-    /// unforwarded plain object, and returns `(next_addr, cells_stepped)`
-    /// (`next_addr >= limit` once the range is exhausted). Forwarded cells
-    /// are stepped over by the size their forwarding word carries, so the
-    /// scan tolerates mutator-installed forwards between batches — the
-    /// SATB commit scanner's core.
-    pub fn scan_objects(
-        &self,
-        from: usize,
-        limit: usize,
-        max_cells: usize,
-        snapshot: &LayoutSnapshot,
-        mut f: impl FnMut(GcRef, ClassId),
-    ) -> (usize, usize) {
-        let mut addr = from;
-        let mut cells = 0;
-        while addr < limit && cells < max_cells {
+        let mut addr = self.base(self.active_b);
+        while addr < self.alloc {
             let h = self.words[addr];
             if h & 1 == 0 && header_kind(h) == HeapKind::Object {
                 f(GcRef(addr as u32), ClassId(header_meta(h)));
             }
             addr += Heap::walk_size(h, snapshot);
+        }
+    }
+
+    /// Converts the live object at `r` to `new_class` per `plan`, in the
+    /// active semispace — a lazy epoch's counterpart of the update-GC's
+    /// planned copy: allocates the new-layout object, fills each of its
+    /// fields from `r` per the plan (zero where the plan names no source),
+    /// and installs a sized forwarding word at `r`. Returns the new
+    /// object, or `None` with nothing written if the semispace is full.
+    pub(crate) fn apply_plan(
+        &mut self,
+        r: GcRef,
+        new_class: ClassId,
+        plan: &CopyPlan,
+        snapshot: &LayoutSnapshot,
+    ) -> Option<GcRef> {
+        let from = r.addr();
+        let new_size = 1 + plan.sources.len();
+        if self.alloc + new_size > self.limit(self.active_b) {
+            return None;
+        }
+        let to = self.alloc;
+        self.alloc += new_size;
+        self.words[to] = header(HeapKind::Object, new_class.0);
+        for (i, &src) in plan.sources.iter().enumerate() {
+            self.words[to + 1 + i] = match src {
+                CopyPlan::ZERO => 0,
+                src => self.words[from + 1 + src as usize],
+            };
+        }
+        let new_obj = GcRef(to as u32);
+        self.install_forward(r, new_obj, snapshot);
+        Some(new_obj)
+    }
+
+    /// Resumable bounded SATB discovery scan that converts what it finds:
+    /// walks from `from` (a cell boundary) toward `limit`, and for every
+    /// *stale* object — a live plain object whose class `remap` maps and
+    /// whose header tag is zero — either converts it on the spot with
+    /// [`Heap::apply_plan`], if its class has a [`CopyPlan`], or pushes it
+    /// onto `worklist`: an object whose transformer must be interpreted,
+    /// or one the full semispace had no room to convert. The worklist
+    /// therefore grows in ascending address order.
+    ///
+    /// Every cell stepped over is charged one against `max_cells`, and
+    /// every conversion one more; the walk stops once the charge reaches
+    /// `max_cells`, so a batch charges at most `max_cells + 1`. Forwarded
+    /// cells (objects the mutator already migrated) are stepped over by
+    /// the size their forwarding word carries. Returns `(next_addr,
+    /// cells_stepped, converted)`; `next_addr >= limit` once the range is
+    /// exhausted.
+    pub fn convert_stale(
+        &mut self,
+        from: usize,
+        limit: usize,
+        max_cells: usize,
+        snapshot: &LayoutSnapshot,
+        remap: &RemapTable,
+        worklist: &mut Vec<GcRef>,
+    ) -> (usize, usize, usize) {
+        let mut addr = from;
+        let (mut cells, mut converted) = (0, 0);
+        while addr < limit && cells + converted < max_cells {
+            let h = self.words[addr];
+            let size = Heap::walk_size(h, snapshot);
+            // Unforwarded, a plain object, tag zero: one mask test.
+            if h & (1 | KIND_MASK | TAG_MASK) == 0 {
+                if let Some(entry) = remap.entry(ClassId(header_meta(h))) {
+                    let r = GcRef(addr as u32);
+                    let plan = entry.plan.as_ref();
+                    match plan.and_then(|plan| self.apply_plan(r, entry.new_class, plan, snapshot)) {
+                        Some(_) => converted += 1,
+                        None => worklist.push(r),
+                    }
+                }
+            }
+            addr += size;
             cells += 1;
         }
-        (addr, cells)
+        (addr, cells, converted)
     }
 
     /// Resumable bounded forwarding collapse: sweeps from the cursor

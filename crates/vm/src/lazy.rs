@@ -15,18 +15,24 @@
 //! [`active`](LazyEpoch::active):
 //!
 //! * **Scan** — a resumable scanner ([`Vm::lazy_scan`](crate::Vm)) walks
-//!   the watermarked region in bounded batches, pushing every stale-class
-//!   instance onto the worklist. The read barrier is the SATB invariant
-//!   keeper: any stale object the mutator touches first is transformed on
-//!   the spot (its forwarding word makes the scanner skip it), and
-//!   objects allocated *past* the watermark can never be stale, because
-//!   every method that could allocate a changed class was invalidated at
-//!   install time and recompiles against the new class. A full GC during
-//!   this stage first runs the scanner to completion so the collection
-//!   can root the undiscovered tail.
-//! * **Drain** — the PR 5 scavenger ([`Vm::lazy_scavenge`](crate::Vm))
+//!   the watermarked region in bounded batches and converts as it
+//!   discovers: a stale object whose class has a copy plan gets its
+//!   new-layout object and forwarding word on the spot, while its header
+//!   is still in cache (each conversion costs the batch one more cell);
+//!   every other stale object goes onto the worklist. The read barrier is
+//!   the SATB invariant keeper: any stale object the mutator touches
+//!   first is transformed on the spot (its forwarding word makes the
+//!   scanner skip it), and objects allocated *past* the watermark can
+//!   never be stale, because every method that could allocate a changed
+//!   class was invalidated at install time and recompiles against the
+//!   new class. A full GC during this stage first runs the scanner to
+//!   completion so the collection can root the undiscovered tail.
+//! * **Drain** — the scavenger ([`Vm::lazy_scavenge`](crate::Vm))
 //!   transforms bounded batches off the worklist, so cold objects migrate
-//!   even if the guest never reads them again.
+//!   even if the guest never reads them again. Only two kinds of object
+//!   are left for it: those whose transformer must be interpreted, and
+//!   planned ones the scan found no room to convert (the drain collects
+//!   and retries). A fully planned update skips this stage.
 //! * **Collapse** — with every stale object transformed, the epoch's
 //!   forwarding words are compacted away incrementally
 //!   ([`Vm::lazy_collapse`](crate::Vm)): one O(roots) pass rewrites
@@ -85,8 +91,12 @@ pub enum LazyStage {
 pub struct ScanOutcome {
     /// Heap cells the batch stepped over (live or forwarded).
     pub cells: usize,
-    /// Stale objects discovered and queued by this batch.
+    /// Stale objects the batch discovered: converted on the spot or
+    /// queued on the worklist.
     pub found: usize,
+    /// How many of `found` a [`CopyPlan`](crate::heap::CopyPlan)
+    /// converted on the spot; the rest went on the worklist.
+    pub planned: usize,
     /// Whether the scan has reached the watermark — the worklist is now
     /// complete.
     pub done: bool,
@@ -111,7 +121,7 @@ pub struct ScavengeOutcome {
 /// [`Vm::finish_lazy_migration`](crate::Vm::finish_lazy_migration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochTotals {
-    /// Objects migrated (read barrier + scavenger).
+    /// Objects migrated (discovery scan + read barrier + scavenger).
     pub transformed: usize,
     /// How many of `transformed` were converted by a
     /// [`CopyPlan`](crate::heap::CopyPlan) instead of a transformer frame.
@@ -148,15 +158,16 @@ pub struct LazyEpoch {
     /// their log index in the tag, and must never themselves trip the
     /// barrier.
     pub(crate) remap: RemapTable,
-    /// Stale objects found so far (barrier-migrated ones are skipped at
-    /// scavenge time via their forwarding words), ascending original
-    /// address — the scavenger's queue and (from `cursor` on) extra GC
-    /// roots, so untouched stale objects survive until transformed.
+    /// Stale objects the scan found but could not convert (barrier-migrated
+    /// ones are skipped at scavenge time via their forwarding words),
+    /// ascending original address — the scavenger's queue and (from
+    /// `cursor` on) extra GC roots, so untouched stale objects survive
+    /// until transformed.
     pub(crate) worklist: Vec<GcRef>,
     /// First worklist entry the scavenger has not yet passed.
     pub(crate) cursor: usize,
-    /// Objects migrated this epoch (barrier + scavenger), by transformer
-    /// frame or by plan.
+    /// Objects migrated this epoch (scan + barrier + scavenger), by
+    /// transformer frame or by plan.
     pub(crate) transformed: usize,
     /// How many of `transformed` a copy plan converted.
     pub(crate) planned: usize,

@@ -618,13 +618,20 @@ impl Vm {
     }
 
     /// [`Vm::collect_full`] over an already resolved remap table (which
-    /// may carry copy plans).
+    /// may carry copy plans). Inside a lazy epoch whose discovery scan is
+    /// unfinished, it first runs [`Vm::lazy_scan`] to completion before
+    /// gathering roots: every planned object the scan meets is either
+    /// converted (the collection copies the new object and forwards
+    /// references to the original) or queued on the worklist, which is
+    /// rooted.
     fn collect_with(&mut self, table: &RemapTable) -> Result<GcOutcome, VmError> {
         if self.lazy.active && !self.lazy.scan_done() {
             // A collection abandons from-space, so run the SATB scanner to
-            // completion first: the undiscovered worklist tail must be
-            // rooted below, or untouched stale garbage would be reclaimed
-            // here that an eager commit would have transformed.
+            // completion first. Its conversions are forwarded objects like
+            // any barrier migration; what it cannot convert (interpreted
+            // transformers, or no room left) joins the worklist tail, which
+            // must be rooted below, or untouched stale garbage would be
+            // reclaimed here that an eager commit would have transformed.
             self.lazy_scan(usize::MAX);
         }
         let mut roots: Vec<GcRef> = self.stack_refs().collect();
@@ -1163,12 +1170,18 @@ impl Vm {
         self.lazy.stage()
     }
 
-    /// Runs one bounded SATB discovery batch: walks at most `max_cells`
-    /// heap cells from the scan cursor toward the watermark, queueing
-    /// every not-yet-migrated stale object on the worklist. Objects the
-    /// guest already migrated through the barrier sit behind forwarding
-    /// words and are stepped over by the size those carry. Infallible — it
-    /// allocates nothing.
+    /// Runs one bounded SATB discovery batch that converts as it
+    /// discovers ([`Heap::convert_stale`]): walks the heap from the scan
+    /// cursor toward the watermark and converts every not-yet-migrated
+    /// stale object whose class has a copy plan on the spot, counting it
+    /// as transformed and planned. Only objects whose transformer must be
+    /// interpreted, and objects the full semispace had no room to convert,
+    /// go on the worklist for the drain ([`Vm::lazy_scavenge`], which
+    /// collects and retries). Each cell stepped over costs one of
+    /// `max_cells` and each conversion one more. Objects the guest already
+    /// migrated through the barrier sit behind forwarding words and are
+    /// stepped over by the size those carry. Infallible — a conversion
+    /// that cannot allocate falls back to the worklist.
     ///
     /// # Panics
     ///
@@ -1176,33 +1189,31 @@ impl Vm {
     pub fn lazy_scan(&mut self, max_cells: usize) -> ScanOutcome {
         assert!(self.lazy.active, "lazy_scan outside an epoch");
         if self.lazy.scan_done() {
-            return ScanOutcome { cells: 0, found: 0, done: true };
+            return ScanOutcome { cells: 0, found: 0, planned: 0, done: true };
         }
         let snapshot = self.registry.layout_snapshot();
-        let mut discovered: Vec<GcRef> = Vec::new();
-        let remap = &self.lazy.remap;
-        let (next, cells) = self.heap.scan_objects(
+        let queued = self.lazy.worklist.len();
+        let (next, cells, planned) = self.heap.convert_stale(
             self.lazy.scan_addr,
             self.lazy.scan_limit,
             max_cells,
             &snapshot,
-            |r, class| {
-                if remap.get(class).is_some() {
-                    discovered.push(r);
-                }
-            },
+            &self.lazy.remap,
+            &mut self.lazy.worklist,
         );
         self.lazy.scan_addr = next;
-        let found = discovered.len();
-        self.lazy.worklist.extend(discovered);
-        ScanOutcome { cells, found, done: self.lazy.scan_done() }
+        self.lazy.transformed += planned;
+        self.lazy.planned += planned;
+        let found = planned + self.lazy.worklist.len() - queued;
+        ScanOutcome { cells, found, planned, done: self.lazy.scan_done() }
     }
 
-    /// Worklist entries the scavenger has not yet passed (0 outside an
-    /// epoch). Entries the guest already migrated through the barrier
-    /// still count until the scavenger skips over them.
-    pub fn lazy_remaining(&self) -> usize {
-        self.lazy.worklist.len() - self.lazy.cursor
+    /// Worklist entries the scavenger has not yet passed (empty outside
+    /// an epoch), in the order it will take them. Entries the guest
+    /// already migrated through the barrier stay until the scavenger
+    /// skips over them.
+    pub fn lazy_worklist(&self) -> &[GcRef] {
+        self.lazy.pending_entries()
     }
 
     /// Whether the resolved cell `r` is a stale object the epoch still
@@ -1220,33 +1231,29 @@ impl Vm {
     /// read barrier, `Dsu.forceTransform`, and the scavenger. `r` must be
     /// a *resolved* stale object ([`Vm::lazy_is_stale`]).
     ///
-    /// A class with a copy plan is converted on the spot: only the
+    /// A class with a copy plan is converted on the spot by the same heap
+    /// routine the discovery scan uses ([`Heap::apply_plan`]): only the
     /// new-layout object is allocated, filled from `r` per the plan, and
-    /// `r` forwards to it — the migration is complete and counted. Any
-    /// other class is duplicated as the eager update-GC would: an
-    /// old-layout copy plus a zeroed new-layout object, logged as a pair
-    /// for the caller to run the transformer over.
+    /// `r` forwards to it — the migration is complete and counted. Such
+    /// an object reaches here only if the guest touches it before the
+    /// scan does, or if the scan found the semispace full. Any other
+    /// class is duplicated as the eager update-GC would: an old-layout
+    /// copy plus a zeroed new-layout object, logged as a pair for the
+    /// caller to run the transformer over.
     ///
     /// Returns `None` if an allocation fails, with nothing installed (the
     /// caller collects and retries).
     pub(crate) fn lazy_dup(&mut self, r: GcRef) -> Option<LazyDup> {
         let old_class = self.heap.class_of(r);
         let new_class = self.lazy.remap.get(old_class).expect("lazy_dup on a stale object");
-        let new_size = self.registry.object_size(new_class);
         let snapshot = self.registry.layout_snapshot();
         if let Some(plan) = self.lazy.remap.plan(old_class) {
-            let new_obj = self.heap.alloc_object(new_class, new_size)?;
-            for (i, &src) in plan.sources().iter().enumerate() {
-                if src != CopyPlan::ZERO {
-                    let w = self.heap.get(r, src as usize);
-                    self.heap.set(new_obj, i, w);
-                }
-            }
-            self.heap.install_forward(r, new_obj, &snapshot);
+            let new_obj = self.heap.apply_plan(r, new_class, plan, &snapshot)?;
             self.lazy.transformed += 1;
             self.lazy.planned += 1;
             return Some(LazyDup::Planned(new_obj));
         }
+        let new_size = self.registry.object_size(new_class);
         let old_size = self.registry.object_size(old_class);
         let old_copy = self.heap.alloc_object(old_class, old_size)?;
         let new_obj = self.heap.alloc_object(new_class, new_size)?;
@@ -1283,17 +1290,17 @@ impl Vm {
         let mut thread = None;
         let result = (|| {
             while transformed < batch && self.lazy.cursor < self.lazy.worklist.len() {
-                let idx = self.lazy.cursor;
-                if !self.lazy_is_stale(self.heap.resolve(self.lazy.worklist[idx])) {
+                if !self.lazy_is_stale(self.heap.resolve(self.lazy.worklist[self.lazy.cursor])) {
                     // The guest (or a recursive force) got here first.
-                    self.lazy.cursor = idx + 1;
+                    self.lazy.cursor += 1;
                     continue;
                 }
                 let mut gc_retries = 0;
                 let dup = loop {
-                    // Re-resolve through the worklist each attempt: a failed
-                    // allocation collects, which moves the object.
-                    let r = self.heap.resolve(self.lazy.worklist[idx]);
+                    // Re-read the entry each attempt: a failed allocation
+                    // collects, which moves the object and drops the
+                    // worklist's processed prefix (so the cursor moves too).
+                    let r = self.heap.resolve(self.lazy.worklist[self.lazy.cursor]);
                     if let Some(dup) = self.lazy_dup(r) {
                         break dup;
                     }
@@ -1306,7 +1313,7 @@ impl Vm {
                 // The object is migrated, or its pair is rooted via the
                 // update log: advance past the entry before running the
                 // transformer (which may itself GC).
-                self.lazy.cursor = idx + 1;
+                self.lazy.cursor += 1;
                 match dup {
                     LazyDup::Planned(_) => planned += 1,
                     LazyDup::Logged(index) => {
@@ -1323,7 +1330,7 @@ impl Vm {
             self.close_sync_thread(thread);
         }
         result?;
-        Ok(ScavengeOutcome { transformed, planned, remaining: self.lazy_remaining() })
+        Ok(ScavengeOutcome { transformed, planned, remaining: self.lazy_worklist().len() })
     }
 
     /// Runs one bounded forwarding-collapse batch. The first call performs

@@ -12,11 +12,16 @@
 //!   same snapshot and remap table produce identical update logs, in the
 //!   same order, and identical copy counts;
 //! * a collection leaves the active semispace parsable cell by cell:
-//!   exactly the copied cells, ending exactly at the allocation cursor.
+//!   exactly the copied cells, ending exactly at the allocation cursor;
+//! * the lazy epoch's bounded walks — the converting discovery scan and
+//!   the forwarding collapse — leave the same heap however they are
+//!   batched.
 
 use std::collections::BTreeMap;
 
-use jvolve_vm::heap::{ClassLayouts, GcRemap, Heap, HeapKind, LayoutSnapshot, RemapTable};
+use jvolve_vm::heap::{
+    ClassLayouts, CopyPlan, GcRemap, Heap, HeapKind, LayoutSnapshot, RemapTable,
+};
 use jvolve_vm::{ClassId, GcRef};
 
 // ---- deterministic rng (SplitMix64) -----------------------------------
@@ -362,13 +367,50 @@ fn forward_some_objects(heap: &mut Heap, g: &Graph, rng: &mut Rng) -> Vec<GcRef>
     forwarded
 }
 
+/// Every class of [`Layouts`] remapped, none with a plan: the discovery
+/// scan then queues every unforwarded, untagged plain object it meets and
+/// converts none.
+fn queue_everything() -> RemapTable {
+    RemapTable::from_pairs([(ClassId(0), ClassId(9)), (ClassId(1), ClassId(9))], 10)
+}
+
+/// Runs the discovery scan from the active semispace's base up to
+/// `limit` in batches, each on the budget `budget()` picks, returning
+/// `(worklist, cells_stepped, converted)`. No batch may charge more than
+/// its budget plus one conversion.
+fn scan_in_batches(
+    heap: &mut Heap,
+    limit: usize,
+    mut budget: impl FnMut() -> usize,
+    remap: &RemapTable,
+) -> (Vec<GcRef>, usize, usize) {
+    let snap = snapshot();
+    let mut worklist = Vec::new();
+    let (mut addr, mut total_cells, mut total_converted) = (heap.active_base(), 0, 0);
+    while addr < limit {
+        let max_cells = budget();
+        let (next, cells, converted) =
+            heap.convert_stale(addr, limit, max_cells, &snap, remap, &mut worklist);
+        assert!(next > addr, "scan must make progress");
+        assert!(
+            cells + converted <= max_cells.saturating_add(1),
+            "charged {cells} cells + {converted} conversions on a budget of {max_cells}"
+        );
+        addr = next;
+        total_cells += cells;
+        total_converted += converted;
+    }
+    assert_eq!(addr, limit, "the batches stop at the watermark");
+    (worklist, total_cells, total_converted)
+}
+
 /// The batched SATB scan visits exactly the unforwarded plain objects
 /// below the watermark, in address order, for every batch size — and the
 /// forwarded cells and above-watermark allocations are stepped over, not
 /// visited.
 #[test]
 fn batched_scan_visits_unforwarded_objects_below_the_watermark() {
-    let snap = snapshot();
+    let remap = queue_everything();
     for seed in 0..48 {
         let mut heap = Heap::new(64 * 1024);
         let mut rng = Rng::new(seed ^ 0x5CA7_5CA7_5CA7_5CA7);
@@ -376,30 +418,20 @@ fn batched_scan_visits_unforwarded_objects_below_the_watermark() {
         // The watermark precedes the duplicates: everything the forwarding
         // step allocates lands above it, like mid-epoch allocation.
         let watermark = heap.alloc_cursor();
-        let forwarded = forward_some_objects(&mut heap, &g, &mut rng);
+        forward_some_objects(&mut heap, &g, &mut rng);
 
-        let expected: Vec<u32> = g
+        let expected: Vec<GcRef> = g
             .nodes
             .iter()
-            .filter(|&&r| !heap.is_forwarded(r) && heap.kind(r) == HeapKind::Object)
-            .map(|r| r.0)
+            .copied()
+            .filter(|&r| !heap.is_forwarded(r) && heap.kind(r) == HeapKind::Object)
             .collect();
 
         // One unbounded walk and several batch sizes must agree exactly.
         for max_cells in [usize::MAX, 1, 3, 7] {
-            let mut seen = Vec::new();
-            let mut addr = heap.active_base();
-            let mut total_cells = 0;
-            while addr < watermark {
-                let (next, cells) =
-                    heap.scan_objects(addr, watermark, max_cells, &snap, |r, class| {
-                        assert_ne!(class, ClassId(9), "seed {seed}: duplicate below watermark");
-                        seen.push(r.0);
-                    });
-                assert!(next > addr, "seed {seed}: scan must make progress");
-                addr = next;
-                total_cells += cells;
-            }
+            let (seen, total_cells, converted) =
+                scan_in_batches(&mut heap, watermark, || max_cells, &remap);
+            assert_eq!(converted, 0, "seed {seed}: nothing has a plan");
             assert_eq!(
                 seen, expected,
                 "seed {seed}, batch {max_cells}: scan visited the wrong objects"
@@ -410,8 +442,99 @@ fn batched_scan_visits_unforwarded_objects_below_the_watermark() {
                 "seed {seed}, batch {max_cells}: every cell below the watermark stepped once"
             );
         }
-        let _ = forwarded;
     }
+}
+
+/// Class 0's plan onto class 9: its three fields keep their slots, the
+/// fourth new field stays zero.
+fn planned_remap() -> RemapTable {
+    let mut table = queue_everything();
+    let plan = CopyPlan::new(4, &[(0, 0), (1, 1), (2, 2)]).expect("valid plan");
+    table.set_plan(ClassId(0), plan, &Layouts);
+    table
+}
+
+/// The converting scan is one pass however it is batched: over random
+/// graphs with class 0 planned onto class 9 and class 1 queued, scans at
+/// random budgets leave the same heap, word for word, and the same
+/// worklist as one unbounded pass, and no batch charges more than its
+/// budget plus one conversion. Each heap is sized so that for some seeds
+/// the semispace fills part way through: a conversion it refuses falls
+/// back to the worklist, which stays in ascending address order. Objects
+/// the mutator already migrated (forwarded) and old-layout copies
+/// (header tag set) are neither converted nor queued.
+#[test]
+fn batched_converting_scan_matches_one_pass_word_for_word() {
+    let remap = planned_remap();
+    let (mut total_converted, mut total_refused) = (0, 0);
+    for seed in 0..64 {
+        let build = |semispace: usize| -> (Heap, Graph, usize) {
+            let mut rng = Rng::new(seed ^ 0xC0DE_C0DE_C0DE_C0DE);
+            let mut heap = Heap::new(semispace);
+            let g = build_graph(&mut heap, seed);
+            let watermark = heap.alloc_cursor();
+            forward_some_objects(&mut heap, &g, &mut rng);
+            if let Some(&r) = g.nodes.iter().find(|&&r| {
+                !heap.is_forwarded(r) && heap.kind(r) == HeapKind::Object && rng.below(3) == 0
+            }) {
+                heap.set_header_tag(r, 1);
+            }
+            (heap, g, watermark)
+        };
+        // Room for everything, then a semispace that runs out part way.
+        let (probe, _, _) = build(64 * 1024);
+        let used = probe.used_words();
+        let mut rng = Rng::new(seed);
+        let semispace = (used + rng.below(5 * 12)).max(16);
+
+        let (mut h1, g, watermark) = build(semispace);
+        let (one_pass, cells, converted) =
+            scan_in_batches(&mut h1, watermark, || usize::MAX, &remap);
+
+        let (mut h2, _, _) = build(semispace);
+        let (worklist, batched_cells, batched_converted) =
+            scan_in_batches(&mut h2, watermark, || 1 + rng.below(6), &remap);
+        assert_eq!((batched_cells, batched_converted), (cells, converted), "seed {seed}");
+        assert_eq!(worklist, one_pass, "seed {seed}: batching changed the worklist");
+        assert!(
+            heap_words(&h1) == heap_words(&h2),
+            "seed {seed}: the batched scan left different heap words than one pass"
+        );
+
+        // What each stale object became, read off the single-pass heap.
+        assert!(
+            one_pass.windows(2).all(|w| w[0].0 < w[1].0),
+            "seed {seed}: worklist out of address order"
+        );
+        let mut seen_converted = 0;
+        for &r in &g.nodes {
+            let queued = one_pass.contains(&r);
+            if h1.is_forwarded(r) {
+                let new_obj = h1.resolve(r);
+                if h1.class_of(new_obj) == ClassId(9) {
+                    seen_converted += 1;
+                    assert!(!queued, "seed {seed}: {r} converted and queued");
+                    for slot in 0..3 {
+                        assert_eq!(h1.get(new_obj, slot), h1.get(r, slot), "seed {seed}: {r}");
+                    }
+                    assert_eq!(h1.get(new_obj, 3), 0, "seed {seed}: defaulted field");
+                }
+                continue;
+            }
+            let stale = h1.kind(r) == HeapKind::Object && h1.header_tag(r) == 0;
+            assert_eq!(queued, stale, "seed {seed}: {r} queued = {queued}");
+        }
+        assert_eq!(seen_converted, converted, "seed {seed}");
+        let refused = one_pass.iter().filter(|&&r| h1.class_of(r) == ClassId(0)).count();
+        if refused > 0 {
+            assert!(h1.free_words() < 5, "seed {seed}: refused a conversion with room left");
+        }
+        (total_converted, total_refused) = (total_converted + converted, total_refused + refused);
+    }
+    assert!(
+        total_converted > 0 && total_refused > 0,
+        "{total_converted} converted, {total_refused} refused: both paths must run"
+    );
 }
 
 /// Every word of both semispaces, in address order.
@@ -553,16 +676,17 @@ fn collection_into_stale_to_space_leaves_it_parsable_cell_by_cell() {
             .iter()
             .filter(|sig| matches!(sig, Sig::Object { .. }))
             .count();
-        let mut walked_objects = 0;
-        let (end, cells) = heap.scan_objects(
+        let mut walked = Vec::new();
+        let (end, cells, _) = heap.convert_stale(
             heap.active_base(),
             heap.alloc_cursor(),
             usize::MAX,
             &snap,
-            |_, _| walked_objects += 1,
+            &queue_everything(),
+            &mut walked,
         );
         assert_eq!(end, heap.alloc_cursor(), "seed {seed}: walk overran the cursor");
-        assert_eq!(walked_objects, live_objects, "seed {seed}: the walk parsed stale words");
+        assert_eq!(walked.len(), live_objects, "seed {seed}: the walk parsed stale words");
         assert_eq!(cells, out.copied_cells, "seed {seed}: one walked cell per copied cell");
     }
 }

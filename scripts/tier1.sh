@@ -119,12 +119,13 @@ if [ "$skip_bench" = 0 ]; then
     # committed results/BENCH_interp.json.
     echo "== tier-1: interpreter tiers, ratio (caches >= 0.96x, jit >= 2.55x) + exact-count gates =="
     cargo run --release -q -p jvolve-bench --bin interpbench -- --check --iters 5
-    # lazybench --check reads no file: four same-run best-of-N ratios
+    # lazybench --check reads no file: five same-run best-of-N ratios
     # (lazy pause <= 25% of eager, lazy pause at the largest heap point <=
     # 2x the smallest's, longest controller step after the release <= 4x
-    # across the same points, post-drain steady state within the
-    # regression limit of eager's).
-    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, step flatness <= 4x, steady state) =="
+    # across the same points, lazy drain <= 1.5x the eager pause at the
+    # largest point, post-drain steady state within the regression limit
+    # of eager's).
+    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, step flatness <= 4x, drain <= 1.5x eager, steady state) =="
     cargo run --release -q -p jvolve-bench --bin lazybench -- --check --iters 5
     # fleetbench and streambench --check read no file either: roll and
     # stream integrity are counts, the fleet's scaling gate a same-run
@@ -137,7 +138,7 @@ if [ "$skip_bench" = 0 ]; then
 else
     echo "== tier-1: update-GC, exact counts + ratio gates (100%/0% <= 2.5x, plan/interpreted <= 0.5x) skipped (--skip-bench) =="
     echo "== tier-1: interpreter tiers, ratio (caches >= 0.96x, jit >= 2.55x) + exact-count gates skipped (--skip-bench) =="
-    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, step flatness <= 4x, steady state) skipped (--skip-bench) =="
+    echo "== tier-1: lazy migration, ratio gates (pause <= 25% of eager, flatness <= 2x, step flatness <= 4x, drain <= 1.5x eager, steady state) skipped (--skip-bench) =="
     echo "== tier-1: fleet rolling-update integrity + scaling (same-run ratio) check skipped (--skip-bench) =="
     echo "== tier-1: UPT release-stream integrity + absolute pause ceiling check skipped (--skip-bench) =="
 fi

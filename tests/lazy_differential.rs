@@ -343,6 +343,105 @@ class JvolveTransformers {
   }
 }";
 
+/// The same update with a pure field-copy transformer: it lowers to a
+/// copy plan, so the discovery scan converts every node itself and the
+/// drain only sees what the scan had no room to convert.
+const FLAT_PLANNED_TRANSFORMERS: &str = "
+class JvolveTransformers {
+  static method jvolve_class_Node(): void { }
+  static method jvolve_object_Node(to: Node, from: v1_Node): void {
+    to.id = from.id;
+    to.next = from.next;
+  }
+}";
+
+/// A Figure-3-style release (the paper's email server 1.3.2): `User`'s
+/// forward list changes from `String[]` to `EmailAddress[]`, so its
+/// transformer allocates, loops and calls a native and must be
+/// interpreted; `Tag` only gains a field, so its transformer is a copy
+/// plan. The scan converts the tags and queues the users for the drain.
+const MAIL_V1: &str = "
+class Tag { field label: String; ctor(s: String) { this.label = s; } }
+class User {
+  field name: String; field tag: Tag; field forwards: String[];
+  ctor(n: String, t: Tag, f: String[]) { this.name = n; this.tag = t; this.forwards = f; }
+}
+class App {
+  static field users: User[];
+  static field trace: int;
+  static method build(n: int): void {
+    var users: User[] = new User[n];
+    var i: int = 0;
+    while (i < n) {
+      var f: String[] = new String[2];
+      f[0] = \"u\" + Str.fromInt(i) + \"@a.org\";
+      f[1] = \"w\" + Str.fromInt(i) + \"@mail.example.net\";
+      users[i] = new User(\"user\" + Str.fromInt(i), new Tag(Str.fromInt(i % 7)), f);
+      i = i + 1;
+    }
+    App.users = users;
+    App.trace = 1;
+  }
+  static method checksum(): int {
+    var sum: int = 0;
+    var i: int = 0;
+    while (i < App.users.length) {
+      var u: User = App.users[i];
+      sum = sum * 31 + Str.len(u.name) + Str.len(u.tag.label) + Str.len(u.forwards[1]);
+      i = i + 1;
+    }
+    return sum;
+  }
+}";
+
+const MAIL_V2: &str = "
+class Tag { field label: String; field hits: int; ctor(s: String) { this.label = s; } }
+class EmailAddress {
+  field user: String; field host: String;
+  ctor(u: String, h: String) { this.user = u; this.host = h; }
+}
+class User {
+  field name: String; field tag: Tag; field forwards: EmailAddress[];
+  ctor(n: String, t: Tag, f: EmailAddress[]) { this.name = n; this.tag = t; this.forwards = f; }
+}
+class App {
+  static field users: User[];
+  static field trace: int;
+  static method build(n: int): void { App.users = new User[n]; App.trace = 1; }
+  static method checksum(): int {
+    var sum: int = 0;
+    var i: int = 0;
+    while (i < App.users.length) {
+      var u: User = App.users[i];
+      sum = sum * 31 + Str.len(u.name) + Str.len(u.tag.label) + Str.len(u.forwards[1].host);
+      i = i + 1;
+    }
+    return sum;
+  }
+}";
+
+const MAIL_TRANSFORMERS: &str = "
+class JvolveTransformers {
+  static method jvolve_class_Tag(): void { }
+  static method jvolve_object_Tag(to: Tag, from: v1_Tag): void {
+    to.label = from.label;
+  }
+  static method jvolve_class_User(): void { }
+  static method jvolve_object_User(to: User, from: v1_User): void {
+    to.name = from.name;
+    to.tag = from.tag;
+    var len: int = from.forwards.length;
+    to.forwards = new EmailAddress[len];
+    var i: int = 0;
+    while (i < len) {
+      var parts: String[] = Str.split(from.forwards[i], \"@\");
+      to.forwards[i] = new EmailAddress(parts[0], parts[1]);
+      i = i + 1;
+    }
+    App.trace = App.trace * 31 + Str.len(from.name);
+  }
+}";
+
 // ---- harness -----------------------------------------------------------
 
 struct Fixture {
@@ -434,6 +533,52 @@ fn flat_fixture() -> Fixture {
         transformers: FLAT_TRANSFORMERS,
         build_args: vec![Value::Int(FLAT_NODES)],
     }
+}
+
+fn flat_planned_fixture() -> Fixture {
+    Fixture { transformers: FLAT_PLANNED_TRANSFORMERS, ..flat_fixture() }
+}
+
+/// The `(found, planned)` of every discovery-scan step in `events`.
+fn scan_steps(events: &[UpdateEvent]) -> Vec<(usize, usize)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            UpdateEvent::LazyScanStep { found, planned, .. } => Some((found, planned)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The `(transformed, planned)` of every scavenge step in `events`.
+fn scavenge_steps(events: &[UpdateEvent]) -> Vec<(usize, usize)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            UpdateEvent::LazyScavengeStep { transformed, planned, .. } => {
+                Some((transformed, planned))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The `(objects_transformed, objects_planned)` the epoch reported.
+fn epoch_totals(events: &[UpdateEvent]) -> (usize, usize) {
+    events
+        .iter()
+        .find_map(|e| match *e {
+            UpdateEvent::TransformersRun { objects_transformed, objects_planned } => {
+                Some((objects_transformed, objects_planned))
+            }
+            _ => None,
+        })
+        .expect("the epoch reported its totals")
+}
+
+/// Sums each column of `(a, b)` rows.
+fn totals(rows: &[(usize, usize)]) -> (usize, usize) {
+    rows.iter().fold((0, 0), |(a, b), &(x, y)| (a + x, b + y))
 }
 
 /// The `(cells, rewritten, done)` of every collapse step in `events`.
@@ -791,6 +936,137 @@ fn gc_between_collapse_steps_inside_an_array_matches_eager() {
     for (cells, rewritten, done) in steps {
         assert!(!done && cells == FLAT_STEP_CELLS && rewritten > 0, "{cells} {rewritten} {done}");
     }
+}
+
+/// A Figure-3-style release mixes both kinds of transformer: the scan
+/// converts every planned `Tag` as it finds it, and only the `User`s,
+/// whose transformer must be interpreted, reach the drain — in ascending
+/// address order, as the eager update log runs them, so the
+/// order-sensitive trace matches.
+#[test]
+fn figure3_users_drain_while_the_scan_converts_their_tags() {
+    const USERS: i64 = 300;
+    let fixture = Fixture {
+        v1: MAIL_V1,
+        v2: MAIL_V2,
+        transformers: MAIL_TRANSFORMERS,
+        build_args: vec![Value::Int(USERS)],
+    };
+    let eager = run_eager(&fixture);
+    assert_eq!(eager.objects_transformed, 2 * USERS as usize);
+
+    let (mut vm, update) = make_vm(&fixture, true);
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions { lazy_scavenge_batch: 16, lazy_step_cells: 256, ..ApplyOptions::default() },
+    );
+    controller.attach_sink(&mut events);
+    let stats = controller.run_to_completion(&mut vm).expect("lazy update applies");
+    drop(controller);
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "the converting scan diverged from eager");
+    assert_ne!(lazy.trace, 1, "the User transformer ran");
+
+    let users = USERS as usize;
+    let scans = scan_steps(&events.events);
+    assert!(scans.len() > 1, "the scan ran in several steps: {scans:?}");
+    assert_eq!(totals(&scans), (2 * users, users), "found every object, converted every Tag");
+    assert_eq!(totals(&scavenge_steps(&events.events)), (users, 0), "the drain ran the Users");
+    assert_eq!(epoch_totals(&events.events), (2 * users, users));
+    assert_eq!((stats.objects_transformed, stats.objects_planned), (2 * users, users));
+}
+
+/// A semispace that fills part way through the scan: the conversions it
+/// has no room for fall back to the worklist — the unconverted tail, in
+/// ascending address order — and the drain collects and converts them.
+/// The epoch ends on the eager heap with the eager count.
+#[test]
+fn a_semispace_full_mid_scan_leaves_the_tail_to_the_drain() {
+    let fixture = flat_planned_fixture();
+    let nodes = FLAT_NODES as usize;
+    // Room for the v1 heap plus half as many words again as the nodes
+    // hold: an eager commit fits (each node grows by one word), but
+    // converting every node beside its original does not.
+    let (probe, _) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
+    let semispace = probe.heap().used_words() + 2 * nodes;
+    drop(probe);
+    let eager = run_eager_sized(&fixture, semispace);
+    assert_eq!(eager.objects_transformed, nodes);
+
+    let (mut vm, update) = make_vm_sized(&fixture, true, semispace);
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(&update, ApplyOptions::default());
+    controller.attach_sink(&mut events);
+    let mut tail = None;
+    let stats = loop {
+        let scanning = vm.lazy_stage() == LazyStage::Scan;
+        match controller.step(&mut vm) {
+            StepProgress::Pending(UpdatePhase::LazyMigrating) => {
+                if scanning && vm.lazy_stage() != LazyStage::Scan {
+                    tail = Some(vm.lazy_worklist().to_vec());
+                }
+            }
+            StepProgress::Pending(_) => {}
+            StepProgress::Committed => break controller.stats().clone(),
+            StepProgress::Aborted => panic!("lazy update aborted: {:?}", controller.error()),
+        }
+    };
+    drop(controller);
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "the refused conversions diverged from eager");
+    assert_eq!((stats.objects_transformed, stats.objects_planned), (nodes, nodes));
+
+    let tail = tail.expect("the scan finished");
+    let (found, converted) = totals(&scan_steps(&events.events));
+    assert_eq!(found, nodes, "the scan found every node");
+    assert!(converted > 0 && converted < nodes, "the semispace filled mid-scan: {converted}");
+    assert_eq!(tail.len(), nodes - converted, "every refused conversion was queued");
+    assert!(tail.windows(2).all(|w| w[0].0 < w[1].0), "the tail is out of address order");
+    assert_eq!(totals(&scavenge_steps(&events.events)), (tail.len(), tail.len()));
+}
+
+/// A full collection that lands between two scan steps completes the
+/// scan first, and that completion scan converts too: the collection
+/// leaves nothing to drain, no further scan step runs, and the epoch ends
+/// on the eager heap.
+#[test]
+fn gc_between_scan_steps_converts_in_the_completion_scan() {
+    let fixture = flat_planned_fixture();
+    let nodes = FLAT_NODES as usize;
+    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS);
+
+    let (mut vm, update) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions { lazy_step_cells: FLAT_STEP_CELLS, ..ApplyOptions::default() },
+    );
+    controller.attach_sink(&mut events);
+    let mut collected = false;
+    let stats = loop {
+        let scanning = vm.lazy_stage() == LazyStage::Scan;
+        match controller.step(&mut vm) {
+            StepProgress::Pending(UpdatePhase::LazyMigrating) if scanning && !collected => {
+                assert_eq!(vm.lazy_stage(), LazyStage::Scan, "one step did not finish the scan");
+                vm.collect_full(&NoRemap).expect("mid-scan GC succeeds");
+                collected = true;
+                assert_eq!(vm.lazy_stage(), LazyStage::Collapse, "nothing was left to drain");
+            }
+            StepProgress::Pending(_) => {}
+            StepProgress::Committed => break controller.stats().clone(),
+            StepProgress::Aborted => panic!("lazy update aborted: {:?}", controller.error()),
+        }
+    };
+    drop(controller);
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "a GC between scan steps broke the oracle");
+    assert_eq!((stats.objects_transformed, stats.objects_planned), (nodes, nodes));
+
+    let scans = scan_steps(&events.events);
+    assert_eq!(scans.len(), 1, "no scan step runs after the collection: {scans:?}");
+    assert!(scans[0].1 > 0 && scans[0].1 < nodes, "{scans:?}");
+    assert!(scavenge_steps(&events.events).is_empty(), "the drain ran");
 }
 
 /// Property test: randomized interleavings of guest execution (touching
