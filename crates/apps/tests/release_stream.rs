@@ -20,6 +20,7 @@ fn lazy_stream_serializes_mid_drain_arrivals() {
     let report = run_release_stream(&Kvstore, &StreamOptions::lazy());
     assert!(report.clean(UPDATES), "{report:?}");
     assert_eq!(report.incorrect, 0, "{report:?}");
+    assert_eq!(report.unanswered, 0, "{report:?}");
     assert!(
         report.queued_mid_drain >= 1,
         "at least one release must arrive while an epoch drains: {report:?}"

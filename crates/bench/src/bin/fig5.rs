@@ -7,7 +7,7 @@
 //! (paper: 21 runs of 60 s; default here: 5 runs of 20k slices)
 
 use jvolve_bench::arg_value;
-use jvolve_bench::fig5::{run_config, Config};
+use jvolve_bench::fig5::{run_all, Config};
 
 fn main() {
     let runs: usize = arg_value("--runs").and_then(|s| s.parse().ok()).unwrap_or(5);
@@ -19,17 +19,16 @@ fn main() {
          concurrency {concurrency})\n"
     );
     println!(
-        "{:<22} {:>12} {:>17} {:>12} {:>17} {:>10} {:>6}",
-        "Config.", "Tput (r/ks)", "quartiles", "Lat (slices)", "quartiles", "IC hits", "jits"
+        "{:<22} {:>11} {:>17} {:>9} {:>13} {:>10} {:>6}",
+        "Config.", "Tput (r/s)", "quartiles", "p50 (µs)", "quartiles", "IC hits", "jits"
     );
 
-    let mut rows = Vec::new();
-    for config in Config::all() {
-        eprintln!("measuring {} ...", config.label());
-        let row = run_config(config, runs, concurrency, slices);
+    eprintln!("measuring {runs} rounds of every configuration ...");
+    let rows = run_all(runs, concurrency, slices);
+    for row in &rows {
         println!(
-            "{:<22} {:>12.2} {:>7.2}/{:>7.2}  {:>12.1} {:>7.1}/{:>7.1} {:>9.1}% {:>6}",
-            config.label(),
+            "{:<22} {:>11.0} {:>8.0}/{:>8.0} {:>9.2} {:>6.2}/{:>6.2} {:>9.1}% {:>6}",
+            row.config.label(),
             row.throughput_median,
             row.throughput_quartiles.0,
             row.throughput_quartiles.1,
@@ -39,7 +38,6 @@ fn main() {
             row.ic_hit_rate * 100.0,
             row.jit_compiles
         );
-        rows.push(row);
     }
 
     let tput = |c: Config| {
@@ -65,11 +63,11 @@ fn main() {
     println!("\npost-update warm-up (adaptive recompilation):");
     println!(
         "{:>8} {:>14} {:>14} {:>13}",
-        "window", "tput (r/ks)", "base compiles", "jit compiles"
+        "window", "tput (r/s)", "base compiles", "jit compiles"
     );
     for w in jvolve_bench::fig5::warmup_series(5, 2_000, concurrency) {
         println!(
-            "{:>8} {:>14.1} {:>14} {:>13}",
+            "{:>8} {:>14.0} {:>14} {:>13}",
             w.window, w.throughput, w.base_compiles, w.jit_compiles
         );
     }

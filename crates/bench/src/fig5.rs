@@ -15,11 +15,13 @@
 //! * `JvolveUpdated` — started at 5.1.5, dynamically updated to 5.1.6
 //!   under way, then measured (jit-deopted code must re-promote).
 
+use std::time::{Duration, Instant};
+
 use jvolve_apps::harness::{attempt_update, bench_apply_options, boot_with};
 use jvolve_apps::webserver::{Webserver, PORT};
-use jvolve_apps::workload::{drive_http, LoadStats};
+use jvolve_apps::workload::{drive_http, percentile};
 use jvolve_apps::GuestApp;
-use jvolve_vm::VmConfig;
+use jvolve_vm::{Vm, VmConfig};
 
 /// Benchmark configuration identifiers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,12 +58,72 @@ impl Config {
     }
 }
 
+/// A closed-loop load run timed on the host clock.
+#[derive(Debug, Clone, Default)]
+pub struct Served {
+    /// Requests that received a response.
+    pub completed: u64,
+    /// Wall time of the whole run.
+    pub wall: Duration,
+    /// Per-request latency from send to response, in nanoseconds.
+    pub latencies_ns: Vec<u64>,
+}
+
+impl Served {
+    /// Requests completed per wall-clock second.
+    pub fn requests_per_sec(&self) -> f64 {
+        self.completed as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+
+    /// Median request latency in microseconds.
+    pub fn p50_us(&self) -> f64 {
+        percentile(&self.latencies_ns, 50.0) / 1e3
+    }
+}
+
+/// `drive_http`'s closed loop — keep `concurrency` requests in flight
+/// for `slices` scheduler slices — with every request timed by `Instant`
+/// from send to response. Every configuration retires the same slices
+/// per request, so only host time tells them apart.
+fn serve(vm: &mut Vm, paths: &[&str], concurrency: usize, slices: u64) -> Served {
+    let mut served = Served::default();
+    let mut in_flight: Vec<(usize, Instant)> = Vec::with_capacity(concurrency);
+    let mut next_path = 0usize;
+    let started = Instant::now();
+    for _ in 0..slices {
+        while in_flight.len() < concurrency {
+            let Some(conn) = vm.net_mut().client_connect(PORT) else { break };
+            vm.net_mut().client_send(conn, format!("GET {}", paths[next_path % paths.len()]));
+            next_path += 1;
+            in_flight.push((conn, Instant::now()));
+        }
+        vm.step_slice();
+        let mut i = 0;
+        while i < in_flight.len() {
+            let (conn, sent) = in_flight[i];
+            if vm.net_mut().client_recv(conn).is_some() {
+                vm.net_mut().client_close(conn);
+                served.completed += 1;
+                served.latencies_ns.push(sent.elapsed().as_nanos() as u64);
+                in_flight.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+    }
+    served.wall = started.elapsed();
+    for (conn, _) in in_flight {
+        vm.net_mut().client_close(conn);
+    }
+    served
+}
+
 /// The standard measurement: saturating closed-loop load for `slices`
-/// scheduler slices at the given concurrency. Returns the load stats,
+/// scheduler slices at the given concurrency. Returns the timed run,
 /// the inline-cache hit rate over the measured window (0 for `Stock`,
 /// which runs with the dispatch fast path off), and the whole-run jit
 /// promotion count (0 unless [`Config::jit`]).
-pub fn measure(config: Config, concurrency: usize, slices: u64) -> (LoadStats, f64, u64) {
+pub fn measure(config: Config, concurrency: usize, slices: u64) -> (Served, f64, u64) {
     let vm_config = VmConfig {
         semispace_words: 512 * 1024,
         quantum: 300,
@@ -92,17 +154,17 @@ pub fn measure(config: Config, concurrency: usize, slices: u64) -> (LoadStats, f
         }
     };
     let (hits0, misses0) = (vm.stats().ic_hits, vm.stats().ic_misses);
-    let stats = drive_http(&mut vm, PORT, &paths, concurrency, slices);
+    let served = serve(&mut vm, &paths, concurrency, slices);
     let lookups = (vm.stats().ic_hits - hits0) + (vm.stats().ic_misses - misses0);
     let hit_rate = if lookups == 0 {
         0.0
     } else {
         (vm.stats().ic_hits - hits0) as f64 / lookups as f64
     };
-    (stats, hit_rate, vm.stats().jit_compiles)
+    (served, hit_rate, vm.stats().jit_compiles)
 }
 
-fn warmup(vm: &mut jvolve_vm::Vm, paths: &[&str], concurrency: usize) {
+fn warmup(vm: &mut Vm, paths: &[&str], concurrency: usize) {
     drive_http(vm, PORT, paths, concurrency, 3_000);
 }
 
@@ -113,11 +175,11 @@ fn warmup(vm: &mut jvolve_vm::Vm, paths: &[&str], concurrency: usize) {
 pub struct Fig5Row {
     /// Configuration measured.
     pub config: Config,
-    /// Median throughput (requests per 1000 slices) across runs.
+    /// Median throughput (requests per wall-clock second) across runs.
     pub throughput_median: f64,
     /// Lower/upper quartile of throughput across runs.
     pub throughput_quartiles: (f64, f64),
-    /// Median of per-run median latencies (slices).
+    /// Median of per-run median latencies (µs).
     pub latency_median: f64,
     /// Quartiles of per-run median latencies.
     pub latency_quartiles: (f64, f64),
@@ -129,29 +191,39 @@ pub struct Fig5Row {
     pub runs: usize,
 }
 
-/// Runs `runs` measurements of `config` and aggregates them.
-pub fn run_config(config: Config, runs: usize, concurrency: usize, slices: u64) -> Fig5Row {
-    let mut throughputs = Vec::with_capacity(runs);
-    let mut latencies = Vec::with_capacity(runs);
-    let mut hit_rates = Vec::with_capacity(runs);
-    let mut jit_compiles = 0;
+/// Runs `runs` rounds of every configuration and aggregates each one.
+/// A round measures the four in turn, so a burst of host noise, which on
+/// a shared host lasts seconds, lands on every row alike instead of on
+/// whichever configuration happened to be running.
+pub fn run_all(runs: usize, concurrency: usize, slices: u64) -> Vec<Fig5Row> {
+    let mut samples: Vec<Vec<(Served, f64, u64)>> = Config::all().map(|_| Vec::new()).into();
     for _ in 0..runs {
-        let (stats, hit_rate, jits) = measure(config, concurrency, slices);
-        throughputs.push(stats.throughput_per_kslice());
-        latencies.push(stats.median_latency());
-        hit_rates.push(hit_rate);
-        jit_compiles = jits;
+        for (config, runs) in Config::all().into_iter().zip(&mut samples) {
+            runs.push(measure(config, concurrency, slices));
+        }
     }
-    Fig5Row {
-        config,
-        throughput_median: fmedian(&mut throughputs.clone()),
-        throughput_quartiles: fquartiles(&mut throughputs.clone()),
-        latency_median: fmedian(&mut latencies.clone()),
-        latency_quartiles: fquartiles(&mut latencies.clone()),
-        ic_hit_rate: fmedian(&mut hit_rates),
-        jit_compiles,
-        runs,
-    }
+    Config::all()
+        .into_iter()
+        .zip(samples)
+        .map(|(config, samples)| {
+            let column = |f: fn(&(Served, f64, u64)) -> f64| -> Vec<f64> {
+                samples.iter().map(f).collect()
+            };
+            let mut throughputs = column(|s| s.0.requests_per_sec());
+            let mut latencies = column(|s| s.0.p50_us());
+            let mut hit_rates = column(|s| s.1);
+            Fig5Row {
+                config,
+                throughput_median: fmedian(&mut throughputs),
+                throughput_quartiles: fquartiles(&mut throughputs),
+                latency_median: fmedian(&mut latencies),
+                latency_quartiles: fquartiles(&mut latencies),
+                ic_hit_rate: fmedian(&mut hit_rates),
+                jit_compiles: samples.last().map_or(0, |s| s.2),
+                runs,
+            }
+        })
+        .collect()
 }
 
 /// One window of the post-update warm-up series.
@@ -159,7 +231,7 @@ pub fn run_config(config: Config, runs: usize, concurrency: usize, slices: u64) 
 pub struct WarmupWindow {
     /// Window index (0 = immediately after the update).
     pub window: usize,
-    /// Throughput in the window (requests per 1000 slices).
+    /// Throughput in the window (requests per wall-clock second).
     pub throughput: f64,
     /// Cumulative baseline compilations since VM start.
     pub base_compiles: u64,
@@ -185,7 +257,7 @@ pub fn warmup_series(windows: usize, window_slices: u64, concurrency: usize) -> 
             let stats = drive_http(&mut vm, PORT, &paths, concurrency, window_slices);
             WarmupWindow {
                 window,
-                throughput: stats.throughput_per_kslice(),
+                throughput: stats.throughput_per_wall_sec(),
                 base_compiles: vm.stats().base_compiles,
                 jit_compiles: vm.stats().jit_compiles,
             }
@@ -212,9 +284,9 @@ mod tests {
     #[test]
     fn all_configurations_serve_requests() {
         for config in Config::all() {
-            let (stats, hit_rate, jit_compiles) = measure(config, 4, 4_000);
+            let (served, hit_rate, jit_compiles) = measure(config, 4, 4_000);
             assert!(
-                stats.completed > 0,
+                served.completed > 0,
                 "{}: no requests completed",
                 config.label()
             );

@@ -1,12 +1,13 @@
 //! Fleet measurement harness: aggregate throughput across VM shard
-//! counts and rolling-update integrity, driving [`jvolve_apps::fleet`]
-//! exactly the way `fleetbench` gates it.
+//! counts, driving [`jvolve_apps::fleet`] the way the `gates` binary's
+//! `fleet` gate does. (Rolling-update integrity is a workspace test,
+//! `crates/apps/tests/fleet.rs`.)
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use jvolve_apps::fleet::{Fleet, RollOptions};
-use jvolve_apps::harness::{app_vm_config, bench_apply_options, prepare_next};
+use jvolve_apps::fleet::Fleet;
+use jvolve_apps::harness::app_vm_config;
 use jvolve_apps::{AppInstance, GuestApp, Webserver};
 
 /// One timed throughput run at a shard count.
@@ -46,48 +47,4 @@ pub fn measure_throughput(shards: usize, requests: u64) -> ThroughputRun {
     let incorrect = report.incorrect;
     fleet.shutdown();
     ThroughputRun { shards, requests, wall_ns, incorrect }
-}
-
-/// What one rolling lazy update across a loaded fleet did (the
-/// zero-dropped/zero-incorrect integrity gate measures this).
-#[derive(Clone, Debug)]
-pub struct RollRun {
-    /// Shards in the fleet.
-    pub shards: usize,
-    /// Shards whose update committed and passed the health gate.
-    pub promoted: usize,
-    /// Whether the coordinator had to roll the fleet back.
-    pub rolled_back: bool,
-    /// Responses served while some shard's update was in flight.
-    pub mid_roll_responses: u64,
-    /// Requests submitted during the roll that never got a response.
-    pub dropped: u64,
-    /// Responses that failed verification during the roll.
-    pub incorrect: u64,
-    /// Whether every shard's registry fingerprint matched afterwards.
-    pub converged: bool,
-}
-
-/// Rolls the webserver 5.1.0 → 5.1.1 update lazily across a `shards`-VM
-/// fleet under continuous background load.
-pub fn measure_roll(shards: usize) -> RollRun {
-    let app: Arc<dyn AppInstance> = Arc::new(Webserver);
-    let classes = Webserver.versions()[0].compile();
-    let update = prepare_next(&Webserver, 0);
-    let mut config = app_vm_config();
-    config.lazy_migration = true;
-    let mut fleet = Fleet::boot(app, classes, shards, &config);
-    fleet.run_requests(4 * shards as u64);
-    let report = fleet.roll(&update, &bench_apply_options(), &RollOptions::default());
-    let run = RollRun {
-        shards,
-        promoted: report.shards.iter().filter(|s| s.healthy).count(),
-        rolled_back: report.rolled_back,
-        mid_roll_responses: report.mid_roll_responses,
-        dropped: report.dropped,
-        incorrect: report.incorrect,
-        converged: report.fingerprints_converged(),
-    };
-    fleet.shutdown();
-    run
 }

@@ -127,7 +127,7 @@ impl Config {
         ]
     }
 
-    /// Stable identifier used in `BENCH_interp.json`.
+    /// Stable identifier, as the `gates` binary prints it.
     pub fn key(self) -> &'static str {
         match self {
             Config::CachesOff => "caches_off",

@@ -1,4 +1,4 @@
-//! Lazy-vs-eager migration measurement (the `lazybench` harness).
+//! Lazy-vs-eager migration measurement (the `gates` binary's `lazy` gate).
 //!
 //! The lazy mode's claim is twofold: the *commit pause* shrinks from
 //! O(heap) — a full update-GC plus every object transformer — to O(roots),

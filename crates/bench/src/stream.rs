@@ -1,7 +1,8 @@
 //! Release-stream measurement harness: the kvstore's whole UPT-prepared
 //! 20-update version chain applied to one serving VM under verified
-//! load, driving [`jvolve_apps::run_release_stream`] exactly the way
-//! `streambench` gates it.
+//! load, driving [`jvolve_apps::run_release_stream`] the way the `gates`
+//! binary's `stream` gate does. (Stream integrity, eager and lazy, is a
+//! workspace test, `crates/apps/tests/release_stream.rs`.)
 
 use jvolve_apps::{run_release_stream, Kvstore, StreamOptions, StreamReport};
 
@@ -15,11 +16,4 @@ pub fn chain_len() -> usize {
 /// `max_pause` is the honest per-update pause the gate bounds.
 pub fn measure_eager() -> StreamReport {
     run_release_stream(&Kvstore, &StreamOptions::eager())
-}
-
-/// One full lazy stream with mid-drain queueing: releases are pushed
-/// while the previous epoch is still draining, so the run also proves
-/// the queue serializes overlapping arrivals.
-pub fn measure_lazy() -> StreamReport {
-    run_release_stream(&Kvstore, &StreamOptions::lazy())
 }

@@ -82,56 +82,6 @@ pub fn run_with_setup<S, T>(
     Samples::from_ns(ns)
 }
 
-/// Allowed best-of-N regression before a bench check gate fails. Shared
-/// by `interpbench` and `lazybench` so "no worse than 15%" means the same
-/// thing across every tier-1 performance gate.
-pub const REGRESSION_LIMIT: f64 = 0.15;
-
-/// Result of one best-of-N gate comparison (see [`gate_best_of`]).
-#[derive(Debug, Clone, Copy)]
-pub struct GateOutcome {
-    /// The best-of-N measurement being judged, after any retry.
-    pub current: f64,
-    /// Relative change vs the baseline: `current / baseline - 1.0`.
-    pub delta: f64,
-    /// Whether the retry path ran.
-    pub retried: bool,
-}
-
-impl GateOutcome {
-    /// Whether the gate failed even after the retry.
-    pub fn regressed(&self) -> bool {
-        self.delta > REGRESSION_LIMIT
-    }
-
-    /// The verdict string the bench binaries print.
-    pub fn verdict(&self) -> &'static str {
-        match (self.regressed(), self.retried) {
-            (true, _) => "REGRESSED",
-            (false, true) => "ok (after retry)",
-            (false, false) => "ok",
-        }
-    }
-}
-
-/// Judges a best-of-N measurement against a baseline with a noise retry:
-/// if `current` exceeds `baseline` by more than [`REGRESSION_LIMIT`],
-/// `retry` re-measures (the gate binaries use 3× the iterations) and the
-/// best of both runs is judged instead. A real regression survives the
-/// retry; scheduler noise does not — noise only ever *adds* time, which
-/// is why the gates compare minima rather than medians.
-pub fn gate_best_of(current: f64, baseline: f64, retry: impl FnOnce() -> f64) -> GateOutcome {
-    let mut current = current;
-    let mut delta = current / baseline - 1.0;
-    let mut retried = false;
-    if delta > REGRESSION_LIMIT {
-        current = current.min(retry());
-        delta = current / baseline - 1.0;
-        retried = true;
-    }
-    GateOutcome { current, delta, retried }
-}
-
 /// Prints one aligned result line: `label  median ..  min ..  max ..`.
 pub fn report(label: &str, s: &Samples) {
     println!(
@@ -188,34 +138,6 @@ mod tests {
             |()| 1 + 1,
         );
         assert!(s.median_ns() < 1_000_000, "median {}ns includes setup", s.median_ns());
-    }
-
-    #[test]
-    fn gate_passes_fast_results_without_retrying() {
-        let g = gate_best_of(100.0, 100.0, || panic!("no retry needed"));
-        assert!(!g.regressed());
-        assert!(!g.retried);
-        assert_eq!(g.verdict(), "ok");
-    }
-
-    #[test]
-    fn gate_retries_and_forgives_noise() {
-        // First measurement 40% over; the retry comes back clean.
-        let g = gate_best_of(140.0, 100.0, || 102.0);
-        assert!(!g.regressed());
-        assert!(g.retried);
-        assert_eq!(g.current, 102.0);
-        assert_eq!(g.verdict(), "ok (after retry)");
-    }
-
-    #[test]
-    fn gate_flags_regressions_that_survive_the_retry() {
-        let g = gate_best_of(140.0, 100.0, || 138.0);
-        assert!(g.regressed());
-        assert_eq!(g.current, 138.0);
-        assert_eq!(g.verdict(), "REGRESSED");
-        // The retry can never make the verdict worse than the original.
-        assert!(gate_best_of(140.0, 100.0, || 500.0).current <= 140.0);
     }
 
     #[test]

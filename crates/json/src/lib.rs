@@ -1,14 +1,13 @@
 //! A small, dependency-free JSON layer.
 //!
-//! The reproduction needs JSON in exactly three places: the on-disk update
-//! specification (`upt --spec`), the bench harnesses' `--json` dumps, and
-//! the committed GC pause-time baseline (`results/BENCH_gc.json`) that the
-//! regression gate compares against. None of that warrants an external
-//! dependency, so this crate provides a [`Json`] value with a pretty
-//! printer and a strict recursive-descent parser.
+//! The reproduction needs JSON for the on-disk update specification
+//! (`upt --spec`), the update-event traces (`jvolve_run --trace`), the
+//! fuzz corpus, and the bench harnesses' `--json` dumps. None of that
+//! warrants an external dependency, so this crate provides a [`Json`]
+//! value with a pretty printer and a strict recursive-descent parser.
 //!
 //! Object member order is preserved (members are a `Vec`, not a map), so
-//! printing is deterministic and diffs of committed baselines stay small.
+//! printing is deterministic and diffs of committed files stay small.
 
 use std::fmt;
 
