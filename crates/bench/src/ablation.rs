@@ -119,7 +119,7 @@ pub struct ChurnRun {
 
 /// The CPU-bound churn under `mode`, with the template-JIT tier on or off
 /// (the jit ablation axis: same churn, same checksum, with fused code
-/// either carrying the hot loops or the cached interpreter doing so).
+/// either carrying the hot loops or base-tier code doing so).
 pub fn churn_wall_time_with_jit(mode: ChurnMode, nodes: i64, iters: i64, jit: bool) -> ChurnRun {
     use jvolve_vm::Value;
     let mut vm = jvolve_vm::Vm::new(VmConfig {

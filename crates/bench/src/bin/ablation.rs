@@ -75,7 +75,7 @@ fn main() {
     // Same churn, eager mode, jit axis: off, warm on, and on after a
     // GC-based update (deopted fused code must re-promote and recover).
     let mut jit_rows: Vec<(ChurnMode, bool, &str, Vec<f64>)> = vec![
-        (ChurnMode::Eager, false, "jit off (cached interpreter)", Vec::new()),
+        (ChurnMode::Eager, false, "jit off (base tier)", Vec::new()),
         (ChurnMode::Eager, true, "jit on, warm", Vec::new()),
         (ChurnMode::EagerUpdated, true, "jit on, after GC update", Vec::new()),
     ];

@@ -1,7 +1,7 @@
 //! Regenerates the paper's **Figure 5**: webserver throughput and latency
-//! under saturating load for the stock VM, the DSU-capable VM with the
-//! template-JIT tier off and on, and the DSU-capable VM after a dynamic
-//! 5.1.5 → 5.1.6 update.
+//! under saturating load for the stock VM (template-JIT tier off), the
+//! DSU-capable VM, and the DSU-capable VM after a dynamic 5.1.5 → 5.1.6
+//! update.
 //!
 //! Usage: `cargo run --release -p jvolve-bench --bin fig5 [--runs N] [--slices N]`
 //! (paper: 21 runs of 60 s; default here: 5 runs of 20k slices)
@@ -19,15 +19,15 @@ fn main() {
          concurrency {concurrency})\n"
     );
     println!(
-        "{:<22} {:>11} {:>17} {:>9} {:>13} {:>10} {:>6}",
-        "Config.", "Tput (r/s)", "quartiles", "p50 (µs)", "quartiles", "IC hits", "jits"
+        "{:<22} {:>11} {:>17} {:>9} {:>13} {:>6}",
+        "Config.", "Tput (r/s)", "quartiles", "p50 (µs)", "quartiles", "jits"
     );
 
     eprintln!("measuring {runs} rounds of every configuration ...");
     let rows = run_all(runs, concurrency, slices);
     for row in &rows {
         println!(
-            "{:<22} {:>11.0} {:>8.0}/{:>8.0} {:>9.2} {:>6.2}/{:>6.2} {:>9.1}% {:>6}",
+            "{:<22} {:>11.0} {:>8.0}/{:>8.0} {:>9.2} {:>6.2}/{:>6.2} {:>6}",
             row.config.label(),
             row.throughput_median,
             row.throughput_quartiles.0,
@@ -35,7 +35,6 @@ fn main() {
             row.latency_median,
             row.latency_quartiles.0,
             row.latency_quartiles.1,
-            row.ic_hit_rate * 100.0,
             row.jit_compiles
         );
     }

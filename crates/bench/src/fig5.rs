@@ -4,14 +4,12 @@
 //! JVolve after a dynamic update from 5.1.5 — finding the three
 //! "essentially identical". Here the configurations are:
 //!
-//! * `Stock` — the pre-fast-path VM: epoch-guarded dispatch caches *off*
-//!   and the template-JIT tier *off* (both lean on the epoch machinery),
-//!   running 5.1.6 from scratch (no DSU activity);
-//! * `JvolveNoJit` — the DSU-capable VM with caches on but the jit tier
-//!   off, isolating what the jit row adds;
-//! * `Jvolve` — the default DSU-capable VM (caches + template-JIT tier),
-//!   driver linked and idle (the paper's claim is exactly that this
-//!   costs nothing at steady state);
+//! * `Stock` — the template-JIT tier *off* (the one mechanism that leans
+//!   on the dispatch epoch), running 5.1.6 from scratch at the base tier
+//!   with no DSU activity;
+//! * `Jvolve` — the default DSU-capable VM (template-JIT tier on), driver
+//!   linked and idle (the paper's claim is exactly that this costs
+//!   nothing at steady state);
 //! * `JvolveUpdated` — started at 5.1.5, dynamically updated to 5.1.6
 //!   under way, then measured (jit-deopted code must re-promote).
 
@@ -26,27 +24,24 @@ use jvolve_vm::{Vm, VmConfig};
 /// Benchmark configuration identifiers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Config {
-    /// 5.1.6 from scratch, no DSU machinery exercised (caches and jit off).
+    /// 5.1.6 from scratch, no DSU machinery exercised (jit off).
     Stock,
-    /// 5.1.6 from scratch on the DSU-capable VM, template-JIT tier off.
-    JvolveNoJit,
-    /// 5.1.6 from scratch on the default DSU-capable VM (caches + jit).
+    /// 5.1.6 from scratch on the default DSU-capable VM (jit on).
     Jvolve,
     /// 5.1.5 dynamically updated to 5.1.6, then measured.
     JvolveUpdated,
 }
 
 impl Config {
-    /// All four: the paper's three, plus the no-jit ablation row.
-    pub fn all() -> [Config; 4] {
-        [Config::Stock, Config::JvolveNoJit, Config::Jvolve, Config::JvolveUpdated]
+    /// The paper's three.
+    pub fn all() -> [Config; 3] {
+        [Config::Stock, Config::Jvolve, Config::JvolveUpdated]
     }
 
     /// Label as printed in the figure.
     pub fn label(self) -> &'static str {
         match self {
             Config::Stock => "Jikes RVM (stock)",
-            Config::JvolveNoJit => "Jvolve (no jit)",
             Config::Jvolve => "Jvolve",
             Config::JvolveUpdated => "Jvolve updated",
         }
@@ -120,22 +115,19 @@ fn serve(vm: &mut Vm, paths: &[&str], concurrency: usize, slices: u64) -> Served
 
 /// The standard measurement: saturating closed-loop load for `slices`
 /// scheduler slices at the given concurrency. Returns the timed run,
-/// the inline-cache hit rate over the measured window (0 for `Stock`,
-/// which runs with the dispatch fast path off), and the whole-run jit
+/// the base instructions retired inside superinstructions or leaf callees
+/// over the measured window (0 for `Stock`), and the whole-run jit
 /// promotion count (0 unless [`Config::jit`]).
-pub fn measure(config: Config, concurrency: usize, slices: u64) -> (Served, f64, u64) {
+pub fn measure(config: Config, concurrency: usize, slices: u64) -> (Served, u64, u64) {
     let vm_config = VmConfig {
         semispace_words: 512 * 1024,
         quantum: 300,
-        // `Stock` holds the pre-fast-path dispatch behavior; the JVolve
-        // configurations run the DSU VM, with the jit axis per config.
-        enable_inline_caches: config != Config::Stock,
         enable_jit: config.jit(),
         ..VmConfig::default()
     };
     let paths = ["/index.html", "/about.html", "/data.json", "/missing.html"];
     let mut vm = match config {
-        Config::Stock | Config::JvolveNoJit | Config::Jvolve => {
+        Config::Stock | Config::Jvolve => {
             let from = Webserver.versions().len() - 5; // 5.1.6
             let mut vm = boot_with(&Webserver, from, vm_config);
             warmup(&mut vm, &paths, concurrency);
@@ -153,15 +145,9 @@ pub fn measure(config: Config, concurrency: usize, slices: u64) -> (Served, f64,
             vm
         }
     };
-    let (hits0, misses0) = (vm.stats().ic_hits, vm.stats().ic_misses);
+    let fused0 = vm.stats().fused_steps;
     let served = serve(&mut vm, &paths, concurrency, slices);
-    let lookups = (vm.stats().ic_hits - hits0) + (vm.stats().ic_misses - misses0);
-    let hit_rate = if lookups == 0 {
-        0.0
-    } else {
-        (vm.stats().ic_hits - hits0) as f64 / lookups as f64
-    };
-    (served, hit_rate, vm.stats().jit_compiles)
+    (served, vm.stats().fused_steps - fused0, vm.stats().jit_compiles)
 }
 
 fn warmup(vm: &mut Vm, paths: &[&str], concurrency: usize) {
@@ -183,8 +169,6 @@ pub struct Fig5Row {
     pub latency_median: f64,
     /// Quartiles of per-run median latencies.
     pub latency_quartiles: (f64, f64),
-    /// Median inline-cache hit rate across runs (0 for `Stock`).
-    pub ic_hit_rate: f64,
     /// Jit promotions in the last run (0 unless [`Config::jit`]).
     pub jit_compiles: u64,
     /// Number of runs.
@@ -192,11 +176,11 @@ pub struct Fig5Row {
 }
 
 /// Runs `runs` rounds of every configuration and aggregates each one.
-/// A round measures the four in turn, so a burst of host noise, which on
+/// A round measures the three in turn, so a burst of host noise, which on
 /// a shared host lasts seconds, lands on every row alike instead of on
 /// whichever configuration happened to be running.
 pub fn run_all(runs: usize, concurrency: usize, slices: u64) -> Vec<Fig5Row> {
-    let mut samples: Vec<Vec<(Served, f64, u64)>> = Config::all().map(|_| Vec::new()).into();
+    let mut samples: Vec<Vec<(Served, u64, u64)>> = Config::all().map(|_| Vec::new()).into();
     for _ in 0..runs {
         for (config, runs) in Config::all().into_iter().zip(&mut samples) {
             runs.push(measure(config, concurrency, slices));
@@ -206,19 +190,17 @@ pub fn run_all(runs: usize, concurrency: usize, slices: u64) -> Vec<Fig5Row> {
         .into_iter()
         .zip(samples)
         .map(|(config, samples)| {
-            let column = |f: fn(&(Served, f64, u64)) -> f64| -> Vec<f64> {
+            let column = |f: fn(&(Served, u64, u64)) -> f64| -> Vec<f64> {
                 samples.iter().map(f).collect()
             };
             let mut throughputs = column(|s| s.0.requests_per_sec());
             let mut latencies = column(|s| s.0.p50_us());
-            let mut hit_rates = column(|s| s.1);
             Fig5Row {
                 config,
                 throughput_median: fmedian(&mut throughputs),
                 throughput_quartiles: fquartiles(&mut throughputs),
                 latency_median: fmedian(&mut latencies),
                 latency_quartiles: fquartiles(&mut latencies),
-                ic_hit_rate: fmedian(&mut hit_rates),
                 jit_compiles: samples.last().map_or(0, |s| s.2),
                 runs,
             }
@@ -284,21 +266,18 @@ mod tests {
     #[test]
     fn all_configurations_serve_requests() {
         for config in Config::all() {
-            let (served, hit_rate, jit_compiles) = measure(config, 4, 4_000);
+            let (served, fused_steps, jit_compiles) = measure(config, 4, 4_000);
             assert!(
                 served.completed > 0,
                 "{}: no requests completed",
                 config.label()
             );
-            if config == Config::Stock {
-                assert_eq!(hit_rate, 0.0, "stock runs with caches off");
-            } else {
-                assert!(hit_rate > 0.5, "{}: hit rate {hit_rate}", config.label());
-            }
             if config.jit() {
                 assert!(jit_compiles > 0, "{}: jit tier never engaged", config.label());
+                assert!(fused_steps > 0, "{}: no fused op or leaf callee ran", config.label());
             } else {
                 assert_eq!(jit_compiles, 0, "{}: jit must stay off", config.label());
+                assert_eq!(fused_steps, 0, "{}: nothing fuses with jit off", config.label());
             }
         }
     }

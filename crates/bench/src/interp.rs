@@ -2,22 +2,20 @@
 //! Figure 5).
 //!
 //! The paper's Fig. 5 claim is that DSU support costs nothing at steady
-//! state. The epoch-guarded inline caches (see `jvolve_vm::icache`) are
-//! what makes that true for call dispatch here: a virtual call hits a
-//! per-site cache instead of walking the TIB and funneling through the
-//! registry. This harness measures calls/second of a dispatch-bound
-//! workload in five configurations:
+//! state. Here every call resolves through the registry — a TIB walk for
+//! a virtual call, then the method's installed code — so an update needs
+//! nothing beyond swapping that code. This harness measures calls/second
+//! of a dispatch-bound workload in four configurations:
 //!
-//! * `CachesOff` — the honest baseline (`--no-inline-caches`, jit off);
-//! * `CachesOn`  — caches on, jit off;
-//! * `CachesOnUpdated` — caches on, jit off, measured *after* a dynamic
-//!   update changed every `area` body (so every cache was invalidated by
-//!   the epoch bump and refilled) — steady state must be
-//!   indistinguishable from `CachesOn`;
-//! * `JitOn` — the default VM: caches plus the template-JIT tier
-//!   (superinstruction fusion and the leaf-call fast path);
-//! * `JitOnUpdated` — jit on, measured after the same update deopted and
-//!   re-promoted every hot body — steady state must recover to `JitOn`.
+//! * `Base` — the template-JIT tier off: every body runs at the base tier
+//!   and every call pushes a frame (`--no-jit`, Fig. 5's "stock" row);
+//! * `BaseUpdated` — the same, measured *after* a dynamic update changed
+//!   every `area` body — steady state must be indistinguishable from
+//!   `Base`;
+//! * `Jit` — the default VM: the template-JIT tier (superinstruction
+//!   fusion and the leaf-call fast path);
+//! * `JitUpdated` — jit on, measured after the same update deopted and
+//!   re-promoted every hot body — steady state must recover to `Jit`.
 
 use std::time::{Duration, Instant};
 
@@ -27,8 +25,8 @@ use jvolve_vm::{Value, Vm, VmConfig};
 /// Dispatch-bound guest workload: a small class hierarchy of short
 /// `area` methods called from one loop — 8 virtual calls and 2 direct
 /// (static) calls per loop iteration, with minimal loop overhead around
-/// them. With caches on, every call is an inline-cache hit; with the jit
-/// on, the callees are leaf bodies run without a frame.
+/// them. With the jit on, the callees are leaf bodies run without a
+/// frame.
 pub const INTERP_V1: &str = "
 class Shape { method area(): int { return 1; } }
 class Square extends Shape {
@@ -60,8 +58,8 @@ class Bench {
 }
 ";
 
-/// New version: every callee body changes, so the update invalidates (and
-/// the epoch bump flushes) every dispatch target the caches held. Each
+/// New version: every callee body changes, so the update invalidates every
+/// dispatch target the warm run promoted. Each
 /// body differs from its v1 body only in a constant, so both versions
 /// compile and fuse to the same shapes and a post-update ratio measures
 /// the update alone.
@@ -102,50 +100,40 @@ pub const CALLS_PER_ITER: u64 = 10;
 /// Benchmark configuration identifiers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Config {
-    /// Inline caches disabled, jit off: every call walks TIB/registry.
-    CachesOff,
-    /// Caches on, jit off.
-    CachesOn,
-    /// Caches on, jit off, measured after a dynamic update invalidated
-    /// them all.
-    CachesOnUpdated,
-    /// The default VM: caches plus the template-JIT tier.
-    JitOn,
+    /// Jit off: every body at the base tier, every call framed.
+    Base,
+    /// Jit off, measured after a dynamic update replaced every callee.
+    BaseUpdated,
+    /// The default VM: the template-JIT tier on.
+    Jit,
     /// Jit on, measured after the update deopted every hot body.
-    JitOnUpdated,
+    JitUpdated,
 }
 
 impl Config {
-    /// All five, baseline first.
-    pub fn all() -> [Config; 5] {
-        [
-            Config::CachesOff,
-            Config::CachesOn,
-            Config::CachesOnUpdated,
-            Config::JitOn,
-            Config::JitOnUpdated,
-        ]
+    /// All four, baseline first.
+    pub fn all() -> [Config; 4] {
+        [Config::Base, Config::BaseUpdated, Config::Jit, Config::JitUpdated]
     }
 
     /// Stable identifier, as the `gates` binary prints it.
     pub fn key(self) -> &'static str {
         match self {
-            Config::CachesOff => "caches_off",
-            Config::CachesOn => "caches_on",
-            Config::CachesOnUpdated => "caches_on_updated",
-            Config::JitOn => "jit_on",
-            Config::JitOnUpdated => "jit_on_updated",
+            Config::Base => "base",
+            Config::BaseUpdated => "base_updated",
+            Config::Jit => "jit",
+            Config::JitUpdated => "jit_updated",
         }
     }
 
     /// Whether the timed run happens after a dynamic update.
     fn updated(self) -> bool {
-        matches!(self, Config::CachesOnUpdated | Config::JitOnUpdated)
+        matches!(self, Config::BaseUpdated | Config::JitUpdated)
     }
 
     /// Whether the template-JIT tier is enabled.
     fn jit(self) -> bool {
-        matches!(self, Config::JitOn | Config::JitOnUpdated)
+        matches!(self, Config::Jit | Config::JitUpdated)
     }
 }
 
@@ -158,10 +146,6 @@ pub struct InterpSample {
     pub calls: u64,
     /// `Bench.run`'s return value (cross-configuration sanity check).
     pub checksum: i64,
-    /// Inline-cache hits during the timed run.
-    pub ic_hits: u64,
-    /// Inline-cache misses during the timed run.
-    pub ic_misses: u64,
     /// Whole-run per-tier compile counts: (base, jit).
     pub tier_compiles: (u64, u64),
     /// Base instructions retired during the timed run.
@@ -176,16 +160,6 @@ impl InterpSample {
         self.wall.as_nanos() as f64 / self.calls as f64
     }
 
-    /// Hit fraction of all cache lookups (0.0 with caches off).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.ic_hits + self.ic_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.ic_hits as f64 / total as f64
-        }
-    }
-
     /// Fraction of retired base instructions executed inside
     /// superinstructions during the timed run (0.0 with jit off).
     pub fn fusion_coverage(&self) -> f64 {
@@ -197,25 +171,20 @@ impl InterpSample {
     }
 }
 
-/// Runs one configuration: boot, warm up (filling the caches and, with
-/// the jit on, promoting the hot bodies), then time one `Bench.run(iters)`
-/// call.
+/// Runs one configuration: boot, warm up (with the jit on, promoting the
+/// hot bodies), then time one `Bench.run(iters)` call.
 ///
 /// # Panics
 ///
 /// Panics on fixture errors (the workload always compiles, runs, and —
-/// for [`Config::CachesOnUpdated`] — the update always applies).
+/// for the updated configurations — the update always applies).
 pub fn measure(config: Config, iters: i64) -> InterpSample {
-    let vm_config = VmConfig {
-        enable_inline_caches: config != Config::CachesOff,
-        enable_jit: config.jit(),
-        ..VmConfig::default()
-    };
+    let vm_config = VmConfig { enable_jit: config.jit(), ..VmConfig::default() };
     let mut vm = Vm::new(vm_config);
     let v1 = jvolve_lang::compile(INTERP_V1).expect("interp v1 compiles");
     vm.load_classes(&v1).expect("interp classes load");
 
-    // Warm-up: fills caches and, in jit mode, drives every `area` body and
+    // Warm-up: in jit mode, drives every `area` body and
     // `run`'s loop trips past the jit threshold, so the timed run sees
     // steady-state code in every mode.
     let warm = vm
@@ -232,12 +201,10 @@ pub fn measure(config: Config, iters: i64) -> InterpSample {
         controller.attach_sink(&mut events);
         controller.run_to_completion(&mut vm).expect("update applies");
         // Post-update warm-up: invalidated methods re-baseline and
-        // re-promote, and the flushed caches refill.
+        // re-promote.
         vm.call_static_sync("Bench", "run", &[Value::Int(1_000)]).expect("post-update warmup");
     }
 
-    let hits0 = vm.stats().ic_hits;
-    let misses0 = vm.stats().ic_misses;
     let steps0 = vm.stats().steps;
     let fused0 = vm.stats().fused_steps;
     let start = Instant::now();
@@ -253,8 +220,6 @@ pub fn measure(config: Config, iters: i64) -> InterpSample {
         wall,
         calls: iters as u64 * CALLS_PER_ITER,
         checksum,
-        ic_hits: s.ic_hits - hits0,
-        ic_misses: s.ic_misses - misses0,
         tier_compiles: (s.base_compiles, s.jit_compiles),
         steps: s.steps - steps0,
         fused_steps: s.fused_steps - fused0,
@@ -268,31 +233,26 @@ mod tests {
     #[test]
     fn all_configurations_agree_on_the_checksum() {
         let iters = 300;
-        let off = measure(Config::CachesOff, iters);
-        let on = measure(Config::CachesOn, iters);
-        assert_eq!(off.checksum, on.checksum, "caches must not change results");
-        assert_eq!(off.ic_hits, 0, "caches-off must never consult a cache");
-        assert!(on.hit_rate() > 0.9, "steady state should hit: {}", on.hit_rate());
-        assert_eq!(on.tier_compiles.1, 0, "jit off never jit-compiles");
-        assert_eq!(on.fused_steps, 0, "jit off never fuses");
+        let base = measure(Config::Base, iters);
+        assert_eq!(base.tier_compiles.1, 0, "jit off never jit-compiles");
+        assert_eq!(base.fused_steps, 0, "jit off never fuses nor runs a leaf");
 
         // The jit configuration computes the same result while actually
-        // running fused code: same checksum, same retired base-instruction
-        // count, nonzero fusion coverage.
-        let jit = measure(Config::JitOn, iters);
-        assert_eq!(jit.checksum, on.checksum, "jit must not change results");
-        assert_eq!(jit.steps, on.steps, "fused ops must retire the base step count");
+        // running fused code and leaf callees: same checksum, same retired
+        // base-instruction count, nonzero fusion coverage.
+        let jit = measure(Config::Jit, iters);
+        assert_eq!(jit.checksum, base.checksum, "jit must not change results");
+        assert_eq!(jit.steps, base.steps, "fused ops must retire the base step count");
         assert!(jit.tier_compiles.1 > 0, "the jit tier never engaged");
-        assert!(jit.fusion_coverage() > 0.0, "no superinstruction retired");
+        assert!(jit.fused_steps > 0, "no superinstruction or leaf callee retired");
 
         // The updated configurations run v2 bodies, so their checksums
-        // differ — but they must still hit warm caches (and, with jit,
-        // re-promoted fused code).
-        let updated = measure(Config::CachesOnUpdated, iters);
-        assert_ne!(updated.checksum, on.checksum, "v2 bodies changed");
-        assert!(updated.hit_rate() > 0.9, "post-update steady state: {}", updated.hit_rate());
-        let jit_updated = measure(Config::JitOnUpdated, iters);
+        // differ — and with the jit, re-promoted fused code runs again.
+        let updated = measure(Config::BaseUpdated, iters);
+        assert_ne!(updated.checksum, base.checksum, "v2 bodies changed");
+        assert_eq!(updated.fused_steps, 0, "jit off never fuses");
+        let jit_updated = measure(Config::JitUpdated, iters);
         assert_eq!(jit_updated.checksum, updated.checksum, "jit must not change v2 results");
-        assert!(jit_updated.fusion_coverage() > 0.0, "post-update code re-promoted to jit");
+        assert!(jit_updated.fused_steps > 0, "post-update code re-promoted to jit");
     }
 }

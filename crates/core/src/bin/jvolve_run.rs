@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! jvolve_run <v1.mj> --main Class.method [--slices N]
-//!            [--no-inline-caches] [--no-jit | --jit-threshold N]
+//!            [--no-jit | --jit-threshold N]
 //!            [--update <v2.mj> --after N [--prefix vN_] [--transformers t.mj]
 //!             [--lazy] [--lazy-batch N] [--trace results/update_trace.json]]
 //! ```
@@ -38,7 +38,7 @@ use jvolve::{
 use jvolve_vm::{Vm, VmConfig};
 
 const USAGE: &str = "usage: jvolve_run <v1.mj> --main Class.method [--slices N] \
-     [--no-inline-caches] [--no-jit | --jit-threshold N] \
+     [--no-jit | --jit-threshold N] \
      [(--update <v2.mj> [--prefix vN_] [--transformers t.mj] | --update-bundle dir/) \
       --after N [--lazy] [--lazy-batch N] [--trace out.json]]";
 
@@ -50,7 +50,6 @@ struct Cli {
     slices: usize,
     after: usize,
     prefix: String,
-    inline_caches: bool,
     jit: bool,
     jit_threshold: Option<u32>,
     lazy: bool,
@@ -75,7 +74,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         ("--transformers", None),
         ("--trace", None),
     ];
-    let mut inline_caches = true;
     let mut jit = true;
     let mut lazy = false;
 
@@ -83,13 +81,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     while i < args.len() {
         let arg = args[i].as_str();
         match arg {
-            "--no-inline-caches" => {
-                if !inline_caches {
-                    return Err("duplicate flag --no-inline-caches".into());
-                }
-                inline_caches = false;
-                i += 1;
-            }
             "--no-jit" => {
                 if !jit {
                     return Err("duplicate flag --no-jit".into());
@@ -184,7 +175,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         slices: parse_num("--slices", slices)?.unwrap_or(100_000),
         after: parse_num("--after", after)?.unwrap_or(0),
         prefix: prefix.unwrap_or_else(|| "v1_".to_string()),
-        inline_caches,
         jit,
         jit_threshold: parse_num("--jit-threshold", jit_threshold)?
             .map(|n| u32::try_from(n.max(1)).unwrap_or(u32::MAX)),
@@ -229,7 +219,6 @@ fn main() -> ExitCode {
     let default_config = VmConfig::default();
     let mut vm = Vm::new(VmConfig {
         echo_output: true,
-        enable_inline_caches: cli.inline_caches,
         enable_jit: cli.jit,
         jit_threshold: cli.jit_threshold.unwrap_or(default_config.jit_threshold),
         lazy_migration: cli.lazy,

@@ -558,7 +558,6 @@ enum UndoAction {
         mid: MethodId,
         def: jvolve_classfile::MethodDef,
         compiled: Option<Arc<CompiledMethod>>,
-        invocations: u32,
         invalidations: u32,
     },
     /// Restore an OSR'd/migrated frame to its old code.
@@ -1059,14 +1058,8 @@ impl<'u> UpdateController<'u> {
                 UndoAction::Truncate { mark } => {
                     vm.registry_mut().truncate_to(&mark);
                 }
-                UndoAction::RestoreMethod { mid, def, compiled, invocations, invalidations } => {
-                    vm.registry_mut().restore_method_state(
-                        mid,
-                        def,
-                        compiled,
-                        invocations,
-                        invalidations,
-                    );
+                UndoAction::RestoreMethod { mid, def, compiled, invalidations } => {
+                    vm.registry_mut().restore_method_state(mid, def, compiled, invalidations);
                 }
                 UndoAction::RestoreFrame { thread, frame, method, compiled, pc, locals_len } => {
                     let _ = vm.osr_restore(thread, frame, method, compiled, pc, locals_len);
@@ -1076,8 +1069,8 @@ impl<'u> UpdateController<'u> {
         // The individual registry restores bump the dispatch epoch, but a
         // ledger holding only `RestoreFrame` actions would not: `osr_restore`
         // writes frames directly, bypassing the registry. Bump once more so
-        // every inline cache filled mid-update is guaranteed stale after a
-        // rollback, regardless of what the ledger contained.
+        // every fused frame re-checks its code against the restored registry
+        // after a rollback, regardless of what the ledger contained.
         vm.registry_mut().bump_code_epoch();
         vm.clear_return_barriers();
         n
@@ -1444,7 +1437,6 @@ fn capture_method(vm: &Vm, mid: MethodId) -> UndoAction {
         mid,
         def: info.def.clone(),
         compiled: info.compiled.clone(),
-        invocations: info.invocations,
         invalidations: info.invalidations,
     }
 }

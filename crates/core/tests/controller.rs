@@ -45,8 +45,8 @@ fn registry_fingerprint(vm: &Vm) -> String {
         let m = reg.method(MethodId(i as u32));
         writeln!(
             out,
-            "method {} class={} name={} invocations={} invalidations={}",
-            m.id, m.class, m.name, m.invocations, m.invalidations
+            "method {} class={} name={} invalidations={}",
+            m.id, m.class, m.name, m.invalidations
         )
         .unwrap();
         writeln!(out, "  def={:?}", m.def).unwrap();
@@ -442,13 +442,13 @@ fn json_trace_is_valid_and_ordered() {
 }
 
 #[test]
-fn rollback_invalidates_warm_inline_caches() {
-    // Fill per-site dispatch caches with hot pre-update targets (past the
-    // jit threshold, so the cached code is the template JIT's), induce
-    // a mid-install failure, and verify the rollback re-resolves every
-    // cached site to the *restored* old code: v1 semantics, bit-identical
-    // registry, and a dispatch epoch strictly newer than every filled
-    // cache entry.
+fn rollback_re_resolves_warm_call_sites() {
+    // Warm the call sites with hot pre-update targets (past the jit
+    // threshold, so the installed code is the template JIT's), induce a
+    // mid-install failure, and verify every call after the rollback runs
+    // the *restored* old code: v1 semantics, a bit-identical registry, and
+    // a dispatch epoch strictly newer than the one every fused body was
+    // stamped with.
     let v1 = compile(
         "class Counter {
            field n: int;
@@ -484,10 +484,9 @@ fn rollback_invalidates_warm_inline_caches() {
          }",
     );
     let mut vm = Vm::new(VmConfig::small());
-    assert!(vm.config().enable_inline_caches, "caches are on by default");
     vm.load_classes(&v1).expect("v1 loads");
     vm.call_static_sync("App", "init", &[]).expect("init runs");
-    // 500 calls: past the jit threshold, so the cached `tick` target is
+    // 500 calls: past the jit threshold, so the installed `tick` is
     // jit-tier code and the sites are as warm as they get.
     assert_eq!(
         vm.call_static_sync("App", "drive", &[Value::Int(500)]).unwrap(),
@@ -507,11 +506,11 @@ fn rollback_invalidates_warm_inline_caches() {
     assert_eq!(before, after, "rollback must restore the registry bit-for-bit");
     assert!(
         vm.registry().code_epoch() > epoch_before,
-        "rollback must advance the dispatch epoch so warm caches cannot serve \
-         mid-update (or rolled-back) code"
+        "rollback must advance the dispatch epoch so fused frames re-check \
+         their code against the restored registry"
     );
 
-    // Execution through the previously cached sites: v1 semantics exactly
+    // Execution through the previously warm sites: v1 semantics exactly
     // (tick is +1, not v2's +1000 offset), continuing the preserved state.
     assert_eq!(
         vm.call_static_sync("App", "drive", &[Value::Int(3)]).unwrap(),

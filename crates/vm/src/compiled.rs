@@ -17,11 +17,11 @@ use crate::natives::NativeFn;
 /// Relaxed invocation counter attached to compiled code.
 ///
 /// Hotness accounting lives on the `CompiledMethod` itself so the
-/// interpreter's inline-cache hit path can count an invocation with one
-/// relaxed atomic add instead of a registry hashmap write. The counter is
-/// per-*code-object*: a recompilation starts a fresh cell at zero, which
-/// matches [`Registry::invalidate`](crate::registry::Registry::invalidate)
-/// resetting the method's counter.
+/// interpreter's call path can count an invocation with one relaxed
+/// atomic add on the code it already holds. The counter is
+/// per-*code-object*: a recompilation starts a fresh cell at zero, so
+/// [`Registry::invalidate`](crate::registry::Registry::invalidate), which
+/// drops the code, resets the method's heat.
 #[derive(Default)]
 pub struct CounterCell(AtomicU32);
 
@@ -173,9 +173,6 @@ pub enum RInstr {
         vslot: u16,
         /// Argument count (receiver excluded).
         argc: u8,
-        /// Dense call-site id within this code object (assigned by the
-        /// compiler); indexes the per-thread inline-cache table.
-        site: u32,
     },
     /// Direct call (static methods, constructors, `super` calls).
     CallDirect {
@@ -185,8 +182,6 @@ pub enum RInstr {
         argc: u8,
         /// Whether a receiver sits under the arguments.
         has_receiver: bool,
-        /// Dense call-site id within this code object (see `CallVirtual`).
-        site: u32,
     },
     /// Call into the VM.
     CallNative {
@@ -329,8 +324,6 @@ pub enum RInstr {
         slot: u16,
         /// TIB slot index.
         vslot: u16,
-        /// Dense call-site id (see `CallVirtual`).
-        site: u32,
     },
     /// Load the last argument and make a direct call (Load, CallDirect).
     FusedLoadCallDirect {
@@ -342,8 +335,6 @@ pub enum RInstr {
         argc: u8,
         /// Whether a receiver sits under the arguments.
         has_receiver: bool,
-        /// Dense call-site id (see `CallVirtual`).
-        site: u32,
     },
 }
 
@@ -418,7 +409,7 @@ pub struct CompiledMethod {
     /// Classes whose layout/dispatch data is baked into this code.
     pub referenced_classes: Vec<ClassId>,
     /// Invocation counter driving adaptive recompilation (sampled by the
-    /// interpreter on every call, cache hit or miss).
+    /// interpreter on every call).
     pub invocations: CounterCell,
     /// Loop back-edges taken by base-tier frames of this code (bumped only
     /// when the JIT tier is enabled). Invocations + trips drive promotion,
@@ -426,9 +417,6 @@ pub struct CompiledMethod {
     /// compiled via OSR-in at a back-edge; kept as its own cell because
     /// only the back-edge bumps it and only [`Self::next_tier`] sums them.
     pub loop_trips: CounterCell,
-    /// Number of call sites in `code` (`CallVirtual`/`CallDirect` carry
-    /// ids `0..call_sites`); sizes the per-thread inline-cache rows.
-    pub call_sites: u32,
     /// Fusion metadata; present iff `level == Jit`, in which case `code`
     /// *is* the superinstruction-fused stream (`frame.pc` indexes it and
     /// the interpreter's dense `match` executes it directly). Carries the
@@ -438,8 +426,8 @@ pub struct CompiledMethod {
     /// semantically a no-op.
     pub fused: Option<Arc<crate::jit2::FusedCode>>,
     /// Whether this body qualifies for the leaf-call fast path: short and
-    /// made of simple ops only, so an inline-cache hit may run it on the
-    /// caller's operand stack without pushing a frame
+    /// made of simple ops only, so a call may run it on the caller's
+    /// operand stack without pushing a frame
     /// ([`crate::jit2::is_leaf`]).
     pub leaf: bool,
 }
@@ -452,7 +440,6 @@ impl CompiledMethod {
         level: CompileLevel,
         code: Vec<RInstr>,
         max_locals: u16,
-        call_sites: u32,
     ) -> Self {
         CompiledMethod {
             method,
@@ -463,7 +450,6 @@ impl CompiledMethod {
             referenced_classes: Vec::new(),
             invocations: CounterCell::default(),
             loop_trips: CounterCell::default(),
-            call_sites,
             fused: None,
         }
     }

@@ -26,13 +26,6 @@ pub struct VmConfig {
     /// JDrums/DVM indirection baseline (paper §5) the `ablation` bench
     /// times.
     pub lazy_migration: bool,
-    /// The steady-state dispatch fast path: per-thread inline caches for
-    /// `CallVirtual`/`CallDirect` (guarded by the registry's dispatch
-    /// epoch — every registry mutation that can change dispatch
-    /// invalidates all caches at once). On by default; off holds the
-    /// honest stock baseline for the differential oracle and Fig. 5's
-    /// "stock" configuration.
-    pub enable_inline_caches: bool,
     /// The template-JIT tier: hot methods are recompiled into
     /// superinstruction-fused threaded code ([`crate::jit2`]), promoted by
     /// invocation counts plus loop-trip counts so loopy methods that are
@@ -40,9 +33,9 @@ pub struct VmConfig {
     /// Fused code bakes in resolved offsets, so it revalidates against
     /// [`Registry::code_epoch`](crate::registry::Registry::code_epoch) at
     /// method entry and loop back-edges and deopts to fresh base code when
-    /// its method was invalidated or replaced. Off holds the interpreted
-    /// baseline for the jit differential oracle and the v1 interpbench
-    /// rows.
+    /// its method was invalidated or replaced. Off holds the base-tier
+    /// baseline for the jit differential oracle, Fig. 5's "stock" row and
+    /// the `gates interp` base rows.
     pub enable_jit: bool,
     /// Combined invocation + loop-trip count after which a method is
     /// promoted to the template-JIT tier.
@@ -70,7 +63,6 @@ impl Default for VmConfig {
             max_stack_depth: 2_048,
             echo_output: false,
             lazy_migration: false,
-            enable_inline_caches: true,
             enable_jit: true,
             jit_threshold: 400,
             gc_threads: 1,
@@ -88,7 +80,6 @@ mod tests {
         assert!(c.semispace_words > 0);
         assert!(c.quantum > 0);
         assert!(!c.lazy_migration);
-        assert!(c.enable_inline_caches);
         assert!(c.enable_jit);
         assert!(c.jit_threshold > 0);
     }

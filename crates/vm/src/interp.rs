@@ -22,8 +22,7 @@ use jvolve_classfile::STRING_CLASS;
 use crate::compiled::{framed_ops, CompileLevel, CompiledMethod, RInstr};
 use crate::error::VmError;
 use crate::heap::HeapKind;
-use crate::icache::SiteEntry;
-use crate::ids::{ClassId, MethodId};
+use crate::ids::MethodId;
 use crate::jit2::CmpOp;
 use crate::lazy::MAX_TRANSFORMER_DEPTH;
 use crate::natives::NativeFn;
@@ -356,7 +355,6 @@ impl Vm {
     /// next yield point ends the slice.
     pub(crate) fn exec_thread(&mut self, t: &mut VmThread, budget: usize) -> SliceEvent {
         let mut steps: usize = 0;
-        let use_ic = self.config.enable_inline_caches;
         let enable_jit = self.config.enable_jit;
 
         let event = 'outer: loop {
@@ -383,7 +381,6 @@ impl Vm {
             // pointee is heap-allocated and unaffected.
             let code: &CompiledMethod =
                 unsafe { &*Arc::as_ptr(&t.frames[fi].compiled) };
-            let code_key = Arc::as_ptr(&t.frames[fi].compiled) as usize;
             // This frame's slice of the value stack: locals from `base`, operands
             // from `floor`; only an OSR between slices resizes the locals.
             let base = t.frames[fi].base as usize;
@@ -503,47 +500,59 @@ impl Vm {
                         continue 'outer;
                     }};
                 }
-                // The inline-cache hit tail shared by every call arm, over the
-                // cached callee *borrowed* from the cache row: hotness sampling
-                // and the promotion rule (so adaptive recompilation triggers at
-                // the same call number as with caches off), and — for leaf
-                // callees — execution without pushing a record or touching the
-                // `Arc`'s count. Expands to `true` when the call was fully
-                // handled (the surrounding arm must have left via `continue`),
-                // `false` to fall through to the resolving slow path.
-                macro_rules! ic_hit {
-                    ($callee:ident, $total:expr) => {{
-                        let promote = $callee.next_tier(&self.config).is_some();
-                        $callee.invocations.bump();
-                        if promote {
-                            // Crossed a tier threshold: fall through to
-                            // the slow path, which recompiles.
-                            false
-                        } else {
-                            if enable_jit
-                                && $callee.leaf
-                                && steps < budget
-                                && !self.lazy.active
-                                && self.frame_room(t.frames.len()).is_ok()
-                            {
-                                // Leaf fast path: run the callee on the
-                                // value stack, over its arguments. Gated
-                                // on the budget so a slice that would have
-                                // paused inside the callee frame still
-                                // does, and on lazy epochs so no read
-                                // barrier is ever skipped.
-                                match self.exec_leaf(&mut t.values, $callee, $total, &mut steps) {
-                                    Ok(()) => {
-                                        if steps >= budget {
-                                            park!(next_pc, break 'outer SliceEvent::Quantum);
+                // The call tail shared by every call arm, over the method
+                // `$mid` dispatch resolved to. The registry's installed code,
+                // when its heat says no promotion is due, is counted and run:
+                // a leaf callee *borrowed*, on the value stack without a
+                // record or a touch of the `Arc`'s count; any other entered
+                // with one clone. Otherwise (first call, or a tier threshold
+                // crossed) `compiled_for` compiles, so promotion happens at
+                // the same call number whichever arm made the call. Always
+                // leaves via `continue` or a slice-ending break.
+                macro_rules! call {
+                    ($mid:expr, $total:expr) => {{
+                        let total: usize = $total;
+                        let mid = $mid;
+                        match self.registry.method(mid).compiled.as_ref() {
+                            Some(callee) if callee.next_tier(&self.config).is_none() => {
+                                callee.invocations.bump();
+                                if enable_jit
+                                    && callee.leaf
+                                    && steps < budget
+                                    && !self.lazy.active
+                                    && self.frame_room(t.frames.len()).is_ok()
+                                {
+                                    // SAFETY: the registry's slot keeps the
+                                    // callee alive while it runs — the leaf
+                                    // loop executes simple ops only, and no
+                                    // simple op writes a registry code slot
+                                    // (none compiles, calls or loads a
+                                    // class). The borrow is last used
+                                    // inside `exec_leaf`.
+                                    let leaf: &CompiledMethod = unsafe { &*Arc::as_ptr(callee) };
+                                    // Leaf fast path: run the callee on the
+                                    // value stack, over its arguments. Gated
+                                    // on the budget so a slice that would
+                                    // have paused inside the callee frame
+                                    // still does, and on lazy epochs so no
+                                    // read barrier is ever skipped.
+                                    match self.exec_leaf(&mut t.values, leaf, total, &mut steps) {
+                                        Ok(()) => {
+                                            if steps >= budget {
+                                                park!(next_pc, break 'outer SliceEvent::Quantum);
+                                            }
+                                            pc = next_pc;
+                                            continue;
                                         }
-                                        pc = next_pc;
-                                        continue;
+                                        Err(e) => trap!(e),
                                     }
-                                    Err(e) => trap!(e),
                                 }
+                                enter!(Arc::clone(callee), total)
                             }
-                            enter!(Arc::clone($callee), $total)
+                            _ => match self.compiled_for(mid) {
+                                Ok(callee) => enter!(callee, total),
+                                Err(e) => trap!(e),
+                            },
                         }
                     }};
                 }
@@ -558,26 +567,11 @@ impl Vm {
                         barrier!(recv)
                     }};
                 }
-                // The virtual-call dispatch tail shared by `CallVirtual`
-                // and `FusedLoadCallVirtual`: IC fast path, then TIB walk
-                // + adaptive recompilation + cache fill. Always leaves
-                // via `continue` or a slice-ending break.
+                // The virtual-call dispatch shared by `CallVirtual` and
+                // `FusedLoadCallVirtual`: the TIB walk, then the call tail.
                 macro_rules! dispatch_virtual {
-                    ($vslot:expr, $site:expr, $recv:expr, $total:expr) => {{
+                    ($vslot:expr, $recv:expr, $total:expr) => {{
                         let class = self.heap.class_of($recv);
-                        let total: usize = $total;
-                        let site = $site;
-                        if use_ic {
-                            let epoch = self.registry.code_epoch();
-                            let row = t.ic.site(code, code_key, site);
-                            if let Some(entry) = row.lookup(epoch, class) {
-                                let callee = &entry.code;
-                                self.stats.ic_hits += 1;
-                                let _ = ic_hit!(callee, total);
-                            } else {
-                                self.stats.ic_misses += 1;
-                            }
-                        }
                         let vslot = $vslot;
                         let tib = &self.registry.class(class).tib;
                         let Some(&mid) = tib.get(vslot as usize) else {
@@ -588,21 +582,7 @@ impl Vm {
                                 ),
                             });
                         };
-                        let callee = match self.compiled_for(mid) {
-                            Ok(c) => c,
-                            Err(e) => trap!(e),
-                        };
-                        if use_ic {
-                            // Epoch read *after* compiled_for: a fresh
-                            // compile bumps it, and an entry stamped with
-                            // the pre-compile epoch would never hit.
-                            let epoch = self.registry.code_epoch();
-                            t.ic.site(code, code_key, site).insert(
-                                epoch,
-                                SiteEntry { class, method: mid, code: Arc::clone(&callee) },
-                            );
-                        }
-                        enter!(callee, total)
+                        call!(mid, $total)
                     }};
                 }
                 // The receiver check of a direct call whose last operand
@@ -615,44 +595,6 @@ impl Vm {
                             trap!($k, VmError::NullPointer { context: "instance call".into() });
                         }
                     };
-                }
-                // The direct-call dispatch tail shared by `CallDirect` and
-                // `FusedLoadCallDirect`.
-                macro_rules! dispatch_direct {
-                    ($method:expr, $site:expr, $total:expr) => {{
-                        let mid = $method;
-                        let total: usize = $total;
-                        let site = $site;
-                        if use_ic {
-                            let epoch = self.registry.code_epoch();
-                            let row = t.ic.site(code, code_key, site);
-                            if let Some(entry) = row.lookup_direct(epoch) {
-                                let callee = &entry.code;
-                                self.stats.ic_hits += 1;
-                                let _ = ic_hit!(callee, total);
-                            } else {
-                                self.stats.ic_misses += 1;
-                            }
-                        }
-                        let callee = match self.compiled_for(mid) {
-                            Ok(c) => c,
-                            Err(e) => trap!(e),
-                        };
-                        if use_ic {
-                            let epoch = self.registry.code_epoch();
-                            t.ic.site(code, code_key, site).insert_direct(
-                                epoch,
-                                // Direct calls have no receiver class to key
-                                // on; way 0 is guarded by the epoch alone.
-                                SiteEntry {
-                                    class: ClassId(0),
-                                    method: mid,
-                                    code: Arc::clone(&callee),
-                                },
-                            );
-                        }
-                        enter!(callee, total)
-                    }};
                 }
                 // A conditional branch on `$cond`.
                 macro_rules! branch_if {
@@ -702,16 +644,16 @@ impl Vm {
                             None => park!(pc, break 'outer SliceEvent::NeedGc),
                         }
                     }
-                    RInstr::CallVirtual { vslot, argc, site } => {
+                    RInstr::CallVirtual { vslot, argc } => {
                         let ridx = at(&t.values, floor, 1 + *argc as usize);
                         let recv = receiver!(t.values[ridx], 0);
                         t.values[ridx] = Value::Ref(recv);
-                        dispatch_virtual!(*vslot, *site, recv, *argc as usize + 1)
+                        dispatch_virtual!(*vslot, recv, *argc as usize + 1)
                     }
-                    RInstr::CallDirect { method, argc, has_receiver, site } => {
+                    RInstr::CallDirect { method, argc, has_receiver } => {
                         let total = *argc as usize + usize::from(*has_receiver);
                         direct_receiver!(total, *has_receiver, 0);
-                        dispatch_direct!(*method, *site, total)
+                        call!(*method, total)
                     }
                     RInstr::CallNative { native, argc } => {
                         let first = at(&t.values, floor, *argc as usize);
@@ -822,7 +764,7 @@ impl Vm {
                         let x = pop(&mut t.values, floor).as_int();
                         branch_if!(op.apply(x, *k) == *when, target);
                     }
-                    RInstr::FusedLoadCallVirtual { slot, vslot, site } => {
+                    RInstr::FusedLoadCallVirtual { slot, vslot } => {
                         let covers = instr.covers();
                         let recv = receiver!(t.values[base + *slot as usize], 1);
                         retire!(self, steps, covers);
@@ -831,16 +773,16 @@ impl Vm {
                         // the same final stack (the local keeps the stale
                         // ref in both tiers).
                         t.values.push(Value::Ref(recv));
-                        dispatch_virtual!(*vslot, *site, recv, 1)
+                        dispatch_virtual!(*vslot, recv, 1)
                     }
-                    RInstr::FusedLoadCallDirect { slot, method, argc, has_receiver, site } => {
+                    RInstr::FusedLoadCallDirect { slot, method, argc, has_receiver } => {
                         let covers = instr.covers();
                         let v = t.values[base + *slot as usize];
                         t.values.push(v);
                         let total = *argc as usize + usize::from(*has_receiver);
                         direct_receiver!(total, *has_receiver, 1);
                         retire!(self, steps, covers);
-                        dispatch_direct!(*method, *site, total)
+                        call!(*method, total)
                     }
                 });
                 pc = next_pc;
@@ -873,8 +815,8 @@ impl Vm {
     /// Executes a leaf callee (see [`crate::jit2::is_leaf`]) over the
     /// `total` arguments on top of `values` without pushing a record: the
     /// op table instantiated on the same value stack, with the identity
-    /// for the reference hook. Only reachable from inline-cache hit paths
-    /// when the template JIT is enabled and no lazy epoch is active, so
+    /// for the reference hook. Only reachable from the call tail when the
+    /// template JIT is enabled and no lazy epoch is active, so
     /// reference loads need no read barrier; simple ops never allocate,
     /// so no GC can interleave. On a trap the stack is
     /// left as it stands — arguments, other locals and partial operands

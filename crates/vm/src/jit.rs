@@ -14,10 +14,9 @@
 //! inlined code cannot be OSR-lifted (the paper's §3.2 restriction), so
 //! the webserver's update waited on return barriers while handlers ran
 //! the deleted opt tier's inlined code (EXPERIMENTS.md, "PR 23").
-//! Cross-method win comes from the leaf fast path instead (at an
-//! inline-cache hit the interpreter runs a short callee made of simple
-//! ops without pushing a frame — either tier's code can be such a
-//! [`CompiledMethod::leaf`]).
+//! Cross-method win comes from the leaf fast path instead (at a call the
+//! interpreter runs a short callee made of simple ops without pushing a
+//! frame — either tier's code can be such a [`CompiledMethod::leaf`]).
 
 use std::sync::Arc;
 
@@ -48,20 +47,18 @@ pub fn compile(
     })?;
 
     let max_locals = code.max_locals;
-    let (mut rcode, referenced) = resolve_code(registry, &code.instrs)?;
-    let call_sites = assign_call_sites(&mut rcode);
+    let (rcode, referenced) = resolve_code(registry, &code.instrs)?;
     let base = CompiledMethod {
         referenced_classes: referenced,
-        ..CompiledMethod::new(mid, CompileLevel::Base, rcode, max_locals, call_sites)
+        ..CompiledMethod::new(mid, CompileLevel::Base, rcode, max_locals)
     };
     if level == CompileLevel::Base {
         return Ok(base);
     }
-    // The template JIT fuses the 1:1 stream (the call sites were numbered
-    // over it; fusion preserves call ops and their order, so the ids stay
-    // dense). The fused stream *is* the method body; the base body is
-    // retained in the fusion metadata as the deopt target — swapping a
-    // frame onto it at the mapped pc is exact and semantically a no-op.
+    // The template JIT fuses the 1:1 stream. The fused stream *is* the
+    // method body; the base body is retained in the fusion metadata as the
+    // deopt target — swapping a frame onto it at the mapped pc is exact
+    // and semantically a no-op.
     let fusion = crate::jit2::fuse(&base.code);
     let referenced_classes = base.referenced_classes.clone();
     let base = Arc::new(base);
@@ -72,26 +69,8 @@ pub fn compile(
             base_pc: fusion.base_pc,
             valid_epoch: std::sync::atomic::AtomicU64::new(registry.code_epoch()),
         })),
-        ..CompiledMethod::new(mid, level, fusion.code, max_locals, call_sites)
+        ..CompiledMethod::new(mid, level, fusion.code, max_locals)
     })
-}
-
-/// Numbers every call site sequentially over the resolved instruction
-/// sequence, returning the count. The interpreter's per-thread
-/// inline-cache rows are indexed by these ids, so they must be dense and
-/// code-relative.
-fn assign_call_sites(code: &mut [RInstr]) -> u32 {
-    let mut next = 0u32;
-    for instr in code {
-        match instr {
-            RInstr::CallVirtual { site, .. } | RInstr::CallDirect { site, .. } => {
-                *site = next;
-                next += 1;
-            }
-            _ => {}
-        }
-    }
-    next
 }
 
 /// `found`, or the resolution error for a member the registry lacks.
@@ -185,7 +164,7 @@ fn resolve_code(
                 let id = class_id(class)?;
                 let vslot =
                     member(registry.vslot(id, method), "no virtual slot for", class, method)?;
-                RInstr::CallVirtual { vslot, argc: *argc, site: 0 }
+                RInstr::CallVirtual { vslot, argc: *argc }
             }
             Instr::CallStatic { class, method, argc } => {
                 let id = class_id(class)?;
@@ -193,19 +172,16 @@ fn resolve_code(
                     member(registry.find_method(id, method), "unknown method", class, method)?;
                 match registry.method(target).native {
                     Some(native) => RInstr::CallNative { native, argc: *argc },
-                    None => RInstr::CallDirect {
-                        method: target,
-                        argc: *argc,
-                        has_receiver: false,
-                        site: 0,
-                    },
+                    None => {
+                        RInstr::CallDirect { method: target, argc: *argc, has_receiver: false }
+                    }
                 }
             }
             Instr::CallSpecial { class, method, argc } => {
                 let id = class_id(class)?;
                 let target =
                     member(registry.find_method(id, method), "unknown method", class, method)?;
-                RInstr::CallDirect { method: target, argc: *argc, has_receiver: true, site: 0 }
+                RInstr::CallDirect { method: target, argc: *argc, has_receiver: true }
             }
             Instr::Jump(t) => RInstr::Jump(*t),
             Instr::JumpIfTrue(t) => RInstr::JumpIfTrue(*t),
@@ -277,34 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn call_sites_are_dense_and_counted() {
-        let r = registry_with(
-            "class A { method id(): int { return 1; } }
-             class T {
-               static method big(a: A, n: int): int {
-                 var s: int = 0; var i: int = 0;
-                 while (i < n) { s = s + a.id() + a.id(); i = i + 1; }
-                 return s + T.big(a, 0);
-               }
-             }",
-        );
-        let mid = method_id(&r, "T", "big");
-        let c = compile(&r, mid, CompileLevel::Base).unwrap();
-        let sites: Vec<u32> = c
-            .code
-            .iter()
-            .filter_map(|i| match i {
-                RInstr::CallVirtual { site, .. } | RInstr::CallDirect { site, .. } => Some(*site),
-                _ => None,
-            })
-            .collect();
-        let expect: Vec<u32> = (0..c.call_sites).collect();
-        assert_eq!(sites, expect, "sites dense in code order");
-        assert_eq!(c.call_sites, 3, "two virtual + one recursive direct call");
-    }
-
-    #[test]
-    fn jit_tier_fuses_and_keeps_call_sites_dense() {
+    fn jit_tier_fuses_and_keeps_the_base_body() {
         let r = registry_with(
             "class A { field x: int; method id(): int { return this.x; } }
              class T {
@@ -321,22 +270,6 @@ mod tests {
         assert!(c.code.iter().any(|op| op.covers() > 1), "loop body should fuse: {:?}", c.code);
         assert!(c.code.len() < meta.base.code.len());
         assert_eq!(meta.base.level, CompileLevel::Base);
-        assert_eq!(meta.base.call_sites, c.call_sites);
-        // Call sites stay dense in fused-code order (fusion preserves
-        // call ops), so the per-thread inline-cache rows still fit.
-        let sites: Vec<u32> = c
-            .code
-            .iter()
-            .filter_map(|i| match i {
-                RInstr::CallVirtual { site, .. }
-                | RInstr::CallDirect { site, .. }
-                | RInstr::FusedLoadCallVirtual { site, .. }
-                | RInstr::FusedLoadCallDirect { site, .. } => Some(*site),
-                _ => None,
-            })
-            .collect();
-        let expect: Vec<u32> = (0..c.call_sites).collect();
-        assert_eq!(sites, expect, "sites dense in fused order: {:?}", c.code);
         // Every fused index maps to a base pc inside the base stream.
         for (pc, _) in c.code.iter().enumerate() {
             assert!((c.base_pc_of(pc as u32) as usize) < meta.base.code.len());

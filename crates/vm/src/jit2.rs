@@ -212,18 +212,15 @@ fn pair(rest: &[RInstr]) -> Option<RInstr> {
         [Load(s), GetField { offset, is_ref }, ..] => {
             Some(FusedLoadGetField { slot: *s, offset: *offset, is_ref: *is_ref })
         }
-        [Load(s), CallVirtual { vslot, argc: 0, site }, ..] => {
-            Some(FusedLoadCallVirtual { slot: *s, vslot: *vslot, site: *site })
+        [Load(s), CallVirtual { vslot, argc: 0 }, ..] => {
+            Some(FusedLoadCallVirtual { slot: *s, vslot: *vslot })
         }
-        [Load(s), CallDirect { method, argc, has_receiver, site }, ..] => {
-            Some(FusedLoadCallDirect {
-                slot: *s,
-                method: *method,
-                argc: *argc,
-                has_receiver: *has_receiver,
-                site: *site,
-            })
-        }
+        [Load(s), CallDirect { method, argc, has_receiver }, ..] => Some(FusedLoadCallDirect {
+            slot: *s,
+            method: *method,
+            argc: *argc,
+            has_receiver: *has_receiver,
+        }),
         [Load(s), ReturnValue, ..] => Some(FusedLoadReturn { slot: *s }),
         [Load(f), Store(t), ..] => Some(FusedLoadStore { from: *f, to: *t }),
         [ConstInt(k), ReturnValue, ..] => Some(FusedConstReturn { k: *k }),
@@ -295,8 +292,8 @@ const LEAF_MAX_LEN: usize = 16;
 
 /// Whether a (possibly fused) body qualifies for the leaf-call fast
 /// path: short and made of simple ops only ([`RInstr::is_simple`] — no
-/// branch, call or allocation), so an inline-cache hit may execute it on
-/// the caller's operand stack without pushing a frame.
+/// branch, call or allocation), so a call may execute it on the caller's
+/// operand stack without pushing a frame.
 pub fn is_leaf(code: &[RInstr]) -> bool {
     code.len() <= LEAF_MAX_LEN && code.iter().all(RInstr::is_simple)
 }
@@ -426,7 +423,7 @@ mod tests {
     fn leaf_rejects_calls_branches_and_allocation() {
         assert!(is_leaf(&[Load(0), ReturnValue]));
         assert!(!is_leaf(&[Jump(0)]));
-        assert!(!is_leaf(&[CallVirtual { vslot: 0, argc: 0, site: 0 }, Return]));
+        assert!(!is_leaf(&[CallVirtual { vslot: 0, argc: 0 }, Return]));
         assert!(!is_leaf(&[New { class: crate::ids::ClassId(0), size: 2 }, Return]));
         assert!(!is_leaf(&[StrConcat, Return]));
         assert!(!is_leaf(&vec![Pop; LEAF_MAX_LEN + 1]));

@@ -43,9 +43,9 @@
 //!   the epoch is active, so a stale reference read from an unswept cell
 //!   can never recontaminate a swept one.
 //! * **Done** — [`Vm::finish_lazy_migration`](crate::Vm) disarms the
-//!   barrier and bumps `code_epoch`, restoring the barrier-free fast
-//!   path. No GC runs: the stale originals are unreferenced garbage and
-//!   their forwarding words are reclaimed by the next natural collection.
+//!   barrier, restoring the barrier-free fast path. No GC runs: the
+//!   stale originals are unreferenced garbage and their forwarding words
+//!   are reclaimed by the next natural collection.
 //!
 //! The collectors forward through the pending pairs and the barrier's
 //! forwarding words alike: the worklist tail is rooted, so untouched stale

@@ -35,7 +35,6 @@ pub mod compiled;
 pub mod config;
 pub mod error;
 pub mod heap;
-pub mod icache;
 pub mod ids;
 pub mod interp;
 pub mod jit;

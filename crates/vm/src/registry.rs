@@ -73,9 +73,8 @@ pub struct MethodInfo {
     /// Native implementation, for builtin classes.
     pub native: Option<NativeFn>,
     /// Compiled code, if any; `None` means "compile on next invocation".
+    /// Its hotness counters live on the code object.
     pub compiled: Option<Arc<CompiledMethod>>,
-    /// Invocation counter driving adaptive recompilation.
-    pub invocations: u32,
     /// Times this method's compiled code has been invalidated.
     pub invalidations: u32,
 }
@@ -95,9 +94,10 @@ pub struct Registry {
     /// Monotonic dispatch epoch: advanced by *every* mutation that can
     /// change what a call site should run — class load/rename, method
     /// strip/swap, compiled-code invalidation or (re)install, rollback
-    /// restores, batch truncation. Inline caches tag entries with their
-    /// fill epoch; a mismatch forces the slow path, so one counter bump
-    /// invalidates every cache in the VM at once.
+    /// restores, batch truncation. Its one reader is fused code
+    /// ([`crate::jit2::FusedCode::valid_epoch`]): a fused frame whose
+    /// stamp differs re-checks the registry at its next entry or
+    /// back-edge, so one counter bump reaches every fused frame at once.
     code_epoch: u64,
 }
 
@@ -162,17 +162,17 @@ impl Registry {
         self.methods.len()
     }
 
-    /// The current dispatch epoch (see the field docs): inline-cache
-    /// entries filled under an older epoch must re-resolve.
+    /// The current dispatch epoch (see the field docs): fused code stamped
+    /// with an older epoch must re-check that it is still installed.
     #[inline]
     pub fn code_epoch(&self) -> u64 {
         self.code_epoch
     }
 
-    /// Invalidates every inline cache in the VM in O(1) by advancing the
-    /// dispatch epoch. Every registry mutation that can change dispatch
+    /// Makes every fused frame in the VM revalidate, in O(1), by advancing
+    /// the dispatch epoch. Every registry mutation that can change dispatch
     /// already calls this; it is public so the update controller can also
-    /// force invalidation after mutations that bypass the registry
+    /// force revalidation after mutations that bypass the registry
     /// (frame-level OSR restores during rollback).
     pub fn bump_code_epoch(&mut self) {
         self.code_epoch += 1;
@@ -387,7 +387,6 @@ impl Registry {
                 def: m.clone(),
                 native,
                 compiled: None,
-                invocations: 0,
                 invalidations: 0,
             });
             self.method_by_key.insert((id, m.name.clone()), mid);
@@ -517,13 +516,12 @@ impl Registry {
         if info.compiled.take().is_some() {
             info.invalidations += 1;
         }
-        info.invocations = 0;
         self.bump_code_epoch();
     }
 
     /// Installs compiled code for a method. Advances the dispatch epoch:
-    /// caches holding the previous code object (e.g. the base-tier body a
-    /// hot method just outgrew, or pre-OSR code) must re-resolve.
+    /// fused frames running the previous code object (pre-OSR code, or a
+    /// body an update replaced) must re-check it.
     pub fn set_compiled(&mut self, mid: MethodId, code: Arc<CompiledMethod>) {
         self.methods[mid.index()].compiled = Some(code);
         self.bump_code_epoch();
@@ -578,7 +576,7 @@ impl Registry {
                 .methods
                 .iter()
                 .filter(|m| m.class == id)
-                .map(|m| (m.id, m.compiled.clone(), m.invocations, m.invalidations))
+                .map(|m| (m.id, m.compiled.clone(), m.invalidations))
                 .collect(),
         }
     }
@@ -592,16 +590,15 @@ impl Registry {
         class.file.methods = snap.file_methods;
         class.tib = snap.tib;
         class.vslots = snap.vslots;
-        for (mid, compiled, invocations, invalidations) in snap.methods {
+        for (mid, compiled, invalidations) in snap.methods {
             let name = self.methods[mid.index()].name.clone();
             self.method_by_key.insert((id, name), mid);
             let info = &mut self.methods[mid.index()];
             info.compiled = compiled;
-            info.invocations = invocations;
             info.invalidations = invalidations;
         }
-        // Rollback republished old code objects: caches filled with the
-        // new version's code must re-resolve.
+        // Rollback republished old code objects: fused frames of the new
+        // version's code must re-check.
         self.bump_code_epoch();
     }
 
@@ -613,7 +610,6 @@ impl Registry {
         mid: MethodId,
         def: jvolve_classfile::MethodDef,
         compiled: Option<Arc<CompiledMethod>>,
-        invocations: u32,
         invalidations: u32,
     ) {
         let class = self.methods[mid.index()].class;
@@ -628,7 +624,6 @@ impl Registry {
         let info = &mut self.methods[mid.index()];
         info.def = def;
         info.compiled = compiled;
-        info.invocations = invocations;
         info.invalidations = invalidations;
         self.bump_code_epoch();
     }
@@ -714,7 +709,7 @@ pub struct ClassMethodsSnapshot {
     file_methods: Vec<jvolve_classfile::MethodDef>,
     tib: Vec<MethodId>,
     vslots: HashMap<String, u16>,
-    methods: Vec<(MethodId, Option<Arc<CompiledMethod>>, u32, u32)>,
+    methods: Vec<(MethodId, Option<Arc<CompiledMethod>>, u32)>,
 }
 
 impl ClassLayouts for Registry {
@@ -883,7 +878,6 @@ mod tests {
                 crate::compiled::CompileLevel::Base,
                 vec![RInstrStub()],
                 0,
-                0,
             )),
         );
         let new_def = jvolve_lang::compile("class T { static method f(): int { return 2; } }")
@@ -999,7 +993,6 @@ mod tests {
                 crate::compiled::CompileLevel::Base,
                 vec![RInstrStub()],
                 0,
-                0,
             )),
         );
         expect_bump(&r, "set_compiled", &mut last);
@@ -1016,7 +1009,7 @@ mod tests {
         let def_backup = r.method(m).def.clone();
         r.replace_method_body(e, "m", new_def).unwrap();
         expect_bump(&r, "replace_method_body", &mut last);
-        r.restore_method_state(m, def_backup, None, 0, 0);
+        r.restore_method_state(m, def_backup, None, 0);
         expect_bump(&r, "restore_method_state", &mut last);
 
         r.rename_class(e, ClassName::from("v1_E")).unwrap();

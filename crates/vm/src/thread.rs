@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use crate::compiled::CompiledMethod;
 use crate::error::VmError;
-use crate::icache::InlineCaches;
 use crate::ids::{MethodId, ThreadId};
 use crate::value::Value;
 
@@ -109,10 +108,6 @@ pub struct VmThread {
     /// Value returned by the outermost frame, once finished (used by
     /// synchronous host-initiated calls).
     pub result: Option<Value>,
-    /// Per-thread inline caches for call dispatch (epoch-guarded; see
-    /// [`crate::icache`]). Thread-local so `CompiledMethod` stays
-    /// shareable and no synchronization touches the call fast path.
-    pub(crate) ic: InlineCaches,
 }
 
 impl VmThread {
@@ -143,7 +138,6 @@ impl VmThread {
             values: Vec::new(),
             state: ThreadState::Finished,
             result: None,
-            ic: InlineCaches::default(),
         }
     }
 
@@ -246,7 +240,7 @@ mod tests {
 
     fn dummy_compiled(max_locals: u16) -> Arc<CompiledMethod> {
         let body = vec![RInstr::Return];
-        Arc::new(CompiledMethod::new(MethodId(0), CompileLevel::Base, body, max_locals, 0))
+        Arc::new(CompiledMethod::new(MethodId(0), CompileLevel::Base, body, max_locals))
     }
 
     #[test]

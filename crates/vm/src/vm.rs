@@ -53,10 +53,12 @@ pub struct VmStats {
     /// leaf-call fast path. Always counted *in addition to* `steps` — the
     /// ratio `fused_steps / steps` is the fusion coverage of a run.
     pub fused_steps: u64,
-    /// Inline-cache dispatch hits (excluded from differential oracles —
-    /// the two cache modes differ here by construction).
+    /// Always 0: there are no inline caches (a call resolves through the
+    /// registry; DESIGN §5). Kept, with `ic_misses`, only because
+    /// `benchmark/src/layers.rs`, frozen outside benchmark PRs, reads it;
+    /// ROADMAP item 1 (the benchmark-correction PR) deletes both.
     pub ic_hits: u64,
-    /// Inline-cache dispatch misses.
+    /// Always 0, like `ic_hits`.
     pub ic_misses: u64,
 }
 
@@ -213,9 +215,9 @@ impl CompiledMethod {
     /// the one statement of the promotion rule: base code goes to the
     /// template JIT once invocations plus loop trips reach
     /// `jit_threshold`. Read *before* the counter bump of the call or
-    /// back-edge being sampled, so the slow path, the inline-cache hit
-    /// path and the back-edge OSR trigger all promote at the same call
-    /// number. (Defined here, by [`Vm::compiled_for`], because it is VM
+    /// back-edge being sampled, so the interpreter's call tail,
+    /// `compiled_for` and the back-edge OSR trigger all promote at the
+    /// same call number. (Defined here, by [`Vm::compiled_for`], because it is VM
     /// policy over [`VmConfig`], not part of the code representation.)
     #[inline]
     pub fn next_tier(&self, config: &VmConfig) -> Option<CompileLevel> {
@@ -401,17 +403,16 @@ impl Vm {
         let info = self.registry.method(mid);
         debug_assert!(info.native.is_none(), "natives are dispatched separately");
 
-        // The hotness counter lives on the code object so inline-cache
-        // hits (which bypass this path) can keep sampling it; the
-        // promotion rule ([`CompiledMethod::next_tier`]) is read pre-bump.
+        // The hotness counter lives on the code object, so the
+        // interpreter's call tail (which bypasses this path) samples it
+        // too; the promotion rule ([`CompiledMethod::next_tier`]) is read
+        // pre-bump.
         let level = match &info.compiled {
             Some(c) => match c.next_tier(&self.config) {
                 Some(level) => level,
                 None => {
-                    let c = c.clone();
                     c.invocations.bump();
-                    self.registry.method_mut(mid).invocations = c.invocations.get();
-                    return Ok(c);
+                    return Ok(c.clone());
                 }
             },
             None => CompileLevel::Base,
@@ -423,7 +424,6 @@ impl Vm {
         }
         compiled.invocations.bump();
         self.registry.set_compiled(mid, compiled.clone());
-        self.registry.method_mut(mid).invocations = compiled.invocations.get();
         Ok(compiled)
     }
 
@@ -1130,9 +1130,8 @@ impl Vm {
     /// transformers. Marks the `remap` classes version-pending, snapshots
     /// the allocation **watermark** (the SATB commit point — no heap
     /// walk, no copying, no transformers, so this
-    /// *is* the commit pause and it is independent of heap size), arms
-    /// the read barrier, and bumps the dispatch epoch so every inline
-    /// cache re-resolves into barrier-aware dispatch. Stale objects are
+    /// *is* the commit pause and it is independent of heap size) and arms
+    /// the read barrier. Stale objects are
     /// discovered afterwards by [`Vm::lazy_scan`] batches; objects
     /// allocated past the watermark can never be stale because install
     /// already invalidated every method that could allocate a changed
@@ -1155,7 +1154,6 @@ impl Vm {
         self.lazy =
             LazyEpoch { active: true, remap, scan_addr, scan_limit, ..LazyEpoch::default() };
         self.dsu.update_count += 1;
-        self.registry.bump_code_epoch();
         scan_limit - scan_addr
     }
 
@@ -1396,9 +1394,10 @@ impl Vm {
         CollapseOutcome { cells, rewritten, done: self.lazy.sweep_addr >= self.lazy.sweep_limit }
     }
 
-    /// Closes a collapsed lazy-migration epoch: clears the epoch state
-    /// and bumps the dispatch epoch again (inline caches re-resolve back
-    /// onto the barrier-free fast path). Unlike the eager protocol there
+    /// Closes a collapsed lazy-migration epoch: clears the epoch state, so
+    /// the interpreter is back on the barrier-free fast path (the read
+    /// barrier and the leaf-call gate both read `lazy.active`). Unlike the
+    /// eager protocol there
     /// is **no commit collection**: the collapse already detached every
     /// live reference from the forwarding words, so the stale originals
     /// are reclaimed by whatever collection happens naturally next.
@@ -1415,7 +1414,6 @@ impl Vm {
         assert_eq!(self.dsu.depth, 0, "transformer still in progress");
         let totals = self.lazy.reset();
         self.dsu.clear_log();
-        self.registry.bump_code_epoch();
         totals
     }
 

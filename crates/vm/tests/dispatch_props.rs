@@ -1,16 +1,18 @@
-//! Property tests for the epoch-guarded inline caches (`jvolve_vm::icache`).
+//! Property tests for call dispatch under registry mutation: no call runs
+//! code that is no longer installed.
 //!
 //! A guest thread sits in a tight loop printing the result of one call —
-//! virtual in one test, static-direct in the other — so its per-thread
-//! caches stay warm across thousands of dispatches. The host, standing in
-//! for the update driver, interleaves random registry mutations at slice
+//! virtual in one test, static-direct in the other — so the call site
+//! stays hot across thousands of dispatches (and, with the jit on, the
+//! caller runs fused and the callee as a leaf). The host, standing in for
+//! the update driver, interleaves random registry mutations at slice
 //! boundaries (safe points): body swaps, invalidations, method strips and
 //! restores, rollbacks from saved state, and code republishes. The
 //! property: every value the guest prints is the value of a body that was
 //! actually installed at the time, and after each semantic change the new
 //! value shows up within the one in-flight call the thread may have been
-//! carrying — a stale cache entry surviving an epoch bump would either
-//! freeze the output on the old value or print garbage, and both fail.
+//! carrying — a call that kept running replaced code would either freeze
+//! the output on the old value or print garbage, and both fail.
 
 use jvolve_classfile::{ClassName, MethodDef};
 use jvolve_vm::{SliceOutcome, Vm, VmConfig};
@@ -84,7 +86,7 @@ fn def_of(src: &str, class: &str, method: &str) -> MethodDef {
 /// equal to `expected`. At most `max_stale` prints of `prev` are allowed
 /// first (the call that was in flight when the mutation landed); anything
 /// else — a value from neither body, or `prev` reappearing after
-/// `expected` was seen — is a stale-cache bug and panics.
+/// `expected` was seen — is a stale-dispatch bug and panics.
 fn drain_until_settled(vm: &mut Vm, cursor: &mut usize, expected: i64, prev: i64) {
     const SETTLE: usize = 3;
     const MAX_STALE: usize = 2;
@@ -121,11 +123,11 @@ fn drain_until_settled(vm: &mut Vm, cursor: &mut usize, expected: i64, prev: i64
                 assert_eq!(run, 0, "value {val} printed after {expected} had settled");
                 assert_eq!(val, prev, "value {val} matches no installed body (want {expected})");
                 stale += 1;
-                assert!(stale <= MAX_STALE, "{stale} stale prints of {prev}: cache not flushed");
+                assert!(stale <= MAX_STALE, "{stale} stale prints of {prev}: old code still runs");
             }
         }
     }
-    panic!("guest never settled on {expected} within {MAX_SLICES} slices (stale cache?)");
+    panic!("guest never settled on {expected} within {MAX_SLICES} slices (stale dispatch?)");
 }
 
 /// One randomized interleaving: boot the guest at `VERSIONS[0]`, then
@@ -136,7 +138,7 @@ fn drain_until_settled(vm: &mut Vm, cursor: &mut usize, expected: i64, prev: i64
 /// that `main`'s loop OSRs into fused code almost immediately and the
 /// callee gets jit-promoted too — so every mutation lands on a *fused*
 /// caller whose call site sits inside a superinstruction, exercising the
-/// epoch revalidation and deopt paths instead of plain cache flushes.
+/// epoch revalidation and deopt paths as well as re-resolution.
 fn run_interleaving(
     seed: u64,
     ops: usize,
@@ -162,11 +164,11 @@ fn run_interleaving(
     vm.spawn("Main", "main").expect("guest spawns");
     let mut cursor = 0usize;
     let mut expected = VERSIONS[0];
-    // (def, compiled, invocations, invalidations, value) captured before an
-    // install — what the update controller's rollback ledger would hold.
-    let mut saved: Option<(MethodDef, _, u32, u32, i64)> = None;
+    // (def, compiled, invalidations, value) captured before an install —
+    // what the update controller's rollback ledger would hold.
+    let mut saved: Option<(MethodDef, _, u32, i64)> = None;
 
-    // Warm up: fill the cache.
+    // Warm up: the call site is hot.
     drain_until_settled(&mut vm, &mut cursor, expected, expected);
 
     for _ in 0..ops {
@@ -180,7 +182,6 @@ fn run_interleaving(
                     saved = Some((
                         info.def.clone(),
                         info.compiled.clone(),
-                        info.invocations,
                         info.invalidations,
                         expected,
                     ));
@@ -200,19 +201,13 @@ fn run_interleaving(
             }
             // Roll back to a previously captured ledger entry.
             4 => {
-                if let Some((def, compiled, invocations, invalidations, val)) = saved.take() {
-                    vm.registry_mut().restore_method_state(
-                        mid,
-                        def,
-                        compiled,
-                        invocations,
-                        invalidations,
-                    );
+                if let Some((def, compiled, invalidations, val)) = saved.take() {
+                    vm.registry_mut().restore_method_state(mid, def, compiled, invalidations);
                     expected = val;
                 }
             }
             // Republish the current code object (epoch bump, same code) —
-            // what an OSR republish or tier promotion looks like to caches.
+            // what an OSR republish looks like to fused callers.
             _ => {
                 if let Some(code) = vm.registry().method(mid).compiled.clone() {
                     vm.registry_mut().set_compiled(mid, code);
@@ -230,28 +225,28 @@ fn run_interleaving(
 }
 
 #[test]
-fn virtual_call_caches_never_serve_stale_code() {
+fn virtual_calls_never_run_stale_code() {
     for seed in 0..6 {
         run_interleaving(seed, 40, "Obj", "v", virtual_src, false);
     }
 }
 
 #[test]
-fn direct_call_caches_never_serve_stale_code() {
+fn direct_calls_never_run_stale_code() {
     for seed in 100..106 {
         run_interleaving(seed, 40, "Util", "f", direct_src, false);
     }
 }
 
 #[test]
-fn jit_promoted_virtual_call_sites_never_serve_stale_code() {
+fn jit_promoted_virtual_calls_never_run_stale_code() {
     for seed in 200..206 {
         run_interleaving(seed, 40, "Obj", "v", virtual_src, true);
     }
 }
 
 #[test]
-fn jit_promoted_direct_call_sites_never_serve_stale_code() {
+fn jit_promoted_direct_calls_never_run_stale_code() {
     for seed in 300..306 {
         run_interleaving(seed, 40, "Util", "f", direct_src, true);
     }

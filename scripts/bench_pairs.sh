@@ -4,7 +4,7 @@
 # tenths of the pairs (ties count for neither side) and the medians differ
 # by more than the distance between the quartiles of the parent's runs.
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10]
+#   scripts/bench_pairs.sh [--aligned] <parent-ref> <workload> [pairs=10]
 #
 # "change" is the working tree; "parent" is <parent-ref>, exported with
 # `git archive` and built into a target directory of its own, both under
@@ -17,11 +17,32 @@
 # (exclusive method, as the driver takes them), wins/ties/losses over the
 # pairs, and a verdict — `gain`, `regressed` (median worse than the
 # parent's by more than the metric's bound), or `-`.
+#
+# --aligned builds both sides with
+# RUSTFLAGS="-C llvm-args=-align-all-functions=6" (every function on a
+# 64-byte boundary), each into a target directory of its own under
+# $BENCH_PAIRS_DIR, and keeps its results in <workload>.aligned.*.jsonl.
+# The interpreter's speed follows where the linker puts `exec_thread`; a
+# move that the aligned pairs erase is code placement, to be reported,
+# not claimed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+usage="usage: $0 [--aligned] <parent-ref> <workload> [pairs=10]"
+aligned=0
+if [[ ${1:-} == --aligned ]]; then
+    aligned=1
+    shift
+fi
+for arg in "$@"; do
+    if [[ $arg == -* ]]; then
+        echo "unknown flag '$arg'" >&2
+        echo "$usage" >&2
+        exit 2
+    fi
+done
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-    echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+    echo "$usage" >&2
     exit 2
 fi
 parent_ref=$1
@@ -51,19 +72,28 @@ if [[ ! -d $src ]]; then
     git archive "$sha" | tar -x -C "$src.partial"
     mv "$src.partial" "$src"
 fi
-echo "building parent $sha and the working tree" >&2
+if ((aligned)); then
+    export RUSTFLAGS="-C llvm-args=-align-all-functions=6"
+    tag=.aligned
+    change_target="$work/target-change-aligned"
+else
+    tag=
+    change_target=benchmark/target
+fi
+echo "building parent $sha and the working tree${tag:+ (64-byte function alignment)}" >&2
 cargo build --release --offline --quiet --manifest-path "$src/benchmark/Cargo.toml" \
-    --target-dir "$work/target-parent"
-cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-cp "$work/target-parent/release/jvolve-benchmark" "$work/parent.bin"
-cp benchmark/target/release/jvolve-benchmark "$work/change.bin"
+    --target-dir "$work/target-parent$tag"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+    --target-dir "$change_target"
+cp "$work/target-parent$tag/release/jvolve-benchmark" "$work/parent$tag.bin"
+cp "$change_target/release/jvolve-benchmark" "$work/change$tag.bin"
 
 run() { # side seed
-    "$work/$1.bin" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 \
-        | tail -n 1 >> "$work/$workload.$1.jsonl"
+    "$work/$1$tag.bin" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 \
+        | tail -n 1 >> "$work/$workload$tag.$1.jsonl"
 }
-: > "$work/$workload.parent.jsonl"
-: > "$work/$workload.change.jsonl"
+: > "$work/$workload$tag.parent.jsonl"
+: > "$work/$workload$tag.change.jsonl"
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then order="parent change"; else order="change parent"; fi
     for side in $order; do run "$side" "$i"; done
@@ -77,21 +107,21 @@ metrics=$(awk '
     on && /"better"/ { gsub(/[",]/, ""); better = $2 }
     on && /"bound"/  { gsub(/[",]/, ""); print name ":" better ":" $2 }' BENCHMARK.json)
 
-echo "$workload: $pairs pairs, parent $sha vs working tree, ${seconds}s runs"
+echo "$workload: $pairs pairs, parent $sha vs working tree, ${seconds}s runs${tag:+, both sides built with -align-all-functions=6}"
 for side in parent change; do
     awk -v side="$side" '
         { if ($0 !~ /"correct":true/) bad++
           match($0, /"attempted":[0-9]+/); att += substr($0, RSTART + 12, RLENGTH - 12)
           match($0, /"failed":[0-9]+/);    fail += substr($0, RSTART + 9, RLENGTH - 9) }
         END { printf "%-7s runs=%d incorrect=%d failed=%d/%d operations\n", side, NR, bad, fail, att }
-    ' "$work/$workload.$side.jsonl"
+    ' "$work/$workload$tag.$side.jsonl"
 done
 printf '%-16s %-6s %38s %38s %9s %8s  %s\n' metric better "parent median [q1 .. q3]" \
     "change median [q1 .. q3]" "w/t/l" "gap" verdict
 for m in $metrics; do
     IFS=: read -r name better bound <<< "$m"
     values() { sed -n "s/.*\"$name\":{\"value\":\([-+0-9.eE]*\).*/\1/p" "$1"; }
-    paste <(values "$work/$workload.parent.jsonl") <(values "$work/$workload.change.jsonl") \
+    paste <(values "$work/$workload$tag.parent.jsonl") <(values "$work/$workload$tag.change.jsonl") \
         | awk -v name="$name" -v better="$better" -v bound="$bound" '
         function sorted(src, dst, n,    i, j, t) {
             for (i = 1; i <= n; i++) dst[i] = src[i]

@@ -15,7 +15,7 @@ use std::cell::Cell;
 
 use jvolve_apps::harness::{app_vm_config, boot_with};
 use jvolve_apps::{GuestApp, Kvstore, Webserver};
-use jvolve_vm::{Vm, VmConfig};
+use jvolve_vm::Vm;
 use testkit::Rng;
 
 thread_local! {
@@ -105,10 +105,10 @@ fn serve(
     ALLOCS.with(Cell::get) - before
 }
 
-/// Boots the release of `app` labelled `label`, dispatch caches on or off.
-fn boot_release(app: &dyn GuestApp, label: &str, enable_inline_caches: bool) -> Vm {
+/// Boots the release of `app` labelled `label`.
+fn boot_release(app: &dyn GuestApp, label: &str) -> Vm {
     let index = app.versions().iter().position(|v| v.label == label).expect("known release");
-    boot_with(app, index, VmConfig { enable_inline_caches, ..app_vm_config() })
+    boot_with(app, index, app_vm_config())
 }
 
 const WARM_UP: usize = 20_000;
@@ -120,10 +120,9 @@ const BUDGET_PER_REQUEST: u64 = 4;
 /// The totals over `MEASURED` requests for the seeds below: two per
 /// request (27.5 and 62.8 per request before strings were read in place)
 /// plus the few an ordinary collection or a logged line makes.
-/// Deterministic — one host thread, seeded traffic, serial collector. The
-/// webserver total holds with the inline caches off too: a guest call
-/// allocates nothing in either mode (frames are records over the thread's
-/// one value stack). The kvstore read 20 031 while the opt tier existed:
+/// Deterministic — one host thread, seeded traffic, serial collector. A
+/// guest call allocates nothing (frames are records over the thread's one
+/// value stack). The kvstore read 20 031 while the opt tier existed:
 /// opt compiles of methods that crossed its threshold only after warm-up
 /// fell inside the window. 20 000 is exactly two per request, so no
 /// compile does now.
@@ -138,27 +137,22 @@ fn webserver_requests_stay_inside_the_host_allocation_budget() {
         ("GET /data.json", "200 ok:true"),
         ("GET /missing.html", "404 /missing.html"),
     ];
-    for caches in [true, false] {
-        let mut vm = boot_release(&Webserver, "5.1.6", caches);
-        let mut rng = Rng::new(1);
-        let mut next = || rng.pick(&PATHS).0.to_string();
-        let check = |line: &str, reply: &str| {
-            let want = PATHS.iter().find(|(l, _)| *l == line).expect("generated").1;
-            assert_eq!(reply, want, "{line}");
-        };
-        serve(&mut vm, jvolve_apps::webserver::PORT, 8, WARM_UP, &mut next, check);
-        let allocs = serve(&mut vm, jvolve_apps::webserver::PORT, 8, MEASURED, &mut next, check);
-        assert_eq!(
-            allocs, WEB_ALLOCS,
-            "host allocations inside step_slice over {MEASURED} requests, caches={caches}"
-        );
-        assert!(allocs <= BUDGET_PER_REQUEST * MEASURED as u64);
-    }
+    let mut vm = boot_release(&Webserver, "5.1.6");
+    let mut rng = Rng::new(1);
+    let mut next = || rng.pick(&PATHS).0.to_string();
+    let check = |line: &str, reply: &str| {
+        let want = PATHS.iter().find(|(l, _)| *l == line).expect("generated").1;
+        assert_eq!(reply, want, "{line}");
+    };
+    serve(&mut vm, jvolve_apps::webserver::PORT, 8, WARM_UP, &mut next, check);
+    let allocs = serve(&mut vm, jvolve_apps::webserver::PORT, 8, MEASURED, &mut next, check);
+    assert_eq!(allocs, WEB_ALLOCS, "host allocations inside step_slice over {MEASURED} requests");
+    assert!(allocs <= BUDGET_PER_REQUEST * MEASURED as u64);
 }
 
 #[test]
 fn kvstore_requests_stay_inside_the_host_allocation_budget() {
-    let mut vm = boot_release(&Kvstore, "1.20", true);
+    let mut vm = boot_release(&Kvstore, "1.20");
     let mut rng = Rng::new(1);
     let mut next = || {
         let key = rng.below(48);

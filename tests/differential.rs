@@ -731,122 +731,6 @@ fn same_update_twice_agrees_address_for_address() {
     assert_eq!(head, ROOT_ORDER_HEAD, "the update-GC enumerated roots in a different order");
 }
 
-// ---- inline-cache on/off oracle ----------------------------------------
-
-/// Everything the cache oracle compares across `enable_inline_caches`
-/// settings. VM stats deliberately exclude `ic_hits`/`ic_misses` (the two
-/// modes differ there by construction) but include `steps`: the caches
-/// must not change which instructions execute, only how dispatch resolves.
-#[derive(Debug, PartialEq, Eq)]
-struct CacheOracleOutcome {
-    heap_fingerprint: u64,
-    registry_fingerprint: String,
-    trace: i64,
-    checksum: i64,
-    /// (slices, steps, gcs, base_compiles, jit_compiles).
-    vm_stats: (u64, u64, u64, u64, u64),
-    events: Vec<String>,
-}
-
-/// Makes `update` fail at the very end of its install step — after the
-/// renames, strips, batch load, body swaps, invalidation and OSR — so the
-/// controller replays a full rollback ledger: the VM gets a class no
-/// payload knows about, and the transformer batch is made to define it
-/// too. The source still compiles and type-checks (a source that does
-/// not is rejected in `Pending`, before anything is installed); only the
-/// load collides.
-fn rig_install_failure(vm: &mut Vm, update: &mut Update) {
-    const BYSTANDER: &str = "class Bystander { }";
-    let bystander = jvolve_repro::lang::compile(BYSTANDER).expect("bystander compiles");
-    vm.load_classes(&bystander).expect("bystander loads");
-    let source = format!("{}{BYSTANDER}", update.transformers_source());
-    update.set_transformers_source(source);
-}
-
-/// Runs the §4.2-style workload with dispatch caches on or off, applies an
-/// update (or induces a mid-install failure and controller *rollback* when
-/// `rollback` is set), then keeps executing guest code through the same
-/// call sites. Dispatch must re-resolve identically in both modes.
-fn run_cache_oracle(enable_inline_caches: bool, rollback: bool) -> CacheOracleOutcome {
-    const NODES: i64 = 300;
-    let mut vm = Vm::new(VmConfig { enable_inline_caches, ..VmConfig::small() });
-    let old = jvolve_repro::lang::compile(GC_ORACLE_V1).expect("v1 compiles");
-    let new = jvolve_repro::lang::compile(GC_ORACLE_V2).expect("v2 compiles");
-    vm.load_classes(&old).expect("v1 loads");
-    vm.call_static_sync("App", "build", &[Value::Int(NODES)]).expect("build runs");
-    // Warm every call site so the caches hold pre-update targets when the
-    // update (or rollback) invalidates them.
-    for _ in 0..3 {
-        vm.call_static_sync("App", "checksum", &[]).expect("warm checksum runs");
-    }
-
-    let mut update = Update::prepare(&old, &new, "v1_").expect("update prepares");
-    update.set_transformers_source(GC_ORACLE_TRANSFORMERS);
-    if rollback {
-        rig_install_failure(&mut vm, &mut update);
-    }
-
-    let mut events = MemorySink::default();
-    let mut controller = UpdateController::new(&update, ApplyOptions::default());
-    controller.attach_sink(&mut events);
-    let result = controller.run_to_completion(&mut vm);
-    assert_eq!(result.is_err(), rollback, "rollback={rollback}: {result:?}");
-
-    // Post-event guest execution: every cached target filled before the
-    // update must re-resolve (to new code, or — after rollback — to the
-    // restored old code), never serve a stale method.
-    let checksum = vm
-        .call_static_sync("App", "checksum", &[])
-        .expect("post-update checksum runs")
-        .expect("returns")
-        .as_int();
-    let trace = match vm.read_static("App", "trace") {
-        Value::Int(t) => t,
-        other => panic!("trace is {other:?}"),
-    };
-    let s = vm.stats();
-    CacheOracleOutcome {
-        heap_fingerprint: vm.heap_fingerprint(),
-        registry_fingerprint: registry_fingerprint(&vm),
-        trace,
-        checksum,
-        vm_stats: (s.slices, s.steps, s.gcs, s.base_compiles, s.jit_compiles),
-        events: events
-            .events
-            .iter()
-            .filter(|e| !matches!(e, UpdateEvent::PhaseExited { .. }))
-            .map(|e| match e {
-                UpdateEvent::Committed { .. } => "Committed".to_string(),
-                UpdateEvent::Aborted { .. } => "Aborted".to_string(),
-                other => format!("{other:?}"),
-            })
-            .collect(),
-    }
-}
-
-/// The caches-on/off oracle: identical heap, registry, transformer trace,
-/// guest results, step counts, and normalized event streams across an
-/// applied update AND a rolled-back one.
-#[test]
-fn inline_caches_are_observationally_invisible() {
-    for rollback in [false, true] {
-        let off = run_cache_oracle(false, rollback);
-        let on = run_cache_oracle(true, rollback);
-        assert_eq!(off, on, "rollback={rollback}: cache modes diverged");
-        if rollback {
-            assert_eq!(on.trace, 1, "no transformer ran before the rollback");
-            assert!(on.events.iter().any(|e| e == "Aborted"), "{:?}", on.events);
-            assert!(
-                on.events.iter().any(|e| e.starts_with("OsrApplied")),
-                "the install must have run to its last step before failing: {:?}",
-                on.events
-            );
-        } else {
-            assert!(on.trace != 1, "transformers fed the trace");
-        }
-    }
-}
-
 // ---- template-JIT on/off oracle ----------------------------------------
 
 /// Everything the jit oracle compares across `enable_jit` settings. VM
@@ -864,6 +748,21 @@ struct JitOracleOutcome {
     /// (slices, steps, gcs, base_compiles).
     vm_stats: (u64, u64, u64, u64),
     events: Vec<String>,
+}
+
+/// Makes `update` fail at the very end of its install step — after the
+/// renames, strips, batch load, body swaps, invalidation and OSR — so the
+/// controller replays a full rollback ledger: the VM gets a class no
+/// payload knows about, and the transformer batch is made to define it
+/// too. The source still compiles and type-checks (a source that does
+/// not is rejected in `Pending`, before anything is installed); only the
+/// load collides.
+fn rig_install_failure(vm: &mut Vm, update: &mut Update) {
+    const BYSTANDER: &str = "class Bystander { }";
+    let bystander = jvolve_repro::lang::compile(BYSTANDER).expect("bystander compiles");
+    vm.load_classes(&bystander).expect("bystander loads");
+    let source = format!("{}{BYSTANDER}", update.transformers_source());
+    update.set_transformers_source(source);
 }
 
 /// Runs the ring workload with the template-JIT tier on or off (threshold

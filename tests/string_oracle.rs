@@ -238,7 +238,9 @@ fn guest_string_ops_match_the_rust_reference() {
         }
         assert_eq!(vm.stats().gcs, 0, "operands were never moved under the host");
         if enable_jit {
-            assert!(vm.stats().ic_hits > 0, "the leaf-call path ran");
+            assert!(vm.stats().fused_steps > 0, "fused code or a leaf callee ran");
+        } else {
+            assert_eq!(vm.stats().fused_steps, 0, "nothing fuses with the jit off");
         }
     }
 }
