@@ -4,11 +4,14 @@
 //!   argues eager updating has *zero* steady-state overhead while
 //!   JDrums/DVM-style indirection pays on every access (§5, ~10% for
 //!   DVM). One lazy mechanism stands in for both lazy systems: a
-//!   lazy-migration epoch drained to completion (the barrier disarms
-//!   again) and one held open (the controller is never stepped past
-//!   arming, so every reference load pays the read barrier forever). We
+//!   lazy-migration epoch copied to completion (the read barrier's range
+//!   test is false again) and one held open (the controller is never
+//!   stepped past the flip, so the copy never finishes and every load of a
+//!   reference the copy has not rewritten pays the barrier forever). We
 //!   time a CPU-bound field-access churn in all four configurations and
-//!   report the heap each leaves behind.
+//!   report the memory each keeps: the heap in use, the from-space a
+//!   held-open copy keeps reserved, and the old copies the update log
+//!   keeps alive.
 //! * **Return barriers / OSR on vs off** — the safe-point machinery of
 //!   §3.2. Without OSR, updates restricted by category-2 methods on
 //!   always-running stacks time out; without barriers, reaching a safe
@@ -96,12 +99,12 @@ pub enum ChurnMode {
     /// After an eager (GC-based) update — no check ever runs.
     EagerUpdated,
     /// `lazy_migration` VM after a lazy update whose epoch the controller
-    /// drained to completion: the read barrier is disarmed again.
+    /// stepped to completion: the copy is done, the barrier never fires.
     LazyDrained,
     /// `lazy_migration` VM after a lazy update whose controller was never
-    /// stepped past arming: touched objects migrate through the read
-    /// barrier, which every reference load keeps paying — the JDrums/DVM
-    /// indirection baseline (paper §5).
+    /// stepped past the flip: touched objects migrate through the read
+    /// barrier, which every load of an unrewritten reference keeps paying
+    /// — the JDrums/DVM indirection baseline (paper §5).
     LazyHeldOpen,
 }
 
@@ -115,6 +118,11 @@ pub struct ChurnRun {
     pub checksum: i64,
     /// `Heap::used_words` after the timed run.
     pub used_words: usize,
+    /// From-space words an unfinished copy keeps reserved
+    /// (`Heap::from_space_words`; zero once a copy is done).
+    pub from_words: usize,
+    /// Old-copy words the update log keeps alive (`Vm::update_log_words`).
+    pub log_words: usize,
 }
 
 /// The CPU-bound churn under `mode`, with the template-JIT tier on or off
@@ -163,7 +171,13 @@ pub fn churn_wall_time_with_jit(mode: ChurnMode, nodes: i64, iters: i64, jit: bo
     if mode == ChurnMode::LazyHeldOpen {
         assert!(vm.lazy_epoch_active(), "the held-open epoch must still be open");
     }
-    ChurnRun { wall, checksum: sum.as_int(), used_words: vm.heap().used_words() }
+    ChurnRun {
+        wall,
+        checksum: sum.as_int(),
+        used_words: vm.heap().used_words(),
+        from_words: vm.heap().from_space_words(),
+        log_words: vm.update_log_words(),
+    }
 }
 
 /// Outcome of the safe-point machinery ablation.
@@ -211,11 +225,18 @@ mod tests {
     fn churn_modes_agree_and_the_held_open_epoch_keeps_its_stale_copies() {
         let run = |mode| churn_wall_time_with_jit(mode, 50, 8, true);
         let eager = run(ChurnMode::Eager);
-        for mode in [ChurnMode::EagerUpdated, ChurnMode::LazyDrained, ChurnMode::LazyHeldOpen] {
-            assert_eq!(run(mode).checksum, eager.checksum, "{mode:?}");
+        for mode in [ChurnMode::EagerUpdated, ChurnMode::LazyDrained] {
+            let other = run(mode);
+            assert_eq!(other.checksum, eager.checksum, "{mode:?}");
+            assert_eq!((other.from_words, other.log_words), (0, 0), "{mode:?}: {other:?}");
         }
+        // The held-open copy keeps the whole v1 heap reserved in
+        // from-space, the stale originals of the nodes it migrated
+        // included; the plan logged nothing.
         let held = run(ChurnMode::LazyHeldOpen);
-        assert!(held.used_words > eager.used_words, "{held:?} vs {eager:?}");
+        assert_eq!(held.checksum, eager.checksum);
+        assert!(held.from_words >= eager.used_words, "{held:?} vs {eager:?}");
+        assert_eq!(held.log_words, 0, "{held:?}");
     }
 
     #[test]

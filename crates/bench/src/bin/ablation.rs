@@ -1,10 +1,12 @@
 //! Ablation harness: the design-choice comparisons DESIGN.md §5 calls out.
 //!
-//! * eager (GC-time) vs lazy (access-time) updating — steady-state time
-//!   and heap words after an eager update, after a drained lazy-migration
-//!   epoch, and with the epoch held open, which is the JDrums/DVM-style
-//!   per-access indirection (the paper's "zero overhead during
-//!   steady-state execution" vs ~10% for DVM, §5);
+//! * eager (GC-time) vs lazy (access-time) updating — steady-state time,
+//!   and the memory each mode keeps beside it (heap in use, from-space a
+//!   held-open copy keeps reserved, old copies on the update log), after
+//!   an eager update, after a finished lazy-migration epoch, and with the
+//!   epoch held open, which is the JDrums/DVM-style per-access
+//!   indirection (the paper's "zero overhead during steady-state
+//!   execution" vs ~10% for DVM, §5);
 //! * the §3.2 safe-point machinery (return barriers + OSR) on vs off;
 //! * the template-JIT tier on vs off, warm and after a dynamic update —
 //!   DSU must cost nothing even when hot loops run superinstruction-fused
@@ -20,11 +22,11 @@ fn main() {
     // by wall clock; interleaved rounds, medians.
     let rounds = 5;
     let (nodes, iters) = (400, 4_000);
-    let mut results: Vec<(ChurnMode, &str, Vec<f64>, usize)> = vec![
-        (ChurnMode::Eager, "eager (JVolve), no update", Vec::new(), 0),
-        (ChurnMode::EagerUpdated, "eager (JVolve), after GC update", Vec::new(), 0),
-        (ChurnMode::LazyDrained, "lazy, epoch drained", Vec::new(), 0),
-        (ChurnMode::LazyHeldOpen, "lazy, epoch held open (JDrums/DVM)", Vec::new(), 0),
+    let mut results: Vec<(ChurnMode, &str, Vec<f64>, [usize; 3])> = vec![
+        (ChurnMode::Eager, "eager (JVolve), no update", Vec::new(), [0; 3]),
+        (ChurnMode::EagerUpdated, "eager (JVolve), after GC update", Vec::new(), [0; 3]),
+        (ChurnMode::LazyDrained, "lazy, epoch copied", Vec::new(), [0; 3]),
+        (ChurnMode::LazyHeldOpen, "lazy, epoch held open (JDrums/DVM)", Vec::new(), [0; 3]),
     ];
     let mut checksum = None;
     let _ = churn_wall_time_with_jit(ChurnMode::Eager, nodes, iters, true); // process warm-up
@@ -37,7 +39,7 @@ fn main() {
                 Some(c) => assert_eq!(c, run.checksum, "all modes must compute the same result"),
             }
             samples.push(run.wall.as_secs_f64());
-            *words = run.used_words;
+            *words = [run.used_words, run.from_words, run.log_words];
         }
     }
     let median = |xs: &mut Vec<f64>| {
@@ -45,18 +47,23 @@ fn main() {
         xs[xs.len() / 2]
     };
     let mut base = 0.0;
-    println!("{:<38} {:>12} {:>10} {:>12}", "mode", "time (ms)", "vs eager", "heap words");
-    for (i, (_, name, samples, words)) in results.iter_mut().enumerate() {
+    println!(
+        "{:<38} {:>12} {:>10} {:>12} {:>12} {:>10}",
+        "mode", "time (ms)", "vs eager", "heap words", "from-space", "log words"
+    );
+    for (i, (_, name, samples, [used, from, log])) in results.iter_mut().enumerate() {
         let med = median(samples);
         if i == 0 {
             base = med;
         }
         println!(
-            "{:<38} {:>12.1} {:>9.1}% {:>12}",
+            "{:<38} {:>12.1} {:>9.1}% {:>12} {:>12} {:>10}",
             name,
             med * 1e3,
             (med / base - 1.0) * 100.0,
-            words
+            used,
+            from,
+            log
         );
     }
     println!(
@@ -67,8 +74,10 @@ fn main() {
     println!(
         "\n(paper \u{a7}5: eager updating imposes no steady-state overhead; \
          indirection-based lazy systems pay on every access \u{2014} ~10% for DVM.\n \
-         The held-open epoch keeps every stale original behind a forwarding word \
-         next to its migrated copy.)"
+         The held-open epoch keeps its from-space reserved beside to-space \u{2014} every \
+         original, the migrated ones behind a forwarding word \u{2014} and pays the\n \
+         barrier on every load of a reference its copy never rewrote; the plan logs no \
+         old copies.)"
     );
 
     println!("\n== Ablation 2: template-JIT tier (superinstruction fusion) ==\n");

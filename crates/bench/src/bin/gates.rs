@@ -24,8 +24,9 @@
 //! * `lazy` — a 100 %-updated population at the smallest and largest
 //!   scaled §4.1 heap points: lazy pause ≤ 0.25× eager; post-drain steady
 //!   state ≤ 1.15× eager's; lazy pause ≤ 2× and longest step after the
-//!   release ≤ 4× across the two heap points; lazy drain ≤ 1.5× the eager
-//!   pause.
+//!   release ≤ 4× across the two heap points; lazy drain ≤ 1.25× the
+//!   eager pause; and, exactly, the lazy commit leaves the eager heap's
+//!   words in use.
 //! * `fleet` — a 2-shard webserver fleet completes a closed batch at
 //!   ≥ 1.6× the aggregate throughput of one shard.
 //! * `stream` — the kvstore's 20-update eager release stream: the longest
@@ -430,16 +431,17 @@ const PAUSE_RATIO_LIMIT: f64 = 0.25;
 const FLATNESS_LIMIT: f64 = 2.0;
 
 /// The longest controller step after the release, largest point over
-/// smallest. Every step stops at its budget, but a budget's cells are
-/// cache-resident at the small point and not at the large one (0.7–2.1×
-/// on a 2-vCPU host); a collapse sweep that charges a whole array as one
-/// cell reads 17–19×.
+/// smallest. Every step stops at its budget — inside an array, if it runs
+/// out there — but a budget's cells are cache-resident at the small point
+/// and not at the large one; a step that copied a whole array at once
+/// would grow with the heap.
 const STEP_FLATNESS_LIMIT: f64 = 4.0;
 
-/// The lazy drain (scan, scavenge, collapse) over the eager pause at the
-/// largest heap point. A drain that visits planned objects a second time
-/// reads ≈ 2.4×.
-const DRAIN_RATIO_LIMIT: f64 = 1.5;
+/// The lazy drain (the incremental copy's steps) over the eager pause at
+/// the largest heap point: the same copy, spread over steps. A drain with
+/// a second heap-wide pass (the forwarding collapse it replaced) read
+/// 1.17–1.21×, one that visits planned objects a second time ≈ 2.4×.
+const DRAIN_RATIO_LIMIT: f64 = 1.25;
 
 /// Paper object counts scaled by 1/80, so the gate runs in seconds.
 const LAZY_SCALE_DIV: usize = 80;
@@ -554,6 +556,11 @@ fn lazy(iters: usize) -> Vec<String> {
     let at = |objects, lazy, n| lazy_runs(objects, lazy, false, n);
     let min = |samples: &Samples| samples.min_ns() as f64;
     let mut failures = Vec::new();
+    failures.extend(exact(
+        &format!("lazy heap words after the commit = eager's, {l} objects"),
+        large.lazy.last.used_words,
+        large.eager.last.used_words,
+    ));
     failures.extend(ratio_gate(
         &format!("lazy pause / eager pause, {l} objects"),
         Bound::AtMost(PAUSE_RATIO_LIMIT),

@@ -2,10 +2,11 @@
 //!
 //! The lazy mode's claim is twofold: the *commit pause* shrinks from
 //! O(heap) — a full update-GC plus every object transformer — to O(roots),
-//! arming the read barrier against an allocation watermark (stale objects
-//! are discovered afterwards by the controller-stepped SATB scan), and
-//! once the epoch drains the barrier is disarmed so the *steady state*
-//! costs exactly what an eager commit would. This module measures both
+//! a flip that evacuates the roots' referents (the rest of the update-GC
+//! runs afterwards as a controller-stepped incremental copy), and once
+//! the copy ends the read barrier's range test is false again, so the
+//! *steady state* costs exactly what an eager commit would — on the same
+//! heap words. This module measures both
 //! halves of the claim on a §4.1-shaped population and a field-read spin
 //! loop, driving the [`UpdateController`] directly so the moment the
 //! mutator is released (the first `Pending(LazyMigrating)` step) is
@@ -106,13 +107,13 @@ class Driver {
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateRun {
     /// Stop-the-world commit pause: for an eager update the whole apply;
-    /// for a lazy one, everything up to the first scavenger step — the
+    /// for a lazy one, everything up to the first copy step — the
     /// point at which the controller would hand slices back to the guest.
     pub pause_ns: u64,
-    /// Lazy only: wall time from mutator release to `Committed` (SATB
-    /// scan, scavenger drain, forwarding collapse). Zero when eager.
+    /// Lazy only: wall time from mutator release to `Committed` (the copy
+    /// steps). Zero when eager.
     pub drain_ns: u64,
-    /// Lazy only: the barrier-arm portion of the pause
+    /// Lazy only: the flip's portion of the pause
     /// (`UpdateStats::arm_time`) — the entire in-pause heap cost, which
     /// the O(roots) claim says is independent of heap size. Zero when
     /// eager.
@@ -123,6 +124,9 @@ pub struct UpdateRun {
     pub max_step_ns: u64,
     /// Objects the transformers migrated (must equal the `Change` count).
     pub transformed: usize,
+    /// Heap words in use right after the commit: the update-GC's copy,
+    /// old copies included, in either mode.
+    pub used_words: usize,
     /// Post-commit steady-state cost of one spin iteration (three field
     /// reads plus an array load), in nanoseconds.
     pub steady_ns_per_op: f64,
@@ -204,6 +208,7 @@ pub fn measure_update(
     assert_eq!(transformed, n_change, "every Change instance migrates exactly once");
     let planned = if interpret { 0 } else { n_change };
     assert_eq!(controller.stats().objects_planned, planned, "copy plans applied as configured");
+    let used_words = vm.heap().used_words();
 
     // Steady state: the epoch is over, so the spin loop must run on the
     // barrier-free fast path in both modes. (With no Change instances
@@ -228,6 +233,7 @@ pub fn measure_update(
         arm_ns,
         max_step_ns,
         transformed,
+        used_words,
         steady_ns_per_op,
         spin_result,
     }
@@ -250,11 +256,12 @@ mod tests {
         }
         assert_eq!(eager.transformed, 400);
         assert_eq!(lazy.transformed, 400);
+        assert_eq!(eager.used_words, lazy.used_words, "the epoch ends on the eager heap");
         assert_eq!(eager.spin_result, lazy.spin_result);
         assert_eq!(eager.drain_ns, 0, "eager commits entirely inside the pause");
         assert!(lazy.drain_ns > 0, "lazy drains after the mutator is released");
-        assert_eq!(eager.arm_ns, 0, "eager never arms the barrier");
-        assert!(lazy.arm_ns > 0, "the lazy arm pause was measured");
+        assert_eq!(eager.arm_ns, 0, "eager never flips for an epoch");
+        assert!(lazy.arm_ns > 0, "the lazy flip was measured");
         assert!(lazy.arm_ns <= lazy.pause_ns, "the arm is part of the pause");
         assert_eq!(eager.max_step_ns, 0, "eager has no step after the pause");
         assert!(lazy.max_step_ns > 0 && lazy.max_step_ns <= lazy.drain_ns, "steps are the drain");

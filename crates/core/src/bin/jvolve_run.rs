@@ -10,12 +10,13 @@
 //! ```
 //!
 //! With `--lazy` the update commits in lazy-migration mode
-//! (`VmConfig::lazy_migration`): the pause is O(roots) — the read barrier
-//! arms against an allocation watermark, a controller-stepped SATB scan
-//! discovers stale objects, they transform on first touch or by scavenger
-//! batch, and a final incremental collapse rewrites forwarded references
-//! — all interleaved with the running program. `--lazy-batch` scales the
-//! per-step budgets.
+//! (`VmConfig::lazy_migration`): the pause is O(roots) — the semispaces
+//! flip and the roots' referents are evacuated — and the rest of the
+//! update-GC runs as an incremental copy, controller steps and the read
+//! barrier evacuating and transforming objects, interleaved with the
+//! running program. `--lazy-batch` scales the per-step budgets. Either
+//! way the last line reports the objects transformed and the words the
+//! update's collection copied.
 //!
 //! When an update is applied, the controller's structured event stream
 //! (phase transitions, safe-point polls, install counts, GC outcome) is
@@ -280,11 +281,10 @@ fn main() -> ExitCode {
         eprintln!("jvolve_run: applying update after {} slices ...", cli.after);
         let mut trace = JsonTraceSink::new();
         // `--lazy-batch N` scales both per-step budgets from their
-        // defaults: N objects per scavenge batch and proportionally many
-        // heap cells per SATB-scan/collapse batch (the default ratio is
-        // 128 objects : 4096 cells; the scan counts each object it
-        // converts by copy plan as one more cell, the collapse each
-        // element of a reference array as a cell).
+        // defaults: N duplicated objects per copy step and proportionally
+        // many budget units of scan work (the default ratio is 128
+        // objects : 4096 units; a reference array's elements are a unit
+        // each).
         let opts = match cli.lazy_batch {
             Some(n) => ApplyOptions {
                 lazy_scavenge_batch: n,
@@ -296,7 +296,7 @@ fn main() -> ExitCode {
         let mut controller = UpdateController::new(&update, opts);
         controller.attach_sink(&mut trace);
         // Like `run_to_completion`, but interleaves guest slices with the
-        // scavenger while a lazy epoch drains — the mode's whole point.
+        // copy steps while a lazy epoch copies — the mode's whole point.
         let result = loop {
             match controller.step(&mut vm) {
                 StepProgress::Pending(UpdatePhase::LazyMigrating) => {
@@ -320,8 +320,12 @@ fn main() -> ExitCode {
         }
         match result {
             Ok(stats) => eprintln!(
-                "jvolve_run: updated ({} objects transformed, {} of them by copy plan, pause {:?})",
-                stats.objects_transformed, stats.objects_planned, stats.total_time
+                "jvolve_run: updated ({} objects transformed, {} of them by copy plan, \
+                 {} words copied, pause {:?})",
+                stats.objects_transformed,
+                stats.objects_planned,
+                stats.gc_copied_words,
+                stats.total_time
             ),
             Err(e) => {
                 eprintln!("jvolve_run: update failed: {e}");

@@ -49,13 +49,13 @@
 //! must read 0.
 //!
 //! With [`jvolve_vm::VmConfig::lazy_migration`] the pause ends early: the
-//! `TransformingHeap` phase only arms the read barrier (one linear scan,
-//! no copying) and runs class transformers, then the controller enters
-//! `LazyMigrating`. In that phase the guest runs freely — stale objects
-//! migrate on first touch through the barrier — while each `step` call
-//! additionally scavenges a batch of untouched objects. When the worklist
-//! drains, the controller disarms the barrier, collapses the forwarding
-//! words with one ordinary collection, and commits.
+//! `TransformingHeap` phase only flips the semispaces and evacuates the
+//! roots' referents (O(roots) words) and runs class transformers, then the
+//! controller enters `LazyMigrating`. In that phase the guest runs freely —
+//! the read barrier evacuates what it loads — while each `step` call
+//! advances the update-GC's incremental copy by one budget. When the copy
+//! is done the controller reports it as the update's collection and
+//! commits.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -93,13 +93,13 @@ pub enum UpdatePhase {
     Installing,
     /// Update GC + class/object transformers (paper step 5). In lazy
     /// mode ([`jvolve_vm::VmConfig::lazy_migration`]) this phase is only
-    /// the commit scan + class transformers; object transformation is
-    /// deferred to [`UpdatePhase::LazyMigrating`].
+    /// the flip, the roots' evacuation and class transformers; the rest of
+    /// the copy is deferred to [`UpdatePhase::LazyMigrating`].
     TransformingHeap,
-    /// A lazy-migration epoch is draining: the read barrier migrates
-    /// objects the guest touches, and each `step` call runs one scavenger
-    /// batch over the rest. Like the safe-point wait, the embedder may
-    /// run guest slices between `step` calls in this phase.
+    /// A lazy-migration epoch is copying: the read barrier evacuates what
+    /// the guest loads, and each `step` call advances the incremental copy
+    /// by one budget. Like the safe-point wait, the embedder may run guest
+    /// slices between `step` calls in this phase.
     LazyMigrating,
     /// The VM runs the new version.
     Committed,
@@ -196,7 +196,8 @@ pub enum UpdateEvent {
         /// Frames migrated to a changed method version (§3.5 mode).
         migrated: usize,
     },
-    /// The update GC finished.
+    /// The update GC finished (in lazy mode: the epoch's incremental copy,
+    /// reported when the epoch ends).
     GcCompleted {
         /// Cells copied (objects duplicated for an interpreted transformer
         /// count twice, planned ones once).
@@ -213,47 +214,28 @@ pub enum UpdateEvent {
         /// How many of them a native copy plan converted.
         objects_planned: usize,
     },
-    /// A lazy-migration epoch began: the read barrier is armed and the
-    /// allocation watermark recorded (lazy mode only). Stale objects are
-    /// not known yet — the SATB scan discovers them incrementally.
+    /// A lazy-migration epoch began: the semispaces flipped and the roots'
+    /// referents were evacuated (lazy mode only).
     LazyEpochBegun {
-        /// Heap words below the watermark (what the SATB scan will
-        /// cover).
-        watermark_words: usize,
+        /// Words in use in from-space: what the incremental copy
+        /// evacuates from.
+        from_words: usize,
         /// The arm pause: `Vm::begin_lazy_migration` wall time, the
         /// entire in-pause heap cost of the lazy commit.
         arm: Duration,
     },
-    /// One SATB discovery batch ran over the watermarked region (lazy
-    /// mode only).
-    LazyScanStep {
-        /// Heap cells the batch stepped over.
+    /// One step of the epoch's incremental copy ran (lazy mode only).
+    LazyCopyStep {
+        /// Budget units its scan charged: cells scanned or evacuated, a
+        /// reference array's elements one each.
         cells: usize,
-        /// Stale objects discovered: converted on the spot or queued.
-        found: usize,
-        /// How many of them a native copy plan converted on the spot (the
-        /// rest were queued for the scavenger).
+        /// Words it evacuated, its transformers' loads included.
+        words: usize,
+        /// Objects it converted by copy plan.
         planned: usize,
-        /// Whether the scan reached the watermark.
-        done: bool,
-    },
-    /// One scavenger batch ran over the lazy worklist (lazy mode only).
-    LazyScavengeStep {
-        /// Objects this batch transformed (barrier-migrated entries are
-        /// skipped, not counted).
-        transformed: usize,
-        /// How many of them a native copy plan converted.
-        planned: usize,
-        /// Worklist entries still pending after the batch.
-        remaining: usize,
-    },
-    /// One forwarding-collapse batch ran (lazy mode only).
-    LazyCollapseStep {
-        /// Heap cells the batch swept.
-        cells: usize,
-        /// Reference slots rewritten through forwarding words.
-        rewritten: usize,
-        /// Whether the sweep reached the epoch's allocation horizon.
+        /// Pairs it duplicated and logged; their transformers ran in it.
+        logged: usize,
+        /// Whether the epoch is done.
         done: bool,
     },
     /// The rollback ledger was replayed; the VM is on the old version.
@@ -321,10 +303,11 @@ impl UpdateEventSink for MemorySink {
 /// field identifying which fleet shard produced the trace; single-VM
 /// runs emit `shard_id: 0`. `v4` drops `methods_invalidated`'s count of
 /// invalidated inlining callers, with the opt tier that inlined. `v5`
-/// adds `lazy_scan_step`'s `planned`: the SATB scan converts planned
-/// objects as it finds them, so a fully planned update emits no
-/// `lazy_scavenge_step` at all.
-pub const TRACE_SCHEMA: &str = "jvolve-update-trace-v5";
+/// added `lazy_scan_step`'s `planned`. `v6` replaces the scan, scavenge
+/// and collapse steps with one `lazy_copy_step` (the epoch is an
+/// incremental copy), renames `lazy_epoch_begun`'s `watermark_words` to
+/// `from_words`, and ends a lazy epoch with the `gc_completed` of its copy.
+pub const TRACE_SCHEMA: &str = "jvolve-update-trace-v6";
 
 /// A sink that serializes the event stream to JSON (via `jvolve-json`),
 /// for `results/update_trace.json`. Consecutive safe-point polls with an
@@ -445,28 +428,17 @@ fn event_to_json(event: &UpdateEvent) -> Json {
             ("objects_transformed", Json::from(*objects_transformed)),
             ("objects_planned", Json::from(*objects_planned)),
         ]),
-        UpdateEvent::LazyEpochBegun { watermark_words, arm } => Json::obj([
+        UpdateEvent::LazyEpochBegun { from_words, arm } => Json::obj([
             ("event", Json::from("lazy_epoch_begun")),
-            ("watermark_words", Json::from(*watermark_words)),
+            ("from_words", Json::from(*from_words)),
             ("arm_ms", duration_ms(*arm)),
         ]),
-        UpdateEvent::LazyScanStep { cells, found, planned, done } => Json::obj([
-            ("event", Json::from("lazy_scan_step")),
+        UpdateEvent::LazyCopyStep { cells, words, planned, logged, done } => Json::obj([
+            ("event", Json::from("lazy_copy_step")),
             ("cells", Json::from(*cells)),
-            ("found", Json::from(*found)),
+            ("words", Json::from(*words)),
             ("planned", Json::from(*planned)),
-            ("done", Json::from(*done)),
-        ]),
-        UpdateEvent::LazyScavengeStep { transformed, planned, remaining } => Json::obj([
-            ("event", Json::from("lazy_scavenge_step")),
-            ("transformed", Json::from(*transformed)),
-            ("planned", Json::from(*planned)),
-            ("remaining", Json::from(*remaining)),
-        ]),
-        UpdateEvent::LazyCollapseStep { cells, rewritten, done } => Json::obj([
-            ("event", Json::from("lazy_collapse_step")),
-            ("cells", Json::from(*cells)),
-            ("rewritten", Json::from(*rewritten)),
+            ("logged", Json::from(*logged)),
             ("done", Json::from(*done)),
         ]),
         UpdateEvent::RolledBack { reason, actions_undone } => Json::obj([
@@ -593,7 +565,7 @@ enum State {
     Waiting(WaitState),
     Installing(WaitState),
     Transforming(TransformInputs),
-    /// A lazy epoch is draining; each step runs one scavenger batch.
+    /// A lazy epoch is copying; each step advances the copy by a budget.
     LazyMigrating,
     Committed,
     Aborted,
@@ -829,33 +801,21 @@ impl<'u> UpdateController<'u> {
                 Err(e) => self.abort_no_rollback(e, t),
             },
             State::LazyMigrating => match vm.lazy_stage() {
-                LazyStage::Scan => {
-                    let out = vm.lazy_scan(self.opts.lazy_step_cells.max(1));
-                    self.emit(UpdateEvent::LazyScanStep {
-                        cells: out.cells,
-                        found: out.found,
-                        planned: out.planned,
-                        done: out.done,
-                    });
-                    self.state = State::LazyMigrating;
-                    let elapsed = t.elapsed();
-                    self.stats.lazy_scan_time += elapsed;
-                    self.stats.lazy_time += elapsed;
-                    self.stats.total_time += elapsed;
-                    self.phase_elapsed += elapsed;
-                    StepProgress::Pending(UpdatePhase::LazyMigrating)
-                }
-                LazyStage::Drain => {
-                    let batch = self.opts.lazy_scavenge_batch.max(1);
-                    match vm.lazy_scavenge(batch) {
+                LazyStage::Copy => {
+                    let (cells, batch) = (self.opts.lazy_step_cells, self.opts.lazy_scavenge_batch);
+                    match vm.lazy_copy_step(cells, batch) {
                         Ok(out) => {
-                            self.emit(UpdateEvent::LazyScavengeStep {
-                                transformed: out.transformed,
+                            self.emit(UpdateEvent::LazyCopyStep {
+                                cells: out.cells,
+                                words: out.words,
                                 planned: out.planned,
-                                remaining: out.remaining,
+                                logged: out.logged,
+                                done: out.done,
                             });
+                            debug_assert_eq!(vm.check_epoch_invariants(), Ok(()));
                             self.state = State::LazyMigrating;
                             let elapsed = t.elapsed();
+                            self.stats.lazy_scan_time += elapsed;
                             self.stats.lazy_time += elapsed;
                             self.stats.total_time += elapsed;
                             self.phase_elapsed += elapsed;
@@ -864,26 +824,16 @@ impl<'u> UpdateController<'u> {
                         Err(e) => self.abort_no_rollback(e.into(), t),
                     }
                 }
-                LazyStage::Collapse => {
-                    let out = vm.lazy_collapse(self.opts.lazy_step_cells.max(1));
-                    self.emit(UpdateEvent::LazyCollapseStep {
-                        cells: out.cells,
-                        rewritten: out.rewritten,
-                        done: out.done,
-                    });
-                    self.state = State::LazyMigrating;
-                    let elapsed = t.elapsed();
-                    self.stats.lazy_collapse_time += elapsed;
-                    self.stats.lazy_time += elapsed;
-                    self.stats.total_time += elapsed;
-                    self.phase_elapsed += elapsed;
-                    StepProgress::Pending(UpdatePhase::LazyMigrating)
-                }
                 LazyStage::Done => {
-                    // Disarms the barrier; no finishing collection runs.
-                    // Garbage forwards are reclaimed by the next natural
-                    // GC, so no `GcCompleted` is emitted here.
+                    // The copy was the update's collection: report it as
+                    // one, so the lazy commit's copy counts read like the
+                    // eager one's. No further collection runs.
                     let totals = vm.finish_lazy_migration();
+                    self.emit(UpdateEvent::GcCompleted {
+                        copied_cells: totals.copied_cells,
+                        copied_words: totals.copied_words,
+                        objects_logged: totals.logged,
+                    });
                     self.emit(UpdateEvent::TransformersRun {
                         objects_transformed: totals.transformed,
                         objects_planned: totals.planned,
@@ -1016,17 +966,21 @@ impl<'u> UpdateController<'u> {
         StepProgress::Aborted
     }
 
-    /// Lazy-mode commit: arm the read barrier and snapshot the allocation
-    /// watermark — no heap walk, no copying, no object transformers; the
-    /// O(roots) pause the mode exists for. Stale objects are discovered
-    /// later by the controller-stepped SATB scan. The barrier is armed
-    /// *first* so any stale object a class transformer touches migrates
-    /// through the ordinary first-touch path.
+    /// Lazy-mode commit: flip the semispaces and evacuate the roots'
+    /// referents — O(roots) words, arrays longer than a step's budget
+    /// reserved unfilled — the pause the mode exists for. The controller's
+    /// `LazyMigrating` steps copy the rest. The copy starts *first* so any
+    /// stale object a class transformer loads migrates through the read
+    /// barrier.
     fn begin_lazy(&mut self, vm: &mut Vm, inputs: TransformInputs) -> Result<(), UpdateError> {
         let t_arm = Instant::now();
-        let watermark_words = vm.begin_lazy_migration(inputs.remap, inputs.transformers);
+        let from_words = vm.begin_lazy_migration(
+            inputs.remap,
+            inputs.transformers,
+            self.opts.lazy_step_cells,
+        )?;
         self.stats.arm_time = t_arm.elapsed();
-        self.emit(UpdateEvent::LazyEpochBegun { watermark_words, arm: self.stats.arm_time });
+        self.emit(UpdateEvent::LazyEpochBegun { from_words, arm: self.stats.arm_time });
 
         let t_tf = Instant::now();
         for delta in self.update.spec.class_updates() {

@@ -195,18 +195,22 @@ pub struct ApplyOptions {
     /// enabling it asserts, as the paper's user would, that the surviving
     /// locals and operand stack mean the same thing at the mapped point.
     pub migrate_active_methods: bool,
-    /// Objects each `LazyMigrating` controller step transforms from the
-    /// scavenger worklist (lazy mode only; clamped to at least 1). Larger
-    /// batches drain the epoch in fewer steps; smaller batches yield back
-    /// to the embedder more often.
+    /// Objects each `LazyMigrating` controller step may duplicate for an
+    /// interpreted transformer before its scan stops (lazy mode only;
+    /// clamped to at least 1); the step runs their transformers before it
+    /// returns. Larger batches finish the epoch in fewer steps; smaller
+    /// ones yield back to the embedder more often.
     pub lazy_scavenge_batch: usize,
-    /// Heap cells each `LazyMigrating` controller step covers during the
-    /// SATB discovery scan and the forwarding-collapse sweep (lazy mode
-    /// only; clamped to at least 1). In the scan, an object it converts
-    /// by copy plan counts as one more cell; in the collapse sweep an
-    /// array element counts as a cell. These are linear walks over
-    /// cells, not per-object transformer runs, so the budget is much
-    /// larger than [`ApplyOptions::lazy_scavenge_batch`].
+    /// The work budget of each `LazyMigrating` controller step's slice of
+    /// the incremental copy (lazy mode only; clamped to at least 2, what
+    /// an array element and its referent's evacuation cost together): one
+    /// unit per cell scanned, per array element, and per cell the scan
+    /// evacuates. A step may stop inside an array and resume there, and
+    /// an array longer than the budget is evacuated unfilled and filled
+    /// piecewise, so no step — the arm included — copies more than this
+    /// many words of one array. These are Cheney
+    /// scan units, not transformer runs, so the budget is much larger
+    /// than [`ApplyOptions::lazy_scavenge_batch`].
     pub lazy_step_cells: usize,
     /// Run every object transformer as a compiled method in an interpreter
     /// frame, as the paper does, even when its body is a pure field copy
@@ -260,9 +264,11 @@ pub struct UpdateStats {
     /// The rest ran their `jvolve_object_X` method in the interpreter.
     pub objects_planned: usize,
     /// Cells the update GC copied (objects duplicated for an interpreted
-    /// transformer count twice; planned ones once).
+    /// transformer count twice; planned ones once). In lazy mode, the
+    /// epoch's incremental copy: the same count for the same heap.
     pub gc_copied_cells: usize,
-    /// Words the update GC copied, headers included.
+    /// Words the update GC copied, headers included (lazy mode: the
+    /// incremental copy's).
     pub gc_copied_words: usize,
     /// The `Pending` step: spec/payload cross-validation, transformer
     /// resolution (a compile only when the update did not arrive with its
@@ -277,31 +283,33 @@ pub struct UpdateStats {
     /// and the precompiled transformer class, body swaps, invalidation,
     /// OSR and copy-plan recognition. No compiler runs in it.
     pub classload_time: Duration,
-    /// Update-GC time. Zero in lazy mode, which never runs a commit
-    /// collection — the in-pause heap work is [`UpdateStats::arm_time`].
+    /// Stop-the-world update-GC time. Zero in lazy mode, whose collection
+    /// is the incremental copy in [`UpdateStats::lazy_time`] — the
+    /// in-pause heap work is [`UpdateStats::arm_time`].
     pub gc_time: Duration,
     /// Class + object transformer execution time. In lazy mode this is
-    /// only the class transformers; object-transformer time lands in
-    /// [`UpdateStats::lazy_time`].
+    /// the class transformers only; object transformers run inside the
+    /// copy steps of [`UpdateStats::lazy_time`] (and the arm).
     pub transform_time: Duration,
-    /// Lazy only: time to arm the read barrier at commit —
-    /// `Vm::begin_lazy_migration`, i.e. resolving the class mapping and
-    /// snapshotting the allocation watermark. This is the entire
-    /// in-pause heap cost of a lazy commit and is independent of heap
-    /// size (the O(roots) claim lazybench gates on). Zero for eager.
+    /// Lazy only: the commit's flip — `Vm::begin_lazy_migration`, i.e.
+    /// resolving the class mapping, flipping the semispaces and
+    /// evacuating the roots' referents (arrays longer than a step's
+    /// budget unfilled). This is the entire in-pause heap cost of a lazy
+    /// commit and does not grow with the heap (the O(roots) claim `gates
+    /// lazy` holds). Zero for eager.
     pub arm_time: Duration,
-    /// Time spent in the `LazyMigrating` phase: SATB scan batches,
-    /// scavenger batches, collapse batches, epoch teardown. Zero for
-    /// eager updates. Unlike the other buckets this is *not* pause time —
-    /// the guest runs concurrently with the epoch.
+    /// Time spent in the `LazyMigrating` phase: copy steps and epoch
+    /// teardown. Zero for eager updates. Unlike the other buckets this is
+    /// *not* pause time — the guest runs concurrently with the epoch.
     pub lazy_time: Duration,
-    /// Portion of [`UpdateStats::lazy_time`] spent in SATB discovery
-    /// scan batches (informational sub-bucket; not added separately by
-    /// [`UpdateStats::phase_sum`]).
+    /// Portion of [`UpdateStats::lazy_time`] spent in copy steps, their
+    /// transformers included (informational sub-bucket; not added
+    /// separately by [`UpdateStats::phase_sum`]).
     pub lazy_scan_time: Duration,
-    /// Portion of [`UpdateStats::lazy_time`] spent in forwarding-collapse
-    /// batches (informational sub-bucket; not added separately by
-    /// [`UpdateStats::phase_sum`]).
+    /// Always zero: the epoch no longer has a forwarding-collapse pass.
+    /// Kept because `benchmark/src/layers.rs`, frozen outside benchmark
+    /// PRs, reads it (so the benchmark's `update.lazy_collapse_ms` is 0 and
+    /// the copy books under `update.lazy_scan_ms`).
     pub lazy_collapse_time: Duration,
     /// End-to-end wall-clock controller time, first step to commit,
     /// measured independently of the phases. Slightly larger than
@@ -314,12 +322,11 @@ pub struct UpdateStats {
 
 impl UpdateStats {
     /// Sum of the timed phases (pending + safepoint + classload + GC +
-    /// transform, plus the barrier arm and the lazy epoch when one ran).
+    /// transform, plus the lazy flip and the lazy epoch when one ran).
     /// The paper's Figure 6 stacks safepoint through transform; the gap to
     /// [`UpdateStats::total_time`] is untimed bookkeeping.
-    /// [`UpdateStats::lazy_scan_time`] and
-    /// [`UpdateStats::lazy_collapse_time`] are sub-buckets of
-    /// [`UpdateStats::lazy_time`] and are deliberately not added again.
+    /// [`UpdateStats::lazy_scan_time`] is a sub-bucket of
+    /// [`UpdateStats::lazy_time`] and is deliberately not added again.
     pub fn phase_sum(&self) -> Duration {
         self.pending_time
             + self.safepoint_time

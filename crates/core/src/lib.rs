@@ -16,10 +16,10 @@
 //!   reach a safe point (with return barriers, OSR and a timeout) while
 //!   interleaving with VM scheduling, install classes with a rollback
 //!   ledger, run the update GC and the transformers — or, on a
-//!   `lazy_migration` VM, arm the read barrier and drain the epoch in
-//!   bounded steps — emitting a typed event stream throughout. An epoch
-//!   never stepped past arming is the JDrums/DVM indirection baseline the
-//!   paper compares against (§5).
+//!   `lazy_migration` VM, run the update GC as an incremental copy in
+//!   bounded steps behind a read barrier — emitting a typed event stream
+//!   throughout. An epoch never stepped past its flip is the JDrums/DVM
+//!   indirection baseline the paper compares against (§5).
 //! * [`driver`] — update preparation plus the synchronous [`apply`]
 //!   wrapper over the controller.
 //! * [`bundle`] — the UPT's on-disk artifact: spec + transformers +

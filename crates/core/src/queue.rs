@@ -3,8 +3,8 @@
 //! A release stream delivers updates faster than one can finish applying —
 //! in particular, a new version can arrive while the previous update's
 //! *lazy epoch is still draining* (the controller sits in
-//! [`UpdatePhase::LazyMigrating`] with the read barrier armed and stale
-//! objects outstanding). Starting a second controller there would race two
+//! [`UpdatePhase::LazyMigrating`] with its incremental copy, and so its
+//! read barrier, still running). Starting a second controller there would race two
 //! version prefixes over one heap, so the queue strictly serializes:
 //! an update pushed while another is in flight waits, tagged with the
 //! phase it arrived during, and starts only after the current controller

@@ -84,8 +84,8 @@ fn trace_events(path: &std::path::Path) -> Vec<jvolve_json::Json> {
 }
 
 // The lazy workload keeps live instances of the changed class so the
-// trace exercises the whole epoch pipeline: SATB scan discovery,
-// scavenger transformation, forwarding collapse.
+// trace exercises the whole epoch: the flip, copy steps, and the copy's
+// report as the update's collection.
 const LAZY_V1: &str = "class Node { field v: int; }
 class Counter {
   static field keep: Node;
@@ -135,12 +135,12 @@ fn jvolve_run_lazy_updates_and_traces_the_epoch() {
 
     let kinds = read_trace_events(&trace, "lazy");
     assert!(kinds.iter().any(|k| k == "lazy_epoch_begun"), "{kinds:?}");
-    assert!(kinds.iter().any(|k| k == "lazy_scan_step"), "{kinds:?}");
-    assert!(kinds.iter().any(|k| k == "lazy_collapse_step"), "{kinds:?}");
+    assert!(kinds.iter().any(|k| k == "lazy_copy_step"), "{kinds:?}");
+    assert!(kinds.iter().any(|k| k == "gc_completed"), "the copy is reported: {kinds:?}");
     assert_eq!(kinds.last().map(String::as_str), Some("committed"), "{kinds:?}");
 
-    // `Node`'s default transformer is a pure field copy, so the scan
-    // converts every `Node` it finds and leaves the scavenger nothing.
+    // `Node`'s default transformer is a pure field copy, so the copy
+    // converts every `Node` where it evacuates it and logs nothing.
     let sum = |event: &str, field: &str| -> usize {
         trace_events(&trace)
             .iter()
@@ -150,10 +150,14 @@ fn jvolve_run_lazy_updates_and_traces_the_epoch() {
     };
     let planned = sum("transformers_run", "objects_planned");
     assert!(planned > 0, "{kinds:?}");
-    assert_eq!(sum("lazy_scan_step", "planned"), planned, "the scan converted every Node");
-    assert_eq!(sum("lazy_scan_step", "found"), planned, "{kinds:?}");
-    assert!(!kinds.iter().any(|k| k == "lazy_scavenge_step"), "{kinds:?}");
-    assert!(stderr.contains(&format!("{planned} of them by copy plan")), "{stderr}");
+    assert_eq!(sum("transformers_run", "objects_transformed"), planned, "{kinds:?}");
+    assert_eq!(sum("lazy_copy_step", "logged"), 0, "a planned Node was logged: {kinds:?}");
+    let copied = sum("gc_completed", "copied_words");
+    assert!(copied > 0, "{kinds:?}");
+    assert!(
+        stderr.contains(&format!("{planned} of them by copy plan, {copied} words copied")),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -62,8 +62,8 @@ fn mode_opts(base: ApplyOptions, interpret_all_transformers: bool) -> ApplyOptio
 }
 
 /// Boots `app` at release `from`, probes it, applies `update`, probes it
-/// again. The guest does not run while a lazy epoch drains (the scavenger
-/// does all the migrating), so transformer order is deterministic.
+/// again. The guest does not run while a lazy epoch copies (the copy steps
+/// do all the migrating), so transformer order is deterministic.
 fn run_app(
     app: &dyn GuestApp,
     from: usize,

@@ -15,16 +15,16 @@ pub struct VmConfig {
     /// Echo `Sys.print` output to the host's stdout as well as buffering it.
     pub echo_output: bool,
     /// Lazy migration: commit updates with an O(roots) pause instead of a
-    /// stop-the-world full-heap update-GC. Changed classes are marked
-    /// version-pending; the interpreter's reference loads go through a
-    /// read barrier that transforms stale objects on first touch, and a
-    /// background scavenger (stepped by the update controller) transforms
-    /// the untouched remainder. When the epoch completes the heap flips
-    /// back to the barrier-free fast path, so steady-state overhead is
-    /// zero outside an epoch. An epoch the controller is never stepped
-    /// through again stays open, paying the check forever: that is the
-    /// JDrums/DVM indirection baseline (paper §5) the `ablation` bench
-    /// times.
+    /// stop-the-world full-heap update-GC. The pause only flips the
+    /// semispaces and evacuates the roots; the update-GC then runs as an
+    /// incremental copy, stepped by the update controller, while the
+    /// interpreter's reference loads go through a read barrier that
+    /// evacuates — and so transforms — what the guest loads first. Once the
+    /// copy ends the barrier's range test is false again, so steady-state
+    /// overhead is zero outside an epoch. An epoch the controller is never
+    /// stepped through again stays open, paying the barrier forever: that
+    /// is the JDrums/DVM indirection baseline (paper §5) the `ablation`
+    /// bench times.
     pub lazy_migration: bool,
     /// The template-JIT tier: hot methods are recompiled into
     /// superinstruction-fused threaded code ([`crate::jit2`]), promoted by

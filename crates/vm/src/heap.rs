@@ -16,17 +16,16 @@
 //! header word:
 //!
 //! ```text
-//! bit 0      forwarded flag; if set, bits 1-32 hold the forwarding
-//!            address and — for a forward the mutator side installed
-//!            ([`Heap::install_forward`]) rather than a collection —
-//!            bits 33-63 the cell's size in words, so a linear walk can
-//!            still step over the cell
+//! bit 0      forwarded flag; if set, bits 1-32 hold the to-space address
+//!            the cell was copied to (only ever seen in from-space)
 //! bits 1-2   kind: 0 = object, 1 = reference array, 2 = primitive array,
 //!            3 = string (packed UTF-8 bytes)
 //! bits 3-31  tag: zero except on the two objects of an update-log pair
 //!            whose transformer has not finished, where it is the log
-//!            index + 1 ([`Heap::header_tag`]); copied verbatim by every
-//!            collection
+//!            index + 1 ([`Heap::header_tag`]; copied verbatim by every
+//!            collection), and on an array an incremental copy reserved
+//!            but has not filled yet, where it is the index + 1 of its
+//!            entry in the copy's unfilled table
 //! bits 32-63 class id (objects) or element/byte length (arrays/strings)
 //! ```
 //!
@@ -68,9 +67,34 @@
 //! collector allocates only the new-layout object, fills it from the
 //! from-space original per the plan, and lets the ordinary scan forward
 //! the reference fields it copied. No old copy, no update-log entry, and
-//! no transformer frame exist for such an object. A lazy epoch applies
-//! the same plan on the live heap instead ([`Heap::apply_plan`]), from
-//! its discovery scan ([`Heap::convert_stale`]) or on first touch.
+//! no transformer frame exist for such an object.
+//!
+//! # The incremental copy
+//!
+//! A lazy epoch runs the same collection incrementally, Baker-style.
+//! [`Heap::flip`] makes the other semispace active and from then on
+//! everything — evacuation and mutator allocation alike — bumps the one
+//! cursor in to-space. [`Heap::evacuate`] copies one from-space referent
+//! through the same `copy_cell` arms [`Heap::collect`] uses (remap, plan,
+//! duplicate-and-log); each [`Heap::copy_step`] advances the Cheney scan
+//! pointer by a budget of work, through the same per-cell scan body as
+//! `collect`; when the scan meets the allocation cursor,
+//! [`Heap::end_copy`] frees from-space. No forwarding word ever exists
+//! outside from-space, so one hop always reaches the live cell.
+//!
+//! Mutator allocation shares to-space with the copy, so it is refused
+//! while it would leave less free than the copy may still take: every
+//! from-space word not yet evacuated, at the remap's largest growth. A
+//! collection can then always finish the copy, however fast the mutator
+//! allocates.
+//!
+//! An array longer than the copy's budget is evacuated **unfilled**: its
+//! to-space cell is reserved, the original forwards to it, and its header
+//! tag names its entry in the unfilled table; the scan fills it in
+//! budget-sized pieces. Until then an element at or past the fill cursor
+//! is read and written in the from-space original, whose payload is
+//! intact ([`Heap::element_at`]). So no step, not even the one that
+//! evacuates the roots, copies more than a budget of an array.
 
 use crate::error::VmError;
 use crate::ids::ClassId;
@@ -349,6 +373,23 @@ impl RemapTable {
         self.entry(old_class)?.plan.as_ref()
     }
 
+    /// The most to-space words a copy through this table takes per
+    /// from-space word, as a fraction `(to, from)` of at least 1: a remapped
+    /// instance takes its new object, plus its old copy unless planned.
+    fn max_growth(&self, snapshot: &LayoutSnapshot) -> (u64, u64) {
+        let words = |class: ClassId| 1 + snapshot.size_words(class) as u64;
+        let mut growth = (1, 1);
+        for (old_class, entry) in self.map.iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            let from = words(ClassId(old_class as u32));
+            let to = words(entry.new_class) + if entry.plan.is_some() { 0 } else { from };
+            if to * growth.1 > growth.0 * from {
+                growth = (to, from);
+            }
+        }
+        growth
+    }
+
     /// Attaches `plan` to remapped class `old_class`: its instances are
     /// then converted in place of being duplicated and logged.
     ///
@@ -394,6 +435,74 @@ pub struct GcOutcome {
     pub planned: usize,
 }
 
+impl GcOutcome {
+    fn add_counts(&mut self, other: &GcOutcome) {
+        self.copied_cells += other.copied_cells;
+        self.copied_words += other.copied_words;
+        self.planned += other.planned;
+    }
+}
+
+/// One duplicated object from incremental-copy work: the from-space
+/// address of the original (the order [`Heap::collect`] sorts its update
+/// log by), the old-layout copy, and the zeroed new-layout object.
+pub type LoggedPair = (u32, GcRef, GcRef);
+
+/// An array an incremental copy evacuated unfilled.
+#[derive(Debug, Clone, Copy)]
+struct Unfilled {
+    /// Its reserved to-space cell.
+    to: u32,
+    /// The from-space original, whose payload the scan copies from.
+    from: u32,
+}
+
+/// The state of an incremental copy between [`Heap::flip`] and
+/// [`Heap::end_copy`].
+#[derive(Debug, Default)]
+struct CopyState {
+    /// The next to-space cell the Cheney scan visits.
+    scan: usize,
+    /// The first payload word (field or element) of the cell at `scan`
+    /// still to process: a step that runs out of budget inside a cell
+    /// stops there.
+    slot: usize,
+    /// The most to-space words the whole copy can take: the from-space
+    /// words in use at the flip, scaled by the remap's largest growth.
+    /// What of it the copy has not yet taken is held back from mutator
+    /// allocation, so the copy can always finish.
+    need: usize,
+    /// Arrays longer than this many words are evacuated unfilled.
+    unfill_over: usize,
+    /// Arrays evacuated unfilled, in evacuation (= to-space) order; an
+    /// unfilled cell's header tag is its index + 1.
+    unfilled: Vec<Unfilled>,
+    /// Everything evacuated so far (its update log stays empty).
+    totals: GcOutcome,
+}
+
+/// The allowance of one [`Heap::copy_step`] (unlimited in a collection).
+#[derive(Debug)]
+struct Budget {
+    /// Units the step may charge.
+    limit: usize,
+    /// Units charged so far.
+    charged: usize,
+    /// The update-log length at which the step stops.
+    max_log: usize,
+    /// The payload word of the cell at the scan pointer to resume at; set
+    /// where the step stops.
+    slot: usize,
+}
+
+impl Budget {
+    /// Whether the step may not take `units` more units.
+    #[inline(always)]
+    fn spent(&self, logged: usize, units: usize) -> bool {
+        self.charged + units > self.limit || logged >= self.max_log
+    }
+}
+
 /// The semi-space heap.
 #[derive(Debug)]
 pub struct Heap {
@@ -403,10 +512,12 @@ pub struct Heap {
     active_b: bool,
     alloc: usize,
     collections: u64,
-    /// Whether any forwarding word has been installed since the last
-    /// collection (a lazy-migration epoch); any collection abandons
-    /// from-space and clears it.
-    lazy_forwards: bool,
+    /// The from-space of an incremental copy: the `from_len` words from
+    /// `from_base` that were in use at the flip. `from_len` is zero when no
+    /// copy is running, so the range test on a loaded word is false.
+    from_base: usize,
+    from_len: usize,
+    copy: CopyState,
 }
 
 const KIND_SHIFT: u64 = 1;
@@ -418,9 +529,6 @@ const META_SHIFT: u64 = 32;
 /// Largest value the spare header bits 3..31 can hold.
 const MAX_HEADER_TAG: u32 = (1 << (META_SHIFT - TAG_SHIFT)) - 1;
 const TAG_MASK: u64 = (MAX_HEADER_TAG as u64) << TAG_SHIFT;
-/// A forwarding word is `size << 33 | target << 1 | 1`; `size` is zero in
-/// the forwards a collection installs (from-space is never walked again).
-const FORWARD_SIZE_SHIFT: u64 = 33;
 
 /// The address a forwarding word points at.
 #[inline]
@@ -472,7 +580,9 @@ impl Heap {
             active_b: false,
             alloc: 1,
             collections: 0,
-            lazy_forwards: false,
+            from_base: 0,
+            from_len: 0,
+            copy: CopyState::default(),
         }
     }
 
@@ -509,7 +619,10 @@ impl Heap {
     }
 
     fn alloc_raw(&mut self, n: usize) -> Option<usize> {
-        if self.alloc + n > self.limit(self.active_b) {
+        // Mid-copy, the to-space the copy may still take is not the
+        // mutator's: a full heap must leave the copy room to finish.
+        let reserve = self.copy.need.saturating_sub(self.copy.totals.copied_words);
+        if self.alloc + n + reserve > self.limit(self.active_b) {
             return None;
         }
         let addr = self.alloc;
@@ -722,253 +835,300 @@ impl Heap {
         *h = (*h & !TAG_MASK) | (u64::from(tag) << TAG_SHIFT);
     }
 
-    /// Whether the cell at `r` carries a forwarding pointer.
-    pub fn is_forwarded(&self, r: GcRef) -> bool {
-        self.words[r.addr()] & 1 == 1
-    }
-
-    /// Installs a forwarding pointer `from → to` (lazy-migration
-    /// first-touch duplication). The forwarding word
-    /// destroys the header, so the cell's size goes into its upper bits:
-    /// the linear walks ([`Heap::for_each_object`], the SATB commit scan,
-    /// the collapse sweep) step over forwarded cells with it.
-    pub fn install_forward(&mut self, from: GcRef, to: GcRef, snapshot: &LayoutSnapshot) {
-        let h = self.words[from.addr()];
-        assert_eq!(h & 1, 0, "install_forward() on already-forwarded cell {from}");
-        let size = cell_size_of(h, snapshot) as u64;
-        assert!(size < 1 << (64 - FORWARD_SIZE_SHIFT), "cell too large to forward");
-        self.words[from.addr()] = (size << FORWARD_SIZE_SHIFT) | (u64::from(to.0) << 1) | 1;
-        self.lazy_forwards = true;
-    }
-
-    /// Whether a forwarding word has been installed since the last
-    /// collection.
-    pub fn has_lazy_forwards(&self) -> bool {
-        self.lazy_forwards
-    }
-
-    /// First word of the active semispace.
-    pub fn active_base(&self) -> usize {
-        self.base(self.active_b)
-    }
-
-    /// The active semispace's bump-allocation cursor: the address the next
-    /// allocation will take. `active_base()..alloc_cursor()` spans every
-    /// cell allocated so far — the SATB commit watermark.
-    pub fn alloc_cursor(&self) -> usize {
-        self.alloc
-    }
-
-    /// Size in words (header included) of the cell whose first word is
-    /// `h`, live or forwarded — a forwarded cell carries its size in the
-    /// forwarding word.
-    #[inline]
-    fn walk_size(h: u64, snapshot: &LayoutSnapshot) -> usize {
-        if h & 1 == 1 {
-            let size = (h >> FORWARD_SIZE_SHIFT) as usize;
-            assert!(size != 0, "collector forward (no size) met in a linear walk");
-            size
-        } else {
-            cell_size_of(h, snapshot)
-        }
-    }
-
     /// Walks every cell in the active semispace in ascending address
-    /// order, invoking `f` on each *unforwarded* plain object with its
-    /// class. Forwarded cells (mid-epoch duplication) are stepped over by
-    /// the size their forwarding word carries.
+    /// order, invoking `f` on each plain object with its class. (Forwarding
+    /// words only ever exist in from-space, so every cell here parses.)
     pub fn for_each_object(&self, snapshot: &LayoutSnapshot, mut f: impl FnMut(GcRef, ClassId)) {
         let mut addr = self.base(self.active_b);
         while addr < self.alloc {
             let h = self.words[addr];
-            if h & 1 == 0 && header_kind(h) == HeapKind::Object {
+            if header_kind(h) == HeapKind::Object {
                 f(GcRef(addr as u32), ClassId(header_meta(h)));
             }
-            addr += Heap::walk_size(h, snapshot);
+            addr += cell_size_of(h, snapshot);
         }
     }
 
-    /// Converts the live object at `r` to `new_class` per `plan`, in the
-    /// active semispace — a lazy epoch's counterpart of the update-GC's
-    /// planned copy: allocates the new-layout object, fills each of its
-    /// fields from `r` per the plan (zero where the plan names no source),
-    /// and installs a sized forwarding word at `r`. Returns the new
-    /// object, or `None` with nothing written if the semispace is full.
-    pub(crate) fn apply_plan(
+    /// The live cell `r` names: its forwarding target if a collection
+    /// copied it, `r` itself otherwise. Every forward points into to-space,
+    /// so this is one hop; after [`Heap::collect`] callers rewrite their
+    /// roots with it.
+    pub fn resolve(&self, r: GcRef) -> GcRef {
+        let h = self.words[r.addr()];
+        if h & 1 == 1 {
+            GcRef(forward_target(h) as u32)
+        } else {
+            r
+        }
+    }
+
+    // ---- the incremental copy (a lazy epoch) -----------------------------------
+
+    /// Starts an incremental copy through `remap`: makes the other
+    /// semispace active, so every later allocation and evacuation bumps its
+    /// cursor, and records the words in use in the old one as from-space.
+    /// Arrays longer than `unfill_over` words are evacuated unfilled. Copies
+    /// nothing; the caller evacuates its roots with [`Heap::evacuate`].
+    ///
+    /// From here until the copy ends, mutator allocation fails while it
+    /// would leave less free to-space than the copy may still need — every
+    /// from-space word not yet evacuated, at the remap's largest growth —
+    /// so a collection can always finish the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a copy is already running.
+    pub fn flip(&mut self, unfill_over: usize, snapshot: &LayoutSnapshot, remap: &RemapTable) {
+        assert!(!self.copying(), "an incremental copy is already running");
+        self.from_base = self.base(self.active_b);
+        self.from_len = self.alloc - self.from_base;
+        self.active_b = !self.active_b;
+        self.alloc = self.base(self.active_b);
+        let (to, from) = remap.max_growth(snapshot);
+        // (Past a semispace, the mutator gets nothing either way.)
+        let need = (self.from_len as u128 * u128::from(to)).div_ceil(u128::from(from));
+        let need = need.min(self.semi as u128) as usize;
+        self.copy = CopyState { scan: self.alloc, need, unfill_over, ..CopyState::default() };
+        self.collections += 1;
+    }
+
+    /// Whether an incremental copy is running (from-space still holds
+    /// cells to evacuate).
+    pub fn copying(&self) -> bool {
+        self.from_len != 0
+    }
+
+    /// Whether `word`, read from a reference slot, is a from-space address:
+    /// the read barrier's range test. Always false outside a copy (and for
+    /// null, which lies below both semispaces).
+    #[inline(always)]
+    pub fn in_from_space(&self, word: u64) -> bool {
+        (word as usize).wrapping_sub(self.from_base) < self.from_len
+    }
+
+    /// Words in use in from-space at the flip: what a copy that is never
+    /// finished keeps reserved (zero outside a copy).
+    pub fn from_space_words(&self) -> usize {
+        self.from_len
+    }
+
+    /// Evacuates the from-space cell `r` — or returns where it already went
+    /// — through the collector's own copy arms: a remapped object with a
+    /// plan is converted, one without is duplicated and the pair pushed on
+    /// `log`, anything else is copied (an array longer than the copy's
+    /// budget unfilled). The read barrier's slow path, and how roots are
+    /// evacuated at the flip.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::OutOfMemory`] if to-space is full; nothing is forwarded.
+    pub fn evacuate(
         &mut self,
         r: GcRef,
-        new_class: ClassId,
-        plan: &CopyPlan,
-        snapshot: &LayoutSnapshot,
-    ) -> Option<GcRef> {
-        let from = r.addr();
-        let new_size = 1 + plan.sources.len();
-        if self.alloc + new_size > self.limit(self.active_b) {
-            return None;
-        }
-        let to = self.alloc;
-        self.alloc += new_size;
-        self.words[to] = header(HeapKind::Object, new_class.0);
-        for (i, &src) in plan.sources.iter().enumerate() {
-            self.words[to + 1 + i] = match src {
-                CopyPlan::ZERO => 0,
-                src => self.words[from + 1 + src as usize],
-            };
-        }
-        let new_obj = GcRef(to as u32);
-        self.install_forward(r, new_obj, snapshot);
-        Some(new_obj)
-    }
-
-    /// Resumable bounded SATB discovery scan that converts what it finds:
-    /// walks from `from` (a cell boundary) toward `limit`, and for every
-    /// *stale* object — a live plain object whose class `remap` maps and
-    /// whose header tag is zero — either converts it on the spot with
-    /// [`Heap::apply_plan`], if its class has a [`CopyPlan`], or pushes it
-    /// onto `worklist`: an object whose transformer must be interpreted,
-    /// or one the full semispace had no room to convert. The worklist
-    /// therefore grows in ascending address order.
-    ///
-    /// Every cell stepped over is charged one against `max_cells`, and
-    /// every conversion one more; the walk stops once the charge reaches
-    /// `max_cells`, so a batch charges at most `max_cells + 1`. Forwarded
-    /// cells (objects the mutator already migrated) are stepped over by
-    /// the size their forwarding word carries. Returns `(next_addr,
-    /// cells_stepped, converted)`; `next_addr >= limit` once the range is
-    /// exhausted.
-    pub fn convert_stale(
-        &mut self,
-        from: usize,
-        limit: usize,
-        max_cells: usize,
         snapshot: &LayoutSnapshot,
         remap: &RemapTable,
-        worklist: &mut Vec<GcRef>,
-    ) -> (usize, usize, usize) {
-        let mut addr = from;
-        let (mut cells, mut converted) = (0, 0);
-        while addr < limit && cells + converted < max_cells {
+        log: &mut Vec<LoggedPair>,
+    ) -> Result<GcRef, VmError> {
+        debug_assert!(self.in_from_space(u64::from(r.0)), "evacuate({r}) outside from-space");
+        let mut to_alloc = self.alloc;
+        let to_limit = self.limit(self.active_b);
+        let mut outcome = GcOutcome::default();
+        let result = self.copy_cell::<true>(
+            r,
+            &mut to_alloc,
+            to_limit,
+            self.copy.unfill_over,
+            snapshot,
+            Some(remap),
+            &mut outcome,
+            log,
+        );
+        self.alloc = to_alloc;
+        self.copy.totals.add_counts(&outcome);
+        result
+    }
+
+    /// Advances the Cheney scan by at most `budget` units — one per cell
+    /// scanned, one per array element scanned or filled, one per cell the
+    /// scan evacuates — and returns the units charged. It stops early once
+    /// `log` has grown by `max_logged` pairs or the scan meets the
+    /// allocation cursor. A step may stop inside a cell — an object between
+    /// two of its fields, an array between two elements — and the next
+    /// resumes there, so no step charges more than its budget, however
+    /// long the array. An array element and the evacuation of its referent
+    /// are charged together, so a budget must be at least 2. Pairs the
+    /// step duplicates go on `log`, in scan order.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::OutOfMemory`] if to-space is full; the step can be
+    /// retried (every slot it rewrote already holds a to-space address).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a copy is running and `budget` is at least 2.
+    pub fn copy_step(
+        &mut self,
+        budget: usize,
+        max_logged: usize,
+        snapshot: &LayoutSnapshot,
+        remap: &RemapTable,
+        log: &mut Vec<LoggedPair>,
+    ) -> Result<usize, VmError> {
+        assert!(self.copying(), "copy_step outside an incremental copy");
+        assert!(budget >= 2, "a copy step's budget of {budget} cannot pass an array element");
+        let mut b = Budget {
+            limit: budget,
+            charged: 0,
+            max_log: log.len().saturating_add(max_logged),
+            slot: self.copy.slot,
+        };
+        let (mut scan, mut to_alloc) = (self.copy.scan, self.alloc);
+        let to_limit = self.limit(self.active_b);
+        let unfill_over = self.copy.unfill_over;
+        let mut outcome = GcOutcome::default();
+        let result = loop {
+            if scan >= to_alloc {
+                break Ok(());
+            }
+            match self.scan_cell::<true, true>(
+                scan,
+                &mut to_alloc,
+                to_limit,
+                unfill_over,
+                snapshot,
+                Some(remap),
+                &mut outcome,
+                log,
+                &mut b,
+            ) {
+                Ok(Some(size)) => (scan, b.slot) = (scan + size, 0),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        (self.copy.scan, self.copy.slot) = (scan, b.slot);
+        self.alloc = to_alloc;
+        self.copy.totals.add_counts(&outcome);
+        result.map(|()| b.charged)
+    }
+
+    /// What the running incremental copy has evacuated so far.
+    pub fn copied(&self) -> &GcOutcome {
+        &self.copy.totals
+    }
+
+    /// Whether the scan has met the allocation cursor: every live cell is
+    /// in to-space and scanned, and every unfilled array filled.
+    pub fn copy_done(&self) -> bool {
+        self.copy.scan == self.alloc
+    }
+
+    /// Ends a finished incremental copy — from-space is free from here on —
+    /// and returns what it evacuated (its update log is empty: the pairs
+    /// went to the callers' logs).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Heap::copy_done`].
+    pub fn end_copy(&mut self) -> GcOutcome {
+        assert!(self.copying() && self.copy_done(), "end_copy before the scan met the cursor");
+        self.from_len = 0;
+        std::mem::take(&mut self.copy).totals
+    }
+
+    /// The word address of element `idx` of the array at `arr`, and
+    /// whether it is a reference array; or the array's length if `idx` is
+    /// out of bounds. An array an incremental
+    /// copy has not filled yet answers from its from-space original at or
+    /// past the fill cursor.
+    #[inline]
+    pub(crate) fn element_at(&self, arr: GcRef, idx: i64) -> Result<(usize, bool), u32> {
+        let h = self.words[arr.addr()];
+        debug_assert_eq!(h & 1, 0, "element of forwarded cell {arr}");
+        let len = header_meta(h);
+        if idx < 0 || idx >= i64::from(len) {
+            return Err(len);
+        }
+        let (idx, is_ref) = (idx as usize, h & KIND_MASK == 1 << KIND_SHIFT);
+        if h & TAG_MASK == 0 {
+            return Ok((arr.addr() + 1 + idx, is_ref));
+        }
+        Ok((self.unfilled_element(arr, h, idx), is_ref))
+    }
+
+    #[cold]
+    fn unfilled_element(&self, arr: GcRef, h: u64, idx: usize) -> usize {
+        let entry = self.copy.unfilled[((h & TAG_MASK) >> TAG_SHIFT) as usize - 1];
+        let filled = if arr.addr() == self.copy.scan { self.copy.slot } else { 0 };
+        let cell = if idx < filled { arr.addr() } else { entry.from as usize };
+        cell + 1 + idx
+    }
+
+    /// The heap word at `addr` (an [`Heap::element_at`] address).
+    #[inline]
+    pub(crate) fn word(&self, addr: usize) -> u64 {
+        self.words[addr]
+    }
+
+    /// Writes the heap word at `addr` (an [`Heap::element_at`] address).
+    #[inline]
+    pub(crate) fn set_word(&mut self, addr: usize, word: u64) {
+        self.words[addr] = word;
+    }
+
+    /// Checks the incremental copy's heap invariants: no cell the scan has
+    /// passed — nor the scanned part of the cell it stopped in — holds a
+    /// from-space reference, and every array still unfilled is forwarded to
+    /// by its original and tagged with its entry. Trivially true outside a
+    /// copy.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub fn check_copy(&self, snapshot: &LayoutSnapshot) -> Result<(), String> {
+        if !self.copying() {
+            return Ok(());
+        }
+        let (scan, slot) = (self.copy.scan, self.copy.slot);
+        let mut addr = self.base(self.active_b);
+        while addr <= scan && addr < self.alloc {
             let h = self.words[addr];
-            let size = Heap::walk_size(h, snapshot);
-            // Unforwarded, a plain object, tag zero: one mask test.
-            if h & (1 | KIND_MASK | TAG_MASK) == 0 {
-                if let Some(entry) = remap.entry(ClassId(header_meta(h))) {
-                    let r = GcRef(addr as u32);
-                    let plan = entry.plan.as_ref();
-                    match plan.and_then(|plan| self.apply_plan(r, entry.new_class, plan, snapshot)) {
-                        Some(_) => converted += 1,
-                        None => worklist.push(r),
-                    }
+            if h & 1 == 1 {
+                return Err(format!("forwarded cell @{addr} in to-space"));
+            }
+            let is_ref = |i: usize| match header_kind(h) {
+                HeapKind::Object => {
+                    let e = snapshot.entry(ClassId(header_meta(h)));
+                    (snapshot.bits[e.bits_start as usize + i / 64] >> (i % 64)) & 1 == 1
+                }
+                HeapKind::RefArray => true,
+                HeapKind::PrimArray | HeapKind::Str => false,
+            };
+            let size = cell_size_of(h, snapshot);
+            let scanned = if addr == scan { slot } else { size - 1 };
+            for i in (0..scanned).filter(|&i| is_ref(i)) {
+                let word = self.words[addr + 1 + i];
+                if self.in_from_space(word) {
+                    return Err(format!("scanned cell @{addr} slot {i} holds from-space @{word}"));
                 }
             }
             addr += size;
-            cells += 1;
         }
-        (addr, cells, converted)
-    }
-
-    /// Resumable bounded forwarding collapse: sweeps from the cursor
-    /// `(from, from_slot)` toward `limit`, rewriting every reference slot
-    /// that points at a forwarded cell to its resolved target, and stops
-    /// once it has charged `max_cells`. A cell is charged 1, except a
-    /// non-empty reference array, which is charged 1 per element and may
-    /// be left part-swept: `from_slot` is the first element of the array
-    /// at `from` still to sweep (0 at a cell boundary). So no call sweeps
-    /// more than `max_cells` slots of one array, however long it is.
-    /// Returns `(next_addr, next_slot, cells_charged, slots_rewritten)`.
-    /// Once every referrer below the epoch's allocation horizon has been
-    /// swept (and roots rewritten by the caller), no live reference
-    /// crosses a forwarding word and the stale originals are plain
-    /// garbage for the next collection.
-    pub fn sweep_forwards(
-        &mut self,
-        from: usize,
-        from_slot: usize,
-        limit: usize,
-        max_cells: usize,
-        snapshot: &LayoutSnapshot,
-    ) -> (usize, usize, usize, usize) {
-        debug_assert!(
-            from_slot == 0 || {
-                let h = self.words[from];
-                h & 1 == 0
-                    && header_kind(h) == HeapKind::RefArray
-                    && from_slot < header_meta(h) as usize
-            },
-            "sweep cursor slot {from_slot} is not inside the reference array at {from}"
-        );
-        let mut addr = from;
-        let mut slot = from_slot;
-        let mut cells = 0;
-        let mut rewritten = 0;
-        while addr < limit && cells < max_cells {
-            let h = self.words[addr];
-            if h & 1 == 0 {
-                let meta = header_meta(h) as usize;
-                match header_kind(h) {
-                    HeapKind::Object => {
-                        let e = snapshot.entry(ClassId(meta as u32));
-                        for wi in 0..e.ref_words() {
-                            let mut bits = snapshot.bits[e.bits_start as usize + wi];
-                            let word_base = addr + 1 + wi * 64;
-                            while bits != 0 {
-                                let slot = word_base + bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                rewritten += self.collapse_slot(slot);
-                            }
-                        }
-                    }
-                    HeapKind::RefArray if meta > 0 => {
-                        let end = meta.min(slot + (max_cells - cells));
-                        for elem in addr + 1 + slot..addr + 1 + end {
-                            rewritten += self.collapse_slot(elem);
-                        }
-                        cells += end - slot;
-                        if end < meta {
-                            slot = end;
-                            break;
-                        }
-                        slot = 0;
-                        addr += 1 + meta;
-                        continue;
-                    }
-                    HeapKind::RefArray | HeapKind::PrimArray | HeapKind::Str => {}
-                }
+        for (i, u) in self.copy.unfilled.iter().enumerate() {
+            let (to, from) = (u.to as usize, u.from as usize);
+            if to < scan {
+                continue; // filled and untagged
             }
-            addr += Heap::walk_size(h, snapshot);
-            cells += 1;
+            let h = self.words[to];
+            if (h & TAG_MASK) >> TAG_SHIFT != i as u64 + 1 {
+                return Err(format!("unfilled array @{to} does not carry its entry {i}"));
+            }
+            if self.words[from] != ((to as u64) << 1) | 1 {
+                return Err(format!("unfilled array @{to}: original @{from} does not forward to it"));
+            }
         }
-        (addr, slot, cells, rewritten)
-    }
-
-    /// Rewrites one reference slot through the forwarding chain; returns 1
-    /// if the slot changed.
-    #[inline]
-    fn collapse_slot(&mut self, slot: usize) -> usize {
-        let val = self.words[slot];
-        if val != 0 && self.words[val as usize] & 1 == 1 {
-            self.words[slot] = u64::from(self.resolve(GcRef(val as u32)).0);
-            1
-        } else {
-            0
-        }
-    }
-
-    /// Follows forwarding pointers from `r` to the live cell.
-    ///
-    /// In eager mode this is only meaningful immediately after a collection
-    /// (to re-derive roots); while a lazy-migration epoch is open the
-    /// interpreter calls it on every reference load — held open forever,
-    /// that check is exactly the steady-state overhead the paper attributes
-    /// to JDrums/DVM-style systems.
-    pub fn resolve(&self, mut r: GcRef) -> GcRef {
-        let mut hops = 0;
-        while self.words[r.addr()] & 1 == 1 {
-            r = GcRef(forward_target(self.words[r.addr()]) as u32);
-            hops += 1;
-            assert!(hops < 64, "forwarding chain too long; heap corrupt");
-        }
-        r
+        Ok(())
     }
 
     /// Performs a full copying collection.
@@ -1017,12 +1177,13 @@ impl Heap {
         let mut outcome = GcOutcome::default();
         // Update-log entries tagged with the from-space address of the
         // original object; sorted into the canonical order at the end.
-        let mut log: Vec<(u32, GcRef, GcRef)> = Vec::new();
+        let mut log: Vec<LoggedPair> = Vec::new();
+        let mut unbounded = Budget { limit: usize::MAX, charged: 0, max_log: usize::MAX, slot: 0 };
 
         // Copy roots.
         for &root in roots {
             self.copy_cell::<HAS_REMAP>(
-                root, &mut to_alloc, to_base, to_limit, snapshot, remap, &mut outcome, &mut log,
+                root, &mut to_alloc, to_limit, usize::MAX, snapshot, remap, &mut outcome, &mut log,
             )?;
         }
 
@@ -1030,57 +1191,18 @@ impl Heap {
         // ref fields enumerated from the bitset via `trailing_zeros`.
         let mut scan = to_base;
         while scan < to_alloc {
-            let h = self.words[scan];
-            let meta = header_meta(h) as usize;
-            match header_kind(h) {
-                HeapKind::Object => {
-                    let e = snapshot.entry(ClassId(meta as u32));
-                    for wi in 0..e.ref_words() {
-                        let mut bits = snapshot.bits[e.bits_start as usize + wi];
-                        let word_base = scan + 1 + wi * 64;
-                        while bits != 0 {
-                            let slot = word_base + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let val = self.words[slot];
-                            if val != 0 {
-                                let new = self.copy_cell::<HAS_REMAP>(
-                                    GcRef(val as u32),
-                                    &mut to_alloc,
-                                    to_base,
-                                    to_limit,
-                                    snapshot,
-                                    remap,
-                                    &mut outcome,
-                                    &mut log,
-                                )?;
-                                self.words[slot] = u64::from(new.0);
-                            }
-                        }
-                    }
-                    scan += 1 + e.size_words as usize;
-                }
-                HeapKind::RefArray => {
-                    for slot in scan + 1..scan + 1 + meta {
-                        let val = self.words[slot];
-                        if val != 0 {
-                            let new = self.copy_cell::<HAS_REMAP>(
-                                GcRef(val as u32),
-                                &mut to_alloc,
-                                to_base,
-                                to_limit,
-                                snapshot,
-                                remap,
-                                &mut outcome,
-                                &mut log,
-                            )?;
-                            self.words[slot] = u64::from(new.0);
-                        }
-                    }
-                    scan += 1 + meta;
-                }
-                HeapKind::PrimArray => scan += 1 + meta,
-                HeapKind::Str => scan += 1 + meta.div_ceil(8),
-            }
+            let size = self.scan_cell::<HAS_REMAP, false>(
+                scan,
+                &mut to_alloc,
+                to_limit,
+                usize::MAX,
+                snapshot,
+                remap,
+                &mut outcome,
+                &mut log,
+                &mut unbounded,
+            )?;
+            scan += size.expect("an unbounded scan finishes every cell");
         }
 
         log.sort_by_key(|&(from, _, _)| from);
@@ -1088,41 +1210,167 @@ impl Heap {
         self.active_b = to_b;
         self.alloc = to_alloc;
         self.collections += 1;
-        // From-space (and every forwarded header in it) is now abandoned.
-        self.lazy_forwards = false;
         Ok(outcome)
     }
 
-    /// Copies one cell to to-space (or returns its forwarding target).
+    /// Scans the to-space cell at `scan` — the one per-cell body of both
+    /// collectors: every reference slot that still holds a from-space
+    /// address is evacuated through [`Heap::copy_cell`] and rewritten, and
+    /// the cell's size is returned.
+    ///
+    /// `BOUNDED` is the incremental copy. It resumes at `budget.slot`,
+    /// charges `budget` (see [`Heap::copy_step`]) and, when the budget
+    /// or the step's log allowance runs out, returns `None` with
+    /// `budget.slot` set to the payload word to resume at. It also leaves
+    /// alone slots the mutator already pointed into to-space, and fills an
+    /// unfilled array from its from-space original.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn scan_cell<const HAS_REMAP: bool, const BOUNDED: bool>(
+        &mut self,
+        scan: usize,
+        to_alloc: &mut usize,
+        to_limit: usize,
+        unfill_over: usize,
+        snapshot: &LayoutSnapshot,
+        remap: Option<&RemapTable>,
+        outcome: &mut GcOutcome,
+        log: &mut Vec<LoggedPair>,
+        budget: &mut Budget,
+    ) -> Result<Option<usize>, VmError> {
+        let h = self.words[scan];
+        let meta = header_meta(h) as usize;
+        let first = if BOUNDED { budget.slot } else { 0 };
+        // Charges `$units` units, or stops the step at payload word `$slot`
+        // if it may not take them.
+        macro_rules! charge {
+            ($slot:expr, $units:expr) => {
+                if BOUNDED {
+                    if budget.spent(log.len(), $units) {
+                        budget.slot = $slot;
+                        return Ok(None);
+                    }
+                    budget.charged += $units;
+                }
+            };
+        }
+        // Evacuates the referent `$val`, yielding its to-space address.
+        macro_rules! evacuate {
+            ($val:expr) => {
+                u64::from(
+                    self.copy_cell::<HAS_REMAP>(
+                        GcRef($val as u32),
+                        to_alloc,
+                        to_limit,
+                        unfill_over,
+                        snapshot,
+                        remap,
+                        outcome,
+                        log,
+                    )?
+                    .0,
+                )
+            };
+        }
+        let (size, end) = match header_kind(h) {
+            HeapKind::Object => {
+                let e = snapshot.entry(ClassId(meta as u32));
+                for wi in first / 64..e.ref_words() {
+                    let mut bits = snapshot.bits[e.bits_start as usize + wi];
+                    if BOUNDED && wi == first / 64 {
+                        bits &= !0u64 << (first % 64);
+                    }
+                    while bits != 0 {
+                        let field = wi * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let at = scan + 1 + field;
+                        let val = self.words[at];
+                        if BOUNDED {
+                            if !self.in_from_space(val) {
+                                continue;
+                            }
+                            if self.words[val as usize] & 1 == 0 {
+                                charge!(field, 1);
+                            }
+                        } else if val == 0 {
+                            continue;
+                        }
+                        self.words[at] = evacuate!(val);
+                    }
+                }
+                (1 + e.size_words as usize, e.size_words as usize)
+            }
+            HeapKind::RefArray => {
+                let src = if BOUNDED { self.fill_source(scan, h) } else { scan };
+                for i in first..meta {
+                    let val = self.words[src + 1 + i];
+                    if BOUNDED {
+                        // The element, and the evacuation of its referent
+                        // if nothing has evacuated it yet.
+                        let from = self.in_from_space(val);
+                        charge!(i, 1 + usize::from(from && self.words[val as usize] & 1 == 0));
+                        self.words[scan + 1 + i] = if from { evacuate!(val) } else { val };
+                    } else if val != 0 {
+                        self.words[scan + 1 + i] = evacuate!(val);
+                    }
+                }
+                (1 + meta, meta)
+            }
+            HeapKind::PrimArray => {
+                if BOUNDED && h & TAG_MASK != 0 {
+                    // Filled in budget-sized pieces, one unit per element.
+                    let src = self.fill_source(scan, h);
+                    let room = budget.limit - budget.charged;
+                    let stop = meta.min(first.saturating_add(room));
+                    self.words.copy_within(src + 1 + first..src + 1 + stop, scan + 1 + first);
+                    budget.charged += stop - first;
+                    if stop < meta {
+                        budget.slot = stop;
+                        return Ok(None);
+                    }
+                }
+                (1 + meta, meta)
+            }
+            HeapKind::Str => (1 + meta.div_ceil(8), 0),
+        };
+        // The cell itself is one unit; a filled array loses its tag.
+        charge!(end, 1);
+        if BOUNDED && h & TAG_MASK != 0 && header_kind(h) != HeapKind::Object {
+            self.words[scan] = h & !TAG_MASK;
+        }
+        Ok(Some(size))
+    }
+
+    /// Where the scan reads the payload of the to-space array at `scan`
+    /// (header `h`) from: its from-space original while it is unfilled.
+    fn fill_source(&self, scan: usize, h: u64) -> usize {
+        match (h & TAG_MASK) >> TAG_SHIFT {
+            0 => scan,
+            tag => self.copy.unfilled[tag as usize - 1].from as usize,
+        }
+    }
+
+    /// Copies one from-space cell to to-space, or returns where a
+    /// forwarding word says it already went. An array longer than
+    /// `unfill_over` words is reserved unfilled (see the module docs).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn copy_cell<const HAS_REMAP: bool>(
         &mut self,
         r: GcRef,
         to_alloc: &mut usize,
-        to_base: usize,
         to_limit: usize,
+        unfill_over: usize,
         snapshot: &LayoutSnapshot,
         remap: Option<&RemapTable>,
         outcome: &mut GcOutcome,
-        log: &mut Vec<(u32, GcRef, GcRef)>,
+        log: &mut Vec<LoggedPair>,
     ) -> Result<GcRef, VmError> {
-        let mut addr = r.addr();
-        // Chase forwarding chains, leaving `h` holding the live cell's
-        // header — read exactly once. A target already in to-space is a GC
-        // forward (done); a target in from-space is a pre-existing lazy
-        // forward whose live cell still needs copying.
-        let h = loop {
-            let h = self.words[addr];
-            if h & 1 == 0 {
-                break h;
-            }
-            let t = forward_target(h);
-            if t >= to_base && t < to_limit {
-                return Ok(GcRef(t as u32));
-            }
-            addr = t;
-        };
+        let addr = r.addr();
+        let h = self.words[addr];
+        if h & 1 == 1 {
+            return Ok(GcRef(forward_target(h) as u32));
+        }
 
         if HAS_REMAP && header_kind(h) == HeapKind::Object {
             let class = ClassId(header_meta(h));
@@ -1191,6 +1439,16 @@ impl Heap {
                 for i in 0..size {
                     self.words[dst + i] = self.words[addr + i];
                 }
+            }
+            _ if size > unfill_over
+                && matches!(header_kind(h), HeapKind::RefArray | HeapKind::PrimArray) =>
+            {
+                // Too long to copy in one step: reserve the cell, tag it with
+                // its unfilled entry, and let the scan fill it piecewise.
+                self.copy.unfilled.push(Unfilled { to: dst as u32, from: addr as u32 });
+                let tag = self.copy.unfilled.len() as u64;
+                assert!(tag <= u64::from(MAX_HEADER_TAG), "too many unfilled arrays");
+                self.words[dst] = h | (tag << TAG_SHIFT);
             }
             _ => self.words.copy_within(addr..addr + size, dst),
         }
@@ -1524,23 +1782,38 @@ mod tests {
     }
 
     #[test]
-    fn lazy_forward_chains_are_collapsed_by_gc() {
+    fn an_unfilled_array_answers_from_its_original_past_the_fill_cursor() {
         let mut heap = Heap::new(1024);
-        let old = heap.alloc_object(ClassId(0), 2).unwrap();
-        let new = heap.alloc_object(ClassId(9), 3).unwrap();
-        heap.set(new, 0, 5);
-        heap.install_forward(old, new, &snap());
-        assert_eq!(heap.resolve(old), new);
+        let arr = heap.alloc_array(false, 10).unwrap();
+        for i in 0..10 {
+            heap.set(arr, i, 100 + i as u64);
+        }
+        let (snap, remap) = (snap(), RemapTable::default());
+        heap.flip(4, &snap, &remap);
+        assert!(heap.in_from_space(u64::from(arr.0)) && !heap.in_from_space(0));
+        let to = heap.evacuate(arr, &snap, &remap, &mut Vec::new()).unwrap();
+        assert_eq!(heap.header_tag(to), 1, "reserved unfilled");
+        let read = |heap: &Heap, i: i64| heap.word(heap.element_at(to, i).unwrap().0);
+        assert_eq!(read(&heap, 7), 107, "read through to the original");
+        assert_eq!(heap.element_at(to, 10), Err(10));
 
-        // A holder still referencing the OLD address.
-        let holder = heap.alloc_object(ClassId(1), 3).unwrap();
-        heap.set(holder, 0, u64::from(old.0));
+        // Six elements filled: index 5 is to-space's, index 8 still the
+        // original's, and a write there lands where the fill will read it.
+        assert_eq!(heap.copy_step(6, usize::MAX, &snap, &remap, &mut Vec::new()), Ok(6));
+        assert_eq!(heap.element_at(to, 5), Ok((to.addr() + 6, false)));
+        assert_eq!(heap.element_at(to, 8), Ok((arr.addr() + 9, false)));
+        let (at, _) = heap.element_at(to, 8).unwrap();
+        heap.set_word(at, 7);
+        heap.check_copy(&snap).unwrap();
 
-        heap.collect(&[holder], &snap(), None).unwrap();
-        let holder2 = heap.resolve(holder);
-        let target = GcRef(heap.get(holder2, 0) as u32);
-        assert_eq!(heap.class_of(target), ClassId(9));
-        assert_eq!(heap.get(target, 0), 5);
+        let rest = heap.copy_step(100, usize::MAX, &snap, &remap, &mut Vec::new());
+        assert_eq!(rest, Ok(4 + 1), "four elements and the cell");
+        assert!(heap.copy_done());
+        assert_eq!(heap.header_tag(to), 0, "filled arrays lose their tag");
+        assert_eq!((read(&heap, 8), read(&heap, 9)), (7, 109));
+        let totals = heap.end_copy();
+        assert_eq!((totals.copied_cells, totals.copied_words), (1, 11));
+        assert!(!heap.copying() && !heap.in_from_space(u64::from(arr.0)));
     }
 
     #[test]

@@ -24,11 +24,10 @@ use crate::error::VmError;
 use crate::heap::HeapKind;
 use crate::ids::MethodId;
 use crate::jit2::CmpOp;
-use crate::lazy::MAX_TRANSFORMER_DEPTH;
 use crate::natives::NativeFn;
 use crate::thread::{BlockOn, FrameNote, ThreadState, VmThread};
 use crate::value::{GcRef, Value};
-use crate::vm::{LazyDup, TransformerCall, Vm};
+use crate::vm::{TransformerCall, Vm};
 
 /// Why a thread execution slice stopped.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,21 +63,18 @@ enum NOut {
     Trap(VmError),
     /// Pop the arguments, advance, then run this transformer.
     Frame(TransformerCall),
-    /// Leave pc and stack untouched; run this transformer, then retry the
-    /// instruction (lazy-migration barrier hit inside a native).
-    Barrier(TransformerCall),
     /// Pop the arguments, advance, then end the slice.
     Yield,
 }
 
-/// Result of the lazy-migration read barrier ([`Vm::barrier_object`]).
+/// Result of the read barrier's slow path ([`Vm::barrier_load`]).
 enum Lazy {
-    /// Access this (resolved, current-version) object.
+    /// The load yields this to-space reference.
     Ready(GcRef),
-    /// An allocation needs a collection; retry the instruction after.
+    /// Evacuation needs a collection; retry the instruction after.
     NeedGc,
-    /// Lazy migration duplicated a stale object: run this transformer
-    /// with pc and stack untouched, then retry the instruction.
+    /// A logged pair waits for its transformer: run this one with pc and
+    /// stack untouched, then retry the instruction.
     Run(TransformerCall),
     /// The barrier itself trapped (depth limit, missing transformer).
     Trap(VmError),
@@ -151,19 +147,23 @@ macro_rules! div_op {
     }};
 }
 
-/// Element `$idx` of array operand `$arr`, null- and bounds-checked:
-/// `(array, index)`.
+/// Element `$idx` of the array operand at `$stack[$at]`, null- and
+/// bounds-checked: `(word address, is a reference array)`. The operands
+/// are only read; a trap drops them (from `$at` on) first.
 macro_rules! element {
-    ($vm:ident, $fail:ident, $arr:expr, $idx:expr, $what:literal) => {{
-        let Some(arr) = $arr.as_ref_opt() else {
+    ($vm:ident, $fail:ident, $stack:expr, $at:expr, $idx:expr, $what:literal) => {{
+        let (at, idx): (usize, i64) = ($at, $idx);
+        let Some(arr) = $stack[at].as_ref_opt() else {
+            $stack.truncate(at);
             $fail!(0, VmError::NullPointer { context: $what.into() });
         };
-        let (arr, idx) = ($vm.heap.resolve(arr), $idx);
-        let len = $vm.heap.len_of(arr);
-        if idx < 0 || idx >= i64::from(len) {
-            $fail!(0, VmError::IndexOutOfBounds { index: idx, len });
+        match $vm.heap.element_at(arr, idx) {
+            Ok(found) => found,
+            Err(len) => {
+                $stack.truncate(at);
+                $fail!(0, VmError::IndexOutOfBounds { index: idx, len });
+            }
         }
-        (arr, idx as usize)
     }};
 }
 
@@ -171,13 +171,12 @@ macro_rules! element {
 /// of the executing op (0 for the plain op, 1 behind a fused `Load`).
 /// `$v` is only read, so a barrier exit leaves the op retryable.
 macro_rules! get_field {
-    ($vm:ident, $fail:ident, $obj:ident, $v:expr, $offset:expr, $is_ref:expr, $k:expr) => {{
-        let Some(r) = $v.as_ref_opt() else {
+    ($vm:ident, $fail:ident, $load:ident, $v:expr, $offset:expr, $is_ref:expr, $k:expr) => {{
+        let Some(obj) = $v.as_ref_opt() else {
             $fail!($k, VmError::NullPointer { context: "field read".into() });
         };
-        let obj = $obj!(r);
         let word = $vm.heap.get(obj, $offset as usize);
-        Value::from_word($vm.loaded(word, $is_ref), $is_ref)
+        Value::from_word(if $is_ref { $load!(word) } else { word }, $is_ref)
     }};
 }
 
@@ -188,8 +187,9 @@ macro_rules! get_field {
 ///
 /// * `$fail!(k, error)`: trap at base instruction `k` of the op;
 /// * `$ret!(value)`: return `value` from the executing method;
-/// * `$obj!(r)`: the object to access for reference `r` (the read barrier
-///   in the framed loop, the identity in the leaf loop).
+/// * `$load!(word)`: what a load of the reference word `word` from a field
+///   or element yields (the read barrier in the framed loop, the identity
+///   in the leaf loop).
 ///
 /// Expands to the dispatch `match` itself, with `$framed` spliced in as
 /// the remaining arms, so an instantiation is one dense jump table: the
@@ -199,7 +199,7 @@ macro_rules! get_field {
 macro_rules! op_table {
     (
         $vm:ident, $instr:ident, $stack:expr, $base:expr, $floor:expr, $steps:expr,
-        fail: $fail:ident, ret: $ret:ident, obj: $obj:ident,
+        fail: $fail:ident, ret: $ret:ident, load: $load:ident,
         { $($framed:tt)* }
     ) => {
         match $instr {
@@ -236,23 +236,21 @@ macro_rules! op_table {
             RInstr::BoolEq => {
                 bin_op(&mut $stack, $floor, |a, b| Value::Bool(a.as_bool() == b.as_bool()))
             }
-            RInstr::RefEq => bin_op(&mut $stack, $floor, |a, b| Value::Bool($vm.ref_eq(a, b))),
-            RInstr::RefNe => bin_op(&mut $stack, $floor, |a, b| Value::Bool(!$vm.ref_eq(a, b))),
+            // Plain identity: the mutator only ever holds to-space references.
+            RInstr::RefEq => bin_op(&mut $stack, $floor, |a, b| Value::Bool(a == b)),
+            RInstr::RefNe => bin_op(&mut $stack, $floor, |a, b| Value::Bool(a != b)),
             RInstr::StrEq => bin_op(&mut $stack, $floor, |a, b| {
                 Value::Bool($vm.str_eq(a.as_ref_opt(), b.as_ref_opt()))
             }),
             RInstr::GetField { offset, is_ref } => {
                 let top = at(&$stack, $floor, 1);
-                let v = get_field!($vm, $fail, $obj, $stack[top], *offset, *is_ref, 0);
+                let v = get_field!($vm, $fail, $load, $stack[top], *offset, *is_ref, 0);
                 $stack[top] = v;
             }
             RInstr::PutField { offset } => {
-                // Peeked until the barrier is through, so its exit leaves
-                // the op retryable.
-                let Some(r) = $stack[at(&$stack, $floor, 2)].as_ref_opt() else {
+                let Some(obj) = $stack[at(&$stack, $floor, 2)].as_ref_opt() else {
                     $fail!(0, VmError::NullPointer { context: "field write".into() });
                 };
-                let obj = $obj!(r);
                 let val = pop(&mut $stack, $floor);
                 $stack.pop();
                 $vm.heap.set(obj, *offset as usize, val.to_word());
@@ -265,25 +263,29 @@ macro_rules! op_table {
                 $vm.registry.jtoc_set(*slot, val.to_word());
             }
             RInstr::ALoad => {
-                let idx = pop(&mut $stack, $floor).as_int();
-                let (arr, idx) =
-                    element!($vm, $fail, pop(&mut $stack, $floor), idx, "array read");
-                let is_ref = $vm.heap.kind(arr) == HeapKind::RefArray;
-                let word = $vm.heap.get(arr, idx);
-                $stack.push(Value::from_word($vm.loaded(word, is_ref), is_ref));
+                // Peeked until the load is through, so a barrier exit
+                // leaves the op retryable.
+                let top = at(&$stack, $floor, 2);
+                let idx = $stack[top + 1].as_int();
+                let (addr, is_ref) = element!($vm, $fail, $stack, top, idx, "array read");
+                let word = $vm.heap.word(addr);
+                let word = if is_ref { $load!(word) } else { word };
+                $stack.truncate(top + 1);
+                $stack[top] = Value::from_word(word, is_ref);
             }
             RInstr::AStore => {
-                let val = pop(&mut $stack, $floor);
-                let idx = pop(&mut $stack, $floor).as_int();
-                let (arr, idx) =
-                    element!($vm, $fail, pop(&mut $stack, $floor), idx, "array write");
-                $vm.heap.set(arr, idx, val.to_word());
+                let top = at(&$stack, $floor, 3);
+                let idx = $stack[top + 1].as_int();
+                let (addr, _) = element!($vm, $fail, $stack, top, idx, "array write");
+                let val = $stack[top + 2];
+                $stack.truncate(top);
+                $vm.heap.set_word(addr, val.to_word());
             }
             RInstr::ArrayLen => {
                 let Some(arr) = pop(&mut $stack, $floor).as_ref_opt() else {
                     $fail!(0, VmError::NullPointer { context: "array length".into() });
                 };
-                let len = $vm.heap.len_of($vm.heap.resolve(arr));
+                let len = $vm.heap.len_of(arr);
                 $stack.push(Value::Int(i64::from(len)));
             }
             RInstr::Pop => {
@@ -308,14 +310,14 @@ macro_rules! op_table {
             RInstr::FusedLoadGetField { slot, offset, is_ref } => {
                 let covers = $instr.covers();
                 let local = $stack[$base + *slot as usize];
-                let v = get_field!($vm, $fail, $obj, local, *offset, *is_ref, 1);
+                let v = get_field!($vm, $fail, $load, local, *offset, *is_ref, 1);
                 retire!($vm, $steps, covers);
                 $stack.push(v);
             }
             RInstr::FusedLoadGetFieldReturn { slot, offset, is_ref } => {
                 let covers = $instr.covers();
                 let local = $stack[$base + *slot as usize];
-                let v = get_field!($vm, $fail, $obj, local, *offset, *is_ref, 1);
+                let v = get_field!($vm, $fail, $load, local, *offset, *is_ref, 1);
                 retire!($vm, $steps, covers);
                 $ret!(Some(v))
             }
@@ -418,19 +420,20 @@ impl Vm {
                         trap!($e)
                     }};
                 }
-                // The op table's `obj` hook, the read-barrier dance shared
-                // by every reference load: the identity outside a lazy
-                // epoch (zero steady-state cost, the paper's headline
-                // property), [`Vm::barrier_object`] inside one. `Run`
-                // pushes the object transformer with pc and stack
-                // untouched, so the faulting instruction (which only
-                // *peeked* its operands) retries after it returns.
+                // The op table's `load` hook, the read barrier on every
+                // reference load: one range test, false outside a lazy
+                // epoch's copy (zero steady-state cost, the paper's
+                // headline property); a from-space word takes
+                // [`Vm::barrier_load`]. `Run` pushes an object transformer
+                // with pc and stack untouched, so the faulting instruction
+                // (which only *peeked* its operands) retries after it
+                // returns.
                 macro_rules! barrier {
-                    ($obj:expr) => {{
-                        let obj = $obj;
-                        if self.lazy.active {
-                            match self.barrier_object(obj) {
-                                Lazy::Ready(o) => o,
+                    ($word:expr) => {{
+                        let word: u64 = $word;
+                        if self.heap.in_from_space(word) {
+                            match self.barrier_load(t, GcRef(word as u32)) {
+                                Lazy::Ready(r) => u64::from(r.0),
                                 Lazy::NeedGc => park!(pc, break 'outer SliceEvent::NeedGc),
                                 Lazy::Run(call) => match self.push_transformer(t, call) {
                                     Ok(()) => park!(pc, continue 'outer),
@@ -439,7 +442,7 @@ impl Vm {
                                 Lazy::Trap(e) => trap!(e),
                             }
                         } else {
-                            obj
+                            word
                         }
                     }};
                 }
@@ -557,14 +560,13 @@ impl Vm {
                     }};
                 }
                 // The receiver of a virtual call held in `$v`, which is
-                // base instruction `$k` of the executing op: null-checked
-                // and through the read barrier.
+                // base instruction `$k` of the executing op, null-checked.
                 macro_rules! receiver {
                     ($v:expr, $k:expr) => {{
                         let Some(recv) = $v.as_ref_opt() else {
                             trap!($k, VmError::NullPointer { context: "virtual call".into() });
                         };
-                        barrier!(recv)
+                        recv
                     }};
                 }
                 // The virtual-call dispatch shared by `CallVirtual` and
@@ -605,7 +607,7 @@ impl Vm {
                     };
                 }
                 op_table!(self, instr, t.values, base, floor, steps,
-                    fail: trap, ret: do_return, obj: barrier,
+                    fail: trap, ret: do_return, load: barrier,
                 {
                     RInstr::ConstStr(s) => match self.heap.alloc_string(s) {
                         Some(r) => t.values.push(Value::Ref(r)),
@@ -647,7 +649,6 @@ impl Vm {
                     RInstr::CallVirtual { vslot, argc } => {
                         let ridx = at(&t.values, floor, 1 + *argc as usize);
                         let recv = receiver!(t.values[ridx], 0);
-                        t.values[ridx] = Value::Ref(recv);
                         dispatch_virtual!(*vslot, recv, *argc as usize + 1)
                     }
                     RInstr::CallDirect { method, argc, has_receiver } => {
@@ -692,10 +693,6 @@ impl Vm {
                                 t.enter(call.compiled, call.args.len(), Some(call.note));
                                 park!(pc, continue 'outer)
                             }
-                            NOut::Barrier(call) => match self.push_transformer(t, call) {
-                                Ok(()) => park!(pc, continue 'outer),
-                                Err(e) => trap!(e),
-                            },
                             NOut::Yield => {
                                 complete!();
                                 park!(pc, break 'outer SliceEvent::Quantum);
@@ -768,10 +765,6 @@ impl Vm {
                         let covers = instr.covers();
                         let recv = receiver!(t.values[base + *slot as usize], 1);
                         retire!(self, steps, covers);
-                        // Base pushes the receiver then resolves the stack
-                        // copy in place; pushing the resolved receiver is
-                        // the same final stack (the local keeps the stale
-                        // ref in both tiers).
                         t.values.push(Value::Ref(recv));
                         dispatch_virtual!(*vslot, recv, 1)
                     }
@@ -853,7 +846,7 @@ impl Vm {
             *steps += 1;
             let instr = &callee.code[pc];
             op_table!(self, instr, *values, base, floor, *steps,
-                fail: fail, ret: ret, obj: identity,
+                fail: fail, ret: ret, load: identity,
             {
                 framed_ops!() => fail!(0, VmError::Internal {
                     message: format!("framed op {instr:?} in leaf code"),
@@ -930,65 +923,45 @@ impl Vm {
         true
     }
 
-    /// The lazy-migration read barrier: first touch of a stale object
-    /// migrates it ([`Vm::lazy_dup`]). A class with a copy plan is done
-    /// on the spot and the access proceeds against the new object; any
-    /// other class hands back its object-transformer call as
-    /// [`Lazy::Run`]. The caller runs it with the faulting
-    /// instruction's pc and stack untouched, so the access retries
-    /// against the transformed object — the same transformer, in the same
-    /// (new, old-copy) calling convention, the eager protocol runs from
-    /// the update log. Everything else is a resolve. An epoch the
-    /// controller is never stepped past arming keeps every reference load
-    /// on this path for good: the JDrums/DVM indirection baseline (paper
-    /// §5) is this barrier, held open.
-    fn barrier_object(&mut self, r: GcRef) -> Lazy {
-        let r = self.heap.resolve(r);
-        if !self.lazy_is_stale(r) {
-            return Lazy::Ready(r);
-        }
-        if self.dsu.depth >= MAX_TRANSFORMER_DEPTH {
-            return Lazy::Trap(VmError::TransformerDepthExceeded {
-                limit: MAX_TRANSFORMER_DEPTH,
-            });
-        }
-        match self.lazy_dup(r) {
-            None => Lazy::NeedGc,
-            Some(LazyDup::Planned(new_obj)) => Lazy::Ready(new_obj),
-            Some(LazyDup::Logged(index)) => match self.transformer_call(index) {
-                Ok(call) => Lazy::Run(call),
-                Err(e) => Lazy::Trap(e),
+    /// The read barrier's slow path: `t` just loaded `r`, a from-space
+    /// address. Evacuates it ([`Vm::lazy_evacuate`]) — a plan converts a
+    /// stale object on the spot, an interpreted transformer's class is
+    /// duplicated and queued — and yields where it went. Inside a
+    /// transformer that is all: like the eager log's transformers, it may
+    /// read a new object its own transformer has not filled yet. Guest code
+    /// may not, so while a logged pair waits the barrier hands back the
+    /// lowest one's transformer as [`Lazy::Run`], to run with the faulting
+    /// instruction's pc and stack untouched; the instruction retries after
+    /// it, and proceeds once the queue is empty — the same transformers,
+    /// in the same (new, old-copy) calling convention, the eager protocol
+    /// runs. An epoch the controller is never stepped past arming keeps
+    /// loads on this path for good: the JDrums/DVM indirection baseline
+    /// (paper §5) is this barrier, held open.
+    fn barrier_load(&mut self, t: &VmThread, r: GcRef) -> Lazy {
+        let new = match self.heap.resolve(r) {
+            moved if moved != r => moved,
+            _ => match self.lazy_evacuate(r) {
+                Ok(new) => new,
+                Err(VmError::OutOfMemory { .. }) => return Lazy::NeedGc,
+                Err(e) => return Lazy::Trap(e),
             },
+        };
+        let in_transformer =
+            || t.frames.iter().any(|f| matches!(f.note, Some(FrameNote::TransformOf(_))));
+        if self.lazy.queue.is_empty() || in_transformer() {
+            return Lazy::Ready(new);
         }
-    }
-
-    /// Guest `==` on references: identity, with `null` equal only to
-    /// `null`.
-    #[inline]
-    fn ref_eq(&self, a: Value, b: Value) -> bool {
-        match (a, b) {
-            (Value::Null, Value::Null) => true,
-            // Mid-epoch one operand may be a stale address and the other
-            // its migrated copy: identity must compare through the
-            // forwarding words.
-            (Value::Ref(x), Value::Ref(y)) => {
-                x == y || (self.lazy.active && self.heap.resolve(x) == self.heap.resolve(y))
+        if let Err(e) = self.frame_room(t.frames.len()) {
+            return Lazy::Trap(e);
+        }
+        let Some(index) = self.next_queued() else { return Lazy::Ready(new) };
+        match self.transformer_call(index) {
+            Ok(call) => Lazy::Run(call),
+            Err(e) => {
+                self.requeue(index);
+                Lazy::Trap(e)
             }
-            _ => false,
         }
-    }
-
-    /// A word just loaded from a field or array element. Mid-epoch, loaded
-    /// references resolve through any forwarding word: during the collapse
-    /// sweep this keeps stale addresses read from unswept cells from
-    /// recontaminating swept ones (the SATB/collapse invariant); outside
-    /// an epoch the branch is never taken.
-    #[inline]
-    fn loaded(&self, word: u64, is_ref: bool) -> u64 {
-        if is_ref && word != 0 && self.lazy.active {
-            return u64::from(self.heap.resolve(GcRef(word as u32)).0);
-        }
-        word
     }
 
     /// Guest `==` on strings: `null` equals only `null`, otherwise the
@@ -1014,7 +987,7 @@ impl Vm {
         macro_rules! str_ref {
             ($i:expr) => {
                 match arg($i).as_ref_opt() {
-                    Some(r) => self.heap.resolve(r),
+                    Some(r) => r,
                     None => {
                         return NOut::Trap(VmError::NullPointer {
                             context: format!("native {:?}", native),
@@ -1074,24 +1047,11 @@ impl Vm {
                 let Some(obj) = arg(0).as_ref_opt() else {
                     return NOut::Trap(VmError::NullPointer { context: "Sys.spawn".into() });
                 };
-                let obj = self.heap.resolve(obj);
                 if self.heap.kind(obj) != HeapKind::Object {
                     return NOut::Trap(VmError::Internal {
                         message: "Sys.spawn target is not an object".into(),
                     });
                 }
-                // Spawning a stale receiver mid-epoch would look run() up
-                // on the stripped old class: migrate it first, retrying
-                // the native after the transformer runs.
-                if self.lazy.active {
-                    match self.barrier_object(obj) {
-                        Lazy::Ready(_) => {}
-                        Lazy::NeedGc => return NOut::NeedGc,
-                        Lazy::Run(call) => return NOut::Barrier(call),
-                        Lazy::Trap(e) => return NOut::Trap(e),
-                    }
-                }
-                let obj = self.heap.resolve(obj);
                 let class = self.heap.class_of(obj);
                 let Some(vslot) = self.registry.vslot(class, "run") else {
                     return NOut::Trap(VmError::ResolutionError {
@@ -1254,25 +1214,12 @@ impl Vm {
                 let Some(obj) = arg(0).as_ref_opt() else {
                     return NOut::Val(None);
                 };
-                let obj = self.heap.resolve(obj);
                 if self.heap.kind(obj) != HeapKind::Object {
                     return NOut::Val(None);
                 }
+                // Not a logged, untransformed object (already transformed,
+                // converted by a copy plan, never updated): nothing to do.
                 let Some(index) = self.dsu.entry_of(&self.heap, obj) else {
-                    // Not a logged, untransformed object. Mid-lazy-epoch
-                    // an *untouched* stale object has no logged pair yet:
-                    // migrate it now, retrying the native afterwards — the
-                    // lazy analogue of forcing an entry out of the eager
-                    // update log. Anything else (already transformed,
-                    // converted by a copy plan, never updated) is done.
-                    if self.lazy_is_stale(obj) {
-                        return match self.barrier_object(obj) {
-                            Lazy::Ready(_) => NOut::Val(None),
-                            Lazy::NeedGc => NOut::NeedGc,
-                            Lazy::Run(call) => NOut::Barrier(call),
-                            Lazy::Trap(e) => NOut::Trap(e),
-                        };
-                    }
                     return NOut::Val(None);
                 };
                 // Depth-checked before `transformer_call` marks the entry

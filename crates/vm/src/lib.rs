@@ -50,9 +50,7 @@ mod vm;
 pub use config::VmConfig;
 pub use error::VmError;
 pub use ids::{ClassId, MethodId, ThreadId};
-pub use lazy::{
-    CollapseOutcome, EpochTotals, LazyStage, ScanOutcome, ScavengeOutcome, MAX_TRANSFORMER_DEPTH,
-};
+pub use lazy::{CopyStep, EpochTotals, LazyStage, MAX_TRANSFORMER_DEPTH};
 pub use registry::{ClassMethodsSnapshot, RegistryMark};
 pub use value::{GcRef, Value};
 pub use vm::{ObjectTransformer, SliceOutcome, SliceReport, Vm, VmStats};

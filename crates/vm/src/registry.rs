@@ -89,7 +89,8 @@ pub struct Registry {
     /// The "Java table of contents": one word per static field.
     jtoc: Vec<u64>,
     jtoc_ref: Vec<bool>,
-    /// Cached GC layout snapshot; rebuilt lazily after class load/rename.
+    /// Cached GC layout snapshot: extended as classes load, rebuilt
+    /// lazily after a rollback truncates the class table.
     snapshot: Option<Arc<LayoutSnapshot>>,
     /// Monotonic dispatch epoch: advanced by *every* mutation that can
     /// change what a call site should run — class load/rename, method
@@ -143,9 +144,10 @@ impl Registry {
         self.classes.len()
     }
 
-    /// The cached GC layout snapshot, building it if a class was loaded or
-    /// renamed since the last collection. Collections share the `Arc`, so
-    /// steady-state GC pays zero snapshot-construction cost.
+    /// The cached GC layout snapshot, building it if none is cached (at
+    /// first use and after a rollback). Class loads extend the cached one
+    /// in place and collections share the `Arc`, so neither a steady-state
+    /// GC nor an update's pause pays for a rebuild.
     pub fn layout_snapshot(&mut self) -> Arc<LayoutSnapshot> {
         if self.snapshot.is_none() {
             let mut snap = LayoutSnapshot::new();
@@ -232,6 +234,15 @@ impl Registry {
     /// Writes a JTOC word.
     pub fn jtoc_set(&mut self, slot: u32, word: u64) {
         self.jtoc[slot as usize] = word;
+    }
+
+    /// The non-null reference words of the JTOC (GC roots), writable, in
+    /// [`Registry::jtoc_ref_slots`] order.
+    pub(crate) fn jtoc_refs_mut(&mut self) -> impl Iterator<Item = &mut u64> + '_ {
+        self.jtoc
+            .iter_mut()
+            .zip(&self.jtoc_ref)
+            .filter_map(|(w, &is_ref)| (is_ref && *w != 0).then_some(w))
     }
 
     /// JTOC slots that hold non-null references (GC roots).
@@ -415,7 +426,9 @@ impl Registry {
             vslots,
             statics,
         });
-        self.snapshot = None;
+        if let Some(snapshot) = &mut self.snapshot {
+            Arc::make_mut(snapshot).set(id, &self.classes[id.index()].ref_map);
+        }
         self.bump_code_epoch();
         Ok(id)
     }
@@ -450,7 +463,6 @@ impl Registry {
         for sub in self.classes.iter_mut().filter(|c| c.super_id == Some(id)) {
             sub.file.superclass = Some(new_name.clone());
         }
-        self.snapshot = None;
         self.bump_code_epoch();
         Ok(())
     }
@@ -781,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn layout_snapshot_is_cached_and_invalidated_by_load() {
+    fn layout_snapshot_is_cached_and_extended_by_load() {
         let mut r = base_registry();
         let first = r.layout_snapshot();
         let again = r.layout_snapshot();
@@ -789,12 +801,16 @@ mod tests {
 
         let classes =
             jvolve_lang::compile("class P { field n: int; field s: String; }").unwrap();
+        let mark = r.mark();
         r.load_batch(&classes).unwrap();
-        let rebuilt = r.layout_snapshot();
-        assert!(!Arc::ptr_eq(&first, &rebuilt), "class load invalidates");
+        let extended = r.layout_snapshot();
+        assert!(!Arc::ptr_eq(&first, &extended), "a shared snapshot is not changed under a holder");
         let p = r.class_id(&ClassName::from("P")).unwrap();
-        assert_eq!(rebuilt.size_words(p), 2);
-        assert_eq!(rebuilt.num_classes(), r.num_classes());
+        assert_eq!(extended.size_words(p), 2);
+        assert_eq!(extended.num_classes(), r.num_classes());
+        drop((first, again, extended));
+        r.truncate_to(&mark);
+        assert_eq!(r.layout_snapshot().num_classes(), r.num_classes(), "rebuilt after rollback");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! `jvolve` crate's update driver composes into the paper's protocol.
 
 use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -14,15 +15,12 @@ use crate::compiled::{CompileLevel, CompiledMethod};
 use crate::config::VmConfig;
 use crate::error::VmError;
 use crate::heap::{
-    ClassLayouts, CopyPlan, GcOutcome, GcRemap, Heap, HeapKind, NoRemap, RemapTable,
+    ClassLayouts, CopyPlan, GcOutcome, GcRemap, Heap, HeapKind, LoggedPair, NoRemap, RemapTable,
 };
 use crate::ids::{ClassId, MethodId, ThreadId};
 use crate::interp::SliceEvent;
 use crate::jit;
-use crate::lazy::{
-    CollapseOutcome, EpochTotals, LazyEpoch, LazyStage, ScanOutcome, ScavengeOutcome,
-    MAX_TRANSFORMER_DEPTH,
-};
+use crate::lazy::{CopyStep, EpochTotals, LazyEpoch, LazyStage, MAX_TRANSFORMER_DEPTH};
 use crate::net::Net;
 use crate::registry::Registry;
 use crate::thread::{BlockOn, FrameNote, ThreadState, VmThread};
@@ -35,7 +33,9 @@ pub struct VmStats {
     pub slices: u64,
     /// Interpreter steps executed.
     pub steps: u64,
-    /// Collections performed.
+    /// Collections that flipped the semispaces with every thread stopped (a
+    /// lazy epoch's incremental copy is not one; a collection that finishes
+    /// it counts once, for the flip that follows).
     pub gcs: u64,
     /// Methods baseline-compiled.
     pub base_compiles: u64,
@@ -66,8 +66,8 @@ pub struct VmStats {
 #[derive(Debug, Clone)]
 pub enum ObjectTransformer {
     /// A pure field copy, applied natively wherever the object is copied
-    /// (the update-GC, or first touch in a lazy epoch): no old copy, no
-    /// update-log entry, no frame.
+    /// (by the update-GC, or a lazy epoch's incremental copy of it): no old
+    /// copy, no update-log entry, no frame.
     Plan(CopyPlan),
     /// The compiled `jvolve_object_X(to, from)` method, run in an
     /// interpreter frame over a logged (old copy, new object) pair.
@@ -97,8 +97,7 @@ pub(crate) enum EntryState {
 #[derive(Debug, Default)]
 pub(crate) struct DsuState {
     /// The update log: (old copy, new object) pairs from the last
-    /// update-GC (paper §3.4), or from first-touch duplication during a
-    /// lazy epoch.
+    /// update-GC (paper §3.4), or from a lazy epoch's incremental copy.
     pub pending: Vec<(GcRef, GcRef)>,
     /// Transformer progress of each `pending` entry.
     pub state: Vec<EntryState>,
@@ -590,16 +589,6 @@ impl Vm {
         })
     }
 
-    /// Rewrites every [`Vm::stack_refs`] slot through the heap's
-    /// forwarding words.
-    fn resolve_stacks(&mut self) {
-        for v in self.threads.iter_mut().flatten().flat_map(|t| &mut t.values) {
-            if let Value::Ref(r) = v {
-                *r = self.heap.resolve(*r);
-            }
-        }
-    }
-
     /// Gathers every root location, runs a collection with `remap`, and
     /// rewrites roots and DSU bookkeeping.
     ///
@@ -618,80 +607,47 @@ impl Vm {
     }
 
     /// [`Vm::collect_full`] over an already resolved remap table (which
-    /// may carry copy plans). Inside a lazy epoch whose discovery scan is
-    /// unfinished, it first runs [`Vm::lazy_scan`] to completion before
-    /// gathering roots: every planned object the scan meets is either
-    /// converted (the collection copies the new object and forwards
-    /// references to the original) or queued on the worklist, which is
-    /// rooted.
+    /// may carry copy plans). While a lazy epoch's incremental copy runs,
+    /// the collection first finishes that copy (see [`crate::lazy`]) — to-space
+    /// always holds room for it — and then collects the finished heap, so
+    /// it reclaims the garbage the mutator allocated beside the copy.
     fn collect_with(&mut self, table: &RemapTable) -> Result<GcOutcome, VmError> {
-        if self.lazy.active && !self.lazy.scan_done() {
-            // A collection abandons from-space, so run the SATB scanner to
-            // completion first. Its conversions are forwarded objects like
-            // any barrier migration; what it cannot convert (interpreted
-            // transformers, or no room left) joins the worklist tail, which
-            // must be rooted below, or untouched stale garbage would be
-            // reclaimed here that an eager commit would have transformed.
-            self.lazy_scan(usize::MAX);
+        if self.heap.copying() {
+            debug_assert!(table.is_empty(), "an update collection inside a lazy epoch");
+            self.lazy_copy_step(usize::MAX, usize::MAX)?;
         }
-        let mut roots: Vec<GcRef> = self.stack_refs().collect();
-        let jtoc_slots: Vec<u32> = self.registry.jtoc_ref_slots().collect();
-        for &slot in &jtoc_slots {
-            roots.push(GcRef(self.registry.jtoc_get(slot) as u32));
-        }
-        for &(old, new) in &self.dsu.pending {
-            roots.push(old);
-            roots.push(new);
-        }
-        for &r in &self.host_roots {
-            roots.push(r);
-        }
-        if self.lazy.active {
-            // The unscavenged worklist tail keeps untouched stale objects
-            // alive until transformed, so a lazy epoch migrates exactly
-            // the object multiset an eager update would have.
-            self.lazy.drop_processed();
-            roots.extend_from_slice(self.lazy.pending_entries());
-        }
-
+        let mut roots = Vec::new();
+        self.for_each_root(|_, r| roots.push(*r));
         let snapshot = self.registry.layout_snapshot();
         let table = if table.is_empty() { None } else { Some(table) };
         let outcome = self.heap.collect(&roots, &snapshot, table)?;
         self.stats.gcs += 1;
-
-        // Rewrite every root location through the forwarding pointers.
-        self.resolve_stacks();
-        let heap = &self.heap;
-        for &slot in &jtoc_slots {
-            let old = self.registry.jtoc_get(slot) as u32;
-            self.registry.jtoc_set(slot, u64::from(heap.resolve(GcRef(old)).0));
-        }
-        for pair in &mut self.dsu.pending {
-            pair.0 = heap.resolve(pair.0);
-            pair.1 = heap.resolve(pair.1);
-        }
-        for r in &mut self.host_roots {
-            *r = heap.resolve(*r);
-        }
-        if self.lazy.active {
-            for r in &mut self.lazy.worklist {
-                *r = heap.resolve(*r);
-            }
-            // The scan completed up top and its addresses died with
-            // from-space; pin the stage at scan-done.
-            self.lazy.scan_addr = 0;
-            self.lazy.scan_limit = 0;
-            if self.lazy.collapsing {
-                // A copying collection resolves every reference as it
-                // copies, which is exactly what the sweep was doing —
-                // the collapse is complete, even one stopped inside an
-                // array.
-                self.lazy.sweep_addr = 0;
-                self.lazy.sweep_slot = 0;
-                self.lazy.sweep_limit = 0;
-            }
-        }
+        self.for_each_root(|heap, r| *r = heap.resolve(*r));
         Ok(outcome)
+    }
+
+    /// Visits every root location, with the heap, in the order a
+    /// collection copies from them: thread stacks, non-null statics, the
+    /// update log's pairs, host roots.
+    fn for_each_root(&mut self, mut f: impl FnMut(&mut Heap, &mut GcRef)) {
+        let Vm { threads, heap, registry, dsu, host_roots, .. } = self;
+        for v in threads.iter_mut().flatten().flat_map(|t| &mut t.values) {
+            if let Value::Ref(r) = v {
+                f(heap, r);
+            }
+        }
+        for word in registry.jtoc_refs_mut() {
+            let mut r = GcRef(*word as u32);
+            f(heap, &mut r);
+            *word = u64::from(r.0);
+        }
+        for (old, new) in &mut dsu.pending {
+            f(heap, old);
+            f(heap, new);
+        }
+        for r in host_roots {
+            f(heap, r);
+        }
     }
 
     /// A canonical, address-independent hash of the reachable heap.
@@ -847,6 +803,13 @@ impl Vm {
     /// Number of (old, new) pairs waiting for transformation.
     pub fn pending_transforms(&self) -> usize {
         self.dsu.pending.len()
+    }
+
+    /// Heap words the update log keeps alive in old-layout copies (zero
+    /// for a fully planned update).
+    pub fn update_log_words(&self) -> usize {
+        let words = |old| 1 + self.registry.object_size(self.heap.class_of(old));
+        self.dsu.pending.iter().map(|&(old, _)| words(old)).sum()
     }
 
     /// Runs the object transformer for every logged pair, in log order,
@@ -1123,20 +1086,21 @@ impl Vm {
         Ok(())
     }
 
-    // ---- lazy migration (read-barrier epoch, see `crate::lazy`) ------------------
+    // ---- lazy migration (the incremental copy, see `crate::lazy`) ---------------
 
     /// Opens a lazy-migration epoch: the O(roots) alternative to
     /// [`Vm::collect_for_update`], taking the same class mapping and
-    /// transformers. Marks the `remap` classes version-pending, snapshots
-    /// the allocation **watermark** (the SATB commit point — no heap
-    /// walk, no copying, no transformers, so this
-    /// *is* the commit pause and it is independent of heap size) and arms
-    /// the read barrier. Stale objects are
-    /// discovered afterwards by [`Vm::lazy_scan`] batches; objects
-    /// allocated past the watermark can never be stale because install
-    /// already invalidated every method that could allocate a changed
-    /// class. Returns the watermarked region's size in words (what the
-    /// scanner will cover).
+    /// transformers. Flips the semispaces and evacuates the referents of
+    /// the roots through the update-GC's copy arms — arrays longer than
+    /// `step_cells` words unfilled, so no more than a step's budget of any
+    /// one array is copied — then runs the transformers of any pair that
+    /// logged. That is the whole commit pause; the rest of the copy is
+    /// [`Vm::lazy_copy_step`]'s and the read barrier's. Returns the
+    /// from-space words in use (what the copy will evacuate from).
+    ///
+    /// # Errors
+    ///
+    /// Heap exhaustion and transformer traps; the epoch is then poisoned.
     ///
     /// # Panics
     ///
@@ -1145,279 +1109,243 @@ impl Vm {
         &mut self,
         remap: HashMap<ClassId, ClassId>,
         transformers: HashMap<ClassId, ObjectTransformer>,
-    ) -> usize {
+        step_cells: usize,
+    ) -> Result<usize, VmError> {
         assert!(!self.lazy.active, "a lazy-migration epoch is already active");
         let remap = self.update_table(&remap, transformers);
         self.dsu.clear_log();
-        let scan_addr = self.heap.active_base();
-        let scan_limit = self.heap.alloc_cursor();
-        self.lazy =
-            LazyEpoch { active: true, remap, scan_addr, scan_limit, ..LazyEpoch::default() };
+        self.lazy = LazyEpoch { active: true, ..LazyEpoch::default() };
         self.dsu.update_count += 1;
-        scan_limit - scan_addr
+        let snapshot = self.registry.layout_snapshot();
+        self.heap.flip(step_cells.max(1), &snapshot, &remap);
+        let from_words = self.heap.from_space_words();
+
+        // The roots' referents, in `collect_full`'s order.
+        let (mut log, mut evacuated) = (Vec::new(), Ok(()));
+        self.for_each_root(|heap, r| {
+            if evacuated.is_ok() && heap.in_from_space(u64::from(r.0)) {
+                match heap.evacuate(*r, &snapshot, &remap, &mut log) {
+                    Ok(new) => *r = new,
+                    Err(e) => evacuated = Err(e),
+                }
+            }
+        });
+        self.lazy.remap = remap;
+        self.queue_logged(log);
+        evacuated?;
+        self.end_copy_if_done();
+        self.run_queued()?;
+        Ok(from_words)
     }
 
-    /// Whether a lazy-migration epoch is in progress (read barrier armed).
+    /// Whether a lazy-migration epoch is in progress.
     pub fn lazy_epoch_active(&self) -> bool {
         self.lazy.active
     }
 
-    /// Which part of the lazy epoch's post-pause work is up next (see
-    /// [`LazyStage`]); `Inactive` outside an epoch.
+    /// Where the lazy epoch stands (see [`LazyStage`]): `Copy` while the
+    /// copy runs, a logged pair waits for its transformer, or a
+    /// transformer is still on some stack; `Inactive` outside an epoch.
     pub fn lazy_stage(&self) -> LazyStage {
-        self.lazy.stage()
-    }
-
-    /// Runs one bounded SATB discovery batch that converts as it
-    /// discovers ([`Heap::convert_stale`]): walks the heap from the scan
-    /// cursor toward the watermark and converts every not-yet-migrated
-    /// stale object whose class has a copy plan on the spot, counting it
-    /// as transformed and planned. Only objects whose transformer must be
-    /// interpreted, and objects the full semispace had no room to convert,
-    /// go on the worklist for the drain ([`Vm::lazy_scavenge`], which
-    /// collects and retries). Each cell stepped over costs one of
-    /// `max_cells` and each conversion one more. Objects the guest already
-    /// migrated through the barrier sit behind forwarding words and are
-    /// stepped over by the size those carry. Infallible — a conversion
-    /// that cannot allocate falls back to the worklist.
-    ///
-    /// # Panics
-    ///
-    /// Panics outside an active epoch.
-    pub fn lazy_scan(&mut self, max_cells: usize) -> ScanOutcome {
-        assert!(self.lazy.active, "lazy_scan outside an epoch");
-        if self.lazy.scan_done() {
-            return ScanOutcome { cells: 0, found: 0, planned: 0, done: true };
+        if !self.lazy.active {
+            LazyStage::Inactive
+        } else if self.heap.copying() || !self.lazy.queue.is_empty() || self.dsu.depth > 0 {
+            LazyStage::Copy
+        } else {
+            LazyStage::Done
         }
-        let snapshot = self.registry.layout_snapshot();
-        let queued = self.lazy.worklist.len();
-        let (next, cells, planned) = self.heap.convert_stale(
-            self.lazy.scan_addr,
-            self.lazy.scan_limit,
-            max_cells,
-            &snapshot,
-            &self.lazy.remap,
-            &mut self.lazy.worklist,
-        );
-        self.lazy.scan_addr = next;
-        self.lazy.transformed += planned;
-        self.lazy.planned += planned;
-        let found = planned + self.lazy.worklist.len() - queued;
-        ScanOutcome { cells, found, planned, done: self.lazy.scan_done() }
     }
 
-    /// Worklist entries the scavenger has not yet passed (empty outside
-    /// an epoch), in the order it will take them. Entries the guest
-    /// already migrated through the barrier stay until the scavenger
-    /// skips over them.
-    pub fn lazy_worklist(&self) -> &[GcRef] {
-        self.lazy.pending_entries()
-    }
-
-    /// Whether the resolved cell `r` is a stale object the epoch still
-    /// has to migrate: an instance of a version-pending class that is not
-    /// an old-layout copy (those keep the stale class on purpose —
-    /// transformers read them with old offsets, and migrating one would
-    /// recurse forever — and are told apart by their header tag).
-    pub(crate) fn lazy_is_stale(&self, r: GcRef) -> bool {
-        self.heap.kind(r) == HeapKind::Object
-            && self.lazy.remap.get(self.heap.class_of(r)).is_some()
-            && self.heap.header_tag(r) == 0
-    }
-
-    /// First-touch migration: the slow path shared by the interpreter's
-    /// read barrier, `Dsu.forceTransform`, and the scavenger. `r` must be
-    /// a *resolved* stale object ([`Vm::lazy_is_stale`]).
-    ///
-    /// A class with a copy plan is converted on the spot by the same heap
-    /// routine the discovery scan uses ([`Heap::apply_plan`]): only the
-    /// new-layout object is allocated, filled from `r` per the plan, and
-    /// `r` forwards to it — the migration is complete and counted. Such
-    /// an object reaches here only if the guest touches it before the
-    /// scan does, or if the scan found the semispace full. Any other
-    /// class is duplicated as the eager update-GC would: an old-layout
-    /// copy plus a zeroed new-layout object, logged as a pair for the
-    /// caller to run the transformer over.
-    ///
-    /// Returns `None` if an allocation fails, with nothing installed (the
-    /// caller collects and retries).
-    pub(crate) fn lazy_dup(&mut self, r: GcRef) -> Option<LazyDup> {
-        let old_class = self.heap.class_of(r);
-        let new_class = self.lazy.remap.get(old_class).expect("lazy_dup on a stale object");
-        let snapshot = self.registry.layout_snapshot();
-        if let Some(plan) = self.lazy.remap.plan(old_class) {
-            let new_obj = self.heap.apply_plan(r, new_class, plan, &snapshot)?;
-            self.lazy.transformed += 1;
-            self.lazy.planned += 1;
-            return Some(LazyDup::Planned(new_obj));
-        }
-        let new_size = self.registry.object_size(new_class);
-        let old_size = self.registry.object_size(old_class);
-        let old_copy = self.heap.alloc_object(old_class, old_size)?;
-        let new_obj = self.heap.alloc_object(new_class, new_size)?;
-        // (If the second allocation fails the old copy is dead garbage the
-        // caller's collection reclaims; no forwarding was installed.)
-        for i in 0..old_size {
-            let w = self.heap.get(r, i);
-            self.heap.set(old_copy, i, w);
-        }
-        self.heap.install_forward(r, new_obj, &snapshot);
-        Some(LazyDup::Logged(self.dsu.log_pair(&mut self.heap, old_copy, new_obj)))
-    }
-
-    /// Transforms up to `batch` untouched stale objects from the worklist
-    /// (the epoch's background scavenger; the update controller calls this
-    /// between scheduler slices). Entries the guest already migrated
-    /// through the read barrier are skipped. Transformers run
-    /// synchronously, exactly as [`Vm::transform_pending`] runs them in
-    /// the eager protocol.
+    /// Runs one bounded step of the epoch's incremental copy: advances the
+    /// Cheney scan by at most `max_cells` budget units (at least 2),
+    /// stopping after `batch` duplicated pairs ([`Heap::copy_step`]); ends the copy if
+    /// the scan met the allocation cursor; then runs the transformer of
+    /// every pair logged so far, lowest from-space address first, so no
+    /// guest code ever sees a zeroed new object. A step with the copy done
+    /// only runs what is still queued.
     ///
     /// # Errors
     ///
-    /// Propagates transformer traps and heap exhaustion; such an error
-    /// poisons the epoch (the update controller aborts).
+    /// Heap exhaustion and transformer traps; such an error poisons the
+    /// epoch (the update controller aborts).
     ///
     /// # Panics
     ///
     /// Panics outside an active epoch.
-    pub fn lazy_scavenge(&mut self, batch: usize) -> Result<ScavengeOutcome, VmError> {
-        assert!(self.lazy.active, "lazy_scavenge outside an epoch");
-        let (mut transformed, mut planned) = (0, 0);
-        // Opened on the first object that needs a transformer frame and
-        // reused for the rest of the batch.
+    pub fn lazy_copy_step(&mut self, max_cells: usize, batch: usize) -> Result<CopyStep, VmError> {
+        assert!(self.lazy.active, "lazy_copy_step outside an epoch");
+        let (words, planned) = self.copied_so_far();
+        let logged = self.lazy.logged;
+        let mut cells = 0;
+        if self.heap.copying() {
+            let snapshot = self.registry.layout_snapshot();
+            let mut log = Vec::new();
+            let step = self.heap.copy_step(
+                max_cells.max(2),
+                batch.max(1),
+                &snapshot,
+                &self.lazy.remap,
+                &mut log,
+            );
+            self.queue_logged(log);
+            cells = step?;
+            self.end_copy_if_done();
+        }
+        self.run_queued()?;
+        let (words_now, planned_now) = self.copied_so_far();
+        Ok(CopyStep {
+            cells,
+            words: words_now - words,
+            planned: planned_now - planned,
+            logged: self.lazy.logged - logged,
+            done: self.lazy_stage() == LazyStage::Done,
+        })
+    }
+
+    /// Words and planned objects the epoch's copy has evacuated so far.
+    fn copied_so_far(&self) -> (usize, usize) {
+        let c = if self.heap.copying() { self.heap.copied() } else { &self.lazy.copied };
+        (c.copied_words, c.planned)
+    }
+
+    /// Frees from-space once the scan has met the allocation cursor.
+    fn end_copy_if_done(&mut self) {
+        if self.heap.copying() && self.heap.copy_done() {
+            self.lazy.copied = self.heap.end_copy();
+        }
+    }
+
+    /// Puts pairs the copy duplicated on the update log (stamping both
+    /// headers) and in the transformer queue.
+    fn queue_logged(&mut self, log: Vec<LoggedPair>) {
+        for (from, old_copy, new_obj) in log {
+            let index = self.dsu.log_pair(&mut self.heap, old_copy, new_obj);
+            self.lazy.queue.push(Reverse((from, index)));
+            self.lazy.logged += 1;
+        }
+    }
+
+    /// Pops the queued pair with the lowest from-space address whose
+    /// transformer has not started (`Dsu.forceTransform` may have run one
+    /// out of order).
+    pub(crate) fn next_queued(&mut self) -> Option<usize> {
+        while let Some(Reverse((_, index))) = self.lazy.queue.pop() {
+            if self.dsu.state[index] == EntryState::Pending {
+                return Some(index);
+            }
+        }
+        None
+    }
+
+    /// Puts the not-yet-started pair `index` back in the queue.
+    pub(crate) fn requeue(&mut self, index: usize) {
+        let from = self.dsu.pending[index].0 .0;
+        self.lazy.queue.push(Reverse((from, index)));
+    }
+
+    /// Runs every queued transformer, lowest from-space address first, on
+    /// one internal thread; pairs their loads log join the queue.
+    fn run_queued(&mut self) -> Result<(), VmError> {
         let mut thread = None;
         let result = (|| {
-            while transformed < batch && self.lazy.cursor < self.lazy.worklist.len() {
-                if !self.lazy_is_stale(self.heap.resolve(self.lazy.worklist[self.lazy.cursor])) {
-                    // The guest (or a recursive force) got here first.
-                    self.lazy.cursor += 1;
-                    continue;
-                }
-                let mut gc_retries = 0;
-                let dup = loop {
-                    // Re-read the entry each attempt: a failed allocation
-                    // collects, which moves the object and drops the
-                    // worklist's processed prefix (so the cursor moves too).
-                    let r = self.heap.resolve(self.lazy.worklist[self.lazy.cursor]);
-                    if let Some(dup) = self.lazy_dup(r) {
-                        break dup;
-                    }
-                    if gc_retries >= 1 {
-                        return Err(VmError::OutOfMemory { requested: 0 });
-                    }
-                    gc_retries += 1;
-                    self.collect_full(&NoRemap)?;
-                };
-                // The object is migrated, or its pair is rooted via the
-                // update log: advance past the entry before running the
-                // transformer (which may itself GC).
-                self.lazy.cursor += 1;
-                match dup {
-                    LazyDup::Planned(_) => planned += 1,
-                    LazyDup::Logged(index) => {
-                        let thread = *thread
-                            .get_or_insert_with(|| self.open_sync_thread("object-transformer"));
-                        self.transform_one(thread, index)?;
-                    }
-                }
-                transformed += 1;
+            while let Some(index) = self.next_queued() {
+                let thread =
+                    *thread.get_or_insert_with(|| self.open_sync_thread("object-transformer"));
+                self.transform_one(thread, index)?;
             }
             Ok(())
         })();
         if let Some(thread) = thread {
             self.close_sync_thread(thread);
         }
-        result?;
-        Ok(ScavengeOutcome { transformed, planned, remaining: self.lazy_worklist().len() })
+        result
     }
 
-    /// Runs one bounded forwarding-collapse batch. The first call performs
-    /// the stage's only O(roots) work — rewriting thread frames, statics,
-    /// and host roots through the forwarding words and dropping the update
-    /// log, at which point the stale originals and old copies are plain
-    /// garbage — and records the sweep horizon. Every call then sweeps at
-    /// most `max_cells` heap cells ([`Heap::sweep_forwards`]), rewriting
-    /// reference slots that still point at forwarded cells; a reference
-    /// array counts one cell per element, and the next call resumes at
-    /// the element where this one stopped, so no call's work grows with
-    /// the longest array. Reference loads resolve through forwards
-    /// while the epoch is active, so swept cells can never be
-    /// recontaminated by stale references read out of unswept ones.
-    /// Infallible — it allocates nothing.
+    /// The read barrier's slow path for `r`, a from-space address just
+    /// loaded from a reference slot: evacuates it ([`Heap::evacuate`]),
+    /// queueing the pair if it was duplicated, and returns where it went.
+    pub(crate) fn lazy_evacuate(&mut self, r: GcRef) -> Result<GcRef, VmError> {
+        let snapshot = self.registry.layout_snapshot();
+        let mut log = Vec::new();
+        let result = self.heap.evacuate(r, &snapshot, &self.lazy.remap, &mut log);
+        self.queue_logged(log);
+        result
+    }
+
+    /// Checks the lazy epoch's invariants (trivially true outside one): no
+    /// root and no cell the copy has scanned holds a from-space reference;
+    /// every unfilled array's original forwards to it; both objects of
+    /// every logged pair carry its log index + 1 until its transformer
+    /// returns (the old copy keeps it); and from-space is empty once the
+    /// epoch is done. Debug builds check after every `LazyMigrating` step.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics outside an active epoch, before the scan + drain are
-    /// complete, or while a transformer frame is still on some stack.
-    pub fn lazy_collapse(&mut self, max_cells: usize) -> CollapseOutcome {
-        assert!(self.lazy.active, "lazy_collapse outside an epoch");
-        assert!(
-            self.lazy.scan_done() && self.lazy.cursor >= self.lazy.worklist.len(),
-            "lazy_collapse before the epoch drained"
-        );
-        assert_eq!(self.dsu.depth, 0, "transformer still in progress");
-        if !self.lazy.collapsing {
-            self.resolve_stacks();
-            let heap = &self.heap;
-            let jtoc_slots: Vec<u32> = self.registry.jtoc_ref_slots().collect();
-            for slot in jtoc_slots {
-                let old = self.registry.jtoc_get(slot) as u32;
-                self.registry.jtoc_set(slot, u64::from(heap.resolve(GcRef(old)).0));
-            }
-            for r in &mut self.host_roots {
-                *r = heap.resolve(*r);
-            }
-            self.dsu.clear_log();
-            self.lazy.worklist.clear();
-            self.lazy.cursor = 0;
-            self.lazy.collapsing = true;
-            if self.heap.has_lazy_forwards() {
-                self.lazy.sweep_addr = self.heap.active_base();
-                self.lazy.sweep_limit = self.heap.alloc_cursor();
-            }
-            // else: no forwarding word exists anywhere (e.g. a zero-stale
-            // epoch) — the zero-length sweep is already done.
+    /// Describes the first violation found.
+    pub fn check_epoch_invariants(&mut self) -> Result<(), String> {
+        if !self.lazy.active {
+            return Ok(());
         }
-        if self.lazy.sweep_addr >= self.lazy.sweep_limit {
-            return CollapseOutcome { cells: 0, rewritten: 0, done: true };
+        let heap = &self.heap;
+        let from_space = |r: &GcRef| heap.in_from_space(u64::from(r.0));
+        if let Some(r) = self.stack_refs().find(from_space) {
+            return Err(format!("a thread stack holds from-space {r}"));
+        }
+        if let Some(slot) = self
+            .registry
+            .jtoc_ref_slots()
+            .find(|&slot| heap.in_from_space(self.registry.jtoc_get(slot)))
+        {
+            return Err(format!("static slot {slot} holds a from-space reference"));
+        }
+        if let Some(r) = self.host_roots.iter().find(|r| from_space(r)) {
+            return Err(format!("host root {r} is in from-space"));
+        }
+        for (i, (&(old, new), state)) in self.dsu.pending.iter().zip(&self.dsu.state).enumerate() {
+            let tag = u32::try_from(i + 1).unwrap_or(u32::MAX);
+            let new_tag = if *state == EntryState::Done { 0 } else { tag };
+            if from_space(&old) || from_space(&new) {
+                return Err(format!("logged pair {i} is in from-space"));
+            }
+            if heap.header_tag(old) != tag || heap.header_tag(new) != new_tag {
+                return Err(format!("logged pair {i} ({old}, {new}) has the wrong header tags"));
+            }
+        }
+        if self.lazy_stage() == LazyStage::Done && self.heap.copying() {
+            return Err("the epoch is done but from-space is not empty".into());
         }
         let snapshot = self.registry.layout_snapshot();
-        let (next, slot, cells, rewritten) = self.heap.sweep_forwards(
-            self.lazy.sweep_addr,
-            self.lazy.sweep_slot,
-            self.lazy.sweep_limit,
-            max_cells,
-            &snapshot,
-        );
-        self.lazy.sweep_addr = next;
-        self.lazy.sweep_slot = slot;
-        CollapseOutcome { cells, rewritten, done: self.lazy.sweep_addr >= self.lazy.sweep_limit }
+        self.heap.check_copy(&snapshot)
     }
 
-    /// Closes a collapsed lazy-migration epoch: clears the epoch state, so
-    /// the interpreter is back on the barrier-free fast path (the read
-    /// barrier and the leaf-call gate both read `lazy.active`). Unlike the
-    /// eager protocol there
-    /// is **no commit collection**: the collapse already detached every
-    /// live reference from the forwarding words, so the stale originals
-    /// are reclaimed by whatever collection happens naturally next.
-    /// Returns how many objects the epoch migrated, and how many of them
-    /// by copy plan.
+    /// Closes a finished lazy-migration epoch and returns what it migrated
+    /// and copied. No collection runs: the copy was the collection.
     ///
     /// # Panics
     ///
-    /// Panics unless the epoch reached [`LazyStage::Done`] or a
-    /// transformer is still on some stack.
+    /// Panics unless the epoch reached [`LazyStage::Done`].
     pub fn finish_lazy_migration(&mut self) -> EpochTotals {
         assert!(self.lazy.active, "finish_lazy_migration outside an epoch");
-        assert_eq!(self.lazy.stage(), LazyStage::Done, "epoch not collapsed");
-        assert_eq!(self.dsu.depth, 0, "transformer still in progress");
+        assert_eq!(self.lazy_stage(), LazyStage::Done, "epoch not finished");
         let totals = self.lazy.reset();
         self.dsu.clear_log();
         totals
     }
 
     // ---- host-side heap access (tests, microbenchmarks) --------------------------
+
+    /// Allocates with `alloc`, collecting once when it fails.
+    fn alloc_or_collect<T>(
+        &mut self,
+        requested: usize,
+        mut alloc: impl FnMut(&mut Heap) -> Option<T>,
+    ) -> Result<T, VmError> {
+        if let Some(v) = alloc(&mut self.heap) {
+            return Ok(v);
+        }
+        self.collect_full(&NoRemap)?;
+        alloc(&mut self.heap).ok_or(VmError::OutOfMemory { requested })
+    }
 
     /// Allocates an instance of `class` from the host, rooted in the VM's
     /// host-root table. Returns the root index (stable across GCs; the ref
@@ -1431,15 +1359,7 @@ impl Vm {
             VmError::ResolutionError { message: format!("unknown class {class}") }
         })?;
         let size = self.registry.object_size(cid);
-        let r = match self.heap.alloc_object(cid, size) {
-            Some(r) => r,
-            None => {
-                self.collect_full(&NoRemap)?;
-                self.heap
-                    .alloc_object(cid, size)
-                    .ok_or(VmError::OutOfMemory { requested: size + 1 })?
-            }
-        };
+        let r = self.alloc_or_collect(size + 1, |heap| heap.alloc_object(cid, size))?;
         self.host_roots.push(r);
         Ok(self.host_roots.len() - 1)
     }
@@ -1502,16 +1422,7 @@ impl Vm {
     ///
     /// Returns [`VmError::OutOfMemory`] if allocation fails even after GC.
     pub fn alloc_string_value(&mut self, s: &str) -> Result<Value, VmError> {
-        match self.heap.alloc_string(s) {
-            Some(r) => Ok(Value::Ref(r)),
-            None => {
-                self.collect_full(&NoRemap)?;
-                self.heap
-                    .alloc_string(s)
-                    .map(Value::Ref)
-                    .ok_or(VmError::OutOfMemory { requested: s.len() / 8 + 1 })
-            }
-        }
+        self.alloc_or_collect(s.len() / 8 + 1, |heap| heap.alloc_string(s)).map(Value::Ref)
     }
 
     /// Looks up a constructor method id (host/test helper).
@@ -1528,15 +1439,6 @@ pub(crate) struct TransformerCall {
     pub compiled: Arc<CompiledMethod>,
     pub args: [Value; 2],
     pub note: FrameNote,
-}
-
-/// What [`Vm::lazy_dup`] did with a stale object.
-pub(crate) enum LazyDup {
-    /// A copy plan converted it; the new object is complete.
-    Planned(GcRef),
-    /// It was duplicated and logged at this update-log index; the
-    /// transformer has yet to run.
-    Logged(usize),
 }
 
 // A fleet shard owns its `Vm` on a dedicated OS thread; this compile-time

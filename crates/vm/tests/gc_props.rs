@@ -13,9 +13,9 @@
 //!   same order, and identical copy counts;
 //! * a collection leaves the active semispace parsable cell by cell:
 //!   exactly the copied cells, ending exactly at the allocation cursor;
-//! * the lazy epoch's bounded walks — the converting discovery scan and
-//!   the forwarding collapse — leave the same heap however they are
-//!   batched.
+//! * the lazy epoch's incremental copy, stepped at any budget, leaves the
+//!   same heap, word for word, as one update collection, and a mutator
+//!   allocating beside it always leaves it room to finish.
 
 use std::collections::BTreeMap;
 
@@ -344,197 +344,16 @@ fn identical_collections_are_deterministic() {
     }
 }
 
-/// Forwards a random subset of the graph's class-0 objects to fresh
-/// duplicates (payload and edges copied raw), the way lazy first-touch
-/// migration does. Returns the forwarded originals.
-fn forward_some_objects(heap: &mut Heap, g: &Graph, rng: &mut Rng) -> Vec<GcRef> {
-    let mut forwarded = Vec::new();
-    for &r in &g.nodes {
-        if !heap.is_forwarded(r)
-            && heap.kind(r) == HeapKind::Object
-            && heap.class_of(r) == ClassId(0)
-            && rng.below(2) == 0
-        {
-            let dup = heap.alloc_object(ClassId(0), 3).expect("fits");
-            for slot in 0..3 {
-                let w = heap.get(r, slot);
-                heap.set(dup, slot, w);
-            }
-            heap.install_forward(r, dup, &snapshot());
-            forwarded.push(r);
-        }
-    }
-    forwarded
-}
-
-/// Every class of [`Layouts`] remapped, none with a plan: the discovery
-/// scan then queues every unforwarded, untagged plain object it meets and
-/// converts none.
-fn queue_everything() -> RemapTable {
-    RemapTable::from_pairs([(ClassId(0), ClassId(9)), (ClassId(1), ClassId(9))], 10)
-}
-
-/// Runs the discovery scan from the active semispace's base up to
-/// `limit` in batches, each on the budget `budget()` picks, returning
-/// `(worklist, cells_stepped, converted)`. No batch may charge more than
-/// its budget plus one conversion.
-fn scan_in_batches(
-    heap: &mut Heap,
-    limit: usize,
-    mut budget: impl FnMut() -> usize,
-    remap: &RemapTable,
-) -> (Vec<GcRef>, usize, usize) {
-    let snap = snapshot();
-    let mut worklist = Vec::new();
-    let (mut addr, mut total_cells, mut total_converted) = (heap.active_base(), 0, 0);
-    while addr < limit {
-        let max_cells = budget();
-        let (next, cells, converted) =
-            heap.convert_stale(addr, limit, max_cells, &snap, remap, &mut worklist);
-        assert!(next > addr, "scan must make progress");
-        assert!(
-            cells + converted <= max_cells.saturating_add(1),
-            "charged {cells} cells + {converted} conversions on a budget of {max_cells}"
-        );
-        addr = next;
-        total_cells += cells;
-        total_converted += converted;
-    }
-    assert_eq!(addr, limit, "the batches stop at the watermark");
-    (worklist, total_cells, total_converted)
-}
-
-/// The batched SATB scan visits exactly the unforwarded plain objects
-/// below the watermark, in address order, for every batch size — and the
-/// forwarded cells and above-watermark allocations are stepped over, not
-/// visited.
-#[test]
-fn batched_scan_visits_unforwarded_objects_below_the_watermark() {
-    let remap = queue_everything();
-    for seed in 0..48 {
-        let mut heap = Heap::new(64 * 1024);
-        let mut rng = Rng::new(seed ^ 0x5CA7_5CA7_5CA7_5CA7);
-        let g = build_graph(&mut heap, seed);
-        // The watermark precedes the duplicates: everything the forwarding
-        // step allocates lands above it, like mid-epoch allocation.
-        let watermark = heap.alloc_cursor();
-        forward_some_objects(&mut heap, &g, &mut rng);
-
-        let expected: Vec<GcRef> = g
-            .nodes
-            .iter()
-            .copied()
-            .filter(|&r| !heap.is_forwarded(r) && heap.kind(r) == HeapKind::Object)
-            .collect();
-
-        // One unbounded walk and several batch sizes must agree exactly.
-        for max_cells in [usize::MAX, 1, 3, 7] {
-            let (seen, total_cells, converted) =
-                scan_in_batches(&mut heap, watermark, || max_cells, &remap);
-            assert_eq!(converted, 0, "seed {seed}: nothing has a plan");
-            assert_eq!(
-                seen, expected,
-                "seed {seed}, batch {max_cells}: scan visited the wrong objects"
-            );
-            assert_eq!(
-                total_cells,
-                g.nodes.len(),
-                "seed {seed}, batch {max_cells}: every cell below the watermark stepped once"
-            );
-        }
-    }
-}
-
-/// Class 0's plan onto class 9: its three fields keep their slots, the
-/// fourth new field stays zero.
-fn planned_remap() -> RemapTable {
-    let mut table = queue_everything();
+/// Class 0 remapped onto class 9 with a copy plan (its three fields keep
+/// their slots, the fourth new field stays zero), so its instances are
+/// converted where they are copied; class 1 remapped onto class 9 with
+/// none, so its instances are duplicated and logged.
+fn planned_and_logged_remap() -> RemapTable {
+    let mut table =
+        RemapTable::from_pairs([(ClassId(0), ClassId(9)), (ClassId(1), ClassId(9))], 10);
     let plan = CopyPlan::new(4, &[(0, 0), (1, 1), (2, 2)]).expect("valid plan");
     table.set_plan(ClassId(0), plan, &Layouts);
     table
-}
-
-/// The converting scan is one pass however it is batched: over random
-/// graphs with class 0 planned onto class 9 and class 1 queued, scans at
-/// random budgets leave the same heap, word for word, and the same
-/// worklist as one unbounded pass, and no batch charges more than its
-/// budget plus one conversion. Each heap is sized so that for some seeds
-/// the semispace fills part way through: a conversion it refuses falls
-/// back to the worklist, which stays in ascending address order. Objects
-/// the mutator already migrated (forwarded) and old-layout copies
-/// (header tag set) are neither converted nor queued.
-#[test]
-fn batched_converting_scan_matches_one_pass_word_for_word() {
-    let remap = planned_remap();
-    let (mut total_converted, mut total_refused) = (0, 0);
-    for seed in 0..64 {
-        let build = |semispace: usize| -> (Heap, Graph, usize) {
-            let mut rng = Rng::new(seed ^ 0xC0DE_C0DE_C0DE_C0DE);
-            let mut heap = Heap::new(semispace);
-            let g = build_graph(&mut heap, seed);
-            let watermark = heap.alloc_cursor();
-            forward_some_objects(&mut heap, &g, &mut rng);
-            if let Some(&r) = g.nodes.iter().find(|&&r| {
-                !heap.is_forwarded(r) && heap.kind(r) == HeapKind::Object && rng.below(3) == 0
-            }) {
-                heap.set_header_tag(r, 1);
-            }
-            (heap, g, watermark)
-        };
-        // Room for everything, then a semispace that runs out part way.
-        let (probe, _, _) = build(64 * 1024);
-        let used = probe.used_words();
-        let mut rng = Rng::new(seed);
-        let semispace = (used + rng.below(5 * 12)).max(16);
-
-        let (mut h1, g, watermark) = build(semispace);
-        let (one_pass, cells, converted) =
-            scan_in_batches(&mut h1, watermark, || usize::MAX, &remap);
-
-        let (mut h2, _, _) = build(semispace);
-        let (worklist, batched_cells, batched_converted) =
-            scan_in_batches(&mut h2, watermark, || 1 + rng.below(6), &remap);
-        assert_eq!((batched_cells, batched_converted), (cells, converted), "seed {seed}");
-        assert_eq!(worklist, one_pass, "seed {seed}: batching changed the worklist");
-        assert!(
-            heap_words(&h1) == heap_words(&h2),
-            "seed {seed}: the batched scan left different heap words than one pass"
-        );
-
-        // What each stale object became, read off the single-pass heap.
-        assert!(
-            one_pass.windows(2).all(|w| w[0].0 < w[1].0),
-            "seed {seed}: worklist out of address order"
-        );
-        let mut seen_converted = 0;
-        for &r in &g.nodes {
-            let queued = one_pass.contains(&r);
-            if h1.is_forwarded(r) {
-                let new_obj = h1.resolve(r);
-                if h1.class_of(new_obj) == ClassId(9) {
-                    seen_converted += 1;
-                    assert!(!queued, "seed {seed}: {r} converted and queued");
-                    for slot in 0..3 {
-                        assert_eq!(h1.get(new_obj, slot), h1.get(r, slot), "seed {seed}: {r}");
-                    }
-                    assert_eq!(h1.get(new_obj, 3), 0, "seed {seed}: defaulted field");
-                }
-                continue;
-            }
-            let stale = h1.kind(r) == HeapKind::Object && h1.header_tag(r) == 0;
-            assert_eq!(queued, stale, "seed {seed}: {r} queued = {queued}");
-        }
-        assert_eq!(seen_converted, converted, "seed {seed}");
-        let refused = one_pass.iter().filter(|&&r| h1.class_of(r) == ClassId(0)).count();
-        if refused > 0 {
-            assert!(h1.free_words() < 5, "seed {seed}: refused a conversion with room left");
-        }
-        (total_converted, total_refused) = (total_converted + converted, total_refused + refused);
-    }
-    assert!(
-        total_converted > 0 && total_refused > 0,
-        "{total_converted} converted, {total_refused} refused: both paths must run"
-    );
 }
 
 /// Every word of both semispaces, in address order.
@@ -542,121 +361,156 @@ fn heap_words(heap: &Heap) -> Vec<u64> {
     (0..2 * heap.semispace_words()).map(|i| heap.get(GcRef(0), i)).collect()
 }
 
-/// A batched forwarding collapse is equivalent to a single unbounded
-/// sweep: the same heap, word for word, and afterwards no reference
-/// reachable from the (resolved) roots crosses a forwarding word. Each
-/// graph also holds reference arrays longer than any batch, full of
-/// forwarded referents, so batches end inside arrays; no batch may charge
-/// more than its budget.
+/// The incremental copy is the update collection, however it is stepped.
+/// Over random graphs — each with one reference array longer than any
+/// budget, and a remap that plans class 0 and logs class 1 — a flip that
+/// evacuates the roots followed by copy steps of random budgets (2–64
+/// units, the least that passes an array element and its referent's
+/// evacuation) and random log allowances leaves both semispaces word for word
+/// as one [`Heap::collect`] does: the same to-space, the same forwarding
+/// words, the same update log once sorted by original address, the same
+/// copy counts. No step charges more than its budget or logs more than its
+/// allowance, and the copy's invariants hold after every step.
 #[test]
-fn batched_sweep_collapses_every_forward_like_one_pass() {
+fn stepped_copy_matches_one_pass_collect_word_for_word() {
     let snap = snapshot();
-    for seed in 0..48 {
-        // Two identically-built-and-forwarded heaps: one swept in one
-        // pass, one in randomly-sized batches.
+    let remap = planned_and_logged_remap();
+    let (mut steps, mut unfilled) = (0, 0);
+    for seed in 0..64 {
         let build = |heap: &mut Heap| -> Graph {
-            let mut rng = Rng::new(seed ^ 0xF0F0_F0F0_F0F0_F0F0);
             let mut g = build_graph(heap, seed);
-            for _ in 0..2 {
-                let len = rng.range(6, 24);
-                let arr = heap.alloc_array(true, len).expect("fits");
-                for i in 0..len {
-                    if rng.below(4) != 0 {
-                        let target = g.nodes[rng.below(g.nodes.len())];
-                        heap.set(arr, i, u64::from(target.0));
-                    }
+            let mut rng = Rng::new(seed ^ 0xA77A_7A77_A77A_7A77);
+            let len = rng.range(65, 100);
+            let arr = heap.alloc_array(true, len).expect("fits");
+            for i in 0..len {
+                if rng.below(4) != 0 {
+                    let target = g.nodes[rng.below(g.nodes.len())];
+                    heap.set(arr, i, u64::from(target.0));
                 }
-                g.nodes.push(arr);
-                g.roots.push(arr);
             }
-            forward_some_objects(heap, &g, &mut rng);
+            g.nodes.push(arr);
+            g.roots.push(arr);
             g
         };
+        let mut one_pass = Heap::new(64 * 1024);
+        let g = build(&mut one_pass);
+        let out = one_pass.collect(&g.roots, &snap, Some(&remap)).expect("collect");
 
-        let mut h1 = Heap::new(64 * 1024);
-        let g1 = build(&mut h1);
-        let limit = h1.alloc_cursor();
-        let (end, end_slot, _, single_rewritten) =
-            h1.sweep_forwards(h1.active_base(), 0, limit, usize::MAX, &snap);
-        assert_eq!((end, end_slot), (limit, 0), "seed {seed}: one pass sweeps everything");
-
-        let mut h2 = Heap::new(64 * 1024);
-        let g2 = build(&mut h2);
-        let mut rng = Rng::new(seed ^ 0xBA7C_4BA7_C4BA_7C4B);
-        let (mut addr, mut slot) = (h2.active_base(), 0);
-        let mut batched_rewritten = 0;
-        let mut inside_arrays = 0;
-        while addr < limit {
-            let budget = 1 + rng.below(5);
-            let (next, next_slot, cells, rewritten) =
-                h2.sweep_forwards(addr, slot, limit, budget, &snap);
-            assert!((next, next_slot) > (addr, slot), "seed {seed}: sweep must make progress");
-            assert!(cells <= budget, "seed {seed}: charged {cells} cells on a budget of {budget}");
-            inside_arrays += usize::from(next_slot > 0);
-            (addr, slot) = (next, next_slot);
-            batched_rewritten += rewritten;
+        let mut rng = Rng::new(seed ^ 0x57E9_57E9_57E9_57E9);
+        let mut stepped = Heap::new(64 * 1024);
+        let g = build(&mut stepped);
+        stepped.flip(rng.range(1, 65), &snap, &remap);
+        let mut log = Vec::new();
+        for &root in &g.roots {
+            let to = stepped.evacuate(root, &snap, &remap, &mut log).expect("roots fit");
+            unfilled += usize::from(stepped.header_tag(to) != 0);
         }
-        assert_eq!((addr, slot), (limit, 0), "seed {seed}: the batches stop at the horizon");
-        assert!(inside_arrays > 0, "seed {seed}: no batch ended inside an array");
+        stepped.check_copy(&snap).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        while !stepped.copy_done() {
+            let (budget, allowance, logged) = (rng.range(2, 65), rng.range(1, 8), log.len());
+            let charged =
+                stepped.copy_step(budget, allowance, &snap, &remap, &mut log).expect("fits");
+            assert!(
+                (1..=budget).contains(&charged),
+                "seed {seed}: a step charged {charged} on a budget of {budget}"
+            );
+            assert!(log.len() - logged <= allowance, "seed {seed}: a step overran its log");
+            stepped.check_copy(&snap).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            steps += 1;
+        }
+        let totals = stepped.end_copy();
+        log.sort_by_key(|&(from, _, _)| from);
+        let log: Vec<(GcRef, GcRef)> = log.into_iter().map(|(_, old, new)| (old, new)).collect();
+        assert_eq!(log, out.update_log, "seed {seed}: the update log differs");
         assert_eq!(
-            batched_rewritten, single_rewritten,
-            "seed {seed}: batching changed the rewrite count"
+            (totals.copied_cells, totals.copied_words, totals.planned),
+            (out.copied_cells, out.copied_words, out.planned),
+            "seed {seed}: the copy counts differ"
         );
         assert!(
-            heap_words(&h1) == heap_words(&h2),
-            "seed {seed}: the batched sweep left different heap words than the single pass"
-        );
-
-        for (heap, g) in [(&h1, &g1), (&h2, &g2)] {
-            // Every surviving cell's reference slots resolve to themselves:
-            // plain objects via the full walk (which includes the
-            // duplicates), ref arrays from the node list (ref arrays are
-            // never forwarded here).
-            let mut checked = Vec::new();
-            heap.for_each_object(&snap, |r, class| {
-                for (slot, &is_ref) in Layouts.ref_map(class).iter().enumerate() {
-                    if is_ref {
-                        checked.push((r, slot));
-                    }
-                }
-            });
-            for &r in g
-                .nodes
-                .iter()
-                .filter(|&&r| !heap.is_forwarded(r) && heap.kind(r) == HeapKind::RefArray)
-            {
-                for slot in 0..heap.len_of(r) as usize {
-                    checked.push((r, slot));
-                }
-            }
-            for (r, slot) in checked {
-                let w = heap.get(r, slot);
-                if w != 0 {
-                    assert_eq!(
-                        heap.resolve(GcRef(w as u32)),
-                        GcRef(w as u32),
-                        "seed {seed}: {r} slot {slot} still crosses a forward"
-                    );
-                }
-            }
-        }
-
-        // Both sweeps leave isomorphic reachable graphs.
-        let roots1: Vec<GcRef> = g1.roots.iter().map(|&r| h1.resolve(r)).collect();
-        let roots2: Vec<GcRef> = g2.roots.iter().map(|&r| h2.resolve(r)).collect();
-        assert_eq!(
-            signature(&h1, &roots1),
-            signature(&h2, &roots2),
-            "seed {seed}: batched sweep diverged from the single pass"
+            heap_words(&stepped) == heap_words(&one_pass),
+            "seed {seed}: the stepped copy left different heap words than collect"
         );
     }
+    assert!(unfilled > 0, "no root array was evacuated unfilled");
+    assert!(steps > 64 * 4, "{steps} steps: the budgets hardly split the copies");
 }
 
-/// A collection into a to-space full of stale cells (forwarding pointers
-/// included) leaves the active semispace parsable cell by cell: the linear
-/// walks of a lazy epoch — the SATB scan, the collapse sweep — step over
-/// exactly the cells the collection copied and stop exactly at
-/// `alloc_cursor()`.
+/// The copy's reserve is exact on a heap that is all live and all
+/// remapped: 40 chained class-0 objects (160 from-space words), each
+/// duplicated into 4 + 5 words, leave the mutator all but 360 words.
+#[test]
+fn the_mutator_gets_all_of_to_space_but_the_copys_reserve() {
+    let (snap, remap) = (snapshot(), RemapTable::from_policy(&Remap09, 10));
+    let mut heap = Heap::new(1024);
+    let mut head = GcRef(0);
+    for _ in 0..40 {
+        let o = heap.alloc_object(ClassId(0), 3).expect("fits");
+        heap.set(o, 1, u64::from(head.0));
+        head = o;
+    }
+    heap.flip(usize::MAX, &snap, &remap);
+    let mut log = Vec::new();
+    heap.evacuate(head, &snap, &remap, &mut log).expect("fits");
+    let mut garbage = 0;
+    while heap.alloc_array(false, 1).is_some() {
+        garbage += 2;
+    }
+    assert_eq!(garbage, 1024 - 360, "the mutator got more or less than the copy left it");
+    heap.copy_step(usize::MAX, usize::MAX, &snap, &remap, &mut log).expect("the copy fits");
+    assert!(heap.copy_done() && log.len() == 40 && heap.free_words() == 0);
+}
+
+/// A mutator that allocates garbage between copy steps until to-space
+/// refuses it never leaves the copy without room: over random graphs, on
+/// a semispace a few times the live heap, the copy then finishes in one
+/// unbounded step and evacuates what one [`Heap::collect`] copies.
+#[test]
+fn a_copy_finishes_beside_a_mutator_that_fills_to_space() {
+    let snap = snapshot();
+    let remap = planned_and_logged_remap();
+    let mut refused = 0;
+    for seed in 0..64 {
+        let mut one_pass = Heap::new(4096);
+        let g = build_graph(&mut one_pass, seed);
+        let out = one_pass.collect(&g.roots, &snap, Some(&remap)).expect("collect");
+
+        let mut rng = Rng::new(seed ^ 0x6A2B_A6E0_6A2B_A6E0);
+        let mut stepped = Heap::new(4096);
+        let g = build_graph(&mut stepped, seed);
+        stepped.flip(rng.range(1, 17), &snap, &remap);
+        let mut log = Vec::new();
+        for &root in &g.roots {
+            stepped.evacuate(root, &snap, &remap, &mut log).expect("roots fit");
+        }
+        while !stepped.copy_done() {
+            if stepped.alloc_array(false, rng.below(16)).is_none() {
+                refused += 1;
+                break;
+            }
+            if rng.below(8) == 0 {
+                let budget = rng.range(2, 9);
+                stepped.copy_step(budget, usize::MAX, &snap, &remap, &mut log).expect("fits");
+            }
+        }
+        stepped.copy_step(usize::MAX, usize::MAX, &snap, &remap, &mut log).unwrap_or_else(|e| {
+            panic!("seed {seed}: the mutator left the copy no room to finish: {e}")
+        });
+        assert!(stepped.copy_done(), "seed {seed}: an unbounded step left the copy unfinished");
+        let totals = stepped.end_copy();
+        assert_eq!(
+            (totals.copied_cells, totals.copied_words, totals.planned, log.len()),
+            (out.copied_cells, out.copied_words, out.planned, out.update_log.len()),
+            "seed {seed}: the copy counts differ"
+        );
+    }
+    assert!(refused > 32, "only {refused} of 64 mutators ever filled to-space");
+}
+
+/// A collection into a to-space full of stale cells (forwarding words
+/// included) leaves the active semispace parsable cell by cell: a walk
+/// over it meets exactly the live objects and stops exactly at the
+/// allocation cursor.
 ///
 /// The first collection flips the spaces, so the second one copies back
 /// over the original graph and the first one's forwarding words.
@@ -676,17 +530,9 @@ fn collection_into_stale_to_space_leaves_it_parsable_cell_by_cell() {
             .iter()
             .filter(|sig| matches!(sig, Sig::Object { .. }))
             .count();
-        let mut walked = Vec::new();
-        let (end, cells, _) = heap.convert_stale(
-            heap.active_base(),
-            heap.alloc_cursor(),
-            usize::MAX,
-            &snap,
-            &queue_everything(),
-            &mut walked,
-        );
-        assert_eq!(end, heap.alloc_cursor(), "seed {seed}: walk overran the cursor");
-        assert_eq!(walked.len(), live_objects, "seed {seed}: the walk parsed stale words");
-        assert_eq!(cells, out.copied_cells, "seed {seed}: one walked cell per copied cell");
+        let mut walked = 0;
+        heap.for_each_object(&snap, |_, _| walked += 1);
+        assert_eq!(walked, live_objects, "seed {seed}: the walk parsed stale words");
+        assert_eq!(heap.used_words(), out.copied_words, "seed {seed}: the cursor moved");
     }
 }

@@ -45,10 +45,11 @@ cargo test -q --test differential -- --skip tiers_match_base_and_host
 echo "== tier-1: tier differential (base vs jit+leaf vs host model) =="
 cargo test -q --test differential tiers_match_base_and_host
 
-# The lazy-migration differential oracle: a lazily committed update must
-# be observationally identical to the eager one under arbitrary
-# interleavings of guest execution, scavenger steps, and full GCs.
-echo "== tier-1: lazy-migration differential oracle (eager vs lazy, interleaved) =="
+# The lazy-migration differential oracle: a lazily committed update (the
+# update-GC as an incremental copy) must be observationally identical to
+# the eager one under arbitrary interleavings of guest execution, copy
+# steps and full GCs, with the epoch's invariants checked after every step.
+echo "== tier-1: lazy-migration differential oracle (guest execution, copy steps and full GCs) =="
 cargo test -q --test lazy_differential
 
 # The plan ≡ interpreted oracle: lowering pure field-copy transformers to
@@ -106,13 +107,14 @@ done
 # gc — exact update-GC copy counts, 100%-updated GC <= 2.5x the
 # 0%-updated one, plan pause <= 0.5x the interpreted one; interp — exact
 # checksum/calls/compile counts/fusion coverage, jit >= 2.48x base,
-# post-update parity at both tiers; lazy — pause
-# <= 25% of eager, pause flatness <= 2x and step flatness <= 4x across
-# heap sizes, drain <= 1.5x the eager pause, post-drain steady state;
+# post-update parity at both tiers; lazy — the eager heap's words after
+# the commit (exact), pause <= 25% of eager, pause flatness <= 2x and
+# step flatness <= 4x across heap sizes, copy <= 1.25x the eager pause,
+# post-drain steady state;
 # fleet — 2-shard throughput >= 1.6x one shard's; stream — the longest
 # release-stream pause under an absolute 25 ms ceiling. Every ratio is
 # best-of-N of one run, re-measured once at 3x before it fails.
-gates_banner="performance gates (gc counts + 2 ratios, interp counts + 3 ratios, lazy 5 ratios, fleet 2/1 shards >= 1.6x, stream pause <= 25 ms)"
+gates_banner="performance gates (gc counts + 2 ratios, interp counts + 3 ratios, lazy 1 count + 5 ratios, fleet 2/1 shards >= 1.6x, stream pause <= 25 ms)"
 if [ "$skip_bench" = 0 ]; then
     echo "== tier-1: $gates_banner =="
     cargo run --release -q -p jvolve-bench --bin gates -- --iters 5

@@ -830,9 +830,9 @@ fn run_jit_oracle(
             .map(|e| match e {
                 UpdateEvent::Committed { .. } => "Committed".to_string(),
                 UpdateEvent::Aborted { .. } => "Aborted".to_string(),
-                // Keeps the watermark, drops the barrier-arming wall time.
-                UpdateEvent::LazyEpochBegun { watermark_words, .. } => {
-                    format!("LazyEpochBegun {{ watermark_words: {watermark_words} }}")
+                // Keeps the from-space size, drops the arm's wall time.
+                UpdateEvent::LazyEpochBegun { from_words, .. } => {
+                    format!("LazyEpochBegun {{ from_words: {from_words} }}")
                 }
                 other => format!("{other:?}"),
             })

@@ -1,9 +1,11 @@
 //! Differential oracle for lazy migration: an update committed in lazy
-//! mode (read barrier + scavenger, `VmConfig::lazy_migration`) must be
-//! observationally identical to the same update committed eagerly — same
-//! final heap fingerprint, same reachable-state checksums, same
-//! transformer multiset — no matter how guest execution, scavenger steps,
-//! and full GCs interleave while the epoch drains.
+//! mode (the update-GC as an incremental copy behind a read barrier,
+//! `VmConfig::lazy_migration`) must be observationally identical to the
+//! same update committed eagerly — same final heap fingerprint, same
+//! reachable-state checksums, same transformer multiset — no matter how
+//! guest execution, copy steps, and full GCs interleave while the epoch
+//! copies. Every step loop also checks the epoch's invariants
+//! (`Vm::check_epoch_invariants`) after every step.
 
 mod testkit;
 
@@ -11,10 +13,10 @@ use testkit::Rng;
 
 use jvolve_repro::dsu::{
     ApplyOptions, MemorySink, StepProgress, Update, UpdateController, UpdateError, UpdateEvent,
-    UpdatePhase,
+    UpdatePhase, UpdateStats,
 };
 use jvolve_repro::vm::heap::NoRemap;
-use jvolve_repro::vm::{LazyStage, Value, Vm, VmConfig, VmError};
+use jvolve_repro::vm::{CopyStep, LazyStage, Value, Vm, VmConfig, VmError};
 
 // ---- fixtures ----------------------------------------------------------
 
@@ -124,10 +126,12 @@ class JvolveTransformers {
 }";
 
 /// Chain fixture, tail allocated first: ascending heap address = tail →
-/// head, so both the eager update log and the lazy worklist process the
-/// tail first and `Dsu.forceTransform(from.next)` always hits an
-/// already-transformed referent by the time depth is read. The rolling
-/// (order-sensitive) trace must therefore match *exactly* across modes.
+/// head, so the eager update log runs the tail first, and the lazy copy —
+/// which reaches the head first, through the static — forces its way down
+/// to the tail before anything unwinds: `Dsu.forceTransform(from.next)`
+/// always hits an already-transformed referent by the time depth is read.
+/// The rolling (order-sensitive) trace must therefore match *exactly*
+/// across modes.
 const CHAIN_V1: &str = "
 class Node {
   field id: int;
@@ -179,8 +183,8 @@ class JvolveTransformers {
   }
 }";
 
-/// Chain allocated *head first*: the first worklist/update-log entry is
-/// the head, so a forcing transformer recurses through the entire chain
+/// Chain allocated *head first*: the first update-log entry is the head in
+/// both modes, so a forcing transformer recurses through the entire chain
 /// before anything unwinds — the depth-limit stress.
 const DEEP_CHAIN_V1: &str = "
 class Node {
@@ -278,9 +282,10 @@ class JvolveTransformers {
   }
 }";
 
-/// Every node lives in one array and no node references another: the
-/// array holds every reference the collapse has to rewrite, so one array
-/// is all the collapse sweep ever finds forwarded.
+/// Every node lives in one array and no node references another: an array
+/// many copy-step budgets long, which the copy evacuates unfilled and then
+/// fills piecewise. `garbage`, `keep` and `litter` let a test allocate
+/// mid-epoch.
 const FLAT_V1: &str = "
 class Node {
   field id: int;
@@ -296,6 +301,13 @@ class App {
     while (i < n) { arr[i] = new Node(i); i = i + 1; }
     App.nodes = arr;
     App.trace = 0;
+  }
+  static field big: int[];
+  static method garbage(words: int): void { var a: int[] = new int[words]; }
+  static method keep(words: int): void { App.big = new int[words]; }
+  static method litter(n: int): void {
+    var i: int = 0;
+    while (i < n) { var a: int[] = new int[4]; i = i + 1; }
   }
   static method checksum(): int {
     var sum: int = 0;
@@ -323,6 +335,13 @@ class App {
     App.nodes = arr;
     App.trace = 0;
   }
+  static field big: int[];
+  static method garbage(words: int): void { var a: int[] = new int[words]; }
+  static method keep(words: int): void { App.big = new int[words]; }
+  static method litter(n: int): void {
+    var i: int = 0;
+    while (i < n) { var a: int[] = new int[4]; i = i + 1; }
+  }
   static method checksum(): int {
     var sum: int = 0;
     var i: int = 0;
@@ -344,8 +363,8 @@ class JvolveTransformers {
 }";
 
 /// The same update with a pure field-copy transformer: it lowers to a
-/// copy plan, so the discovery scan converts every node itself and the
-/// drain only sees what the scan had no room to convert.
+/// copy plan, so the copy converts every node where it evacuates it and
+/// logs nothing.
 const FLAT_PLANNED_TRANSFORMERS: &str = "
 class JvolveTransformers {
   static method jvolve_class_Node(): void { }
@@ -359,7 +378,8 @@ class JvolveTransformers {
 /// forward list changes from `String[]` to `EmailAddress[]`, so its
 /// transformer allocates, loops and calls a native and must be
 /// interpreted; `Tag` only gains a field, so its transformer is a copy
-/// plan. The scan converts the tags and queues the users for the drain.
+/// plan. The copy converts the tags where it evacuates them and logs the
+/// users, whose transformers its steps run.
 const MAIL_V1: &str = "
 class Tag { field label: String; ctor(s: String) { this.label = s; } }
 class User {
@@ -467,8 +487,8 @@ fn make_vm_sized(fixture: &Fixture, lazy: bool, semispace_words: usize) -> (Vm, 
 }
 
 /// Everything the lazy-vs-eager oracle compares. Addresses differ between
-/// the two protocols (lazy allocates duplicates mid-heap and compacts at
-/// completion), so only address-independent observables qualify:
+/// the two protocols (the copy's order follows the steps and the guest's
+/// loads), so only address-independent observables qualify:
 /// `heap_fingerprint` hashes by BFS visit index, and the trace/checksum
 /// are guest-computed.
 #[derive(Debug, PartialEq, Eq)]
@@ -506,24 +526,64 @@ fn ring_fixture(nodes: i64) -> Fixture {
     }
 }
 
-fn run_eager(fixture: &Fixture) -> Outcome {
+/// An eager commit's outcome, its stats, and the heap words it leaves in
+/// use (read before the outcome's checksum runs).
+struct Eager {
+    outcome: Outcome,
+    stats: UpdateStats,
+    used_words: usize,
+}
+
+fn run_eager(fixture: &Fixture) -> Eager {
     run_eager_sized(fixture, VmConfig::small().semispace_words)
 }
 
-fn run_eager_sized(fixture: &Fixture, semispace_words: usize) -> Outcome {
+fn run_eager_sized(fixture: &Fixture, semispace_words: usize) -> Eager {
     let (mut vm, update) = make_vm_sized(fixture, false, semispace_words);
     let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
         .expect("eager update applies");
     assert!(!vm.lazy_epoch_active());
-    outcome(&mut vm, stats.objects_transformed)
+    let used_words = vm.heap().used_words();
+    Eager { outcome: outcome(&mut vm, stats.objects_transformed), stats, used_words }
 }
 
-/// [`FLAT_V1`]'s population: one array longer than a collapse step's
-/// budget many times over, on a heap that holds the whole epoch (the
-/// originals, an old copy and a new object per node) without collecting.
+/// Panics with the first violated epoch invariant.
+fn check_epoch(vm: &mut Vm) {
+    vm.check_epoch_invariants().unwrap_or_else(|e| panic!("epoch invariant broken: {e}"));
+}
+
+/// Steps `controller` to its commit. After every `LazyMigrating` step —
+/// the flip's, then each copy step's — it checks the epoch's invariants,
+/// hands `between` the VM and the number of copy steps run so far — for
+/// guest slices, collections, allocations: whatever the test interleaves
+/// — and checks them again.
+fn drive(
+    controller: &mut UpdateController,
+    vm: &mut Vm,
+    mut between: impl FnMut(&mut Vm, usize),
+) -> UpdateStats {
+    let mut copy_steps = 0;
+    loop {
+        copy_steps += usize::from(controller.phase() == UpdatePhase::LazyMigrating);
+        match controller.step(vm) {
+            StepProgress::Pending(UpdatePhase::LazyMigrating) => {
+                check_epoch(vm);
+                between(vm, copy_steps);
+                check_epoch(vm);
+            }
+            StepProgress::Pending(_) => {}
+            StepProgress::Committed => return controller.stats().clone(),
+            StepProgress::Aborted => panic!("lazy update aborted: {:?}", controller.error()),
+        }
+    }
+}
+
+/// [`FLAT_V1`]'s population: one array longer than a copy step's budget
+/// many times over, on a heap that holds the whole epoch (the originals,
+/// an old copy and a new object per node) without collecting.
 const FLAT_NODES: i64 = 20_000;
 const FLAT_HEAP_WORDS: usize = 512 * 1024;
-/// The collapse budget of the flat tests: a fortieth of the array.
+/// The copy budget of the flat tests: a fortieth of the array.
 const FLAT_STEP_CELLS: usize = 512;
 
 fn flat_fixture() -> Fixture {
@@ -539,24 +599,13 @@ fn flat_planned_fixture() -> Fixture {
     Fixture { transformers: FLAT_PLANNED_TRANSFORMERS, ..flat_fixture() }
 }
 
-/// The `(found, planned)` of every discovery-scan step in `events`.
-fn scan_steps(events: &[UpdateEvent]) -> Vec<(usize, usize)> {
+/// Every copy step in `events`.
+fn copy_steps(events: &[UpdateEvent]) -> Vec<CopyStep> {
     events
         .iter()
         .filter_map(|e| match *e {
-            UpdateEvent::LazyScanStep { found, planned, .. } => Some((found, planned)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// The `(transformed, planned)` of every scavenge step in `events`.
-fn scavenge_steps(events: &[UpdateEvent]) -> Vec<(usize, usize)> {
-    events
-        .iter()
-        .filter_map(|e| match *e {
-            UpdateEvent::LazyScavengeStep { transformed, planned, .. } => {
-                Some((transformed, planned))
+            UpdateEvent::LazyCopyStep { cells, words, planned, logged, done } => {
+                Some(CopyStep { cells, words, planned, logged, done })
             }
             _ => None,
         })
@@ -576,38 +625,25 @@ fn epoch_totals(events: &[UpdateEvent]) -> (usize, usize) {
         .expect("the epoch reported its totals")
 }
 
-/// Sums each column of `(a, b)` rows.
-fn totals(rows: &[(usize, usize)]) -> (usize, usize) {
-    rows.iter().fold((0, 0), |(a, b), &(x, y)| (a + x, b + y))
-}
-
-/// The `(cells, rewritten, done)` of every collapse step in `events`.
-fn collapse_steps(events: &[UpdateEvent]) -> Vec<(usize, usize, bool)> {
-    events
-        .iter()
-        .filter_map(|e| match *e {
-            UpdateEvent::LazyCollapseStep { cells, rewritten, done } => {
-                Some((cells, rewritten, done))
-            }
-            _ => None,
-        })
-        .collect()
+/// The `(planned, logged)` sums over copy steps.
+fn step_totals(steps: &[CopyStep]) -> (usize, usize) {
+    steps.iter().fold((0, 0), |(p, l), s| (p + s.planned, l + s.logged))
 }
 
 // ---- tests -------------------------------------------------------------
 
-/// The core oracle: a controller-driven lazy commit (SATB scan, scavenger
-/// drain, forwarding collapse) is observationally identical to the eager
-/// commit, and its event stream tells the lazy story (epoch begun with the
-/// watermark, scan steps discovering every stale node, scavenge steps,
-/// collapse steps, commit).
+/// The core oracle: a controller-driven lazy commit — the flip, copy
+/// steps that evacuate and transform, the epoch's end — is
+/// observationally identical to the eager commit, copies exactly the
+/// cells and words the eager update-GC copies, and leaves exactly the
+/// eager heap's words in use; and its event stream tells the story.
 #[test]
 fn lazy_commit_is_observationally_identical_to_eager() {
     const NODES: i64 = 400;
     let fixture = ring_fixture(NODES);
     let eager = run_eager(&fixture);
-    assert_eq!(eager.objects_transformed, NODES as usize);
-    assert_eq!(eager.trace, NODES * NODES, "sum of 2i+1 over all ids");
+    assert_eq!(eager.outcome.objects_transformed, NODES as usize);
+    assert_eq!(eager.outcome.trace, NODES * NODES, "sum of 2i+1 over all ids");
 
     let (mut vm, update) = make_vm(&fixture, true);
     let mut events = MemorySink::default();
@@ -616,64 +652,57 @@ fn lazy_commit_is_observationally_identical_to_eager() {
         ApplyOptions { lazy_scavenge_batch: 64, ..ApplyOptions::default() },
     );
     controller.attach_sink(&mut events);
-    let stats = controller.run_to_completion(&mut vm).expect("lazy update applies");
+    let stats = drive(&mut controller, &mut vm, |_, _| {});
+    drop(controller);
     assert!(!vm.lazy_epoch_active(), "epoch completed");
+    assert_eq!(vm.heap().used_words(), eager.used_words, "the epoch ends on the eager heap");
 
     let lazy = outcome(&mut vm, stats.objects_transformed);
-    assert_eq!(lazy, eager, "lazy diverged from eager");
+    assert_eq!(lazy, eager.outcome, "lazy diverged from eager");
+    assert_eq!(
+        (stats.gc_copied_cells, stats.gc_copied_words),
+        (eager.stats.gc_copied_cells, eager.stats.gc_copied_words),
+        "the incremental copy copied what the update-GC copies"
+    );
 
-    let begun = events.events.iter().find_map(|e| match e {
-        UpdateEvent::LazyEpochBegun { watermark_words, .. } => Some(*watermark_words),
+    let from_words = events.events.iter().find_map(|e| match e {
+        UpdateEvent::LazyEpochBegun { from_words, .. } => Some(*from_words),
         _ => None,
     });
-    assert!(begun.expect("epoch begun") > 0, "watermark snapshots the v1 heap");
-    let found: usize = events
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            UpdateEvent::LazyScanStep { found, .. } => Some(*found),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(found, NODES as usize, "SATB scan discovered every stale node");
-    let scavenged: usize = events
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            UpdateEvent::LazyScavengeStep { transformed, .. } => Some(*transformed),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(scavenged, NODES as usize, "scavenger transformed the whole worklist");
+    assert!(from_words.expect("epoch begun") > 0, "the flip left the v1 heap in from-space");
+    let steps = copy_steps(&events.events);
+    assert_eq!(step_totals(&steps).1, NODES as usize, "the steps logged every stale node once");
+    assert!(steps.last().is_some_and(|s| s.done), "{steps:?}");
     assert!(
-        events.events.iter().any(|e| matches!(e, UpdateEvent::LazyCollapseStep { .. })),
-        "forwarding collapse ran"
+        events.events.iter().any(|e| matches!(e, UpdateEvent::GcCompleted { .. })),
+        "the copy was reported as the update's collection"
     );
     assert!(
         events.events.iter().any(|e| matches!(e, UpdateEvent::Committed { .. })),
         "lazy run committed"
     );
-    // Lazy-phase wall time is booked; no commit collection runs (the
-    // in-pause heap cost is the O(roots) barrier arm); and the phase
-    // sum stays consistent with the independently-measured total.
+    // Lazy-phase wall time is booked; no stop-the-world collection runs
+    // (the in-pause heap cost is the O(roots) flip); and the phase sum
+    // stays consistent with the independently-measured total.
     assert!(stats.lazy_time > std::time::Duration::ZERO);
     assert_eq!(stats.gc_time, std::time::Duration::ZERO, "lazy mode never runs a commit GC");
+    assert_eq!(stats.lazy_collapse_time, std::time::Duration::ZERO, "no collapse pass");
     assert!(stats.phase_sum() <= stats.total_time, "{stats:?}");
 }
 
 /// The JDrums/DVM indirection baseline is an epoch held open: the
-/// controller is stepped only until the barrier arms, then never again.
+/// controller is stepped only until the copy starts, then never again.
 /// Every node must still migrate — through the read barrier alone, with
-/// the update's real transformer, across a full collection that lands in
-/// the middle of the guest's traversal — and the epoch must stay open
-/// with no scavenge or collapse step ever run. A barrier that is skipped
-/// outside a controller step (say, once the SATB scan has finished) lets
-/// the traversal read stale layouts and fails the trace/checksum oracle.
+/// the update's real transformer — until a full collection that lands in
+/// the middle of the guest's traversal finishes the copy. The epoch stays
+/// open with no copy step ever run, yet ends on the eager heap. A barrier
+/// that let the guest see a node before its transformer ran fails the
+/// trace/checksum oracle.
 #[test]
 fn held_open_epoch_migrates_through_the_barrier_alone() {
     const NODES: i64 = 400;
     let fixture = ring_fixture(NODES);
-    let eager = run_eager(&fixture);
+    let eager = run_eager(&fixture).outcome;
 
     let (mut vm, update) = make_vm(&fixture, true);
     let mut events = MemorySink::default();
@@ -681,6 +710,7 @@ fn held_open_epoch_migrates_through_the_barrier_alone() {
         let mut controller = UpdateController::new(&update, ApplyOptions::default());
         controller.attach_sink(&mut events);
         loop {
+            check_epoch(&mut vm);
             match controller.step(&mut vm) {
                 StepProgress::Pending(UpdatePhase::LazyMigrating) => break,
                 StepProgress::Pending(_) => {}
@@ -688,38 +718,34 @@ fn held_open_epoch_migrates_through_the_barrier_alone() {
             }
         }
     }
+    check_epoch(&mut vm);
 
     // One slice reaches part way through the ring; the collection then
-    // completes the SATB scan and copies a half-migrated heap.
+    // finishes the copy of a half-migrated heap.
     let id = vm.spawn("App", "checksum").expect("checksum spawns");
     vm.run_slices(1);
     assert!(vm.thread(id).is_some_and(|t| t.is_live()), "the GC lands mid-traversal");
+    check_epoch(&mut vm);
     vm.collect_full(&NoRemap).expect("mid-epoch GC succeeds");
+    check_epoch(&mut vm);
+    assert_eq!(vm.lazy_stage(), LazyStage::Done, "the collection finished the copy");
     assert!(vm.run_to_completion(1_000_000));
     let first = vm.thread(id).and_then(|t| t.result).expect("checksum returns").as_int();
     assert_eq!(first, eager.checksum, "traversal across the GC diverged");
 
-    // Compared field by field: `heap_fingerprint` walks from the worklist
-    // roots, which mid-epoch still name forwarded stale originals.
     let again = vm.call_static_sync("App", "checksum", &[]).expect("checksum runs");
     assert_eq!(again, Some(Value::Int(eager.checksum)));
     assert_eq!(vm.read_static("App", "trace"), Value::Int(eager.trace));
+    assert_eq!(vm.heap_fingerprint(), eager.heap_fingerprint, "the copy ended on another heap");
     assert!(vm.lazy_epoch_active(), "nothing closed the epoch");
-    assert!(
-        !events.events.iter().any(|e| matches!(
-            e,
-            UpdateEvent::LazyScavengeStep { .. } | UpdateEvent::LazyCollapseStep { .. }
-        )),
-        "the held-open epoch ran a scavenge or collapse step"
-    );
+    assert!(copy_steps(&events.events).is_empty(), "the held-open epoch ran a copy step");
 }
 
-/// Objects allocated while the epoch drains land above the SATB
-/// watermark: the scanner must never visit them (they are born
-/// new-version, and no executable code can allocate old-version instances
-/// once the update is installed), the transformed count stays exactly the
-/// v1 population, and the final state matches an eager commit followed by
-/// the same allocations.
+/// Objects allocated while the epoch copies land in to-space, behind
+/// nothing the copy could remap: they are born new-version (no executable
+/// code can allocate an old-version instance once the update is
+/// installed), the copy logs exactly the v1 population, and the final
+/// state matches an eager commit followed by the same allocations.
 #[test]
 fn allocation_during_epoch_stays_above_the_watermark() {
     const NODES: i64 = 150;
@@ -736,10 +762,10 @@ fn allocation_during_epoch_stays_above_the_watermark() {
     let eager = outcome(&mut vm, stats.objects_transformed);
     assert_eq!(eager.objects_transformed, NODES as usize);
 
-    // Lazy: interleave one allocation with every controller step while
-    // the epoch drains, finishing any remainder after the commit (the
-    // reference allocated all of them post-commit, which is equivalent —
-    // both sequences only keep the last extra node live).
+    // Lazy: one allocation after every copy step while the epoch copies,
+    // finishing any remainder after the commit (the reference allocated
+    // all of them post-commit, which is equivalent — both sequences only
+    // keep the last extra node live).
     let (mut vm, update) = make_vm(&fixture, true);
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(
@@ -748,20 +774,14 @@ fn allocation_during_epoch_stays_above_the_watermark() {
     );
     controller.attach_sink(&mut events);
     let mut allocated = 0;
-    let stats = loop {
-        match controller.step(&mut vm) {
-            StepProgress::Pending(UpdatePhase::LazyMigrating) => {
-                if allocated < EXTRA {
-                    vm.call_static_sync("App", "allocone", &[Value::Int(allocated)])
-                        .expect("mid-epoch allocone runs");
-                    allocated += 1;
-                }
-            }
-            StepProgress::Pending(_) => {}
-            StepProgress::Committed => break controller.stats().clone(),
-            StepProgress::Aborted => panic!("lazy update aborted: {:?}", controller.error()),
+    let stats = drive(&mut controller, &mut vm, |vm, _| {
+        if allocated < EXTRA {
+            vm.call_static_sync("App", "allocone", &[Value::Int(allocated)])
+                .expect("mid-epoch allocone runs");
+            allocated += 1;
         }
-    };
+    });
+    drop(controller);
     assert!(allocated > 0, "allocations actually happened mid-epoch");
     for k in allocated..EXTRA {
         vm.call_static_sync("App", "allocone", &[Value::Int(k)]).expect("allocone runs");
@@ -769,18 +789,9 @@ fn allocation_during_epoch_stays_above_the_watermark() {
 
     let lazy = outcome(&mut vm, stats.objects_transformed);
     assert_eq!(lazy, eager, "mid-epoch allocation diverged from eager-then-allocate");
-
-    // The scan discovered exactly the v1 population: nothing above the
-    // watermark was ever visited.
-    let found: usize = events
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            UpdateEvent::LazyScanStep { found, .. } => Some(*found),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(found, NODES as usize, "scan crossed the allocation watermark");
+    let steps = copy_steps(&events.events);
+    assert!(steps.len() > 1, "the copy ran in several steps: {steps:?}");
+    assert_eq!(step_totals(&steps).1, NODES as usize, "the copy logged a node allocated mid-epoch");
 }
 
 /// Recursive `Dsu.forceTransform` chains (paper §3.4's "transform before
@@ -814,22 +825,23 @@ fn recursive_force_transform_matches_eager_ordering() {
     assert_eq!(eager_depth, NODES - 1, "depth propagated from the chain tail");
 
     let (mut vm, update) = make_vm(&fixture, true);
-    let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
-        .expect("lazy update applies");
+    let mut controller = UpdateController::new(&update, ApplyOptions::default());
+    let stats = drive(&mut controller, &mut vm, |_, _| {});
+    drop(controller);
     assert_eq!(stats.objects_transformed, NODES as usize);
     let (lazy_trace, lazy_depth) = read_chain(&mut vm);
     assert_eq!(lazy_trace, eager_trace, "completion order diverged");
     assert_eq!(lazy_depth, eager_depth);
 }
 
-/// Full collections forced mid-epoch — between scavenger batches, with
-/// the worklist half drained and forwarding words live — must not lose
-/// untouched stale objects or corrupt the pending pairs.
+/// Full collections forced mid-epoch — the first finishes the copy and
+/// flips, the later ones flip the finished heap while logged pairs may
+/// still wait — must not lose stale objects or corrupt the pending pairs.
 #[test]
 fn gc_forced_mid_lazy_epoch_preserves_the_oracle() {
     const NODES: i64 = 300;
     let fixture = ring_fixture(NODES);
-    let eager = run_eager(&fixture);
+    let eager = run_eager(&fixture).outcome;
 
     let (mut vm, update) = make_vm(&fixture, true);
     let mut controller = UpdateController::new(
@@ -837,36 +849,27 @@ fn gc_forced_mid_lazy_epoch_preserves_the_oracle() {
         ApplyOptions { lazy_scavenge_batch: 17, ..ApplyOptions::default() },
     );
     let mut in_epoch = false;
-    let stats = loop {
-        match controller.step(&mut vm) {
-            StepProgress::Pending(UpdatePhase::LazyMigrating) => {
-                // A full collection between every scavenge batch:
-                // copies the half-migrated heap, rewrites the
-                // worklist tail and pending pairs.
-                assert!(vm.lazy_epoch_active());
-                vm.collect_full(&NoRemap).expect("mid-epoch GC succeeds");
-                in_epoch = true;
-            }
-            StepProgress::Pending(_) => {}
-            StepProgress::Committed => break controller.stats().clone(),
-            StepProgress::Aborted => {
-                panic!("lazy update aborted: {:?}", controller.error())
-            }
-        }
-    };
+    let stats = drive(&mut controller, &mut vm, |vm, _| {
+        assert!(vm.lazy_epoch_active());
+        vm.collect_full(&NoRemap).expect("mid-epoch GC succeeds");
+        in_epoch = true;
+    });
+    drop(controller);
     assert!(in_epoch, "the update actually went through a lazy epoch");
     let lazy = outcome(&mut vm, stats.objects_transformed);
     assert_eq!(lazy, eager, "mid-epoch GCs broke the oracle");
 }
 
-/// A collapse step sweeps at most its budget even when one reference
-/// array holds every forwarded referent: the array's elements count one
-/// cell each and the sweep resumes inside the array, so the 20 000 slots
-/// are rewritten over many steps, never in one.
+/// A copy step charges at most its budget even when one reference array
+/// holds every stale referent: the array is evacuated unfilled and filled
+/// an element a unit, the step stopping inside it, so the 20 000 slots
+/// fill over many steps, never in one — and the array reads correctly
+/// throughout, from to-space below the fill cursor and from its original
+/// above it.
 #[test]
-fn collapse_steps_stay_inside_their_budget_on_one_long_array() {
-    let fixture = flat_fixture();
-    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS);
+fn copy_steps_stop_inside_a_long_array_within_their_budget() {
+    let fixture = flat_planned_fixture();
+    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS).outcome;
 
     let (mut vm, update) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
     let mut events = MemorySink::default();
@@ -875,73 +878,77 @@ fn collapse_steps_stay_inside_their_budget_on_one_long_array() {
         ApplyOptions { lazy_step_cells: FLAT_STEP_CELLS, ..ApplyOptions::default() },
     );
     controller.attach_sink(&mut events);
-    let stats = controller.run_to_completion(&mut vm).expect("lazy update applies");
-    drop(controller);
-    let lazy = outcome(&mut vm, stats.objects_transformed);
-    assert_eq!(lazy, eager, "the bounded collapse diverged from eager");
-
-    let steps = collapse_steps(&events.events);
-    for (i, &(cells, rewritten, _)) in steps.iter().enumerate() {
-        assert!(
-            rewritten <= FLAT_STEP_CELLS && cells <= FLAT_STEP_CELLS,
-            "collapse step {i} charged {cells} cells and rewrote {rewritten} slots \
-             on a budget of {FLAT_STEP_CELLS}"
-        );
-    }
-    let rewritten: usize = steps.iter().map(|s| s.1).sum();
-    assert_eq!(rewritten, FLAT_NODES as usize, "every array slot is rewritten exactly once");
-    assert!(steps.len() > FLAT_NODES as usize / FLAT_STEP_CELLS, "{} steps", steps.len());
-}
-
-/// A full collection that lands between two collapse steps, with the
-/// sweep stopped inside the array, finishes the collapse itself: the
-/// epoch commits with the eager heap fingerprint and runs no further
-/// collapse step.
-#[test]
-fn gc_between_collapse_steps_inside_an_array_matches_eager() {
-    let fixture = flat_fixture();
-    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS);
-
-    let (mut vm, update) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
-    let mut events = MemorySink::default();
-    let mut controller = UpdateController::new(
-        &update,
-        ApplyOptions { lazy_step_cells: FLAT_STEP_CELLS, ..ApplyOptions::default() },
-    );
-    controller.attach_sink(&mut events);
-    // Two collapse steps, then the collection: both steps end inside the
-    // array, which is longer than two budgets.
-    let mut collapse_steps_run = 0;
-    let stats = loop {
-        let collapsing = vm.lazy_stage() == LazyStage::Collapse;
-        match controller.step(&mut vm) {
-            StepProgress::Pending(UpdatePhase::LazyMigrating) if collapsing => {
-                collapse_steps_run += 1;
-                if collapse_steps_run == 2 {
-                    vm.collect_full(&NoRemap).expect("mid-collapse GC succeeds");
-                    assert_eq!(vm.lazy_stage(), LazyStage::Done, "the copy finished the sweep");
-                }
+    let inside = FLAT_NODES as usize / FLAT_STEP_CELLS;
+    let (mut unfilled_after, mut read_across) = (0, false);
+    let stats = drive(&mut controller, &mut vm, |vm, steps| {
+        let Value::Ref(nodes) = vm.read_static("App", "nodes") else { panic!("nodes is null") };
+        if vm.heap().header_tag(nodes) != 0 {
+            unfilled_after += 1;
+            if steps == inside / 2 {
+                // A guest read across the fill cursor sees every node.
+                let sum = vm.call_static_sync("App", "checksum", &[]).expect("checksum runs");
+                assert_eq!(sum, Some(Value::Int(eager.checksum)), "a half-filled array misread");
+                read_across = true;
             }
-            StepProgress::Pending(_) => {}
-            StepProgress::Committed => break controller.stats().clone(),
-            StepProgress::Aborted => panic!("lazy update aborted: {:?}", controller.error()),
         }
-    };
+    });
     drop(controller);
     let lazy = outcome(&mut vm, stats.objects_transformed);
-    assert_eq!(lazy, eager, "a GC inside the array's sweep broke the oracle");
+    assert_eq!(lazy, eager, "the bounded copy diverged from eager");
 
-    let steps = collapse_steps(&events.events);
-    assert_eq!(steps.len(), 2, "no collapse step runs after the collection: {steps:?}");
-    for (cells, rewritten, done) in steps {
-        assert!(!done && cells == FLAT_STEP_CELLS && rewritten > 0, "{cells} {rewritten} {done}");
+    let steps = copy_steps(&events.events);
+    for (i, step) in steps.iter().enumerate() {
+        assert!(step.cells <= FLAT_STEP_CELLS, "copy step {i} charged {} cells", step.cells);
+    }
+    assert!(unfilled_after >= inside, "{unfilled_after} steps ended inside the array");
+    assert!(read_across, "the guest never read the half-filled array");
+    assert_eq!(stats.objects_planned, FLAT_NODES as usize);
+}
+
+/// A full collection that lands between two copy steps, with the array
+/// still being filled, finishes the copy itself — its interpreted
+/// transformers included: the epoch commits with the eager heap
+/// fingerprint and runs no further copy step.
+#[test]
+fn gc_between_copy_steps_inside_an_array_finishes_the_copy() {
+    let fixture = flat_fixture();
+    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS).outcome;
+
+    let (mut vm, update) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions {
+            lazy_step_cells: FLAT_STEP_CELLS,
+            lazy_scavenge_batch: FLAT_STEP_CELLS,
+            ..ApplyOptions::default()
+        },
+    );
+    controller.attach_sink(&mut events);
+    // Two copy steps, then the collection: both steps end inside the
+    // array, which is longer than two budgets.
+    let stats = drive(&mut controller, &mut vm, |vm, steps| {
+        if steps == 2 {
+            assert_eq!(vm.lazy_stage(), LazyStage::Copy);
+            vm.collect_full(&NoRemap).expect("mid-copy GC succeeds");
+            assert_eq!(vm.lazy_stage(), LazyStage::Done, "the collection finished the copy");
+        }
+    });
+    drop(controller);
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "a GC inside the array's fill broke the oracle");
+
+    let steps = copy_steps(&events.events);
+    assert_eq!(steps.len(), 2, "no copy step runs after the collection: {steps:?}");
+    for step in steps {
+        assert!(!step.done && step.cells == FLAT_STEP_CELLS && step.logged > 0, "{step:?}");
     }
 }
 
-/// A Figure-3-style release mixes both kinds of transformer: the scan
-/// converts every planned `Tag` as it finds it, and only the `User`s,
-/// whose transformer must be interpreted, reach the drain — in ascending
-/// address order, as the eager update log runs them, so the
+/// A Figure-3-style release mixes both kinds of transformer: the copy
+/// converts every planned `Tag` where it evacuates it, and logs the
+/// `User`s, whose transformer must be interpreted — the steps run them in
+/// ascending address order, as the eager update log does, so the
 /// order-sensitive trace matches.
 #[test]
 fn figure3_users_drain_while_the_scan_converts_their_tags() {
@@ -952,7 +959,7 @@ fn figure3_users_drain_while_the_scan_converts_their_tags() {
         transformers: MAIL_TRANSFORMERS,
         build_args: vec![Value::Int(USERS)],
     };
-    let eager = run_eager(&fixture);
+    let eager = run_eager(&fixture).outcome;
     assert_eq!(eager.objects_transformed, 2 * USERS as usize);
 
     let (mut vm, update) = make_vm(&fixture, true);
@@ -962,79 +969,153 @@ fn figure3_users_drain_while_the_scan_converts_their_tags() {
         ApplyOptions { lazy_scavenge_batch: 16, lazy_step_cells: 256, ..ApplyOptions::default() },
     );
     controller.attach_sink(&mut events);
-    let stats = controller.run_to_completion(&mut vm).expect("lazy update applies");
+    let stats = drive(&mut controller, &mut vm, |_, _| {});
     drop(controller);
     let lazy = outcome(&mut vm, stats.objects_transformed);
-    assert_eq!(lazy, eager, "the converting scan diverged from eager");
+    assert_eq!(lazy, eager, "the copy diverged from eager");
     assert_ne!(lazy.trace, 1, "the User transformer ran");
 
     let users = USERS as usize;
-    let scans = scan_steps(&events.events);
-    assert!(scans.len() > 1, "the scan ran in several steps: {scans:?}");
-    assert_eq!(totals(&scans), (2 * users, users), "found every object, converted every Tag");
-    assert_eq!(totals(&scavenge_steps(&events.events)), (users, 0), "the drain ran the Users");
+    let steps = copy_steps(&events.events);
+    assert!(steps.len() > 1, "the copy ran in several steps: {steps:?}");
+    assert!(steps.iter().all(|s| s.logged <= 16), "a step overran its batch: {steps:?}");
+    assert_eq!(step_totals(&steps), (users, users), "converted every Tag, logged every User");
     assert_eq!(epoch_totals(&events.events), (2 * users, users));
     assert_eq!((stats.objects_transformed, stats.objects_planned), (2 * users, users));
 }
 
-/// A semispace that fills part way through the scan: the conversions it
-/// has no room for fall back to the worklist — the unconverted tail, in
-/// ascending address order — and the drain collects and converts them.
-/// The epoch ends on the eager heap with the eager count.
+/// The epoch needs no more room than the eager commit: on a semispace
+/// sized to exactly what an eager commit leaves in use, the lazy commit
+/// fits too — the copy goes into the other semispace and frees the one it
+/// copies from — and ends on exactly the eager heap's words.
 #[test]
-fn a_semispace_full_mid_scan_leaves_the_tail_to_the_drain() {
+fn an_epoch_fits_wherever_eager_fits() {
     let fixture = flat_planned_fixture();
-    let nodes = FLAT_NODES as usize;
-    // Room for the v1 heap plus half as many words again as the nodes
-    // hold: an eager commit fits (each node grows by one word), but
-    // converting every node beside its original does not.
-    let (probe, _) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
-    let semispace = probe.heap().used_words() + 2 * nodes;
-    drop(probe);
+    let semispace = run_eager_sized(&fixture, FLAT_HEAP_WORDS).used_words;
     let eager = run_eager_sized(&fixture, semispace);
-    assert_eq!(eager.objects_transformed, nodes);
+    assert_eq!(eager.used_words, semispace, "the eager commit fills the semispace");
 
     let (mut vm, update) = make_vm_sized(&fixture, true, semispace);
-    let mut events = MemorySink::default();
-    let mut controller = UpdateController::new(&update, ApplyOptions::default());
-    controller.attach_sink(&mut events);
-    let mut tail = None;
-    let stats = loop {
-        let scanning = vm.lazy_stage() == LazyStage::Scan;
-        match controller.step(&mut vm) {
-            StepProgress::Pending(UpdatePhase::LazyMigrating) => {
-                if scanning && vm.lazy_stage() != LazyStage::Scan {
-                    tail = Some(vm.lazy_worklist().to_vec());
-                }
-            }
-            StepProgress::Pending(_) => {}
-            StepProgress::Committed => break controller.stats().clone(),
-            StepProgress::Aborted => panic!("lazy update aborted: {:?}", controller.error()),
-        }
-    };
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions { lazy_step_cells: FLAT_STEP_CELLS, ..ApplyOptions::default() },
+    );
+    let stats = drive(&mut controller, &mut vm, |_, _| {});
     drop(controller);
+    assert_eq!(vm.heap().used_words(), eager.used_words, "the epoch ended on another heap");
+    assert_eq!(stats.gc_copied_words, eager.stats.gc_copied_words);
+    assert_eq!(vm.stats().gcs, 0, "the epoch needed no collection");
     let lazy = outcome(&mut vm, stats.objects_transformed);
-    assert_eq!(lazy, eager, "the refused conversions diverged from eager");
-    assert_eq!((stats.objects_transformed, stats.objects_planned), (nodes, nodes));
-
-    let tail = tail.expect("the scan finished");
-    let (found, converted) = totals(&scan_steps(&events.events));
-    assert_eq!(found, nodes, "the scan found every node");
-    assert!(converted > 0 && converted < nodes, "the semispace filled mid-scan: {converted}");
-    assert_eq!(tail.len(), nodes - converted, "every refused conversion was queued");
-    assert!(tail.windows(2).all(|w| w[0].0 < w[1].0), "the tail is out of address order");
-    assert_eq!(totals(&scavenge_steps(&events.events)), (tail.len(), tail.len()));
+    assert_eq!(lazy, eager.outcome, "the tight epoch diverged from eager");
+    assert_eq!(
+        (stats.objects_transformed, stats.objects_planned),
+        (FLAT_NODES as usize, FLAT_NODES as usize)
+    );
 }
 
-/// A full collection that lands between two scan steps completes the
-/// scan first, and that completion scan converts too: the collection
-/// leaves nothing to drain, no further scan step runs, and the epoch ends
-/// on the eager heap.
+/// A mutator that allocates mid-epoch in a tight semispace: its garbage
+/// fills to-space until an allocation fails with the copy still running.
+/// The collection that follows finishes the copy in the room held back
+/// for it and then flips, reclaiming the garbage, and the retried
+/// allocation fits. The run still matches eager, which flips once for
+/// the same allocations after its commit.
+#[test]
+fn a_full_to_space_mid_epoch_finishes_the_copy_then_flips() {
+    let fixture = flat_planned_fixture();
+    let live = run_eager_sized(&fixture, FLAT_HEAP_WORDS).used_words;
+    // Three eager heaps of room: garbage of 1.5 heaps fits beside the
+    // copy, a 1.6-heap array then fits neither beside the copy nor beside
+    // the finished copy and the garbage — only after the flip.
+    let semispace = 3 * live;
+    let (garbage, keep) = (Value::Int((live * 3 / 2) as i64), Value::Int((live * 8 / 5) as i64));
+    let allocate = |vm: &mut Vm| {
+        vm.call_static_sync("App", "garbage", &[garbage]).expect("garbage fits");
+        vm.call_static_sync("App", "keep", &[keep]).expect("keep fits after a flip");
+    };
+
+    let (mut vm, update) = make_vm_sized(&fixture, false, semispace);
+    let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
+        .expect("eager update applies");
+    let gcs = vm.stats().gcs;
+    allocate(&mut vm);
+    assert_eq!(vm.stats().gcs, gcs + 1, "eager flips once for the allocations");
+    let eager = outcome(&mut vm, stats.objects_transformed);
+
+    let (mut vm, update) = make_vm_sized(&fixture, true, semispace);
+    let mut controller = UpdateController::new(
+        &update,
+        ApplyOptions { lazy_step_cells: FLAT_STEP_CELLS, ..ApplyOptions::default() },
+    );
+    let mut allocated = false;
+    let stats = drive(&mut controller, &mut vm, |vm, steps| {
+        if steps == 1 && !allocated {
+            allocated = true;
+            assert_eq!(vm.lazy_stage(), LazyStage::Copy, "one step does not finish the copy");
+            let gcs = vm.stats().gcs;
+            allocate(vm);
+            assert_eq!(vm.lazy_stage(), LazyStage::Done, "the full to-space finished the copy");
+            assert_eq!(vm.stats().gcs, gcs + 1, "the collection flipped once");
+        }
+    });
+    drop(controller);
+    assert!(allocated, "the update went through a lazy epoch");
+    let lazy = outcome(&mut vm, stats.objects_transformed);
+    assert_eq!(lazy, eager, "finish-then-flip diverged from eager");
+}
+
+/// Small garbage allocated mid-epoch on a semispace only twice the eager
+/// heap: one and a half heaps of five-word arrays after the first copy
+/// step, far more than to-space holds beside the copy. Mutator allocation
+/// is refused while it would eat into the room the copy may still need,
+/// so the collection it triggers can always finish the copy and then flip
+/// the garbage away — with a copy plan and with interpreted transformers
+/// alike. Eager commits, then collects the same garbage.
+#[test]
+fn small_garbage_mid_epoch_on_a_tight_heap_matches_eager() {
+    for fixture in [flat_planned_fixture(), flat_fixture()] {
+        let live = run_eager_sized(&fixture, FLAT_HEAP_WORDS).used_words;
+        let semispace = 2 * live;
+        let arrays = Value::Int((live * 3 / 2 / 5) as i64);
+        let litter = |vm: &mut Vm| {
+            vm.call_static_sync("App", "litter", &[arrays]).expect("the garbage is collectable");
+        };
+
+        let (mut vm, update) = make_vm_sized(&fixture, false, semispace);
+        let stats = jvolve_repro::dsu::apply(&mut vm, &update, &ApplyOptions::default())
+            .expect("eager update applies");
+        litter(&mut vm);
+        let eager = outcome(&mut vm, stats.objects_transformed);
+
+        let (mut vm, update) = make_vm_sized(&fixture, true, semispace);
+        let mut controller = UpdateController::new(
+            &update,
+            ApplyOptions { lazy_step_cells: FLAT_STEP_CELLS, ..ApplyOptions::default() },
+        );
+        let mut littered = false;
+        let stats = drive(&mut controller, &mut vm, |vm, steps| {
+            if steps == 1 && !littered {
+                littered = true;
+                assert_eq!(vm.lazy_stage(), LazyStage::Copy, "one step does not finish the copy");
+                litter(vm);
+                assert_eq!(vm.lazy_stage(), LazyStage::Done, "a collection finished the copy");
+            }
+        });
+        drop(controller);
+        assert!(littered, "the update went through a lazy epoch");
+        let lazy = outcome(&mut vm, stats.objects_transformed);
+        assert_eq!(lazy, eager, "garbage beside the copy diverged from eager");
+    }
+}
+
+/// A full collection that lands between two copy steps finishes the copy
+/// itself, converting every node the steps had not reached: the
+/// collection leaves nothing for another step, and the epoch ends on the
+/// eager heap.
 #[test]
 fn gc_between_scan_steps_converts_in_the_completion_scan() {
     let fixture = flat_planned_fixture();
     let nodes = FLAT_NODES as usize;
-    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS);
+    let eager = run_eager_sized(&fixture, FLAT_HEAP_WORDS).outcome;
 
     let (mut vm, update) = make_vm_sized(&fixture, true, FLAT_HEAP_WORDS);
     let mut events = MemorySink::default();
@@ -1044,46 +1125,39 @@ fn gc_between_scan_steps_converts_in_the_completion_scan() {
     );
     controller.attach_sink(&mut events);
     let mut collected = false;
-    let stats = loop {
-        let scanning = vm.lazy_stage() == LazyStage::Scan;
-        match controller.step(&mut vm) {
-            StepProgress::Pending(UpdatePhase::LazyMigrating) if scanning && !collected => {
-                assert_eq!(vm.lazy_stage(), LazyStage::Scan, "one step did not finish the scan");
-                vm.collect_full(&NoRemap).expect("mid-scan GC succeeds");
-                collected = true;
-                assert_eq!(vm.lazy_stage(), LazyStage::Collapse, "nothing was left to drain");
-            }
-            StepProgress::Pending(_) => {}
-            StepProgress::Committed => break controller.stats().clone(),
-            StepProgress::Aborted => panic!("lazy update aborted: {:?}", controller.error()),
+    let stats = drive(&mut controller, &mut vm, |vm, steps| {
+        if steps == 1 && !collected {
+            assert_eq!(vm.lazy_stage(), LazyStage::Copy, "one step did not finish the copy");
+            vm.collect_full(&NoRemap).expect("mid-copy GC succeeds");
+            collected = true;
+            assert_eq!(vm.lazy_stage(), LazyStage::Done, "nothing was left to copy");
         }
-    };
+    });
     drop(controller);
     let lazy = outcome(&mut vm, stats.objects_transformed);
-    assert_eq!(lazy, eager, "a GC between scan steps broke the oracle");
+    assert_eq!(lazy, eager, "a GC between copy steps broke the oracle");
     assert_eq!((stats.objects_transformed, stats.objects_planned), (nodes, nodes));
 
-    let scans = scan_steps(&events.events);
-    assert_eq!(scans.len(), 1, "no scan step runs after the collection: {scans:?}");
-    assert!(scans[0].1 > 0 && scans[0].1 < nodes, "{scans:?}");
-    assert!(scavenge_steps(&events.events).is_empty(), "the drain ran");
+    let steps = copy_steps(&events.events);
+    assert_eq!(steps.len(), 1, "no copy step runs after the collection: {steps:?}");
+    assert!(steps[0].planned > 0 && steps[0].planned < nodes, "{steps:?}");
 }
 
-/// Property test: randomized interleavings of guest execution (touching
-/// objects through the read barrier), scavenger batches, and forced full
-/// GCs while the epoch drains. Every interleaving must converge to the
-/// eager outcome.
+/// Property test: randomized interleavings of guest execution (loading
+/// objects through the read barrier), copy steps, and forced full GCs
+/// while the epoch copies. Every interleaving must converge to the eager
+/// outcome.
 #[test]
 fn random_interleavings_of_guest_scavenger_and_gc_match_eager() {
     const NODES: i64 = 120;
     let fixture = ring_fixture(NODES);
-    let eager = run_eager(&fixture);
+    let eager = run_eager(&fixture).outcome;
 
     for seed in 0..12 {
         let mut rng = Rng::new(seed);
         let (mut vm, update) = make_vm(&fixture, true);
         // A guest thread that keeps reading the whole ring while the
-        // epoch drains: every read goes through the barrier.
+        // epoch copies: every load of a from-space node is a barrier hit.
         vm.spawn("App", "churn").expect("churn spawns");
 
         let batch = 1 + rng.below(9);
@@ -1091,24 +1165,16 @@ fn random_interleavings_of_guest_scavenger_and_gc_match_eager() {
             &update,
             ApplyOptions { lazy_scavenge_batch: batch, ..ApplyOptions::default() },
         );
-        let stats = loop {
-            match controller.step(&mut vm) {
-                StepProgress::Pending(UpdatePhase::LazyMigrating) => match rng.below(4) {
-                    0 => {
-                        vm.collect_full(&NoRemap).expect("mid-epoch GC succeeds");
-                    }
-                    1 => {}
-                    _ => {
-                        vm.run_slices(1 + rng.below(3));
-                    }
-                },
-                StepProgress::Pending(_) => {}
-                StepProgress::Committed => break controller.stats().clone(),
-                StepProgress::Aborted => {
-                    panic!("seed {seed}: lazy update aborted: {:?}", controller.error())
-                }
+        let stats = drive(&mut controller, &mut vm, |vm, _| match rng.below(4) {
+            0 => {
+                vm.collect_full(&NoRemap).expect("mid-epoch GC succeeds");
             }
-        };
+            1 => {}
+            _ => {
+                vm.run_slices(1 + rng.below(3));
+            }
+        });
+        drop(controller);
         // Let the churner finish before fingerprinting.
         vm.run_to_completion(1_000_000);
         let lazy = outcome(&mut vm, stats.objects_transformed);
@@ -1118,8 +1184,8 @@ fn random_interleavings_of_guest_scavenger_and_gc_match_eager() {
 
 /// A transformer set that force-chases a deep chain raises the typed
 /// depth error — from the eager update-log path and from the lazy
-/// barrier path alike — instead of overflowing the guest stack. A chain
-/// under the limit still transforms fine in both modes.
+/// copy alike — instead of overflowing the guest stack. A chain under the
+/// limit still transforms fine in both modes.
 #[test]
 fn deep_force_transform_chains_raise_a_typed_depth_error() {
     let fixture = |n: i64| Fixture {
