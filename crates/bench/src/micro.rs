@@ -65,6 +65,8 @@ pub struct PauseSample {
     pub gc_copied_cells: usize,
     /// Words the update GC copied, headers included.
     pub gc_copied_words: usize,
+    /// How many of them its scan skipped (cells holding no reference).
+    pub gc_unscanned_words: usize,
 }
 
 /// Runs one microbenchmark configuration: `objects` live objects, a
@@ -135,11 +137,13 @@ pub fn measure_pause_with(
     let (mut transformed, mut planned) = (0, 0);
     let mut gc_copied_cells = 0;
     let mut gc_copied_words = 0;
+    let mut gc_unscanned_words = 0;
     for event in &events.events {
         match *event {
-            UpdateEvent::GcCompleted { copied_cells, copied_words, .. } => {
+            UpdateEvent::GcCompleted { copied_cells, copied_words, unscanned_words, .. } => {
                 gc_copied_cells = copied_cells;
                 gc_copied_words = copied_words;
+                gc_unscanned_words = unscanned_words;
             }
             UpdateEvent::TransformersRun { objects_transformed, objects_planned } => {
                 transformed = objects_transformed;
@@ -153,6 +157,7 @@ pub fn measure_pause_with(
     assert_eq!(planned, if interpret_all_transformers { 0 } else { n_change });
     assert_eq!(gc_copied_cells, stats.gc_copied_cells, "event stream and stats disagree");
     assert_eq!(gc_copied_words, stats.gc_copied_words, "event stream and stats disagree");
+    assert_eq!(gc_unscanned_words, stats.gc_unscanned_words, "event stream and stats disagree");
 
     PauseSample {
         objects,
@@ -166,6 +171,7 @@ pub fn measure_pause_with(
         planned,
         gc_copied_cells,
         gc_copied_words,
+        gc_unscanned_words,
     }
 }
 

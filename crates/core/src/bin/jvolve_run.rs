@@ -321,10 +321,11 @@ fn main() -> ExitCode {
         match result {
             Ok(stats) => eprintln!(
                 "jvolve_run: updated ({} objects transformed, {} of them by copy plan, \
-                 {} words copied, pause {:?})",
+                 {} words copied, {} of them unscanned, pause {:?})",
                 stats.objects_transformed,
                 stats.objects_planned,
                 stats.gc_copied_words,
+                stats.gc_unscanned_words,
                 stats.total_time
             ),
             Err(e) => {

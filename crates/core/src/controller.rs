@@ -204,6 +204,9 @@ pub enum UpdateEvent {
         copied_cells: usize,
         /// Words copied, headers included.
         copied_words: usize,
+        /// How many of `copied_words` the scan skipped: cells the copy
+        /// left holding no reference.
+        unscanned_words: usize,
         /// (old, new) pairs in the update log.
         objects_logged: usize,
     },
@@ -307,7 +310,8 @@ impl UpdateEventSink for MemorySink {
 /// and collapse steps with one `lazy_copy_step` (the epoch is an
 /// incremental copy), renames `lazy_epoch_begun`'s `watermark_words` to
 /// `from_words`, and ends a lazy epoch with the `gc_completed` of its copy.
-pub const TRACE_SCHEMA: &str = "jvolve-update-trace-v6";
+/// `v7` adds `gc_completed`'s `unscanned_words`.
+pub const TRACE_SCHEMA: &str = "jvolve-update-trace-v7";
 
 /// A sink that serializes the event stream to JSON (via `jvolve-json`),
 /// for `results/update_trace.json`. Consecutive safe-point polls with an
@@ -417,10 +421,16 @@ fn event_to_json(event: &UpdateEvent) -> Json {
             ("replaced", Json::from(*replaced)),
             ("migrated", Json::from(*migrated)),
         ]),
-        UpdateEvent::GcCompleted { copied_cells, copied_words, objects_logged } => Json::obj([
+        UpdateEvent::GcCompleted {
+            copied_cells,
+            copied_words,
+            unscanned_words,
+            objects_logged,
+        } => Json::obj([
             ("event", Json::from("gc_completed")),
             ("copied_cells", Json::from(*copied_cells)),
             ("copied_words", Json::from(*copied_words)),
+            ("unscanned_words", Json::from(*unscanned_words)),
             ("objects_logged", Json::from(*objects_logged)),
         ]),
         UpdateEvent::TransformersRun { objects_transformed, objects_planned } => Json::obj([
@@ -832,6 +842,7 @@ impl<'u> UpdateController<'u> {
                     self.emit(UpdateEvent::GcCompleted {
                         copied_cells: totals.copied_cells,
                         copied_words: totals.copied_words,
+                        unscanned_words: totals.unscanned_words,
                         objects_logged: totals.logged,
                     });
                     self.emit(UpdateEvent::TransformersRun {
@@ -924,9 +935,10 @@ impl<'u> UpdateController<'u> {
                 self.stats.osr_replacements += replaced;
                 self.stats.active_migrations += migrated;
             }
-            UpdateEvent::GcCompleted { copied_cells, copied_words, .. } => {
+            UpdateEvent::GcCompleted { copied_cells, copied_words, unscanned_words, .. } => {
                 self.stats.gc_copied_cells = *copied_cells;
                 self.stats.gc_copied_words = *copied_words;
+                self.stats.gc_unscanned_words = *unscanned_words;
             }
             UpdateEvent::TransformersRun { objects_transformed, objects_planned } => {
                 self.stats.objects_transformed = *objects_transformed;
@@ -1339,6 +1351,7 @@ impl<'u> UpdateController<'u> {
         self.emit(UpdateEvent::GcCompleted {
             copied_cells: gc_out.copied_cells,
             copied_words: gc_out.copied_words,
+            unscanned_words: gc_out.unscanned_words,
             objects_logged: vm.pending_transforms(),
         });
 

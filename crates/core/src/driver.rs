@@ -270,6 +270,9 @@ pub struct UpdateStats {
     /// Words the update GC copied, headers included (lazy mode: the
     /// incremental copy's).
     pub gc_copied_words: usize,
+    /// How many of [`UpdateStats::gc_copied_words`] the update GC's scan
+    /// skipped, because the copy left their cells holding no reference.
+    pub gc_unscanned_words: usize,
     /// The `Pending` step: spec/payload cross-validation, transformer
     /// resolution (a compile only when the update did not arrive with its
     /// class files, see [`Update::compiled_transformers`]), signature

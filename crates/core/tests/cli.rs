@@ -154,8 +154,13 @@ fn jvolve_run_lazy_updates_and_traces_the_epoch() {
     assert_eq!(sum("lazy_copy_step", "logged"), 0, "a planned Node was logged: {kinds:?}");
     let copied = sum("gc_completed", "copied_words");
     assert!(copied > 0, "{kinds:?}");
+    // Every copied cell is a `Node`, which has no reference field.
+    let unscanned = sum("gc_completed", "unscanned_words");
+    assert_eq!(unscanned, copied, "{kinds:?}");
     assert!(
-        stderr.contains(&format!("{planned} of them by copy plan, {copied} words copied")),
+        stderr.contains(&format!(
+            "{planned} of them by copy plan, {copied} words copied, {unscanned} of them unscanned"
+        )),
         "{stderr}"
     );
 }

@@ -100,6 +100,9 @@ pub struct EpochTotals {
     pub copied_cells: usize,
     /// Words the incremental copy evacuated, headers included.
     pub copied_words: usize,
+    /// How many of `copied_words` the scan skipped: cells the copy left
+    /// holding no reference.
+    pub unscanned_words: usize,
     /// Pairs the epoch duplicated and logged.
     pub logged: usize,
 }
@@ -137,6 +140,7 @@ impl LazyEpoch {
             planned: c.planned,
             copied_cells: c.copied_cells,
             copied_words: c.copied_words,
+            unscanned_words: c.unscanned_words,
             logged: self.logged,
         };
         *self = LazyEpoch::default();
@@ -150,13 +154,25 @@ mod tests {
 
     #[test]
     fn reset_reports_and_clears_progress() {
-        let copied =
-            GcOutcome { copied_cells: 9, copied_words: 40, planned: 3, ..GcOutcome::default() };
+        let copied = GcOutcome {
+            copied_cells: 9,
+            copied_words: 40,
+            planned: 3,
+            unscanned_words: 12,
+            ..GcOutcome::default()
+        };
         let mut epoch =
             LazyEpoch { active: true, transformed: 4, logged: 4, copied, ..LazyEpoch::default() };
         assert_eq!(
             epoch.reset(),
-            EpochTotals { transformed: 7, planned: 3, copied_cells: 9, copied_words: 40, logged: 4 }
+            EpochTotals {
+                transformed: 7,
+                planned: 3,
+                copied_cells: 9,
+                copied_words: 40,
+                unscanned_words: 12,
+                logged: 4
+            }
         );
         assert!(!epoch.active);
         assert_eq!(epoch.transformed, 0);

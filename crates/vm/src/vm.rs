@@ -1315,7 +1315,7 @@ impl Vm {
             return Err("the epoch is done but from-space is not empty".into());
         }
         let snapshot = self.registry.layout_snapshot();
-        self.heap.check_copy(&snapshot)
+        self.heap.check_heap(&snapshot)
     }
 
     /// Closes a finished lazy-migration epoch and returns what it migrated

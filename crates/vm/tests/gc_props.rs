@@ -1,7 +1,10 @@
 //! Property tests for the copying collector over random object graphs.
 //!
 //! Graphs mix plain objects, ref arrays, prim arrays, and strings, with
-//! arbitrary edges (including cycles and self-loops). Invariants:
+//! arbitrary edges (including cycles and self-loops); over half the nodes
+//! are cells that hold no reference (strings, prim arrays, objects whose
+//! reference fields stay null), which the scan skips in runs. After every
+//! collection and copy step [`Heap::check_heap`] holds. Invariants:
 //!
 //! * an ordinary collection preserves the reachable graph *shape* exactly
 //!   (kinds, classes, lengths, primitive payloads, string contents, and
@@ -90,6 +93,8 @@ fn snapshot() -> LayoutSnapshot {
 enum NodeKind {
     Obj0,
     Obj1,
+    /// An object of class 0 or 1 whose reference fields stay null.
+    NullObj(u32),
     RefArray(usize),
     PrimArray(usize),
     Str(usize),
@@ -106,11 +111,12 @@ fn build_graph(heap: &mut Heap, seed: u64) -> Graph {
     let mut rng = Rng::new(seed);
     let n = rng.range(1, 40);
     let kinds: Vec<NodeKind> = (0..n)
-        .map(|_| match rng.below(5) {
+        .map(|_| match rng.below(7) {
             0 => NodeKind::Obj0,
             1 => NodeKind::Obj1,
             2 => NodeKind::RefArray(rng.below(6)),
             3 => NodeKind::PrimArray(rng.below(6)),
+            4 => NodeKind::NullObj(rng.below(2) as u32),
             _ => NodeKind::Str(rng.below(24)),
         })
         .collect();
@@ -126,6 +132,13 @@ fn build_graph(heap: &mut Heap, seed: u64) -> Graph {
             NodeKind::Obj1 => {
                 let r = heap.alloc_object(ClassId(1), 2).expect("fits");
                 heap.set(r, 1, rng.next_u64() | 1);
+                r
+            }
+            NodeKind::NullObj(class) => {
+                let size = Layouts.object_size(ClassId(class));
+                let r = heap.alloc_object(ClassId(class), size).expect("fits");
+                // The primitive field: slot 0 of class 0, slot 1 of class 1.
+                heap.set(r, class as usize, rng.next_u64() | 1);
                 r
             }
             NodeKind::RefArray(len) => heap.alloc_array(true, len).expect("fits"),
@@ -254,6 +267,11 @@ fn signature(heap: &Heap, roots: &[GcRef]) -> (Vec<Sig>, Vec<usize>) {
 
 // ---- properties --------------------------------------------------------
 
+/// Panics, naming the seed, unless [`Heap::check_heap`] holds.
+fn check(heap: &Heap, snap: &LayoutSnapshot, seed: u64) {
+    heap.check_heap(snap).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+}
+
 /// Ordinary collections (no remap) preserve the reachable graph exactly.
 #[test]
 fn random_graphs_survive_collection_with_identical_shape() {
@@ -264,6 +282,7 @@ fn random_graphs_survive_collection_with_identical_shape() {
         let before = signature(&heap, &g.roots);
 
         heap.collect(&g.roots, &snap, None).expect("collect");
+        check(&heap, &snap, seed);
         let new_roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
         let after = signature(&heap, &new_roots);
 
@@ -288,6 +307,7 @@ fn random_graphs_survive_update_collection_with_correct_pairing() {
             .count();
 
         let out = heap.collect(&g.roots, &snap, Some(&table)).expect("collect");
+        check(&heap, &snap, seed);
         assert_eq!(
             out.update_log.len(),
             expected_remapped,
@@ -333,6 +353,8 @@ fn identical_collections_are_deterministic() {
 
         let o1 = h1.collect(&g1.roots, &snap, Some(&table)).expect("collect");
         let o2 = h2.collect(&g2.roots, &snap, Some(&table)).expect("collect");
+        check(&h1, &snap, seed);
+        check(&h2, &snap, seed);
 
         let log1: Vec<(u32, u32)> =
             o1.update_log.iter().map(|&(a, b)| (a.0, b.0)).collect();
@@ -362,8 +384,9 @@ fn heap_words(heap: &Heap) -> Vec<u64> {
 }
 
 /// The incremental copy is the update collection, however it is stepped.
-/// Over random graphs — each with one reference array longer than any
-/// budget, and a remap that plans class 0 and logs class 1 — a flip that
+/// Over random graphs — each with a reference array longer than any
+/// budget, rooted, whose first element is a primitive array as long, and
+/// a remap that plans class 0 and logs class 1 — a flip that
 /// evacuates the roots followed by copy steps of random budgets (2–64
 /// units, the least that passes an array element and its referent's
 /// evacuation) and random log allowances leaves both semispaces word for word
@@ -375,7 +398,7 @@ fn heap_words(heap: &Heap) -> Vec<u64> {
 fn stepped_copy_matches_one_pass_collect_word_for_word() {
     let snap = snapshot();
     let remap = planned_and_logged_remap();
-    let (mut steps, mut unfilled) = (0, 0);
+    let (mut steps, mut unfilled, mut unscanned) = (0, 0, 0);
     for seed in 0..64 {
         let build = |heap: &mut Heap| -> Graph {
             let mut g = build_graph(heap, seed);
@@ -388,6 +411,13 @@ fn stepped_copy_matches_one_pass_collect_word_for_word() {
                     heap.set(arr, i, u64::from(target.0));
                 }
             }
+            // Evacuated by the scan, unfilled when the flip's threshold is
+            // under its length: the scan must fill it, never skip it.
+            let prims = heap.alloc_array(false, len).expect("fits");
+            for i in 0..len {
+                heap.set(prims, i, rng.next_u64());
+            }
+            heap.set(arr, 0, u64::from(prims.0));
             g.nodes.push(arr);
             g.roots.push(arr);
             g
@@ -395,6 +425,7 @@ fn stepped_copy_matches_one_pass_collect_word_for_word() {
         let mut one_pass = Heap::new(64 * 1024);
         let g = build(&mut one_pass);
         let out = one_pass.collect(&g.roots, &snap, Some(&remap)).expect("collect");
+        check(&one_pass, &snap, seed);
 
         let mut rng = Rng::new(seed ^ 0x57E9_57E9_57E9_57E9);
         let mut stepped = Heap::new(64 * 1024);
@@ -405,7 +436,7 @@ fn stepped_copy_matches_one_pass_collect_word_for_word() {
             let to = stepped.evacuate(root, &snap, &remap, &mut log).expect("roots fit");
             unfilled += usize::from(stepped.header_tag(to) != 0);
         }
-        stepped.check_copy(&snap).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check(&stepped, &snap, seed);
         while !stepped.copy_done() {
             let (budget, allowance, logged) = (rng.range(2, 65), rng.range(1, 8), log.len());
             let charged =
@@ -415,10 +446,18 @@ fn stepped_copy_matches_one_pass_collect_word_for_word() {
                 "seed {seed}: a step charged {charged} on a budget of {budget}"
             );
             assert!(log.len() - logged <= allowance, "seed {seed}: a step overran its log");
-            stepped.check_copy(&snap).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            check(&stepped, &snap, seed);
             steps += 1;
         }
         let totals = stepped.end_copy();
+        check(&stepped, &snap, seed);
+        // Arrays the steps evacuated unfilled are scanned, where `collect`
+        // copies them whole and skips the primitive ones.
+        assert!(
+            totals.unscanned_words <= out.unscanned_words,
+            "seed {seed}: the steps skipped a cell that collect scanned"
+        );
+        unscanned += totals.unscanned_words;
         log.sort_by_key(|&(from, _, _)| from);
         let log: Vec<(GcRef, GcRef)> = log.into_iter().map(|(_, old, new)| (old, new)).collect();
         assert_eq!(log, out.update_log, "seed {seed}: the update log differs");
@@ -433,6 +472,7 @@ fn stepped_copy_matches_one_pass_collect_word_for_word() {
         );
     }
     assert!(unfilled > 0, "no root array was evacuated unfilled");
+    assert!(unscanned > 0, "no step skipped a run");
     assert!(steps > 64 * 4, "{steps} steps: the budgets hardly split the copies");
 }
 
@@ -458,6 +498,7 @@ fn the_mutator_gets_all_of_to_space_but_the_copys_reserve() {
     }
     assert_eq!(garbage, 1024 - 360, "the mutator got more or less than the copy left it");
     heap.copy_step(usize::MAX, usize::MAX, &snap, &remap, &mut log).expect("the copy fits");
+    check(&heap, &snap, 0);
     assert!(heap.copy_done() && log.len() == 40 && heap.free_words() == 0);
 }
 
@@ -474,6 +515,7 @@ fn a_copy_finishes_beside_a_mutator_that_fills_to_space() {
         let mut one_pass = Heap::new(4096);
         let g = build_graph(&mut one_pass, seed);
         let out = one_pass.collect(&g.roots, &snap, Some(&remap)).expect("collect");
+        check(&one_pass, &snap, seed);
 
         let mut rng = Rng::new(seed ^ 0x6A2B_A6E0_6A2B_A6E0);
         let mut stepped = Heap::new(4096);
@@ -491,13 +533,16 @@ fn a_copy_finishes_beside_a_mutator_that_fills_to_space() {
             if rng.below(8) == 0 {
                 let budget = rng.range(2, 9);
                 stepped.copy_step(budget, usize::MAX, &snap, &remap, &mut log).expect("fits");
+                check(&stepped, &snap, seed);
             }
         }
         stepped.copy_step(usize::MAX, usize::MAX, &snap, &remap, &mut log).unwrap_or_else(|e| {
             panic!("seed {seed}: the mutator left the copy no room to finish: {e}")
         });
         assert!(stepped.copy_done(), "seed {seed}: an unbounded step left the copy unfinished");
+        check(&stepped, &snap, seed);
         let totals = stepped.end_copy();
+        check(&stepped, &snap, seed);
         assert_eq!(
             (totals.copied_cells, totals.copied_words, totals.planned, log.len()),
             (out.copied_cells, out.copied_words, out.planned, out.update_log.len()),
@@ -521,8 +566,10 @@ fn collection_into_stale_to_space_leaves_it_parsable_cell_by_cell() {
         let mut heap = Heap::new(64 * 1024);
         let g = build_graph(&mut heap, seed);
         heap.collect(&g.roots, &snap, None).expect("first collect");
+        check(&heap, &snap, seed);
         let roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
         let out = heap.collect(&roots, &snap, None).expect("second collect");
+        check(&heap, &snap, seed);
         let roots: Vec<GcRef> = roots.iter().map(|&r| heap.resolve(r)).collect();
 
         let live_objects = signature(&heap, &roots)

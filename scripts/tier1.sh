@@ -104,7 +104,8 @@ for workload in web_steady kv_stream_eager; do
 done
 
 # The performance gates, one runner (crates/bench/src/bin/gates.rs):
-# gc — exact update-GC copy counts, 100%-updated GC <= 2.5x the
+# gc — exact update-GC copy counts (cells, words, and every copied word
+# unscanned: the population holds no reference), 100%-updated GC <= 2.5x the
 # 0%-updated one, plan pause <= 0.5x the interpreted one; interp — exact
 # checksum/calls/compile counts/fusion coverage, jit >= 2.48x base,
 # post-update parity at both tiers; lazy — the eager heap's words after
@@ -114,7 +115,7 @@ done
 # fleet — 2-shard throughput >= 1.6x one shard's; stream — the longest
 # release-stream pause under an absolute 25 ms ceiling. Every ratio is
 # best-of-N of one run, re-measured once at 3x before it fails.
-gates_banner="performance gates (gc counts + 2 ratios, interp counts + 3 ratios, lazy 1 count + 5 ratios, fleet 2/1 shards >= 1.6x, stream pause <= 25 ms)"
+gates_banner="performance gates (gc copied + unscanned counts + 2 ratios, interp counts + 3 ratios, lazy 1 count + 5 ratios, fleet 2/1 shards >= 1.6x, stream pause <= 25 ms)"
 if [ "$skip_bench" = 0 ]; then
     echo "== tier-1: $gates_banner =="
     cargo run --release -q -p jvolve-bench --bin gates -- --iters 5
