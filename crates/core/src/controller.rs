@@ -48,14 +48,14 @@
 //! [`ControllerCounters::pause_compiles`] counts compiler runs in it and
 //! must read 0.
 //!
-//! With [`jvolve_vm::VmConfig::lazy_migration`] the pause ends early: the
-//! `TransformingHeap` phase only flips the semispaces and evacuates the
-//! roots' referents (O(roots) words) and runs class transformers, then the
-//! controller enters `LazyMigrating`. In that phase the guest runs freely —
-//! the read barrier evacuates what it loads — while each `step` call
-//! advances the update-GC's incremental copy by one budget. When the copy
-//! is done the controller reports it as the update's collection and
-//! commits.
+//! Both commit modes run one routine in `TransformingHeap` — the update's
+//! copy, then class and object transformers — that branches only on
+//! whether the copy finishes before the pause ends. An eager commit
+//! finishes it there. With [`jvolve_vm::VmConfig::lazy_migration`] the
+//! phase only flips the semispaces and evacuates the roots' referents
+//! (O(roots) words); in `LazyMigrating` the guest runs freely — the read
+//! barrier evacuates what it loads — while each `step` call advances the
+//! copy by one budget, and the finished copy is closed as eager's is.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -91,10 +91,10 @@ pub enum UpdatePhase {
     /// precompiled transformer class included), body swaps, invalidation,
     /// OSR (paper step 4).
     Installing,
-    /// Update GC + class/object transformers (paper step 5). In lazy
-    /// mode ([`jvolve_vm::VmConfig::lazy_migration`]) this phase is only
-    /// the flip, the roots' evacuation and class transformers; the rest of
-    /// the copy is deferred to [`UpdatePhase::LazyMigrating`].
+    /// The update's copy + class/object transformers (paper step 5). In
+    /// lazy mode ([`jvolve_vm::VmConfig::lazy_migration`]) the copy stops
+    /// after the flip and the roots' evacuation; the rest of it is deferred
+    /// to [`UpdatePhase::LazyMigrating`].
     TransformingHeap,
     /// A lazy-migration epoch is copying: the read barrier evacuates what
     /// the guest loads, and each `step` call advances the incremental copy
@@ -196,8 +196,8 @@ pub enum UpdateEvent {
         /// Frames migrated to a changed method version (§3.5 mode).
         migrated: usize,
     },
-    /// The update GC finished (in lazy mode: the epoch's incremental copy,
-    /// reported when the epoch ends).
+    /// The update's copy finished (in lazy mode: reported when the epoch
+    /// ends).
     GcCompleted {
         /// Cells copied (objects duplicated for an interpreted transformer
         /// count twice, planned ones once).
@@ -223,7 +223,7 @@ pub enum UpdateEvent {
         /// Words in use in from-space: what the incremental copy
         /// evacuates from.
         from_words: usize,
-        /// The arm pause: `Vm::begin_lazy_migration` wall time, the
+        /// The arm pause: `Vm::begin_update_copy` wall time, the
         /// entire in-pause heap cost of the lazy commit.
         arm: Duration,
     },
@@ -779,31 +779,19 @@ impl<'u> UpdateController<'u> {
                     StepProgress::Pending(UpdatePhase::WaitingForSafePoint)
                 }
             },
-            State::Transforming(inputs) if vm.config().lazy_migration => {
-                match self.begin_lazy(vm, inputs) {
-                    Ok(()) => {
-                        self.exit_phase(UpdatePhase::TransformingHeap, t);
-                        self.emit(UpdateEvent::PhaseEntered {
-                            phase: UpdatePhase::LazyMigrating,
-                            tick: vm.tick(),
-                        });
-                        self.state = State::LazyMigrating;
-                        self.stats.total_time += t.elapsed();
-                        StepProgress::Pending(UpdatePhase::LazyMigrating)
-                    }
-                    // The barrier may already be armed and class
-                    // transformers may have run: past the point of no
-                    // return, like an eager transform failure.
-                    Err(e) => self.abort_no_rollback(e, t),
-                }
-            }
-            State::Transforming(inputs) => match self.transform_heap(vm, inputs) {
-                Ok(()) => {
+            State::Transforming(inputs) => match self.commit(vm, inputs) {
+                Ok(committed) => {
                     self.exit_phase(UpdatePhase::TransformingHeap, t);
                     self.stats.total_time += t.elapsed();
-                    self.emit(UpdateEvent::Committed { wall: self.stats.total_time });
-                    self.state = State::Committed;
-                    StepProgress::Committed
+                    if committed {
+                        return self.committed();
+                    }
+                    self.emit(UpdateEvent::PhaseEntered {
+                        phase: UpdatePhase::LazyMigrating,
+                        tick: vm.tick(),
+                    });
+                    self.state = State::LazyMigrating;
+                    StepProgress::Pending(UpdatePhase::LazyMigrating)
                 }
                 // Past the point of no return: the heap may hold
                 // half-transformed objects, so no rollback is attempted
@@ -835,31 +823,15 @@ impl<'u> UpdateController<'u> {
                     }
                 }
                 LazyStage::Done => {
-                    // The copy was the update's collection: report it as
-                    // one, so the lazy commit's copy counts read like the
-                    // eager one's. No further collection runs.
-                    let totals = vm.finish_lazy_migration();
-                    self.emit(UpdateEvent::GcCompleted {
-                        copied_cells: totals.copied_cells,
-                        copied_words: totals.copied_words,
-                        unscanned_words: totals.unscanned_words,
-                        objects_logged: totals.logged,
-                    });
-                    self.emit(UpdateEvent::TransformersRun {
-                        objects_transformed: totals.transformed,
-                        objects_planned: totals.planned,
-                    });
-                    retire_transformer_class(vm, &self.update.spec.version_prefix);
+                    self.close_copy(vm);
                     self.exit_phase(UpdatePhase::LazyMigrating, t);
                     let elapsed = t.elapsed();
                     self.stats.lazy_time += elapsed;
                     self.stats.total_time += elapsed;
-                    self.emit(UpdateEvent::Committed { wall: self.stats.total_time });
-                    self.state = State::Committed;
-                    StepProgress::Committed
+                    self.committed()
                 }
                 // Something other than this controller closed the epoch
-                // (the embedder called `Vm::finish_lazy_migration`, say):
+                // (the embedder called `Vm::finish_update_copy`, say):
                 // whatever it migrated cannot be rolled back.
                 LazyStage::Inactive => {
                     let err = jvolve_vm::VmError::Internal {
@@ -978,35 +950,71 @@ impl<'u> UpdateController<'u> {
         StepProgress::Aborted
     }
 
-    /// Lazy-mode commit: flip the semispaces and evacuate the roots'
-    /// referents — O(roots) words, arrays longer than a step's budget
-    /// reserved unfilled — the pause the mode exists for. The controller's
-    /// `LazyMigrating` steps copy the rest. The copy starts *first* so any
-    /// stale object a class transformer loads migrates through the read
-    /// barrier.
-    fn begin_lazy(&mut self, vm: &mut Vm, inputs: TransformInputs) -> Result<(), UpdateError> {
-        let t_arm = Instant::now();
-        let from_words = vm.begin_lazy_migration(
-            inputs.remap,
-            inputs.transformers,
-            self.opts.lazy_step_cells,
-        )?;
-        self.stats.arm_time = t_arm.elapsed();
-        self.emit(UpdateEvent::LazyEpochBegun { from_words, arm: self.stats.arm_time });
+    /// Paper step 5 for both commit modes: the update's copy, then class
+    /// transformers, then object transformers, branching only on whether
+    /// the copy finishes before the pause ends. Eager runs the whole copy,
+    /// then every transformer (the log lowest from-space address first),
+    /// and commits. Lazy copies the roots' referents, runs their pairs'
+    /// transformers and the class transformers — any stale object these
+    /// load migrates through the read barrier — and leaves the rest of the
+    /// copy to the `LazyMigrating` steps. Returns whether it committed.
+    fn commit(&mut self, vm: &mut Vm, inputs: TransformInputs) -> Result<bool, UpdateError> {
+        let finish = !vm.config().lazy_migration;
+        let step_cells = (!finish).then_some(self.opts.lazy_step_cells);
+        let t_copy = Instant::now();
+        let from_words = vm.begin_update_copy(inputs.remap, inputs.transformers, step_cells)?;
+        let copy_time = t_copy.elapsed();
 
         let t_tf = Instant::now();
+        let tclass = vm
+            .registry()
+            .class_id(&ClassName::from(TRANSFORMERS_CLASS))
+            .ok_or_else(|| UpdateError::Compile("transformer class missing".into()))?;
         for delta in self.update.spec.class_updates() {
+            // Class transformers are optional in customized sources.
             let tname = class_transformer_name(&delta.name);
-            let tclass = vm
-                .registry()
-                .class_id(&ClassName::from(TRANSFORMERS_CLASS))
-                .ok_or_else(|| UpdateError::Compile("transformer class missing".into()))?;
             if vm.registry().find_method(tclass, &tname).is_some() {
                 vm.call_static_sync(TRANSFORMERS_CLASS, &tname, &[])?;
             }
         }
+        vm.run_transformers()?;
         self.stats.transform_time = t_tf.elapsed();
-        Ok(())
+        debug_assert_eq!(vm.check_epoch_invariants(), Ok(()));
+        if finish {
+            self.stats.gc_time = copy_time;
+            self.close_copy(vm);
+        } else {
+            self.stats.arm_time = copy_time;
+            self.emit(UpdateEvent::LazyEpochBegun { from_words, arm: copy_time });
+        }
+        Ok(finish)
+    }
+
+    /// Closes the update's finished copy: reports it as the update's
+    /// collection (the lazy copy's counts read like the eager one's) and
+    /// the objects it migrated, then renames the spent transformer class
+    /// out of the way so the next update can load a fresh one (the paper's
+    /// VM deletes it).
+    fn close_copy(&mut self, vm: &mut Vm) {
+        let totals = vm.finish_update_copy();
+        self.emit(UpdateEvent::GcCompleted {
+            copied_cells: totals.copied_cells,
+            copied_words: totals.copied_words,
+            unscanned_words: totals.unscanned_words,
+            objects_logged: totals.logged,
+        });
+        self.emit(UpdateEvent::TransformersRun {
+            objects_transformed: totals.transformed,
+            objects_planned: totals.planned,
+        });
+        retire_transformer_class(vm, &self.update.spec.version_prefix);
+    }
+
+    /// Emits the commit and enters the terminal state.
+    fn committed(&mut self) -> StepProgress {
+        self.emit(UpdateEvent::Committed { wall: self.stats.total_time });
+        self.state = State::Committed;
+        StepProgress::Committed
     }
 
     /// Replays the rollback ledger in reverse and clears return barriers.
@@ -1340,46 +1348,6 @@ impl<'u> UpdateController<'u> {
             }
         }
         classes
-    }
-
-    /// Paper step 5: the update GC, then class transformers, then object
-    /// transformers over the update log.
-    fn transform_heap(&mut self, vm: &mut Vm, inputs: TransformInputs) -> Result<(), UpdateError> {
-        let t_gc = Instant::now();
-        let gc_out = vm.collect_for_update(inputs.remap, inputs.transformers)?;
-        self.stats.gc_time = t_gc.elapsed();
-        self.emit(UpdateEvent::GcCompleted {
-            copied_cells: gc_out.copied_cells,
-            copied_words: gc_out.copied_words,
-            unscanned_words: gc_out.unscanned_words,
-            objects_logged: vm.pending_transforms(),
-        });
-
-        let t_tf = Instant::now();
-        for delta in self.update.spec.class_updates() {
-            let tname = class_transformer_name(&delta.name);
-            // Class transformers are optional in customized sources.
-            let tclass = vm
-                .registry()
-                .class_id(&ClassName::from(TRANSFORMERS_CLASS))
-                .ok_or_else(|| UpdateError::Compile("transformer class missing".into()))?;
-            if vm.registry().find_method(tclass, &tname).is_some() {
-                vm.call_static_sync(TRANSFORMERS_CLASS, &tname, &[])?;
-            }
-        }
-        let objects_transformed = gc_out.planned + vm.pending_transforms();
-        vm.transform_pending()?;
-        self.stats.transform_time = t_tf.elapsed();
-        self.emit(UpdateEvent::TransformersRun {
-            objects_transformed,
-            objects_planned: gc_out.planned,
-        });
-
-        // The transformer class is only meaningful during the update;
-        // rename it out of the way so the next update can load a fresh
-        // one (the paper's VM deletes it).
-        retire_transformer_class(vm, &self.update.spec.version_prefix);
-        Ok(())
     }
 
     /// Captures a frame's pre-OSR state for the ledger.

@@ -286,20 +286,20 @@ pub struct UpdateStats {
     /// and the precompiled transformer class, body swaps, invalidation,
     /// OSR and copy-plan recognition. No compiler runs in it.
     pub classload_time: Duration,
-    /// Stop-the-world update-GC time. Zero in lazy mode, whose collection
-    /// is the incremental copy in [`UpdateStats::lazy_time`] — the
-    /// in-pause heap work is [`UpdateStats::arm_time`].
+    /// Eager only: `Vm::begin_update_copy` with the copy finished inside
+    /// the pause (flip, roots, the whole scan). Zero in lazy mode, whose
+    /// copy starts in [`UpdateStats::arm_time`] and runs on in
+    /// [`UpdateStats::lazy_time`].
     pub gc_time: Duration,
-    /// Class + object transformer execution time. In lazy mode this is
-    /// the class transformers only; object transformers run inside the
-    /// copy steps of [`UpdateStats::lazy_time`] (and the arm).
+    /// Class + object transformer time after the copy's start: eager, all
+    /// of them; lazy, the class transformers (object transformers run in
+    /// the arm and the copy steps of [`UpdateStats::lazy_time`]).
     pub transform_time: Duration,
-    /// Lazy only: the commit's flip — `Vm::begin_lazy_migration`, i.e.
-    /// resolving the class mapping, flipping the semispaces and
-    /// evacuating the roots' referents (arrays longer than a step's
-    /// budget unfilled). This is the entire in-pause heap cost of a lazy
-    /// commit and does not grow with the heap (the O(roots) claim `gates
-    /// lazy` holds). Zero for eager.
+    /// Lazy only: the same `Vm::begin_update_copy`, stopped after the
+    /// roots' evacuation (arrays longer than a step's budget unfilled) and
+    /// their pairs' transformers. This is the entire in-pause heap cost of
+    /// a lazy commit and does not grow with the heap (the O(roots) claim
+    /// `gates lazy` holds). Zero for eager.
     pub arm_time: Duration,
     /// Time spent in the `LazyMigrating` phase: copy steps and epoch
     /// teardown. Zero for eager updates. Unlike the other buckets this is

@@ -696,6 +696,32 @@ fn controllers_sharing_one_update_compile_it_once_between_them() {
 }
 
 #[test]
+fn eager_and_lazy_commits_of_one_update_both_leave_a_heap_that_checks() {
+    // The two modes are one copy, finished inside the pause or stepped
+    // after it: each commit must leave a heap that parses cell by cell,
+    // every reference null or live, holding the same graph — through a
+    // copy plan and through an interpreted transformer alike.
+    let update =
+        Update::prepare(&compile(SHAPE_V1), &compile(SHAPE_V2), "v1_").expect("update prepares");
+    let mut prints = Vec::new();
+    for interpret_all_transformers in [false, true] {
+        for lazy in [false, true] {
+            let mut vm = Vm::new(VmConfig { lazy_migration: lazy, ..VmConfig::small() });
+            vm.load_classes(&compile(SHAPE_V1)).expect("v1 loads");
+            vm.call_static_sync("Main", "setup", &[]).expect("setup runs");
+            let opts = ApplyOptions { interpret_all_transformers, ..ApplyOptions::default() };
+            let stats = jvolve::apply(&mut vm, &update, &opts).expect("update applies");
+            assert_eq!(stats.objects_planned, usize::from(!interpret_all_transformers));
+            let snapshot = vm.registry_mut().layout_snapshot();
+            vm.heap().check_heap(&snapshot).unwrap_or_else(|e| panic!("lazy {lazy}: {e}"));
+            assert_eq!(vm.call_static_sync("Main", "probe", &[]).unwrap(), Some(Value::Int(60)));
+            prints.push(vm.heap_fingerprint());
+        }
+    }
+    assert!(prints.windows(2).all(|w| w[0] == w[1]), "the commits diverge: {prints:?}");
+}
+
+#[test]
 fn an_epoch_closed_outside_the_controller_aborts_with_a_typed_error() {
     // The embedder closes the lazy epoch itself, behind the controller's
     // back: the controller's next step finds no epoch. That is a typed
@@ -713,7 +739,7 @@ fn an_epoch_closed_outside_the_controller_aborts_with_a_typed_error() {
         let progress = controller.step(&mut vm);
         assert!(matches!(progress, StepProgress::Pending(_)), "{progress:?}");
     }
-    vm.finish_lazy_migration();
+    vm.finish_update_copy();
 
     assert_eq!(controller.step(&mut vm), StepProgress::Aborted);
     assert!(

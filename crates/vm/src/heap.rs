@@ -4,7 +4,7 @@
 //! copying collector extended so that objects whose class signature changed
 //! are *duplicated* during the copy — an old-layout copy plus a zeroed
 //! new-layout object — with the pair recorded in an **update log** for the
-//! transformer pass that runs after collection. Old-copy reference fields
+//! transformers the VM runs over it. Old-copy reference fields
 //! are forwarded like any other object's, so transformers dereferencing
 //! `from` fields observe *transformed* referents, exactly the paper's
 //! programming model.
@@ -57,8 +57,8 @@
 //! loads). The scan loop indexes the snapshot once per cell and walks ref
 //! fields with `trailing_zeros`, so a wide class with few references costs
 //! one iteration per reference, not one per field. The DSU remap policy is
-//! likewise resolved up front into a dense [`RemapTable`]; ordinary
-//! collections pass `None` and skip the remap probe entirely.
+//! likewise resolved up front into a dense [`RemapTable`]; a copy through
+//! an empty table finishes with the remap probe compiled out.
 //!
 //! # Planned copies
 //!
@@ -92,18 +92,17 @@
 //! (three reference fields, always null) every object is skipped: the
 //! update-GC no longer re-reads the 220 000 objects it has just written.
 //!
-//! # The incremental copy
+//! # One copy, finished in one pass or stepped
 //!
-//! A lazy epoch runs the same collection incrementally, Baker-style.
-//! [`Heap::flip`] makes the other semispace active and from then on
-//! everything — evacuation and mutator allocation alike — bumps the one
-//! cursor in to-space. [`Heap::evacuate`] copies one from-space referent
-//! through the same `copy_cell` arms [`Heap::collect`] uses (remap, plan,
-//! duplicate-and-log); each [`Heap::copy_step`] advances the Cheney scan
-//! pointer by a budget of work, through the same scan loop as `collect`;
-//! when the scan meets the allocation cursor,
-//! [`Heap::end_copy`] frees from-space. No forwarding word ever exists
-//! outside from-space, so one hop always reaches the live cell.
+//! Every collection is one copy. [`Heap::flip`] makes the other semispace
+//! active, and from then on evacuation and mutator allocation alike bump
+//! its cursor. [`Heap::evacuate`] copies a from-space referent through the
+//! `copy_cell` arms (remap, plan, duplicate-and-log); the Cheney scan walks
+//! to-space to the cursor; [`Heap::end_copy`] frees from-space. No
+//! forwarding word exists outside from-space, so one hop reaches the live
+//! cell. [`Heap::finish_copy`] runs the scan in one unbounded pass
+//! ([`Heap::collect`], an eager update); a lazy epoch runs it Baker-style,
+//! a budget per [`Heap::copy_step`], with the mutator between steps.
 //!
 //! Mutator allocation shares to-space with the copy, so it is refused
 //! while it would leave less free than the copy may still take: every
@@ -376,8 +375,7 @@ impl RemapTable {
         }
     }
 
-    /// Whether no class is remapped (an ordinary collection — callers
-    /// should pass `None` to [`Heap::collect`] instead).
+    /// Whether no class is remapped (an ordinary collection).
     pub fn is_empty(&self) -> bool {
         self.map.iter().all(Option::is_none)
     }
@@ -443,18 +441,13 @@ impl RemapTable {
     }
 }
 
-/// Result of a collection.
+/// What a copy evacuated.
 #[derive(Debug, Clone, Default)]
 pub struct GcOutcome {
     /// Objects (cells) copied.
     pub copied_cells: usize,
     /// Words copied (headers included).
     pub copied_words: usize,
-    /// Old-copy/new-object pairs produced by the remap policy: the paper's
-    /// update log, consumed by the transformer pass. Ordered by ascending
-    /// *from-space* address of the original object, whatever order the
-    /// roots reached them in, which fixes the order transformers run in.
-    pub update_log: Vec<(GcRef, GcRef)>,
     /// Objects converted to their new layout by a [`CopyPlan`] during the
     /// copy (one new-layout cell each; never on the update log).
     pub planned: usize,
@@ -472,9 +465,9 @@ impl GcOutcome {
     }
 }
 
-/// One duplicated object from incremental-copy work: the from-space
-/// address of the original (the order [`Heap::collect`] sorts its update
-/// log by), the old-layout copy, and the zeroed new-layout object.
+/// One object a copy duplicated, for the update log: the from-space
+/// address of the original (the VM runs transformers lowest address
+/// first), the old-layout copy, and the zeroed new-layout object.
 pub type LoggedPair = (u32, GcRef, GcRef);
 
 /// An array an incremental copy evacuated unfilled.
@@ -486,8 +479,7 @@ struct Unfilled {
     from: u32,
 }
 
-/// The state of an incremental copy between [`Heap::flip`] and
-/// [`Heap::end_copy`].
+/// The state of a copy between [`Heap::flip`] and [`Heap::end_copy`].
 #[derive(Debug, Default)]
 struct CopyState {
     /// The next to-space cell the Cheney scan visits.
@@ -508,11 +500,12 @@ struct CopyState {
     /// Arrays evacuated unfilled, in evacuation (= to-space) order; an
     /// unfilled cell's header tag is its index + 1.
     unfilled: Vec<Unfilled>,
-    /// Everything evacuated so far (its update log stays empty).
+    /// Everything evacuated so far.
     totals: GcOutcome,
 }
 
-/// The allowance of one [`Heap::copy_step`] (unlimited in a collection).
+/// The allowance of one [`Heap::copy_step`] (unlimited in
+/// [`Heap::finish_copy`]).
 #[derive(Debug)]
 struct Budget {
     /// Units the step may charge.
@@ -898,13 +891,13 @@ impl Heap {
         }
     }
 
-    // ---- the incremental copy (a lazy epoch) -----------------------------------
+    // ---- the copy: flip, evacuate, scan, end ----------------------------------
 
-    /// Starts an incremental copy through `remap`: makes the other
-    /// semispace active, so every later allocation and evacuation bumps its
-    /// cursor, and records the words in use in the old one as from-space.
-    /// Arrays longer than `unfill_over` words are evacuated unfilled. Copies
-    /// nothing; the caller evacuates its roots with [`Heap::evacuate`].
+    /// Starts a copy through `remap`: makes the other semispace active, so
+    /// every later allocation and evacuation bumps its cursor, and records
+    /// the words in use in the old one as from-space. Arrays longer than
+    /// `unfill_over` words are evacuated unfilled. Copies nothing; the
+    /// caller evacuates its roots with [`Heap::evacuate`].
     ///
     /// From here until the copy ends, mutator allocation fails while it
     /// would leave less free to-space than the copy may still need — every
@@ -929,8 +922,8 @@ impl Heap {
         self.collections += 1;
     }
 
-    /// Whether an incremental copy is running (from-space still holds
-    /// cells to evacuate).
+    /// Whether a copy is running (from-space still holds cells to
+    /// evacuate).
     pub fn copying(&self) -> bool {
         self.from_len != 0
     }
@@ -1021,29 +1014,72 @@ impl Heap {
             max_log: log.len().saturating_add(max_logged),
             slot: self.copy.slot,
         };
+        let result = self.scan_copy::<true, true>(snapshot, Some(remap), log, &mut b);
+        self.copy.slot = b.slot;
+        result.map(|()| b.charged)
+    }
+
+    /// Runs the scan to the end in one unbounded pass — how a copy finished
+    /// inside a pause runs ([`Heap::collect`], an eager update) — logging
+    /// the pairs it duplicates on `log`. The pass evacuates every non-null
+    /// reference slot unchecked, so nothing but the roots' evacuation may
+    /// come between the flip and it: no copy step, no mutator allocation,
+    /// no unfilled array. An empty `remap` compiles the remap probe out.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::OutOfMemory`] if to-space overflows; the copy stays
+    /// unfinished.
+    pub fn finish_copy(
+        &mut self,
+        snapshot: &LayoutSnapshot,
+        remap: &RemapTable,
+        log: &mut Vec<LoggedPair>,
+    ) -> Result<(), VmError> {
+        debug_assert!(
+            self.copy.scan == self.base(self.active_b) && self.copy.unfilled.is_empty(),
+            "finish_copy after a copy step or an unfilled evacuation"
+        );
+        let mut b = Budget { limit: usize::MAX, charged: 0, max_log: usize::MAX, slot: 0 };
+        if remap.is_empty() {
+            self.scan_copy::<false, false>(snapshot, None, log, &mut b)
+        } else {
+            self.scan_copy::<true, false>(snapshot, Some(remap), log, &mut b)
+        }
+    }
+
+    /// [`Heap::scan_to`] from the copy's scan pointer, recording where it
+    /// stopped and what it evacuated.
+    #[inline(always)]
+    fn scan_copy<const HAS_REMAP: bool, const BOUNDED: bool>(
+        &mut self,
+        snapshot: &LayoutSnapshot,
+        remap: Option<&RemapTable>,
+        log: &mut Vec<LoggedPair>,
+        budget: &mut Budget,
+    ) -> Result<(), VmError> {
         let (mut scan, mut run, mut to_alloc) = (self.copy.scan, self.copy.run, self.alloc);
-        let to_limit = self.limit(self.active_b);
-        let unfill_over = self.copy.unfill_over;
+        let (to_limit, unfill_over) = (self.limit(self.active_b), self.copy.unfill_over);
         let mut outcome = GcOutcome::default();
-        let result = self.scan_to::<true, true>(
+        let result = self.scan_to::<HAS_REMAP, BOUNDED>(
             &mut scan,
             &mut run,
             &mut to_alloc,
             to_limit,
             unfill_over,
             snapshot,
-            Some(remap),
+            remap,
             &mut outcome,
             log,
-            &mut b,
+            budget,
         );
-        (self.copy.scan, self.copy.run, self.copy.slot) = (scan, run, b.slot);
+        (self.copy.scan, self.copy.run) = (scan, run);
         self.alloc = to_alloc;
         self.copy.totals.add_counts(&outcome);
-        result.map(|()| b.charged)
+        result
     }
 
-    /// What the running incremental copy has evacuated so far.
+    /// What the running copy has evacuated so far.
     pub fn copied(&self) -> &GcOutcome {
         &self.copy.totals
     }
@@ -1054,15 +1090,14 @@ impl Heap {
         self.copy.scan == self.alloc
     }
 
-    /// Ends a finished incremental copy — from-space is free from here on —
-    /// and returns what it evacuated (its update log is empty: the pairs
-    /// went to the callers' logs).
+    /// Ends a finished copy — from-space is free from here on — and
+    /// returns what it evacuated.
     ///
     /// # Panics
     ///
     /// Panics unless [`Heap::copy_done`].
     pub fn end_copy(&mut self) -> GcOutcome {
-        assert!(self.copying() && self.copy_done(), "end_copy before the scan met the cursor");
+        assert!(self.copy_done(), "end_copy before the scan met the cursor");
         self.from_len = 0;
         std::mem::take(&mut self.copy).totals
     }
@@ -1213,92 +1248,36 @@ impl Heap {
         Ok(())
     }
 
-    /// Performs a full copying collection.
-    ///
-    /// `roots` are the addresses of live references (from thread frames,
-    /// statics, and any DSU bookkeeping); after `collect` returns, the
-    /// caller must rewrite each root via [`Heap::resolve`].
-    ///
-    /// Layouts come from `snapshot`, built once by the caller (the
-    /// registry caches one between class loads). `remap` is the resolved
-    /// DSU policy: `None` for ordinary collections — the fast path, which
-    /// never probes for remapped classes — or a [`RemapTable`] during
-    /// updates, in which case each remapped object is duplicated per the
-    /// paper's §3.4 protocol and the pair pushed onto the update log.
+    /// An ordinary full collection: [`Heap::flip`], the evacuation of
+    /// `roots`, [`Heap::finish_copy`] and [`Heap::end_copy`], through no
+    /// remap; the caller then rewrites each root via [`Heap::resolve`].
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::OutOfMemory`] if to-space overflows (possible
-    /// during updates, which duplicate transformed objects).
+    /// [`VmError::OutOfMemory`] if to-space overflows, which a copy that
+    /// duplicates nothing never does.
     pub fn collect(
         &mut self,
         roots: &[GcRef],
         snapshot: &LayoutSnapshot,
-        remap: Option<&RemapTable>,
     ) -> Result<GcOutcome, VmError> {
-        // Monomorphize: ordinary collections run a copy loop with the
-        // remap probe compiled out entirely, not just branched around.
-        match remap {
-            Some(table) if !table.is_empty() => {
-                self.collect_impl::<true>(roots, snapshot, Some(table))
-            }
-            _ => self.collect_impl::<false>(roots, snapshot, None),
-        }
-    }
-
-    fn collect_impl<const HAS_REMAP: bool>(
-        &mut self,
-        roots: &[GcRef],
-        snapshot: &LayoutSnapshot,
-        remap: Option<&RemapTable>,
-    ) -> Result<GcOutcome, VmError> {
-        let to_b = !self.active_b;
-        let to_base = self.base(to_b);
-        let to_limit = self.limit(to_b);
-        let mut to_alloc = to_base;
-        let mut outcome = GcOutcome::default();
-        // Update-log entries tagged with the from-space address of the
-        // original object; sorted into the canonical order at the end.
-        let mut log: Vec<LoggedPair> = Vec::new();
-        let mut unbounded = Budget { limit: usize::MAX, charged: 0, max_log: usize::MAX, slot: 0 };
-        self.runs.clear();
-
-        // Copy roots.
+        let none = RemapTable::default();
+        self.flip(usize::MAX, snapshot, &none);
         for &root in roots {
-            self.copy_cell::<HAS_REMAP>(
-                root, &mut to_alloc, to_limit, usize::MAX, snapshot, remap, &mut outcome, &mut log,
-            )?;
+            self.evacuate(root, snapshot, &none, &mut Vec::new())?;
         }
-
-        let (mut scan, mut run) = (to_base, 0);
-        self.scan_to::<HAS_REMAP, false>(
-            &mut scan,
-            &mut run,
-            &mut to_alloc,
-            to_limit,
-            usize::MAX,
-            snapshot,
-            remap,
-            &mut outcome,
-            &mut log,
-            &mut unbounded,
-        )?;
-
-        log.sort_by_key(|&(from, _, _)| from);
-        outcome.update_log = log.into_iter().map(|(_, old, new)| (old, new)).collect();
-        self.active_b = to_b;
-        self.alloc = to_alloc;
-        self.collections += 1;
-        Ok(outcome)
+        self.finish_copy(snapshot, &none, &mut Vec::new())?;
+        Ok(self.end_copy())
     }
 
     /// The Cheney scan from `*scan` towards the allocation cursor — the one
-    /// scan loop of both collectors. A skip run starting at the scan
-    /// pointer is jumped whole (one unit of a bounded budget) and its words
-    /// counted as unscanned; any other cell is scanned by
-    /// [`Heap::scan_cell`], which reads its header and snapshot entry once
-    /// and enumerates its reference fields from the bitset. Returns when
-    /// the scan meets the cursor or, `BOUNDED`, when the step must stop.
+    /// scan loop of the one-pass finish and the copy steps. A skip run
+    /// starting at the scan pointer is jumped whole (one unit of a bounded
+    /// budget) and its words counted as unscanned; any other cell is
+    /// scanned by [`Heap::scan_cell`], which reads its header and snapshot
+    /// entry once and enumerates its reference fields from the bitset.
+    /// Returns when the scan meets the cursor or, `BOUNDED`, when the step
+    /// must stop.
     /// `*run` is the first run not yet jumped; runs are in address order,
     /// so it and every later one start at or past the scan pointer.
     #[allow(clippy::too_many_arguments)]
@@ -1346,8 +1325,8 @@ impl Heap {
         Ok(())
     }
 
-    /// Scans the to-space cell at `scan` — the one per-cell body of both
-    /// collectors: every reference slot that still holds a from-space
+    /// Scans the to-space cell at `scan` — the one per-cell body of the
+    /// scan: every reference slot that still holds a from-space
     /// address is evacuated through [`Heap::copy_cell`] and rewritten, and
     /// the cell's size is returned.
     ///
@@ -1710,15 +1689,31 @@ mod tests {
     }
 
     /// [`Heap::collect`], then [`Heap::check_heap`].
-    fn collect_checked(
+    fn collect_checked(heap: &mut Heap, roots: &[GcRef], snapshot: &LayoutSnapshot) -> GcOutcome {
+        let out = heap.collect(roots, snapshot).unwrap();
+        heap.check_heap(snapshot).unwrap();
+        out
+    }
+
+    /// An update collection: `collect`'s flip, roots and one-pass finish
+    /// through `remap`. Returns what it copied and the pairs it logged,
+    /// lowest from-space address first (the order transformers run in).
+    fn update_collect(
         heap: &mut Heap,
         roots: &[GcRef],
         snapshot: &LayoutSnapshot,
-        remap: Option<&RemapTable>,
-    ) -> GcOutcome {
-        let out = heap.collect(roots, snapshot, remap).unwrap();
+        remap: &RemapTable,
+    ) -> Result<(GcOutcome, Vec<(GcRef, GcRef)>), VmError> {
+        heap.flip(usize::MAX, snapshot, remap);
+        let mut log = Vec::new();
+        for &root in roots {
+            heap.evacuate(root, snapshot, remap, &mut log)?;
+        }
+        heap.finish_copy(snapshot, remap, &mut log)?;
+        let out = heap.end_copy();
         heap.check_heap(snapshot).unwrap();
-        out
+        log.sort_by_key(|&(from, _, _)| from);
+        Ok((out, log.into_iter().map(|(_, old, new)| (old, new)).collect()))
     }
 
     #[test]
@@ -1851,9 +1846,8 @@ mod tests {
         }
         let used_before = heap.used_words();
 
-        let out = collect_checked(&mut heap, &[a], &snap(), None);
+        let out = collect_checked(&mut heap, &[a], &snap());
         assert_eq!(out.copied_cells, 3);
-        assert!(out.update_log.is_empty());
 
         let a2 = heap.resolve(a);
         assert_eq!(heap.get(a2, 0), 7);
@@ -1874,7 +1868,7 @@ mod tests {
         heap.set(y, 0, u64::from(x.0));
         let keep = heap.alloc_string("root").unwrap();
 
-        let out = collect_checked(&mut heap, &[keep], &snap(), None);
+        let out = collect_checked(&mut heap, &[keep], &snap());
         assert_eq!(out.copied_cells, 1);
     }
 
@@ -1885,7 +1879,7 @@ mod tests {
         let s = heap.alloc_string("elem").unwrap();
         heap.set(arr, 2, u64::from(s.0));
 
-        collect_checked(&mut heap, &[arr], &snap(), None);
+        collect_checked(&mut heap, &[arr], &snap());
         let arr2 = heap.resolve(arr);
         assert_eq!(heap.len_of(arr2), 3);
         assert_eq!(heap.get(arr2, 0), 0);
@@ -1915,7 +1909,7 @@ mod tests {
         // Garbage between the live strings.
         heap.alloc_object(ClassId(1), 3).unwrap();
 
-        let out = collect_checked(&mut heap, &[o], &s, None);
+        let out = collect_checked(&mut heap, &[o], &s);
         assert_eq!(out.copied_cells, 5, "object + 4 strings survive");
         let o2 = heap.resolve(o);
         for (n, i) in [0usize, 63, 64, 129].into_iter().enumerate() {
@@ -1935,9 +1929,9 @@ mod tests {
         let s = heap.alloc_string("payload").unwrap();
         heap.set(o, 1, u64::from(s.0));
 
-        let out = collect_checked(&mut heap, &[o], &snap(), Some(&remap09()));
-        assert_eq!(out.update_log.len(), 1);
-        let (old_copy, new_obj) = out.update_log[0];
+        let (_, log) = update_collect(&mut heap, &[o], &snap(), &remap09()).unwrap();
+        assert_eq!(log.len(), 1);
+        let (old_copy, new_obj) = log[0];
 
         // Old copy retains the old class and values, with refs forwarded.
         assert_eq!(heap.class_of(old_copy), ClassId(0));
@@ -1963,8 +1957,8 @@ mod tests {
         let o = heap.alloc_object(ClassId(0), 2).unwrap();
         heap.set(holder, 0, u64::from(o.0));
 
-        let out = collect_checked(&mut heap, &[holder], &snap(), Some(&remap09()));
-        let (_, new_obj) = out.update_log[0];
+        let (_, log) = update_collect(&mut heap, &[holder], &snap(), &remap09()).unwrap();
+        let (_, new_obj) = log[0];
         let holder2 = heap.resolve(holder);
         assert_eq!(heap.get(holder2, 0), u64::from(new_obj.0));
     }
@@ -1978,8 +1972,8 @@ mod tests {
         heap.set(h1, 0, u64::from(o.0));
         heap.set(h2, 0, u64::from(o.0));
 
-        let out = collect_checked(&mut heap, &[h1, h2], &snap(), Some(&remap09()));
-        assert_eq!(out.update_log.len(), 1, "object transformed once");
+        let (_, log) = update_collect(&mut heap, &[h1, h2], &snap(), &remap09()).unwrap();
+        assert_eq!(log.len(), 1, "object transformed once");
         let a = heap.get(heap.resolve(h1), 0);
         let b = heap.get(heap.resolve(h2), 0);
         assert_eq!(a, b);
@@ -2001,7 +1995,7 @@ mod tests {
     fn null_reference_objects_behind_a_reference_array_are_one_run() {
         let mut heap = Heap::new(1024);
         let arr = null_ref_population(&mut heap, 50);
-        let out = collect_checked(&mut heap, &[arr], &snap(), None);
+        let out = collect_checked(&mut heap, &[arr], &snap());
         let first = heap.resolve(arr).0 + 1 + 50;
         assert_eq!(heap.runs, [(first, first + 50 * 4)], "the array is scanned, not skipped");
         assert_eq!((out.copied_words, out.unscanned_words), (51 + 50 * 4, 50 * 4));
@@ -2035,7 +2029,7 @@ mod tests {
         for (i, c) in cells.iter().enumerate() {
             heap.set(arr, i, u64::from(c.0));
         }
-        let out = collect_checked(&mut heap, &[arr], &snap(), None);
+        let out = collect_checked(&mut heap, &[arr], &snap());
         let [a, holder, b] = [0, 1, 2].map(|i| heap.resolve(cells[i]).0);
         let s2 = heap.get(GcRef(holder), 0) as u32;
         assert_eq!(heap.read_string(GcRef(s2)), "referent", "the holder was scanned");
@@ -2052,9 +2046,9 @@ mod tests {
         let loud = heap.alloc_object(ClassId(0), 2).unwrap();
         let s = heap.alloc_string("payload").unwrap();
         heap.set(loud, 1, u64::from(s.0));
-        let out = collect_checked(&mut heap, &[quiet, loud], &snap(), Some(&remap09()));
-        let [(quiet_old, quiet_new), (loud_old, loud_new)] = out.update_log[..] else {
-            panic!("two pairs: {:?}", out.update_log)
+        let (out, log) = update_collect(&mut heap, &[quiet, loud], &snap(), &remap09()).unwrap();
+        let [(quiet_old, quiet_new), (loud_old, loud_new)] = log[..] else {
+            panic!("two pairs: {log:?}")
         };
         let s2 = heap.get(loud_old, 1) as u32;
         assert_eq!(heap.read_string(GcRef(s2)), "payload", "the old copy was scanned");
@@ -2110,7 +2104,7 @@ mod tests {
         while let Some(o) = heap.alloc_object(ClassId(0), 2) {
             roots.push(o);
         }
-        let err = heap.collect(&roots, &snap(), Some(&remap09())).unwrap_err();
+        let err = update_collect(&mut heap, &roots, &snap(), &remap09()).unwrap_err();
         assert!(matches!(err, VmError::OutOfMemory { .. }), "{err}");
     }
 
@@ -2174,9 +2168,8 @@ mod tests {
         // must list them ascending however the roots reach the objects.
         let mut heap = Heap::new(8192);
         let roots = build_mixed_graph(&mut heap, 42, 200);
-        let out = collect_checked(&mut heap, &roots, &snap(), Some(&remap09()));
-        let ids: Vec<u64> = out
-            .update_log
+        let (_, log) = update_collect(&mut heap, &roots, &snap(), &remap09()).unwrap();
+        let ids: Vec<u64> = log
             .iter()
             .map(|&(old, new)| {
                 assert_eq!(heap.class_of(old), ClassId(0));
@@ -2193,9 +2186,9 @@ mod tests {
         let mut heap = Heap::new(1024);
         let o = heap.alloc_object(ClassId(0), 2).unwrap();
         heap.set(o, 0, 1);
-        collect_checked(&mut heap, &[o], &snap(), None);
+        collect_checked(&mut heap, &[o], &snap());
         let o1 = heap.resolve(o);
-        collect_checked(&mut heap, &[o1], &snap(), None);
+        collect_checked(&mut heap, &[o1], &snap());
         let o2 = heap.resolve(o1);
         assert_eq!(heap.get(o2, 0), 1);
         assert_eq!(heap.collections(), 2);

@@ -458,9 +458,7 @@ impl Vm {
                         t.values.truncate(base);
                         if let Some(FrameNote::TransformOf(index)) = done.note {
                             self.dsu.finish(&mut self.heap, index as usize);
-                            if self.lazy.active {
-                                self.lazy.transformed += 1;
-                            }
+                            self.lazy.transformed += 1;
                         }
                         if t.frames.is_empty() {
                             t.result = value;
@@ -522,7 +520,7 @@ impl Vm {
                                 if enable_jit
                                     && callee.leaf
                                     && steps < budget
-                                    && !self.lazy.active
+                                    && !self.heap.copying()
                                     && self.frame_room(t.frames.len()).is_ok()
                                 {
                                     // SAFETY: the registry's slot keeps the
@@ -537,8 +535,8 @@ impl Vm {
                                     // value stack, over its arguments. Gated
                                     // on the budget so a slice that would
                                     // have paused inside the callee frame
-                                    // still does, and on lazy epochs so no
-                                    // read barrier is ever skipped.
+                                    // still does, and on a running copy so
+                                    // no read barrier is ever skipped.
                                     match self.exec_leaf(&mut t.values, leaf, total, &mut steps) {
                                         Ok(()) => {
                                             if steps >= budget {
@@ -809,7 +807,7 @@ impl Vm {
     /// `total` arguments on top of `values` without pushing a record: the
     /// op table instantiated on the same value stack, with the identity
     /// for the reference hook. Only reachable from the call tail when the
-    /// template JIT is enabled and no lazy epoch is active, so
+    /// template JIT is enabled and no copy is running, so
     /// reference loads need no read barrier; simple ops never allocate,
     /// so no GC can interleave. On a trap the stack is
     /// left as it stands — arguments, other locals and partial operands
@@ -954,11 +952,11 @@ impl Vm {
         if let Err(e) = self.frame_room(t.frames.len()) {
             return Lazy::Trap(e);
         }
-        let Some(index) = self.next_queued() else { return Lazy::Ready(new) };
-        match self.transformer_call(index) {
+        let Some(entry) = self.next_queued() else { return Lazy::Ready(new) };
+        match self.transformer_call(entry.1) {
             Ok(call) => Lazy::Run(call),
             Err(e) => {
-                self.requeue(index);
+                self.lazy.queue.push(entry);
                 Lazy::Trap(e)
             }
         }

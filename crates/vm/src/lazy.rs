@@ -1,17 +1,19 @@
-//! Lazy-migration epoch state: the update-GC run as Baker's incremental
-//! semispace copy behind a read barrier.
+//! The state of an update's copy: the update-GC of paper §3.4, finished
+//! inside the pause (eager) or run as Baker's incremental semispace copy
+//! behind a read barrier (lazy).
 //!
-//! The eager update protocol (paper §3.4) commits with a stop-the-world
-//! copying GC that converts every instance of a changed class, so the
-//! pause grows with the live heap. A lazy epoch runs *the same copy*
-//! incrementally, through the collector's own copy arms (remap, copy plan,
-//! duplicate-and-log; see the heap module's "incremental copy"):
+//! Both commits start alike ([`Vm::begin_update_copy`](crate::Vm)): flip
+//! the semispaces and evacuate the referents of the roots — thread stacks,
+//! statics, host roots — through the collector's copy arms (remap, copy
+//! plan, duplicate-and-log; see the heap module's "one copy"). They differ
+//! only in whether the scan then runs to the end before the pause ends. An
+//! eager commit finishes it, so the pause grows with the live heap, and
+//! then runs the transformers, lowest from-space address first. A lazy
+//! epoch leaves it to the mutator's time:
 //!
-//! * **Arm** ([`Vm::begin_lazy_migration`](crate::Vm)) flips the
-//!   semispaces and evacuates the referents of the roots — thread stacks,
-//!   statics, host roots. An array longer than one step's budget is
-//!   evacuated *unfilled*, so the arm copies O(roots) words, whatever the
-//!   roots hold; this is the whole commit pause.
+//! * **Arm**: an array longer than one step's budget is evacuated
+//!   *unfilled*, so the flip copies O(roots) words, whatever the roots
+//!   hold; this is the whole commit pause.
 //! * **Each copy step** ([`Vm::lazy_copy_step`](crate::Vm)) advances the
 //!   Cheney scan pointer by a budget of work, evacuating what the scanned
 //!   cells reference; it may stop inside a cell and resume there.
@@ -28,10 +30,9 @@
 //! evacuated. Any other stale object is duplicated and logged, and its
 //! interpreted transformer runs *before any guest code can see the zeroed
 //! new object*: a copy step (or the arm) runs the transformers of the pairs
-//! it logged before it returns, in ascending from-space address — the order
-//! [`Heap::collect`](crate::heap::Heap::collect) gives the eager log — and
-//! a barrier that logs a pair from guest code hands back the transformer
-//! to run with the faulting instruction left to retry. Inside a
+//! it logged before it returns, in ascending from-space address — eager's
+//! order — and a barrier that logs a pair from guest code hands back the
+//! transformer to run with the faulting instruction left to retry. Inside a
 //! transformer a load is eager's: a referent that needs an interpreted
 //! transformer reads as its new object, transformed or not, and
 //! `Dsu.forceTransform` runs it on demand.
@@ -46,9 +47,6 @@
 //! it. That held-open epoch is the JDrums/DVM indirection baseline
 //! (paper §5) the `ablation` bench times.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::heap::{GcOutcome, RemapTable};
 
 /// Maximum nesting of in-progress object transformers before the VM
@@ -57,16 +55,16 @@ use crate::heap::{GcOutcome, RemapTable};
 /// force-transforms an unboundedly deep chain.
 pub const MAX_TRANSFORMER_DEPTH: usize = 128;
 
-/// Where a lazy epoch stands; the controller dispatches each
+/// Where an update's copy stands; the controller dispatches each
 /// `LazyMigrating` step on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LazyStage {
-    /// No epoch is active.
+    /// No update's copy is open.
     Inactive,
-    /// The incremental copy is running, or a logged pair still waits for
-    /// its transformer.
+    /// The copy is running, or a logged pair still waits for its
+    /// transformer.
     Copy,
-    /// The epoch is ready for [`Vm::finish_lazy_migration`](crate::Vm).
+    /// The copy is ready for [`Vm::finish_update_copy`](crate::Vm).
     Done,
 }
 
@@ -86,8 +84,8 @@ pub struct CopyStep {
     pub done: bool,
 }
 
-/// What a finished epoch migrated and copied, from
-/// [`Vm::finish_lazy_migration`](crate::Vm::finish_lazy_migration).
+/// What a finished update's copy migrated and copied, from
+/// [`Vm::finish_update_copy`](crate::Vm::finish_update_copy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochTotals {
     /// Objects migrated, by plan or by transformer frame.
@@ -95,36 +93,36 @@ pub struct EpochTotals {
     /// How many of `transformed` a [`CopyPlan`](crate::heap::CopyPlan)
     /// converted.
     pub planned: usize,
-    /// Cells the incremental copy evacuated (a duplicated object counts
-    /// two), as an eager update-GC would count them.
+    /// Cells the copy evacuated (a duplicated object counts two).
     pub copied_cells: usize,
-    /// Words the incremental copy evacuated, headers included.
+    /// Words the copy evacuated, headers included.
     pub copied_words: usize,
     /// How many of `copied_words` the scan skipped: cells the copy left
     /// holding no reference.
     pub unscanned_words: usize,
-    /// Pairs the epoch duplicated and logged.
+    /// Pairs the copy duplicated and logged.
     pub logged: usize,
 }
 
-/// State of one lazy-migration epoch. Owned by [`Vm`](crate::Vm); the
-/// copy itself lives in the heap. Embedders observe the epoch through
+/// State of one update's copy, eager or lazy. Owned by [`Vm`](crate::Vm);
+/// the copy itself lives in the heap. Embedders observe it through
 /// [`Vm::lazy_epoch_active`](crate::Vm::lazy_epoch_active),
 /// [`Vm::lazy_stage`](crate::Vm::lazy_stage), and the step outcomes.
 #[derive(Debug, Default)]
 pub struct LazyEpoch {
-    /// Whether an epoch is in progress.
+    /// Whether an update's copy is open.
     pub(crate) active: bool,
     /// Version-pending classes: old `ClassId` → updated `ClassId`, with
     /// the copy plan of every class that has one — the remap policy the
-    /// incremental copy evacuates with.
+    /// copy evacuates with.
     pub(crate) remap: RemapTable,
-    /// Logged pairs whose transformer has not started, keyed by the
-    /// from-space address of the original: popped lowest first.
-    pub(crate) queue: BinaryHeap<Reverse<(u32, usize)>>,
-    /// Transformer frames that returned this epoch.
+    /// Logged pairs whose transformer has not started, as (from-space
+    /// address of the original, log index), highest address first: popped
+    /// from the back, lowest first.
+    pub(crate) queue: Vec<(u32, usize)>,
+    /// Transformer frames that returned during this copy.
     pub(crate) transformed: usize,
-    /// Pairs logged this epoch.
+    /// Pairs logged by this copy.
     pub(crate) logged: usize,
     /// What the copy evacuated, once it ended.
     pub(crate) copied: GcOutcome,
@@ -154,13 +152,8 @@ mod tests {
 
     #[test]
     fn reset_reports_and_clears_progress() {
-        let copied = GcOutcome {
-            copied_cells: 9,
-            copied_words: 40,
-            planned: 3,
-            unscanned_words: 12,
-            ..GcOutcome::default()
-        };
+        let copied =
+            GcOutcome { copied_cells: 9, copied_words: 40, planned: 3, unscanned_words: 12 };
         let mut epoch =
             LazyEpoch { active: true, transformed: 4, logged: 4, copied, ..LazyEpoch::default() };
         assert_eq!(

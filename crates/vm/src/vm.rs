@@ -4,7 +4,6 @@
 //! `jvolve` crate's update driver composes into the paper's protocol.
 
 use std::borrow::Borrow;
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -33,9 +32,10 @@ pub struct VmStats {
     pub slices: u64,
     /// Interpreter steps executed.
     pub steps: u64,
-    /// Collections that flipped the semispaces with every thread stopped (a
-    /// lazy epoch's incremental copy is not one; a collection that finishes
-    /// it counts once, for the flip that follows).
+    /// Collections that flipped the semispaces with every thread stopped,
+    /// an eager update's copy included (a lazy epoch's incremental copy is
+    /// not one; a collection that finishes it counts once, for the flip
+    /// that follows).
     pub gcs: u64,
     /// Methods baseline-compiled.
     pub base_compiles: u64,
@@ -65,9 +65,8 @@ pub struct VmStats {
 /// How instances of one updated class reach their new layout.
 #[derive(Debug, Clone)]
 pub enum ObjectTransformer {
-    /// A pure field copy, applied natively wherever the object is copied
-    /// (by the update-GC, or a lazy epoch's incremental copy of it): no old
-    /// copy, no update-log entry, no frame.
+    /// A pure field copy, applied natively wherever the update's copy
+    /// evacuates the object: no old copy, no update-log entry, no frame.
     Plan(CopyPlan),
     /// The compiled `jvolve_object_X(to, from)` method, run in an
     /// interpreter frame over a logged (old copy, new object) pair.
@@ -96,8 +95,8 @@ pub(crate) enum EntryState {
 /// so nothing is rehashed.
 #[derive(Debug, Default)]
 pub(crate) struct DsuState {
-    /// The update log: (old copy, new object) pairs from the last
-    /// update-GC (paper §3.4), or from a lazy epoch's incremental copy.
+    /// The update log: (old copy, new object) pairs from the running
+    /// update's copy (paper §3.4), in the order it duplicated them.
     pub pending: Vec<(GcRef, GcRef)>,
     /// Transformer progress of each `pending` entry.
     pub state: Vec<EntryState>,
@@ -113,14 +112,12 @@ pub(crate) struct DsuState {
 
 impl DsuState {
     /// Appends a pair to the log and stamps its index into both headers.
-    pub(crate) fn log_pair(&mut self, heap: &mut Heap, old_copy: GcRef, new_obj: GcRef) -> usize {
-        let index = self.pending.len();
-        let tag = u32::try_from(index + 1).expect("update log outgrew the header tag");
+    pub(crate) fn log_pair(&mut self, heap: &mut Heap, old_copy: GcRef, new_obj: GcRef) {
+        let tag = u32::try_from(self.pending.len() + 1).expect("update log outgrew the header tag");
         heap.set_header_tag(old_copy, tag);
         heap.set_header_tag(new_obj, tag);
         self.pending.push((old_copy, new_obj));
         self.state.push(EntryState::Pending);
-        index
     }
 
     /// The log entry whose not-yet-transformed *new* object is `obj`.
@@ -589,38 +586,30 @@ impl Vm {
         })
     }
 
-    /// Gathers every root location, runs a collection with `remap`, and
-    /// rewrites roots and DSU bookkeeping.
-    ///
-    /// The remap policy is resolved into a dense [`RemapTable`] up front;
-    /// when it comes out empty (an ordinary collection) the heap takes its
-    /// no-remap fast path. Layouts come from the registry's cached
-    /// [`LayoutSnapshot`](crate::heap::LayoutSnapshot), rebuilt only after
-    /// class loads/renames.
+    /// Runs an ordinary full collection ([`Heap::collect`]) over every
+    /// root and rewrites the roots. While a lazy epoch's copy runs, it
+    /// first finishes that copy (see [`crate::lazy`]) — to-space always
+    /// holds room for it — and then collects the finished heap, so it
+    /// reclaims the garbage the mutator allocated beside the copy. `remap`
+    /// must remap nothing: an update's copy is [`Vm::begin_update_copy`].
     ///
     /// # Errors
     ///
-    /// Propagates [`VmError::OutOfMemory`] on to-space overflow.
+    /// [`VmError::Internal`] if `remap` remaps a class; heap exhaustion
+    /// while finishing a lazy epoch's copy.
     pub fn collect_full(&mut self, remap: &dyn GcRemap) -> Result<GcOutcome, VmError> {
-        let table = RemapTable::from_policy(remap, self.registry.num_classes());
-        self.collect_with(&table)
-    }
-
-    /// [`Vm::collect_full`] over an already resolved remap table (which
-    /// may carry copy plans). While a lazy epoch's incremental copy runs,
-    /// the collection first finishes that copy (see [`crate::lazy`]) — to-space
-    /// always holds room for it — and then collects the finished heap, so
-    /// it reclaims the garbage the mutator allocated beside the copy.
-    fn collect_with(&mut self, table: &RemapTable) -> Result<GcOutcome, VmError> {
+        if (0..self.registry.num_classes()).any(|i| remap.remap(ClassId(i as u32)).is_some()) {
+            return Err(VmError::Internal {
+                message: "collect_full cannot remap: begin_update_copy starts an update".into(),
+            });
+        }
         if self.heap.copying() {
-            debug_assert!(table.is_empty(), "an update collection inside a lazy epoch");
             self.lazy_copy_step(usize::MAX, usize::MAX)?;
         }
         let mut roots = Vec::new();
         self.for_each_root(|_, r| roots.push(*r));
         let snapshot = self.registry.layout_snapshot();
-        let table = if table.is_empty() { None } else { Some(table) };
-        let outcome = self.heap.collect(&roots, &snapshot, table)?;
+        let outcome = self.heap.collect(&roots, &snapshot)?;
         self.stats.gcs += 1;
         self.for_each_root(|heap, r| *r = heap.resolve(*r));
         Ok(outcome)
@@ -773,38 +762,6 @@ impl Vm {
         table
     }
 
-    /// Runs the update collection (paper §3.4): a full GC that converts
-    /// every instance of a remapped class. `transformers` maps each *new*
-    /// class to its object transformer: instances of a class with a
-    /// [`ObjectTransformer::Plan`] come out of the collection already in
-    /// their new layout; the rest are duplicated, and their (old copy,
-    /// new object) pairs become the VM's update log for
-    /// [`Vm::transform_pending`]. The log is *moved* into the VM — the
-    /// returned outcome's `update_log` is empty;
-    /// [`Vm::pending_transforms`] is its length.
-    ///
-    /// # Errors
-    ///
-    /// Propagates heap overflow.
-    pub fn collect_for_update(
-        &mut self,
-        remap: HashMap<ClassId, ClassId>,
-        transformers: HashMap<ClassId, ObjectTransformer>,
-    ) -> Result<GcOutcome, VmError> {
-        let table = self.update_table(&remap, transformers);
-        self.dsu.clear_log();
-        let mut outcome = self.collect_with(&table)?;
-        for (old_copy, new_obj) in std::mem::take(&mut outcome.update_log) {
-            self.dsu.log_pair(&mut self.heap, old_copy, new_obj);
-        }
-        Ok(outcome)
-    }
-
-    /// Number of (old, new) pairs waiting for transformation.
-    pub fn pending_transforms(&self) -> usize {
-        self.dsu.pending.len()
-    }
-
     /// Heap words the update log keeps alive in old-layout copies (zero
     /// for a fully planned update).
     pub fn update_log_words(&self) -> usize {
@@ -812,39 +769,9 @@ impl Vm {
         self.dsu.pending.iter().map(|&(old, _)| words(old)).sum()
     }
 
-    /// Runs the object transformer for every logged pair, in log order,
-    /// honoring transformations already forced recursively. Afterwards the
-    /// log is deleted, making the old copies unreachable (the next GC
-    /// reclaims them, paper §3.4).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transformer traps (including
-    /// [`VmError::TransformerCycle`]); on error the update must be
-    /// considered failed.
-    pub fn transform_pending(&mut self) -> Result<usize, VmError> {
-        let mut ran = 0;
-        if !self.dsu.pending.is_empty() {
-            // One internal thread runs every transformer of the pass.
-            let thread = self.open_sync_thread("object-transformer");
-            let result = (0..self.dsu.pending.len()).try_for_each(|i| {
-                if self.dsu.state[i] == EntryState::Pending {
-                    self.transform_one(thread, i)?;
-                    ran += 1;
-                }
-                Ok(())
-            });
-            self.close_sync_thread(thread);
-            result?;
-        }
-        self.dsu.clear_log();
-        self.dsu.update_count += 1;
-        Ok(ran)
-    }
-
     /// The call that transforms log entry `index`, marked in progress.
-    /// Shared by the log walk, `Dsu.forceTransform`, and the lazy read
-    /// barrier.
+    /// Shared by [`Vm::run_transformers`], `Dsu.forceTransform`, and the
+    /// read barrier.
     pub(crate) fn transformer_call(&mut self, index: usize) -> Result<TransformerCall, VmError> {
         let (old, new) = self.dsu.pending[index];
         let class = self.heap.class_of(new);
@@ -860,13 +787,6 @@ impl Vm {
         self.dsu.begin(index)?;
         let note = FrameNote::TransformOf(index as u32);
         Ok(TransformerCall { compiled, args: [Value::Ref(new), Value::Ref(old)], note })
-    }
-
-    /// Runs the transformer for log entry `index` to completion on the
-    /// open internal thread `thread`.
-    fn transform_one(&mut self, thread: usize, index: usize) -> Result<(), VmError> {
-        let call = self.transformer_call(index)?;
-        self.run_on_sync_thread(thread, call.compiled, &call.args, Some(call.note)).map(|_| ())
     }
 
     /// Calls a static method synchronously on a dedicated internal thread
@@ -1086,38 +1006,45 @@ impl Vm {
         Ok(())
     }
 
-    // ---- lazy migration (the incremental copy, see `crate::lazy`) ---------------
+    // ---- the update's copy, eager or lazy (see `crate::lazy`) ------------------
 
-    /// Opens a lazy-migration epoch: the O(roots) alternative to
-    /// [`Vm::collect_for_update`], taking the same class mapping and
-    /// transformers. Flips the semispaces and evacuates the referents of
-    /// the roots through the update-GC's copy arms — arrays longer than
-    /// `step_cells` words unfilled, so no more than a step's budget of any
-    /// one array is copied — then runs the transformers of any pair that
-    /// logged. That is the whole commit pause; the rest of the copy is
-    /// [`Vm::lazy_copy_step`]'s and the read barrier's. Returns the
-    /// from-space words in use (what the copy will evacuate from).
+    /// Starts an update's copy — the update-GC of paper §3.4 — through the
+    /// class mapping `remap`; `transformers` maps each *new* class to its
+    /// object transformer. Flips the semispaces and evacuates the roots'
+    /// referents through the collector's copy arms: an instance of a class
+    /// with an [`ObjectTransformer::Plan`] is converted where it is copied,
+    /// any other is duplicated and its (old copy, new object) pair logged
+    /// and queued for [`Vm::run_transformers`].
+    ///
+    /// `step_cells` says whether the copy finishes in this call. `None`, an
+    /// eager commit, runs the scan to the end ([`Heap::finish_copy`], one
+    /// stop-the-world collection) and runs no transformer, so the caller
+    /// can run class transformers first, as the paper does. `Some(n)` opens
+    /// a lazy epoch: arrays longer than `n` words are evacuated unfilled, so
+    /// the call copies O(roots) words, then runs the roots' pairs'
+    /// transformers; [`Vm::lazy_copy_step`] and the read barrier copy the
+    /// rest. Returns the from-space words in use at the flip.
     ///
     /// # Errors
     ///
-    /// Heap exhaustion and transformer traps; the epoch is then poisoned.
+    /// Heap exhaustion and transformer traps; the copy is then poisoned.
     ///
     /// # Panics
     ///
-    /// Panics if an epoch is already active (updates cannot overlap).
-    pub fn begin_lazy_migration(
+    /// Panics if an update's copy is already open (updates cannot overlap).
+    pub fn begin_update_copy(
         &mut self,
         remap: HashMap<ClassId, ClassId>,
         transformers: HashMap<ClassId, ObjectTransformer>,
-        step_cells: usize,
+        step_cells: Option<usize>,
     ) -> Result<usize, VmError> {
-        assert!(!self.lazy.active, "a lazy-migration epoch is already active");
+        assert!(!self.lazy.active, "an update's copy is already running");
         let remap = self.update_table(&remap, transformers);
         self.dsu.clear_log();
         self.lazy = LazyEpoch { active: true, ..LazyEpoch::default() };
         self.dsu.update_count += 1;
         let snapshot = self.registry.layout_snapshot();
-        self.heap.flip(step_cells.max(1), &snapshot, &remap);
+        self.heap.flip(step_cells.map_or(usize::MAX, |n| n.max(1)), &snapshot, &remap);
         let from_words = self.heap.from_space_words();
 
         // The roots' referents, in `collect_full`'s order.
@@ -1130,22 +1057,29 @@ impl Vm {
                 }
             }
         });
+        if step_cells.is_none() {
+            evacuated = evacuated.and_then(|()| self.heap.finish_copy(&snapshot, &remap, &mut log));
+            self.stats.gcs += u64::from(evacuated.is_ok());
+        }
         self.lazy.remap = remap;
         self.queue_logged(log);
         evacuated?;
         self.end_copy_if_done();
-        self.run_queued()?;
+        if step_cells.is_some() {
+            self.run_transformers()?;
+        }
         Ok(from_words)
     }
 
-    /// Whether a lazy-migration epoch is in progress.
+    /// Whether an update's copy is open (from [`Vm::begin_update_copy`] to
+    /// [`Vm::finish_update_copy`]; for an eager commit, within one step).
     pub fn lazy_epoch_active(&self) -> bool {
         self.lazy.active
     }
 
-    /// Where the lazy epoch stands (see [`LazyStage`]): `Copy` while the
+    /// Where the update's copy stands (see [`LazyStage`]): `Copy` while the
     /// copy runs, a logged pair waits for its transformer, or a
-    /// transformer is still on some stack; `Inactive` outside an epoch.
+    /// transformer is still on some stack; `Inactive` outside one.
     pub fn lazy_stage(&self) -> LazyStage {
         if !self.lazy.active {
             LazyStage::Inactive
@@ -1191,7 +1125,7 @@ impl Vm {
             cells = step?;
             self.end_copy_if_done();
         }
-        self.run_queued()?;
+        self.run_transformers()?;
         let (words_now, planned_now) = self.copied_so_far();
         Ok(CopyStep {
             cells,
@@ -1216,49 +1150,66 @@ impl Vm {
     }
 
     /// Puts pairs the copy duplicated on the update log (stamping both
-    /// headers) and in the transformer queue.
+    /// headers) and in the transformer queue, kept sorted highest from-space
+    /// address first. A copy mostly logs in ascending order, so the batch
+    /// goes in reversed and the sort only confirms it.
     fn queue_logged(&mut self, log: Vec<LoggedPair>) {
-        for (from, old_copy, new_obj) in log {
-            let index = self.dsu.log_pair(&mut self.heap, old_copy, new_obj);
-            self.lazy.queue.push(Reverse((from, index)));
-            self.lazy.logged += 1;
+        if log.is_empty() {
+            return;
         }
+        self.lazy.logged += log.len();
+        let first = self.dsu.pending.len();
+        for &(_, old_copy, new_obj) in &log {
+            self.dsu.log_pair(&mut self.heap, old_copy, new_obj);
+        }
+        let entries = log.iter().enumerate().map(|(i, &(from, ..))| (from, first + i));
+        self.lazy.queue.extend(entries.rev());
+        self.lazy.queue.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Pops the queued pair with the lowest from-space address whose
-    /// transformer has not started (`Dsu.forceTransform` may have run one
-    /// out of order).
-    pub(crate) fn next_queued(&mut self) -> Option<usize> {
-        while let Some(Reverse((_, index))) = self.lazy.queue.pop() {
-            if self.dsu.state[index] == EntryState::Pending {
-                return Some(index);
+    /// Pops the queued (from-space address, log index) with the lowest
+    /// address whose transformer has not started (`Dsu.forceTransform` may
+    /// have run one early); pushing it back requeues it in place.
+    pub(crate) fn next_queued(&mut self) -> Option<(u32, usize)> {
+        while let Some(entry) = self.lazy.queue.pop() {
+            if self.dsu.state[entry.1] == EntryState::Pending {
+                return Some(entry);
             }
         }
         None
     }
 
-    /// Puts the not-yet-started pair `index` back in the queue.
-    pub(crate) fn requeue(&mut self, index: usize) {
-        let from = self.dsu.pending[index].0 .0;
-        self.lazy.queue.push(Reverse((from, index)));
+    /// Runs the transformer of every queued pair, lowest from-space address
+    /// first, on one internal thread, and returns how many ran; pairs their
+    /// loads log join the queue. Once the copy is done nothing joins it,
+    /// so this walks the whole update log in that order.
+    ///
+    /// # Errors
+    ///
+    /// Transformer traps (including [`VmError::TransformerCycle`]); the
+    /// update has then failed.
+    pub fn run_transformers(&mut self) -> Result<usize, VmError> {
+        if self.lazy.queue.is_empty() {
+            return Ok(0);
+        }
+        // One internal thread runs every transformer of the pass.
+        let (thread, mut ran) = (self.open_sync_thread("object-transformer"), 0);
+        let result = loop {
+            let Some((_, index)) = self.next_queued() else { break Ok(ran) };
+            if let Err(e) = self.transform_one(thread, index) {
+                break Err(e);
+            }
+            ran += 1;
+        };
+        self.close_sync_thread(thread);
+        result
     }
 
-    /// Runs every queued transformer, lowest from-space address first, on
-    /// one internal thread; pairs their loads log join the queue.
-    fn run_queued(&mut self) -> Result<(), VmError> {
-        let mut thread = None;
-        let result = (|| {
-            while let Some(index) = self.next_queued() {
-                let thread =
-                    *thread.get_or_insert_with(|| self.open_sync_thread("object-transformer"));
-                self.transform_one(thread, index)?;
-            }
-            Ok(())
-        })();
-        if let Some(thread) = thread {
-            self.close_sync_thread(thread);
-        }
-        result
+    /// Runs the transformer for log entry `index` to completion on the
+    /// open internal thread `thread`.
+    fn transform_one(&mut self, thread: usize, index: usize) -> Result<(), VmError> {
+        let call = self.transformer_call(index)?;
+        self.run_on_sync_thread(thread, call.compiled, &call.args, Some(call.note)).map(|_| ())
     }
 
     /// The read barrier's slow path for `r`, a from-space address just
@@ -1272,12 +1223,13 @@ impl Vm {
         result
     }
 
-    /// Checks the lazy epoch's invariants (trivially true outside one): no
-    /// root and no cell the copy has scanned holds a from-space reference;
-    /// every unfilled array's original forwards to it; both objects of
-    /// every logged pair carry its log index + 1 until its transformer
-    /// returns (the old copy keeps it); and from-space is empty once the
-    /// epoch is done. Debug builds check after every `LazyMigrating` step.
+    /// Checks the invariants of an update's copy (trivially true outside
+    /// one): no root and no cell the copy has scanned holds a from-space
+    /// reference; every unfilled array's original forwards to it; both
+    /// objects of every logged pair carry its log index + 1 until its
+    /// transformer returns (the old copy keeps it); and from-space is empty
+    /// once the copy is done. Debug builds check after the commit step and
+    /// every `LazyMigrating` step.
     ///
     /// # Errors
     ///
@@ -1318,15 +1270,16 @@ impl Vm {
         self.heap.check_heap(&snapshot)
     }
 
-    /// Closes a finished lazy-migration epoch and returns what it migrated
-    /// and copied. No collection runs: the copy was the collection.
+    /// Closes an update's finished copy, deleting the update log (paper
+    /// §3.4: the old copies become unreachable), and returns what it
+    /// migrated and copied. No collection runs: the copy was the
+    /// collection.
     ///
     /// # Panics
     ///
-    /// Panics unless the epoch reached [`LazyStage::Done`].
-    pub fn finish_lazy_migration(&mut self) -> EpochTotals {
-        assert!(self.lazy.active, "finish_lazy_migration outside an epoch");
-        assert_eq!(self.lazy_stage(), LazyStage::Done, "epoch not finished");
+    /// Panics unless the copy reached [`LazyStage::Done`].
+    pub fn finish_update_copy(&mut self) -> EpochTotals {
+        assert_eq!(self.lazy_stage(), LazyStage::Done, "the update's copy is not finished");
         let totals = self.lazy.reset();
         self.dsu.clear_log();
         totals

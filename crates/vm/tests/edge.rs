@@ -3,7 +3,7 @@
 
 use jvolve_vm::thread::ThreadState;
 use jvolve_vm::compiled::CompileLevel;
-use jvolve_vm::{Value, Vm, VmConfig, VmError};
+use jvolve_vm::{LazyStage, Value, Vm, VmConfig, VmError};
 
 #[test]
 fn out_of_memory_is_a_trap_not_a_panic() {
@@ -432,8 +432,10 @@ fn force_transform_at_the_stack_limit_overflows_without_starting_the_entry() {
     let tmid = vm.registry().find_method(tids[0], "jvolve_object_Leaf").unwrap();
     let remap = std::collections::HashMap::from([(old_id, new_id)]);
     let tf = std::collections::HashMap::from([(new_id, jvolve_vm::ObjectTransformer::Method(tmid))]);
-    vm.collect_for_update(remap, tf).unwrap();
-    assert_eq!(vm.pending_transforms(), 1);
+    // An eager commit's copy, its transformers not run yet.
+    vm.begin_update_copy(remap, tf, None).unwrap();
+    assert_eq!(vm.lazy_stage(), LazyStage::Copy, "a logged pair waits");
+    assert_eq!(vm.update_log_words(), 2, "one pair: the old Leaf's header and field");
 
     let tid = vm.spawn("Main", "force").unwrap();
     let mut deepest = 0;
@@ -452,11 +454,35 @@ fn force_transform_at_the_stack_limit_overflows_without_starting_the_entry() {
 
     // The entry is still pending: the log walk runs it now (an entry left
     // in progress would be skipped).
-    assert_eq!(vm.transform_pending().unwrap(), 1);
+    assert_eq!(vm.run_transformers().unwrap(), 1);
+    vm.finish_update_copy();
     assert_eq!(vm.read_static("Probe", "ran"), Value::Int(1));
     let Value::Ref(p) = vm.read_static("Holder", "p") else { panic!("Holder.p is a ref") };
     assert_eq!(vm.read_field(p, "v"), Value::Int(7));
     assert_eq!(vm.read_field(p, "w"), Value::Int(1));
+}
+
+#[test]
+fn a_full_collection_refuses_a_remap() {
+    // An update's copy starts with `begin_update_copy`, which registers the
+    // transformers; a remapping `collect_full` could only zero the new
+    // objects, so it is a typed error that leaves the heap untouched.
+    struct EveryClass;
+    impl jvolve_vm::heap::GcRemap for EveryClass {
+        fn remap(&self, class: jvolve_vm::ClassId) -> Option<jvolve_vm::ClassId> {
+            Some(class)
+        }
+    }
+    let mut vm = Vm::new(VmConfig::small());
+    vm.load_source("class P { field v: int; }").unwrap();
+    let p = vm.host_alloc("P").unwrap();
+    vm.write_field(vm.host_root(p), "v", Value::Int(5));
+    let (at, gcs) = (vm.host_root(p), vm.stats().gcs);
+    let err = vm.collect_full(&EveryClass).unwrap_err();
+    assert!(matches!(err, VmError::Internal { .. }), "{err}");
+    assert_eq!((vm.host_root(p), vm.stats().gcs), (at, gcs), "nothing was collected");
+    vm.collect_full(&jvolve_vm::heap::NoRemap).unwrap();
+    assert_eq!(vm.read_field(vm.host_root(p), "v"), Value::Int(5));
 }
 
 #[test]

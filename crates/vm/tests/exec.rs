@@ -435,9 +435,10 @@ fn update_gc_and_transformers_end_to_end() {
     remap.insert(old_id, new_id);
     let mut tf = HashMap::new();
     tf.insert(new_id, jvolve_vm::ObjectTransformer::Method(tmid));
-    vm.collect_for_update(remap, tf).unwrap();
-    assert_eq!(vm.pending_transforms(), 1);
-    vm.transform_pending().unwrap();
+    // An eager commit: the whole copy, then the logged pair's transformer.
+    vm.begin_update_copy(remap, tf, None).unwrap();
+    assert_eq!(vm.run_transformers().unwrap(), 1, "one pair was logged");
+    vm.finish_update_copy();
 
     // The static still points at a valid Point, now with z = 7.
     let p = vm.read_static("Holder", "p");

@@ -9,21 +9,22 @@
 //! * an ordinary collection preserves the reachable graph *shape* exactly
 //!   (kinds, classes, lengths, primitive payloads, string contents, and
 //!   the edge structure up to isomorphism);
-//! * an update collection pairs every reachable instance of the remapped
-//!   class with a zeroed new-layout object on the update log;
+//! * an update collection (the same copy through a remap) pairs every
+//!   reachable instance of the remapped class with a zeroed new-layout
+//!   object on the update log;
 //! * collection is deterministic: two identical heaps collected with the
 //!   same snapshot and remap table produce identical update logs, in the
 //!   same order, and identical copy counts;
 //! * a collection leaves the active semispace parsable cell by cell:
 //!   exactly the copied cells, ending exactly at the allocation cursor;
-//! * the lazy epoch's incremental copy, stepped at any budget, leaves the
-//!   same heap, word for word, as one update collection, and a mutator
-//!   allocating beside it always leaves it room to finish.
+//! * the copy stepped at any budget, as a lazy epoch runs it, leaves the
+//!   same heap, word for word, as the copy finished in one pass, and a
+//!   mutator allocating beside it always leaves it room to finish.
 
 use std::collections::BTreeMap;
 
 use jvolve_vm::heap::{
-    ClassLayouts, CopyPlan, GcRemap, Heap, HeapKind, LayoutSnapshot, RemapTable,
+    ClassLayouts, CopyPlan, GcOutcome, GcRemap, Heap, HeapKind, LayoutSnapshot, RemapTable,
 };
 use jvolve_vm::{ClassId, GcRef};
 
@@ -272,6 +273,26 @@ fn check(heap: &Heap, snap: &LayoutSnapshot, seed: u64) {
     heap.check_heap(snap).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
 }
 
+/// An update collection: [`Heap::collect`]'s flip, root evacuation and
+/// one-pass finish, through `remap`. Returns what it copied and its update
+/// log, lowest from-space address first (the order transformers run in).
+fn update_collect(
+    heap: &mut Heap,
+    roots: &[GcRef],
+    snap: &LayoutSnapshot,
+    remap: &RemapTable,
+) -> (GcOutcome, Vec<(GcRef, GcRef)>) {
+    heap.flip(usize::MAX, snap, remap);
+    let mut log = Vec::new();
+    for &root in roots {
+        heap.evacuate(root, snap, remap, &mut log).expect("roots fit");
+    }
+    heap.finish_copy(snap, remap, &mut log).expect("collect");
+    let out = heap.end_copy();
+    log.sort_by_key(|&(from, _, _)| from);
+    (out, log.into_iter().map(|(_, old, new)| (old, new)).collect())
+}
+
 /// Ordinary collections (no remap) preserve the reachable graph exactly.
 #[test]
 fn random_graphs_survive_collection_with_identical_shape() {
@@ -281,7 +302,7 @@ fn random_graphs_survive_collection_with_identical_shape() {
         let g = build_graph(&mut heap, seed);
         let before = signature(&heap, &g.roots);
 
-        heap.collect(&g.roots, &snap, None).expect("collect");
+        heap.collect(&g.roots, &snap).expect("collect");
         check(&heap, &snap, seed);
         let new_roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
         let after = signature(&heap, &new_roots);
@@ -306,14 +327,14 @@ fn random_graphs_survive_update_collection_with_correct_pairing() {
             .filter(|s| matches!(s, Sig::Object { class: 0, .. }))
             .count();
 
-        let out = heap.collect(&g.roots, &snap, Some(&table)).expect("collect");
+        let (_, log) = update_collect(&mut heap, &g.roots, &snap, &table);
         check(&heap, &snap, seed);
         assert_eq!(
-            out.update_log.len(),
+            log.len(),
             expected_remapped,
             "seed {seed}: one log entry per reachable remapped instance"
         );
-        for &(old_copy, new_obj) in &out.update_log {
+        for &(old_copy, new_obj) in &log {
             assert_eq!(heap.class_of(old_copy), ClassId(0), "seed {seed}");
             assert_eq!(heap.class_of(new_obj), ClassId(9), "seed {seed}");
             // The old copy keeps its payload (slot 0 was filled with an
@@ -351,15 +372,13 @@ fn identical_collections_are_deterministic() {
             "seed {seed}: identical builds"
         );
 
-        let o1 = h1.collect(&g1.roots, &snap, Some(&table)).expect("collect");
-        let o2 = h2.collect(&g2.roots, &snap, Some(&table)).expect("collect");
+        let (o1, l1) = update_collect(&mut h1, &g1.roots, &snap, &table);
+        let (o2, l2) = update_collect(&mut h2, &g2.roots, &snap, &table);
         check(&h1, &snap, seed);
         check(&h2, &snap, seed);
 
-        let log1: Vec<(u32, u32)> =
-            o1.update_log.iter().map(|&(a, b)| (a.0, b.0)).collect();
-        let log2: Vec<(u32, u32)> =
-            o2.update_log.iter().map(|&(a, b)| (a.0, b.0)).collect();
+        let log1: Vec<(u32, u32)> = l1.iter().map(|&(a, b)| (a.0, b.0)).collect();
+        let log2: Vec<(u32, u32)> = l2.iter().map(|&(a, b)| (a.0, b.0)).collect();
         assert_eq!(log1, log2, "seed {seed}: update-log order must be deterministic");
         assert_eq!(o1.copied_cells, o2.copied_cells, "seed {seed}");
         assert_eq!(o1.copied_words, o2.copied_words, "seed {seed}");
@@ -383,16 +402,15 @@ fn heap_words(heap: &Heap) -> Vec<u64> {
     (0..2 * heap.semispace_words()).map(|i| heap.get(GcRef(0), i)).collect()
 }
 
-/// The incremental copy is the update collection, however it is stepped.
-/// Over random graphs — each with a reference array longer than any
-/// budget, rooted, whose first element is a primitive array as long, and
-/// a remap that plans class 0 and logs class 1 — a flip that
-/// evacuates the roots followed by copy steps of random budgets (2–64
-/// units, the least that passes an array element and its referent's
-/// evacuation) and random log allowances leaves both semispaces word for word
-/// as one [`Heap::collect`] does: the same to-space, the same forwarding
-/// words, the same update log once sorted by original address, the same
-/// copy counts. No step charges more than its budget or logs more than its
+/// The copy is one copy, however it is stepped. Over random graphs — each
+/// with a reference array longer than any budget, rooted, whose first
+/// element is a primitive array as long, and a remap that plans class 0
+/// and logs class 1 — a flip that evacuates the roots followed by copy
+/// steps of random budgets (2–64 units, the least that passes an array
+/// element and its referent's evacuation) and random log allowances leaves
+/// both semispaces word for word as the unbounded [`Heap::finish_copy`]
+/// does: the same to-space, the same forwarding words, the same update log
+/// once sorted by original address, the same copy counts. No step charges more than its budget or logs more than its
 /// allowance, and the copy's invariants hold after every step.
 #[test]
 fn stepped_copy_matches_one_pass_collect_word_for_word() {
@@ -424,7 +442,7 @@ fn stepped_copy_matches_one_pass_collect_word_for_word() {
         };
         let mut one_pass = Heap::new(64 * 1024);
         let g = build(&mut one_pass);
-        let out = one_pass.collect(&g.roots, &snap, Some(&remap)).expect("collect");
+        let (out, one_pass_log) = update_collect(&mut one_pass, &g.roots, &snap, &remap);
         check(&one_pass, &snap, seed);
 
         let mut rng = Rng::new(seed ^ 0x57E9_57E9_57E9_57E9);
@@ -451,16 +469,16 @@ fn stepped_copy_matches_one_pass_collect_word_for_word() {
         }
         let totals = stepped.end_copy();
         check(&stepped, &snap, seed);
-        // Arrays the steps evacuated unfilled are scanned, where `collect`
-        // copies them whole and skips the primitive ones.
+        // Arrays the steps evacuated unfilled are scanned, where the
+        // one-pass finish copies them whole and skips the primitive ones.
         assert!(
             totals.unscanned_words <= out.unscanned_words,
-            "seed {seed}: the steps skipped a cell that collect scanned"
+            "seed {seed}: the steps skipped a cell that the one-pass finish scanned"
         );
         unscanned += totals.unscanned_words;
         log.sort_by_key(|&(from, _, _)| from);
         let log: Vec<(GcRef, GcRef)> = log.into_iter().map(|(_, old, new)| (old, new)).collect();
-        assert_eq!(log, out.update_log, "seed {seed}: the update log differs");
+        assert_eq!(log, one_pass_log, "seed {seed}: the update log differs");
         assert_eq!(
             (totals.copied_cells, totals.copied_words, totals.planned),
             (out.copied_cells, out.copied_words, out.planned),
@@ -468,7 +486,7 @@ fn stepped_copy_matches_one_pass_collect_word_for_word() {
         );
         assert!(
             heap_words(&stepped) == heap_words(&one_pass),
-            "seed {seed}: the stepped copy left different heap words than collect"
+            "seed {seed}: the stepped copy left different heap words than the one-pass finish"
         );
     }
     assert!(unfilled > 0, "no root array was evacuated unfilled");
@@ -505,7 +523,7 @@ fn the_mutator_gets_all_of_to_space_but_the_copys_reserve() {
 /// A mutator that allocates garbage between copy steps until to-space
 /// refuses it never leaves the copy without room: over random graphs, on
 /// a semispace a few times the live heap, the copy then finishes in one
-/// unbounded step and evacuates what one [`Heap::collect`] copies.
+/// unbounded step and evacuates what the copy finished in one pass does.
 #[test]
 fn a_copy_finishes_beside_a_mutator_that_fills_to_space() {
     let snap = snapshot();
@@ -514,7 +532,7 @@ fn a_copy_finishes_beside_a_mutator_that_fills_to_space() {
     for seed in 0..64 {
         let mut one_pass = Heap::new(4096);
         let g = build_graph(&mut one_pass, seed);
-        let out = one_pass.collect(&g.roots, &snap, Some(&remap)).expect("collect");
+        let (out, one_pass_log) = update_collect(&mut one_pass, &g.roots, &snap, &remap);
         check(&one_pass, &snap, seed);
 
         let mut rng = Rng::new(seed ^ 0x6A2B_A6E0_6A2B_A6E0);
@@ -545,7 +563,7 @@ fn a_copy_finishes_beside_a_mutator_that_fills_to_space() {
         check(&stepped, &snap, seed);
         assert_eq!(
             (totals.copied_cells, totals.copied_words, totals.planned, log.len()),
-            (out.copied_cells, out.copied_words, out.planned, out.update_log.len()),
+            (out.copied_cells, out.copied_words, out.planned, one_pass_log.len()),
             "seed {seed}: the copy counts differ"
         );
     }
@@ -565,10 +583,10 @@ fn collection_into_stale_to_space_leaves_it_parsable_cell_by_cell() {
     for seed in 0..48 {
         let mut heap = Heap::new(64 * 1024);
         let g = build_graph(&mut heap, seed);
-        heap.collect(&g.roots, &snap, None).expect("first collect");
+        heap.collect(&g.roots, &snap).expect("first collect");
         check(&heap, &snap, seed);
         let roots: Vec<GcRef> = g.roots.iter().map(|&r| heap.resolve(r)).collect();
-        let out = heap.collect(&roots, &snap, None).expect("second collect");
+        let out = heap.collect(&roots, &snap).expect("second collect");
         check(&heap, &snap, seed);
         let roots: Vec<GcRef> = roots.iter().map(|&r| heap.resolve(r)).collect();
 
