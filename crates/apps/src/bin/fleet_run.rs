@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! fleet_run --app webserver|emailserver|ftpserver|kvstore [--shards N] [--from I]
-//!           [--requests N] [--no-jit | --jit-threshold N]
+//!           [--requests N] [--no-jit]
 //!           [--roll [--eager] [--probes N] [--update-bundle dir/]]
 //! ```
 //!
@@ -15,16 +15,15 @@
 //! verified probe exchanges, promote — or roll the fleet back to the old
 //! version on the first failure.
 //!
-//! `--no-jit` and `--jit-threshold N` pass the template-JIT tier knobs
-//! through to every shard's VM, exactly as on `jvolve_run`. With
+//! `--no-jit` turns the template JIT off on every shard's VM, exactly as
+//! on `jvolve_run`. With
 //! `--update-bundle` the rolled update comes from a UPT-emitted bundle
 //! directory (re-verified on load) instead of the app's built-in next
 //! version.
 //!
 //! Unknown flags, missing or malformed values, duplicate flags, and
 //! conflicting combinations (`--eager`/`--probes`/`--update-bundle`
-//! without `--roll`, `--jit-threshold` with `--no-jit`) are rejected
-//! with the usage message and exit code 2.
+//! without `--roll`) are rejected with the usage message and exit code 2.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -34,7 +33,7 @@ use jvolve_apps::harness::{app_vm_config, bench_apply_options, prepare_next};
 use jvolve_apps::{AppInstance, Emailserver, Ftpserver, GuestApp, Kvstore, Webserver};
 
 const USAGE: &str = "usage: fleet_run --app webserver|emailserver|ftpserver|kvstore [--shards N] [--from I] \
-     [--requests N] [--no-jit | --jit-threshold N] \
+     [--requests N] [--no-jit] \
      [--roll [--eager] [--probes N] [--update-bundle dir/]]";
 
 /// Parsed command line. Every flag is strict: unknown names, missing or
@@ -45,7 +44,6 @@ struct Cli {
     from: usize,
     requests: u64,
     jit: bool,
-    jit_threshold: Option<u32>,
     roll: bool,
     eager: bool,
     probes: u32,
@@ -53,12 +51,11 @@ struct Cli {
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut values: [(&str, Option<String>); 7] = [
+    let mut values: [(&str, Option<String>); 6] = [
         ("--app", None),
         ("--shards", None),
         ("--from", None),
         ("--requests", None),
-        ("--jit-threshold", None),
         ("--probes", None),
         ("--update-bundle", None),
     ];
@@ -118,7 +115,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let shards = take("--shards");
     let from = take("--from");
     let requests = take("--requests");
-    let jit_threshold = take("--jit-threshold");
     let probes = take("--probes");
     let update_bundle = take("--update-bundle");
 
@@ -133,18 +129,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
         }
     }
-    if jit_threshold.is_some() && !jit {
-        // There is no tier for the threshold to tune.
-        return Err("--jit-threshold conflicts with --no-jit".into());
-    }
     Ok(Cli {
         app,
         shards: parse_num("--shards", shards)?.unwrap_or(4).max(1),
         from: parse_num("--from", from)?.unwrap_or(0),
         requests: parse_num("--requests", requests)?.unwrap_or(50) as u64,
         jit,
-        jit_threshold: parse_num("--jit-threshold", jit_threshold)?
-            .map(|n| u32::try_from(n.max(1)).unwrap_or(u32::MAX)),
         roll,
         eager,
         probes: parse_num("--probes", probes)?.unwrap_or(4).max(1) as u32,
@@ -194,9 +184,6 @@ fn main() -> ExitCode {
     let mut config = app_vm_config();
     config.lazy_migration = cli.roll && !cli.eager;
     config.enable_jit = cli.jit;
-    if let Some(threshold) = cli.jit_threshold {
-        config.jit_threshold = threshold;
-    }
     let instance: Arc<dyn AppInstance> = match cli.app.as_str() {
         "webserver" => Arc::new(Webserver),
         "emailserver" => Arc::new(Emailserver),

@@ -158,8 +158,8 @@ impl InFlight {
 #[test]
 fn webserver_update_with_requests_in_flight_needs_no_return_barrier() {
     // 5.1.5 → 5.1.6 while handlers run: their frames are category-2
-    // (indirect) methods, which OSR lifts in place at the first poll. No
-    // tier inlines, so no frame is left for a return barrier to wait on —
+    // (indirect) methods, which OSR lifts in place at the first poll.
+    // Nothing inlines, so no frame is left for a return barrier to wait on —
     // with an inlining opt tier, warm handlers sat in inlined code and the
     // update waited on barriers (and under the no-jit load never
     // committed).

@@ -43,3 +43,25 @@ fn eager_and_lazy_streams_converge() {
         "registry fingerprints must converge"
     );
 }
+
+#[test]
+fn a_stream_that_skips_a_release_is_rejected_not_corrupted() {
+    use jvolve::UpdateError;
+    use jvolve_apps::harness::{bench_apply_options, boot};
+    use jvolve_apps::stream::prepare_via_upt;
+
+    let mut vm = boot(&Kvstore, 0);
+    jvolve::apply(&mut vm, &prepare_via_upt(&Kvstore, 0), &bench_apply_options())
+        .expect("release 1 commits");
+    let fingerprint = vm.registry().version_fingerprint();
+    // Release 3 is built against release 2, which this VM never got.
+    let err = jvolve::apply(&mut vm, &prepare_via_upt(&Kvstore, 2), &bench_apply_options())
+        .expect_err("a skipped release is a stale base");
+    assert!(matches!(err, UpdateError::StaleBase { .. }), "{err}");
+    assert_eq!(vm.registry().version_fingerprint(), fingerprint, "the VM still runs release 1");
+    // The release that was skipped still applies, and the stream goes on.
+    jvolve::apply(&mut vm, &prepare_via_upt(&Kvstore, 1), &bench_apply_options())
+        .expect("release 2 commits");
+    jvolve::apply(&mut vm, &prepare_via_upt(&Kvstore, 2), &bench_apply_options())
+        .expect("release 3 commits");
+}

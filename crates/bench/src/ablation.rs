@@ -16,11 +16,11 @@
 //!   §3.2. Without OSR, updates restricted by category-2 methods on
 //!   always-running stacks time out; without barriers, reaching a safe
 //!   point under load takes longer.
-//! * **Template-JIT tier on vs off** — the stock-vs-DSU overhead story
-//!   with real compiled code in the picture: fused superinstructions
-//!   embed resolved offsets and call targets, so a dynamic update must
-//!   deopt and re-promote them, and steady state afterwards must still
-//!   match the warm-jit run.
+//! * **Template JIT on vs off** — the stock-vs-DSU overhead story with
+//!   real compiled code in the picture: fused superinstructions embed
+//!   resolved offsets and call targets, so a dynamic update must
+//!   invalidate them and their next call recompile them, and steady state
+//!   afterwards must still match the warm-jit run.
 
 use jvolve::{apply, ApplyOptions, StepProgress, UpdateController, UpdateError, UpdatePhase};
 use jvolve_apps::harness::{app_vm_config, boot_with, prepare_next};
@@ -125,9 +125,9 @@ pub struct ChurnRun {
     pub log_words: usize,
 }
 
-/// The CPU-bound churn under `mode`, with the template-JIT tier on or off
-/// (the jit ablation axis: same churn, same checksum, with fused code
-/// either carrying the hot loops or base-tier code doing so).
+/// The CPU-bound churn under `mode`, with the template JIT on or off (the
+/// jit ablation axis: same churn, same checksum, with fused code either
+/// carrying the hot loops or unfused code doing so).
 pub fn churn_wall_time_with_jit(mode: ChurnMode, nodes: i64, iters: i64, jit: bool) -> ChurnRun {
     use jvolve_vm::Value;
     let mut vm = jvolve_vm::Vm::new(VmConfig {
@@ -160,7 +160,7 @@ pub fn churn_wall_time_with_jit(mode: ChurnMode, nodes: i64, iters: i64, jit: bo
         }
     }
 
-    // Warm up (drives jit promotion), then measure.
+    // Warm up (compiles every body), then measure.
     vm.call_static_sync("Bench", "churn", &[Value::Int(iters / 4)]).expect("warmup");
     let start = std::time::Instant::now();
     let sum = vm

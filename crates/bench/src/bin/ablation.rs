@@ -8,7 +8,7 @@
 //!   indirection (the paper's "zero overhead during steady-state
 //!   execution" vs ~10% for DVM, §5);
 //! * the §3.2 safe-point machinery (return barriers + OSR) on vs off;
-//! * the template-JIT tier on vs off, warm and after a dynamic update —
+//! * the template JIT on vs off, warm and after a dynamic update —
 //!   DSU must cost nothing even when hot loops run superinstruction-fused
 //!   code with baked-in offsets.
 //!
@@ -80,11 +80,11 @@ fn main() {
          old copies.)"
     );
 
-    println!("\n== Ablation 2: template-JIT tier (superinstruction fusion) ==\n");
+    println!("\n== Ablation 2: template JIT (superinstruction fusion) ==\n");
     // Same churn, eager mode, jit axis: off, warm on, and on after a
-    // GC-based update (deopted fused code must re-promote and recover).
+    // GC-based update (invalidated fused code recompiles and recovers).
     let mut jit_rows: Vec<(ChurnMode, bool, &str, Vec<f64>)> = vec![
-        (ChurnMode::Eager, false, "jit off (base tier)", Vec::new()),
+        (ChurnMode::Eager, false, "jit off (unfused)", Vec::new()),
         (ChurnMode::Eager, true, "jit on, warm", Vec::new()),
         (ChurnMode::EagerUpdated, true, "jit on, after GC update", Vec::new()),
     ];
@@ -106,8 +106,8 @@ fn main() {
         println!("{:<38} {:>12.1} {:>9.1}%", name, med * 1e3, (med / no_jit - 1.0) * 100.0);
     }
     println!(
-        "\n(fused code embeds resolved offsets and call targets; the update deopts it \
-         at the epoch bump\n and the counters re-promote it — post-update steady state \
+        "\n(fused code embeds resolved offsets and call targets; the update invalidates \
+         it\n and its next call recompiles it fused — post-update steady state \
          must track the warm-jit row)"
     );
 

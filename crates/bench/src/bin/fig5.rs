@@ -1,5 +1,5 @@
 //! Regenerates the paper's **Figure 5**: webserver throughput and latency
-//! under saturating load for the stock VM (template-JIT tier off), the
+//! under saturating load for the stock VM (template JIT off), the
 //! DSU-capable VM, and the DSU-capable VM after a dynamic 5.1.5 → 5.1.6
 //! update.
 //!
@@ -20,7 +20,7 @@ fn main() {
     );
     println!(
         "{:<22} {:>11} {:>17} {:>9} {:>13} {:>6}",
-        "Config.", "Tput (r/s)", "quartiles", "p50 (µs)", "quartiles", "jits"
+        "Config.", "Tput (r/s)", "quartiles", "p50 (µs)", "quartiles", "fused"
     );
 
     eprintln!("measuring {runs} rounds of every configuration ...");
@@ -53,16 +53,16 @@ fn main() {
     );
     println!(
         "shape: updated/jit throughput = {:.3} (post-update steady state must \
-         recover the jit tier)",
+         recover the jit's)",
         tput(Config::JvolveUpdated) / tput(Config::Jvolve)
     );
 
-    // Post-update warm-up: invalidated methods re-baseline on first call,
-    // then the adaptive system re-promotes the hot ones (paper §3.3).
-    println!("\npost-update warm-up (adaptive recompilation):");
+    // Post-update warm-up: invalidated methods recompile, fused, on their
+    // next call (paper §3.3).
+    println!("\npost-update warm-up (recompilation):");
     println!(
         "{:>8} {:>14} {:>14} {:>13}",
-        "window", "tput (r/s)", "base compiles", "jit compiles"
+        "window", "tput (r/s)", "compiles", "fused"
     );
     for w in jvolve_bench::fig5::warmup_series(5, 2_000, concurrency) {
         println!(

@@ -19,9 +19,9 @@
 //!   host-rooted and its references are null); on the plan path, the
 //!   100 %-updated GC per object ≤ 2.5× the 0 %-updated one; the plan
 //!   pause ≤ 0.5× the interpreted one.
-//! * `interp` — dispatch throughput at the base tier and with the jit on,
-//!   each warm and after an update: exact checksum, calls, per-tier
-//!   compile counts and fusion coverage; jit ≥ 2.48× base, each
+//! * `interp` — dispatch throughput with the jit off and on, each warm
+//!   and after an update: exact checksum, calls, compile and fused-compile
+//!   counts and fusion coverage; jit ≥ 2.48× base, each
 //!   post-update configuration ≥ 1/1.15 of its warm twin.
 //! * `lazy` — a 100 %-updated population at the smallest and largest
 //!   scaled §4.1 heap points: lazy pause ≤ 0.25× eager; post-drain steady
@@ -339,7 +339,7 @@ fn gc(iters: usize) -> Vec<String> {
 /// Guest loop iterations per timed run (`CALLS_PER_ITER` calls each).
 const GUEST_ITERS: i64 = 100_000;
 
-/// Best-of-N jit speed over the base tier: superinstruction fusion plus
+/// Best-of-N jit-on speed over jit-off: superinstruction fusion plus
 /// the leaf-call fast path measured 2.75–2.88× over seven runs on a
 /// 2-vCPU host; the floor is the lowest less 10 %.
 const JIT_FLOOR: f64 = 2.48;
@@ -348,20 +348,21 @@ const JIT_FLOOR: f64 = 2.48;
 const PARITY_FLOOR: f64 = 1.0 / (1.0 + REGRESSION_LIMIT);
 
 /// What must repeat exactly on any host, per configuration: the guest's
-/// checksum, the calls it made, the (base, jit) compiles of the tier
-/// policy, and the share of steps retired inside superinstructions.
+/// checksum, the calls it made, the (compiles, fused compiles) — with the
+/// jit on every compile fuses — and the share of steps retired inside
+/// superinstructions.
 type InterpCounts = (i64, u64, (u64, u64), f64);
 
 const INTERP_COUNTS: [(Config, InterpCounts); 4] = [
     (Config::Base, (3_400_000, 1_000_000, (8, 0), 0.0)),
     (Config::BaseUpdated, (4_400_000, 1_000_000, (12, 0), 0.0)),
-    (Config::Jit, (3_400_000, 1_000_000, (8, 5), 0.5976983353315974)),
-    (Config::JitUpdated, (4_400_000, 1_000_000, (12, 9), 0.5976983353315974)),
+    (Config::Jit, (3_400_000, 1_000_000, (8, 8), 0.5976990249827271)),
+    (Config::JitUpdated, (4_400_000, 1_000_000, (12, 12), 0.5976990249827271)),
 ];
 
 /// Same-run speed ratios: (what, slower config, faster config, floor).
 /// The jit must keep earning its keep, and an update must not cost
-/// steady-state speed once invalidated code re-promotes.
+/// steady-state speed once invalidated code recompiles.
 const INTERP_RATIOS: [(&str, Config, Config, f64); 3] = [
     ("speed jit / base", Config::Base, Config::Jit, JIT_FLOOR),
     ("speed post-update base / warm", Config::Base, Config::BaseUpdated, PARITY_FLOOR),
@@ -388,7 +389,7 @@ fn interp(iters: usize) -> Vec<String> {
     eprintln!();
     println!(
         "{:>20} {:>14} {:>14} {:>12} {:>16} {:>8}",
-        "config", "ns/call", "min ns/call", "calls", "tiers b/j", "fused"
+        "config", "ns/call", "min ns/call", "calls", "compiles/fused", "fused"
     );
     for (config, (ns, last)) in &rows {
         println!(
@@ -397,14 +398,14 @@ fn interp(iters: usize) -> Vec<String> {
             ns[ns.len() / 2],
             ns[0],
             last.calls,
-            format!("{}/{}", last.tier_compiles.0, last.tier_compiles.1),
+            format!("{}/{}", last.compiles.0, last.compiles.1),
             last.fusion_coverage() * 100.0,
         );
     }
 
     let mut failures = Vec::new();
     for ((config, (_, last)), (_, want)) in rows.iter().zip(&INTERP_COUNTS) {
-        let got = (last.checksum, last.calls, last.tier_compiles, last.fusion_coverage());
+        let got = (last.checksum, last.calls, last.compiles, last.fusion_coverage());
         failures.extend(exact(&format!("counts {}", config.key()), got, *want));
     }
     let min = |config: Config| {

@@ -4,14 +4,14 @@
 //! JVolve after a dynamic update from 5.1.5 — finding the three
 //! "essentially identical". Here the configurations are:
 //!
-//! * `Stock` — the template-JIT tier *off* (the one mechanism that leans
-//!   on the dispatch epoch), running 5.1.6 from scratch at the base tier
-//!   with no DSU activity;
-//! * `Jvolve` — the default DSU-capable VM (template-JIT tier on), driver
+//! * `Stock` — the template JIT *off*, running 5.1.6 from scratch as
+//!   unfused code with no DSU activity;
+//! * `Jvolve` — the default DSU-capable VM (template JIT on), driver
 //!   linked and idle (the paper's claim is exactly that this costs
 //!   nothing at steady state);
 //! * `JvolveUpdated` — started at 5.1.5, dynamically updated to 5.1.6
-//!   under way, then measured (jit-deopted code must re-promote).
+//!   under way, then measured (invalidated code recompiles fused on its
+//!   next call).
 
 use std::time::{Duration, Instant};
 
@@ -47,7 +47,7 @@ impl Config {
         }
     }
 
-    /// Whether the template-JIT tier runs in this configuration.
+    /// Whether the template JIT runs in this configuration.
     pub fn jit(self) -> bool {
         matches!(self, Config::Jvolve | Config::JvolveUpdated)
     }
@@ -116,8 +116,8 @@ fn serve(vm: &mut Vm, paths: &[&str], concurrency: usize, slices: u64) -> Served
 /// The standard measurement: saturating closed-loop load for `slices`
 /// scheduler slices at the given concurrency. Returns the timed run,
 /// the base instructions retired inside superinstructions or leaf callees
-/// over the measured window (0 for `Stock`), and the whole-run jit
-/// promotion count (0 unless [`Config::jit`]).
+/// over the measured window (0 for `Stock`), and the whole-run fused
+/// compile count (0 unless [`Config::jit`]).
 pub fn measure(config: Config, concurrency: usize, slices: u64) -> (Served, u64, u64) {
     let vm_config = VmConfig {
         semispace_words: 512 * 1024,
@@ -139,8 +139,8 @@ pub fn measure(config: Config, concurrency: usize, slices: u64) -> (Served, u64,
             warmup(&mut vm, &paths, concurrency);
             let (outcome, _) = attempt_update(&mut vm, &Webserver, from, &bench_apply_options());
             assert!(outcome.supported(), "5.1.5 -> 5.1.6 must apply: {outcome}");
-            // Post-update warm-up: invalidated methods re-baseline and
-            // re-promote to the jit, as the paper describes.
+            // Post-update warm-up: invalidated methods recompile on their
+            // next call, as the paper describes.
             warmup(&mut vm, &paths, concurrency);
             vm
         }
@@ -169,7 +169,7 @@ pub struct Fig5Row {
     pub latency_median: f64,
     /// Quartiles of per-run median latencies.
     pub latency_quartiles: (f64, f64),
-    /// Jit promotions in the last run (0 unless [`Config::jit`]).
+    /// Fused compiles in the last run (0 unless [`Config::jit`]).
     pub jit_compiles: u64,
     /// Number of runs.
     pub runs: usize,
@@ -215,16 +215,15 @@ pub struct WarmupWindow {
     pub window: usize,
     /// Throughput in the window (requests per wall-clock second).
     pub throughput: f64,
-    /// Cumulative baseline compilations since VM start.
+    /// Cumulative compiles since VM start.
     pub base_compiles: u64,
-    /// Cumulative jit-tier promotions since VM start.
+    /// Cumulative fused compiles since VM start (all of them, jit on).
     pub jit_compiles: u64,
 }
 
-/// Measures the adaptive-recompilation warm-up after a dynamic update
-/// (paper §3.3: invalidated methods are first base-compiled on next call,
-/// then re-promoted to the jit tier — "any added overhead due to
-/// recompilation will be short-lived").
+/// Measures the recompilation warm-up after a dynamic update (paper
+/// §3.3: invalidated methods are recompiled on their next call — "any
+/// added overhead due to recompilation will be short-lived").
 pub fn warmup_series(windows: usize, window_slices: u64, concurrency: usize) -> Vec<WarmupWindow> {
     let vm_config = VmConfig { semispace_words: 512 * 1024, quantum: 300, ..VmConfig::default() };
     let paths = ["/index.html", "/about.html", "/data.json"];
@@ -273,7 +272,7 @@ mod tests {
                 config.label()
             );
             if config.jit() {
-                assert!(jit_compiles > 0, "{}: jit tier never engaged", config.label());
+                assert!(jit_compiles > 0, "{}: the jit never engaged", config.label());
                 assert!(fused_steps > 0, "{}: no fused op or leaf callee ran", config.label());
             } else {
                 assert_eq!(jit_compiles, 0, "{}: jit must stay off", config.label());

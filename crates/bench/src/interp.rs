@@ -7,15 +7,16 @@
 //! nothing beyond swapping that code. This harness measures calls/second
 //! of a dispatch-bound workload in four configurations:
 //!
-//! * `Base` — the template-JIT tier off: every body runs at the base tier
-//!   and every call pushes a frame (`--no-jit`, Fig. 5's "stock" row);
+//! * `Base` — the template JIT off: every body runs unfused and every
+//!   call pushes a frame (`--no-jit`, Fig. 5's "stock" row);
 //! * `BaseUpdated` — the same, measured *after* a dynamic update changed
 //!   every `area` body — steady state must be indistinguishable from
 //!   `Base`;
-//! * `Jit` — the default VM: the template-JIT tier (superinstruction
-//!   fusion and the leaf-call fast path);
-//! * `JitUpdated` — jit on, measured after the same update deopted and
-//!   re-promoted every hot body — steady state must recover to `Jit`.
+//! * `Jit` — the default VM: the template JIT (every body fused at its
+//!   first compile, and the leaf-call fast path);
+//! * `JitUpdated` — jit on, measured after the same update invalidated
+//!   every callee and its next call recompiled it fused — steady state
+//!   must recover to `Jit`.
 
 use std::time::{Duration, Instant};
 
@@ -59,7 +60,7 @@ class Bench {
 ";
 
 /// New version: every callee body changes, so the update invalidates every
-/// dispatch target the warm run promoted. Each
+/// dispatch target the warm run compiled. Each
 /// body differs from its v1 body only in a constant, so both versions
 /// compile and fuse to the same shapes and a post-update ratio measures
 /// the update alone.
@@ -100,13 +101,13 @@ pub const CALLS_PER_ITER: u64 = 10;
 /// Benchmark configuration identifiers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Config {
-    /// Jit off: every body at the base tier, every call framed.
+    /// Jit off: every body unfused, every call framed.
     Base,
     /// Jit off, measured after a dynamic update replaced every callee.
     BaseUpdated,
-    /// The default VM: the template-JIT tier on.
+    /// The default VM: the template JIT on.
     Jit,
-    /// Jit on, measured after the update deopted every hot body.
+    /// Jit on, measured after the update invalidated every callee.
     JitUpdated,
 }
 
@@ -131,7 +132,7 @@ impl Config {
         matches!(self, Config::BaseUpdated | Config::JitUpdated)
     }
 
-    /// Whether the template-JIT tier is enabled.
+    /// Whether the template JIT is enabled.
     fn jit(self) -> bool {
         matches!(self, Config::Jit | Config::JitUpdated)
     }
@@ -146,8 +147,8 @@ pub struct InterpSample {
     pub calls: u64,
     /// `Bench.run`'s return value (cross-configuration sanity check).
     pub checksum: i64,
-    /// Whole-run per-tier compile counts: (base, jit).
-    pub tier_compiles: (u64, u64),
+    /// Whole-run compile counts: (compiles, fused compiles).
+    pub compiles: (u64, u64),
     /// Base instructions retired during the timed run.
     pub steps: u64,
     /// Of those, retired inside superinstructions (0 with jit off).
@@ -171,8 +172,8 @@ impl InterpSample {
     }
 }
 
-/// Runs one configuration: boot, warm up (with the jit on, promoting the
-/// hot bodies), then time one `Bench.run(iters)` call.
+/// Runs one configuration: boot, warm up (compiling every body), then
+/// time one `Bench.run(iters)` call.
 ///
 /// # Panics
 ///
@@ -184,9 +185,8 @@ pub fn measure(config: Config, iters: i64) -> InterpSample {
     let v1 = jvolve_lang::compile(INTERP_V1).expect("interp v1 compiles");
     vm.load_classes(&v1).expect("interp classes load");
 
-    // Warm-up: in jit mode, drives every `area` body and
-    // `run`'s loop trips past the jit threshold, so the timed run sees
-    // steady-state code in every mode.
+    // Warm-up: compiles every body, so the timed run sees steady-state
+    // code in every mode.
     let warm = vm
         .call_static_sync("Bench", "run", &[Value::Int(1_000)])
         .expect("warmup runs")
@@ -200,8 +200,7 @@ pub fn measure(config: Config, iters: i64) -> InterpSample {
         let mut controller = UpdateController::new(&update, ApplyOptions::default());
         controller.attach_sink(&mut events);
         controller.run_to_completion(&mut vm).expect("update applies");
-        // Post-update warm-up: invalidated methods re-baseline and
-        // re-promote.
+        // Post-update warm-up: invalidated methods recompile.
         vm.call_static_sync("Bench", "run", &[Value::Int(1_000)]).expect("post-update warmup");
     }
 
@@ -220,7 +219,7 @@ pub fn measure(config: Config, iters: i64) -> InterpSample {
         wall,
         calls: iters as u64 * CALLS_PER_ITER,
         checksum,
-        tier_compiles: (s.base_compiles, s.jit_compiles),
+        compiles: (s.base_compiles, s.jit_compiles),
         steps: s.steps - steps0,
         fused_steps: s.fused_steps - fused0,
     }
@@ -234,7 +233,7 @@ mod tests {
     fn all_configurations_agree_on_the_checksum() {
         let iters = 300;
         let base = measure(Config::Base, iters);
-        assert_eq!(base.tier_compiles.1, 0, "jit off never jit-compiles");
+        assert_eq!(base.compiles.1, 0, "jit off never jit-compiles");
         assert_eq!(base.fused_steps, 0, "jit off never fuses nor runs a leaf");
 
         // The jit configuration computes the same result while actually
@@ -243,16 +242,16 @@ mod tests {
         let jit = measure(Config::Jit, iters);
         assert_eq!(jit.checksum, base.checksum, "jit must not change results");
         assert_eq!(jit.steps, base.steps, "fused ops must retire the base step count");
-        assert!(jit.tier_compiles.1 > 0, "the jit tier never engaged");
+        assert!(jit.compiles.1 > 0, "the jit never engaged");
         assert!(jit.fused_steps > 0, "no superinstruction or leaf callee retired");
 
         // The updated configurations run v2 bodies, so their checksums
-        // differ — and with the jit, re-promoted fused code runs again.
+        // differ — and with the jit, recompiled fused code runs again.
         let updated = measure(Config::BaseUpdated, iters);
         assert_ne!(updated.checksum, base.checksum, "v2 bodies changed");
         assert_eq!(updated.fused_steps, 0, "jit off never fuses");
         let jit_updated = measure(Config::JitUpdated, iters);
         assert_eq!(jit_updated.checksum, updated.checksum, "jit must not change v2 results");
-        assert!(jit_updated.fused_steps > 0, "post-update code re-promoted to jit");
+        assert!(jit_updated.fused_steps > 0, "post-update code recompiled fused");
     }
 }

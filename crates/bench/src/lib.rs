@@ -10,7 +10,7 @@
 //! * `table2` / `table3` / `table4` — per-release summaries + live updates
 //! * `summary` — the "20 of 22" headline and the E&C comparison
 //! * `ablation` — eager vs lazy (epoch copied, epoch held open)
-//!   steady-state time and heap words; jit tier on/off/updated;
+//!   steady-state time and heap words; jit on/off/updated;
 //!   barriers/OSR machinery
 //! * `gates` — the tier-1 performance gates in one runner: exact counts
 //!   and same-run best-of-N ratios for the update-GC (`gc`), dispatch

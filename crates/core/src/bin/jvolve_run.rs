@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! jvolve_run <v1.mj> --main Class.method [--slices N]
-//!            [--no-jit | --jit-threshold N]
+//!            [--no-jit]
 //!            [--update <v2.mj> --after N [--prefix vN_] [--transformers t.mj]
 //!             [--lazy] [--lazy-batch N] [--trace results/update_trace.json]]
 //! ```
@@ -22,14 +22,12 @@
 //! (phase transitions, safe-point polls, install counts, GC outcome) is
 //! written as JSON to `--trace` (default `results/update_trace.json`).
 //!
-//! `--no-jit` disables the template-JIT tier (`VmConfig::enable_jit`);
-//! `--jit-threshold N` tunes the combined invocation + loop-trip count
-//! that promotes a method to it.
+//! `--no-jit` disables the template JIT (`VmConfig::enable_jit`): code
+//! then runs unfused.
 //!
 //! Unknown flags, missing flag values, malformed numbers, duplicate
-//! flags, and conflicting combinations (`--lazy` without `--update`,
-//! `--jit-threshold` with `--no-jit`) are all rejected with the usage
-//! message and exit code 2.
+//! flags, and conflicting combinations (`--lazy` without `--update`) are
+//! all rejected with the usage message and exit code 2.
 
 use std::process::ExitCode;
 
@@ -39,7 +37,7 @@ use jvolve::{
 use jvolve_vm::{Vm, VmConfig};
 
 const USAGE: &str = "usage: jvolve_run <v1.mj> --main Class.method [--slices N] \
-     [--no-jit | --jit-threshold N] \
+     [--no-jit] \
      [(--update <v2.mj> [--prefix vN_] [--transformers t.mj] | --update-bundle dir/) \
       --after N [--lazy] [--lazy-batch N] [--trace out.json]]";
 
@@ -52,7 +50,6 @@ struct Cli {
     after: usize,
     prefix: String,
     jit: bool,
-    jit_threshold: Option<u32>,
     lazy: bool,
     lazy_batch: Option<usize>,
     update: Option<String>,
@@ -63,12 +60,11 @@ struct Cli {
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut program: Option<String> = None;
-    let mut values: [(&str, Option<String>); 10] = [
+    let mut values: [(&str, Option<String>); 9] = [
         ("--main", None),
         ("--slices", None),
         ("--after", None),
         ("--prefix", None),
-        ("--jit-threshold", None),
         ("--lazy-batch", None),
         ("--update", None),
         ("--update-bundle", None),
@@ -130,7 +126,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let slices = take("--slices");
     let after = take("--after");
     let prefix = take("--prefix");
-    let jit_threshold = take("--jit-threshold");
     let lazy_batch = take("--lazy-batch");
     let update = take("--update");
     let update_bundle = take("--update-bundle");
@@ -166,10 +161,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if lazy_batch.is_some() && !lazy {
         return Err("--lazy-batch requires --lazy".into());
     }
-    if jit_threshold.is_some() && !jit {
-        // There is no tier for the threshold to tune.
-        return Err("--jit-threshold conflicts with --no-jit".into());
-    }
     Ok(Cli {
         program,
         main_spec: main_spec.unwrap_or_else(|| "Main.main".to_string()),
@@ -177,8 +168,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         after: parse_num("--after", after)?.unwrap_or(0),
         prefix: prefix.unwrap_or_else(|| "v1_".to_string()),
         jit,
-        jit_threshold: parse_num("--jit-threshold", jit_threshold)?
-            .map(|n| u32::try_from(n.max(1)).unwrap_or(u32::MAX)),
         lazy,
         lazy_batch: parse_num("--lazy-batch", lazy_batch)?.map(|n| n.max(1)),
         update,
@@ -217,13 +206,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let default_config = VmConfig::default();
     let mut vm = Vm::new(VmConfig {
         echo_output: true,
         enable_jit: cli.jit,
-        jit_threshold: cli.jit_threshold.unwrap_or(default_config.jit_threshold),
         lazy_migration: cli.lazy,
-        ..default_config
+        ..VmConfig::default()
     });
     if let Err(e) = vm.load_classes(&v1) {
         eprintln!("jvolve_run: load failed: {e}");

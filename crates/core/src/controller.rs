@@ -684,6 +684,12 @@ impl<'u> UpdateController<'u> {
                 if let Err(e) = checked {
                     return self.abort(vm, e, t);
                 }
+                // The restricted set and the indirect closure below come
+                // from the shipped old version, so it must be the running
+                // one.
+                if let Err(e) = crate::validate::check_base(self.update, vm.registry()) {
+                    return self.abort(vm, e, t);
+                }
                 let restricted = RestrictedSet::compute(
                     &self.update.spec,
                     &self.update.old_classes,
@@ -1040,12 +1046,6 @@ impl<'u> UpdateController<'u> {
                 }
             }
         }
-        // The individual registry restores bump the dispatch epoch, but a
-        // ledger holding only `RestoreFrame` actions would not: `osr_restore`
-        // writes frames directly, bypassing the registry. Bump once more so
-        // every fused frame re-checks its code against the restored registry
-        // after a rollback, regardless of what the ledger contained.
-        vm.registry_mut().bump_code_epoch();
         vm.clear_return_barriers();
         n
     }

@@ -8,7 +8,7 @@
 //! 4. it installs the modified classes: renames old versions, strips
 //!    their methods, loads new class files and the already-compiled
 //!    transformer class, swaps method bodies, and invalidates every
-//!    affected compiled method (no tier inlines, so there are no inlining
+//!    affected compiled method (nothing inlines, so there are no inlining
 //!    callers to invalidate with them);
 //! 5. it runs the update GC, then class transformers, then object
 //!    transformers over the update log.

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use jvolve_classfile::ClassName;
 use jvolve_vm::VmError;
 
 /// Why an update could not be applied.
@@ -33,6 +34,17 @@ pub enum UpdateError {
         /// Description, e.g. "jvolve_object_User must take (User, v1_User)".
         message: String,
     },
+    /// The update's old version is not the program the VM runs: a shipped
+    /// old class differs from the loaded class of that name, or a loaded
+    /// class whose code names a class-updated class was not shipped (its
+    /// compiled offsets would escape the update). Rejected before anything
+    /// touches the VM.
+    StaleBase {
+        /// The class whose shipped and loaded versions disagree.
+        class: ClassName,
+        /// What disagrees.
+        reason: &'static str,
+    },
     /// A VM operation failed (load, GC overflow, transformer trap, …).
     Vm(VmError),
     /// The update changes nothing.
@@ -57,6 +69,9 @@ impl fmt::Display for UpdateError {
             UpdateError::BadSpec { message } => write!(f, "malformed update spec: {message}"),
             UpdateError::BadTransformer { message } => {
                 write!(f, "ill-typed transformer: {message}")
+            }
+            UpdateError::StaleBase { class, reason } => {
+                write!(f, "the update's old version is not the running one: {class} {reason}")
             }
             UpdateError::Vm(e) => write!(f, "VM error during update: {e}"),
             UpdateError::Empty => f.write_str("update changes nothing"),

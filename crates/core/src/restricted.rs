@@ -12,7 +12,7 @@
 //!    `handle`/`process`/`cleanup` example).
 //!
 //! The paper also restricts any method whose compiled code **inlined** one
-//! of the above. Neither tier here inlines (DESIGN §2), so that clause has
+//! of the above. Nothing here inlines (DESIGN §2), so that clause has
 //! nothing to restrict.
 
 use std::collections::BTreeSet;

@@ -12,14 +12,19 @@
 //! instances keep the old one, and a dropped indirect method leaves
 //! compiled code holding stale field offsets.
 //!
-//! Both checks run in the controller's `Pending` phase, before anything
+//! These checks run in the controller's `Pending` phase, before anything
 //! touches the VM. [`validate_update`] re-derives the UPT diff from the
 //! payload to confirm the spec's shape. [`check_transformer_signatures`]
 //! takes the compiled transformer class and pins the
 //! `jvolve_object_X(to, from)` / `jvolve_class_X()` calling conventions
-//! the heap-transformation phase later relies on blindly.
+//! the heap-transformation phase later relies on blindly. [`check_base`]
+//! confirms that the payload's old version is the program the VM runs:
+//! the restricted set and the indirect closure are computed from it, so a
+//! bundle built against another release (a skipped or repeated one) would
+//! leave live code holding stale offsets.
 
 use jvolve_classfile::{ClassFile, ClassName, Type};
+use jvolve_vm::registry::Registry;
 
 use crate::diff::prepare_spec;
 use crate::driver::Update;
@@ -160,6 +165,43 @@ pub fn validate_update(update: &Update) -> Result<(), UpdateError> {
                 "indirect method {mref} missing from the spec (its compiled code would keep \
                  stale offsets)"
             )));
+        }
+    }
+    Ok(())
+}
+
+/// Checks that `update`'s old version is what `registry` has loaded:
+/// every shipped old class equals the live class of its name, and every
+/// live class whose code names a class-updated class was shipped.
+///
+/// # Errors
+///
+/// [`UpdateError::StaleBase`] naming the first class that disagrees.
+pub fn check_base(update: &Update, registry: &Registry) -> Result<(), UpdateError> {
+    let stale = |class: &ClassName, reason| UpdateError::StaleBase { class: class.clone(), reason };
+    for shipped in update.old_classes.iter() {
+        match registry.class_id(&shipped.name) {
+            None => return Err(stale(&shipped.name, "is not loaded")),
+            Some(id) if registry.class(id).file != *shipped => {
+                return Err(stale(&shipped.name, "differs from the loaded class"));
+            }
+            Some(_) => {}
+        }
+    }
+    // The shipped classes equal their loaded ones, so only the loaded
+    // classes beyond the shipped set need their code read.
+    let updated: Vec<&ClassName> = update.spec.class_updates().map(|d| &d.name).collect();
+    for live in registry.classes().filter(|c| update.old_classes.get(&c.name).is_none()) {
+        let names_updated = live
+            .file
+            .methods
+            .iter()
+            .filter_map(|m| m.code.as_ref())
+            .flat_map(|code| &code.instrs)
+            .filter_map(|i| i.referenced_class())
+            .any(|c| updated.contains(&c));
+        if names_updated {
+            return Err(stale(&live.name, "names a class-updated class but was not shipped"));
         }
     }
     Ok(())

@@ -222,13 +222,19 @@ fn jvolve_run_lazy_batch_tunes_the_epoch() {
 #[test]
 fn jvolve_run_rejects_unknown_flags() {
     let old = write_temp("strict_v1.mj", V1);
-    // The second and third are retired flags, the collector-worker count
-    // and the dispatch-cache switch (each spelled in two pieces so a
-    // search of the tree for it finds nothing): they are as unknown as any
-    // other name.
+    // The others are retired flags, the collector-worker count, the
+    // dispatch-cache switch and the tier-promotion threshold (each spelled
+    // in two pieces so a search of the tree for it finds nothing): they
+    // are as unknown as any other name.
     let retired = ["--gc", "-threads"].concat();
     let caches = ["--no-inline", "-caches"].concat();
-    for extra in [&["--turbo"][..], &[retired.as_str(), "2"], &[caches.as_str()]] {
+    let threshold = ["--jit", "-threshold"].concat();
+    for extra in [
+        &["--turbo"][..],
+        &[retired.as_str(), "2"],
+        &[caches.as_str()],
+        &[threshold.as_str(), "5"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_jvolve_run"))
             .args([old.to_str().unwrap(), "--main", "Counter.main"])
             .args(extra)
@@ -284,7 +290,7 @@ fn jvolve_run_jit_flags_follow_the_strict_contract() {
     let old = write_temp("jit_v1.mj", V1);
     let path = old.to_str().unwrap();
 
-    // Happy paths: tier off, and tier on with a custom threshold.
+    // Happy path: the template JIT off.
     let out = Command::new(env!("CARGO_BIN_EXE_jvolve_run"))
         .args([path, "--main", "Counter.main", "--no-jit"])
         .output()
@@ -292,38 +298,7 @@ fn jvolve_run_jit_flags_follow_the_strict_contract() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains('3'));
 
-    let out = Command::new(env!("CARGO_BIN_EXE_jvolve_run"))
-        .args([path, "--main", "Counter.main", "--jit-threshold", "5"])
-        .output()
-        .expect("jvolve_run runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains('3'));
-
-    // The threshold tunes a tier that --no-jit removes: conflict.
-    let out = Command::new(env!("CARGO_BIN_EXE_jvolve_run"))
-        .args([path, "--main", "Counter.main", "--no-jit", "--jit-threshold", "5"])
-        .output()
-        .expect("jvolve_run runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--jit-threshold conflicts with --no-jit"), "{stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
-
-    // Missing value, malformed value, duplicate bool flag.
-    let out = Command::new(env!("CARGO_BIN_EXE_jvolve_run"))
-        .args([path, "--main", "Counter.main", "--jit-threshold"])
-        .output()
-        .expect("jvolve_run runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jit-threshold needs a value"));
-
-    let out = Command::new(env!("CARGO_BIN_EXE_jvolve_run"))
-        .args([path, "--main", "Counter.main", "--jit-threshold", "hot"])
-        .output()
-        .expect("jvolve_run runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jit-threshold expects a number"));
-
+    // A duplicate bool flag.
     let out = Command::new(env!("CARGO_BIN_EXE_jvolve_run"))
         .args([path, "--main", "Counter.main", "--no-jit", "--no-jit"])
         .output()

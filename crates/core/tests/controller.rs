@@ -443,12 +443,10 @@ fn json_trace_is_valid_and_ordered() {
 
 #[test]
 fn rollback_re_resolves_warm_call_sites() {
-    // Warm the call sites with hot pre-update targets (past the jit
-    // threshold, so the installed code is the template JIT's), induce a
-    // mid-install failure, and verify every call after the rollback runs
-    // the *restored* old code: v1 semantics, a bit-identical registry, and
-    // a dispatch epoch strictly newer than the one every fused body was
-    // stamped with.
+    // Warm the call sites with hot pre-update targets (the installed
+    // code is the template JIT's fused form), induce a mid-install
+    // failure, and verify every call after the rollback runs the
+    // *restored* old code: v1 semantics and a bit-identical registry.
     let v1 = compile(
         "class Counter {
            field n: int;
@@ -486,8 +484,8 @@ fn rollback_re_resolves_warm_call_sites() {
     let mut vm = Vm::new(VmConfig::small());
     vm.load_classes(&v1).expect("v1 loads");
     vm.call_static_sync("App", "init", &[]).expect("init runs");
-    // 500 calls: past the jit threshold, so the installed `tick` is
-    // jit-tier code and the sites are as warm as they get.
+    // 500 calls: the installed `tick` is fused code and the sites are as
+    // warm as they get.
     assert_eq!(
         vm.call_static_sync("App", "drive", &[Value::Int(500)]).unwrap(),
         Some(Value::Int(500))
@@ -497,18 +495,12 @@ fn rollback_re_resolves_warm_call_sites() {
     rig_install_failure(&mut vm, &mut update);
 
     let before = registry_fingerprint(&vm);
-    let epoch_before = vm.registry().code_epoch();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
     let err = controller.run_to_completion(&mut vm).expect_err("transformer batch collides");
     assert!(matches!(err, UpdateError::Vm(VmError::LoadError { .. })), "got: {err}");
 
     let after = registry_fingerprint(&vm);
     assert_eq!(before, after, "rollback must restore the registry bit-for-bit");
-    assert!(
-        vm.registry().code_epoch() > epoch_before,
-        "rollback must advance the dispatch epoch so fused frames re-check \
-         their code against the restored registry"
-    );
 
     // Execution through the previously warm sites: v1 semantics exactly
     // (tick is +1, not v2's +1000 offset), continuing the preserved state.
@@ -867,4 +859,110 @@ fn rollback_shrinks_a_migrated_middle_frame_back() {
     assert_eq!(registry_fingerprint(&vm), registry);
     assert!(vm.run_to_completion(100_000));
     assert_eq!(vm.read_static("Main", "out"), Value::Int(2 + 6 + 20000 * 3));
+}
+
+// ---- the shipped old version must be the running one -------------------
+
+/// The VM runs `P { a = 42 }` and `H.peek()`, which reads `H.p.a`. The
+/// bundle was built against an `H` whose `peek` returns 7, so its diff
+/// leaves `peek` out of the indirect closure while `P` gains a field in
+/// front of `a`: applied, the live `peek` would keep its compiled offset
+/// and read the new `z`.
+#[test]
+fn a_bundle_built_against_another_version_is_a_stale_base() {
+    const LIVE: &str = "
+      class P { field a: int; ctor() { this.a = 42; } }
+      class H {
+        static field p: P;
+        static method init(): void { H.p = new P(); }
+        static method peek(): int { return H.p.a; }
+      }";
+    let shipped_old = LIVE.replace("return H.p.a;", "return 7;");
+    let new = shipped_old.replace("field a: int;", "field z: int; field a: int;");
+    let mut vm = Vm::new(VmConfig::small());
+    vm.load_classes(&compile(LIVE)).expect("live version loads");
+    vm.call_static_sync("H", "init", &[]).expect("init runs");
+    assert_eq!(vm.call_static_sync("H", "peek", &[]).unwrap(), Some(Value::Int(42)));
+
+    let update = Update::prepare(&compile(&shipped_old), &compile(&new), "v1_").expect("prepares");
+    let before = registry_fingerprint(&vm);
+    let mut events = MemorySink::default();
+    let mut controller = UpdateController::new(&update, ApplyOptions::default());
+    controller.attach_sink(&mut events);
+    let err = controller.run_to_completion(&mut vm).expect_err("stale base");
+    drop(controller);
+    assert!(
+        matches!(&err, UpdateError::StaleBase { class, .. } if class.as_str() == "H"),
+        "{err}"
+    );
+    assert!(
+        events.events.iter().any(|e| matches!(e, UpdateEvent::RolledBack { actions_undone: 0, .. })),
+        "rejected with an empty ledger: {:?}",
+        events.events
+    );
+    assert_eq!(registry_fingerprint(&vm), before, "the registry is untouched");
+    assert_eq!(vm.call_static_sync("H", "peek", &[]).unwrap(), Some(Value::Int(42)));
+
+    // A bundle that ships `P` alone leaves the loaded `H`, whose code
+    // names `P`, outside the update: rejected the same way.
+    let p_only = |src: &str| compile(&src[..src.find("class H").expect("H follows P")]);
+    let update = Update::prepare(&p_only(LIVE), &p_only(&new), "v1_").expect("prepares");
+    let err = jvolve::apply(&mut vm, &update, &ApplyOptions::default()).expect_err("H not shipped");
+    assert!(
+        matches!(&err, UpdateError::StaleBase { class, .. } if class.as_str() == "H"),
+        "{err}"
+    );
+    assert_eq!(registry_fingerprint(&vm), before, "the registry is untouched");
+}
+
+// ---- OSR inside the pause lands on the VM's one compiled form ----------
+
+/// `main` calls `work`, whose loop reads `Main.p.a`; v2 puts a field in
+/// front of `a`, so both frames run indirect methods and are OSR-replaced
+/// inside the pause.
+const OSR_V1: &str = "
+class P { field a: int; }
+class Main {
+  static field p: P;
+  static method work(n: int): int {
+    var i: int = 0;
+    var acc: int = 0;
+    while (i < n) { acc = acc + Main.p.a; i = i + 1; }
+    return acc;
+  }
+  static method main(): void {
+    Main.p = new P();
+    Main.p.a = 3;
+    Sys.printInt(Main.work(20000));
+    Sys.printInt(Main.p.a);
+  }
+}";
+
+#[test]
+fn a_frame_osr_replaced_in_the_pause_lands_on_fused_code() {
+    let run = |enable_jit: bool| {
+        let mut vm = Vm::new(VmConfig { enable_jit, quantum: 500, ..VmConfig::small() });
+        vm.load_classes(&compile(OSR_V1)).expect("v1 loads");
+        vm.spawn("Main", "main").expect("main spawns");
+        for _ in 0..5 {
+            vm.step_slice();
+        }
+        assert_eq!(vm.threads().next().expect("guest").frames.len(), 2, "main, work");
+        let v2 = OSR_V1.replace("class P { field a: int; }", "class P { field z: int; field a: int; }");
+        let update = Update::prepare(&compile(OSR_V1), &compile(&v2), "v1_").expect("prepares");
+        let stats = jvolve::apply(&mut vm, &update, &ApplyOptions::default()).expect("applies");
+        assert_eq!(stats.osr_replacements, 2, "{stats:?}");
+        let frames = &vm.threads().next().expect("guest").frames;
+        for f in frames {
+            assert_eq!(!f.compiled.base_pc.is_empty(), enable_jit, "frame of {}", f.method);
+        }
+        // `work`'s loop guard and increment are superinstructions.
+        let work = &frames[1].compiled.code;
+        assert_eq!(work.iter().any(|op| op.covers() > 1), enable_jit, "{work:?}");
+        assert!(vm.run_to_completion(100_000));
+        vm.output().to_vec()
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(on, off, "the jit changes nothing the guest prints");
+    assert_eq!(on, ["60000", "3"]);
 }

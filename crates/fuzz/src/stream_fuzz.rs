@@ -182,6 +182,7 @@ fn error_variant(e: &UpdateError) -> &'static str {
         UpdateError::Compile(_) => "Compile",
         UpdateError::BadTransformer { .. } => "BadTransformer",
         UpdateError::Timeout { .. } => "Timeout",
+        UpdateError::StaleBase { .. } => "StaleBase",
         UpdateError::Vm(_) => "Vm",
         UpdateError::Empty => "Empty",
         UpdateError::Unsupported { .. } => "Unsupported",

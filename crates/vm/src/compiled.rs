@@ -8,68 +8,10 @@
 //! of any method referencing the class silently holds stale offsets and
 //! must be invalidated (and, if on-stack, OSR-replaced).
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crate::ids::{ClassId, MethodId};
 use crate::natives::NativeFn;
-
-/// Relaxed invocation counter attached to compiled code.
-///
-/// Hotness accounting lives on the `CompiledMethod` itself so the
-/// interpreter's call path can count an invocation with one relaxed
-/// atomic add on the code it already holds. The counter is
-/// per-*code-object*: a recompilation starts a fresh cell at zero, so
-/// [`Registry::invalidate`](crate::registry::Registry::invalidate), which
-/// drops the code, resets the method's heat.
-#[derive(Default)]
-pub struct CounterCell(AtomicU32);
-
-/// Deliberately value-free: the counter is a racy profiling sample, not
-/// versioned VM state (invalidation resets it; registry fingerprints
-/// exclude it), so debug dumps of compiled code — which rollback tests
-/// compare bit-for-bit — must not change just because a loop kept
-/// spinning between two snapshots.
-impl std::fmt::Debug for CounterCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CounterCell(_)")
-    }
-}
-
-impl CounterCell {
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u32 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Adds one, returning the *previous* value (the call number before
-    /// this invocation).
-    #[inline]
-    pub fn bump(&self) -> u32 {
-        self.0.fetch_add(1, Ordering::Relaxed)
-    }
-}
-
-impl Clone for CounterCell {
-    fn clone(&self) -> Self {
-        CounterCell(AtomicU32::new(self.get()))
-    }
-}
-
-/// Compilation tier.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CompileLevel {
-    /// Straightforward 1:1 resolution of bytecode: instruction indices
-    /// coincide with bytecode indices.
-    Base,
-    /// Template JIT: the base-resolved stream peephole-fused into
-    /// superinstructions ([`crate::jit2`]). Every fused op records the base
-    /// pc of its first covered instruction, so a frame deopts/OSRs back to
-    /// 1:1 base code at an exact reconstruction point. No tier inlines, so
-    /// every frame is an OSR candidate (paper §3.2).
-    Jit,
-}
 
 /// A resolved instruction.
 ///
@@ -395,36 +337,23 @@ impl RInstr {
     }
 }
 
-/// A compiled method body.
+/// A compiled method body: the method's one executable form. With the
+/// template JIT on it is the superinstruction-fused stream
+/// ([`crate::jit2`]), fused at the first compile; off, the 1:1 resolved
+/// stream.
 #[derive(Clone, Debug)]
 pub struct CompiledMethod {
     /// The method this code implements.
     pub method: MethodId,
-    /// Compilation tier.
-    pub level: CompileLevel,
     /// Resolved instructions.
     pub code: Vec<RInstr>,
     /// Local slots needed.
     pub max_locals: u16,
     /// Classes whose layout/dispatch data is baked into this code.
     pub referenced_classes: Vec<ClassId>,
-    /// Invocation counter driving adaptive recompilation (sampled by the
-    /// interpreter on every call).
-    pub invocations: CounterCell,
-    /// Loop back-edges taken by base-tier frames of this code (bumped only
-    /// when the JIT tier is enabled). Invocations + trips drive promotion,
-    /// so a loopy method that is rarely called (a server's main loop) gets
-    /// compiled via OSR-in at a back-edge; kept as its own cell because
-    /// only the back-edge bumps it and only [`Self::next_tier`] sums them.
-    pub loop_trips: CounterCell,
-    /// Fusion metadata; present iff `level == Jit`, in which case `code`
-    /// *is* the superinstruction-fused stream (`frame.pc` indexes it and
-    /// the interpreter's dense `match` executes it directly). Carries the
-    /// retained 1:1 base body, the fused-index → base-pc deopt mapping,
-    /// and the epoch-revalidation cache — deopt swaps the frame onto the
-    /// retained base body at the mapped pc, which is exact and
-    /// semantically a no-op.
-    pub fused: Option<Arc<crate::jit2::FusedCode>>,
+    /// Index in `code` → bytecode pc of the first base instruction the op
+    /// covers; non-decreasing. Empty means the identity (unfused code).
+    pub base_pc: Vec<u32>,
     /// Whether this body qualifies for the leaf-call fast path: short and
     /// made of simple ops only, so a call may run it on the caller's
     /// operand stack without pushing a frame
@@ -433,51 +362,32 @@ pub struct CompiledMethod {
 }
 
 impl CompiledMethod {
-    /// Code for `method` at `level` with fresh hotness counters, nothing
-    /// referenced and no fusion metadata; `leaf` is derived from `code`.
-    pub fn new(
-        method: MethodId,
-        level: CompileLevel,
-        code: Vec<RInstr>,
-        max_locals: u16,
-    ) -> Self {
+    /// Unfused code for `method`: nothing referenced, the identity pc map;
+    /// `leaf` is derived from `code`.
+    pub fn new(method: MethodId, code: Vec<RInstr>, max_locals: u16) -> Self {
         CompiledMethod {
             method,
-            level,
             leaf: crate::jit2::is_leaf(&code),
             code,
             max_locals,
             referenced_classes: Vec::new(),
-            invocations: CounterCell::default(),
-            loop_trips: CounterCell::default(),
-            fused: None,
+            base_pc: Vec::new(),
         }
     }
 
-    /// The base-tier (bytecode) pc a frame of this code stands at when its
-    /// `pc` field reads `pc` — the identity for base code, the fused op's
-    /// first covered base instruction for jit code.
+    /// The bytecode pc a frame of this code stands at when its `pc` field
+    /// reads `pc` — the identity for unfused code, the fused op's first
+    /// covered base instruction for fused code.
     pub fn base_pc_of(&self, pc: u32) -> u32 {
-        match &self.fused {
-            Some(f) => f.base_pc[pc as usize],
-            None => pc,
-        }
+        self.base_pc.get(pc as usize).copied().unwrap_or(pc)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_cell_bump_returns_previous_and_clone_copies() {
-        let c = CounterCell::default();
-        assert_eq!(c.bump(), 0);
-        assert_eq!(c.bump(), 1);
-        assert_eq!(c.get(), 2);
-        let d = c.clone();
-        assert_eq!(d.get(), 2);
-        d.bump();
-        assert_eq!(c.get(), 2, "clones are independent cells");
+    /// The index in `code` of the op that starts at bytecode pc `base`, or
+    /// `None` if `base` is past the end or, in fused code, inside an op.
+    pub fn pc_of_base(&self, base: u32) -> Option<u32> {
+        if self.base_pc.is_empty() {
+            return ((base as usize) < self.code.len()).then_some(base);
+        }
+        crate::jit2::fused_index_of(&self.base_pc, base)
     }
 }

@@ -26,20 +26,15 @@ pub struct VmConfig {
     /// is the JDrums/DVM indirection baseline (paper §5) the `ablation`
     /// bench times.
     pub lazy_migration: bool,
-    /// The template-JIT tier: hot methods are recompiled into
-    /// superinstruction-fused threaded code ([`crate::jit2`]), promoted by
-    /// invocation counts plus loop-trip counts so loopy methods that are
-    /// rarely *called* still get compiled (via OSR-in at a back-edge).
-    /// Fused code bakes in resolved offsets, so it revalidates against
-    /// [`Registry::code_epoch`](crate::registry::Registry::code_epoch) at
-    /// method entry and loop back-edges and deopts to fresh base code when
-    /// its method was invalidated or replaced. Off holds the base-tier
-    /// baseline for the jit differential oracle, Fig. 5's "stock" row and
-    /// the `gates interp` base rows.
+    /// The template JIT: every method is compiled into
+    /// superinstruction-fused threaded code ([`crate::jit2`]) at its first
+    /// compile, and a call runs a short callee made of simple ops without
+    /// a frame (the leaf path). Fused code bakes in resolved offsets like
+    /// unfused code, so an update invalidates, OSR-replaces and recompiles
+    /// it the same way. Off holds the unfused baseline for the jit
+    /// differential oracle, Fig. 5's "stock" row and the `gates interp`
+    /// base rows.
     pub enable_jit: bool,
-    /// Combined invocation + loop-trip count after which a method is
-    /// promoted to the template-JIT tier.
-    pub jit_threshold: u32,
     /// Read by nothing: the collector is serial (DESIGN §5). The field
     /// survives only because `benchmark/src/layers.rs`, frozen outside
     /// benchmark PRs, names it in a `VmConfig` literal; ROADMAP item 0
@@ -64,7 +59,6 @@ impl Default for VmConfig {
             echo_output: false,
             lazy_migration: false,
             enable_jit: true,
-            jit_threshold: 400,
             gc_threads: 1,
         }
     }
@@ -81,6 +75,5 @@ mod tests {
         assert!(c.quantum > 0);
         assert!(!c.lazy_migration);
         assert!(c.enable_jit);
-        assert!(c.jit_threshold > 0);
     }
 }

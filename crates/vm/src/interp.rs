@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use jvolve_classfile::STRING_CLASS;
 
-use crate::compiled::{framed_ops, CompileLevel, CompiledMethod, RInstr};
+use crate::compiled::{framed_ops, CompiledMethod, RInstr};
 use crate::error::VmError;
 use crate::heap::HeapKind;
 use crate::ids::MethodId;
@@ -120,10 +120,10 @@ fn add(a: i64, b: i64) -> Value {
 /// Charges a completed superinstruction that [covers](RInstr::covers)
 /// `$covers` base instructions: the loop top counted 1 for the dispatch,
 /// this adds the rest, so slice budgets, yield positions and the
-/// differential oracles see the base tier's totals. A trap charges the
+/// differential oracles see the unfused code's totals. A trap charges the
 /// faulting base instruction's position instead (the `fail` hook's first
 /// argument) and a barrier exit nothing — the whole op retries, costing 1
-/// per attempt just as the base tier's faulting instruction does. An arm
+/// per attempt just as the unfused faulting instruction does. An arm
 /// that stores or calls out first reads `covers()` before it does, while
 /// the compiler still knows which arm it is in and folds it to a constant.
 macro_rules! retire {
@@ -364,21 +364,12 @@ impl Vm {
                 t.state = ThreadState::Finished;
                 break 'outer SliceEvent::Finished;
             };
-            // Template-JIT epoch check at method entry/re-entry: a fused
-            // frame whose dispatch epoch moved revalidates against the
-            // registry, deoptimizing onto its retained base body if its
-            // method was replaced underneath it (DESIGN §5). One cached
-            // epoch compare when nothing changed.
-            self.jit_revalidate(t, fi);
             // SAFETY: nothing replaces `frames[fi].compiled` while this
-            // activation executes — OSR runs only between slices, a
+            // activation executes — OSR runs only between slices, and a
             // registry recompilation swaps the *registry's* `Arc`, never
-            // the frame's, and the in-loop swaps (template-JIT OSR-in on
-            // a back-edge, deopt via `jit_revalidate`) re-enter 'outer
-            // immediately without touching the borrow again — and the
-            // borrow is last used before the frame pops (the return path
-            // re-enters 'outer immediately, and the popped record keeps
-            // the `Arc` alive through the arm).
+            // the frame's — and the borrow is last used before the frame
+            // pops (the return path re-enters 'outer immediately, and the
+            // popped record keeps the `Arc` alive through the arm).
             // Pushing records may move the `Arc` struct itself; the
             // pointee is heap-allocated and unaffected.
             let code: &CompiledMethod =
@@ -502,21 +493,18 @@ impl Vm {
                     }};
                 }
                 // The call tail shared by every call arm, over the method
-                // `$mid` dispatch resolved to. The registry's installed code,
-                // when its heat says no promotion is due, is counted and run:
-                // a leaf callee *borrowed*, on the value stack without a
-                // record or a touch of the `Arc`'s count; any other entered
-                // with one clone. Otherwise (first call, or a tier threshold
-                // crossed) `compiled_for` compiles, so promotion happens at
-                // the same call number whichever arm made the call. Always
-                // leaves via `continue` or a slice-ending break.
+                // `$mid` dispatch resolved to. The registry's installed code
+                // runs: a leaf callee *borrowed*, on the value stack without
+                // a record or a touch of the `Arc`'s count; any other entered
+                // with one clone. Code not compiled yet (first call, or
+                // invalidated by an update) is compiled by `compiled_for`.
+                // Always leaves via `continue` or a slice-ending break.
                 macro_rules! call {
                     ($mid:expr, $total:expr) => {{
                         let total: usize = $total;
                         let mid = $mid;
                         match self.registry.method(mid).compiled.as_ref() {
-                            Some(callee) if callee.next_tier(&self.config).is_none() => {
-                                callee.invocations.bump();
+                            Some(callee) => {
                                 if enable_jit
                                     && callee.leaf
                                     && steps < budget
@@ -550,7 +538,7 @@ impl Vm {
                                 }
                                 enter!(Arc::clone(callee), total)
                             }
-                            _ => match self.compiled_for(mid) {
+                            None => match self.compiled_for(mid) {
                                 Ok(callee) => enter!(callee, total),
                                 Err(e) => trap!(e),
                             },
@@ -699,38 +687,9 @@ impl Vm {
                     }
                     RInstr::Jump(target) => {
                         let target = *target as usize;
-                        if target <= pc {
-                            // Loop back-edge: a yield point, and where the
-                            // tier checks below read the record's pc.
-                            t.frames[fi].pc = target as u32;
-                            if steps >= budget {
-                                break 'outer SliceEvent::Quantum;
-                            }
-                            if enable_jit {
-                                match code.level {
-                                    CompileLevel::Base => {
-                                        // Count loop trips toward template-JIT
-                                        // heat; a long-running loop promotes
-                                        // mid-method (OSR-in) without waiting
-                                        // for the next invocation.
-                                        let hot =
-                                            code.next_tier(&self.config) == Some(CompileLevel::Jit);
-                                        code.loop_trips.bump();
-                                        if hot && self.osr_into_jit(t, fi) {
-                                            continue 'outer;
-                                        }
-                                    }
-                                    CompileLevel::Jit => {
-                                        // DSU safe point: a fused frame
-                                        // re-checks the dispatch epoch on
-                                        // every back-edge, deoptimizing if
-                                        // its method was replaced.
-                                        if self.jit_revalidate(t, fi) {
-                                            continue 'outer;
-                                        }
-                                    }
-                                }
-                            }
+                        if target <= pc && steps >= budget {
+                            // Loop back-edge: a yield point.
+                            park!(target, break 'outer SliceEvent::Quantum);
                         }
                         pc = target;
                         continue;
@@ -855,70 +814,6 @@ impl Vm {
         values.truncate(base);
         values.extend(ret);
         Ok(())
-    }
-
-    /// Template-JIT epoch revalidation for the frame `fi` of `t`, called
-    /// at method entry/re-entry and on every loop back-edge of fused
-    /// code. Fast path: the fused code's cached epoch matches the
-    /// registry's — nothing to do. On a mismatch, the frame's code is
-    /// checked against the registry: still current (the epoch moved for
-    /// an unrelated method) refreshes the cache; replaced deoptimizes
-    /// the frame onto the retained base body at the mapped pc — exact
-    /// and semantically a no-op, because the base body is the very
-    /// stream the fusion was built from (a frame suspended mid-method
-    /// keeps pinned stale code in both tiers; the registry's *new* code
-    /// takes over at the next call, through the invalidatable dispatch
-    /// path). Returns whether the frame was deoptimized (its `compiled`
-    /// and `pc` changed).
-    fn jit_revalidate(&mut self, t: &mut VmThread, fi: usize) -> bool {
-        use std::sync::atomic::Ordering;
-        let frame = &t.frames[fi];
-        let Some(fused) = frame.compiled.fused.as_ref() else {
-            return false;
-        };
-        let epoch = self.registry.code_epoch();
-        if fused.valid_epoch.load(Ordering::Relaxed) == epoch {
-            return false;
-        }
-        let current = self.registry.method(frame.compiled.method).compiled.as_ref();
-        if current.is_some_and(|c| Arc::ptr_eq(c, &frame.compiled)) {
-            fused.valid_epoch.store(epoch, Ordering::Relaxed);
-            return false;
-        }
-        let (base, pc) = (Arc::clone(&fused.base), fused.base_pc[frame.pc as usize]);
-        let f = &mut t.frames[fi];
-        f.compiled = base;
-        f.pc = pc;
-        self.stats.deopts += 1;
-        true
-    }
-
-    /// Promotes a hot loop mid-method: compiles the frame's method at the
-    /// template-JIT tier, publishes it, and swaps the executing frame
-    /// onto the fused stream with the pc translated through the fusion
-    /// boundary map (the frame's pc is a branch target, which fusion
-    /// never swallows). Declines — returning `false` — when the frame is
-    /// running stale code (the registry moved on; promoting it would
-    /// republish a dead version) or compilation fails.
-    fn osr_into_jit(&mut self, t: &mut VmThread, fi: usize) -> bool {
-        let mid = t.frames[fi].compiled.method;
-        let current = self.registry.method(mid).compiled.as_ref();
-        if !current.is_some_and(|c| Arc::ptr_eq(c, &t.frames[fi].compiled)) {
-            return false;
-        }
-        let Ok(fresh) = crate::jit::compile(&self.registry, mid, CompileLevel::Jit) else {
-            return false;
-        };
-        let fresh = Arc::new(fresh);
-        self.stats.jit_compiles += 1;
-        self.registry.set_compiled(mid, Arc::clone(&fresh));
-        let target = t.frames[fi].pc;
-        let map = &fresh.fused.as_ref().expect("jit code carries a fusion map").base_pc;
-        let new_pc = crate::jit2::fused_index_of(map, target);
-        let f = &mut t.frames[fi];
-        f.compiled = fresh;
-        f.pc = new_pc;
-        true
     }
 
     /// The read barrier's slow path: `t` just loaded `r`, a from-space

@@ -1,33 +1,30 @@
-//! The (simulated) JIT: baseline and template compilers.
+//! The (simulated) JIT: resolution, then fusion.
 //!
-//! The **baseline compiler** resolves symbolic bytecode 1:1 into
-//! [`RInstr`]s, baking field offsets, static slots, TIB slots, instance
-//! sizes, and direct-call targets — the analogue of Jikes RVM's
-//! base-compiled machine code. Because the mapping is 1:1, the pc and
-//! locals of a base-compiled frame transfer directly to a recompilation
-//! (OSR, paper §3.2).
-//!
-//! The **template JIT** ([`CompileLevel::Jit`]) resolves 1:1 like the
-//! baseline and then peephole-fuses the stream into superinstructions
-//! ([`crate::jit2`]), keeping a fused-index → base-pc map, so its frames
-//! are OSR candidates too. Neither compiler inlines: a frame running
-//! inlined code cannot be OSR-lifted (the paper's §3.2 restriction), so
-//! the webserver's update waited on return barriers while handlers ran
-//! the deleted opt tier's inlined code (EXPERIMENTS.md, "PR 23").
-//! Cross-method win comes from the leaf fast path instead (at a call the
-//! interpreter runs a short callee made of simple ops without pushing a
-//! frame — either tier's code can be such a [`CompiledMethod::leaf`]).
+//! [`compile`] resolves symbolic bytecode 1:1 into [`RInstr`]s, baking
+//! field offsets, static slots, TIB slots, instance sizes, and
+//! direct-call targets — the analogue of Jikes RVM's base-compiled
+//! machine code. With the template JIT on it then fuses the stream into
+//! superinstructions ([`crate::jit2`]) in the same call, so a method has
+//! one compiled form from its first compile, and the fused-index →
+//! bytecode-pc map keeps its frames OSR candidates (paper §3.2). Neither
+//! step inlines: a frame running inlined code cannot be OSR-lifted (the
+//! paper's §3.2 restriction), so the webserver's update waited on return
+//! barriers while handlers ran the deleted opt tier's inlined code
+//! (EXPERIMENTS.md, "PR 23"). Cross-method win comes from the leaf fast
+//! path instead (at a call the interpreter runs a short callee made of
+//! simple ops without pushing a frame — a [`CompiledMethod::leaf`]).
 
 use std::sync::Arc;
 
 use jvolve_classfile::bytecode::Instr;
 
-use crate::compiled::{CompileLevel, CompiledMethod, RInstr};
+use crate::compiled::{CompiledMethod, RInstr};
 use crate::error::VmError;
 use crate::ids::{ClassId, MethodId};
 use crate::registry::Registry;
 
-/// Compiles `mid` at the requested tier.
+/// Compiles `mid`: resolves its bytecode and, if `fuse`, fuses the
+/// resolved stream.
 ///
 /// # Errors
 ///
@@ -35,41 +32,23 @@ use crate::registry::Registry;
 /// resolved (impossible for verified code against a consistent registry —
 /// but exactly what *would* happen if stale code ran against updated
 /// metadata, hence the invalidation protocol).
-pub fn compile(
-    registry: &Registry,
-    mid: MethodId,
-    level: CompileLevel,
-) -> Result<CompiledMethod, VmError> {
+pub fn compile(registry: &Registry, mid: MethodId, fuse: bool) -> Result<CompiledMethod, VmError> {
     let info = registry.method(mid);
     let def = &info.def;
     let code = def.code.as_ref().ok_or_else(|| VmError::ResolutionError {
         message: format!("method {} has no bytecode", info.name),
     })?;
 
-    let max_locals = code.max_locals;
-    let (rcode, referenced) = resolve_code(registry, &code.instrs)?;
-    let base = CompiledMethod {
-        referenced_classes: referenced,
-        ..CompiledMethod::new(mid, CompileLevel::Base, rcode, max_locals)
-    };
-    if level == CompileLevel::Base {
-        return Ok(base);
+    let (mut rcode, referenced_classes) = resolve_code(registry, &code.instrs)?;
+    let mut base_pc = Vec::new();
+    if fuse {
+        let fusion = crate::jit2::fuse(&rcode);
+        (rcode, base_pc) = (fusion.code, fusion.base_pc);
     }
-    // The template JIT fuses the 1:1 stream. The fused stream *is* the
-    // method body; the base body is retained in the fusion metadata as the
-    // deopt target — swapping a frame onto it at the mapped pc is exact
-    // and semantically a no-op.
-    let fusion = crate::jit2::fuse(&base.code);
-    let referenced_classes = base.referenced_classes.clone();
-    let base = Arc::new(base);
     Ok(CompiledMethod {
         referenced_classes,
-        fused: Some(Arc::new(crate::jit2::FusedCode {
-            base,
-            base_pc: fusion.base_pc,
-            valid_epoch: std::sync::atomic::AtomicU64::new(registry.code_epoch()),
-        })),
-        ..CompiledMethod::new(mid, level, fusion.code, max_locals)
+        base_pc,
+        ..CompiledMethod::new(mid, rcode, code.max_locals)
     })
 }
 
@@ -221,7 +200,7 @@ mod tests {
                method getAge(): int { return this.age; } }",
         );
         let mid = method_id(&r, "User", "getAge");
-        let c = compile(&r, mid, CompileLevel::Base).unwrap();
+        let c = compile(&r, mid, false).unwrap();
         let bytecode_len =
             r.method(mid).def.code.as_ref().unwrap().instrs.len();
         assert_eq!(c.code.len(), bytecode_len, "baseline must map 1:1 for OSR");
@@ -236,7 +215,7 @@ mod tests {
              class T { static method f(a: A): int { return a.x; } }",
         );
         let mid = method_id(&r, "T", "f");
-        let c = compile(&r, mid, CompileLevel::Base).unwrap();
+        let c = compile(&r, mid, false).unwrap();
         let a = r.class_id(&ClassName::from("A")).unwrap();
         assert!(c.referenced_classes.contains(&a));
     }
@@ -247,13 +226,13 @@ mod tests {
             "class T { static method f(): void { Sys.printInt(Str.len(\"ab\")); } }",
         );
         let mid = method_id(&r, "T", "f");
-        let c = compile(&r, mid, CompileLevel::Base).unwrap();
+        let c = compile(&r, mid, false).unwrap();
         let natives = c.code.iter().filter(|i| matches!(i, RInstr::CallNative { .. })).count();
         assert_eq!(natives, 2);
     }
 
     #[test]
-    fn jit_tier_fuses_and_keeps_the_base_body() {
+    fn fused_compile_maps_every_op_to_a_bytecode_pc() {
         let r = registry_with(
             "class A { field x: int; method id(): int { return this.x; } }
              class T {
@@ -265,18 +244,22 @@ mod tests {
              }",
         );
         let mid = method_id(&r, "T", "big");
-        let c = compile(&r, mid, CompileLevel::Jit).unwrap();
-        let meta = c.fused.as_ref().expect("jit code carries fusion metadata");
+        let base = compile(&r, mid, false).unwrap();
+        let c = compile(&r, mid, true).unwrap();
         assert!(c.code.iter().any(|op| op.covers() > 1), "loop body should fuse: {:?}", c.code);
-        assert!(c.code.len() < meta.base.code.len());
-        assert_eq!(meta.base.level, CompileLevel::Base);
-        // Every fused index maps to a base pc inside the base stream.
-        for (pc, _) in c.code.iter().enumerate() {
-            assert!((c.base_pc_of(pc as u32) as usize) < meta.base.code.len());
+        assert!(c.code.len() < base.code.len());
+        assert_eq!(c.base_pc.len(), c.code.len());
+        assert_eq!(c.referenced_classes, base.referenced_classes);
+        // Every fused index maps to a bytecode pc inside the base stream,
+        // and back.
+        for pc in 0..c.code.len() as u32 {
+            let b = c.base_pc_of(pc);
+            assert!((b as usize) < base.code.len());
+            assert_eq!(c.pc_of_base(b), Some(pc));
         }
         // The getter body fuses to a single leaf superinstruction.
         let id = method_id(&r, "A", "id");
-        let g = compile(&r, id, CompileLevel::Jit).unwrap();
+        let g = compile(&r, id, true).unwrap();
         assert!(g.leaf, "getter should be a leaf: {:?}", g.code);
         assert!(matches!(g.code[..], [RInstr::FusedLoadGetFieldReturn { .. }]));
     }
@@ -300,7 +283,7 @@ mod tests {
         let t = r2.class_id(&ClassName::from("T")).unwrap();
         r2.replace_method_body(t, "f", info_def).unwrap();
         let mid2 = r2.find_method(t, "f").unwrap();
-        let err = compile(&r2, mid2, CompileLevel::Base).unwrap_err();
+        let err = compile(&r2, mid2, false).unwrap_err();
         assert!(matches!(err, VmError::ResolutionError { .. }), "{err}");
     }
 }

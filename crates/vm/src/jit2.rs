@@ -1,18 +1,18 @@
-//! Template-JIT tier: superinstruction fusion over resolved [`RInstr`]
+//! Template JIT: superinstruction fusion over resolved [`RInstr`]
 //! streams.
 //!
-//! The third execution tier. Hot methods (promoted by invocation counts
-//! plus loop-trip counts, see [`VmConfig::jit_threshold`]) are recompiled
-//! by peephole-fusing high-frequency pairs/triples/quads of base-resolved
-//! instructions into single *superinstructions* — e.g. `Load x; GetField
-//! off` becomes one `FusedLoadGetField { slot, offset }` op. The fused
-//! stream is still a `Vec<RInstr>` executed by the interpreter's dense
-//! `match` (which compiles to a jump table), so one fused op costs one
-//! dispatch where the base stream paid two to four. A superinstruction
-//! has no semantics of its own: its arm in the interpreter's op table
-//! (`crate::interp`) composes the bodies of the ops it covers, and
-//! [`RInstr::covers`] says once how many those are (the fusion stride,
-//! the `base_pc` map and the step accounting all read it).
+//! With the template JIT on, every method is fused at its first compile:
+//! the 1:1 resolved stream is peephole-fused, turning high-frequency
+//! pairs/triples/quads of base instructions into single
+//! *superinstructions* — e.g. `Load x; GetField off` becomes one
+//! `FusedLoadGetField { slot, offset }` op. The fused stream is still a
+//! `Vec<RInstr>` executed by the interpreter's dense `match` (which
+//! compiles to a jump table), so one fused op costs one dispatch where the
+//! base stream paid two to four. A superinstruction has no semantics of
+//! its own: its arm in the interpreter's op table (`crate::interp`)
+//! composes the bodies of the ops it covers, and [`RInstr::covers`] says
+//! once how many those are (the fusion stride, the `base_pc` map and the
+//! step accounting all read it).
 //!
 //! # Why this still counts as "JIT" for the paper's purposes
 //!
@@ -21,40 +21,33 @@
 //! forcing the update protocol to invalidate and recompile (paper §3.2).
 //! Fused code bakes in exactly those operands — a `FusedLoadGetField`
 //! carries a physical word offset, a `FusedLoadCallDirect` a concrete
-//! [`MethodId`] — so the DSU constraint stays load-bearing: the tier
-//! revalidates against [`Registry::code_epoch`] at method entry and loop
-//! back-edges, and **deopts** to freshly compiled base code mid-method
-//! when its method was invalidated or replaced.
+//! [`MethodId`] — so it is invalidated, OSR-replaced and recompiled on its
+//! next call exactly like unfused code.
 //!
-//! # Deopt / OSR mapping
+//! # The pc map
 //!
-//! [`FusedCode::base_pc`] maps every fused index to the base pc of the
-//! first base instruction it covers (identity for unfused ops). The
-//! vector is non-decreasing, so the reverse direction (base pc → fused
-//! index, needed by OSR-in at a back-edge) is a binary search. Fusion
-//! never crosses a branch target, so every branch target is an op
-//! boundary and both directions are exact at the pcs that matter:
-//! a frame stopped at any fused-op boundary reconstructs at the recorded
-//! base pc with identical locals and operand stack (fused ops only ever
-//! retire whole base-instruction groups; they never publish intermediate
-//! stack states at a yield or trap point).
+//! [`Fusion::base_pc`] maps every fused index to the bytecode pc of the
+//! first base instruction it covers. The vector is non-decreasing, so the
+//! reverse direction (bytecode pc → fused index, needed by OSR) is a
+//! binary search, [`fused_index_of`]. Fusion never crosses a branch
+//! target, and a call always ends the op that makes it, so method entry,
+//! every branch target and every return site is an op boundary: a frame
+//! stopped at one of them maps to the same bytecode pc with identical
+//! locals and operand stack (fused ops only ever retire whole
+//! base-instruction groups; they never publish intermediate stack states
+//! at a yield or trap point).
 //!
 //! What is **not** fused: allocating ops (`New`, `NewArray`, `ConstStr`,
 //! `StrConcat`) because they can trigger GC mid-op; unconditional `Jump`
-//! because the loop back-edge is the interpreter's yield point and the
-//! jit tier's epoch-revalidation point, and keeping it a plain op keeps
-//! that logic in one arm; and anything spanning a branch target.
+//! because the loop back-edge is the interpreter's yield point, and
+//! keeping it a plain op keeps that logic in one arm; and anything
+//! spanning a branch target.
 //!
 //! [`RInstr`]: crate::compiled::RInstr
 //! [`RInstr::covers`]: crate::compiled::RInstr::covers
 //! [`MethodId`]: crate::ids::MethodId
-//! [`VmConfig::jit_threshold`]: crate::config::VmConfig::jit_threshold
-//! [`Registry::code_epoch`]: crate::registry::Registry::code_epoch
 
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-
-use crate::compiled::{CompiledMethod, RInstr};
+use crate::compiled::RInstr;
 
 /// Integer comparison baked into a fused compare-and-branch op.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,59 +81,19 @@ impl CmpOp {
     }
 }
 
-/// Fusion metadata attached to a [`CompileLevel::Jit`] body.
-///
-/// The fused stream itself lives in [`CompiledMethod::code`] — the
-/// interpreter's existing dispatch executes it directly. This struct
-/// carries what the *update* machinery needs: the retained base body,
-/// the deopt mapping, and the epoch-revalidation cache.
-///
-/// [`CompileLevel::Jit`]: crate::compiled::CompileLevel::Jit
-/// [`CompiledMethod::code`]: crate::compiled::CompiledMethod::code
-#[derive(Debug)]
-pub struct FusedCode {
-    /// The 1:1 base body the fused stream was built from, compiled
-    /// against the same registry snapshot. Deopt swaps a fused frame onto
-    /// this body at the mapped pc — semantically a no-op (same resolved
-    /// stream, just unfused), so a mid-method deopt is *always* safe no
-    /// matter how the registry changed underneath. Bringing the method's
-    /// code up to date stays the update protocol's job (controller OSR at
-    /// safe points, recompile on next call), exactly as for stale base
-    /// frames in the jit-off VM.
-    pub base: Arc<CompiledMethod>,
-    /// Fused index → base pc of the first covered base instruction.
-    /// Same length as the fused stream; non-decreasing.
-    pub base_pc: Vec<u32>,
-    /// The last [`Registry::code_epoch`] at which this body was observed
-    /// to still be the method's installed code. Method entry and loop
-    /// back-edges compare this against the current epoch with one relaxed
-    /// load; on mismatch the interpreter re-checks the registry and
-    /// either refreshes this cache (the epoch bump was unrelated — e.g.
-    /// some *other* method got recompiled) or deopts. Without this cache
-    /// every unrelated recompile anywhere in the VM would permanently
-    /// kick every fused frame back to base code.
-    ///
-    /// [`Registry::code_epoch`]: crate::registry::Registry::code_epoch
-    pub valid_epoch: AtomicU64,
+/// Fused index whose op *starts at* bytecode pc `base` in a fused-index →
+/// base-pc map, or `None` if `base` is not an op boundary.
+pub fn fused_index_of(map: &[u32], base: u32) -> Option<u32> {
+    map.binary_search(&base).ok().map(|i| i as u32)
 }
 
-/// Fused index whose op *starts at* base pc `base` in a fused-index →
-/// base-pc map — exact lookup; panics if `base` is not an op boundary.
-/// Callers only translate branch targets and OSR entry pcs, which fusion
-/// guarantees are boundaries.
-pub fn fused_index_of(map: &[u32], base: u32) -> u32 {
-    map.binary_search(&base)
-        .unwrap_or_else(|_| panic!("base pc {base} is not a fused-op boundary")) as u32
-}
-
-/// Raw output of the fusion pass, assembled into a [`FusedCode`] (plus
-/// the retained base body) by the JIT driver in [`crate::jit`].
+/// Output of the fusion pass.
 #[derive(Debug)]
 pub struct Fusion {
     /// The fused stream (branch targets already remapped to fused
     /// indices).
     pub code: Vec<RInstr>,
-    /// Fused index → base pc of the first covered base instruction.
+    /// Fused index → bytecode pc of the first covered base instruction.
     pub base_pc: Vec<u32>,
 }
 
@@ -241,11 +194,11 @@ fn try_fuse(base: &[RInstr], i: usize, target: &[bool]) -> Option<RInstr> {
 
 /// Peephole-fuses a 1:1 base-resolved stream into superinstruction
 /// threaded code. Returns the fused stream (branch targets remapped to
-/// fused indices) with its deopt mapping.
+/// fused indices) with its pc map.
 pub fn fuse(base: &[RInstr]) -> Fusion {
     use RInstr::*;
     // Branch targets force op boundaries so they stay addressable after
-    // fusion (and so the deopt mapping is exact wherever control lands).
+    // fusion (and so the pc map is exact wherever control lands).
     let mut target = vec![false; base.len() + 1];
     for ins in base {
         if let Jump(t) | JumpIfTrue(t) | JumpIfFalse(t) = ins {
@@ -373,8 +326,8 @@ mod tests {
                 FusedLoadLoadAdd { a: 2, b: 1 },
                 Store(2),
                 FusedIncLocal { slot: 1, delta: 1 },
-                // the back-edge stays a plain Jump — it is the yield and
-                // epoch-revalidation point — retargeted to fused index 2
+                // the back-edge stays a plain Jump — it is the yield
+                // point — retargeted to fused index 2
                 Jump(2),
                 FusedLoadReturn { slot: 2 },
             ]
@@ -382,8 +335,10 @@ mod tests {
         assert_eq!(f.base_pc, vec![0, 1, 2, 6, 9, 10, 14, 15]);
         assert_eq!(fused_count(&f), 4);
         // The loop-exit target (base 15) resolved to fused index 7.
-        assert_eq!(fused_index_of(&f.base_pc, 15), 7);
-        assert_eq!(fused_index_of(&f.base_pc, 2), 2);
+        assert_eq!(fused_index_of(&f.base_pc, 15), Some(7));
+        assert_eq!(fused_index_of(&f.base_pc, 2), Some(2));
+        // Base pc 7 is inside `FusedLoadLoadAdd`: no op starts there.
+        assert_eq!(fused_index_of(&f.base_pc, 7), None);
     }
 
     #[test]

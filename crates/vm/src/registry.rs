@@ -73,7 +73,6 @@ pub struct MethodInfo {
     /// Native implementation, for builtin classes.
     pub native: Option<NativeFn>,
     /// Compiled code, if any; `None` means "compile on next invocation".
-    /// Its hotness counters live on the code object.
     pub compiled: Option<Arc<CompiledMethod>>,
     /// Times this method's compiled code has been invalidated.
     pub invalidations: u32,
@@ -92,14 +91,6 @@ pub struct Registry {
     /// Cached GC layout snapshot: extended as classes load, rebuilt
     /// lazily after a rollback truncates the class table.
     snapshot: Option<Arc<LayoutSnapshot>>,
-    /// Monotonic dispatch epoch: advanced by *every* mutation that can
-    /// change what a call site should run — class load/rename, method
-    /// strip/swap, compiled-code invalidation or (re)install, rollback
-    /// restores, batch truncation. Its one reader is fused code
-    /// ([`crate::jit2::FusedCode::valid_epoch`]): a fused frame whose
-    /// stamp differs re-checks the registry at its next entry or
-    /// back-edge, so one counter bump reaches every fused frame at once.
-    code_epoch: u64,
 }
 
 impl Registry {
@@ -162,22 +153,6 @@ impl Registry {
     /// Number of methods loaded.
     pub fn method_count(&self) -> usize {
         self.methods.len()
-    }
-
-    /// The current dispatch epoch (see the field docs): fused code stamped
-    /// with an older epoch must re-check that it is still installed.
-    #[inline]
-    pub fn code_epoch(&self) -> u64 {
-        self.code_epoch
-    }
-
-    /// Makes every fused frame in the VM revalidate, in O(1), by advancing
-    /// the dispatch epoch. Every registry mutation that can change dispatch
-    /// already calls this; it is public so the update controller can also
-    /// force revalidation after mutations that bypass the registry
-    /// (frame-level OSR restores during rollback).
-    pub fn bump_code_epoch(&mut self) {
-        self.code_epoch += 1;
     }
 
     /// Looks up a method by declaring-class chain: starts at `class` and
@@ -429,7 +404,6 @@ impl Registry {
         if let Some(snapshot) = &mut self.snapshot {
             Arc::make_mut(snapshot).set(id, &self.classes[id.index()].ref_map);
         }
-        self.bump_code_epoch();
         Ok(id)
     }
 
@@ -463,7 +437,6 @@ impl Registry {
         for sub in self.classes.iter_mut().filter(|c| c.super_id == Some(id)) {
             sub.file.superclass = Some(new_name.clone());
         }
-        self.bump_code_epoch();
         Ok(())
     }
 
@@ -483,8 +456,6 @@ impl Registry {
             self.method_by_key.remove(&(id, name));
             self.invalidate(mid);
         }
-        // The TIB itself changed even if the class had no compiled code.
-        self.bump_code_epoch();
     }
 
     /// Replaces a method's bytecode (a *method body update*): the new body
@@ -528,15 +499,11 @@ impl Registry {
         if info.compiled.take().is_some() {
             info.invalidations += 1;
         }
-        self.bump_code_epoch();
     }
 
-    /// Installs compiled code for a method. Advances the dispatch epoch:
-    /// fused frames running the previous code object (pre-OSR code, or a
-    /// body an update replaced) must re-check it.
+    /// Installs compiled code for a method.
     pub fn set_compiled(&mut self, mid: MethodId, code: Arc<CompiledMethod>) {
         self.methods[mid.index()].compiled = Some(code);
-        self.bump_code_epoch();
     }
 
     // ---- rollback primitives (used by the update controller) ----------------
@@ -572,7 +539,6 @@ impl Registry {
         self.jtoc.truncate(mark.jtoc);
         self.jtoc_ref.truncate(mark.jtoc);
         self.snapshot = None;
-        self.bump_code_epoch();
     }
 
     /// Captures everything [`Registry::strip_methods`] destroys for class
@@ -609,9 +575,6 @@ impl Registry {
             info.compiled = compiled;
             info.invalidations = invalidations;
         }
-        // Rollback republished old code objects: fused frames of the new
-        // version's code must re-check.
-        self.bump_code_epoch();
     }
 
     /// Restores one method's definition, compiled code, and counters —
@@ -637,7 +600,6 @@ impl Registry {
         info.def = def;
         info.compiled = compiled;
         info.invalidations = invalidations;
-        self.bump_code_epoch();
     }
 
     /// Number of JTOC slots allocated (for registry state comparisons).
@@ -655,8 +617,7 @@ impl Registry {
     /// static-slot declarations, and per-method bytecode definitions.
     ///
     /// Deliberately excludes everything that mutates under ordinary
-    /// execution — invocation counters, compiled code, the code epoch,
-    /// JTOC *values* — so two VMs running the same program version
+    /// execution — compiled code, JTOC *values* — so two VMs running the same program version
     /// fingerprint identically no matter how much traffic each has
     /// served. The fleet coordinator compares this across shards after a
     /// rolled-back update to prove every shard converged to the same code
@@ -889,12 +850,7 @@ mod tests {
         // Fake compiled code so invalidation is observable.
         r.set_compiled(
             mid,
-            Arc::new(CompiledMethod::new(
-                mid,
-                crate::compiled::CompileLevel::Base,
-                vec![RInstrStub()],
-                0,
-            )),
+            Arc::new(CompiledMethod::new(mid, vec![RInstrStub()], 0)),
         );
         let new_def = jvolve_lang::compile("class T { static method f(): int { return 2; } }")
             .unwrap()[0]
@@ -981,62 +937,5 @@ mod tests {
         assert_eq!(r.class(id).tib, tib_before);
         assert_eq!(r.class(id).file.methods.len(), file_methods_before);
         assert_eq!(r.method(mid).invalidations, 0, "counters restored");
-    }
-
-    #[test]
-    fn every_dispatch_mutation_bumps_the_code_epoch() {
-        let mut r = base_registry();
-        let mut last = r.code_epoch();
-        let expect_bump = |r: &Registry, what: &str, last: &mut u64| {
-            assert!(r.code_epoch() > *last, "{what} must advance the epoch");
-            *last = r.code_epoch();
-        };
-
-        let mark = r.mark();
-        let classes = jvolve_lang::compile(
-            "class E { method m(): int { return 1; } static method s(): int { return 2; } }",
-        )
-        .unwrap();
-        r.load_batch(&classes).unwrap();
-        expect_bump(&r, "class load", &mut last);
-
-        let e = r.class_id(&ClassName::from("E")).unwrap();
-        let m = r.find_method(e, "m").unwrap();
-        r.set_compiled(
-            m,
-            Arc::new(CompiledMethod::new(
-                m,
-                crate::compiled::CompileLevel::Base,
-                vec![RInstrStub()],
-                0,
-            )),
-        );
-        expect_bump(&r, "set_compiled", &mut last);
-
-        let snap = r.snapshot_class_methods(e);
-        r.invalidate(m);
-        expect_bump(&r, "invalidate", &mut last);
-
-        let new_def = jvolve_lang::compile("class E { method m(): int { return 9; } }")
-            .unwrap()[0]
-            .find_method("m")
-            .unwrap()
-            .clone();
-        let def_backup = r.method(m).def.clone();
-        r.replace_method_body(e, "m", new_def).unwrap();
-        expect_bump(&r, "replace_method_body", &mut last);
-        r.restore_method_state(m, def_backup, None, 0);
-        expect_bump(&r, "restore_method_state", &mut last);
-
-        r.rename_class(e, ClassName::from("v1_E")).unwrap();
-        expect_bump(&r, "rename_class", &mut last);
-
-        r.strip_methods(e);
-        expect_bump(&r, "strip_methods", &mut last);
-        r.restore_class_methods(e, snap);
-        expect_bump(&r, "restore_class_methods", &mut last);
-
-        r.truncate_to(&mark);
-        expect_bump(&r, "truncate_to", &mut last);
     }
 }

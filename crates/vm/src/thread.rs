@@ -27,8 +27,8 @@ pub struct Frame {
     /// The executing method.
     pub method: MethodId,
     /// The resolved code this frame runs. An OSR replaces this `Arc` (and
-    /// at most grows the locals — base-tier code is 1:1 with bytecode, so
-    /// `pc` and the slots carry over).
+    /// at most grows the locals — `pc` carries over through its bytecode
+    /// pc, and the slots as they are).
     pub compiled: Arc<CompiledMethod>,
     /// Next instruction index.
     pub pc: u32,
@@ -236,11 +236,11 @@ impl VmThread {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::{CompileLevel, RInstr};
+    use crate::compiled::RInstr;
 
     fn dummy_compiled(max_locals: u16) -> Arc<CompiledMethod> {
         let body = vec![RInstr::Return];
-        Arc::new(CompiledMethod::new(MethodId(0), CompileLevel::Base, body, max_locals))
+        Arc::new(CompiledMethod::new(MethodId(0), body, max_locals))
     }
 
     #[test]

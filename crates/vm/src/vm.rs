@@ -10,7 +10,7 @@ use std::sync::Arc;
 use jvolve_classfile::class::CTOR_NAME;
 use jvolve_classfile::{ClassFile, ClassName};
 
-use crate::compiled::{CompileLevel, CompiledMethod};
+use crate::compiled::CompiledMethod;
 use crate::config::VmConfig;
 use crate::error::VmError;
 use crate::heap::{
@@ -37,17 +37,20 @@ pub struct VmStats {
     /// not one; a collection that finishes it counts once, for the flip
     /// that follows).
     pub gcs: u64,
-    /// Methods baseline-compiled.
+    /// Methods compiled (resolved), fused or not.
     pub base_compiles: u64,
     /// Always 0: there is no opt tier (DESIGN §2). The field survives only
     /// because `benchmark/src/layers.rs`, frozen outside benchmark PRs,
     /// reads it; ROADMAP item 1 (the benchmark-correction PR) deletes it
     /// with `VmConfig::gc_threads`.
     pub opt_compiles: u64,
-    /// Methods compiled at the template-JIT tier (superinstruction fusion).
+    /// Of `base_compiles`, those fused by the template JIT: all of them
+    /// with the jit on, none with it off.
     pub jit_compiles: u64,
-    /// Template-JIT frames deoptimized back onto their retained base body
-    /// (dispatch epoch moved under them).
+    /// Always 0: fused code is never swapped back onto an unfused body, it
+    /// is invalidated and recompiled like any other (DESIGN §5). Kept, like
+    /// `ic_hits`, only because `benchmark/src/layers.rs`, frozen outside
+    /// benchmark PRs, reads it.
     pub deopts: u64,
     /// Interpreter steps executed inside fused superinstructions or the
     /// leaf-call fast path. Always counted *in addition to* `steps` — the
@@ -204,25 +207,6 @@ pub struct Vm {
     pub(crate) stats: VmStats,
     host_roots: Vec<GcRef>,
     next_thread: usize,
-}
-
-impl CompiledMethod {
-    /// The tier this code's heat says it should be recompiled at, if any —
-    /// the one statement of the promotion rule: base code goes to the
-    /// template JIT once invocations plus loop trips reach
-    /// `jit_threshold`. Read *before* the counter bump of the call or
-    /// back-edge being sampled, so the interpreter's call tail,
-    /// `compiled_for` and the back-edge OSR trigger all promote at the
-    /// same call number. (Defined here, by [`Vm::compiled_for`], because it is VM
-    /// policy over [`VmConfig`], not part of the code representation.)
-    #[inline]
-    pub fn next_tier(&self, config: &VmConfig) -> Option<CompileLevel> {
-        (config.enable_jit
-            && self.level == CompileLevel::Base
-            && self.invocations.get().saturating_add(self.loop_trips.get())
-                >= config.jit_threshold)
-            .then_some(CompileLevel::Jit)
-    }
 }
 
 impl Vm {
@@ -389,37 +373,26 @@ impl Vm {
 
     // ---- compilation ------------------------------------------------------------
 
-    /// Returns (compiling if necessary) executable code for `mid`, and
-    /// advances the adaptive-recompilation counter: a method crossing the
-    /// hotness threshold is recompiled at the template-JIT tier, exactly
-    /// the behavior the paper leans on after invalidation ("the adaptive
-    /// compilation system naturally optimizes updated methods further if
-    /// they execute frequently", §1).
+    /// Returns executable code for `mid`, compiling it if it has none
+    /// (first call, or invalidated by an update): "the adaptive compilation
+    /// system naturally optimizes updated methods" (paper §1) becomes one
+    /// compile, fused when the template JIT is on.
     pub(crate) fn compiled_for(&mut self, mid: MethodId) -> Result<Arc<CompiledMethod>, VmError> {
-        let info = self.registry.method(mid);
-        debug_assert!(info.native.is_none(), "natives are dispatched separately");
-
-        // The hotness counter lives on the code object, so the
-        // interpreter's call tail (which bypasses this path) samples it
-        // too; the promotion rule ([`CompiledMethod::next_tier`]) is read
-        // pre-bump.
-        let level = match &info.compiled {
-            Some(c) => match c.next_tier(&self.config) {
-                Some(level) => level,
-                None => {
-                    c.invocations.bump();
-                    return Ok(c.clone());
-                }
-            },
-            None => CompileLevel::Base,
-        };
-        let compiled = Arc::new(jit::compile(&self.registry, mid, level)?);
-        match level {
-            CompileLevel::Base => self.stats.base_compiles += 1,
-            CompileLevel::Jit => self.stats.jit_compiles += 1,
+        debug_assert!(self.registry.method(mid).native.is_none(), "natives are dispatched separately");
+        match &self.registry.method(mid).compiled {
+            Some(c) => Ok(Arc::clone(c)),
+            None => self.compile(mid),
         }
-        compiled.invocations.bump();
-        self.registry.set_compiled(mid, compiled.clone());
+    }
+
+    /// Compiles `mid` in the VM's one form (fused iff the template JIT is
+    /// on), counts it and publishes it as the method's code.
+    fn compile(&mut self, mid: MethodId) -> Result<Arc<CompiledMethod>, VmError> {
+        let fuse = self.config.enable_jit;
+        let compiled = Arc::new(jit::compile(&self.registry, mid, fuse)?);
+        self.stats.base_compiles += 1;
+        self.stats.jit_compiles += u64::from(fuse);
+        self.registry.set_compiled(mid, Arc::clone(&compiled));
         Ok(compiled)
     }
 
@@ -929,12 +902,10 @@ impl Vm {
     }
 
     /// On-stack replacement of a frame (paper §3.2): recompiles the method
-    /// against current class metadata and swaps the frame's code.
-    /// Base-tier code is 1:1 with bytecode so `pc` and the local slots
-    /// carry over (a body with more locals grows the frame's slice of the
-    /// value stack, moving the frames above it); a template-JIT frame
-    /// first translates its pc through the fused stream's retained base-pc
-    /// mapping.
+    /// against current class metadata and swaps the frame's code. The
+    /// frame's pc goes through its bytecode pc (the identity for unfused
+    /// code), and the local slots carry over (a body with more locals grows
+    /// the frame's slice of the value stack, moving the frames above it).
     ///
     /// # Errors
     ///
@@ -947,17 +918,20 @@ impl Vm {
 
     /// On-stack migration of a frame to a **different method version**
     /// (the paper's §3.5 future work, modeled on UpStare): swaps the
-    /// frame's method and code for `new_method` compiled at the base tier
-    /// and repositions the pc at `new_pc`. Locals carry over by slot and
-    /// the operand stack is preserved — the caller (the update driver)
-    /// asserts that `new_pc` is an equivalent program point, as the
-    /// paper's user-provided yield-point mapping does. The new code is
-    /// published, and the frame keeps at least its local slots.
-    /// [`Vm::osr_replace`] is this migration onto the frame's own method.
+    /// frame's method and code for `new_method`, compiled in the VM's one
+    /// form, and repositions the pc at bytecode pc `new_pc`. Locals carry
+    /// over by slot and the operand stack is preserved — the caller (the
+    /// update driver) asserts that `new_pc` is an equivalent program
+    /// point, as the paper's user-provided yield-point mapping does. Such a
+    /// point is a method entry, a branch target or a return site, and
+    /// fusion ends an op at each of these. The new code is published, and
+    /// the frame keeps at least its local slots. [`Vm::osr_replace`] is
+    /// this migration onto the frame's own method.
     ///
     /// # Errors
     ///
-    /// Fails on a stale thread/frame or an out-of-range `new_pc`.
+    /// Fails on a stale thread/frame, or on a `new_pc` that is out of range
+    /// or inside a fused op.
     pub fn osr_migrate(
         &mut self,
         thread: ThreadId,
@@ -966,18 +940,17 @@ impl Vm {
         new_pc: u32,
     ) -> Result<(), VmError> {
         self.frame_owner(thread, frame_idx)?;
-        let fresh = Arc::new(jit::compile(&self.registry, new_method, CompileLevel::Base)?);
-        if new_pc as usize >= fresh.code.len() {
+        let fresh = self.compile(new_method)?;
+        let Some(pc) = fresh.pc_of_base(new_pc) else {
             return Err(VmError::Internal {
-                message: format!("migration pc {new_pc} out of range"),
+                message: format!("migration pc {new_pc} is not an op boundary"),
             });
-        }
-        self.registry.set_compiled(new_method, fresh.clone());
+        };
         let t = self.threads[thread.0 as usize].as_mut().expect("checked by frame_owner");
         let locals = t.frames[frame_idx].locals.max(fresh.max_locals);
         t.resize_locals(frame_idx, locals);
         let f = &mut t.frames[frame_idx];
-        (f.method, f.compiled, f.pc) = (new_method, fresh, new_pc);
+        (f.method, f.compiled, f.pc) = (new_method, fresh, pc);
         Ok(())
     }
 

@@ -134,11 +134,10 @@ fn drain_until_settled(vm: &mut Vm, cursor: &mut usize, expected: i64, prev: i64
 /// alternate host-side registry mutations with guest slices, checking the
 /// printed stream after every operation.
 ///
-/// With `jit` set, the template-JIT tier runs with a threshold low enough
-/// that `main`'s loop OSRs into fused code almost immediately and the
-/// callee gets jit-promoted too — so every mutation lands on a *fused*
-/// caller whose call site sits inside a superinstruction, exercising the
-/// epoch revalidation and deopt paths as well as re-resolution.
+/// With `jit` set, every method is fused at its first compile — so every
+/// mutation lands on a *fused* caller whose call site sits inside a
+/// superinstruction, and re-resolution runs through recompiled fused
+/// code.
 fn run_interleaving(
     seed: u64,
     ops: usize,
@@ -152,7 +151,6 @@ fn run_interleaving(
     let mut vm = Vm::new(VmConfig {
         quantum: 500,
         enable_jit: jit,
-        jit_threshold: 30,
         ..VmConfig::small()
     });
     vm.load_source(&src(VERSIONS[0])).expect("guest loads");
@@ -206,8 +204,8 @@ fn run_interleaving(
                     expected = val;
                 }
             }
-            // Republish the current code object (epoch bump, same code) —
-            // what an OSR republish looks like to fused callers.
+            // Republish the current code object (same code) — what an OSR
+            // republish looks like to fused callers.
             _ => {
                 if let Some(code) = vm.registry().method(mid).compiled.clone() {
                     vm.registry_mut().set_compiled(mid, code);
@@ -219,7 +217,7 @@ fn run_interleaving(
 
     if jit {
         let stats = vm.stats();
-        assert!(stats.jit_compiles > 0, "seed {seed}: the jit tier never engaged");
+        assert!(stats.jit_compiles > 0, "seed {seed}: the jit never engaged");
         assert!(stats.fused_steps > 0, "seed {seed}: no superinstruction ever retired");
     }
 }

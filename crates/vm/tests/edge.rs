@@ -1,8 +1,8 @@
 //! VM edge cases: resource exhaustion, adaptive recompilation, scheduler
 //! corner cases, string semantics.
 
+use jvolve_vm::compiled::RInstr;
 use jvolve_vm::thread::ThreadState;
-use jvolve_vm::compiled::CompileLevel;
 use jvolve_vm::{LazyStage, Value, Vm, VmConfig, VmError};
 
 #[test]
@@ -45,31 +45,30 @@ fn deep_recursion_overflows_cleanly() {
 
 #[test]
 fn invalidated_method_recompiles_and_reoptimizes() {
-    // The paper: after invalidation the adaptive system recompiles at
-    // baseline, then re-optimizes hot methods (here: re-promotes them to
-    // the template JIT).
-    let mut vm = Vm::new(VmConfig { jit_threshold: 10, ..VmConfig::small() });
+    // The paper: after invalidation the adaptive system recompiles the
+    // method on its next call. Here that one compile is the fused form.
+    let mut vm = Vm::new(VmConfig::small());
     vm.load_source("class W { static method w(x: int): int { return x + 1; } }").unwrap();
-    // Heat it past the jit threshold.
-    for i in 0..30 {
-        vm.call_static_sync("W", "w", &[Value::Int(i)]).unwrap();
-    }
+    assert_eq!(vm.call_static_sync("W", "w", &[Value::Int(1)]).unwrap(), Some(Value::Int(2)));
     let w_class = vm.registry().class_id(&"W".into()).unwrap();
     let w = vm.registry().find_method(w_class, "w").unwrap();
-    let level = |vm: &Vm| vm.registry().method(w).compiled.as_ref().unwrap().level;
-    assert_eq!(level(&vm), CompileLevel::Jit);
+    let fused = |vm: &Vm| {
+        let code = vm.registry().method(w).compiled.clone().expect("compiled");
+        matches!(code.code[..], [RInstr::FusedLoadConstAddReturn { slot: 0, k: 1 }])
+    };
+    assert!(fused(&vm), "the first compile fuses");
     let jit_compiles_before = vm.stats().jit_compiles;
 
-    // Invalidate (as an update would): the next call recompiles at base.
+    // Invalidate (as an update would): the next call recompiles, fused.
     vm.registry_mut().invalidate(w);
     assert!(vm.registry().method(w).compiled.is_none());
-    vm.call_static_sync("W", "w", &[Value::Int(0)]).unwrap();
-    assert_eq!(level(&vm), CompileLevel::Base);
-    // Heat again: it re-promotes.
+    assert_eq!(vm.call_static_sync("W", "w", &[Value::Int(0)]).unwrap(), Some(Value::Int(1)));
+    assert!(fused(&vm), "the recompile fuses");
+    assert_eq!(vm.stats().jit_compiles, jit_compiles_before + 1);
+    // Further calls run that code; nothing recompiles.
     for i in 0..30 {
         vm.call_static_sync("W", "w", &[Value::Int(i)]).unwrap();
     }
-    assert_eq!(level(&vm), CompileLevel::Jit);
     assert_eq!(vm.stats().jit_compiles, jit_compiles_before + 1);
 }
 
@@ -334,6 +333,39 @@ fn osr_migrate_rejects_bad_pcs() {
     vm.osr_migrate(tid, 1, other, 0).unwrap();
     assert!(vm.run_to_completion(100_000));
     assert_eq!(vm.output(), ["5"], "the frame now runs `other`");
+}
+
+#[test]
+fn osr_migrate_inside_a_fused_op_is_an_error_not_a_panic() {
+    let mut vm = Vm::new(VmConfig { quantum: 10, ..VmConfig::small() });
+    vm.load_source(
+        "class M {
+           static method spin(): int {
+             var i: int = 0;
+             while (i < 1000) { i = i + 1; }
+             return i;
+           }
+           static method five(): int { var x: int = 4; return x + 1; }
+           static method main(): void { Sys.printInt(M.spin()); }
+         }",
+    )
+    .unwrap();
+    let tid = vm.spawn("M", "main").unwrap();
+    while vm.thread(tid).unwrap().frames.len() != 2 {
+        vm.step_slice();
+    }
+    let m = vm.registry().class_id(&"M".into()).unwrap();
+    let spin = vm.registry().find_method(m, "spin").unwrap();
+    let five = vm.registry().find_method(m, "five").unwrap();
+    // `five` is ConstInt 4, Store 0, then Load 0 / ConstInt 1 / Add /
+    // ReturnValue fused into one op at bytecode pc 2: pc 3 is inside it.
+    let err = vm.osr_migrate(tid, 1, five, 3).unwrap_err();
+    assert!(matches!(err, VmError::Internal { .. }), "{err}");
+    assert_eq!(vm.thread(tid).unwrap().frames[1].method, spin, "the frame is untouched");
+    // The op's own start is a boundary.
+    vm.osr_migrate(tid, 1, five, 2).unwrap();
+    let frame = &vm.thread(tid).unwrap().frames[1];
+    assert!(matches!(frame.compiled.code[frame.pc as usize], RInstr::FusedLoadConstAddReturn { .. }));
 }
 
 #[test]

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 
 use jvolve_vm::thread::ThreadState;
-use jvolve_vm::compiled::CompileLevel;
 use jvolve_vm::{SliceOutcome, Value, Vm, VmConfig, VmError};
 
 fn run_main(src: &str) -> Vm {
@@ -192,7 +191,7 @@ fn division_by_zero_trap() {
 
 #[test]
 fn hot_methods_get_jit_compiled() {
-    let mut vm = Vm::new(VmConfig { jit_threshold: 10, ..VmConfig::small() });
+    let mut vm = Vm::new(VmConfig::small());
     vm.load_source(
         "class Main {
            static method inc(x: int): int { return x + 1; }
@@ -205,15 +204,21 @@ fn hot_methods_get_jit_compiled() {
          }",
     )
     .unwrap();
-    vm.spawn("Main", "main").unwrap();
+    let tid = vm.spawn("Main", "main").unwrap();
+    // The first call already runs fused code: main's first frame is on it.
+    let main_code = &vm.thread(tid).unwrap().frames[0].compiled;
+    assert!(!main_code.base_pc.is_empty(), "main's first frame runs unfused code");
+    assert!(main_code.code.iter().any(|op| op.covers() > 1), "{:?}", main_code.code);
     assert!(vm.run_to_completion(1_000_000));
     assert_eq!(vm.output(), ["500"]);
-    assert!(vm.stats().jit_compiles >= 2, "inc and main's loop should have been jit-compiled");
+    let stats = vm.stats();
+    assert_eq!(stats.jit_compiles, stats.base_compiles, "every compile fuses");
+    assert!(stats.jit_compiles >= 2, "inc and main should have been compiled");
     let class = vm.registry().class_id(&"Main".into()).unwrap();
     for method in ["inc", "main"] {
         let mid = vm.registry().find_method(class, method).unwrap();
-        let level = vm.registry().method(mid).compiled.as_ref().unwrap().level;
-        assert_eq!(level, CompileLevel::Jit, "{method}");
+        let code = vm.registry().method(mid).compiled.as_ref().unwrap();
+        assert!(code.code.iter().any(|op| op.covers() > 1), "{method}: {:?}", code.code);
     }
 }
 

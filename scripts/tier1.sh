@@ -38,11 +38,11 @@ cargo test -q --workspace
 echo "== tier-1: differential oracles (update determinism, template JIT) =="
 cargo test -q --test differential -- --skip tiers_match_base_and_host
 
-# The two tiers: random guest programs over every simple op, trapping
-# forms included, run at base and at jit (fused code + frameless leaf
-# calls) against a host model — same result or same trap, and for the
-# jit the base tier's retired steps and post-trap heap.
-echo "== tier-1: tier differential (base vs jit+leaf vs host model) =="
+# The jit off and on: random guest programs over every simple op,
+# trapping forms included, run as unfused code and as fused code with
+# frameless leaf calls against a host model — same result or same trap,
+# and for the jit the unfused code's retired steps and post-trap heap.
+echo "== tier-1: jit differential (unfused vs fused+leaf vs host model) =="
 cargo test -q --test differential tiers_match_base_and_host
 
 # The lazy-migration differential oracle: a lazily committed update (the

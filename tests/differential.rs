@@ -1,17 +1,17 @@
 //! Differential testing.
 //!
-//! * The tiers: base and jit with the frameless leaf calls must compute
-//!   what the host model computes on randomly generated guest programs —
-//!   the same result or the same trap — and the jit must retire the base
-//!   tier's step count and leave the base tier's heap and trap state
-//!   behind.
+//! * The jit off and on: unfused code, and fused code with the frameless
+//!   leaf calls, must compute what the host model computes on randomly
+//!   generated guest programs — the same result or the same trap — and
+//!   the jit must retire the unfused step count and leave the unfused
+//!   heap and trap state behind.
 //! * An update is deterministic: two VMs booted alike and given the same
 //!   update agree address for address — same cells at the same heap
 //!   addresses, registry fingerprint, transformer execution order
 //!   (= update-log order; allocation order while nothing has been
 //!   collected), event stream, and `UpdateStats` (minus wall-clock
 //!   fields).
-//! * The template-JIT tier (superinstruction fusion) must be
+//! * The template JIT (superinstruction fusion) must be
 //!   observationally invisible: jit-on and jit-off runs agree on every
 //!   non-profiling observable — including step and slice counts, since
 //!   fused ops retire exactly the base instruction count — across
@@ -229,7 +229,7 @@ impl Expr {
 /// Random expression with a bounded depth; leaves get likelier as the
 /// budget shrinks, matching the old recursive-strategy shape. Two in five
 /// inner nodes can trap (about one evaluation in ten each), so some
-/// programs die rounds in, after the tiers have warmed, and some run through.
+/// programs die rounds in, after the calls have warmed, and some run through.
 fn expr(rng: &mut Rng, depth: usize) -> Expr {
     if depth == 0 || rng.below(4) == 0 {
         return match rng.below(3) {
@@ -264,9 +264,8 @@ fn expr(rng: &mut Rng, depth: usize) -> Expr {
     }
 }
 
-/// Guest calls of `T.f` per program: past the jit threshold of
-/// [`run_tier`], so late rounds run fused code with the leaf helpers
-/// executed frameless.
+/// Guest calls of `T.f` per program; with the jit on, [`run_tier`] runs
+/// every round in fused code with the leaf helpers executed frameless.
 const ROUNDS: i64 = 32;
 
 fn program_for(e: &Expr, a: i64, b: i64) -> String {
@@ -375,7 +374,7 @@ struct TierRun {
 }
 
 fn run_tier(src: &str, jit: bool) -> TierRun {
-    let mut vm = Vm::new(VmConfig { enable_jit: jit, jit_threshold: 3, ..VmConfig::small() });
+    let mut vm = Vm::new(VmConfig { enable_jit: jit, ..VmConfig::small() });
     vm.load_source(src).expect("program loads");
     let tid = vm.spawn("T", "main").expect("main spawns");
     assert!(vm.run_to_completion(100_000), "main ends");
@@ -734,8 +733,8 @@ fn same_update_twice_agrees_address_for_address() {
 // ---- template-JIT on/off oracle ----------------------------------------
 
 /// Everything the jit oracle compares across `enable_jit` settings. VM
-/// stats deliberately exclude the tier-population counters that differ by
-/// construction (`jit_compiles`, `deopts`, `fused_steps`) but
+/// stats deliberately exclude the counters that differ by construction
+/// (`jit_compiles`, `fused_steps`) but
 /// include `steps` and `slices`: fused superinstructions must retire
 /// *exactly* the base instruction count at exactly the same yield points,
 /// so even the scheduler's interleaving is bit-identical.
@@ -765,9 +764,8 @@ fn rig_install_failure(vm: &mut Vm, update: &mut Update) {
     update.set_transformers_source(source);
 }
 
-/// Runs the ring workload with the template-JIT tier on or off (threshold
-/// low enough that the loopy `checksum` promotes via OSR-in mid-warmup),
-/// applies an update — eagerly, lazily, or inducing a mid-install failure
+/// Runs the ring workload with the template JIT on (every method fused at
+/// its first compile) or off, applies an update — eagerly, lazily, or inducing a mid-install failure
 /// and rollback — then keeps executing through the same (invalidated and
 /// re-resolved) code. Returns the cross-mode observables plus the raw
 /// stats so callers can assert the jit tier actually engaged.
@@ -779,7 +777,6 @@ fn run_jit_oracle(
     const NODES: i64 = 300;
     let mut vm = Vm::new(VmConfig {
         enable_jit,
-        jit_threshold: 40,
         lazy_migration: lazy,
         ..VmConfig::small()
     });
@@ -787,8 +784,7 @@ fn run_jit_oracle(
     let new = jvolve_repro::lang::compile(GC_ORACLE_V2).expect("v2 compiles");
     vm.load_classes(&old).expect("v1 loads");
     vm.call_static_sync("App", "build", &[Value::Int(NODES)]).expect("build runs");
-    // Warm until checksum's loop trips cross the jit threshold (first
-    // call already OSRs in) and the fused code holds pre-update operands.
+    // Warm up, so the fused code holds pre-update operands.
     for _ in 0..3 {
         vm.call_static_sync("App", "checksum", &[]).expect("warm checksum runs");
     }
@@ -806,7 +802,7 @@ fn run_jit_oracle(
     assert_eq!(result.is_err(), rollback, "rollback={rollback}: {result:?}");
 
     // Post-update execution through the invalidated call sites and (in
-    // jit mode) the deopted/re-promoted bodies.
+    // jit mode) the recompiled fused bodies.
     let checksum = vm
         .call_static_sync("App", "checksum", &[])
         .expect("post-update checksum runs")
