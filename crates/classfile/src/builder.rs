@@ -4,6 +4,8 @@
 //! builders exist so VM and DSU tests can assemble precise bytecode without
 //! going through the frontend.
 
+use std::sync::Arc;
+
 use crate::bytecode::{Instr, Pc};
 use crate::class::{
     ClassFile, ClassFlags, Code, FieldDef, MethodDef, MethodKind, Visibility, CTOR_NAME,
@@ -141,7 +143,7 @@ impl ClassBuilder {
             is_static,
             visibility: Visibility::Public,
             kind,
-            code: Some(Code { instrs: mb.instrs, max_locals: mb.max_locals }),
+            code: Some(Arc::new(Code { instrs: mb.instrs, max_locals: mb.max_locals })),
         });
         self
     }

@@ -1,7 +1,7 @@
 //! Class, field and method definitions.
 
 use std::fmt;
-
+use std::sync::Arc;
 
 use crate::bytecode::Instr;
 use crate::name::ClassName;
@@ -103,8 +103,10 @@ pub struct MethodDef {
     pub visibility: Visibility,
     /// Regular method, constructor, or static initializer.
     pub kind: MethodKind,
-    /// Bytecode, or `None` for native methods.
-    pub code: Option<Code>,
+    /// Bytecode, or `None` for native methods. Shared, so that cloning a
+    /// definition (a VM linking it, an update's rollback ledger keeping
+    /// it) copies no instructions.
+    pub code: Option<Arc<Code>>,
 }
 
 impl MethodDef {
@@ -211,7 +213,7 @@ mod tests {
             is_static: false,
             visibility: Visibility::Public,
             kind: MethodKind::Regular,
-            code: Some(Code { instrs: body, max_locals: 1 }),
+            code: Some(Arc::new(Code { instrs: body, max_locals: 1 })),
         }
     }
 

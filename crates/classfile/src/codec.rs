@@ -7,6 +7,7 @@
 //! strings and one opcode byte per instruction.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::bytecode::Instr;
 use crate::class::{
@@ -429,7 +430,7 @@ impl<'a> Reader<'a> {
             for _ in 0..n {
                 instrs.push(self.instr()?);
             }
-            Some(Code { instrs, max_locals })
+            Some(Arc::new(Code { instrs, max_locals }))
         } else {
             None
         };

@@ -126,9 +126,10 @@ mod tests {
                 .find_method(method)
                 .unwrap()
                 .code
-                .clone()
+                .as_ref()
                 .unwrap()
                 .instrs
+                .clone()
         };
         (take(old_src), take(new_src))
     }

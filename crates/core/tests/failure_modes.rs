@@ -157,7 +157,9 @@ fn ill_typed_new_version_is_rejected_at_prepare() {
     let mut new =
         jvolve_lang::compile("class A { static method f(): int { return 2; } }").unwrap();
     let code = new[0].methods.iter_mut().find(|m| m.name == "f").unwrap();
-    code.code.as_mut().unwrap().instrs.insert(0, jvolve_classfile::bytecode::Instr::Pop);
+    std::sync::Arc::make_mut(code.code.as_mut().unwrap())
+        .instrs
+        .insert(0, jvolve_classfile::bytecode::Instr::Pop);
     let err = Update::prepare(&old, &new, "v1_").unwrap_err();
     assert!(matches!(err, UpdateError::Compile(_)), "{err}");
 }

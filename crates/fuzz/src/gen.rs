@@ -5,6 +5,8 @@
 //! and the spec parser must handle any well-formed encoding regardless of
 //! whether the class would verify or the spec would validate.
 
+use std::sync::Arc;
+
 use jvolve_classfile::bytecode::Instr;
 use jvolve_classfile::{
     ClassFile, ClassFlags, ClassName, Code, FieldDef, MethodDef, MethodKind, MethodRef, Type,
@@ -78,10 +80,10 @@ pub fn instr(rng: &mut Rng) -> Instr {
 
 fn method(rng: &mut Rng) -> MethodDef {
     let code = if rng.bool() {
-        Some(Code {
+        Some(Arc::new(Code {
             instrs: (0..rng.below(10)).map(|_| instr(rng)).collect(),
             max_locals: rng.below(8) as u16,
-        })
+        }))
     } else {
         None
     };

@@ -7,6 +7,7 @@
 //! shadowing, missing super constructors) are reported here.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use jvolve_classfile::class::{Code, MethodKind, CTOR_NAME};
 use jvolve_classfile::{
@@ -197,7 +198,7 @@ fn collect_class(
             visibility: lower_visibility(m.visibility),
             kind: if m.is_ctor { MethodKind::Constructor } else { MethodKind::Regular },
             // Placeholder body; codegen replaces it.
-            code: Some(Code { instrs: Vec::new(), max_locals: 0 }),
+            code: Some(Arc::new(Code { instrs: Vec::new(), max_locals: 0 })),
         });
     }
 
@@ -211,7 +212,7 @@ fn collect_class(
             is_static: false,
             visibility: Visibility::Public,
             kind: MethodKind::Constructor,
-            code: Some(Code { instrs: Vec::new(), max_locals: 0 }),
+            code: Some(Arc::new(Code { instrs: Vec::new(), max_locals: 0 })),
         });
     }
 

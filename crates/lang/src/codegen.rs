@@ -6,6 +6,7 @@
 //! compilation as a safety net.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use jvolve_classfile::bytecode::{Instr, Pc};
 use jvolve_classfile::class::{Code, MethodDef, Visibility, CTOR_NAME};
@@ -59,7 +60,7 @@ pub fn generate(
                         .iter_mut()
                         .find(|mm| mm.name == name)
                         .expect("header method present");
-                    slot.code = Some(code);
+                    slot.code = Some(Arc::new(code));
                 }
                 Err(d) => diags.push(d),
             }
@@ -87,7 +88,7 @@ pub fn generate(
                         .iter_mut()
                         .find(|mm| mm.name == CTOR_NAME)
                         .expect("default ctor present");
-                    slot.code = Some(code);
+                    slot.code = Some(Arc::new(code));
                 }
                 Err(d) => diags.push(d),
             }
@@ -983,9 +984,10 @@ mod tests {
             .find_method(method)
             .unwrap()
             .code
-            .clone()
+            .as_ref()
             .unwrap()
             .instrs
+            .clone()
     }
 
     #[test]

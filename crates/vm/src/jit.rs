@@ -270,7 +270,7 @@ mod tests {
         let r = registry_with("class T { static method f(): int { return 3; } }");
         let mid = method_id(&r, "T", "f");
         let mut info_def = r.method(mid).def.clone();
-        info_def.code.as_mut().unwrap().instrs.insert(
+        Arc::make_mut(info_def.code.as_mut().unwrap()).instrs.insert(
             0,
             Instr::GetStatic { class: ClassName::from("Ghost"), field: "x".into() },
         );

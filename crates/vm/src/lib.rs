@@ -51,6 +51,6 @@ pub use config::VmConfig;
 pub use error::VmError;
 pub use ids::{ClassId, MethodId, ThreadId};
 pub use lazy::{CopyStep, EpochTotals, LazyStage, MAX_TRANSFORMER_DEPTH};
-pub use registry::{ClassMethodsSnapshot, RegistryMark};
+pub use registry::{ClassMethodsSnapshot, InstallView, MethodState, RegistryMark, VerifiedBatch};
 pub use value::{GcRef, Value};
 pub use vm::{ObjectTransformer, SliceOutcome, SliceReport, Vm, VmStats};

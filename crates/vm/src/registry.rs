@@ -91,6 +91,10 @@ pub struct Registry {
     /// Cached GC layout snapshot: extended as classes load, rebuilt
     /// lazily after a rollback truncates the class table.
     snapshot: Option<Arc<LayoutSnapshot>>,
+    /// See [`Registry::generation`].
+    generation: u64,
+    /// See [`Registry::reverified_batches`].
+    reverified: u64,
 }
 
 impl Registry {
@@ -148,6 +152,22 @@ impl Registry {
             self.snapshot = Some(Arc::new(snap));
         }
         Arc::clone(self.snapshot.as_ref().expect("just built"))
+    }
+
+    /// A counter of the mutations bytecode verification can observe: every
+    /// link, rename, method strip, body replacement, truncation and
+    /// restore of a definition bumps it. Compiling, [`Registry::set_compiled`],
+    /// [`Registry::invalidate`] and JTOC writes do not, so a guest that
+    /// only runs leaves it alone. [`Registry::load_verified`] compares it
+    /// with a [`VerifiedBatch`]'s stamp.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// How many batches [`Registry::load_verified`] verified again because
+    /// the registry changed after they were verified.
+    pub fn reverified_batches(&self) -> u64 {
+        self.reverified
     }
 
     /// Number of methods loaded.
@@ -260,7 +280,76 @@ impl Registry {
     }
 
     fn load_batch_refs(&mut self, files: &[&ClassFile]) -> Result<Vec<ClassId>, VmError> {
-        // Duplicate/conflict detection.
+        self.check_names(files)?;
+        verify_batch(&BatchView { resolver: self, batch: files }, files)?;
+        self.link_batch(files)
+    }
+
+    /// Links a batch verified earlier (see [`Registry::install_view`])
+    /// without verifying it again, unless the registry changed since: a
+    /// batch whose stamp is not the current [`Registry::generation`] is
+    /// verified against the live registry first, as
+    /// [`Registry::load_batch`] does, and counted in
+    /// [`Registry::reverified_batches`]. Debug builds verify a current
+    /// batch again anyway and panic if the live registry rejects what the
+    /// view accepted.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::LoadError`] on a name already loaded, a failed
+    /// re-verification, a missing superclass or native method.
+    pub fn load_verified(&mut self, batch: &VerifiedBatch<'_>) -> Result<Vec<ClassId>, VmError> {
+        let files = &batch.files[..];
+        self.check_names(files)?;
+        if batch.generation != self.generation {
+            self.reverified += 1;
+            verify_batch(&BatchView { resolver: self, batch: files }, files)?;
+        } else if cfg!(debug_assertions) {
+            if let Err(e) = verify_batch(&BatchView { resolver: self, batch: files }, files) {
+                panic!("the live registry rejects a batch its install view accepted: {e}");
+            }
+        }
+        self.link_batch(files)
+    }
+
+    /// A view of the registry as an update's install will leave it once it
+    /// has renamed each of `renames`' classes and stripped its methods
+    /// ([`Registry::rename_class`], [`Registry::strip_methods`]): the
+    /// renamed classes resolve under their new names with no methods, their
+    /// old names are free, and their subclasses name the new superclass
+    /// names. Batches verified against it ([`InstallView::verify`]) load
+    /// through [`Registry::load_verified`] without a second verification.
+    pub fn install_view<'a>(&self, renames: &[(ClassId, ClassName)]) -> InstallView<'_, 'a> {
+        let new_name = |id: ClassId| renames.iter().find(|(r, _)| *r == id).map(|(_, n)| n);
+        let mut changed = HashMap::new();
+        for class in &self.classes {
+            let name = new_name(class.id);
+            let superclass = class.super_id.and_then(new_name);
+            if name.is_none() && superclass.is_none() {
+                continue;
+            }
+            let file = ClassFile {
+                name: name.unwrap_or(&class.name).clone(),
+                superclass: superclass.cloned().or_else(|| class.file.superclass.clone()),
+                fields: class.file.fields.clone(),
+                static_fields: class.file.static_fields.clone(),
+                methods: if name.is_some() { Vec::new() } else { class.file.methods.clone() },
+                flags: class.file.flags,
+            };
+            changed.insert(file.name.clone(), file);
+        }
+        InstallView {
+            registry: self,
+            changed,
+            renamed: renames.iter().map(|(id, _)| *id).collect(),
+            loaded: Vec::new(),
+            generation: self.generation,
+        }
+    }
+
+    /// Duplicate/conflict detection: no name in `files` is loaded or
+    /// repeated.
+    fn check_names(&self, files: &[&ClassFile]) -> Result<(), VmError> {
         for f in files {
             if self.by_name.contains_key(&f.name)
                 || files.iter().filter(|g| g.name == f.name).count() > 1
@@ -271,18 +360,12 @@ impl Registry {
                 });
             }
         }
+        Ok(())
+    }
 
-        // Verify against the combined view.
-        let view = BatchView { registry: self, batch: files };
-        for f in files {
-            verify::verify_class(&view, f).map_err(|e| VmError::LoadError {
-                class: f.name.clone(),
-                message: e.to_string(),
-            })?;
-        }
-
-        // Link in superclass order (supers within the batch first), but
-        // return the ids in the caller's input order.
+    /// Links a verified batch in superclass order (supers within the
+    /// batch first), returning the ids in the caller's input order.
+    fn link_batch(&mut self, files: &[&ClassFile]) -> Result<Vec<ClassId>, VmError> {
         let mut pending: Vec<&ClassFile> = files.to_vec();
         let mut progress = true;
         while !pending.is_empty() {
@@ -314,6 +397,7 @@ impl Registry {
     }
 
     fn link(&mut self, file: &ClassFile) -> Result<ClassId, VmError> {
+        self.generation += 1;
         let id = ClassId(self.classes.len() as u32);
         let super_id = match &file.superclass {
             None => None,
@@ -422,6 +506,7 @@ impl Registry {
                 message: "rename target name already in use".to_string(),
             });
         }
+        self.generation += 1;
         let old_name = self.classes[id.index()].name.clone();
         if self.by_name.get(&old_name) == Some(&id) {
             self.by_name.remove(&old_name);
@@ -443,34 +528,40 @@ impl Registry {
     /// Strips all methods from a renamed old class: "the v131_User class
     /// contains only field definitions; all methods have been removed since
     /// the updated program may not call them" (paper §2.3). TIB entries are
-    /// invalidated so stale dispatch cannot reach old code.
-    pub fn strip_methods(&mut self, id: ClassId) {
-        let mids: Vec<MethodId> =
-            self.methods.iter().filter(|m| m.class == id).map(|m| m.id).collect();
+    /// invalidated so stale dispatch cannot reach old code. Returns what it
+    /// removed, for [`Registry::restore_class_methods`].
+    pub fn strip_methods(&mut self, id: ClassId) -> ClassMethodsSnapshot {
+        self.generation += 1;
         let class = &mut self.classes[id.index()];
-        class.file.methods.clear();
-        class.tib.clear();
-        class.vslots.clear();
-        for mid in mids {
-            let name = self.methods[mid.index()].name.clone();
-            self.method_by_key.remove(&(id, name));
-            self.invalidate(mid);
+        let mut snap = ClassMethodsSnapshot {
+            file_methods: std::mem::take(&mut class.file.methods),
+            tib: std::mem::take(&mut class.tib),
+            vslots: std::mem::take(&mut class.vslots),
+            methods: Vec::new(),
+        };
+        for info in self.methods.iter_mut().filter(|m| m.class == id) {
+            self.method_by_key.remove(&(id, info.name.clone()));
+            let (compiled, invalidations) = (info.compiled.take(), info.invalidations);
+            info.invalidations += u32::from(compiled.is_some());
+            snap.methods.push((info.id, compiled, invalidations));
         }
+        snap
     }
 
     /// Replaces a method's bytecode (a *method body update*): the new body
     /// is installed and the compiled code invalidated; the JIT recompiles
-    /// on next invocation, exactly the paper's protocol.
+    /// on next invocation, exactly the paper's protocol. Returns what it
+    /// replaced, for [`Registry::restore_method_state`].
     ///
     /// # Errors
     ///
-    /// Fails if the method does not exist.
+    /// Fails if `class` declares no such method.
     pub fn replace_method_body(
         &mut self,
         class: ClassId,
         method: &str,
         def: jvolve_classfile::MethodDef,
-    ) -> Result<MethodId, VmError> {
+    ) -> Result<MethodState, VmError> {
         let mid = self
             .method_by_key
             .get(&(class, method.to_string()))
@@ -478,6 +569,7 @@ impl Registry {
             .ok_or_else(|| VmError::ResolutionError {
                 message: format!("no method {method} on {}", self.classes[class.index()].name),
             })?;
+        self.generation += 1;
         // Keep the class-file definition in sync for later diffs.
         if let Some(m) = self.classes[class.index()]
             .file
@@ -487,10 +579,10 @@ impl Registry {
         {
             *m = def.clone();
         }
-        let info = &mut self.methods[mid.index()];
-        info.def = def;
+        let mut state = self.method_state(mid);
+        state.def = Some(std::mem::replace(&mut self.methods[mid.index()].def, def));
         self.invalidate(mid);
-        Ok(mid)
+        Ok(state)
     }
 
     /// Invalidates a method's compiled code; it recompiles on next call.
@@ -528,6 +620,7 @@ impl Registry {
     /// still references the dropped ids (the update controller rolls back
     /// frames and renames first).
     pub fn truncate_to(&mut self, mark: &RegistryMark) {
+        self.generation += 1;
         for class in self.classes.drain(mark.classes..) {
             if self.by_name.get(&class.name) == Some(&class.id) {
                 self.by_name.remove(&class.name);
@@ -541,29 +634,11 @@ impl Registry {
         self.snapshot = None;
     }
 
-    /// Captures everything [`Registry::strip_methods`] destroys for class
-    /// `id`, so an aborted update can restore it.
-    #[must_use]
-    pub fn snapshot_class_methods(&self, id: ClassId) -> ClassMethodsSnapshot {
-        let class = &self.classes[id.index()];
-        ClassMethodsSnapshot {
-            file_methods: class.file.methods.clone(),
-            tib: class.tib.clone(),
-            vslots: class.vslots.clone(),
-            methods: self
-                .methods
-                .iter()
-                .filter(|m| m.class == id)
-                .map(|m| (m.id, m.compiled.clone(), m.invalidations))
-                .collect(),
-        }
-    }
-
-    /// Restores a class's methods from a snapshot taken before
-    /// [`Registry::strip_methods`]: lookup entries, TIB, virtual slots,
-    /// class-file method list, and each method's compiled code and
-    /// counters.
+    /// Restores what [`Registry::strip_methods`] removed from class `id`:
+    /// lookup entries, TIB, virtual slots, class-file method list, and
+    /// each method's compiled code and counters.
     pub fn restore_class_methods(&mut self, id: ClassId, snap: ClassMethodsSnapshot) {
+        self.generation += 1;
         let class = &mut self.classes[id.index()];
         class.file.methods = snap.file_methods;
         class.tib = snap.tib;
@@ -577,27 +652,38 @@ impl Registry {
         }
     }
 
-    /// Restores one method's definition, compiled code, and counters —
-    /// the inverse of [`Registry::replace_method_body`] /
-    /// [`Registry::invalidate`] for rollback.
-    pub fn restore_method_state(
-        &mut self,
-        mid: MethodId,
-        def: jvolve_classfile::MethodDef,
-        compiled: Option<Arc<CompiledMethod>>,
-        invalidations: u32,
-    ) {
-        let class = self.methods[mid.index()].class;
-        if let Some(m) = self.classes[class.index()]
-            .file
-            .methods
-            .iter_mut()
-            .find(|m| m.name == def.name)
-        {
-            *m = def.clone();
+    /// A method's compiled code and counters, for a rollback to restore
+    /// after [`Registry::invalidate`] or a republish of its code.
+    #[must_use]
+    pub fn method_state(&self, mid: MethodId) -> MethodState {
+        let info = &self.methods[mid.index()];
+        MethodState {
+            mid,
+            def: None,
+            compiled: info.compiled.clone(),
+            invalidations: info.invalidations,
+        }
+    }
+
+    /// Restores a method captured by [`Registry::method_state`] or
+    /// returned by [`Registry::replace_method_body`]: its compiled code and
+    /// counters, and its definition if one was replaced.
+    pub fn restore_method_state(&mut self, state: MethodState) {
+        let MethodState { mid, def, compiled, invalidations } = state;
+        if let Some(def) = def {
+            self.generation += 1;
+            let class = self.methods[mid.index()].class;
+            if let Some(m) = self.classes[class.index()]
+                .file
+                .methods
+                .iter_mut()
+                .find(|m| m.name == def.name)
+            {
+                *m = def.clone();
+            }
+            self.methods[mid.index()].def = def;
         }
         let info = &mut self.methods[mid.index()];
-        info.def = def;
         info.compiled = compiled;
         info.invalidations = invalidations;
     }
@@ -675,14 +761,24 @@ pub struct RegistryMark {
     jtoc: usize,
 }
 
-/// Opaque snapshot of a class's method tables (see
-/// [`Registry::snapshot_class_methods`]).
+/// A class's method tables as [`Registry::strip_methods`] removed them.
 #[derive(Debug)]
 pub struct ClassMethodsSnapshot {
     file_methods: Vec<jvolve_classfile::MethodDef>,
     tib: Vec<MethodId>,
     vslots: HashMap<String, u16>,
     methods: Vec<(MethodId, Option<Arc<CompiledMethod>>, u32)>,
+}
+
+/// One method's state for a rollback (see [`Registry::method_state`] and
+/// [`Registry::replace_method_body`]).
+#[derive(Debug)]
+pub struct MethodState {
+    mid: MethodId,
+    /// The replaced definition; `None` when only the code was touched.
+    def: Option<jvolve_classfile::MethodDef>,
+    compiled: Option<Arc<CompiledMethod>>,
+    invalidations: u32,
 }
 
 impl ClassLayouts for Registry {
@@ -700,19 +796,107 @@ impl ClassResolver for Registry {
     }
 }
 
-/// Resolver over the registry plus a batch being loaded.
-struct BatchView<'a> {
-    registry: &'a Registry,
+/// Resolver over a registry (or a view of one) plus a batch being loaded.
+struct BatchView<'a, R> {
+    resolver: &'a R,
     batch: &'a [&'a ClassFile],
 }
 
-impl ClassResolver for BatchView<'_> {
+impl<R: ClassResolver> ClassResolver for BatchView<'_, R> {
     fn resolve(&self, name: &ClassName) -> Option<&ClassFile> {
         self.batch
             .iter()
             .copied()
             .find(|f| &f.name == name)
-            .or_else(|| self.registry.resolve(name))
+            .or_else(|| self.resolver.resolve(name))
+    }
+}
+
+/// Verifies each of `files` against `view`.
+fn verify_batch(view: &impl ClassResolver, files: &[&ClassFile]) -> Result<(), VmError> {
+    for f in files {
+        verify::verify_class(view, f).map_err(|e| VmError::LoadError {
+            class: f.name.clone(),
+            message: e.to_string(),
+        })?;
+    }
+    Ok(())
+}
+
+/// The registry as an update's install will leave it, for verifying the
+/// update's batches before the install runs (see
+/// [`Registry::install_view`]).
+#[derive(Debug)]
+pub struct InstallView<'r, 'a> {
+    registry: &'r Registry,
+    /// Classes whose view differs from their registry entry, by their
+    /// name in the view: each renamed class (stripped of its methods) and
+    /// each class whose superclass is renamed.
+    changed: HashMap<ClassName, ClassFile>,
+    /// The renamed classes, whose current names the view frees.
+    renamed: Vec<ClassId>,
+    /// The batches verified so far, linked (in the install) before the
+    /// next one.
+    loaded: Vec<&'a ClassFile>,
+    generation: u64,
+}
+
+impl<'a> InstallView<'_, 'a> {
+    /// Verifies a batch against the view plus every batch verified before
+    /// it, then counts it as loaded. The result is stamped with the
+    /// generation the view was taken at.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::LoadError`] naming the first class that fails to verify.
+    pub fn verify(&mut self, files: Vec<&'a ClassFile>) -> Result<VerifiedBatch<'a>, VmError> {
+        verify_batch(&BatchView { resolver: &*self, batch: &files }, &files)?;
+        self.loaded.extend(&files);
+        Ok(VerifiedBatch { files, generation: self.generation })
+    }
+}
+
+impl ClassResolver for InstallView<'_, '_> {
+    fn resolve(&self, name: &ClassName) -> Option<&ClassFile> {
+        if let Some(file) = self.loaded.iter().copied().find(|f| &f.name == name) {
+            return Some(file);
+        }
+        if let Some(file) = self.changed.get(name) {
+            return Some(file);
+        }
+        let id = self.registry.class_id(name)?;
+        (!self.renamed.contains(&id)).then(|| &self.registry.classes[id.index()].file)
+    }
+}
+
+/// A batch of class files that verified against an [`InstallView`], and
+/// the [`Registry::generation`] it verified at. [`Registry::load_verified`]
+/// links it without verifying it again while the stamp is current.
+#[derive(Debug)]
+pub struct VerifiedBatch<'a> {
+    files: Vec<&'a ClassFile>,
+    generation: u64,
+}
+
+impl VerifiedBatch<'_> {
+    /// The batch, in load order.
+    pub fn files(&self) -> &[&ClassFile] {
+        &self.files
+    }
+
+    /// The generation the batch verified at.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Carries the stamp across registry mutations the verified view
+    /// already models (the install's own renames and strips, say): a batch
+    /// stamped `from` is re-stamped `to`, and one stamped anything else
+    /// stays stale.
+    pub fn carry(&mut self, from: u64, to: u64) {
+        if self.generation == from {
+            self.generation = to;
+        }
     }
 }
 
@@ -928,8 +1112,7 @@ mod tests {
         let tib_before = r.class(id).tib.clone();
         let file_methods_before = r.class(id).file.methods.len();
 
-        let snap = r.snapshot_class_methods(id);
-        r.strip_methods(id);
+        let snap = r.strip_methods(id);
         assert!(r.find_method(id, "getName").is_none());
         r.restore_class_methods(id, snap);
 
@@ -937,5 +1120,120 @@ mod tests {
         assert_eq!(r.class(id).tib, tib_before);
         assert_eq!(r.class(id).file.methods.len(), file_methods_before);
         assert_eq!(r.method(mid).invalidations, 0, "counters restored");
+    }
+
+    #[test]
+    fn generation_moves_with_definitions_not_with_code() {
+        let mut r = base_registry();
+        let classes = jvolve_lang::compile(
+            "class P { field a: int; method f(): int { return 1; } }
+             class C extends P { method g(): int { return 2; } }",
+        )
+        .unwrap();
+        let g = r.generation();
+        r.load_batch(&classes).unwrap();
+        assert!(r.generation() > g, "link bumps");
+        let p = r.class_id(&ClassName::from("P")).unwrap();
+        let f = r.find_method(p, "f").unwrap();
+
+        // Code comes and goes without touching what a verifier reads.
+        let g = r.generation();
+        r.set_compiled(f, Arc::new(CompiledMethod::new(f, vec![RInstrStub()], 0)));
+        r.invalidate(f);
+        let state = r.method_state(f);
+        r.restore_method_state(state);
+        assert_eq!(r.generation(), g, "compile, invalidate and code restores do not bump");
+
+        let def = r.method(f).def.clone();
+        let mut seen = vec![g];
+        let mut bumped = |r: &Registry, what: &str| {
+            assert!(r.generation() > *seen.last().unwrap(), "{what} bumps");
+            seen.push(r.generation());
+        };
+        let swapped = r.replace_method_body(p, "f", def).unwrap();
+        bumped(&r, "a body replacement");
+        r.restore_method_state(swapped);
+        bumped(&r, "restoring a definition");
+        let mark = r.mark();
+        r.rename_class(p, ClassName::from("v1_P")).unwrap();
+        bumped(&r, "a rename");
+        let snap = r.strip_methods(p);
+        bumped(&r, "a strip");
+        r.restore_class_methods(p, snap);
+        bumped(&r, "restoring stripped methods");
+        r.truncate_to(&mark);
+        bumped(&r, "a truncation");
+    }
+
+    #[test]
+    fn the_install_view_is_the_registry_after_its_renames() {
+        let mut r = base_registry();
+        let v1 = jvolve_lang::compile(
+            "class P { field a: int; method f(): int { return this.a; } }
+             class C extends P { method g(): int { return this.a; } }",
+        )
+        .unwrap();
+        r.load_batch(&v1).unwrap();
+        let p = r.class_id(&ClassName::from("P")).unwrap();
+        // The new P has `b`; `Reader` reads `b` through the unchanged C,
+        // which in the view still extends the old (renamed) P.
+        let v2 = jvolve_lang::compile(
+            "class P { field b: int; }
+             class C extends P { }
+             class Reader { static method read(c: C): int { return c.b; } }",
+        )
+        .unwrap();
+        let batch = |names: &[&str]| -> Vec<&ClassFile> {
+            names.iter().map(|n| v2.iter().find(|c| c.name.as_str() == *n).unwrap()).collect()
+        };
+
+        let renames = [(p, ClassName::from("v2_P"))];
+        let mut view = r.install_view(&renames);
+        let v2_p = view.resolve(&ClassName::from("v2_P")).expect("renamed class resolves");
+        assert!(v2_p.methods.is_empty(), "renamed classes are stripped");
+        assert!(view.resolve(&ClassName::from("P")).is_none(), "the old name is free");
+        assert_eq!(
+            view.resolve(&ClassName::from("C")).unwrap().superclass,
+            Some(ClassName::from("v2_P")),
+            "subclasses name the renamed superclass"
+        );
+        let err = view.verify(batch(&["P", "Reader"])).unwrap_err();
+        assert!(
+            matches!(&err, VmError::LoadError { class, .. } if class.as_str() == "Reader"),
+            "{err}"
+        );
+
+        // The batch without the reader verifies and, once the install's
+        // renames are done and the stamp carried across them, loads
+        // without a second verification.
+        let mut view = r.install_view(&renames);
+        let mut verified = view.verify(batch(&["P"])).unwrap();
+        let start = r.generation();
+        r.rename_class(p, ClassName::from("v2_P")).unwrap();
+        let _ = r.strip_methods(p);
+        verified.carry(start, r.generation());
+        assert_eq!(verified.generation(), r.generation());
+        r.load_verified(&verified).unwrap();
+        assert_eq!(r.reverified_batches(), 0);
+        assert!(r.class_id(&ClassName::from("P")).is_some());
+    }
+
+    #[test]
+    fn a_stale_batch_is_verified_again() {
+        let mut r = base_registry();
+        let classes = jvolve_lang::compile(
+            "class Lib { static field n: int; }
+             class User { static method f(): int { return Lib.n; } }",
+        )
+        .unwrap();
+        let (lib, user) = (&classes[0], &classes[1]);
+        assert!(r.install_view(&[]).verify(vec![user]).is_err(), "Lib is not loaded");
+
+        r.load_batch(&[lib]).unwrap();
+        let verified = r.install_view(&[]).verify(vec![user]).unwrap();
+        // Something else changes the registry before the load.
+        r.load_batch(&jvolve_lang::compile("class Other { }").unwrap()).unwrap();
+        r.load_verified(&verified).unwrap();
+        assert_eq!(r.reverified_batches(), 1, "a stale stamp is verified again");
     }
 }

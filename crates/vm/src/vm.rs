@@ -1044,6 +1044,12 @@ impl Vm {
         Ok(from_words)
     }
 
+    /// Counts a committed update that changed no class layout, and so ran
+    /// no copy ([`Vm::begin_update_copy`] counts the others).
+    pub fn count_update(&mut self) {
+        self.dsu.update_count += 1;
+    }
+
     /// Whether an update's copy is open (from [`Vm::begin_update_copy`] to
     /// [`Vm::finish_update_copy`]; for an eager commit, within one step).
     pub fn lazy_epoch_active(&self) -> bool {

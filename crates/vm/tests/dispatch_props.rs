@@ -164,7 +164,7 @@ fn run_interleaving(
     let mut expected = VERSIONS[0];
     // (def, compiled, invalidations, value) captured before an install —
     // what the update controller's rollback ledger would hold.
-    let mut saved: Option<(MethodDef, _, u32, i64)> = None;
+    let mut saved: Option<(jvolve_vm::MethodState, i64)> = None;
 
     // Warm up: the call site is hot.
     drain_until_settled(&mut vm, &mut cursor, expected, expected);
@@ -175,32 +175,27 @@ fn run_interleaving(
             // Install a (possibly identical) version, as a body update does.
             0 | 1 => {
                 let k = rng.below(VERSIONS.len());
-                if rng.below(2) == 0 {
-                    let info = vm.registry().method(mid);
-                    saved = Some((
-                        info.def.clone(),
-                        info.compiled.clone(),
-                        info.invalidations,
-                        expected,
-                    ));
-                }
-                vm.registry_mut()
+                let keep = rng.below(2) == 0;
+                let replaced = vm
+                    .registry_mut()
                     .replace_method_body(cid, method, defs[k].clone())
                     .expect("method exists");
+                if keep {
+                    saved = Some((replaced, expected));
+                }
                 expected = VERSIONS[k];
             }
             // Invalidate: recompile on next call, semantics unchanged.
             2 => vm.registry_mut().invalidate(mid),
             // Strip the class and restore it, as an aborted update does.
             3 => {
-                let snap = vm.registry_mut().snapshot_class_methods(cid);
-                vm.registry_mut().strip_methods(cid);
+                let snap = vm.registry_mut().strip_methods(cid);
                 vm.registry_mut().restore_class_methods(cid, snap);
             }
             // Roll back to a previously captured ledger entry.
             4 => {
-                if let Some((def, compiled, invalidations, val)) = saved.take() {
-                    vm.registry_mut().restore_method_state(mid, def, compiled, invalidations);
+                if let Some((replaced, val)) = saved.take() {
+                    vm.registry_mut().restore_method_state(replaced);
                     expected = val;
                 }
             }
