@@ -49,7 +49,9 @@ use jvolve_apps::StreamReport;
 use jvolve_bench::fleet::measure_throughput;
 use jvolve_bench::interp::{self, Config, InterpSample};
 use jvolve_bench::lazy::{measure_update, UpdateRun};
-use jvolve_bench::micro::{measure_pause_with, paper_object_counts, PauseSample};
+use jvolve_bench::micro::{
+    measure_body_only_pause, measure_pause_with, paper_object_counts, PauseSample,
+};
 use jvolve_bench::stream::{chain_len, measure_eager};
 use jvolve_bench::timing::{fmt_ns, Samples};
 
@@ -205,6 +207,22 @@ const UPDATED_GC_LIMIT: f64 = 2.5;
 /// fraction of the interpreted path's.
 const PLAN_TOTAL_LIMIT: f64 = 0.5;
 
+/// A body-only update's pause at the larger heap may be at most this
+/// multiple of its pause at the smaller one: it copies nothing, so its
+/// pause does not depend on the heap.
+const BODY_ONLY_SIZE_LIMIT: f64 = 1.5;
+
+/// Best-of-`iters` body-only pauses at one heap size (after a warmup), and
+/// the (copied cells, collections) of the last run.
+fn body_only_row(objects: usize, iters: usize) -> (Samples, (usize, u64)) {
+    eprint!("\rmeasuring {objects} objects, body-only update...   ");
+    measure_body_only_pause(objects);
+    let runs: Vec<_> = (0..iters).map(|_| measure_body_only_pause(objects)).collect();
+    let last = runs.last().expect("iters is at least 1");
+    let pauses = Samples::from_ns(runs.iter().map(|s| s.total_time.as_nanos() as u64).collect());
+    (pauses, (last.copied_cells, last.gcs))
+}
+
 /// Words of a `Change`/`NoChange` cell at the old layout (header + three
 /// int and three reference fields), and of `Change` at the new one (+ `w`).
 const OLD_CELL_WORDS: usize = 7;
@@ -329,6 +347,30 @@ fn gc(iters: usize) -> Vec<String> {
         |n| {
             let min = |interpreted| gc_row(objects, 1.0, interpreted, n).total.min_ns() as f64;
             (min(false), min(true))
+        },
+    ));
+
+    // A body-only update (ROADMAP 1(d)): no copy, no collection, and a
+    // pause that does not follow the heap.
+    let body: Vec<_> = GC_OBJECTS.iter().map(|&n| (n, body_only_row(n, iters))).collect();
+    eprintln!();
+    for (n, (pauses, counts)) in &body {
+        println!("  body-only update, {n:>6} objects: pause {}", fmt_ns(pauses.median_ns()));
+        failures.extend(exact(
+            &format!("copied cells/collections, body-only, {n} objects"),
+            *counts,
+            (0, 0),
+        ));
+    }
+    let (small, large) = (GC_OBJECTS[0], GC_OBJECTS[GC_OBJECTS.len() - 1]);
+    failures.extend(ratio_gate(
+        &format!("body-only pause {large} / {small} objects"),
+        Bound::AtMost(BODY_ONLY_SIZE_LIMIT),
+        (body[1].1 .0.min_ns() as f64, body[0].1 .0.min_ns() as f64),
+        iters,
+        |n| {
+            let min = |objects| body_only_row(objects, n).0.min_ns() as f64;
+            (min(large), min(small))
         },
     ));
     failures

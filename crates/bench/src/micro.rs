@@ -175,6 +175,41 @@ pub fn measure_pause_with(
     }
 }
 
+/// A body-only update over the Table 1 population (ROADMAP item 1(d)).
+#[derive(Debug, Clone)]
+pub struct BodyOnlySample {
+    /// Total update pause.
+    pub total_time: Duration,
+    /// Cells the update copied (none: no class changes layout).
+    pub copied_cells: usize,
+    /// Collections the VM ran during the update.
+    pub gcs: u64,
+}
+
+/// Applies an update that changes one method body and no layout to a VM
+/// holding `objects` host-rooted `NoChange` cells. It has nothing to copy
+/// or convert, so its pause should not grow with the heap.
+pub fn measure_body_only_pause(objects: usize) -> BodyOnlySample {
+    let probe = |n: i64| format!("{MICRO_V1} class Probe {{ static method f(): int {{ return {n}; }} }}");
+    let semispace_words = (objects * 9 * 3).max(64 * 1024);
+    let mut vm = Vm::new(VmConfig { semispace_words, ..VmConfig::default() });
+    let old = jvolve_lang::compile(&probe(1)).expect("body-only v1 compiles");
+    let new = jvolve_lang::compile(&probe(2)).expect("body-only v2 compiles");
+    vm.load_classes(&old).expect("body-only classes load");
+    for _ in 0..objects {
+        vm.host_alloc("NoChange").expect("population fits");
+    }
+    let update = Update::prepare(&old, &new, "v1_").expect("non-empty update");
+    let gcs = vm.stats().gcs;
+    let stats = jvolve::apply(&mut vm, &update, &ApplyOptions::default()).expect("update applies");
+    assert_eq!(vm.call_static_sync("Probe", "f", &[]).unwrap(), Some(Value::Int(2)));
+    BodyOnlySample {
+        total_time: stats.total_time,
+        copied_cells: stats.gc_copied_cells,
+        gcs: vm.stats().gcs - gcs,
+    }
+}
+
 /// The paper's object counts (280k–3.67M), scaled by `1/scale_div`.
 pub fn paper_object_counts(scale_div: usize) -> Vec<usize> {
     [280_000usize, 770_000, 1_760_000, 3_670_000]
