@@ -13,10 +13,10 @@
 //!    update *behind* the in-flight requests drains them by construction;
 //!    requests that race in during the safe-point wait or the lazy epoch
 //!    are served by the update pump, so nothing is ever dropped;
-//! 2. **apply** — the shard runs its own resumable `UpdateController`
-//!    (through the same [`apply_prepared_interleaved`] path as the
-//!    single-VM harness), forwarding every typed [`UpdateEvent`] to the
-//!    coordinator over a `Send` channel sink;
+//! 2. **apply** — the shard runs its own [`UpdateController`] through
+//!    [`UpdateController::run`], the loop every other embedder uses,
+//!    forwarding every typed [`UpdateEvent`] to the coordinator over a
+//!    `Send` channel sink;
 //! 3. **health gate** — the coordinator requires a `Committed` event (and
 //!    no `Aborted`) in the shard's event stream, then a burst of verified
 //!    probe exchanges against the updated shard;
@@ -39,12 +39,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use jvolve::{ApplyOptions, Update, UpdateEvent, UpdateEventSink, UpdateOutcome};
+use jvolve::{
+    ApplyOptions, Update, UpdateController, UpdateEvent, UpdateEventSink, UpdateOutcome,
+};
 use jvolve_classfile::ClassFile;
 use jvolve_vm::VmConfig;
 
 use crate::common::{AppInstance, ProbeFailure};
-use crate::harness::{apply_prepared_interleaved, boot_classes};
+use crate::harness::boot_classes;
 
 /// Slice budget for one client exchange against a shard.
 const EXCHANGE_BUDGET: usize = 40_000;
@@ -143,27 +145,24 @@ fn shard_main(
                     vm.run_slices(settle);
                 }
                 let mut sink = ChannelSink { shard, tx: tx.clone() };
-                let (outcome, _) = apply_prepared_interleaved(
-                    &mut vm,
-                    &update,
-                    &opts,
-                    Some(&mut sink),
-                    |vm| {
-                        // The guest may run: serve exchanges that raced in
-                        // after the update command — mid-update serving is
-                        // the whole point. Anything else waits its turn.
-                        match rx.try_recv() {
-                            Ok(ShardCmd::Exchange { seq }) => {
-                                let result = app.probe(vm, seq, EXCHANGE_BUDGET);
-                                let _ = tx.send(ShardMsg::Response { result });
-                            }
-                            Ok(other) => stashed.push_back(other),
-                            Err(TryRecvError::Empty | TryRecvError::Disconnected) => {
-                                vm.run_slices(1);
-                            }
+                let mut controller = UpdateController::new(&update, *opts);
+                controller.attach_sink(&mut sink);
+                let result = controller.run(&mut vm, |vm, _| {
+                    // The guest may run: serve exchanges that raced in
+                    // after the update command — mid-update serving is the
+                    // whole point. Anything else waits its turn.
+                    match rx.try_recv() {
+                        Ok(ShardCmd::Exchange { seq }) => {
+                            let result = app.probe(vm, seq, EXCHANGE_BUDGET);
+                            let _ = tx.send(ShardMsg::Response { result });
                         }
-                    },
-                );
+                        Ok(other) => stashed.push_back(other),
+                        Err(TryRecvError::Empty | TryRecvError::Disconnected) => {
+                            vm.run_slices(1);
+                        }
+                    }
+                });
+                let outcome = UpdateOutcome::from(&result);
                 if tx.send(ShardMsg::UpdateDone { shard, outcome }).is_err() {
                     return;
                 }

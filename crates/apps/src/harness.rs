@@ -1,12 +1,11 @@
 //! Shared machinery: boot a guest app at a version, drive it, and attempt
 //! live updates between consecutive versions — the paper's §4 methodology
 //! ("we ran Jetty under full load; after 30 seconds we tried to apply the
-//! update to the next version").
+//! update to the next version"). [`attempt_update`] prepares the next
+//! release and runs it through [`UpdateController::run`], the loop every
+//! embedder shares.
 
-use jvolve::{
-    ApplyOptions, StepProgress, Update, UpdateController, UpdateError, UpdateEventSink,
-    UpdateOutcome, UpdatePhase, UpdateStats,
-};
+use jvolve::{ApplyOptions, Update, UpdateController, UpdateError, UpdatePhase, UpdateStats};
 use jvolve_classfile::ClassFile;
 use jvolve_vm::{Vm, VmConfig};
 
@@ -92,75 +91,22 @@ pub fn prepare_next(app: &dyn GuestApp, from: usize) -> Update {
     update
 }
 
-/// Attempts the live update `from → from + 1` on a running VM.
+/// Attempts the live update `from → from + 1` on a running VM through
+/// [`UpdateController::run`], which calls `pump` whenever the guest may
+/// run: while the update waits for a safe point and, under
+/// `VmConfig::lazy_migration`, while the lazy epoch drains. The pump may
+/// drive the VM's workload — issue requests, run extra slices — so the app
+/// keeps serving mid-update, exactly the paper's §4 setup of updating
+/// Jetty under full load. [`UpdateOutcome::from`](jvolve::UpdateOutcome)
+/// turns the result into the §4 summary's row.
 pub fn attempt_update(
     vm: &mut Vm,
     app: &dyn GuestApp,
     from: usize,
     opts: &ApplyOptions,
-) -> (UpdateOutcome, Option<UpdateStats>) {
-    attempt_update_interleaved(vm, app, from, opts, |_| {})
-}
-
-/// [`attempt_update`] through the resumable [`UpdateController`], calling
-/// `pump` between steps whenever the guest is allowed to run: while the
-/// update waits for a safe point, and — under `VmConfig::lazy_migration`
-/// — while the lazy epoch drains. The pump may drive the VM's workload —
-/// issue requests, run extra slices — so the app keeps serving
-/// mid-update, exactly the paper's §4 setup of updating Jetty under full
-/// load. During the remaining (stop-the-world) phases the pump is not
-/// called.
-pub fn attempt_update_interleaved(
-    vm: &mut Vm,
-    app: &dyn GuestApp,
-    from: usize,
-    opts: &ApplyOptions,
-    pump: impl FnMut(&mut Vm),
-) -> (UpdateOutcome, Option<UpdateStats>) {
-    let update = prepare_next(app, from);
-    apply_prepared_interleaved(vm, &update, opts, None, pump)
-}
-
-/// The one interleaved-apply path shared by the single-VM harness and the
-/// fleet shards: steps a controller over a *prepared* update, calling
-/// `pump` whenever the guest may run (safe-point wait, lazy epoch), and
-/// forwarding events to `sink` when one is given.
-pub fn apply_prepared_interleaved(
-    vm: &mut Vm,
-    update: &Update,
-    opts: &ApplyOptions,
-    sink: Option<&mut dyn UpdateEventSink>,
-    mut pump: impl FnMut(&mut Vm),
-) -> (UpdateOutcome, Option<UpdateStats>) {
-    let mut controller = UpdateController::new(update, opts.clone());
-    if let Some(sink) = sink {
-        controller.attach_sink(sink);
-    }
-    loop {
-        match controller.step(vm) {
-            StepProgress::Pending(UpdatePhase::WaitingForSafePoint)
-            | StepProgress::Pending(UpdatePhase::LazyMigrating) => pump(vm),
-            StepProgress::Pending(_) => {}
-            StepProgress::Committed => {
-                let stats = controller.stats().clone();
-                let outcome = UpdateOutcome::Applied {
-                    used_osr: stats.osr_replacements > 0,
-                    barriers: stats.barriers_installed,
-                };
-                return (outcome, Some(stats));
-            }
-            StepProgress::Aborted => {
-                let outcome = match controller.error() {
-                    Some(UpdateError::Timeout { blocking, .. }) => {
-                        UpdateOutcome::TimedOut { blocking: blocking.clone() }
-                    }
-                    Some(e) => UpdateOutcome::Failed { reason: e.to_string() },
-                    None => UpdateOutcome::Failed { reason: "update aborted".to_string() },
-                };
-                return (outcome, None);
-            }
-        }
-    }
+    pump: impl FnMut(&mut Vm, UpdatePhase),
+) -> Result<UpdateStats, UpdateError> {
+    UpdateController::new(&prepare_next(app, from), opts.clone()).run(vm, pump)
 }
 
 /// Default apply options for the app benchmarks: a timeout that is long

@@ -3,7 +3,7 @@
 //! ones that change methods stuck inside always-running loops — become
 //! applicable, taking the supported count from 20 of 22 to 22 of 22.
 
-use jvolve::ApplyOptions;
+use jvolve::{ApplyOptions, UpdateOutcome};
 use jvolve_apps::harness::{attempt_update, boot};
 use jvolve_apps::workload::{one_shot, smtp_send};
 use jvolve_apps::{AppInstance, Emailserver, Webserver};
@@ -91,8 +91,8 @@ fn all_22_updates_apply_with_active_migration() {
         for from in 0..versions.len() - 1 {
             total += 1;
             let mut vm = boot(app.as_ref(), from);
-            let (outcome, stats) =
-                attempt_update(&mut vm, app.as_ref(), from, &migrating_opts());
+            let result = attempt_update(&mut vm, app.as_ref(), from, &migrating_opts(), |_, _| {});
+            let (outcome, stats) = (UpdateOutcome::from(&result), result.ok());
             if let Some(s) = stats {
                 migrations += s.active_migrations;
             }

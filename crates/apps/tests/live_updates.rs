@@ -4,8 +4,7 @@
 
 use jvolve::UpdateOutcome;
 use jvolve_apps::harness::{
-    app_vm_config, attempt_update, attempt_update_interleaved, bench_apply_options, boot,
-    boot_with,
+    app_vm_config, attempt_update, bench_apply_options, boot, boot_with,
 };
 use jvolve_apps::workload::{ftp_retr, one_shot, pop_list, smtp_send};
 use jvolve_apps::{AppInstance, Emailserver, Ftpserver, GuestApp, Webserver};
@@ -25,7 +24,8 @@ fn webserver_updates_match_paper() {
                 .unwrap_or_else(|| panic!("{to_label}: server unresponsive before update"));
             assert!(resp.0.starts_with("200"), "{to_label}: {resp:?}");
         }
-        let (outcome, _) = attempt_update(&mut vm, &app, from, &bench_apply_options());
+        let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+        let outcome = UpdateOutcome::from(&result);
         if outcome.supported() {
             // The updated server still serves correctly.
             let resp = one_shot(&mut vm, app.port(), "GET /about.html", 40_000)
@@ -56,18 +56,19 @@ fn webserver_serves_requests_between_controller_steps() {
     let app = Webserver;
     let mut vm = boot(&app, 0);
     let mut served_mid_update = 0;
-    let (outcome, stats) = attempt_update_interleaved(
+    let result = attempt_update(
         &mut vm,
         &app,
         0,
         &bench_apply_options(),
-        |vm| {
+        |vm, _| {
             let resp = one_shot(vm, app.port(), "GET /index.html", 20_000)
                 .expect("server must answer between controller steps");
             assert_eq!(resp.0, "200 <html>welcome</html>", "mid-update response corrupted");
             served_mid_update += 1;
         },
     );
+    let (outcome, stats) = (UpdateOutcome::from(&result), result.ok());
     assert!(outcome.supported(), "{outcome}");
     assert!(stats.is_some());
     assert!(
@@ -99,18 +100,19 @@ fn webserver_serves_verified_responses_while_lazy_epoch_drains() {
     }
 
     let mut served_mid_update = 0;
-    let (outcome, stats) = attempt_update_interleaved(
+    let result = attempt_update(
         &mut vm,
         &app,
         from,
         &bench_apply_options(),
-        |vm| {
+        |vm, _| {
             let resp = one_shot(vm, app.port(), "GET /index.html", 20_000)
                 .expect("server must answer while the update is in flight");
             assert!(resp.0.starts_with("200"), "mid-migration response corrupted: {resp:?}");
             served_mid_update += 1;
         },
     );
+    let (outcome, stats) = (UpdateOutcome::from(&result), result.ok());
     assert!(outcome.supported(), "{outcome}");
     let stats = stats.expect("stats on commit");
     assert!(
@@ -174,13 +176,14 @@ fn webserver_update_with_requests_in_flight_needs_no_return_barrier() {
             client.pump(&mut vm);
         }
         assert!(client.served > 0, "jit={jit}: warm-up served nothing");
-        let (outcome, stats) = attempt_update_interleaved(
+        let result = attempt_update(
             &mut vm,
             &app,
             from,
             &bench_apply_options(),
-            |vm| client.pump(vm),
+            |vm, _| client.pump(vm),
         );
+        let (outcome, stats) = (UpdateOutcome::from(&result), result.ok());
         assert!(matches!(outcome, UpdateOutcome::Applied { .. }), "jit={jit}: {outcome}");
         let stats = stats.expect("stats on commit");
         assert_eq!(stats.barriers_installed, 0, "jit={jit}: waited on a return barrier");
@@ -198,7 +201,8 @@ fn webserver_update_with_requests_in_flight_needs_no_return_barrier() {
 fn webserver_513_blocks_on_accept_loop() {
     let app = Webserver;
     let mut vm = boot(&app, 2); // 5.1.2
-    let (outcome, _) = attempt_update(&mut vm, &app, 2, &bench_apply_options());
+    let result = attempt_update(&mut vm, &app, 2, &bench_apply_options(), |_, _| {});
+    let outcome = UpdateOutcome::from(&result);
     let UpdateOutcome::TimedOut { blocking } = outcome else {
         panic!("5.1.3 must time out, got {outcome}");
     };
@@ -225,7 +229,9 @@ fn emailserver_updates_match_paper() {
             .unwrap_or_else(|| panic!("{to_label}: POP unresponsive before update"));
         assert_eq!(pop[0], "+OK", "{to_label}: {pop:?}");
 
-        let (outcome, stats) = attempt_update(&mut vm, &app, from, &bench_apply_options());
+        let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+
+        let (outcome, stats) = (UpdateOutcome::from(&result), result.ok());
         if let Some(stats) = &stats {
             if stats.osr_replacements > 0 {
                 osr_releases.push(to_label);
@@ -274,7 +280,9 @@ fn emailserver_132_converts_forward_addresses() {
     .expect("POP before update");
     assert_eq!(fwd_before[1], "+OK carol@ext.example.org");
 
-    let (outcome, _) = attempt_update(&mut vm, &app, from, &bench_apply_options());
+    let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+
+    let outcome = UpdateOutcome::from(&result);
     assert!(outcome.supported(), "{outcome}");
 
     let fwd_after = jvolve_apps::workload::scripted_session(
@@ -294,7 +302,8 @@ fn emailserver_132_converts_forward_addresses() {
 fn emailserver_13_blocks_on_processing_loops() {
     let app = Emailserver;
     let mut vm = boot(&app, 3); // 1.2.4 → 1.3
-    let (outcome, _) = attempt_update(&mut vm, &app, 3, &bench_apply_options());
+    let result = attempt_update(&mut vm, &app, 3, &bench_apply_options(), |_, _| {});
+    let outcome = UpdateOutcome::from(&result);
     let UpdateOutcome::TimedOut { blocking } = outcome else {
         panic!("1.3 must time out, got {outcome}");
     };
@@ -316,7 +325,9 @@ fn ftpserver_updates_apply_when_idle() {
         // Let the handler thread finish.
         vm.run_slices(200);
 
-        let (outcome, _) = attempt_update(&mut vm, &app, from, &bench_apply_options());
+        let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+
+        let outcome = UpdateOutcome::from(&result);
         assert!(outcome.supported(), "ftpserver update to {to_label}: {outcome}");
 
         let replies = ftp_retr(&mut vm, 2121, "admin", "adminpw", "/motd.txt", 60_000)
@@ -342,7 +353,9 @@ fn ftpserver_108_blocks_with_active_sessions() {
         }
     }
 
-    let (outcome, _) = attempt_update(&mut vm, &app, 2, &bench_apply_options());
+    let result = attempt_update(&mut vm, &app, 2, &bench_apply_options(), |_, _| {});
+
+    let outcome = UpdateOutcome::from(&result);
     let UpdateOutcome::TimedOut { blocking } = outcome else {
         panic!("1.08 must time out under load, got {outcome}");
     };
@@ -358,7 +371,8 @@ fn ftpserver_108_blocks_with_active_sessions() {
     }
     vm.net_mut().client_close(conn);
     vm.run_slices(300);
-    let (outcome, _) = attempt_update(&mut vm, &app, 2, &bench_apply_options());
+    let result = attempt_update(&mut vm, &app, 2, &bench_apply_options(), |_, _| {});
+    let outcome = UpdateOutcome::from(&result);
     assert!(outcome.supported(), "idle 1.08 update must apply: {outcome}");
 }
 
@@ -373,7 +387,9 @@ fn twenty_of_twentytwo_updates_supported() {
         for from in 0..versions.len() - 1 {
             total += 1;
             let mut vm = boot(app.as_ref(), from);
-            let (outcome, _) = attempt_update(&mut vm, app.as_ref(), from, &bench_apply_options());
+            let result =
+                attempt_update(&mut vm, app.as_ref(), from, &bench_apply_options(), |_, _| {});
+            let outcome = UpdateOutcome::from(&result);
             if outcome.supported() {
                 supported += 1;
             } else {
@@ -400,12 +416,12 @@ fn emailserver_serves_verified_responses_mid_update() {
     let from = 1; // 1.2.2 → 1.2.3
     let mut vm = boot(&app, from);
     let mut served_mid_update = 0u64;
-    let (outcome, _) = attempt_update_interleaved(
+    let result = attempt_update(
         &mut vm,
         &app,
         from,
         &bench_apply_options(),
-        |vm| {
+        |vm, _| {
             // The shared probe alternates SMTP submission and POP list,
             // verifying each reply through apps::common::verify_replies.
             app.probe(vm, served_mid_update, 40_000)
@@ -413,6 +429,7 @@ fn emailserver_serves_verified_responses_mid_update() {
             served_mid_update += 1;
         },
     );
+    let outcome = UpdateOutcome::from(&result);
     assert!(outcome.supported(), "{outcome}");
     assert!(served_mid_update >= 1, "SMTP/POP must serve mid-update");
     // Both protocols still answer on the new version.
@@ -433,12 +450,12 @@ fn ftpserver_serves_verified_responses_mid_update() {
     let from = 0; // 1.05 → 1.06
     let mut vm = boot(&app, from);
     let mut served_mid_update = 0u64;
-    let (outcome, _) = attempt_update_interleaved(
+    let result = attempt_update(
         &mut vm,
         &app,
         from,
         &bench_apply_options(),
-        |vm| {
+        |vm, _| {
             if served_mid_update < 2 {
                 app.probe(vm, served_mid_update, 60_000)
                     .expect("verified FTP session between controller steps");
@@ -448,6 +465,7 @@ fn ftpserver_serves_verified_responses_mid_update() {
             }
         },
     );
+    let outcome = UpdateOutcome::from(&result);
     assert!(outcome.supported(), "{outcome}");
     assert!(served_mid_update >= 1, "FTP must serve mid-update");
     let replies = ftp_retr(&mut vm, 2121, "admin", "adminpw", "/motd.txt", 60_000)

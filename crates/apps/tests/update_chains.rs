@@ -4,6 +4,7 @@
 //! (webserver 5.1.3, emailserver 1.3) require a restart, exactly as they
 //! would have in the paper's deployments.
 
+use jvolve::UpdateOutcome;
 use jvolve_apps::harness::{attempt_update, bench_apply_options, boot};
 use jvolve_apps::workload::{one_shot, pop_list, scripted_session, smtp_send};
 use jvolve_apps::{AppInstance, Emailserver, GuestApp, Webserver};
@@ -24,7 +25,8 @@ fn webserver_survives_seven_consecutive_updates() {
             assert!(resp.0.starts_with("200"), "{to}: {resp:?}");
             served += 1;
         }
-        let (outcome, _) = attempt_update(&mut vm, &app, from, &bench_apply_options());
+        let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+        let outcome = UpdateOutcome::from(&result);
         assert!(outcome.supported(), "update to {to} on the long-lived VM: {outcome}");
     }
     // After all seven updates the server still serves, on the same VM,
@@ -57,7 +59,9 @@ fn emailserver_survives_five_consecutive_updates_with_mail_state() {
         // Let the sender thread flush before updating.
         vm.run_slices(300);
 
-        let (outcome, _) = attempt_update(&mut vm, &app, from, &bench_apply_options());
+        let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+
+        let outcome = UpdateOutcome::from(&result);
         assert!(outcome.supported(), "update to {to} on the long-lived VM: {outcome}");
     }
     assert_eq!(vm.update_count(), 5);
@@ -90,12 +94,14 @@ fn early_webserver_chain_up_to_the_unsupported_release() {
     let app = Webserver;
     let mut vm = boot(&app, 0);
     for from in 0..2 {
-        let (outcome, _) = attempt_update(&mut vm, &app, from, &bench_apply_options());
+        let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+        let outcome = UpdateOutcome::from(&result);
         assert!(outcome.supported(), "{outcome}");
         let resp = one_shot(&mut vm, app.port(), "GET /index.html", 40_000).expect("serves");
         assert!(resp.0.starts_with("200"));
     }
-    let (outcome, _) = attempt_update(&mut vm, &app, 2, &bench_apply_options());
+    let result = attempt_update(&mut vm, &app, 2, &bench_apply_options(), |_, _| {});
+    let outcome = UpdateOutcome::from(&result);
     assert!(!outcome.supported(), "5.1.3 stays unsupported on a long-lived VM");
     // The 5.1.2 code keeps serving after the aborted update.
     let resp = one_shot(&mut vm, app.port(), "GET /index.html", 40_000).expect("serves");
@@ -117,7 +123,9 @@ fn statics_survive_class_updates_across_releases() {
     let before = vm.display_value(before);
     assert!(before.contains("requests=5"), "{before}");
 
-    let (outcome, _) = attempt_update(&mut vm, &app, 4, &bench_apply_options());
+    let result = attempt_update(&mut vm, &app, 4, &bench_apply_options(), |_, _| {});
+
+    let outcome = UpdateOutcome::from(&result);
     assert!(outcome.supported(), "{outcome}");
 
     let after = vm.call_static_sync("Stats", "report", &[]).expect("report runs").unwrap();

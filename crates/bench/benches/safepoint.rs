@@ -1,14 +1,10 @@
 //! Bench: DSU safe-point machinery costs — restricted-set computation and
 //! full stack scans on a running, loaded VM (§3.2). Run with
-//! `cargo bench -p jvolve-bench`.
-//!
-//! Also a regression gate: the update controller's safe-point polling
-//! must not construct the restricted set (or any per-poll containers)
-//! each iteration — the set is computed once when the waiting phase is
-//! entered and the check buffers are reused across polls.
+//! `cargo bench -p jvolve-bench`. That the controller builds the
+//! restricted set once per wait, not once per poll, is a workspace test
+//! (`crates/core/tests/controller.rs`).
 
 use jvolve::restricted::{check_stacks, check_stacks_into, RestrictedSet, StackCheck};
-use jvolve::{ApplyOptions, StepProgress, UpdateController};
 use jvolve_apps::harness::{app_vm_config, boot_with, prepare_next};
 use jvolve_apps::webserver::{Webserver, PORT};
 use jvolve_apps::workload::drive_http;
@@ -36,29 +32,4 @@ fn main() {
     let mut scratch = StackCheck::default();
     let s = run(100, || check_stacks_into(&vm, &restricted, &mut scratch));
     report("stack_scan_reused_scratch", &s);
-
-    // Regression gate: run a controller for a bounded number of waiting
-    // polls and assert the restricted set was built exactly once, no
-    // matter how many polls happened.
-    let polls = 200;
-    let mut controller = UpdateController::new(
-        &update,
-        ApplyOptions { timeout_slices: polls, ..ApplyOptions::default() },
-    );
-    loop {
-        if !matches!(controller.step(&mut vm), StepProgress::Pending(_)) {
-            break;
-        }
-    }
-    let counters = controller.counters();
-    assert!(counters.polls > 1, "controller never reached the polling loop");
-    assert_eq!(
-        counters.restricted_builds, 1,
-        "safe-point polling rebuilt the restricted set per iteration ({} builds over {} polls)",
-        counters.restricted_builds, counters.polls
-    );
-    println!(
-        "\npoll_hoisting_gate     ok ({} polls, {} restricted-set build)",
-        counters.polls, counters.restricted_builds
-    );
 }

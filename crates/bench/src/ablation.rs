@@ -144,7 +144,8 @@ pub fn churn_wall_time_with_jit(mode: ChurnMode, nodes: i64, iters: i64, jit: bo
         let new = jvolve_lang::compile(CHURN_V2).expect("churn v2 compiles");
         let update = jvolve::Update::prepare(&old, &new, "v1_").expect("non-empty churn update");
         if mode == ChurnMode::LazyHeldOpen {
-            // Arm the epoch, then never step the controller again.
+            // Arm the epoch, then abandon the controller on purpose: the
+            // JDrums/DVM baseline, which `run` would drain, so keep this loop.
             let mut controller = UpdateController::new(&update, ApplyOptions::default());
             loop {
                 match controller.step(&mut vm) {

@@ -10,7 +10,8 @@
 //!
 //! Usage: `cargo run --release -p jvolve-bench --bin summary`
 
-use jvolve_apps::harness::{attempt_update, bench_apply_options, boot, prepare_next};
+use jvolve::{apply, UpdateOutcome};
+use jvolve_apps::harness::{bench_apply_options, boot, prepare_next};
 
 fn main() {
     let migrate = std::env::args().any(|a| a == "--migrate");
@@ -36,13 +37,14 @@ fn main() {
                 body_only_supported += 1;
             }
             let mut vm = boot(app.as_ref(), from);
-            let (outcome, stats) = attempt_update(&mut vm, app.as_ref(), from, &opts);
-            if outcome.supported() {
+            let result = apply(&mut vm, &update, &opts);
+            if result.is_ok() {
                 supported += 1;
             } else {
+                let outcome = UpdateOutcome::from(&result);
                 failures.push(format!("{} -> {to_label}: {outcome}", app.name()));
             }
-            if let Some(s) = stats {
+            if let Ok(s) = result {
                 phase_lines.push(format!(
                     "{:<12} {:<7} pending {:>8.3}ms  safepoint {:>8.3}ms  load {:>8.3}ms  \
                      gc {:>8.3}ms  transform {:>8.3}ms  wall {:>8.3}ms (phases {:>8.3}ms)  \

@@ -33,7 +33,8 @@ fn main() {
                 break;
             }
         }
-        let (busy, _) = attempt_update(&mut vm, &app, 2, &bench_apply_options());
+        let result = attempt_update(&mut vm, &app, 2, &bench_apply_options(), |_, _| {});
+        let busy = UpdateOutcome::from(&result);
         println!("  busy: {busy}");
         assert!(matches!(busy, UpdateOutcome::TimedOut { .. }));
 
@@ -46,7 +47,8 @@ fn main() {
         }
         vm.net_mut().client_close(conn);
         vm.run_slices(300);
-        let (idle, _) = attempt_update(&mut vm, &app, 2, &bench_apply_options());
+        let result = attempt_update(&mut vm, &app, 2, &bench_apply_options(), |_, _| {});
+        let idle = UpdateOutcome::from(&result);
         println!("  idle: {idle}");
         println!("(paper: \"JVolve could only apply the update from 1.07 to 1.08 when the");
         println!(" server was relatively idle\")");

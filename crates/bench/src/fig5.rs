@@ -137,8 +137,8 @@ pub fn measure(config: Config, concurrency: usize, slices: u64) -> (Served, u64,
             let from = Webserver.versions().len() - 6; // 5.1.5
             let mut vm = boot_with(&Webserver, from, vm_config);
             warmup(&mut vm, &paths, concurrency);
-            let (outcome, _) = attempt_update(&mut vm, &Webserver, from, &bench_apply_options());
-            assert!(outcome.supported(), "5.1.5 -> 5.1.6 must apply: {outcome}");
+            attempt_update(&mut vm, &Webserver, from, &bench_apply_options(), |_, _| {})
+                .unwrap_or_else(|e| panic!("5.1.5 -> 5.1.6 must apply: {e}"));
             // Post-update warm-up: invalidated methods recompile on their
             // next call, as the paper describes.
             warmup(&mut vm, &paths, concurrency);
@@ -230,8 +230,8 @@ pub fn warmup_series(windows: usize, window_slices: u64, concurrency: usize) -> 
     let from = Webserver.versions().len() - 6; // 5.1.5
     let mut vm = boot_with(&Webserver, from, vm_config);
     warmup(&mut vm, &paths, concurrency);
-    let (outcome, _) = attempt_update(&mut vm, &Webserver, from, &bench_apply_options());
-    assert!(outcome.supported(), "5.1.5 -> 5.1.6 must apply: {outcome}");
+    attempt_update(&mut vm, &Webserver, from, &bench_apply_options(), |_, _| {})
+        .unwrap_or_else(|e| panic!("5.1.5 -> 5.1.6 must apply: {e}"));
 
     (0..windows)
         .map(|window| {

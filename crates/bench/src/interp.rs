@@ -20,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 
-use jvolve::{ApplyOptions, MemorySink, Update, UpdateController};
+use jvolve::{ApplyOptions, Update};
 use jvolve_vm::{Value, Vm, VmConfig};
 
 /// Dispatch-bound guest workload: a small class hierarchy of short
@@ -196,10 +196,7 @@ pub fn measure(config: Config, iters: i64) -> InterpSample {
     if config.updated() {
         let v2 = jvolve_lang::compile(INTERP_V2).expect("interp v2 compiles");
         let update = Update::prepare(&v1, &v2, "v1_").expect("non-empty update");
-        let mut events = MemorySink::default();
-        let mut controller = UpdateController::new(&update, ApplyOptions::default());
-        controller.attach_sink(&mut events);
-        controller.run_to_completion(&mut vm).expect("update applies");
+        jvolve::apply(&mut vm, &update, &ApplyOptions::default()).expect("update applies");
         // Post-update warm-up: invalidated methods recompile.
         vm.call_static_sync("Bench", "run", &[Value::Int(1_000)]).expect("post-update warmup");
     }

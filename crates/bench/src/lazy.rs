@@ -8,13 +8,13 @@
 //! *steady state* costs exactly what an eager commit would — on the same
 //! heap words. This module measures both
 //! halves of the claim on a §4.1-shaped population and a field-read spin
-//! loop, driving the [`UpdateController`] directly so the moment the
-//! mutator is released (the first `Pending(LazyMigrating)` step) is
-//! observable.
+//! loop, running the [`UpdateController`] with a pump that times the
+//! moment the mutator is released (its first `LazyMigrating` call) and
+//! the copy steps between its calls.
 
 use std::time::Instant;
 
-use jvolve::{ApplyOptions, StepProgress, Update, UpdateController, UpdatePhase};
+use jvolve::{ApplyOptions, Update, UpdateController, UpdatePhase};
 use jvolve_vm::{Value, Vm, VmConfig};
 
 /// §4.1-shaped guest, old version: `Change`/`NoChange` with three int
@@ -179,29 +179,31 @@ pub fn measure_update(
     let opts = ApplyOptions { interpret_all_transformers: interpret, ..ApplyOptions::default() };
     let mut controller = UpdateController::new(&update, opts);
 
-    // Drive the controller by hand: the first Pending(LazyMigrating) step
-    // is the moment a real deployment resumes the guest, so everything
-    // before it is the pause and everything after it is the drain, whose
-    // steps are timed one by one.
+    // The pump's first `LazyMigrating` call is the moment a real
+    // deployment resumes the guest, so everything before it is the pause
+    // and everything after it is the drain. The pump does nothing else, so
+    // the gap between two of its calls, and from its last call to the
+    // commit, is one copy step.
     let t0 = Instant::now();
     let mut pause_ns = None;
+    let mut last_ns = 0;
     let mut max_step_ns = 0;
-    loop {
-        let t = Instant::now();
-        let progress = controller.step(&mut vm);
-        if pause_ns.is_some() {
-            max_step_ns = max_step_ns.max(t.elapsed().as_nanos() as u64);
-        }
-        match progress {
-            StepProgress::Pending(UpdatePhase::LazyMigrating) => {
-                pause_ns.get_or_insert_with(|| t0.elapsed().as_nanos() as u64);
+    controller
+        .run(&mut vm, |_, phase| {
+            if phase == UpdatePhase::LazyMigrating {
+                let now = t0.elapsed().as_nanos() as u64;
+                if pause_ns.is_some() {
+                    max_step_ns = max_step_ns.max(now - last_ns);
+                }
+                pause_ns.get_or_insert(now);
+                last_ns = now;
             }
-            StepProgress::Pending(_) => {}
-            StepProgress::Committed => break,
-            StepProgress::Aborted => panic!("update aborted: {:?}", controller.error()),
-        }
-    }
+        })
+        .unwrap_or_else(|e| panic!("the update must commit: {e}"));
     let total_ns = t0.elapsed().as_nanos() as u64;
+    if pause_ns.is_some() {
+        max_step_ns = max_step_ns.max(total_ns - last_ns);
+    }
     let pause_ns = pause_ns.unwrap_or(total_ns);
     let arm_ns = controller.stats().arm_time.as_nanos() as u64;
     let transformed = controller.stats().objects_transformed;

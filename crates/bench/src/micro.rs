@@ -122,7 +122,7 @@ pub fn measure_pause_with(
     let opts = ApplyOptions { interpret_all_transformers, ..ApplyOptions::default() };
     let mut controller = UpdateController::new(&update, opts);
     controller.attach_sink(&mut events);
-    let stats = controller.run_to_completion(&mut vm).expect("update applies");
+    let stats = controller.run(&mut vm, |_, _| {}).expect("update applies");
 
     // Sanity: transformed objects kept their fields and gained w = 0.
     if objects > 0 && n_change > 0 {

@@ -35,7 +35,6 @@ pub fn summarize_releases(app: &dyn GuestApp) -> Vec<TableRow> {
 /// ran Jetty under full load; after 30 seconds we tried to apply the
 /// update").
 pub fn run_table(app: &dyn GuestApp) -> Vec<TableRow> {
-    let versions = app.versions();
     let mut rows = summarize_releases(app);
     for (from, row) in rows.iter_mut().enumerate() {
         let mut vm = boot(app, from);
@@ -54,9 +53,8 @@ pub fn run_table(app: &dyn GuestApp) -> Vec<TableRow> {
             }
             _ => {}
         }
-        let (outcome, _) = attempt_update(&mut vm, app, from, &bench_apply_options());
-        let _ = &versions; // labels live in the summaries
-        row.outcome = Some(outcome);
+        let result = attempt_update(&mut vm, app, from, &bench_apply_options(), |_, _| {});
+        row.outcome = Some(UpdateOutcome::from(&result));
     }
     rows
 }

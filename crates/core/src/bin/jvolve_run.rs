@@ -31,9 +31,7 @@
 
 use std::process::ExitCode;
 
-use jvolve::{
-    ApplyOptions, JsonTraceSink, StepProgress, Update, UpdateController, UpdateError, UpdatePhase,
-};
+use jvolve::{ApplyOptions, JsonTraceSink, Update, UpdateController, UpdatePhase};
 use jvolve_vm::{Vm, VmConfig};
 
 const USAGE: &str = "usage: jvolve_run <v1.mj> --main Class.method [--slices N] \
@@ -282,22 +280,13 @@ fn main() -> ExitCode {
         };
         let mut controller = UpdateController::new(&update, opts);
         controller.attach_sink(&mut trace);
-        // Like `run_to_completion`, but interleaves guest slices with the
-        // copy steps while a lazy epoch copies — the mode's whole point.
-        let result = loop {
-            match controller.step(&mut vm) {
-                StepProgress::Pending(UpdatePhase::LazyMigrating) => {
-                    vm.run_slices(1);
-                }
-                StepProgress::Pending(_) => {}
-                StepProgress::Committed => break Ok(controller.stats().clone()),
-                StepProgress::Aborted => {
-                    break Err(controller.error().cloned().unwrap_or_else(|| {
-                        UpdateError::Compile("aborted without error".into())
-                    }))
-                }
+        // Guest slices interleave with the copy steps while a lazy epoch
+        // copies — the mode's whole point.
+        let result = controller.run(&mut vm, |vm, phase| {
+            if phase == UpdatePhase::LazyMigrating {
+                vm.run_slices(1);
             }
-        };
+        });
         if let Some(dir) = std::path::Path::new(&cli.trace).parent() {
             let _ = std::fs::create_dir_all(dir);
         }

@@ -35,6 +35,8 @@
 //! if the safe point was lost). From `Installing` through `Committed` the
 //! embedder must not run the VM: install + heap transformation are a
 //! single pause, exactly the paper's stop-the-world step 4–5.
+//! [`UpdateController::run`] is the loop that keeps this contract: it
+//! calls the embedder's pump only in those two phases.
 //!
 //! What runs inside that pause is linking, not preparation. The `Pending`
 //! step does everything that needs no stopped thread: it cross-validates
@@ -597,7 +599,7 @@ enum State<'u> {
     /// A lazy epoch is copying; each step advances the copy by a budget.
     LazyMigrating,
     Committed,
-    Aborted,
+    Aborted(UpdateError),
 }
 
 enum PollVerdict {
@@ -617,7 +619,6 @@ pub struct UpdateController<'u> {
     opts: ApplyOptions,
     state: State<'u>,
     stats: UpdateStats,
-    error: Option<UpdateError>,
     counters: ControllerCounters,
     ledger: Vec<UndoAction>,
     sinks: Vec<&'u mut dyn UpdateEventSink>,
@@ -633,7 +634,6 @@ impl<'u> UpdateController<'u> {
             opts,
             state: State::Pending,
             stats: UpdateStats::default(),
-            error: None,
             counters: ControllerCounters::default(),
             ledger: Vec::new(),
             sinks: Vec::new(),
@@ -655,7 +655,7 @@ impl<'u> UpdateController<'u> {
             State::Transforming(_) => UpdatePhase::TransformingHeap,
             State::LazyMigrating => UpdatePhase::LazyMigrating,
             State::Committed => UpdatePhase::Committed,
-            State::Aborted => UpdatePhase::Aborted,
+            State::Aborted(_) => UpdatePhase::Aborted,
         }
     }
 
@@ -667,7 +667,10 @@ impl<'u> UpdateController<'u> {
 
     /// Why the update aborted, once it has.
     pub fn error(&self) -> Option<&UpdateError> {
-        self.error.as_ref()
+        match &self.state {
+            State::Aborted(e) => Some(e),
+            _ => None,
+        }
     }
 
     /// Instrumentation counters.
@@ -878,8 +881,8 @@ impl<'u> UpdateController<'u> {
                 self.state = State::Committed;
                 StepProgress::Committed
             }
-            State::Aborted => {
-                self.state = State::Aborted;
+            State::Aborted(e) => {
+                self.state = State::Aborted(e);
                 StepProgress::Aborted
             }
         }
@@ -898,25 +901,37 @@ impl<'u> UpdateController<'u> {
         }
     }
 
-    /// Steps the controller until it commits or aborts (the synchronous
-    /// [`crate::driver::apply`] behavior).
+    /// Steps the controller until it commits or aborts, calling `pump`
+    /// after every step that leaves it in
+    /// [`UpdatePhase::WaitingForSafePoint`] or
+    /// [`UpdatePhase::LazyMigrating`], the only phases in which the
+    /// embedder may run the guest. This keeps the pause contract for every
+    /// embedder; [`crate::driver::apply`] is `run` with a pump that does
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// Returns the abort reason; unless the failure happened during heap
-    /// transformation, the VM has been rolled back to the old version.
-    pub fn run_to_completion(&mut self, vm: &mut Vm) -> Result<UpdateStats, UpdateError> {
+    /// Returns the abort reason, the same error [`UpdateController::error`]
+    /// reports; unless the failure happened during heap transformation,
+    /// the VM has been rolled back to the old version.
+    pub fn run(
+        &mut self,
+        vm: &mut Vm,
+        mut pump: impl FnMut(&mut Vm, UpdatePhase),
+    ) -> Result<UpdateStats, UpdateError> {
         loop {
             match self.step(vm) {
+                StepProgress::Pending(
+                    phase @ (UpdatePhase::WaitingForSafePoint | UpdatePhase::LazyMigrating),
+                ) => pump(vm, phase),
                 StepProgress::Pending(_) => {}
                 StepProgress::Committed => return Ok(self.stats.clone()),
-                StepProgress::Aborted => {
-                    return Err(self
-                        .error
-                        .clone()
-                        .unwrap_or_else(|| UpdateError::Compile("aborted without error".into())))
-                }
+                StepProgress::Aborted => break,
             }
+        }
+        match &self.state {
+            State::Aborted(e) => Err(e.clone()),
+            _ => unreachable!("step reported an abort outside the aborted state"),
         }
     }
 
@@ -967,9 +982,8 @@ impl<'u> UpdateController<'u> {
             actions_undone: undone,
         });
         self.emit(UpdateEvent::Aborted { reason: error.to_string(), rolled_back: true });
-        self.error = Some(error);
         self.stats.total_time += t.elapsed();
-        self.state = State::Aborted;
+        self.state = State::Aborted(error);
         StepProgress::Aborted
     }
 
@@ -979,9 +993,8 @@ impl<'u> UpdateController<'u> {
     /// choice, not a claim of the paper (ROADMAP item 16).
     fn abort_no_rollback(&mut self, error: UpdateError, t: Instant) -> StepProgress {
         self.emit(UpdateEvent::Aborted { reason: error.to_string(), rolled_back: false });
-        self.error = Some(error);
         self.stats.total_time += t.elapsed();
-        self.state = State::Aborted;
+        self.state = State::Aborted(error);
         StepProgress::Aborted
     }
 

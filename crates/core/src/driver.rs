@@ -13,10 +13,9 @@
 //! 5. it runs the update GC, then class transformers, then object
 //!    transformers over the update log.
 //!
-//! Steps 3–5 are implemented by the resumable
-//! [`UpdateController`](crate::controller::UpdateController) phase
-//! machine; [`apply`] is the synchronous convenience wrapper that steps a
-//! controller to completion.
+//! Steps 3–5 are implemented by the resumable [`UpdateController`] phase
+//! machine, driven by its one loop, [`UpdateController::run`]; [`apply`]
+//! is that loop with a pump that never runs the guest.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -347,11 +346,9 @@ impl UpdateStats {
 /// installed, every existing object conforms to its new class definition,
 /// and invalidated methods recompile (and re-optimize) on demand.
 ///
-/// This is the synchronous wrapper over the resumable
-/// [`UpdateController`]: it constructs a controller and steps it to
-/// completion without interleaving any embedder work. Use the controller
-/// directly to keep serving requests between safe-point polls, attach
-/// event sinks, or inspect the phase the update is in.
+/// This is [`UpdateController::run`] with a pump that does nothing. Use
+/// the controller directly to keep serving requests between safe-point
+/// polls, attach event sinks, or inspect the phase the update is in.
 ///
 /// # Errors
 ///
@@ -367,5 +364,5 @@ impl UpdateStats {
 ///   treat the VM as poisoned (no rollback is possible once object
 ///   transformers have started).
 pub fn apply(vm: &mut Vm, update: &Update, opts: &ApplyOptions) -> Result<UpdateStats, UpdateError> {
-    UpdateController::new(update, opts.clone()).run_to_completion(vm)
+    UpdateController::new(update, opts.clone()).run(vm, |_, _| {})
 }

@@ -10,17 +10,18 @@
 //! phase it arrived during, and starts only after the current controller
 //! commits or aborts. Arrival order is preserved (FIFO).
 //!
-//! [`UpdateQueue::drain`] is the driving loop: it steps one controller at
-//! a time and calls the embedder's `pump` whenever the guest may run
-//! (safe-point wait, lazy epoch) — the pump serves requests and may push
-//! further updates, which is exactly how the release-stream harness feeds
-//! a 20-version chain through a single VM under load.
+//! [`UpdateQueue::drain`] runs one controller at a time through
+//! [`UpdateController::run`], which calls the embedder's `pump` whenever
+//! the guest may run (safe-point wait, lazy epoch) — the pump serves
+//! requests and may push further updates, which is exactly how the
+//! release-stream harness feeds a 20-version chain through a single VM
+//! under load.
 
 use std::collections::VecDeque;
 
 use jvolve_vm::Vm;
 
-use crate::controller::{StepProgress, UpdateController, UpdatePhase};
+use crate::controller::{UpdateController, UpdatePhase};
 use crate::driver::{ApplyOptions, Update, UpdateStats};
 use crate::error::UpdateError;
 
@@ -122,26 +123,10 @@ impl UpdateQueue {
         while let Some(entry) = self.pending.pop_front() {
             let PendingUpdate { ticket, update, enqueued_during } = entry;
             self.in_flight = Some(UpdatePhase::Pending);
-            let mut controller = UpdateController::new(&update, opts.clone());
-            let result = loop {
-                match controller.step(vm) {
-                    StepProgress::Pending(phase) => {
-                        self.in_flight = Some(phase);
-                        if matches!(
-                            phase,
-                            UpdatePhase::WaitingForSafePoint | UpdatePhase::LazyMigrating
-                        ) {
-                            pump(vm, self);
-                        }
-                    }
-                    StepProgress::Committed => break Ok(controller.stats().clone()),
-                    StepProgress::Aborted => {
-                        break Err(controller.error().cloned().unwrap_or_else(|| {
-                            UpdateError::Compile("aborted without error".into())
-                        }))
-                    }
-                }
-            };
+            let result = UpdateController::new(&update, opts.clone()).run(vm, |vm, phase| {
+                self.in_flight = Some(phase);
+                pump(vm, self);
+            });
             self.in_flight = None;
             outcomes.push(QueuedOutcome {
                 ticket,

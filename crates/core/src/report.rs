@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use crate::driver::UpdateStats;
+use crate::error::UpdateError;
 use crate::spec::UpdateSpec;
 
 /// Counts for one release transition.
@@ -90,7 +92,8 @@ impl fmt::Display for ReleaseSummary {
 }
 
 /// Outcome of attempting one release's dynamic update, for the §4 summary
-/// ("JVolve can support 20 of the 22 updates").
+/// ("JVolve can support 20 of the 22 updates"): the printable summary of
+/// an update's `Result`, derived from it with `From`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UpdateOutcome {
     /// Applied at a DSU safe point.
@@ -110,6 +113,21 @@ pub enum UpdateOutcome {
         /// Description.
         reason: String,
     },
+}
+
+impl From<&Result<UpdateStats, UpdateError>> for UpdateOutcome {
+    fn from(result: &Result<UpdateStats, UpdateError>) -> Self {
+        match result {
+            Ok(stats) => UpdateOutcome::Applied {
+                used_osr: stats.osr_replacements > 0,
+                barriers: stats.barriers_installed,
+            },
+            Err(UpdateError::Timeout { blocking, .. }) => {
+                UpdateOutcome::TimedOut { blocking: blocking.clone() }
+            }
+            Err(e) => UpdateOutcome::Failed { reason: e.to_string() },
+        }
+    }
 }
 
 impl UpdateOutcome {

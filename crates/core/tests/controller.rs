@@ -9,10 +9,11 @@
 //! identical — the old version verifiably still runs.
 
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 use jvolve::{
     ApplyOptions, ControllerCounters, MemorySink, StepProgress, Update, UpdateController,
-    UpdateError, UpdateEvent, UpdatePhase,
+    UpdateError, UpdateEvent, UpdateEventSink, UpdatePhase, UpdateStats,
 };
 use jvolve_apps::harness::{app_vm_config, bench_apply_options, boot_with, custom_transformer};
 use jvolve_apps::stream::prepare_via_upt;
@@ -118,7 +119,7 @@ fn timeout_rolls_back_to_a_bit_identical_registry() {
     let mut controller =
         UpdateController::new(&update, ApplyOptions { timeout_slices: 50, ..Default::default() });
     controller.attach_sink(&mut events);
-    let err = controller.run_to_completion(&mut vm).expect_err("spin blocks forever");
+    let err = controller.run(&mut vm, |_, _| {}).expect_err("spin blocks forever");
     assert!(
         matches!(&err, UpdateError::Timeout { blocking, .. } if blocking.iter().any(|b| b.contains("spin"))),
         "expected a timeout naming spin, got: {err}"
@@ -175,7 +176,7 @@ fn bad_transformers_abort_in_pending_without_costing_a_safe_point() {
             ApplyOptions { timeout_slices: 50, ..Default::default() },
         );
         controller.attach_sink(&mut events);
-        let err = controller.run_to_completion(&mut vm).expect_err("transformers are unusable");
+        let err = controller.run(&mut vm, |_, _| {}).expect_err("transformers are unusable");
         if want_compile {
             assert!(matches!(err, UpdateError::Compile(_)), "got: {err}");
         } else {
@@ -247,7 +248,7 @@ fn install_failure_rolls_back_mid_install() {
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
     controller.attach_sink(&mut events);
-    let err = controller.run_to_completion(&mut vm).expect_err("transformer batch collides");
+    let err = controller.run(&mut vm, |_, _| {}).expect_err("transformer batch collides");
     assert!(matches!(err, UpdateError::Vm(VmError::LoadError { .. })), "got: {err}");
     assert_eq!(controller.phase(), UpdatePhase::Aborted);
     assert_eq!(controller.counters().pause_compiles, 0);
@@ -285,7 +286,7 @@ fn malformed_spec_aborts_with_bad_spec_and_rolls_back() {
 
     let before = registry_fingerprint(&vm);
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
-    let err = controller.run_to_completion(&mut vm).expect_err("payload is malformed");
+    let err = controller.run(&mut vm, |_, _| {}).expect_err("payload is malformed");
     assert!(
         matches!(&err, UpdateError::BadSpec { message } if message.contains("Widget")),
         "got: {err}"
@@ -385,7 +386,7 @@ fn phase_events_tell_the_protocol_story() {
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
     controller.attach_sink(&mut events);
-    controller.run_to_completion(&mut vm).expect("update applies");
+    controller.run(&mut vm, |_, _| {}).expect("update applies");
     assert_eq!(controller.phase(), UpdatePhase::Committed);
     // The stats the wrapper returns flow from the same event stream.
     let stats = controller.stats().clone();
@@ -424,7 +425,7 @@ fn json_trace_is_valid_and_ordered() {
     let mut trace = jvolve::JsonTraceSink::new();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
     controller.attach_sink(&mut trace);
-    controller.run_to_completion(&mut vm).expect("update applies");
+    controller.run(&mut vm, |_, _| {}).expect("update applies");
 
     let json = trace.to_json();
     let reparsed = jvolve_json::Json::parse(&json.pretty()).expect("trace is valid JSON");
@@ -503,7 +504,7 @@ fn rollback_re_resolves_warm_call_sites() {
 
     let before = registry_fingerprint(&vm);
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
-    let err = controller.run_to_completion(&mut vm).expect_err("transformer batch collides");
+    let err = controller.run(&mut vm, |_, _| {}).expect_err("transformer batch collides");
     assert!(matches!(err, UpdateError::Vm(VmError::LoadError { .. })), "got: {err}");
 
     let after = registry_fingerprint(&vm);
@@ -553,7 +554,7 @@ fn apply_counted(update: &Update, lazy: bool, want: i64) -> ControllerCounters {
     vm.load_classes(&compile(SHAPE_V1)).expect("v1 loads");
     vm.call_static_sync("Main", "setup", &[]).expect("setup runs");
     let mut controller = UpdateController::new(update, ApplyOptions::default());
-    controller.run_to_completion(&mut vm).expect("update applies");
+    controller.run(&mut vm, |_, _| {}).expect("update applies");
     let counters = controller.counters();
     drop(controller);
     assert_eq!(vm.call_static_sync("Main", "probe", &[]).unwrap(), Some(Value::Int(want)));
@@ -633,7 +634,7 @@ fn setting_the_source_after_the_upt_ran_replaces_the_shipped_transformer() {
                 update.set_transformers_source(custom_transformer(&app, label).expect("Figure 3"));
             }
             let mut controller = UpdateController::new(&update, bench_apply_options());
-            controller.run_to_completion(&mut vm).expect("1.3.2 applies");
+            controller.run(&mut vm, |_, _| {}).expect("1.3.2 applies");
             let counters = controller.counters();
             drop(controller);
             assert_eq!(counters.transformer_compiles, u64::from(customise));
@@ -853,7 +854,7 @@ fn rollback_shrinks_a_migrated_middle_frame_back() {
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, migrating());
     controller.attach_sink(&mut events);
-    controller.run_to_completion(&mut vm).expect_err("transformer batch collides");
+    controller.run(&mut vm, |_, _| {}).expect_err("transformer batch collides");
     drop(controller);
     assert!(
         events.events.iter().any(|e| matches!(e, UpdateEvent::OsrApplied { migrated: 1, .. })),
@@ -896,7 +897,7 @@ fn a_bundle_built_against_another_version_is_a_stale_base() {
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
     controller.attach_sink(&mut events);
-    let err = controller.run_to_completion(&mut vm).expect_err("stale base");
+    let err = controller.run(&mut vm, |_, _| {}).expect_err("stale base");
     drop(controller);
     assert!(
         matches!(&err, UpdateError::StaleBase { class, .. } if class.as_str() == "H"),
@@ -1001,7 +1002,7 @@ fn a_batch_the_live_registry_rejects_aborts_in_pending_with_an_empty_ledger() {
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
     controller.attach_sink(&mut events);
-    let err = controller.run_to_completion(&mut vm).expect_err("the live registry rejects Reader");
+    let err = controller.run(&mut vm, |_, _| {}).expect_err("the live registry rejects Reader");
     assert!(
         matches!(&err, UpdateError::Vm(VmError::LoadError { class, .. }) if class.as_str() == "Reader"),
         "got: {err}"
@@ -1076,7 +1077,7 @@ fn a_registry_changed_during_the_wait_is_verified_again_in_the_pause() {
     let stats = jvolve::apply(&mut a, &tool, &opts).expect("the body-only update commits");
     assert_eq!(stats.gc_copied_cells, 0, "a body-only update copies nothing");
     assert_ne!(a.registry().generation(), generation, "a body swap moves it");
-    controller.run_to_completion(&mut a).expect("the class update commits");
+    controller.run(&mut a, |_, _| {}).expect("the class update commits");
     assert_eq!(
         controller.counters().pause_verifications,
         2,
@@ -1089,7 +1090,7 @@ fn a_registry_changed_during_the_wait_is_verified_again_in_the_pause() {
     let mut b = boot_waiter();
     jvolve::apply(&mut b, &tool, &opts).expect("the body-only update commits");
     let mut controller = UpdateController::new(&waiting, opts);
-    controller.run_to_completion(&mut b).expect("the class update commits");
+    controller.run(&mut b, |_, _| {}).expect("the class update commits");
     assert_eq!(controller.counters().pause_verifications, 0);
     drop(controller);
 
@@ -1099,4 +1100,157 @@ fn a_registry_changed_during_the_wait_is_verified_again_in_the_pause() {
         assert_eq!(vm.read_static("Work", "out"), Value::Int(3000));
         assert_eq!(vm.call_static_sync("Tool", "f", &[]).unwrap(), Some(Value::Int(2)));
     }
+}
+
+// ---- `run`: the one driving loop and its pause contract ------------------
+
+#[test]
+fn safe_point_polling_builds_the_restricted_set_once() {
+    // The restricted set is computed on entering the wait and the check
+    // buffers are reused, so however many polls run, there is one build.
+    let mut vm = boot_spinner();
+    let update = Update::prepare(&compile(SPINNER_V1), &compile(SPINNER_V2), "v1_")
+        .expect("non-empty update");
+    let mut controller =
+        UpdateController::new(&update, ApplyOptions { timeout_slices: 20, ..Default::default() });
+    controller.run(&mut vm, |_, _| {}).expect_err("spin blocks forever");
+    let counters = controller.counters();
+    assert!(counters.polls > 1, "the controller never reached the polling loop");
+    assert_eq!(
+        counters.restricted_builds, 1,
+        "safe-point polling rebuilt the restricted set ({} builds over {} polls)",
+        counters.restricted_builds, counters.polls
+    );
+}
+
+/// What one `run` showed, in order: the phases entered, the end of the
+/// update, and every pump call.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Seen {
+    Entered(UpdatePhase),
+    Ended,
+    Pump(UpdatePhase),
+}
+
+#[derive(Clone, Default)]
+struct SeenLog(Arc<Mutex<Vec<Seen>>>);
+
+impl UpdateEventSink for SeenLog {
+    fn event(&mut self, event: &UpdateEvent) {
+        let seen = match event {
+            UpdateEvent::PhaseEntered { phase, .. } => Seen::Entered(*phase),
+            UpdateEvent::Committed { .. } | UpdateEvent::Aborted { .. } => Seen::Ended,
+            _ => return,
+        };
+        self.0.lock().unwrap().push(seen);
+    }
+}
+
+/// Runs `update` with a pump that records each call and runs one guest
+/// slice. Returns `run`'s result, the controller's `error()` (as `Debug`)
+/// and what the run showed.
+fn run_recorded(
+    vm: &mut Vm,
+    update: &Update,
+    opts: ApplyOptions,
+) -> (Result<UpdateStats, UpdateError>, Option<String>, Vec<Seen>) {
+    let log = SeenLog::default();
+    let mut sink = log.clone();
+    let mut controller = UpdateController::new(update, opts);
+    controller.attach_sink(&mut sink);
+    let result = controller.run(vm, |vm, phase| {
+        log.0.lock().unwrap().push(Seen::Pump(phase));
+        vm.step_slice();
+    });
+    let error = controller.error().map(|e| format!("{e:?}"));
+    drop(controller);
+    let seen = log.0.lock().unwrap().clone();
+    (result, error, seen)
+}
+
+/// The pump sees only the two phases in which the guest may run, and no
+/// pump call falls between entering `Installing` and the step that ends
+/// the pause (the commit, the start of the lazy epoch, a fall-back to
+/// waiting, or an abort).
+fn assert_pause_contract(seen: &[Seen]) {
+    let mut in_pause = false;
+    for s in seen {
+        match *s {
+            Seen::Entered(UpdatePhase::Installing) => in_pause = true,
+            Seen::Entered(UpdatePhase::WaitingForSafePoint | UpdatePhase::LazyMigrating)
+            | Seen::Ended => in_pause = false,
+            Seen::Entered(_) => {}
+            Seen::Pump(phase) => {
+                assert!(
+                    matches!(phase, UpdatePhase::WaitingForSafePoint | UpdatePhase::LazyMigrating),
+                    "the pump saw {phase}: {seen:?}"
+                );
+                assert!(!in_pause, "a pump call fell inside the pause: {seen:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn run_pumps_only_while_the_guest_may_run() {
+    // `Work.run` is changed and on stack for a few hundred slices, so the
+    // update waits; `Box` is class-updated, so a lazy commit has an epoch.
+    let v2 = WAIT_V1
+        .replace("class Box { field a: int; }", "class Box { field a: int; field b: int; }")
+        .replace("i = i + 1; } return i;", "i = i + 1; } return i + 0;");
+    let update = Update::prepare(&compile(WAIT_V1), &compile(&v2), "v1_").expect("class update");
+    let opts = ApplyOptions {
+        timeout_slices: 100_000,
+        lazy_step_cells: 8,
+        lazy_scavenge_batch: 1,
+        ..ApplyOptions::default()
+    };
+    for lazy in [false, true] {
+        let mut vm = Vm::new(VmConfig { quantum: 50, lazy_migration: lazy, ..VmConfig::small() });
+        vm.load_classes(&compile(WAIT_V1)).expect("v1 loads");
+        vm.spawn("Work", "main").expect("main spawns");
+        vm.step_slice();
+        let (result, error, seen) = run_recorded(&mut vm, &update, opts.clone());
+        result.unwrap_or_else(|e| panic!("lazy {lazy}: {e}"));
+        assert_eq!(error, None);
+        assert_pause_contract(&seen);
+        assert!(
+            seen.contains(&Seen::Pump(UpdatePhase::WaitingForSafePoint)),
+            "lazy {lazy}: the update never waited: {seen:?}"
+        );
+        assert_eq!(
+            seen.contains(&Seen::Pump(UpdatePhase::LazyMigrating)),
+            lazy,
+            "lazy {lazy}: only a lazy commit pumps in an epoch: {seen:?}"
+        );
+        assert!(vm.run_to_completion(100_000), "lazy {lazy}: the guest finishes");
+        assert_eq!(vm.read_static("Work", "out"), Value::Int(3000));
+    }
+}
+
+#[test]
+fn run_returns_the_error_the_aborted_controller_holds() {
+    // A timeout: `spin` never leaves the stack.
+    let mut vm = boot_spinner();
+    let update = Update::prepare(&compile(SPINNER_V1), &compile(SPINNER_V2), "v1_")
+        .expect("non-empty update");
+    let opts = ApplyOptions { timeout_slices: 20, ..ApplyOptions::default() };
+    let (result, error, seen) = run_recorded(&mut vm, &update, opts.clone());
+    let err = result.expect_err("spin blocks forever");
+    assert!(matches!(err, UpdateError::Timeout { .. }), "got: {err}");
+    assert_eq!(error, Some(format!("{err:?}")));
+    assert_pause_contract(&seen);
+    assert!(seen.contains(&Seen::Pump(UpdatePhase::WaitingForSafePoint)), "{seen:?}");
+
+    // An abort in `Pending`: the transformer source does not compile.
+    let v2_layout =
+        SPINNER_V2.replace("static field mode: int;", "static field mode: int; field pad: int;");
+    let mut update = Update::prepare(&compile(SPINNER_V1), &compile(&v2_layout), "v1_")
+        .expect("non-empty update");
+    update.set_transformers_source("this is not a valid MJ program {{{");
+    let (result, error, seen) = run_recorded(&mut vm, &update, opts);
+    let err = result.expect_err("the transformers do not compile");
+    assert!(matches!(err, UpdateError::Compile(_)), "got: {err}");
+    assert_eq!(error, Some(format!("{err:?}")));
+    assert_eq!(seen, vec![Seen::Ended], "an update rejected in Pending never pumps");
 }

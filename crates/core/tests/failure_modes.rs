@@ -52,7 +52,7 @@ fn rejected_before_the_safe_point(vm: &mut Vm, update: &Update) -> UpdateError {
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(update, ApplyOptions::default());
     controller.attach_sink(&mut events);
-    let err = controller.run_to_completion(vm).unwrap_err();
+    let err = controller.run(vm, |_, _| {}).unwrap_err();
     assert_eq!(controller.stats().slices_waited, 0);
     assert_eq!(controller.counters().polls, 0);
     assert_eq!(controller.counters().pause_compiles, 0);

@@ -161,7 +161,7 @@ pub(crate) fn apply_counted(
     update: &jvolve::Update,
 ) -> (Result<jvolve::UpdateStats, jvolve::UpdateError>, jvolve::ControllerCounters) {
     let mut controller = jvolve::UpdateController::new(update, jvolve::ApplyOptions::default());
-    let result = controller.run_to_completion(vm);
+    let result = controller.run(vm, |_, _| {});
     let counters = controller.counters();
     assert_eq!(counters.pause_compiles, 0, "the transformer compiler ran inside the pause");
     (result, counters)

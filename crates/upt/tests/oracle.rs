@@ -10,8 +10,8 @@
 mod common;
 
 use jvolve::restricted::RestrictedSet;
-use jvolve::Update;
-use jvolve_apps::harness::{apply_prepared_interleaved, bench_apply_options, boot, prepare_next};
+use jvolve::{apply, Update, UpdateOutcome};
+use jvolve_apps::harness::{bench_apply_options, boot, prepare_next};
 use jvolve_apps::{Emailserver, Ftpserver, GuestApp, Kvstore, Webserver};
 use jvolve_upt::{prepare_files, UptOptions};
 
@@ -80,8 +80,7 @@ fn fingerprints_after(app: &dyn GuestApp, from: usize, update: &Update) -> (u64,
         app.probe(&mut vm, seq, 20_000)
             .unwrap_or_else(|e| panic!("{}: probe before update failed: {e:?}", app.name()));
     }
-    let (outcome, _) =
-        apply_prepared_interleaved(&mut vm, update, &bench_apply_options(), None, |_| {});
+    let outcome = UpdateOutcome::from(&apply(&mut vm, update, &bench_apply_options()));
     assert!(outcome.supported(), "{}: update {from}->{} failed: {outcome}", app.name(), from + 1);
     for seq in 3..6 {
         app.probe(&mut vm, seq, 20_000)

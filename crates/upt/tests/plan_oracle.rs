@@ -18,10 +18,8 @@
 
 mod common;
 
-use jvolve::{apply, ApplyOptions, Update, UpdateStats};
-use jvolve_apps::harness::{
-    app_vm_config, apply_prepared_interleaved, bench_apply_options, boot_with,
-};
+use jvolve::{apply, ApplyOptions, Update, UpdateOutcome, UpdateStats};
+use jvolve_apps::harness::{app_vm_config, bench_apply_options, boot_with};
 use jvolve_apps::{Emailserver, Ftpserver, GuestApp, Kvstore, Webserver};
 use jvolve_vm::{Value, Vm, VmConfig};
 
@@ -77,7 +75,8 @@ fn run_app(
             .unwrap_or_else(|e| panic!("{}: probe before update failed: {e:?}", app.name()));
     }
     let opts = mode_opts(bench_apply_options(), interpret);
-    let (outcome, stats) = apply_prepared_interleaved(&mut vm, update, &opts, None, |_| {});
+    let result = apply(&mut vm, update, &opts);
+    let (outcome, stats) = (UpdateOutcome::from(&result), result.ok());
     if outcome.supported() {
         for seq in 3..6 {
             app.probe(&mut vm, seq, 20_000)

@@ -124,11 +124,6 @@ impl Registry {
         &self.methods[id.index()]
     }
 
-    /// Mutable method access (driver/interpreter internals).
-    pub fn method_mut(&mut self, id: MethodId) -> &mut MethodInfo {
-        &mut self.methods[id.index()]
-    }
-
     /// All loaded classes.
     pub fn classes(&self) -> impl Iterator<Item = &RuntimeClass> {
         self.classes.iter()

@@ -226,11 +226,6 @@ impl VmThread {
     pub fn is_live(&self) -> bool {
         matches!(self.state, ThreadState::Runnable | ThreadState::Blocked(_))
     }
-
-    /// Method ids currently on the activation stack (outermost first).
-    pub fn stack_methods(&self) -> impl Iterator<Item = MethodId> + '_ {
-        self.frames.iter().map(|f| f.method)
-    }
 }
 
 #[cfg(test)]

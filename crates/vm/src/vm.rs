@@ -7,7 +7,6 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use jvolve_classfile::class::CTOR_NAME;
 use jvolve_classfile::{ClassFile, ClassName};
 
 use crate::compiled::CompiledMethod;
@@ -298,11 +297,6 @@ impl Vm {
     /// Buffered `Sys.print` output.
     pub fn output(&self) -> &[String] {
         &self.output
-    }
-
-    /// Takes and clears the buffered output.
-    pub fn take_output(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.output)
     }
 
     /// Scheduler tick (virtual milliseconds).
@@ -1301,11 +1295,6 @@ impl Vm {
         self.host_roots[idx]
     }
 
-    /// Drops all host roots (they become garbage).
-    pub fn clear_host_roots(&mut self) {
-        self.host_roots.clear();
-    }
-
     /// Reads an instance field of the object at `r` by name.
     ///
     /// # Panics
@@ -1355,12 +1344,6 @@ impl Vm {
     /// Returns [`VmError::OutOfMemory`] if allocation fails even after GC.
     pub fn alloc_string_value(&mut self, s: &str) -> Result<Value, VmError> {
         self.alloc_or_collect(s.len() / 8 + 1, |heap| heap.alloc_string(s)).map(Value::Ref)
-    }
-
-    /// Looks up a constructor method id (host/test helper).
-    pub fn ctor_of(&self, class: &str) -> Option<MethodId> {
-        let cid = self.registry.class_id(&ClassName::from(class))?;
-        self.registry.find_method(cid, CTOR_NAME)
     }
 }
 

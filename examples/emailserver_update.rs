@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --example emailserver_update`
 
+use jvolve_repro::dsu::UpdateOutcome;
 use jvolve_repro::apps::harness::{attempt_update, bench_apply_options, boot};
 use jvolve_repro::apps::workload::scripted_session;
 use jvolve_repro::apps::{Emailserver, GuestApp};
@@ -25,9 +26,9 @@ fn main() {
 
     // The 1.3.2 update ships the Figure 3 transformer.
     println!("\napplying 1.3.1 -> 1.3.2 (class update: User, new class EmailAddress) ...");
-    let (outcome, stats) = attempt_update(&mut vm, &app, from, &bench_apply_options());
-    println!("outcome: {outcome}");
-    let stats = stats.expect("update applied");
+    let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+    println!("outcome: {}", UpdateOutcome::from(&result));
+    let stats = result.expect("update applied");
     println!(
         "  {} objects transformed ({} by copy plan), {} OSR replacements, pause {:?}",
         stats.objects_transformed,

@@ -23,7 +23,8 @@ fn main() {
 
     println!("\nattempting 5.1.2 -> 5.1.3 (changes the always-running accept loop) ...");
     let opts = ApplyOptions { timeout_slices: 1_000, ..ApplyOptions::default() };
-    let (outcome, _) = attempt_update(&mut vm, &app, from, &opts);
+    let result = attempt_update(&mut vm, &app, from, &opts, |_, _| {});
+    let outcome = UpdateOutcome::from(&result);
     println!("outcome: {outcome}");
     assert!(matches!(outcome, UpdateOutcome::TimedOut { .. }));
 

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example webserver_live_update`
 
+use jvolve_repro::dsu::UpdateOutcome;
 use jvolve_repro::apps::harness::{attempt_update, bench_apply_options, boot};
 use jvolve_repro::apps::webserver::{Webserver, PORT};
 use jvolve_repro::apps::workload::drive_http;
@@ -28,9 +29,9 @@ fn main() {
     );
 
     println!("\napplying 5.1.5 -> 5.1.6 while the server runs ...");
-    let (outcome, stats) = attempt_update(&mut vm, &app, from, &bench_apply_options());
-    println!("outcome: {outcome}");
-    let stats = stats.expect("update applied");
+    let result = attempt_update(&mut vm, &app, from, &bench_apply_options(), |_, _| {});
+    println!("outcome: {}", UpdateOutcome::from(&result));
+    let stats = result.expect("update applied");
     println!(
         "  pause: safepoint {:?} + load {:?} + gc {:?} + transform {:?}",
         stats.safepoint_time, stats.classload_time, stats.gc_time, stats.transform_time

@@ -659,7 +659,7 @@ fn run_gc_oracle(nodes: i64) -> OracleOutcome {
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
     controller.attach_sink(&mut events);
-    let stats = controller.run_to_completion(&mut vm).expect("update applies");
+    let stats = controller.run(&mut vm, |_, _| {}).expect("update applies");
 
     let trace = match vm.read_static("App", "trace") {
         Value::Int(t) => t,
@@ -798,7 +798,7 @@ fn run_jit_oracle(
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, ApplyOptions::default());
     controller.attach_sink(&mut events);
-    let result = controller.run_to_completion(&mut vm);
+    let result = controller.run(&mut vm, |_, _| {});
     assert_eq!(result.is_err(), rollback, "rollback={rollback}: {result:?}");
 
     // Post-update execution through the invalidated call sites and (in
