@@ -4,7 +4,7 @@
 //! The paper updates *one* VM while it serves traffic; the fleet scales
 //! that to many isolated VMs behind a front end — the deployment shape a
 //! "millions of users" service actually runs. Each shard is an OS thread
-//! owning its own [`Vm`] plus an embedded [`AppInstance`]; the
+//! owning its own [`Vm`](jvolve_vm::Vm) plus an embedded [`AppInstance`]; the
 //! coordinator distributes requests round-robin over the serving shards
 //! and rolls an update across them:
 //!
@@ -27,7 +27,7 @@
 //!    and the coordinator rolls the
 //!    *fleet* back by redeploying every already-promoted shard to the old
 //!    version, converging all shards to a bit-identical
-//!    [`version_fingerprint`](jvolve_vm::Registry::version_fingerprint).
+//!    [`version_fingerprint`](jvolve_vm::registry::Registry::version_fingerprint).
 //!
 //! Mixed versions mid-roll are expected and tolerated: probes verify
 //! status prefixes, not version-specific bodies, exactly the

@@ -1,7 +1,7 @@
 //! Tables 2–4: per-release change summaries and live-update outcomes.
 
-use jvolve::{ReleaseSummary, Update, UpdateOutcome};
-use jvolve_apps::harness::{attempt_update, bench_apply_options, boot, prepare_next};
+use jvolve::{apply, ReleaseSummary, Update, UpdateOutcome};
+use jvolve_apps::harness::{bench_apply_options, boot, prepare_next};
 use jvolve_apps::workload::{ftp_retr, one_shot, smtp_send};
 use jvolve_apps::GuestApp;
 
@@ -19,24 +19,30 @@ pub struct TableRow {
 /// Computes the change-summary rows for an application (the static part
 /// of the table: pure UPT output, no VM needed).
 pub fn summarize_releases(app: &dyn GuestApp) -> Vec<TableRow> {
+    prepare_releases(app).into_iter().map(|(row, _)| row).collect()
+}
+
+/// Prepares every release of `app` once: its summary row and the update.
+fn prepare_releases(app: &dyn GuestApp) -> Vec<(TableRow, Update)> {
     let versions = app.versions();
-    let mut rows = Vec::new();
-    for from in 0..versions.len() - 1 {
-        let update: Update = prepare_next(app, from);
-        let summary = ReleaseSummary::from_spec(versions[from + 1].label, &update.spec);
-        rows.push(TableRow { body_only: update.spec.is_body_only(), summary, outcome: None });
-    }
-    rows
+    (0..versions.len() - 1)
+        .map(|from| {
+            let update = prepare_next(app, from);
+            let summary = ReleaseSummary::from_spec(versions[from + 1].label, &update.spec);
+            (TableRow { body_only: update.spec.is_body_only(), summary, outcome: None }, update)
+        })
+        .collect()
 }
 
 /// Computes the full table: summaries plus live-update attempts against a
 /// freshly booted server per release, exercised with traffic first so the
 /// update hits a server with live state (the paper's §4 methodology: "we
 /// ran Jetty under full load; after 30 seconds we tried to apply the
-/// update").
+/// update"). Each release is prepared once; its summary's update is the
+/// one applied.
 pub fn run_table(app: &dyn GuestApp) -> Vec<TableRow> {
-    let mut rows = summarize_releases(app);
-    for (from, row) in rows.iter_mut().enumerate() {
+    let mut rows = Vec::new();
+    for (from, (mut row, update)) in prepare_releases(app).into_iter().enumerate() {
         let mut vm = boot(app, from);
         match app.name() {
             "webserver" => {
@@ -53,8 +59,9 @@ pub fn run_table(app: &dyn GuestApp) -> Vec<TableRow> {
             }
             _ => {}
         }
-        let result = attempt_update(&mut vm, app, from, &bench_apply_options(), |_, _| {});
+        let result = apply(&mut vm, &update, &bench_apply_options());
         row.outcome = Some(UpdateOutcome::from(&result));
+        rows.push(row);
     }
     rows
 }

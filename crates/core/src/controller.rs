@@ -689,6 +689,10 @@ impl<'u> UpdateController<'u> {
         let state = std::mem::replace(&mut self.state, State::Pending);
         match state {
             State::Pending => {
+                // An embedder that steps the controller itself never runs
+                // `run`'s reclaim: free an earlier update's leftover code
+                // here, before the safe point is sought.
+                vm.reclaim_code();
                 // Cross-validate the (untrusted) spec against its payload
                 // before anything touches the VM: abort here costs nothing
                 // to roll back (the ledger is empty).
@@ -907,7 +911,9 @@ impl<'u> UpdateController<'u> {
     /// [`UpdatePhase::LazyMigrating`], the only phases in which the
     /// embedder may run the guest. This keeps the pause contract for every
     /// embedder; [`crate::driver::apply`] is `run` with a pump that does
-    /// nothing.
+    /// nothing. Once the update has committed or aborted, and every thread
+    /// is free to run again, `run` frees the code the update unpublished
+    /// that no frame runs any more ([`Vm::reclaim_code`]).
     ///
     /// # Errors
     ///
@@ -925,13 +931,15 @@ impl<'u> UpdateController<'u> {
                     phase @ (UpdatePhase::WaitingForSafePoint | UpdatePhase::LazyMigrating),
                 ) => pump(vm, phase),
                 StepProgress::Pending(_) => {}
-                StepProgress::Committed => return Ok(self.stats.clone()),
-                StepProgress::Aborted => break,
+                StepProgress::Committed | StepProgress::Aborted => break,
             }
         }
+        vm.reclaim_code();
+        debug_assert_eq!(vm.check_code_refs(), Ok(()));
         match &self.state {
+            State::Committed => Ok(self.stats.clone()),
             State::Aborted(e) => Err(e.clone()),
-            _ => unreachable!("step reported an abort outside the aborted state"),
+            _ => unreachable!("step reported an end outside a terminal state"),
         }
     }
 
@@ -1127,7 +1135,7 @@ impl<'u> UpdateController<'u> {
                         // A template-JIT frame's pc indexes the fused
                         // stream; the yield-point map is keyed by base
                         // (1:1) pcs, so translate first.
-                        let new_pc = map.lookup(frame.compiled.base_pc_of(frame.pc))?;
+                        let new_pc = map.lookup(frame.code().base_pc_of(frame.pc))?;
                         Some(PlannedMigration {
                             thread: finding.thread,
                             frame: finding.frame,
@@ -1416,14 +1424,18 @@ impl<'u> UpdateController<'u> {
         classes
     }
 
-    /// Captures a frame's pre-OSR state for the ledger.
+    /// Captures a frame's pre-OSR state for the ledger, with the
+    /// registry's `Arc` of its code (the frame only borrows it).
     fn capture_frame(&mut self, vm: &Vm, thread: ThreadId, frame: usize) {
-        if let Some(f) = vm.thread(thread).and_then(|t| t.frames.get(frame)) {
+        let code = vm.frame_code(thread, frame);
+        if let (Some(f), Some(compiled)) =
+            (vm.thread(thread).and_then(|t| t.frames.get(frame)), code)
+        {
             self.ledger.push(UndoAction::RestoreFrame {
                 thread,
                 frame,
                 method: f.method,
-                compiled: f.compiled.clone(),
+                compiled,
                 pc: f.pc,
                 locals_len: f.locals_len(),
             });

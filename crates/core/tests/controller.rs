@@ -51,7 +51,7 @@ fn registry_fingerprint(vm: &Vm) -> String {
         )
         .unwrap();
         writeln!(out, "  def={:?}", m.def).unwrap();
-        writeln!(out, "  compiled={:?}", m.compiled).unwrap();
+        writeln!(out, "  compiled={:?}", m.compiled()).unwrap();
     }
     for slot in 0..reg.jtoc_len() {
         writeln!(
@@ -149,6 +149,31 @@ fn timeout_rolls_back_to_a_bit_identical_registry() {
         vm.call_static_sync("App", "work", &[]).expect("old code runs"),
         Some(Value::Int(1))
     );
+}
+
+/// An embedder that steps the controller itself never runs `run`'s
+/// reclaim; the next update's `Pending` step frees the code an earlier
+/// change left retired, except what a frame still runs.
+#[test]
+fn the_pending_step_reclaims_retired_code_no_frame_runs() {
+    let mut vm = boot_spinner();
+    vm.call_static_sync("App", "work", &[]).expect("work runs");
+    let app = vm.registry().class_id(&"App".into()).expect("App loaded");
+    let work = vm.registry().find_method(app, "work").expect("work");
+    let spin = vm.registry().find_method(app, "spin").expect("spin");
+    let work_code = Arc::downgrade(vm.registry().method(work).compiled().expect("work ran"));
+    vm.registry_mut().invalidate(work);
+    vm.registry_mut().invalidate(spin);
+    assert_eq!(vm.registry().retired().count(), 2);
+
+    let update = Update::prepare(&compile(SPINNER_V1), &compile(SPINNER_V2), "v1_")
+        .expect("non-empty update");
+    let mut controller = UpdateController::new(&update, ApplyOptions::default());
+    assert_eq!(controller.step(&mut vm), StepProgress::Pending(UpdatePhase::WaitingForSafePoint));
+    assert!(work_code.upgrade().is_none(), "no frame ran work's old code");
+    let kept: Vec<MethodId> = vm.registry().retired().map(|c| c.method).collect();
+    assert_eq!(kept, [spin], "the spinning frame still runs spin's old code");
+    assert_eq!(vm.check_code_refs(), Ok(()));
 }
 
 #[test]
@@ -788,7 +813,7 @@ const NESTED_V2_MID: &str = "static method mid(n: int): int {
 fn stack_shape(vm: &Vm) -> Vec<(usize, u32, Vec<Value>, Vec<Value>)> {
     let t = vm.threads().next().expect("guest thread");
     let frame = |(i, f): (usize, &jvolve_vm::thread::Frame)| {
-        let code = std::sync::Arc::as_ptr(&f.compiled) as usize;
+        let code = std::ptr::from_ref(f.code()) as usize;
         (code, f.pc, t.locals(i).to_vec(), t.operands(i).to_vec())
     };
     t.frames.iter().enumerate().map(frame).collect()
@@ -850,12 +875,17 @@ fn rollback_shrinks_a_migrated_middle_frame_back() {
     rig_install_failure(&mut vm, &mut update);
     let (shape, heap, registry) =
         (stack_shape(&vm), vm.heap_fingerprint(), registry_fingerprint(&vm));
+    let tid = vm.threads().next().expect("guest thread").id;
+    let mid_code = Arc::downgrade(&vm.frame_code(tid, 2).expect("mid's code"));
 
     let mut events = MemorySink::default();
     let mut controller = UpdateController::new(&update, migrating());
     controller.attach_sink(&mut events);
     controller.run(&mut vm, |_, _| {}).expect_err("transformer batch collides");
     drop(controller);
+    // `run` reclaimed after the abort: the restored frame's code survived.
+    assert!(mid_code.upgrade().is_some(), "the restored frame's code is alive");
+    assert_eq!(vm.check_code_refs(), Ok(()));
     assert!(
         events.events.iter().any(|e| matches!(e, UpdateEvent::OsrApplied { migrated: 1, .. })),
         "the abort must come after the frame migrated: {:?}",
@@ -962,10 +992,10 @@ fn a_frame_osr_replaced_in_the_pause_lands_on_fused_code() {
         assert_eq!(stats.osr_replacements, 2, "{stats:?}");
         let frames = &vm.threads().next().expect("guest").frames;
         for f in frames {
-            assert_eq!(!f.compiled.base_pc.is_empty(), enable_jit, "frame of {}", f.method);
+            assert_eq!(!f.code().base_pc.is_empty(), enable_jit, "frame of {}", f.method);
         }
         // `work`'s loop guard and increment are superinstructions.
-        let work = &frames[1].compiled.code;
+        let work = &frames[1].code().code;
         assert_eq!(work.iter().any(|op| op.covers() > 1), enable_jit, "{work:?}");
         assert!(vm.run_to_completion(100_000));
         vm.output().to_vec()
@@ -1070,7 +1100,7 @@ fn a_registry_changed_during_the_wait_is_verified_again_in_the_pause() {
     let generation = a.registry().generation();
     assert_eq!(a.call_static_sync("Tool", "f", &[]).unwrap(), Some(Value::Int(1)));
     let f = a.registry().find_method(a.registry().class_id(&"Tool".into()).unwrap(), "f").unwrap();
-    assert!(a.registry().method(f).compiled.is_some(), "the call compiled Tool.f");
+    assert!(a.registry().method(f).compiled().is_some(), "the call compiled Tool.f");
     a.registry_mut().invalidate(f);
     a.step_slice();
     assert_eq!(a.registry().generation(), generation, "compile and invalidate leave it alone");

@@ -9,14 +9,14 @@
 //!   replayed through `codec::decode`. Oracle: never a panic, never an
 //!   allocation beyond the input size (hostile length prefixes return a
 //!   typed `DecodeError`), and anything accepted re-encodes canonically.
-//! * [`Family::Spec`] — JSON-level mutation of serialized [`UpdateSpec`]s
+//! * [`Family::Spec`] — JSON-level mutation of serialized [`UpdateSpec`](jvolve::UpdateSpec)s
 //!   (type confusion, deleted/duplicated keys, dangling names, raw text
 //!   damage). Oracle: never a panic; anything accepted round-trips.
 //! * [`Family::Semantic`] — mutation of *valid* prepared updates (drop or
 //!   retype a transformer, flip `ClassChangeKind`, desynchronize spec and
 //!   payload, truncate the class batch, make the transformer batch
 //!   unloadable). Oracle: every rejection is the expected typed
-//!   [`UpdateError`] and leaves registry and heap fingerprints
+//!   [`UpdateError`](jvolve::UpdateError) and leaves registry and heap fingerprints
 //!   bit-identical — without a single safe-point poll unless the fault is
 //!   the install failure; every accepted mutant commits and passes the
 //!   eager-vs-lazy differential; no transformer compile ever runs inside

@@ -10,7 +10,7 @@
 //!    ([`jvolve::diff::prepare_spec`] / [`jvolve::restricted`]), so the
 //!    tool and the VM can never disagree about a release;
 //! 2. classifies every change into [`ClassChangeKind`]s and emits a
-//!    complete [`UpdateSpec`];
+//!    complete [`UpdateSpec`](jvolve::UpdateSpec);
 //! 3. generates default transformers — identity field mapping by
 //!    name + type, new fields zero/default-initialized, deleted fields
 //!    dropped — with user-supplied transformers overriding **per class**

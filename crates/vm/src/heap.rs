@@ -115,7 +115,7 @@
 //! tag names its entry in the unfilled table; the scan fills it in
 //! budget-sized pieces. Until then an element at or past the fill cursor
 //! is read and written in the from-space original, whose payload is
-//! intact ([`Heap::element_at`]). So no step, not even the one that
+//! intact (`Heap::element_at`). So no step, not even the one that
 //! evacuates the roots, copies more than a budget of an array.
 
 use crate::error::VmError;

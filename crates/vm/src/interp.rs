@@ -8,14 +8,12 @@
 //!
 //! Each op is defined once. The *simple* ops (everything that needs no
 //! frame of its own: no call, branch or allocation) live in one op table,
-//! [`op_table!`], which the framed loop ([`Vm::exec_thread`]) and the
+//! `op_table!`, which the framed loop (`Vm::exec_thread`) and the
 //! frameless leaf-call loop (`Vm::exec_leaf`) both instantiate, and whose
 //! superinstruction arms reuse the plain ops' bodies; the framed loop
 //! adds the call, native, branch and allocation arms. Which ops are
 //! simple, and how many base instructions a superinstruction retires, is
 //! [`RInstr::is_simple`] / [`RInstr::covers`].
-
-use std::sync::Arc;
 
 use jvolve_classfile::STRING_CLASS;
 
@@ -25,7 +23,7 @@ use crate::heap::HeapKind;
 use crate::ids::MethodId;
 use crate::jit2::CmpOp;
 use crate::natives::NativeFn;
-use crate::thread::{BlockOn, FrameNote, ThreadState, VmThread};
+use crate::thread::{BlockOn, CodeRef, FrameNote, ThreadState, VmThread};
 use crate::value::{GcRef, Value};
 use crate::vm::{TransformerCall, Vm};
 
@@ -364,16 +362,12 @@ impl Vm {
                 t.state = ThreadState::Finished;
                 break 'outer SliceEvent::Finished;
             };
-            // SAFETY: nothing replaces `frames[fi].compiled` while this
-            // activation executes — OSR runs only between slices, and a
-            // registry recompilation swaps the *registry's* `Arc`, never
-            // the frame's — and the borrow is last used before the frame
-            // pops (the return path re-enters 'outer immediately, and the
-            // popped record keeps the `Arc` alive through the arm).
-            // Pushing records may move the `Arc` struct itself; the
-            // pointee is heap-allocated and unaffected.
-            let code: &CompiledMethod =
-                unsafe { &*Arc::as_ptr(&t.frames[fi].compiled) };
+            // The executing frame's code, borrowed through a copy of its
+            // `CodeRef` so records can be pushed meanwhile: the registry
+            // owns it and frees nothing while a slice runs (`thread`
+            // module doc).
+            let code_ref = t.frames[fi].compiled;
+            let code: &CompiledMethod = &code_ref;
             // This frame's slice of the value stack: locals from `base`, operands
             // from `floor`; only an OSR between slices resizes the locals.
             let base = t.frames[fi].base as usize;
@@ -480,7 +474,7 @@ impl Vm {
                 // so an overflow traps with the caller's pc still on the call.
                 macro_rules! enter {
                     ($callee:expr, $total:expr) => {{
-                        let callee: Arc<CompiledMethod> = $callee;
+                        let callee: CodeRef = $callee;
                         if let Err(e) = self.frame_room(t.frames.len()) {
                             trap!(e);
                         }
@@ -493,17 +487,18 @@ impl Vm {
                     }};
                 }
                 // The call tail shared by every call arm, over the method
-                // `$mid` dispatch resolved to. The registry's installed code
-                // runs: a leaf callee *borrowed*, on the value stack without
-                // a record or a touch of the `Arc`'s count; any other entered
-                // with one clone. Code not compiled yet (first call, or
-                // invalidated by an update) is compiled by `compiled_for`.
-                // Always leaves via `continue` or a slice-ending break.
+                // `$mid` dispatch resolved to. The registry's published code
+                // runs, borrowed through an uncounted `CodeRef`: a leaf
+                // callee on the value stack without a record, any other
+                // entered with a record pointing at it. Code not compiled
+                // yet (first call, or invalidated by an update) is compiled
+                // by `compiled_for`. Always leaves via `continue` or a
+                // slice-ending break.
                 macro_rules! call {
                     ($mid:expr, $total:expr) => {{
                         let total: usize = $total;
                         let mid = $mid;
-                        match self.registry.method(mid).compiled.as_ref() {
+                        match self.registry.method(mid).code() {
                             Some(callee) => {
                                 if enable_jit
                                     && callee.leaf
@@ -511,20 +506,13 @@ impl Vm {
                                     && !self.heap.copying()
                                     && self.frame_room(t.frames.len()).is_ok()
                                 {
-                                    // SAFETY: the registry's slot keeps the
-                                    // callee alive while it runs — the leaf
-                                    // loop executes simple ops only, and no
-                                    // simple op writes a registry code slot
-                                    // (none compiles, calls or loads a
-                                    // class). The borrow is last used
-                                    // inside `exec_leaf`.
-                                    let leaf: &CompiledMethod = unsafe { &*Arc::as_ptr(callee) };
                                     // Leaf fast path: run the callee on the
                                     // value stack, over its arguments. Gated
                                     // on the budget so a slice that would
                                     // have paused inside the callee frame
                                     // still does, and on a running copy so
                                     // no read barrier is ever skipped.
+                                    let leaf: &CompiledMethod = &callee;
                                     match self.exec_leaf(&mut t.values, leaf, total, &mut steps) {
                                         Ok(()) => {
                                             if steps >= budget {
@@ -536,7 +524,7 @@ impl Vm {
                                         Err(e) => trap!(e),
                                     }
                                 }
-                                enter!(Arc::clone(callee), total)
+                                enter!(callee, total)
                             }
                             None => match self.compiled_for(mid) {
                                 Ok(callee) => enter!(callee, total),

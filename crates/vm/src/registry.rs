@@ -9,7 +9,7 @@
 //! new ones, invalidating TIB entries and compiled code.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use jvolve_classfile::class::MethodKind;
@@ -20,6 +20,7 @@ use crate::error::VmError;
 use crate::heap::{ClassLayouts, LayoutSnapshot};
 use crate::ids::{ClassId, MethodId};
 use crate::natives::{self, NativeFn};
+use crate::thread::CodeRef;
 
 /// One word of an object's instance layout.
 #[derive(Clone, Debug)]
@@ -72,10 +73,26 @@ pub struct MethodInfo {
     pub def: jvolve_classfile::MethodDef,
     /// Native implementation, for builtin classes.
     pub native: Option<NativeFn>,
-    /// Compiled code, if any; `None` means "compile on next invocation".
-    pub compiled: Option<Arc<CompiledMethod>>,
+    /// Published code, if any; `None` means "compile on next invocation".
+    /// Only the registry writes it, through `Registry::unpublish`.
+    compiled: Option<Arc<CompiledMethod>>,
     /// Times this method's compiled code has been invalidated.
     pub invalidations: u32,
+}
+
+impl MethodInfo {
+    /// The published code, if any: what the next call runs.
+    pub fn compiled(&self) -> Option<&Arc<CompiledMethod>> {
+        self.compiled.as_ref()
+    }
+
+    /// The published code as a frame holds it.
+    #[inline]
+    pub(crate) fn code(&self) -> Option<CodeRef> {
+        // SAFETY: the registry owns published code, and `unpublish`
+        // retires it rather than dropping it.
+        self.compiled.as_ref().map(|code| unsafe { CodeRef::new(code) })
+    }
 }
 
 /// The registry.
@@ -91,6 +108,9 @@ pub struct Registry {
     /// Cached GC layout snapshot: extended as classes load, rebuilt
     /// lazily after a rollback truncates the class table.
     snapshot: Option<Arc<LayoutSnapshot>>,
+    /// Code no longer published that a frame may still run (module doc of
+    /// [`crate::thread`]); freed by [`Registry::reclaim`].
+    retired: Vec<Arc<CompiledMethod>>,
     /// See [`Registry::generation`].
     generation: u64,
     /// See [`Registry::reverified_batches`].
@@ -534,11 +554,12 @@ impl Registry {
             vslots: std::mem::take(&mut class.vslots),
             methods: Vec::new(),
         };
-        for info in self.methods.iter_mut().filter(|m| m.class == id) {
-            self.method_by_key.remove(&(id, info.name.clone()));
-            let (compiled, invalidations) = (info.compiled.take(), info.invalidations);
-            info.invalidations += u32::from(compiled.is_some());
-            snap.methods.push((info.id, compiled, invalidations));
+        for mid in self.methods_of(id) {
+            self.method_by_key.remove(&(id, self.methods[mid.index()].name.clone()));
+            let invalidations = self.methods[mid.index()].invalidations;
+            let compiled = self.unpublish(mid, None);
+            self.methods[mid.index()].invalidations += u32::from(compiled.is_some());
+            snap.methods.push((mid, compiled, invalidations));
         }
         snap
     }
@@ -581,16 +602,69 @@ impl Registry {
     }
 
     /// Invalidates a method's compiled code; it recompiles on next call.
+    /// Frames already running the code finish on it (it is retired).
     pub fn invalidate(&mut self, mid: MethodId) {
-        let info = &mut self.methods[mid.index()];
-        if info.compiled.take().is_some() {
-            info.invalidations += 1;
+        if self.unpublish(mid, None).is_some() {
+            self.methods[mid.index()].invalidations += 1;
         }
     }
 
-    /// Installs compiled code for a method.
+    /// Installs compiled code for a method, retiring what it replaces.
     pub fn set_compiled(&mut self, mid: MethodId, code: Arc<CompiledMethod>) {
-        self.methods[mid.index()].compiled = Some(code);
+        self.unpublish(mid, Some(code));
+    }
+
+    /// Replaces `mid`'s published code with `code` (`None` unpublishes it)
+    /// and returns what was published before. The only writer of
+    /// [`MethodInfo::compiled`]: replaced code goes onto the retired list,
+    /// never out of the registry, since a frame may still run it.
+    fn unpublish(
+        &mut self,
+        mid: MethodId,
+        code: Option<Arc<CompiledMethod>>,
+    ) -> Option<Arc<CompiledMethod>> {
+        let slot = &mut self.methods[mid.index()].compiled;
+        let old = std::mem::replace(slot, code);
+        if let Some(old) = &old {
+            if !slot.as_ref().is_some_and(|new| Arc::ptr_eq(new, old)) {
+                self.retired.push(Arc::clone(old));
+            }
+        }
+        old
+    }
+
+    // ---- code ownership (module doc of `crate::thread`) ------------------------
+
+    /// Takes ownership of code from outside the registry so a frame can
+    /// run it: it is retired, and the returned reference stays valid until
+    /// [`Registry::reclaim`] finds no frame on it.
+    pub(crate) fn retain(&mut self, code: Arc<CompiledMethod>) -> CodeRef {
+        // SAFETY: `code` goes onto the retired list, which only
+        // `reclaim` shrinks, and only of code no frame points at.
+        let code_ref = unsafe { CodeRef::new(&code) };
+        self.retired.push(code);
+        code_ref
+    }
+
+    /// The registry's `Arc` of `code`, which a frame of `method` runs:
+    /// `method`'s published code or a retired entry.
+    pub(crate) fn owner(&self, method: MethodId, code: CodeRef) -> Option<&Arc<CompiledMethod>> {
+        let is = |c: &&Arc<CompiledMethod>| std::ptr::eq(Arc::as_ptr(c), code.as_ptr());
+        let published = self.methods.get(method.index()).and_then(|m| m.compiled.as_ref());
+        published.filter(is).or_else(|| self.retired.iter().find(is))
+    }
+
+    /// Code no longer published, kept because a frame may still run it.
+    pub fn retired(&self) -> impl Iterator<Item = &Arc<CompiledMethod>> {
+        self.retired.iter()
+    }
+
+    /// Drops every retired entry whose code is not in `in_use` (the code
+    /// of every frame of every thread) and returns how many it dropped.
+    pub(crate) fn reclaim(&mut self, in_use: &HashSet<*const CompiledMethod>) -> usize {
+        let before = self.retired.len();
+        self.retired.retain(|c| in_use.contains(&Arc::as_ptr(c)));
+        before - self.retired.len()
     }
 
     // ---- rollback primitives (used by the update controller) ----------------
@@ -616,6 +690,9 @@ impl Registry {
     /// frames and renames first).
     pub fn truncate_to(&mut self, mark: &RegistryMark) {
         self.generation += 1;
+        for mid in mark.methods..self.methods.len() {
+            self.unpublish(MethodId(mid as u32), None);
+        }
         for class in self.classes.drain(mark.classes..) {
             if self.by_name.get(&class.name) == Some(&class.id) {
                 self.by_name.remove(&class.name);
@@ -641,9 +718,8 @@ impl Registry {
         for (mid, compiled, invalidations) in snap.methods {
             let name = self.methods[mid.index()].name.clone();
             self.method_by_key.insert((id, name), mid);
-            let info = &mut self.methods[mid.index()];
-            info.compiled = compiled;
-            info.invalidations = invalidations;
+            self.unpublish(mid, compiled);
+            self.methods[mid.index()].invalidations = invalidations;
         }
     }
 
@@ -678,9 +754,8 @@ impl Registry {
             }
             self.methods[mid.index()].def = def;
         }
-        let info = &mut self.methods[mid.index()];
-        info.compiled = compiled;
-        info.invalidations = invalidations;
+        self.unpublish(mid, compiled);
+        self.methods[mid.index()].invalidations = invalidations;
     }
 
     /// Number of JTOC slots allocated (for registry state comparisons).

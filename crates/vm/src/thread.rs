@@ -1,7 +1,7 @@
 //! Green threads and activation records.
 //!
 //! A thread owns **one value stack**: every frame's locals and operand
-//! stack live back to back in [`VmThread::values`], innermost last, and a
+//! stack live back to back in `VmThread::values`, innermost last, and a
 //! [`Frame`] is a small record saying where its slice starts. A call makes
 //! the arguments already on top of the caller's operand stack the callee's
 //! first locals *in place*; a return truncates to the callee's base and
@@ -10,7 +10,36 @@
 //! thread's precise stack map, in root-enumeration order (`f0.locals,
 //! f0.operands, f1.locals, …`): the GC walks it front to back, standing in
 //! for the per-safe-point stack maps the paper's compiler emits.
+//!
+//! ## Who owns the code a frame runs
+//!
+//! The registry does; a frame only borrows it. A frame's code is a
+//! `CodeRef`, an uncounted pointer, so a call and a return touch no
+//! reference count. The registry holds every code object as an `Arc`,
+//! either *published* (a method's current code, what the next call runs)
+//! or *retired*. Whenever the registry stops publishing code (an
+//! invalidation, a body swap, a strip, a rollback's restore or
+//! truncation, a recompile over old code), it moves the `Arc` onto its
+//! retired list instead of dropping it, because a frame entered earlier
+//! may still be running it: an `invalidate` leaves a running activation
+//! on its old code, and OSR's recompile replaces code that frames it did
+//! not replace still run. Code handed in from outside, the rollback's
+//! saved frame code for `Vm::osr_restore`, is retired on arrival before a
+//! frame points at it.
+//!
+//! Retired code is freed only by `Vm::reclaim_code`, which keeps every
+//! entry some frame of some thread still points at and drops the rest.
+//! It needs the whole VM and runs between slices (the update controller
+//! calls it once an update has committed or aborted, outside the pause),
+//! so no frame and no borrow made inside a slice ever outlives its code.
+//! That is the one invariant behind every `CodeRef` dereference: the
+//! interpreter's borrow of the executing frame's code and its borrow of a
+//! leaf callee both rest on it, and `Vm::check_code_refs` checks that each
+//! frame's code is published or retired.
 
+use std::fmt;
+use std::ops::Deref;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 use crate::compiled::CompiledMethod;
@@ -18,18 +47,72 @@ use crate::error::VmError;
 use crate::ids::{MethodId, ThreadId};
 use crate::value::Value;
 
+/// Code a frame runs: an uncounted pointer to a [`CompiledMethod`] that
+/// the registry owns, published or retired (module doc). Copying one
+/// touches no count, and dropping one frees nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CodeRef(NonNull<CompiledMethod>);
+
+impl CodeRef {
+    /// Points at `code` without touching its count.
+    ///
+    /// # Safety
+    ///
+    /// The registry must own `code` (published or retired) for as long as
+    /// the result or any copy of it is dereferenced: in a frame, until
+    /// `Vm::reclaim_code` finds no frame on it; elsewhere, within the
+    /// slice that made it.
+    pub(crate) unsafe fn new(code: &Arc<CompiledMethod>) -> CodeRef {
+        CodeRef(NonNull::from(&**code))
+    }
+
+    /// The code's address, for identity checks.
+    pub(crate) fn as_ptr(self) -> *const CompiledMethod {
+        self.0.as_ptr()
+    }
+}
+
+impl Deref for CodeRef {
+    type Target = CompiledMethod;
+
+    #[inline]
+    fn deref(&self) -> &CompiledMethod {
+        // SAFETY: `CodeRef::new`'s contract and the module doc's
+        // invariant: the registry owns the pointee (published or retired)
+        // and frees retired code only in `Vm::reclaim_code`, between
+        // slices, keeping whatever a frame points at; a `CodeRef` outside
+        // a frame lives within one slice.
+        unsafe { self.0.as_ref() }
+    }
+}
+
+impl fmt::Debug for CodeRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+// SAFETY: a `CodeRef` is a shared borrow of a `CompiledMethod`, which is
+// immutable once compiled and `Sync` (the registry shares it as an `Arc`).
+// Frames live in their VM's threads and the owning `Arc` in that VM's
+// registry, so the two cross OS threads together when the `Vm` is sent.
+unsafe impl Send for CodeRef {}
+
 /// One activation record: which code runs, where, and which slice of the
 /// thread's value stack is its own. The slice starts at `base` with
 /// `locals` local slots; its operand stack runs from there to the next
 /// frame's base (the end of the value stack for the innermost frame).
-#[derive(Debug, Clone)]
+///
+/// Not `Clone`: a record reaches host code only borrowed from its VM, so
+/// the code it points at cannot be reclaimed while it is read.
+#[derive(Debug)]
 pub struct Frame {
     /// The executing method.
     pub method: MethodId,
-    /// The resolved code this frame runs. An OSR replaces this `Arc` (and
-    /// at most grows the locals — `pc` carries over through its bytecode
-    /// pc, and the slots as they are).
-    pub compiled: Arc<CompiledMethod>,
+    /// The resolved code this frame runs, borrowed from the registry. An
+    /// OSR replaces it (and at most grows the locals — `pc` carries over
+    /// through its bytecode pc, and the slots as they are).
+    pub(crate) compiled: CodeRef,
     /// Next instruction index.
     pub pc: u32,
     /// Index of local slot 0 in [`VmThread::values`].
@@ -45,6 +128,11 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// The resolved code this frame runs.
+    pub fn code(&self) -> &CompiledMethod {
+        &self.compiled
+    }
+
     /// Local-slot count (what an OSR may grow and its rollback restores).
     pub fn locals_len(&self) -> usize {
         self.locals as usize
@@ -115,11 +203,11 @@ impl VmThread {
     ///
     /// # Errors
     ///
-    /// As [`VmThread::push_call`].
-    pub fn new(
+    /// As `VmThread::push_call`.
+    pub(crate) fn new(
         id: ThreadId,
         name: impl Into<String>,
-        compiled: Arc<CompiledMethod>,
+        compiled: CodeRef,
         args: &[Value],
     ) -> Result<VmThread, VmError> {
         let mut thread = VmThread::parked(id, name.into());
@@ -151,7 +239,7 @@ impl VmThread {
     /// local-slot space instead of silently truncating the count.
     pub(crate) fn push_call(
         &mut self,
-        compiled: Arc<CompiledMethod>,
+        compiled: CodeRef,
         args: &[Value],
         note: Option<FrameNote>,
     ) -> Result<(), VmError> {
@@ -174,7 +262,7 @@ impl VmThread {
     #[inline]
     pub(crate) fn enter(
         &mut self,
-        compiled: Arc<CompiledMethod>,
+        compiled: CodeRef,
         total: usize,
         note: Option<FrameNote>,
     ) {
@@ -238,10 +326,18 @@ mod tests {
         Arc::new(CompiledMethod::new(MethodId(0), body, max_locals))
     }
 
+    /// The thread's code; the test keeps `code` alive past every use.
+    fn code_ref(code: &Arc<CompiledMethod>) -> CodeRef {
+        // SAFETY: each test holds `code` until it returns, and its thread
+        // does not outlive it.
+        unsafe { CodeRef::new(code) }
+    }
+
     #[test]
     fn frame_seeds_arguments() {
         let args = [Value::Int(7), Value::Bool(true)];
-        let t = VmThread::new(ThreadId(0), "main", dummy_compiled(4), &args).unwrap();
+        let code = dummy_compiled(4);
+        let t = VmThread::new(ThreadId(0), "main", code_ref(&code), &args).unwrap();
         assert_eq!(t.locals(0), [Value::Int(7), Value::Bool(true), Value::Null, Value::Null]);
         assert!(t.operands(0).is_empty());
     }
@@ -249,13 +345,15 @@ mod tests {
     #[test]
     fn frame_rejects_oversized_argument_lists() {
         let args = vec![Value::Int(0); usize::from(u16::MAX) + 1];
-        let err = VmThread::new(ThreadId(0), "main", dummy_compiled(0), &args).unwrap_err();
+        let code = dummy_compiled(0);
+        let err = VmThread::new(ThreadId(0), "main", code_ref(&code), &args).unwrap_err();
         assert!(matches!(err, VmError::Internal { .. }), "{err}");
     }
 
     #[test]
     fn thread_liveness() {
-        let mut t = VmThread::new(ThreadId(0), "main", dummy_compiled(0), &[]).unwrap();
+        let code = dummy_compiled(0);
+        let mut t = VmThread::new(ThreadId(0), "main", code_ref(&code), &[]).unwrap();
         assert!(t.is_live());
         t.state = ThreadState::Finished;
         assert!(!t.is_live());

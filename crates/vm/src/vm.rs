@@ -4,7 +4,7 @@
 //! `jvolve` crate's update driver composes into the paper's protocol.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use jvolve_classfile::{ClassFile, ClassName};
@@ -21,7 +21,7 @@ use crate::jit;
 use crate::lazy::{CopyStep, EpochTotals, LazyEpoch, LazyStage, MAX_TRANSFORMER_DEPTH};
 use crate::net::Net;
 use crate::registry::Registry;
-use crate::thread::{BlockOn, FrameNote, ThreadState, VmThread};
+use crate::thread::{BlockOn, CodeRef, FrameNote, ThreadState, VmThread};
 use crate::value::{GcRef, Value};
 
 /// Statistics maintained by the VM.
@@ -357,7 +357,7 @@ impl Vm {
     pub(crate) fn add_thread(
         &mut self,
         name: String,
-        compiled: Arc<CompiledMethod>,
+        compiled: CodeRef,
         args: &[Value],
     ) -> Result<ThreadId, VmError> {
         let id = ThreadId(self.threads.len() as u32);
@@ -371,23 +371,70 @@ impl Vm {
     /// (first call, or invalidated by an update): "the adaptive compilation
     /// system naturally optimizes updated methods" (paper §1) becomes one
     /// compile, fused when the template JIT is on.
-    pub(crate) fn compiled_for(&mut self, mid: MethodId) -> Result<Arc<CompiledMethod>, VmError> {
+    pub(crate) fn compiled_for(&mut self, mid: MethodId) -> Result<CodeRef, VmError> {
         debug_assert!(self.registry.method(mid).native.is_none(), "natives are dispatched separately");
-        match &self.registry.method(mid).compiled {
-            Some(c) => Ok(Arc::clone(c)),
+        match self.registry.method(mid).code() {
+            Some(code) => Ok(code),
             None => self.compile(mid),
         }
     }
 
     /// Compiles `mid` in the VM's one form (fused iff the template JIT is
-    /// on), counts it and publishes it as the method's code.
-    fn compile(&mut self, mid: MethodId) -> Result<Arc<CompiledMethod>, VmError> {
+    /// on), counts it and publishes it as the method's code (retiring any
+    /// code it replaces).
+    fn compile(&mut self, mid: MethodId) -> Result<CodeRef, VmError> {
         let fuse = self.config.enable_jit;
         let compiled = Arc::new(jit::compile(&self.registry, mid, fuse)?);
         self.stats.base_compiles += 1;
         self.stats.jit_compiles += u64::from(fuse);
-        self.registry.set_compiled(mid, Arc::clone(&compiled));
-        Ok(compiled)
+        self.registry.set_compiled(mid, compiled);
+        Ok(self.registry.method(mid).code().expect("set_compiled publishes"))
+    }
+
+    // ---- code ownership (module doc of `crate::thread`) ------------------------
+
+    /// Frees the retired code no frame of any thread runs any more and
+    /// returns how many code objects it dropped; O(frames + retired).
+    /// Call it between slices: the update controller does once an update
+    /// has committed or aborted, outside the pause.
+    pub fn reclaim_code(&mut self) -> usize {
+        let in_use: HashSet<*const CompiledMethod> = self
+            .threads
+            .iter()
+            .flatten()
+            .flat_map(|t| &t.frames)
+            .map(|f| f.compiled.as_ptr())
+            .collect();
+        self.registry.reclaim(&in_use)
+    }
+
+    /// Checks that the registry owns every frame's code: each frame of
+    /// each thread runs its method's published code or retired code, so
+    /// no frame can outlive what it runs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first frame whose code the registry does not hold.
+    pub fn check_code_refs(&self) -> Result<(), String> {
+        for t in self.threads.iter().flatten() {
+            for (i, f) in t.frames.iter().enumerate() {
+                if self.registry.owner(f.method, f.compiled).is_none() {
+                    return Err(format!(
+                        "frame {i} of {} ({}) runs code the registry does not hold",
+                        t.name, f.method
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The registry's `Arc` of the code frame `frame_idx` of `thread`
+    /// runs, for a caller that must hand it back later
+    /// ([`Vm::osr_restore`]); `None` on a bad thread or frame index.
+    pub fn frame_code(&self, thread: ThreadId, frame_idx: usize) -> Option<Arc<CompiledMethod>> {
+        let f = self.thread(thread)?.frames.get(frame_idx)?;
+        self.registry.owner(f.method, f.compiled).cloned()
     }
 
     // ---- scheduling ------------------------------------------------------------
@@ -806,7 +853,7 @@ impl Vm {
     fn run_on_sync_thread(
         &mut self,
         idx: usize,
-        compiled: Arc<CompiledMethod>,
+        compiled: CodeRef,
         args: &[Value],
         note: Option<FrameNote>,
     ) -> Result<Option<Value>, VmError> {
@@ -906,7 +953,7 @@ impl Vm {
     /// Fails if the frame is stale.
     pub fn osr_replace(&mut self, thread: ThreadId, frame_idx: usize) -> Result<(), VmError> {
         let f = &self.frame_owner(thread, frame_idx)?.frames[frame_idx];
-        let (mid, base_pc) = (f.method, f.compiled.base_pc_of(f.pc));
+        let (mid, base_pc) = (f.method, f.code().base_pc_of(f.pc));
         self.osr_migrate(thread, frame_idx, mid, base_pc)
     }
 
@@ -951,7 +998,8 @@ impl Vm {
     /// Restores a frame's executing code, method, pc, and local-slot count
     /// — the exact inverse of [`Vm::osr_replace`] / [`Vm::osr_migrate`],
     /// used by the update controller's rollback to put an aborted update's
-    /// frames back on their old code.
+    /// frames back on their old code (as [`Vm::frame_code`] gave it). The
+    /// registry retains `compiled` before the frame points at it.
     ///
     /// # Errors
     ///
@@ -965,11 +1013,13 @@ impl Vm {
         pc: u32,
         locals_len: usize,
     ) -> Result<(), VmError> {
-        let t = self.frame_owner(thread, frame_idx)?;
+        self.frame_owner(thread, frame_idx)?;
+        let code = self.registry.retain(compiled);
+        let t = self.threads[thread.0 as usize].as_mut().expect("checked by frame_owner");
         let locals = t.frames[frame_idx].locals;
         t.resize_locals(frame_idx, u16::try_from(locals_len).map_or(locals, |len| len.min(locals)));
         let f = &mut t.frames[frame_idx];
-        (f.method, f.compiled, f.pc) = (method, compiled, pc);
+        (f.method, f.compiled, f.pc) = (method, code, pc);
         Ok(())
     }
 
@@ -1196,9 +1246,11 @@ impl Vm {
         result
     }
 
-    /// Checks the invariants of an update's copy (trivially true outside
-    /// one): no root and no cell the copy has scanned holds a from-space
-    /// reference; every unfilled array's original forwards to it; both
+    /// Checks that the registry owns every frame's code
+    /// ([`Vm::check_code_refs`]), then the invariants of an update's copy
+    /// (trivially true outside one): no root and no cell the copy has
+    /// scanned holds a from-space reference; every unfilled array's
+    /// original forwards to it; both
     /// objects of every logged pair carry its log index + 1 until its
     /// transformer returns (the old copy keeps it); and from-space is empty
     /// once the copy is done. Debug builds check after the commit step and
@@ -1208,6 +1260,7 @@ impl Vm {
     ///
     /// Describes the first violation found.
     pub fn check_epoch_invariants(&mut self) -> Result<(), String> {
+        self.check_code_refs()?;
         if !self.lazy.active {
             return Ok(());
         }
@@ -1351,7 +1404,7 @@ impl Vm {
 /// the note naming its update-log entry for the frame to carry.
 #[derive(Debug)]
 pub(crate) struct TransformerCall {
-    pub compiled: Arc<CompiledMethod>,
+    pub compiled: CodeRef,
     pub args: [Value; 2],
     pub note: FrameNote,
 }

@@ -202,7 +202,7 @@ fn run_interleaving(
             // Republish the current code object (same code) — what an OSR
             // republish looks like to fused callers.
             _ => {
-                if let Some(code) = vm.registry().method(mid).compiled.clone() {
+                if let Some(code) = vm.registry().method(mid).compiled().cloned() {
                     vm.registry_mut().set_compiled(mid, code);
                 }
             }

@@ -1,6 +1,8 @@
 //! VM edge cases: resource exhaustion, adaptive recompilation, scheduler
 //! corner cases, string semantics.
 
+use std::sync::Arc;
+
 use jvolve_vm::compiled::RInstr;
 use jvolve_vm::thread::ThreadState;
 use jvolve_vm::{LazyStage, Value, Vm, VmConfig, VmError};
@@ -53,7 +55,7 @@ fn invalidated_method_recompiles_and_reoptimizes() {
     let w_class = vm.registry().class_id(&"W".into()).unwrap();
     let w = vm.registry().find_method(w_class, "w").unwrap();
     let fused = |vm: &Vm| {
-        let code = vm.registry().method(w).compiled.clone().expect("compiled");
+        let code = vm.registry().method(w).compiled().cloned().expect("compiled");
         matches!(code.code[..], [RInstr::FusedLoadConstAddReturn { slot: 0, k: 1 }])
     };
     assert!(fused(&vm), "the first compile fuses");
@@ -61,7 +63,7 @@ fn invalidated_method_recompiles_and_reoptimizes() {
 
     // Invalidate (as an update would): the next call recompiles, fused.
     vm.registry_mut().invalidate(w);
-    assert!(vm.registry().method(w).compiled.is_none());
+    assert!(vm.registry().method(w).compiled().is_none());
     assert_eq!(vm.call_static_sync("W", "w", &[Value::Int(0)]).unwrap(), Some(Value::Int(1)));
     assert!(fused(&vm), "the recompile fuses");
     assert_eq!(vm.stats().jit_compiles, jit_compiles_before + 1);
@@ -70,6 +72,95 @@ fn invalidated_method_recompiles_and_reoptimizes() {
         vm.call_static_sync("W", "w", &[Value::Int(i)]).unwrap();
     }
     assert_eq!(vm.stats().jit_compiles, jit_compiles_before + 1);
+}
+
+/// A frame mid-call when its method is invalidated finishes on the code
+/// it entered; once it returns, reclaiming frees that code.
+#[test]
+fn an_invalidated_method_finishes_on_its_old_code_which_is_then_freed() {
+    let mut vm = Vm::new(VmConfig { quantum: 50, ..VmConfig::small() });
+    vm.load_source(
+        "class W {
+           static method w(n: int): int {
+             var i: int = 0;
+             while (i < n) { i = i + 1; }
+             return i;
+           }
+           static method main(): void { Sys.printInt(W.w(20000)); }
+         }",
+    )
+    .unwrap();
+    let tid = vm.spawn("W", "main").unwrap();
+    while vm.thread(tid).unwrap().frames.len() < 2 {
+        vm.step_slice();
+    }
+    let w_class = vm.registry().class_id(&"W".into()).unwrap();
+    let w = vm.registry().find_method(w_class, "w").unwrap();
+    let old = Arc::downgrade(vm.registry().method(w).compiled().expect("w ran"));
+    let frame_code = |vm: &Vm| std::ptr::from_ref(vm.thread(tid).unwrap().frames[1].code());
+    assert_eq!(frame_code(&vm), old.as_ptr(), "the frame runs w's published code");
+    let compiles = vm.stats().base_compiles;
+
+    vm.registry_mut().invalidate(w);
+    assert!(vm.registry().method(w).compiled().is_none());
+    assert!(vm.registry().retired().any(|c| c.method == w), "the old code is retired");
+    assert_eq!(vm.check_code_refs(), Ok(()));
+    assert_eq!(vm.reclaim_code(), 0, "a frame still runs the retired code");
+    assert!(old.upgrade().is_some());
+
+    assert!(vm.run_to_completion(1_000_000));
+    assert_eq!(vm.output(), ["20000"], "the frame finished on the old code");
+    assert_eq!(vm.stats().base_compiles, compiles, "nothing recompiled w mid-call");
+    assert_eq!(vm.reclaim_code(), 1, "its last frame returned");
+    assert!(old.upgrade().is_none(), "the old code is freed");
+    assert_eq!(vm.registry().retired().count(), 0);
+    assert_eq!(vm.check_code_refs(), Ok(()));
+}
+
+/// A frame put back on code the registry no longer held (a rolled-back
+/// OSR) keeps that code alive through reclaiming, and runs it.
+#[test]
+fn a_rolled_back_osr_keeps_the_restored_frames_code_alive() {
+    let mut vm = Vm::new(VmConfig { quantum: 10, ..VmConfig::small() });
+    vm.load_source(
+        "class M {
+           static method spin(): int {
+             var i: int = 0;
+             while (i < 3000) { i = i + 1; }
+             return i;
+           }
+           static method other(): int { return 5; }
+           static method main(): void { Sys.printInt(M.spin()); }
+         }",
+    )
+    .unwrap();
+    let tid = vm.spawn("M", "main").unwrap();
+    while vm.thread(tid).unwrap().frames.len() < 2 {
+        vm.step_slice();
+    }
+    let m = vm.registry().class_id(&"M".into()).unwrap();
+    let spin = vm.registry().find_method(m, "spin").unwrap();
+    let other = vm.registry().find_method(m, "other").unwrap();
+    let f = &vm.thread(tid).unwrap().frames[1];
+    let (pc, locals) = (f.pc, f.locals_len());
+    let saved = vm.frame_code(tid, 1).expect("the registry owns the frame's code");
+    let weak = Arc::downgrade(&saved);
+
+    // Migrate the frame away and unpublish its old code: once reclaimed,
+    // only the saved `Arc` holds it.
+    vm.osr_migrate(tid, 1, other, 0).unwrap();
+    vm.registry_mut().invalidate(spin);
+    assert_eq!(vm.reclaim_code(), 1, "no frame runs the old code any more");
+    assert_eq!(Arc::strong_count(&saved), 1);
+
+    vm.osr_restore(tid, 1, spin, saved, pc, locals).unwrap();
+    assert_eq!(vm.check_code_refs(), Ok(()));
+    assert_eq!(vm.reclaim_code(), 0, "the restored frame runs the retained code");
+    assert!(weak.upgrade().is_some());
+    assert!(vm.run_to_completion(1_000_000));
+    assert_eq!(vm.output(), ["3000"], "the frame finished on its restored code");
+    vm.reclaim_code();
+    assert!(weak.upgrade().is_none(), "freed once its frame returned");
 }
 
 #[test]
@@ -365,7 +456,7 @@ fn osr_migrate_inside_a_fused_op_is_an_error_not_a_panic() {
     // The op's own start is a boundary.
     vm.osr_migrate(tid, 1, five, 2).unwrap();
     let frame = &vm.thread(tid).unwrap().frames[1];
-    assert!(matches!(frame.compiled.code[frame.pc as usize], RInstr::FusedLoadConstAddReturn { .. }));
+    assert!(matches!(frame.code().code[frame.pc as usize], RInstr::FusedLoadConstAddReturn { .. }));
 }
 
 #[test]

@@ -206,7 +206,7 @@ fn hot_methods_get_jit_compiled() {
     .unwrap();
     let tid = vm.spawn("Main", "main").unwrap();
     // The first call already runs fused code: main's first frame is on it.
-    let main_code = &vm.thread(tid).unwrap().frames[0].compiled;
+    let main_code = vm.thread(tid).unwrap().frames[0].code();
     assert!(!main_code.base_pc.is_empty(), "main's first frame runs unfused code");
     assert!(main_code.code.iter().any(|op| op.covers() > 1), "{:?}", main_code.code);
     assert!(vm.run_to_completion(1_000_000));
@@ -217,7 +217,7 @@ fn hot_methods_get_jit_compiled() {
     let class = vm.registry().class_id(&"Main".into()).unwrap();
     for method in ["inc", "main"] {
         let mid = vm.registry().find_method(class, method).unwrap();
-        let code = vm.registry().method(mid).compiled.as_ref().unwrap();
+        let code = vm.registry().method(mid).compiled().unwrap();
         assert!(code.code.iter().any(|op| op.covers() > 1), "{method}: {:?}", code.code);
     }
 }

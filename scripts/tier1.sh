@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, clippy, full workspace test suite, the
+# Tier-1 gate: release build, clippy, rustdoc, full workspace test suite, the
 # named oracles, a benchmark/ smoke, and the quick bench gates — exact
 # counts and same-run ratios; no step reads a committed file. Run from
 # the repository root:
@@ -24,6 +24,11 @@ cargo build --release
 
 echo "== tier-1: cargo clippy (workspace, warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Every intra-doc link resolves and no public item links to a private
+# one: rustdoc's warnings are errors.
+echo "== tier-1: cargo doc (workspace, warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== tier-1: cargo test (workspace) =="
 cargo test -q --workspace
